@@ -4,7 +4,7 @@ from .dimension import (ComponentDimensionReport, DimensionEstimate,
                         MeasureClassification, TruncationSweep, bowen_dimension,
                         classify_hausdorff_measure, component_dimensions,
                         truncation_sweep)
-from .errors import (DomainError, GdmsError, InputError, NotApplicableError,
+from .errors import (ConvergenceError, DomainError, GdmsError, InputError, NotApplicableError,
                      ResourceGuardError, SpecError, UnsupportedAnalysisError)
 from .graph import (Edge, IncidenceSpec, MatrixProperties, MultiGraph, SccReport,
                     enumerate_words, is_admissible, matrix_properties,

@@ -1,9 +1,12 @@
 """Bowen dimension, component structure checks and truncation sweeps.
 
 The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}.
-Similarity systems expose the exact pressure ln rho(B(t)), so plain
-bisection brackets the root to any tolerance; continued-fraction systems
-bisect the rigorous pressure brackets instead.
+Similarity systems expose the exact pressure ln rho(B(t)); its zero is the
+largest zero over strongly connected components (Mauldin and Urbanski,
+Graph Directed Markov Systems, 2003), each found by safeguarded Newton
+steps with Ruelle's derivative, and the bracket ends are then certified by
+the sign of the whole-system pressure. Continued-fraction systems bisect
+the rigorous pressure brackets instead.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ import numpy as np
 
 from . import graph as g
 from . import thermo
-from .errors import InputError, NotApplicableError, UnsupportedAnalysisError
-from .system import GdmsSystem, empty_limit_set
+from .errors import (ConvergenceError, InputError, NotApplicableError,
+                     UnsupportedAnalysisError)
+from .system import GdmsSystem
 
 MORAN_EXACT = "moran-exact"
-SPECTRAL_BISECTION = "spectral-bisection"
+PERRON_NEWTON = "perron-newton"
 BRACKET_BISECTION = "bracket-bisection"
 EMPTY_LIMIT_SET = "empty-limit-set"
 
@@ -118,41 +122,123 @@ def _is_full_shift(system):
     return all(len(succ[e]) == len(ids) for e in ids)
 
 
+# Most pressure evaluations one component root or one certificate may take.
+STEP_CAP = 100
+# P(1) above this means the images overlap too much for the open set condition.
+P1_SLACK = 1e-12
+
+
+def _component_root(A, log_norms, tolerance):
+    """Zero of P(t) = ln rho(B(t)), B(t) = A * exp(t log r), A irreducible.
+
+    Safeguarded Newton from t = 0 with Ruelle's derivative
+    P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b (v, w the right and left
+    Perron vectors of B(t)). P is convex and decreasing, so Newton steps
+    from the left climb monotonically to the zero; the bracket [a, b] with
+    P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
+    becomes a bisection step. The right end t = 1 is only evaluated when a
+    step reaches it. Returns (root, steps).
+    """
+    a, b, b_known = 0.0, 1.0, False
+    t = 0.0
+    for steps in range(1, STEP_CAP + 1):
+        rho, v, w = thermo.perron(A * np.exp(t * log_norms))
+        p = math.log(rho)
+        if t == 1.0 and p >= 0.0:
+            if p > P1_SLACK:
+                raise UnsupportedAnalysisError(
+                    "P(1) > 0: total contraction exceeds the interval, the "
+                    "system cannot satisfy the open set condition")
+            return 1.0, steps
+        if p == 0.0:
+            return t, steps
+        if p > 0.0:
+            a = t
+        else:
+            b, b_known = t, True
+        wv = w * v
+        step = float(-p * wv.sum() / (wv @ log_norms))
+        if not a <= t + step <= b:
+            if not b_known:
+                t = b
+                continue
+            step = 0.5 * (a + b) - t
+        if abs(step) <= tolerance / 8:
+            return t + step, steps
+        t += step
+    raise ConvergenceError(f"Perron-Newton took more than {STEP_CAP} steps")
+
+
+def _certified_bracket(pressure_at, h, tolerance):
+    """[lo, hi] around h with pressure_at(lo) >= 0 > pressure_at(hi).
+
+    Starts from h -/+ tolerance/4. lo = 0 needs no check: the dimension is
+    nonnegative. An end that fails its sign test is a valid end of the other
+    kind, so that side is widened by doubling, and the bracket is bisected
+    back to width tolerance/2. Returns (lo, hi, widening and bisection steps).
+    """
+    down = up = tolerance / 4
+    lo, hi = max(0.0, h - down), h + up
+    while hi - lo > tolerance / 2:  # rounding can add an ulp to the width
+        hi = math.nextafter(hi, lo)
+    steps = 0
+    moved_down = False
+    while lo > 0.0 and pressure_at(lo) < 0.0:
+        hi, down, moved_down = lo, 2 * down, True
+        lo = max(0.0, h - down)
+        steps += 1
+    while not moved_down and pressure_at(hi) >= 0.0:
+        lo, up = hi, 2 * up
+        hi = h + up
+        steps += 1
+        if steps > STEP_CAP:
+            raise ConvergenceError(f"no negative pressure found up to t = {hi}")
+    if steps:
+        lo, hi, n = _bisect_decreasing(pressure_at, lo, hi, tolerance / 2)
+        steps += n
+    return lo, hi, steps
+
+
+def _similarity_dimension(system, tolerance):
+    """HD(J) = max over components of the component pressure zero."""
+    h, steps = 0.0, 0
+    for A, log_norms in system.component_blocks():
+        root, n = _component_root(A, log_norms, tolerance)
+        h, steps = max(h, root), steps + n
+    lo, hi, n = _certified_bracket(lambda t: thermo.pressure(system, t).upper,
+                                   h, tolerance)
+    method = PERRON_NEWTON
+    if _is_full_shift(system):
+        ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
+        moran = _moran_root(ratios, tolerance)
+        if not (lo - tolerance <= moran <= hi + tolerance):
+            raise InputError(
+                f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
+                f"root {moran}")
+        method = MORAN_EXACT
+    return DimensionEstimate(lo, hi, method, steps + n)
+
+
 def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
                     n_max: int = 14) -> DimensionEstimate:
-    """Bracket HD(J) = inf{t : P(t) < 0} for a finite system."""
+    """Bracket HD(J) = inf{t : P(t) < 0} for a finite system.
+
+    Similarity systems get a bracket of width at most tolerance / 2;
+    `iterations` counts their Newton steps, plus any widening or bisection
+    steps the end certificate needed.
+    """
     if tolerance <= 0:
         raise InputError("tolerance must be positive")
     if system.infinite:
         raise NotApplicableError("truncate the system first")
-    if empty_limit_set(system):
+    if not system.components:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
-
     if system.family.kind == "similarity":
-        def pressure_at(t):
-            return thermo.pressure(system, t).upper
-
-        p1 = pressure_at(1.0)
-        if p1 > 1e-12:
-            raise UnsupportedAnalysisError(
-                "P(1) > 0: total contraction exceeds the interval, the system "
-                "cannot satisfy the open set condition")
-        lo, hi, iters = _bisect_decreasing(pressure_at, 0.0, 1.0, tolerance)
-        method = SPECTRAL_BISECTION
-        if _is_full_shift(system):
-            ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
-            moran = _moran_root(ratios, tolerance)
-            if not (lo - tolerance <= moran <= hi + tolerance):
-                raise InputError(
-                    f"spectral bisection [{lo}, {hi}] disagrees with the Moran "
-                    f"root {moran}")
-            method = MORAN_EXACT
-        return DimensionEstimate(lo, hi, method, iters)
+        return _similarity_dimension(system, tolerance)
 
     # continued-fraction truncation: bisect the pressure bracket signs
     cache = thermo.CfPartitionCache(system)
-    report = g.scc_decompose(system)
-    core = max(report.components, key=len)
+    core = max(system.components, key=len)
     restriction_cache = thermo.CfPartitionCache(system.restrict(core))
 
     def bounds(t):
@@ -192,16 +278,16 @@ def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> Compon
     The overall dimension must equal the maximum over strongly connected
     components (isolated edges only contribute a geometrically decaying tail).
     """
-    report = g.scc_decompose(system)
+    components = system.components
     estimates = tuple(bowen_dimension(system.restrict(comp), tolerance)
-                      for comp in report.components)
+                      for comp in components)
     overall = bowen_dimension(system, tolerance)
     if estimates:
         max_est = max(estimates, key=lambda e: e.mid)
     else:
         max_est = DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
     difference = abs(overall.mid - max_est.mid)
-    return ComponentDimensionReport(report.components, estimates, overall,
+    return ComponentDimensionReport(components, estimates, overall,
                                     max_est, difference)
 
 
@@ -217,12 +303,12 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
     """
     if system.infinite:
         raise NotApplicableError("truncate the system first")
-    if empty_limit_set(system):
+    report = g.scc_decompose(system)
+    if not report.components:
         return MeasureClassification(NOT_APPLICABLE,
                                      DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET),
                                      (), (), (), (), 0.0,
                                      "empty limit set: no dimension to classify")
-    report = g.scc_decompose(system)
     comp_report = component_dimensions(system, tolerance)
     overall = comp_report.overall
     maximal = tuple(

@@ -31,3 +31,7 @@ class NotApplicableError(GdmsError):
 
 class UnsupportedAnalysisError(GdmsError):
     """The system falls outside what this operation can analyse."""
+
+
+class ConvergenceError(UnsupportedAnalysisError):
+    """A numerical solver did not converge or could not certify its result."""

@@ -201,6 +201,17 @@ def tarjan_scc(nodes, succ):
     return sccs
 
 
+def cyclic_components(ids, succ):
+    """Strongly connected components that an admissible cycle passes
+    through (more than one edge, or one edge that may follow itself), as
+    frozensets ordered by their first edge in `ids`."""
+    order = {e: k for k, e in enumerate(ids)}
+    comps = [frozenset(c) for c in tarjan_scc(ids, succ)
+             if len(c) > 1 or c[0] in succ[c[0]]]
+    comps.sort(key=lambda c: min(order[e] for e in c))
+    return tuple(comps)
+
+
 def scc_decompose(system) -> SccReport:
     """Strongly connected structure of the edge graph.
 
@@ -211,14 +222,7 @@ def scc_decompose(system) -> SccReport:
     _require_finite(system)
     ids = system.edge_ids
     succ = system.successor_map
-    order = {e: k for k, e in enumerate(ids)}
-    sccs = tarjan_scc(ids, succ)
-
-    nontrivial = []
-    for comp in sccs:
-        if len(comp) > 1 or comp[0] in succ[comp[0]]:
-            nontrivial.append(frozenset(comp))
-    nontrivial.sort(key=lambda c: min(order[e] for e in c))
+    nontrivial = system.components
     comp_index = {}
     for k, comp in enumerate(nontrivial):
         for e in comp:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import graph as g
 from . import maps as m
 from .errors import DomainError, InputError, NotApplicableError, SpecError
@@ -23,7 +25,12 @@ class GdmsSystem:
     family: object  # SimilarityFamily | MoebiusCfFamily
     spaces: dict    # vertex id -> VertexSpace
     infinite: bool = False
-    _succ: dict = field(default=None, repr=False, compare=False)
+    # Built on first use. init=False keeps them out of `replace`, so every
+    # derived system (restrict, truncate) starts with empty caches.
+    _succ: dict = field(default=None, init=False, repr=False, compare=False)
+    _components: tuple = field(default=None, init=False, repr=False, compare=False)
+    _ids: tuple = field(default=None, init=False, repr=False, compare=False)
+    _dense: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.graph.vertices:
@@ -36,9 +43,43 @@ class GdmsSystem:
     def edge_ids(self):
         return tuple(e.id for e in self.graph.edges)
 
+    def _id_maps(self):
+        if self._ids is None:
+            edges = self.graph.edges
+            self._ids = ({e.id: k for k, e in enumerate(edges)},
+                         {e.id: e for e in edges})
+        return self._ids
+
+    @property
+    def edge_index(self):
+        """edge id -> row and column of the edge in `incidence_matrix`."""
+        return self._id_maps()[0]
+
     @property
     def edges_by_id(self):
-        return {e.id: e for e in self.graph.edges}
+        return self._id_maps()[1]
+
+    def _dense_arrays(self):
+        if self._dense is None:
+            pos = self.edge_index
+            A = np.zeros((len(pos), len(pos)))
+            for a, row in self.successor_map.items():
+                A[pos[a], [pos[b] for b in row]] = 1.0
+            log_norms = np.array([self.family.one_step_log_norm(e)
+                                  for e in self.edge_ids])
+            A.flags.writeable = log_norms.flags.writeable = False
+            self._dense = (A, log_norms)
+        return self._dense
+
+    @property
+    def incidence_matrix(self):
+        """Read-only 0/1 matrix of the edge graph, rows and columns in edge order."""
+        return self._dense_arrays()[0]
+
+    @property
+    def log_norms(self):
+        """Read-only vector of ln ||phi_e'|| in edge order."""
+        return self._dense_arrays()[1]
 
     @property
     def successor_map(self):
@@ -53,12 +94,29 @@ class GdmsSystem:
             }
         return self._succ
 
+    @property
+    def components(self):
+        """Edge sets of the strongly connected components that carry a
+        cycle, ordered by their first edge (see `graph.cyclic_components`)."""
+        if self._components is None:
+            self._components = g.cyclic_components(self.edge_ids, self.successor_map)
+        return self._components
+
+    def component_blocks(self):
+        """(A_k, log r_k) of each of `components`: the diagonal block of
+        `incidence_matrix` and the entries of `log_norms` for its edges."""
+        pos = self.edge_index
+        blocks = []
+        for comp in self.components:
+            idx = sorted(pos[e] for e in comp)
+            blocks.append((self.incidence_matrix[np.ix_(idx, idx)], self.log_norms[idx]))
+        return blocks
+
     def restrict(self, edge_ids) -> "GdmsSystem":
         """Subsystem on a subset of edges (incidence restricted implicitly)."""
         keep = set(edge_ids)
         edges = tuple(e for e in self.graph.edges if e.id in keep)
-        sub = replace(self, graph=g.MultiGraph(self.graph.vertices, edges), _succ=None)
-        return sub
+        return replace(self, graph=g.MultiGraph(self.graph.vertices, edges))
 
     def truncate(self, size: int) -> "GdmsSystem":
         """Finite head {1..size} of an infinite integer-labelled family."""
@@ -69,8 +127,7 @@ class GdmsSystem:
         v = self.graph.vertices[0]
         edges = tuple(g.Edge(k, v, v) for k in range(1, size + 1))
         return replace(self, graph=g.MultiGraph(self.graph.vertices, edges),
-                       infinite=False, _succ=None,
-                       name=f"{self.name}[1..{size}]")
+                       infinite=False, name=f"{self.name}[1..{size}]")
 
     # -- geometry ----------------------------------------------------------
 
@@ -232,12 +289,12 @@ def _osc_level1_warnings(system):
     """Pairwise interior-overlap test of first-level image intervals."""
     warnings = []
     edges = system.graph.edges
+    images = [system.word_interval((e.id,)) for e in edges]
     for i, a in enumerate(edges):
-        lo_a, hi_a = system.word_interval((a.id,))
-        for b in edges[i + 1:]:
+        lo_a, hi_a = images[i]
+        for b, (lo_b, hi_b) in zip(edges[i + 1:], images[i + 1:]):
             if a.src != b.src:
                 continue
-            lo_b, hi_b = system.word_interval((b.id,))
             overlap = min(hi_a, hi_b) - max(lo_a, lo_b)
             if overlap > 1e-12:
                 warnings.append(
@@ -254,8 +311,7 @@ def empty_limit_set(system: GdmsSystem) -> bool:
     """
     if system.infinite:
         return False
-    report = g.scc_decompose(system)
-    return len(report.components) == 0
+    return not system.components
 
 
 def diameter_bound(system: GdmsSystem, depth: int) -> float:

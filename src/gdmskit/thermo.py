@@ -15,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import graph as g
-from .errors import (DomainError, InputError, NotApplicableError,
-                     ResourceGuardError, UnsupportedAnalysisError)
+from .errors import (ConvergenceError, DomainError, InputError,
+                     NotApplicableError, ResourceGuardError,
+                     UnsupportedAnalysisError)
 from .maps import distortion_constant
 from .system import GdmsSystem
 
@@ -70,22 +71,51 @@ class FinitenessReport:
 
 def transfer_matrix(system: GdmsSystem, t: float):
     """B(t)_{ab} = A_{ab} * ||phi_b'||^t and the vector u_a = ||phi_a'||^t."""
-    ids = system.edge_ids
-    logs = np.array([system.family.one_step_log_norm(e) for e in ids])
-    u = np.exp(t * logs)
-    succ = system.successor_map
-    pos = {e: k for k, e in enumerate(ids)}
-    A = np.zeros((len(ids), len(ids)))
-    for a in ids:
-        for b in succ[a]:
-            A[pos[a], pos[b]] = 1.0
-    return A * u[None, :], u
+    u = np.exp(t * system.log_norms)
+    return system.incidence_matrix * u, u
 
 
 def spectral_radius(B) -> float:
     if B.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(B))))
+
+
+# Relative gap between the Perron root and the inverse-iteration shift.
+PERRON_SHIFT = 1e-14
+
+
+def perron(B, tolerance: float = 1e-9):
+    """(rho, v, w) of an irreducible nonnegative matrix B.
+
+    rho is the spectral radius; v and w are the right and left Perron
+    vectors, each scaled to sum 1. Each vector is one inverse-iteration
+    solve (B - sI) x = 1 with s just above rho: the Perron root is simple,
+    so the solve amplifies its direction by about 1/PERRON_SHIFT over every
+    other one. Raises ConvergenceError unless both vectors are strictly
+    positive with max|Bv - rho v| and max|wB - rho w| at most
+    tolerance * rho * max(vector), and w.v / (max v * max w) exceeds
+    tolerance (a defective root, as in a reducible B with two equal blocks,
+    drives it to 0).
+    """
+    rho = spectral_radius(B)
+    if not rho > 0.0:
+        raise ConvergenceError("Perron root of a nilpotent matrix")
+    shifted = B - rho * (1.0 + PERRON_SHIFT) * np.eye(B.shape[0])
+    ones = np.ones(B.shape[0])
+    v = np.linalg.solve(shifted, ones)
+    w = np.linalg.solve(shifted.T, ones)
+    v, w = v / v.sum(), w / w.sum()
+    for name, vec, image in (("right", v, B @ v), ("left", w, w @ B)):
+        residual = float(np.max(np.abs(image - rho * vec)))
+        if not (vec.min() > 0.0 and residual <= tolerance * rho * vec.max()):
+            raise ConvergenceError(
+                f"{name} Perron vector failed: min entry {vec.min():.3g}, "
+                f"residual {residual:.3g} against rho = {rho:.17g}")
+    overlap = float(w @ v) / (v.max() * w.max())
+    if not overlap > tolerance:
+        raise ConvergenceError(f"Perron root is not simple: w.v overlap {overlap:.3g}")
+    return rho, v, w
 
 
 def _transfer_partition_sums(system, t, n_max):
@@ -219,8 +249,13 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14,
              restriction_cache: CfPartitionCache | None = None) -> PressureEstimate:
     """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t).
 
-    Similarity systems: exact, P = ln rho(B(t)) (reducible matrices give the
-    max over diagonal blocks automatically). Continued-fraction truncations:
+    Similarity systems: exact, P = ln rho(B(t)), computed as the max of
+    ln rho(B_k(t)) over the diagonal blocks of `system.components`. In a
+    topological order of the components B(t) is block triangular, and the
+    remaining diagonal blocks are nilpotent, so the two agree; dense eigvals
+    of the whole matrix would instead carry an error near sqrt(eps) when two
+    linked components have equal radius (a Jordan block at rho).
+    Continued-fraction truncations:
     upper bound min_n (1/n) ln Z_n (subadditivity), lower bound
     max_n (1/n)(ln Z_n - t ln K) on a strongly connected restriction.
     """
@@ -234,8 +269,8 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14,
             "pressure of an infinite system needs a truncation sweep")
 
     if system.family.kind == "similarity":
-        B, _ = transfer_matrix(system, t)
-        rho = spectral_radius(B)
+        rho = max((spectral_radius(A * np.exp(t * logs))
+                   for A, logs in system.component_blocks()), default=0.0)
         p = math.log(rho) if rho > 0 else -math.inf
         return PressureEstimate(t, p, p, 0, TRANSFER_MATRIX)
 
@@ -250,10 +285,9 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14,
     p_upper = min(uppers)
 
     if restriction_cache is None:
-        report = g.scc_decompose(system)
-        if not report.components:
+        if not system.components:
             return PressureEstimate(t, -math.inf, p_upper, n_max, ENUMERATION)
-        core = max(report.components, key=len)
+        core = max(system.components, key=len)
         restriction_cache = CfPartitionCache(system.restrict(core))
     log_k = math.log(distortion_constant(system.family))
     lowers = []
@@ -358,7 +392,9 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     With rho(B(h)) = 1 and Perron right eigenvector v, the masses
     m([word]) = r_word^h * v_last / Z (Z = sum_e r_e^h v_e) are nonnegative,
     sum to one at every level, and satisfy the refinement identity
-    m([word]) = sum over admissible extensions of m([word e]).
+    m([word]) = sum over admissible extensions of m([word e]). v comes from
+    `perron`, which raises ConvergenceError when it is not strictly positive
+    or its residual exceeds pressure_tolerance.
     """
     if system.infinite:
         raise UnsupportedAnalysisError("conformal measures need a finite system")
@@ -368,12 +404,11 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     if not props.irreducible:
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")
     B, u = transfer_matrix(system, h)
-    rho = spectral_radius(B)
+    rho, v, _ = perron(B, pressure_tolerance)
     if abs(math.log(rho)) > pressure_tolerance:
         raise DomainError(
             f"h={h} is not a pressure zero: ln rho(B(h)) = {math.log(rho):.3g}")
 
-    v = _perron_right_vector(B)
     ids = system.edge_ids
     weights = u * v
     z = float(weights.sum())
@@ -384,17 +419,3 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     return CylinderMeasure(h, edge_masses, vertex_masses,
                            {e: float(v[k]) for k, e in enumerate(ids)}, z)
 
-
-def _perron_right_vector(B, tol=1e-13, max_iter=100_000):
-    """Power iteration on B + I (irreducible nonnegative => primitive)."""
-    n = B.shape[0]
-    shifted = B + np.eye(n)
-    v = np.ones(n)
-    v /= v.sum()
-    for _ in range(max_iter):
-        w = shifted @ v
-        w /= w.sum()
-        if float(np.max(np.abs(w - v))) <= tol:
-            return w
-        v = w
-    return v

@@ -42,6 +42,39 @@ def feeder_system():
                                 gg.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(allowed)))
 
 
+def packed_system(name, ratios, allowed):
+    """One-vertex explicit-incidence system; `ratios` maps edge id -> ratio
+    and the level-1 images are packed left to right inside [0, 1]."""
+    space = gm.VertexSpace("v", 0.0, 1.0)
+    edges, cursor = [], 0.0
+    for eid, ratio in ratios.items():
+        edges.append((eid, "v", "v", gm.SimilarityMap(ratio, cursor)))
+        cursor += ratio
+    return gs.similarity_system(name, ("v",), {"v": space}, edges,
+                                gg.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(allowed)))
+
+
+def mirrored_blocks_system():
+    """Two copies of one irreducible 3-edge block, linked one way (a3 -> b1).
+
+    The blocks have equal spectral radius, so the whole transfer matrix has
+    a Jordan block at its Perron root. The edges of the two blocks
+    alternate, so the matrix is not block triangular in edge order."""
+    pattern = [(1, 2), (2, 3), (3, 1), (1, 1), (2, 1)]
+    allowed = {(f"{k}{i}", f"{k}{j}") for k in "ab" for i, j in pattern}
+    allowed.add(("a3", "b1"))
+    ratios = {f"{k}{i}": r for i, r in zip((1, 2, 3), (0.2, 0.12, 0.08)) for k in "ab"}
+    return packed_system("mirrored", ratios, allowed)
+
+
+def period_two_system():
+    """Irreducible with period 2: p-edges are always followed by q-edges."""
+    ps, qs = ("p1", "p2"), ("q1", "q2")
+    allowed = {(a, b) for a in ps for b in qs} | {(b, a) for a in ps for b in qs}
+    return packed_system("period-two", {"p1": 0.3, "p2": 0.2, "q1": 0.25, "q2": 0.1},
+                         allowed)
+
+
 def random_packed_system(rng, max_edges=6):
     """Random explicit-incidence similarity system with disjoint level-1 images."""
     n_vertices = rng.randint(1, 3)

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gdmskit as gk
 from gdmskit import dimension as gd
 from gdmskit import graph as gg
-from conftest import two_component_system, random_packed_system
+from conftest import (feeder_system, mirrored_blocks_system, packed_system,
+                      period_two_system, two_component_system,
+                      random_packed_system)
 
 
 def cf_sys(kind=gg.FULL, width=1, truncate=None):
@@ -71,6 +75,142 @@ def _moran_bisect(ratios):
     return (lo + hi) / 2
 
 
+def _dense_pressure(system):
+    """t -> ln rho(B(t)) from dense eigvals of the whole E x E matrix.
+
+    Edges are sorted by descending reach set first. Every arrow then stays
+    in its strongly connected block or points to a later block, so B(t) is
+    block upper triangular and eigvals deflates between blocks. In edge
+    order, two linked blocks of equal radius can form a Jordan block at rho,
+    where eigvals errs by about sqrt(eps).
+    """
+    ids = system.edge_ids
+    n = len(ids)
+    A = np.array([[float(gk.is_admissible(system, (a, b))) for b in ids] for a in ids])
+    reach = np.eye(n, dtype=bool) | (A > 0)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    order = sorted(range(n), key=lambda i: (-int(reach[i].sum()), tuple(reach[i])))
+    A = A[np.ix_(order, order)]
+    logs = np.array([math.log(system.family.map_for(ids[i]).ratio) for i in order])
+
+    def pressure(t):
+        rho = float(np.max(np.abs(np.linalg.eigvals(A * np.exp(t * logs)))))
+        return math.log(rho) if rho > 0 else -math.inf
+    return pressure
+
+
+def _reference_root(pressure, tol=1e-13):
+    """Plain bisection for the sign change of the whole-matrix pressure."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pressure(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _assert_certified(system, tolerance=1e-10):
+    est = gk.bowen_dimension(system, tolerance)
+    pressure = _dense_pressure(system)
+    root = _reference_root(pressure)
+    assert est.lo <= root <= est.hi
+    assert est.width <= tolerance / 2
+    assert est.lo == 0.0 or pressure(est.lo) >= 0.0
+    assert pressure(est.hi) < 0.0
+    return est, root
+
+
+def _self_loop_system():
+    return packed_system("self-loop", {"s": 0.5}, {("s", "s")})
+
+
+class TestPerronNewton:
+    def test_mirrored_linked_blocks(self):
+        # equal radii and a link: the whole matrix has no simple Perron root
+        est, _ = _assert_certified(mirrored_blocks_system())
+        assert est.method == gd.PERRON_NEWTON
+        assert 0 < est.iterations < 34
+
+    def test_interleaved_equal_radius_components(self):
+        # two golden-mean blocks {e0, e4} and {e1, e2}, linked by e2 -> e0;
+        # dense eigvals of the whole matrix in edge order err near 1e-8 here
+        allowed = {("e0", "e4"), ("e4", "e0"), ("e4", "e4"), ("e1", "e2"),
+                   ("e2", "e1"), ("e2", "e2"), ("e2", "e0")}
+        sys = packed_system("golden-pair", {f"e{k}": 0.19 for k in range(5)}, allowed)
+        est, _ = _assert_certified(sys)
+        want = math.log((1 + math.sqrt(5)) / 2) / math.log(1 / 0.19)
+        assert est.lo <= want <= est.hi
+
+    def test_singleton_self_loop_has_dimension_zero(self):
+        est, root = _assert_certified(_self_loop_system())
+        assert est.lo == 0.0
+        assert root <= est.hi <= 1e-10
+
+    def test_self_loop_beside_a_block(self):
+        sys = packed_system("loop+block", {"s": 0.5, "a": 0.2, "b": 0.2},
+                            {("s", "s"), ("s", "a"), ("a", "a"), ("a", "b"),
+                             ("b", "a"), ("b", "b")})
+        est, _ = _assert_certified(sys)
+        want = math.log(2) / math.log(5)
+        assert est.lo - 1e-12 <= want <= est.hi + 1e-12
+
+    def test_period_two_component(self):
+        # rho(B(t))^2 = (0.3^t + 0.2^t)(0.25^t + 0.1^t)
+        est, _ = _assert_certified(period_two_system())
+        h = est.mid
+        assert (0.3 ** h + 0.2 ** h) * (0.25 ** h + 0.1 ** h) == pytest.approx(1.0, abs=1e-9)
+
+    def test_feeder_and_isolated_edges(self):
+        _assert_certified(feeder_system())
+        _assert_certified(two_component_system(r1=1 / 3, r2=1 / 3, linked=True))
+
+    def test_full_shifts_match_moran_root(self, rng):
+        for _ in range(5):
+            k = rng.randrange(2, 5)
+            ratios = [rng.uniform(0.05, 0.9 / k) for _ in range(k)]
+            est, _ = _assert_certified(gk.full_shift(ratios))
+            assert est.method == gd.MORAN_EXACT
+            assert est.lo - 1e-12 <= _moran_bisect(ratios) <= est.hi + 1e-12
+
+    @pytest.mark.parametrize("offset", [-3e-9, 3e-9, -0.25])
+    def test_failed_end_certificate_widens_then_bisects(self, offset):
+        # a root estimate off by more than tol/4 fails one end's sign test
+        tol = 1e-10
+        lo, hi, steps = gd._certified_bracket(lambda t: 0.3 - t, 0.3 + offset, tol)
+        assert steps > 0
+        assert lo <= 0.3 < hi
+        assert hi - lo <= tol / 2
+
+    def test_overfull_system_rejected(self):
+        sys = packed_system("overfull", {"a": 0.6, "b": 0.6},
+                            {(x, y) for x in "ab" for y in "ab"})
+        with pytest.raises(gk.UnsupportedAnalysisError, match="P\\(1\\) > 0"):
+            gk.bowen_dimension(sys)
+
+
+@st.composite
+def _explicit_systems(draw):
+    n = draw(st.integers(2, 6))
+    ratios = draw(st.lists(st.floats(0.01, 0.4), min_size=n, max_size=n))
+    scale = min(1.0, 0.95 / sum(ratios))
+    flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    ids = [f"e{k}" for k in range(n)]
+    allowed = {(ids[i], ids[j]) for i in range(n) for j in range(n) if flags[i * n + j]}
+    return packed_system("hyp", {e: r * scale for e, r in zip(ids, ratios)}, allowed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_explicit_systems())
+def test_bracket_contains_dense_bisection_root(system):
+    if gk.empty_limit_set(system):
+        assert gk.bowen_dimension(system).method == gd.EMPTY_LIMIT_SET
+    else:
+        _assert_certified(system)
+
+
 class TestComponentDimensions:
     def test_dimension_is_max_over_components(self):
         sys = two_component_system(linked=True)
@@ -83,7 +223,6 @@ class TestComponentDimensions:
         assert abs(best - want) <= 1e-9
 
     def test_feeder_edges_do_not_change_dimension(self):
-        from conftest import feeder_system
         est = gk.bowen_dimension(feeder_system())
         want = math.log(2) / math.log(3)
         assert abs(est.mid - want) <= 1e-9
@@ -127,7 +266,6 @@ class TestIsolatedEdgeEffects:
     def test_isolated_edges_contribute_boundedly(self):
         # words through the feeder chain add a bounded amount to Z_n at the
         # dimension, so Z_n stays bounded and the increments settle down
-        from conftest import feeder_system
         sys = feeder_system()
         h = math.log(2) / math.log(3)
         core = sys.restrict(("a", "b"))

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gdmskit as gk
 from gdmskit import graph as gg
-from conftest import two_component_system, random_packed_system
+from gdmskit import thermo
+from conftest import (period_two_system, two_component_system,
+                      random_packed_system)
 
 
 def cf_sys(kind=gg.FULL, width=1, truncate=None):
@@ -63,6 +66,58 @@ class TestPartitionSums:
         n = 5
         exact = gk.partition_sum(sys, n, t, method="enumeration")
         assert exact.lower <= exact.value <= exact.upper
+
+
+class TestTransferMatrix:
+    def test_matches_definition(self, rng):
+        checked = 0
+        while checked < 5:
+            sys = random_packed_system(rng)
+            if sys is None:
+                continue
+            checked += 1
+            t = rng.uniform(0.1, 1.5)
+            B, u = thermo.transfer_matrix(sys, t)
+            ids = sys.edge_ids
+            for i, a in enumerate(ids):
+                assert u[i] == pytest.approx(sys.family.map_for(a).ratio ** t, rel=1e-12)
+                for j, b in enumerate(ids):
+                    want = u[j] if gk.is_admissible(sys, (a, b)) else 0.0
+                    assert B[i, j] == pytest.approx(want, rel=1e-12)
+
+    def test_index_is_built_once_and_dropped_by_restrict(self):
+        sys = two_component_system(linked=True)
+        assert sys.edges_by_id is sys.edges_by_id
+        assert sys.incidence_matrix is sys.incidence_matrix
+        assert not sys.incidence_matrix.flags.writeable
+        sub = sys.restrict(("c", "d"))
+        assert set(sub.edges_by_id) == {"c", "d"}
+        assert sub.edge_index == {"c": 0, "d": 1}
+        assert sub.incidence_matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+    def test_index_is_dropped_by_truncate(self):
+        sys = cf_sys()
+        assert sys.truncate(3).incidence_matrix.shape == (3, 3)
+        assert sys.truncate(5).edge_index == {k: k - 1 for k in range(1, 6)}
+
+
+class TestPerron:
+    def test_period_two_vectors(self):
+        # eigenvalues +rho and -rho share the spectral circle
+        B = np.array([[0.0, 2.0], [0.5, 0.0]])
+        rho, v, w = thermo.perron(B)
+        assert rho == pytest.approx(1.0)
+        assert v == pytest.approx([2 / 3, 1 / 3])
+        assert w == pytest.approx([1 / 3, 2 / 3])
+
+    def test_reducible_matrix_is_refused(self):
+        # a Jordan block at the spectral radius has no positive Perron vector
+        with pytest.raises(gk.ConvergenceError):
+            thermo.perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_nilpotent_matrix_is_refused(self):
+        with pytest.raises(gk.ConvergenceError):
+            thermo.perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPressure:
@@ -172,6 +227,18 @@ class TestConformalMeasure:
         for e in sys.edge_ids:
             parts = sum(m.word_mass(sys, (e, f)) for f in sys.edge_ids)
             assert abs(parts - m.word_mass(sys, (e,))) < 1e-12
+
+    def test_period_two_masses_sum_and_refine(self):
+        sys = period_two_system()
+        assert not gk.matrix_properties(sys).primitive
+        h = gk.bowen_dimension(sys).mid
+        m = gk.conformal_cylinder_measure(sys, h)
+        assert min(m.edge_masses.values()) > 0
+        assert math.fsum(m.vertex_masses.values()) == pytest.approx(1.0, abs=1e-12)
+        for e in sys.edge_ids:
+            parts = [m.word_mass(sys, (e, f)) for f in sys.edge_ids
+                     if gk.is_admissible(sys, (e, f))]
+            assert math.fsum(parts) == pytest.approx(m.word_mass(sys, (e,)), abs=1e-12)
 
     def test_rejects_wrong_exponent(self):
         sys = gk.full_shift([1 / 3, 1 / 3])
