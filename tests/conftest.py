@@ -1,11 +1,23 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import system as gs
+
+# dim E_2, the reals whose continued-fraction digits all lie in {1, 2}
+# (Jenkinson and Pollicott, Ergodic Theory Dynam. Systems 21, 2001)
+E2 = 0.53128050627720514
+
+
+def log_rho(system):
+    """ln rho(A) of the 0/1 incidence matrix, from numpy eigvals: the
+    entropy P(0) of a finite system."""
+    return math.log(max(abs(np.linalg.eigvals(system.incidence_matrix))))
 
 
 def intra_full(ids):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from gdmskit import cli
+from gdmskit import cli, specfile
 
 CANTOR = """\
 system cantor
@@ -69,6 +74,39 @@ class TestReports:
         assert code == cli.EXIT_OK
         assert grab(out, "theta") == "1/2"
         assert grab(out, "theta_n[2]") == "1/2"
+
+
+    def test_dim_cf_truncation(self, capsys, tmp_path):
+        spec = tmp_path / "t.gdms"
+        spec.write_text("system t\nfamily cf truncate 2\nincidence full\n")
+        code, out, _ = run(capsys, "dim", str(spec))
+        assert code == cli.EXIT_OK
+        assert grab(out, "method") == "collocation-newton"
+        assert float(grab(out, "h_hi")) - float(grab(out, "h_lo")) <= 5e-11
+
+    def test_wall_time_covers_spec_parsing(self, capsys, cantor_spec, monkeypatch):
+        parse = specfile.parse_spec
+
+        def slow_parse(text):
+            time.sleep(0.05)
+            return parse(text)
+
+        monkeypatch.setattr(specfile, "parse_spec", slow_parse)
+        code, out, _ = run(capsys, "scc", cantor_spec)
+        assert code == cli.EXIT_OK
+        assert float(grab(out, "wall_time_s")) >= 0.05
+
+
+def test_import_loads_no_scipy_or_mpmath():
+    # each gdms process pays for what `import gdmskit` pulls in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, gdmskit; print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'scipy', 'mpmath'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 class TestCsvOutputs:

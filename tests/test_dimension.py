@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import gdmskit as gk
 from gdmskit import dimension as gd
 from gdmskit import graph as gg
-from conftest import (feeder_system, mirrored_blocks_system, packed_system,
-                      period_two_system, two_component_system,
+from conftest import (E2, feeder_system, log_rho, mirrored_blocks_system,
+                      packed_system, period_two_system, two_component_system,
                       random_packed_system)
 
 
@@ -36,9 +36,9 @@ class TestBowenDimension:
 
     def test_cf_two_letter_bracket(self):
         est = gk.bowen_dimension(cf_sys(truncate=2), n_max=14)
-        assert est.lo <= 0.5313 <= est.hi
-        assert est.width <= 0.05
-        assert est.method == gd.BRACKET_BISECTION
+        assert est.lo <= E2 <= est.hi
+        assert est.width <= 1e-10
+        assert est.method == gd.COLLOCATION_NEWTON
 
     def test_methods_agree_on_full_shifts(self, rng):
         # spectral bisection and the Moran root solve the same equation
@@ -209,6 +209,56 @@ def test_bracket_contains_dense_bisection_root(system):
         assert gk.bowen_dimension(system).method == gd.EMPTY_LIMIT_SET
     else:
         _assert_certified(system)
+
+
+class TestCfDimension:
+    def test_banded_bracket_below_enumeration_root(self):
+        # word enumeration gave [0.6055, 0.6118]; Z_{n+1}/Z_n crosses 1 near 0.5773
+        est = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=8), n_max=10)
+        assert est.method == gd.COLLOCATION_NEWTON
+        assert est.hi < 0.6118
+        assert est.lo <= 0.57732 <= est.hi + 1e-5
+        assert est.width <= 1e-10 / 2
+
+    def test_five_letters_at_default_n_max(self):
+        # enumeration to n_max = 14 tripped the count guard here
+        est = gk.bowen_dimension(cf_sys(truncate=5))
+        assert 0.8 < est.lo <= est.hi < 0.9
+        assert gk.pressure(cf_sys(truncate=5), est.lo).lower >= 0.0
+        assert gk.pressure(cf_sys(truncate=5), est.hi).upper < 0.0
+
+    def test_single_letter_has_dimension_zero(self):
+        est = gk.bowen_dimension(cf_sys(truncate=1), tolerance=1e-8)
+        assert est.lo == 0.0 and est.hi <= 1e-8 / 2
+
+    def test_bounds_holding_zero_are_refused(self):
+        # a pressure known only to +/- 1e-3 cannot certify a 1e-10 bracket
+        with pytest.raises(gk.ConvergenceError, match="cannot certify"):
+            gd._certified_bracket(lambda t: 0.3 - t - 1e-3, 0.3, 1e-10,
+                                  upper_at=lambda t: 0.3 - t + 1e-3)
+
+    def test_bounds_certify_both_ends(self):
+        lo, hi, steps = gd._certified_bracket(lambda t: 0.3 - t - 1e-13, 0.3, 1e-10,
+                                              upper_at=lambda t: 0.3 - t + 1e-13)
+        assert steps == 0
+        assert lo <= 0.3 - 1e-13 and 0.3 + 1e-13 < hi
+        assert hi - lo <= 1e-10 / 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(1, 6), width=st.integers(1, 3),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_cf_truncations_are_certified_and_nested(size, width, tol):
+    small = cf_sys(gg.BANDED, width, truncate=size)
+    large = cf_sys(gg.BANDED, width, truncate=size + 1)
+    est, est_large = gk.bowen_dimension(small, tol), gk.bowen_dimension(large, tol)
+    for e in (est, est_large):
+        assert 0.0 <= e.lo <= e.hi <= 1.0
+        assert e.width <= tol / 2
+    p0 = gk.pressure(small, 0.0)
+    assert p0.lower <= log_rho(small) <= p0.upper
+    # adding a letter cannot lower the dimension
+    assert est.lo <= est_large.hi
 
 
 class TestComponentDimensions:

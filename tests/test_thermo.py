@@ -7,7 +7,7 @@ import pytest
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import thermo
-from conftest import (period_two_system, two_component_system,
+from conftest import (log_rho, period_two_system, two_component_system,
                       random_packed_system)
 
 
@@ -159,12 +159,109 @@ class TestPressure:
         assert est.lower <= 0.0 <= est.upper + 0.02
         assert est.upper - est.lower < 0.2
 
+    def test_cf_pressure_at_zero_is_the_entropy(self):
+        # the enumeration brackets put P(0) of banded N=8 at 1.1488
+        sys = cf_sys(gg.BANDED, 1, truncate=8)
+        est = gk.pressure(sys, 0.0)
+        assert est.method == thermo.CHEBYSHEV_COLLOCATION
+        assert abs(log_rho(sys) - 1.0575768135749) < 1e-12
+        assert est.lower <= log_rho(sys) <= est.upper
+        assert est.upper - est.lower < 1e-12
+
+    @pytest.mark.parametrize("kind,size", [(gg.FULL, 3), (gg.BANDED, 6)])
+    @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
+    def test_cf_pressure_against_partition_sums(self, kind, size, t):
+        sys = cf_sys(kind, 1, truncate=size)
+        est = gk.pressure(sys, t)
+        cache = thermo.CfPartitionCache(sys)
+        z = {n: cache.partition_sum(n, t) for n in range(1, 13)}
+        # subadditivity: P <= (1/n) ln Z_n for every n
+        assert est.upper <= min(math.log(z[n]) / n for n in z)
+        assert abs(0.5 * (est.lower + est.upper) - math.log(z[12] / z[11])) < 1e-2
+
+    def test_cf_without_cycles_has_minus_infinite_pressure(self):
+        est = gk.pressure(cf_sys(gg.UPPER, truncate=5), 0.4)
+        assert (est.lower, est.upper) == (-math.inf, -math.inf)
+
     def test_infinite_full_rule_markers(self):
         sys = cf_sys()
         est = gk.pressure(sys, 0.3)
         assert est.is_infinite
         with pytest.raises(gk.UnsupportedAnalysisError):
             gk.pressure(sys, 0.9)
+
+
+class TestCfCollocation:
+    def test_states_are_distinct_predecessor_sets(self):
+        full = thermo.CfCollocation(cf_sys(truncate=5))
+        assert full.size == thermo.COLLOCATION_NODES
+        banded = thermo.CfCollocation(cf_sys(gg.BANDED, 1, truncate=6))
+        assert banded.size == 6 * thermo.COLLOCATION_NODES
+
+    def test_constant_functions_at_zero(self):
+        # L_0 maps constants to constants: the matrix is exact there
+        engine = thermo.CfCollocation(cf_sys(truncate=3))
+        L = engine.matrix(0.0)
+        assert L @ np.ones(engine.size) == pytest.approx(3.0 * np.ones(engine.size), rel=1e-13)
+
+    @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 5)])
+    def test_slope_matches_difference_quotient(self, kind, size):
+        engine = thermo.cf_collocations(cf_sys(kind, 1, truncate=size))[0]
+        t, h = 0.55, 1e-5
+        p, slope = engine.pressure_slope(t)
+        ahead, behind = engine.pressure_slope(t + h)[0], engine.pressure_slope(t - h)[0]
+        assert slope == pytest.approx((ahead - behind) / (2 * h), rel=1e-7)
+        lo, hi = engine.certified_pressure(t)
+        assert lo <= p <= hi
+
+    def test_certificate_holds_off_the_nodes(self):
+        # Collatz-Wielandt: a positive g with (lam - s) g <= L g <= (lam + s) g
+        # at points that are not collocation nodes
+        engine = thermo.cf_collocations(cf_sys(gg.BANDED, 1, truncate=4))[0]
+        t = 0.7
+        lam, v, _ = engine._eigenpair(engine.matrix(t))
+        s = engine._residual_bound(t, lam, v)
+        m = thermo.COLLOCATION_NODES
+        coef = v.reshape(-1, m) @ engine.to_coef.T
+
+        def g(state, x):
+            return np.polynomial.chebyshev.chebval(2 * x - 1, coef[state])
+
+        xs = np.linspace(0.0, 1.0, 101)
+        for state, members in enumerate(engine.members):
+            image = sum(members[k] * (a + xs) ** (-2 * t)
+                        * g(engine.state_of[k], 1 / (a + xs))
+                        for k, a in enumerate(engine.letters))
+            assert np.all(np.abs(image - lam * g(state, xs)) <= s * g(state, xs))
+
+    def test_left_vector_may_be_negative(self):
+        # the left collocation vector is not a Perron vector, so the
+        # similarity solver refuses the matrix and the collocation checks
+        # only the overlap of the two vectors
+        engine = thermo.CfCollocation(cf_sys(truncate=2))
+        L = engine.matrix(0.5)
+        lam, v, w = engine._eigenpair(L)
+        assert v.min() > 0 > w.min()
+        assert w @ v == pytest.approx(1.0)
+        with pytest.raises(gk.ConvergenceError, match="left Perron vector"):
+            thermo.perron(L)
+
+    def test_leading_vector_not_positive_is_refused(self):
+        with pytest.raises(gk.ConvergenceError):
+            thermo.CfCollocation._eigenpair(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.raises(gk.ConvergenceError):  # leading pair is complex
+            thermo.CfCollocation._eigenpair(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    def test_certificate_needs_a_positive_function(self):
+        engine = thermo.CfCollocation(cf_sys(truncate=2))
+        lam, v, _ = engine._eigenpair(engine.matrix(0.5))
+        with pytest.raises(gk.ConvergenceError):
+            engine._residual_bound(0.5, lam, -v)
+
+    def test_matrix_size_honours_the_count_guard(self, monkeypatch):
+        monkeypatch.setenv("GDMS_COUNT_GUARD", str(thermo.COLLOCATION_NODES ** 2 - 1))
+        with pytest.raises(gk.ResourceGuardError):
+            gk.pressure(cf_sys(truncate=3), 0.5)
 
 
 class TestFiniteness:
