@@ -3,10 +3,10 @@
 The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}, the
 largest zero over strongly connected components (Mauldin and Urbanski,
 Graph Directed Markov Systems, 2003). Each component zero is found by
-safeguarded Newton steps with Ruelle's derivative: on the exact pressure
+safeguarded Newton steps with Ruelle's derivative: on the pressure
 ln rho(B(t)) of a similarity system, or on the Chebyshev collocation of
 the transfer operator of a continued-fraction system. The bracket ends are
-then certified by the sign of the whole-system pressure bounds.
+then certified by the sign of the proved pressure bounds of both families.
 """
 
 from __future__ import annotations
@@ -158,41 +158,56 @@ def _component_root(pressure_slope, tolerance):
     raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
-def _perron_slope(A, log_norms):
-    """(P, P') of B(t) = A * exp(t log r), A irreducible, with Ruelle's
-    P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b (v, w the right and left
-    Perron vectors of B(t))."""
-    def at(t):
-        rho, v, w = thermo.perron(A * np.exp(t * log_norms))
-        wv = w * v
-        return math.log(rho), float(wv @ log_norms / wv.sum())
-    return at
+class _PerronBlock:
+    """One irreducible block B(t) = A o exp(t log r) of a similarity system,
+    with the `pressure_slope` and `certified_pressure` of a CfCollocation.
 
-
-def _certified_bracket(pressure_at, h, tolerance, upper_at=None):
-    """[lo, hi] around h with pressure_at(lo) >= 0 > upper_at(hi).
-
-    pressure_at bounds the pressure from below and upper_at from above; an
-    exact pressure passes one function for both. Starts from
-    h -/+ tolerance/4. lo = 0 needs no check: the dimension is nonnegative.
-    An end that fails its test is widened by doubling, and the bracket is
-    then bisected back to width tolerance/2, keeping both tests true at its
-    ends. A midpoint where neither test holds raises ConvergenceError: the
-    pressure bounds are too wide for this tolerance. Returns (lo, hi,
-    widening and bisection steps).
+    Each call starts `thermo.collatz_wielandt` from the Perron vector of
+    the previous call: the Newton steps and the end certificate move t
+    little, and near h the previous vector certifies the new t after about
+    one solve.
     """
-    exact = upper_at is None
-    upper_at = pressure_at if exact else upper_at
+
+    def __init__(self, A, log_norms):
+        self.A, self.log_norms = A, log_norms
+        self.right = None
+
+    def pressure_slope(self, t):
+        """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
+        (v, w the right and left Perron vectors of B(t)); P is ln of the
+        midpoint of the Collatz-Wielandt bracket."""
+        B = self.A * np.exp(t * self.log_norms)
+        lower, upper, self.right = thermo.collatz_wielandt(B, self.right)
+        weights = thermo.equilibrium_weights(B, self.right, upper)
+        return math.log(0.5 * (lower + upper)), float(weights @ self.log_norms)
+
+    def certified_pressure(self, t):
+        """[P_lower, P_upper] holding ln rho(B(t)), from `thermo.block_pressure`."""
+        lower, upper, self.right = thermo.block_pressure(self.A, self.log_norms, t, self.right)
+        return lower, upper
+
+
+def _certified_bracket(bounds, h, tolerance):
+    """[lo, hi] around h with P_lower(lo) >= 0 > P_upper(hi).
+
+    bounds(t) returns (P_lower, P_upper), bounds that hold the pressure.
+    Starts from h -/+ tolerance/4. lo = 0 needs no check: the dimension is
+    nonnegative. An end that fails its test is widened by doubling, and the
+    bracket is then bisected back to width tolerance/2, keeping both tests
+    true at its ends. A midpoint where neither test holds raises
+    ConvergenceError: the pressure bounds are too wide for this tolerance.
+    Returns (lo, hi, widening and bisection steps).
+    """
     down = up = tolerance / 4
     lo, hi = max(0.0, h - down), h + up
     while hi - lo > tolerance / 2:  # rounding can add an ulp to the width
         hi = math.nextafter(hi, lo)
     steps = 0
-    while lo > 0.0 and pressure_at(lo) < 0.0:
+    while lo > 0.0 and bounds(lo)[0] < 0.0:
         down *= 2
         lo = max(0.0, h - down)
         steps += 1
-    while upper_at(hi) >= 0.0:
+    while bounds(hi)[1] >= 0.0:
         up *= 2
         hi = h + up
         steps += 1
@@ -201,9 +216,10 @@ def _certified_bracket(pressure_at, h, tolerance, upper_at=None):
     while hi - lo > tolerance / 2:
         mid = 0.5 * (lo + hi)
         steps += 1
-        if pressure_at(mid) >= 0.0:
+        lower, upper = bounds(mid)
+        if lower >= 0.0:
             lo = mid
-        elif exact or upper_at(mid) < 0.0:
+        elif upper < 0.0:
             hi = mid
         else:
             raise ConvergenceError(
@@ -218,11 +234,13 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
 
     h is the largest component root (Perron-Newton for similarities,
     collocation-Newton for continued fractions), and the bracket
-    [h - tolerance/4, h + tolerance/4] is certified by the whole-system
-    pressure bounds. The bracket has width at most tolerance / 2.
-    `iterations` counts the Newton steps over all components, plus any
-    widening or bisection steps the end certificate needed. `n_max` is
-    accepted for compatibility and does not affect the result.
+    [h - tolerance/4, h + tolerance/4] is certified by the system pressure
+    bounds, the max over components of their certified brackets: P_lower
+    >= 0 at the low end and P_upper < 0 at the high end. The bracket has
+    width at most tolerance / 2. `iterations` counts the Newton steps over
+    all components, plus any widening or bisection steps the end
+    certificate needed. `n_max` is accepted for compatibility and does not
+    affect the result.
     """
     if tolerance <= 0:
         raise InputError("tolerance must be positive")
@@ -232,16 +250,18 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
     similarity = system.family.kind == "similarity"
     if similarity:
-        slopes = [_perron_slope(A, log_norms) for A, log_norms in system.component_blocks()]
+        blocks = [_PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
     else:
-        slopes = [engine.pressure_slope for engine in thermo.cf_collocations(system)]
+        blocks = thermo.cf_collocations(system)
     h, steps = 0.0, 0
-    for pressure_slope in slopes:
-        root, n = _component_root(pressure_slope, tolerance)
+    for block in blocks:
+        root, n = _component_root(block.pressure_slope, tolerance)
         h, steps = max(h, root), steps + n
-    lo, hi, n = _certified_bracket(
-        lambda t: thermo.pressure(system, t).lower, h, tolerance,
-        upper_at=None if similarity else lambda t: thermo.pressure(system, t).upper)
+
+    def bounds(t):
+        brackets = [block.certified_pressure(t) for block in blocks]
+        return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
+    lo, hi, n = _certified_bracket(bounds, h, tolerance)
     method = PERRON_NEWTON if similarity else COLLOCATION_NEWTON
     if similarity and _is_full_shift(system):
         ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
@@ -309,7 +329,7 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
 
     h = overall.mid
     ns = tuple(int(n) for n in n_range)
-    zs = tuple(thermo.partition_sum(system, n, h).value for n in ns)
+    zs = tuple(z.value for z in thermo.partition_sums(system, ns, h))
     slope = float(np.polyfit(ns, zs, 1)[0]) if len(ns) > 1 else 0.0
     return MeasureClassification(verdict, overall, maximal, communicating,
                                  ns, zs, slope, explanation)
@@ -335,9 +355,9 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     warnings = []
     for size in sizes:
         head = system.truncate(size)
-        props = g.matrix_properties(head)
         est = bowen_dimension(head, tolerance)
-        entries.append(SweepEntry(size, est, props.irreducible))
+        irreducible = head.components == (frozenset(head.edge_ids),)
+        entries.append(SweepEntry(size, est, irreducible))
     sup_lo = max(e.estimate.lo for e in entries)
     monotone = all(entries[k].estimate.lo <= entries[k + 1].estimate.lo + 2 * tolerance
                    for k in range(len(entries) - 1))

@@ -11,6 +11,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError, NotApplicableError, ResourceGuardError
 
 DEFAULT_COUNT_GUARD = 10_000_000
@@ -93,6 +95,30 @@ def edge_allows(incidence: IncidenceSpec, a: Edge, b: Edge) -> bool:
     if incidence.kind == FULL:
         return True
     return incidence.allows_labels(a.id, b.id)
+
+
+def incidence_array(incidence: IncidenceSpec, edges, index):
+    """0/1 float matrix of the edge graph, rows and columns placed by
+    `index` (edge id -> position): entry (a, b) is 1 exactly when
+    edge_allows(incidence, a, b), computed for all pairs at once."""
+    vertex = {}
+    src = np.array([vertex.setdefault(e.src, len(vertex)) for e in edges], dtype=int)
+    dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
+    allowed = dst[:, None] == src[None, :]
+    if incidence.kind == EXPLICIT:
+        rule = np.zeros_like(allowed)
+        pairs = [(index[a], index[b]) for a, b in incidence.allowed
+                 if a in index and b in index]
+        if pairs:
+            rule[tuple(np.array(pairs).T)] = True
+        allowed &= rule
+    elif incidence.kind != FULL:
+        labels = np.array([e.id for e in edges])
+        if incidence.kind == BANDED:
+            allowed &= np.abs(labels[:, None] - labels[None, :]) <= incidence.width
+        else:
+            allowed &= labels[:, None] < labels[None, :]
+    return allowed.astype(float)
 
 
 def is_admissible(system, word) -> bool:

@@ -60,11 +60,10 @@ class GdmsSystem:
         return self._id_maps()[1]
 
     def _dense_arrays(self):
+        if self.infinite:
+            raise NotApplicableError("the edge graph needs a finite edge set")
         if self._dense is None:
-            pos = self.edge_index
-            A = np.zeros((len(pos), len(pos)))
-            for a, row in self.successor_map.items():
-                A[pos[a], [pos[b] for b in row]] = 1.0
+            A = g.incidence_array(self.incidence, self.graph.edges, self.edge_index)
             log_norms = np.array([self.family.one_step_log_norm(e)
                                   for e in self.edge_ids])
             A.flags.writeable = log_norms.flags.writeable = False
@@ -83,15 +82,14 @@ class GdmsSystem:
 
     @property
     def successor_map(self):
-        """edge id -> tuple of allowed successor edge ids, in edge order."""
+        """edge id -> tuple of allowed successor edge ids, in edge order:
+        the nonzero columns of each row of `incidence_matrix`."""
         if self.infinite:
             raise NotApplicableError("successor map needs a finite edge set")
         if self._succ is None:
-            edges = self.graph.edges
-            self._succ = {
-                a.id: tuple(b.id for b in edges if g.edge_allows(self.incidence, a, b))
-                for a in edges
-            }
+            ids = self.edge_ids
+            self._succ = {a: tuple(ids[j] for j in np.flatnonzero(row))
+                          for a, row in zip(ids, self.incidence_matrix)}
         return self._succ
 
     @property

@@ -1,7 +1,8 @@
 """Partition sums, topological pressure and conformal cylinder measures.
 
-Similarity systems are exact: Z_n(t) comes from the weighted transfer matrix
-B(t)_{ab} = A_{ab} r_b^t and the pressure is ln rho(B(t)). Continued-fraction
+Similarity partition sums are exact: Z_n(t) comes from the weighted transfer
+matrix B(t)_{ab} = A_{ab} r_b^t, and the pressure ln rho(B(t)) is bracketed by
+Collatz-Wielandt bounds from Noda's inverse iteration. Continued-fraction
 partition sums are enumerated through continuants (exact per word); their
 pressure is the log spectral radius of the transfer operator L_t, bracketed
 by a Chebyshev collocation of L_t and a Collatz-Wielandt certificate that
@@ -78,33 +79,111 @@ def transfer_matrix(system: GdmsSystem, t: float):
     return system.incidence_matrix * u, u
 
 
-def spectral_radius(B) -> float:
-    if B.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(B))))
-
-
 # Relative gap between the Perron root and the inverse-iteration shift.
 PERRON_SHIFT = 1e-14
+# Most steps one Collatz-Wielandt iteration takes. Noda's shifts converge
+# quadratically once near rho, so a few suffice; a reducible input
+# converges slowly and ends with a wide bracket.
+NODA_STEPS = 50
+# Bound spread high / low above which `collatz_wielandt` tries a shift
+# halfway between the bounds in log scale before Noda's shift.
+SHIFT_SPREAD = 4.0
+# A step that moves no entry of x by more than this relative amount has
+# reached the fixed point that rounding allows.
+FIXED_POINT = 1e-9
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+TINY = float(np.finfo(float).tiny)
+
+
+def collatz_wielandt(B, start=None):
+    """(lower, upper, x): lower <= rho(B) <= upper for an irreducible
+    nonnegative matrix B, and the positive vector x that proves them.
+
+    For x > 0, min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i
+    (Collatz-Wielandt). Noda's inverse iteration x <- (sI - B)^-1 x with
+    s = max_i (Bx)_i / x_i (here its rounded-up bound) keeps x positive and
+    drives both ratios to rho quadratically once near it (Noda, Numer.
+    Math. 17, 1971; Elsner, Linear Algebra Appl. 15, 1976). While the
+    bounds are far apart a step first tries the shift halfway between them
+    in log scale. Starts from `start` (any positive vector, such as the x
+    of a nearby matrix) or from ones, and stops when the ratios agree to
+    the rounding slack, when x stops moving, or after NODA_STEPS steps;
+    the narrowest bracket seen is returned.
+
+    (Bx)_i sums nonnegative terms, so its computed value is within
+    relative n u of the exact one (u the unit roundoff), plus n times the
+    subnormal spacing for products that underflow; a row sum of at least
+    2 n times the least normal number keeps that part below u relative.
+    The bounds carry (n + 5) u relative slack for all of it and the
+    division. Raises ConvergenceError when a row with a nonzero entry sums
+    below that.
+    """
+    n = len(B)
+    x = np.ones(n) if start is None else start / np.max(start)
+    if n == 0:
+        return 0.0, 0.0, x
+    slack = (n + 5) * UNIT_ROUNDOFF
+
+    def step(x, shift):
+        """(sI - B)^-1 x scaled to max 1, or None unless it is positive;
+        solved on D^-1 B D, D = diag(x), so small entries keep their digits."""
+        try:
+            y = x * np.linalg.solve(shift * np.eye(n) - B * x / x[:, None], np.ones(n))
+        except np.linalg.LinAlgError:
+            return None
+        y = y / np.max(y)
+        return y if y.min() > 0.0 else None
+
+    best, width, floor, previous = None, math.inf, 0.0, None
+    for _ in range(NODA_STEPS + 1):
+        image = B @ x
+        small = image < 2 * n * TINY
+        if small.any() and B[small].any():
+            raise ConvergenceError("Collatz-Wielandt row sums underflow")
+        ratios = image / x
+        low, high = ratios.min(), ratios.max()
+        if high - low < width:
+            best, width = (low * (1 - slack), high * (1 + slack), x), high - low
+        if high - low <= 2 * slack * high:
+            break
+        if previous is not None and np.max(np.abs(x / previous - 1.0)) <= FIXED_POINT:
+            break  # rounding, not the shift, now sets the bracket
+        previous = x
+        # Far from rho, Noda's shift moves x little (on a weighted cycle,
+        # by a factor 2 per step). A positive result of the log-midpoint
+        # shift proves it above rho; a failed one raises the floor.
+        floor = max(floor, low)
+        if 0.0 < floor < high / SHIFT_SPREAD:
+            trial = math.sqrt(floor * high)
+            y = step(x, trial)
+            if y is not None:
+                x = y
+                continue
+            floor = trial
+        # the upper bound as shift keeps sI - B a nonsingular M-matrix
+        y = step(x, high * (1 + slack))
+        if y is None:
+            break
+        x = y
+    return best
 
 
 def perron(B, tolerance: float = 1e-9):
     """(rho, v, w) of an irreducible nonnegative matrix B.
 
-    rho is the spectral radius; v and w are the right and left Perron
-    vectors, each scaled to sum 1. Each vector is one inverse-iteration
-    solve (B - sI) x = 1 with s just above rho: the Perron root is simple,
-    so the solve amplifies its direction by about 1/PERRON_SHIFT over every
-    other one. Raises ConvergenceError unless both vectors are strictly
-    positive with max|Bv - rho v| and max|wB - rho w| at most
-    tolerance * rho * max(vector), and w.v / (max v * max w) exceeds
-    tolerance (a defective root, as in a reducible B with two equal blocks,
-    drives it to 0).
+    rho is the midpoint of the Collatz-Wielandt bracket of `collatz_wielandt`
+    and v its positive vector; w = `equilibrium_weights` / v. Both vectors
+    are scaled to sum 1. Raises ConvergenceError when the lower bound is not
+    positive (a nilpotent matrix); when a vector is not strictly positive
+    or max|Bv - rho v|, max|wB - rho w| exceeds tolerance * rho * max(vector);
+    or when w.v / (max v * max w) is at most tolerance (a defective root, as
+    in a reducible B with two equal blocks, drives it to 0).
     """
-    rho = spectral_radius(B)
-    if not rho > 0.0:
+    lower, upper, v = collatz_wielandt(B)
+    if not lower > 0.0:
         raise ConvergenceError("Perron root of a nilpotent matrix")
-    v, w = _shifted_solves(B, rho)
+    rho = 0.5 * (lower + upper)
+    w = equilibrium_weights(B, v, upper) / v
     v, w = v / v.sum(), w / w.sum()
     for name, vec, image in (("right", v, B @ v), ("left", w, w @ B)):
         residual = float(np.max(np.abs(image - rho * vec)))
@@ -118,12 +197,50 @@ def perron(B, tolerance: float = 1e-9):
     return rho, v, w
 
 
+def equilibrium_weights(B, v, upper):
+    """w o v / (w . v) for the left Perron vector w of B, given its right
+    Perron vector v > 0 and a bound upper >= rho(B).
+
+    w o v is the left Perron vector of D^-1 B D, D = diag(v), whose right
+    one is flat; one inverse-iteration solve (s I - D^-1 B D)^T z = 1 with
+    s = upper (1 + PERRON_SHIFT) gives it. The root is simple, so the solve
+    amplifies its direction by about 1/PERRON_SHIFT over every other one,
+    and the scaling keeps the digits of the small entries of v.
+    """
+    n = len(B)
+    shifted = upper * (1.0 + PERRON_SHIFT) * np.eye(n) - B * v / v[:, None]
+    z = np.linalg.solve(shifted.T, np.ones(n))
+    return z / z.sum()
+
+
 def _shifted_solves(B, rho):
     """Right and left solutions x of (B - s I) x = 1, s = rho (1 + PERRON_SHIFT):
     one inverse-iteration step each towards the eigenvalue rho."""
     shifted = B - rho * (1.0 + PERRON_SHIFT) * np.eye(B.shape[0])
     ones = np.ones(B.shape[0])
     return np.linalg.solve(shifted, ones), np.linalg.solve(shifted.T, ones)
+
+
+def block_pressure(A, log_norms, t, start=None):
+    """(P_lower, P_upper, x): bounds on ln rho(B) for B = A o exp(t log r)
+    of one irreducible block, from `collatz_wielandt` started at `start`.
+
+    The computed weights exp(t ln r) are within relative u (4 |t ln r| + 16)
+    of the exact ones: ln r and its product with t err by 3u relative, which
+    exp turns into 3u |t ln r|, and exp itself errs by at most 4 ulp. rho
+    is monotone in the entries of a nonnegative matrix, so the bracket
+    widens by that relative amount before its logarithm. A weight below the
+    least normal number has no such relative bound and raises
+    ConvergenceError.
+    """
+    exponents = t * log_norms
+    weights = np.exp(exponents)
+    if not weights.min() >= TINY:
+        raise ConvergenceError(f"weights r^t underflow at t = {t}")
+    lower, upper, x = collatz_wielandt(A * weights, start)
+    weight_err = UNIT_ROUNDOFF * (4 * float(np.max(np.abs(exponents))) + 16)
+    p_lower, p_upper = _log_bounds(lower * (1 - weight_err), upper * (1 + weight_err))
+    return p_lower, p_upper, x
 
 
 def _transfer_partition_sums(system, t, n_max):
@@ -224,7 +341,6 @@ PANEL_POINTS = 24
 PANEL_ELLIPSE = 8.0
 # Most diagonal rescalings `CfCollocation._eigenpair` tries.
 BALANCING_ROUNDS = 8
-UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 def _chebyshev_nodes(m, lo=0.0, hi=1.0):
@@ -515,15 +631,47 @@ def partition_sum(system: GdmsSystem, n: int, t: float,
     return PartitionSum(n, t, lo, hi, TRANSFER_MATRIX)
 
 
+def partition_sums(system: GdmsSystem, ns, t: float):
+    """[partition_sum(system, n, t) for n in ns] for a finite system.
+
+    A continued-fraction system shares one CfPartitionCache over all n: its
+    levels are enumerated once, and after the count guard trips at some n
+    every n at or above it takes the product bracket without enumerating
+    again. A fresh cache per n would trip at the same n, so each value is
+    the one `partition_sum` gives.
+    """
+    ns = [int(n) for n in ns]
+    if system.family.kind != "cf" or system.infinite:
+        return [partition_sum(system, n, t) for n in ns]
+    if any(n < 1 for n in ns):
+        raise InputError("n must be >= 1")
+    if t < 0:
+        raise InputError("t must be >= 0")
+    cache, tripped = CfPartitionCache(system), math.inf
+    out = []
+    for n in ns:
+        if n <= CF_EXACT_LENGTH_CAP and n < tripped:
+            try:
+                z = cache.partition_sum(n, t)
+                out.append(PartitionSum(n, t, z, z, ENUMERATION))
+                continue
+            except ResourceGuardError:
+                tripped = n
+        lo, hi = _cf_product_bracket(system, n, t)
+        out.append(PartitionSum(n, t, lo, hi, TRANSFER_MATRIX))
+    return out
+
+
 def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t).
 
-    Similarity systems: exact, P = ln rho(B(t)), computed as the max of
-    ln rho(B_k(t)) over the diagonal blocks of `system.components`. In a
-    topological order of the components B(t) is block triangular, and the
-    remaining diagonal blocks are nilpotent, so the two agree; dense eigvals
-    of the whole matrix would instead carry an error near sqrt(eps) when two
-    linked components have equal radius.
+    Similarity systems: P = ln rho(B(t)) is the max of ln rho(B_k(t)) over
+    the diagonal blocks of `system.components`. In a topological order of
+    the components B(t) is block triangular, and the remaining diagonal
+    blocks are nilpotent, so the two agree; dense eigvals of the whole
+    matrix would instead carry an error near sqrt(eps) when two linked
+    components have equal radius. Each block contributes the proved
+    Collatz-Wielandt bracket of `block_pressure`, about 1e-14 wide.
     Continued-fraction truncations: the max over `system.components` of the
     certified bounds on ln rho(L_t) from `CfCollocation.certified_pressure`.
     A system with no cyclic component has P = -inf. `n_max` is accepted for
@@ -539,16 +687,14 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
             "pressure of an infinite system needs a truncation sweep")
 
     if system.family.kind == "similarity":
-        rho = max((spectral_radius(A * np.exp(t * logs))
-                   for A, logs in system.component_blocks()), default=0.0)
-        p = math.log(rho) if rho > 0 else -math.inf
-        return PressureEstimate(t, p, p, 0, TRANSFER_MATRIX)
-
-    lower = upper = -math.inf
-    for engine in cf_collocations(system):
-        lo, hi = engine.certified_pressure(t)
-        lower, upper = max(lower, lo), max(upper, hi)
-    return PressureEstimate(t, lower, upper, 0, CHEBYSHEV_COLLOCATION)
+        bounds = [block_pressure(A, logs, t)[:2] for A, logs in system.component_blocks()]
+        method = TRANSFER_MATRIX
+    else:
+        bounds = [engine.certified_pressure(t) for engine in cf_collocations(system)]
+        method = CHEBYSHEV_COLLOCATION
+    lower = max((lo for lo, _ in bounds), default=-math.inf)
+    upper = max((hi for _, hi in bounds), default=-math.inf)
+    return PressureEstimate(t, lower, upper, 0, method)
 
 
 _THETA_JUSTIFICATION = {
@@ -652,8 +798,7 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
         raise UnsupportedAnalysisError("conformal measures need a finite system")
     if system.family.kind != "similarity":
         raise UnsupportedAnalysisError("conformal measures are built for similarity systems")
-    props = g.matrix_properties(system)
-    if not props.irreducible:
+    if system.components != (frozenset(system.edge_ids),):
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")
     B, u = transfer_matrix(system, h)
     rho, v, _ = perron(B, pressure_tolerance)

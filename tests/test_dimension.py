@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import gdmskit as gk
 from gdmskit import dimension as gd
 from gdmskit import graph as gg
+from gdmskit import thermo
 from conftest import (E2, feeder_system, log_rho, mirrored_blocks_system,
                       packed_system, period_two_system, two_component_system,
                       random_packed_system)
@@ -179,7 +180,7 @@ class TestPerronNewton:
     def test_failed_end_certificate_widens_then_bisects(self, offset):
         # a root estimate off by more than tol/4 fails one end's sign test
         tol = 1e-10
-        lo, hi, steps = gd._certified_bracket(lambda t: 0.3 - t, 0.3 + offset, tol)
+        lo, hi, steps = gd._certified_bracket(lambda t: (0.3 - t, 0.3 - t), 0.3 + offset, tol)
         assert steps > 0
         assert lo <= 0.3 < hi
         assert hi - lo <= tol / 2
@@ -234,12 +235,11 @@ class TestCfDimension:
     def test_bounds_holding_zero_are_refused(self):
         # a pressure known only to +/- 1e-3 cannot certify a 1e-10 bracket
         with pytest.raises(gk.ConvergenceError, match="cannot certify"):
-            gd._certified_bracket(lambda t: 0.3 - t - 1e-3, 0.3, 1e-10,
-                                  upper_at=lambda t: 0.3 - t + 1e-3)
+            gd._certified_bracket(lambda t: (0.3 - t - 1e-3, 0.3 - t + 1e-3), 0.3, 1e-10)
 
     def test_bounds_certify_both_ends(self):
-        lo, hi, steps = gd._certified_bracket(lambda t: 0.3 - t - 1e-13, 0.3, 1e-10,
-                                              upper_at=lambda t: 0.3 - t + 1e-13)
+        lo, hi, steps = gd._certified_bracket(lambda t: (0.3 - t - 1e-13, 0.3 - t + 1e-13),
+                                              0.3, 1e-10)
         assert steps == 0
         assert lo <= 0.3 - 1e-13 and 0.3 + 1e-13 < hi
         assert hi - lo <= 1e-10 / 2
@@ -304,6 +304,28 @@ class TestHausdorffClassification:
     def test_empty_limit_set_not_applicable(self):
         res = gk.classify_hausdorff_measure(cf_sys(gg.UPPER, truncate=4))
         assert res.verdict == gd.NOT_APPLICABLE
+
+    def test_cf_evidence_enumerates_once(self, monkeypatch):
+        # the collocation needs 20^2 = 400; the words of lengths 1..8 number
+        # 510, so the guard trips at n = 8 and the product bracket takes over
+        monkeypatch.setenv("GDMS_COUNT_GUARD", "400")
+        built = []
+
+        class CountingCache(thermo.CfPartitionCache):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+        sys = cf_sys(truncate=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(thermo, "CfPartitionCache", CountingCache)
+            res = gk.classify_hausdorff_measure(sys)
+        assert len(built) == 1
+        h = res.dimension.mid
+        assert res.evidence_n == tuple(range(1, 31))
+        for n, z in zip(res.evidence_n, res.evidence_z):
+            exact = gk.partition_sum(sys, n, h)
+            assert exact.method == (thermo.ENUMERATION if n < 8 else thermo.TRANSFER_MATRIX)
+            assert z == exact.value
 
     def test_evidence_partition_sums_bounded_when_finite(self):
         sys = two_component_system(r1=1 / 3, r2=1 / 3, linked=False)

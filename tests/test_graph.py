@@ -2,7 +2,9 @@ import pytest
 
 import gdmskit as gk
 from gdmskit import graph as gg
-from conftest import two_component_system, feeder_system, random_packed_system
+from gdmskit import maps as gm
+from conftest import (two_component_system, feeder_system, random_graph_complete_system,
+                      random_packed_system)
 
 
 def banded_cf(width=1, truncate=None):
@@ -29,6 +31,47 @@ class TestAdmissibility:
             gk.is_admissible(two_component_system(), ("a", "zz"))
         with pytest.raises(gk.InputError):
             gk.is_admissible(upper_cf(), (0, 1))
+
+
+def _successors_by_definition(system):
+    edges = system.graph.edges
+    return {a.id: tuple(b.id for b in edges if gg.edge_allows(system.incidence, a, b))
+            for a in edges}
+
+
+class TestSuccessorMap:
+    def test_matches_edge_allows_on_random_systems(self, rng):
+        checked = 0
+        while checked < 20:
+            make = (random_packed_system, random_graph_complete_system)[checked % 2]
+            sys = make(rng)
+            if sys is None:
+                continue
+            checked += 1
+            assert sys.successor_map == _successors_by_definition(sys)
+            # allow pairs that name dropped edges are ignored
+            keep = rng.sample(sys.edge_ids, rng.randint(1, len(sys.edge_ids)))
+            sub = sys.restrict(keep)
+            assert sub.successor_map == _successors_by_definition(sub)
+
+    def test_explicit_pairs_need_matching_vertices(self):
+        space = {v: gm.VertexSpace(v, 0.0, 1.0) for v in ("u", "w")}
+        edges = [("p", "u", "w", gm.SimilarityMap(0.3, 0.0)),
+                 ("q", "w", "u", gm.SimilarityMap(0.3, 0.0)),
+                 ("r", "u", "u", gm.SimilarityMap(0.3, 0.5))]
+        allowed = frozenset((a, b) for a in "pqr" for b in "pqr")
+        sys = gk.similarity_system("two-vertex", ("u", "w"), space, edges,
+                                   gk.IncidenceSpec(gg.EXPLICIT, allowed=allowed))
+        assert sys.successor_map == {"p": ("q",), "q": ("p", "r"), "r": ("p", "r")}
+        assert sys.successor_map == _successors_by_definition(sys)
+
+    @pytest.mark.parametrize("kind,width", [(gg.FULL, 0), (gg.BANDED, 1),
+                                            (gg.BANDED, 3), (gg.UPPER, 0)])
+    def test_matches_edge_allows_on_rule_truncations(self, kind, width):
+        sys = gk.cf_system(gk.IncidenceSpec(kind, width), truncate=12)
+        assert sys.successor_map == _successors_by_definition(sys)
+        sub = sys.restrict((2, 3, 5, 6, 7, 11))
+        assert sub.successor_map == _successors_by_definition(sub)
 
 
 class TestEnumeration:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gdmskit as gk
 from gdmskit import graph as gg
@@ -119,6 +120,79 @@ class TestPerron:
         with pytest.raises(gk.ConvergenceError):
             thermo.perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_zero_matrix_is_refused(self, size):
+        with pytest.raises(gk.ConvergenceError, match="nilpotent"):
+            thermo.perron(np.zeros((size, size)))
+
+
+@st.composite
+def _irreducible_matrices(draw):
+    """Nonnegative n x n matrices made irreducible by the ring i -> i + 1,
+    with entries spread over four decades. With `period` p > 1 the indices
+    fall into p classes by i mod p and every arrow goes from one class to
+    the next, so p eigenvalues share the spectral circle."""
+    period = draw(st.sampled_from([1, 1, 2, 3]))
+    n = period * draw(st.integers(1, 30 // period))
+    density = draw(st.floats(0.0, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    classes = np.arange(n) % period
+    pattern = (rng.random((n, n)) < density) & ((classes[:, None] + 1) % period
+                                                 == classes[None, :])
+    pattern[np.arange(n), (np.arange(n) + 1) % n] = True
+    return pattern * 10.0 ** rng.uniform(-3.0, 1.0, (n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_irreducible_matrices())
+def test_collatz_wielandt_brackets_the_spectral_radius(B):
+    # numpy's rho is taken from D^-1 B D, D = diag(x): the same eigenvalues
+    # for any positive x, but with rho well conditioned. On B itself a
+    # weighted ring whose Perron vector spans 1e-11 puts eigvals 1e-10 off.
+    lower, upper, x = thermo.collatz_wielandt(B)
+    rho = max(abs(np.linalg.eigvals(B * x / x[:, None])))
+    assert lower - 1e-12 * rho <= rho <= upper + 1e-12 * rho
+    assert upper - lower <= 1e-12 * rho
+    assert x.min() > 0.0
+
+
+class TestCollatzWielandt:
+    def test_bounds_of_a_known_matrix(self):
+        # rho = 1 + sqrt 2, Perron vector (1 + sqrt 2, 1)
+        B = np.array([[2.0, 1.0], [1.0, 0.0]])
+        lower, upper, x = thermo.collatz_wielandt(B)
+        assert lower <= 1 + math.sqrt(2) <= upper
+        assert x / x.max() == pytest.approx([1.0, math.sqrt(2) - 1], rel=1e-14)
+
+    def test_converged_start_costs_no_solve(self, monkeypatch):
+        B = np.array([[0.0, 2.0, 1.0], [0.5, 0.0, 0.0], [0.0, 3.0, 0.25]])
+        lower, upper, x = thermo.collatz_wielandt(B)
+
+        def no_solve(*args):
+            raise AssertionError("a converged start needs no solve")
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        assert thermo.collatz_wielandt(B, x)[:2] == (lower, upper)
+
+    def test_weighted_cycle_far_from_its_radius(self):
+        # Noda's shift alone gains a factor 2 per step here: the bounds
+        # start 47 decades apart
+        weights = np.array([2e-53, 1e-6, 2e-25])
+        B = np.roll(np.diag(weights), 1, axis=1)
+        lower, upper, x = thermo.collatz_wielandt(B)
+        rho = np.prod(weights) ** (1 / 3)
+        assert lower <= rho * (1 + 1e-14) and rho * (1 - 1e-14) <= upper
+        assert upper - lower <= 1e-13 * rho
+
+    def test_underflowing_row_sums_are_refused(self):
+        B = np.array([[0.0, 1e-200], [1e-200, 0.0]])
+        with pytest.raises(gk.ConvergenceError, match="underflow"):
+            thermo.collatz_wielandt(B, np.array([1.0, 1e-200]))
+
+    def test_underflowing_weights_are_refused(self):
+        # 0.25^600 is below the least normal number
+        with pytest.raises(gk.ConvergenceError, match="underflow"):
+            gk.pressure(gk.full_shift([0.25, 0.5]), 600.0)
+
 
 class TestPressure:
     def test_similarity_full_shift_exact(self):
@@ -151,6 +225,21 @@ class TestPressure:
                 assert b <= a + 1e-9
             for i in range(1, len(ts) - 1):
                 assert vals[i] <= (vals[i - 1] + vals[i + 1]) / 2 + 1e-9
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0, 3.0])
+    def test_similarity_bracket_holds_dense_eigvals(self, rng, t):
+        checked = 0
+        while checked < 10:
+            sys = random_packed_system(rng)
+            if sys is None or gk.empty_limit_set(sys):
+                continue
+            checked += 1
+            est = gk.pressure(sys, t)
+            assert est.method == thermo.TRANSFER_MATRIX
+            B, _ = thermo.transfer_matrix(sys, t)
+            want = math.log(max(abs(np.linalg.eigvals(B))))
+            assert est.lower - 1e-12 <= want <= est.upper + 1e-12
+            assert 0.0 < est.upper - est.lower <= 1e-12
 
     def test_cf_brackets_enclose_known_value(self):
         # pressure of the {1, 2} subsystem vanishes near t ~ 0.5313
@@ -336,6 +425,11 @@ class TestConformalMeasure:
             parts = [m.word_mass(sys, (e, f)) for f in sys.edge_ids
                      if gk.is_admissible(sys, (e, f))]
             assert math.fsum(parts) == pytest.approx(m.word_mass(sys, (e,)), abs=1e-12)
+
+    def test_rejects_reducible_system(self):
+        sys = two_component_system(r1=1 / 3, r2=1 / 3)
+        with pytest.raises(gk.UnsupportedAnalysisError, match="irreducible"):
+            gk.conformal_cylinder_measure(sys, math.log(2) / math.log(3))
 
     def test_rejects_wrong_exponent(self):
         sys = gk.full_shift([1 / 3, 1 / 3])
