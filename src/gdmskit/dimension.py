@@ -118,6 +118,9 @@ def _is_full_shift(system):
 STEP_CAP = 100
 # P(1) above this means the images overlap too much for the open set condition.
 P1_SLACK = 1e-12
+# Widest relative Collatz-Wielandt bracket a Newton step accepts as the
+# Perron root; Noda's iteration normally ends near 1e-14.
+PERRON_WIDTH = 1e-9
 
 
 def _component_root(pressure_slope, tolerance):
@@ -175,10 +178,18 @@ class _PerronBlock:
     def pressure_slope(self, t):
         """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
         (v, w the right and left Perron vectors of B(t)); P is ln of the
-        midpoint of the Collatz-Wielandt bracket."""
+        midpoint of the Collatz-Wielandt bracket. Raises ConvergenceError,
+        as `thermo.perron` does, when the bracket is not positive and
+        PERRON_WIDTH narrow or the weights w o v are not all positive."""
         B = self.A * np.exp(t * self.log_norms)
         lower, upper, self.right = thermo.collatz_wielandt(B, self.right)
+        if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
+            raise ConvergenceError(
+                f"Perron root at t = {t!r} not resolved: bracket [{lower:.17g}, {upper:.17g}]")
         weights = thermo.equilibrium_weights(B, self.right, upper)
+        if not weights.min() > 0.0:
+            raise ConvergenceError(
+                f"left Perron vector at t = {t!r} is not positive: min weight {weights.min():.3g}")
         return math.log(0.5 * (lower + upper)), float(weights @ self.log_norms)
 
     def certified_pressure(self, t):
@@ -356,8 +367,7 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     for size in sizes:
         head = system.truncate(size)
         est = bowen_dimension(head, tolerance)
-        irreducible = head.components == (frozenset(head.edge_ids),)
-        entries.append(SweepEntry(size, est, irreducible))
+        entries.append(SweepEntry(size, est, head.irreducible))
     sup_lo = max(e.estimate.lo for e in entries)
     monotone = all(entries[k].estimate.lo <= entries[k + 1].estimate.lo + 2 * tolerance
                    for k in range(len(entries) - 1))

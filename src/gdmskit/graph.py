@@ -348,16 +348,14 @@ def matrix_properties(system) -> MatrixProperties:
         just = {"irreducible": why, "primitive": why, "finitely_irreducible": why}
         return MatrixProperties(irr, prim, fin, None, just)
 
-    ids = system.edge_ids
-    succ = system.successor_map
-    sccs = tarjan_scc(ids, succ)
-    irreducible = len(sccs) == 1 and (len(ids) > 1 or ids[0] in succ[ids[0]])
-    if not irreducible:
+    if not system.irreducible:
         just = {"irreducible": "the edge graph is not strongly connected"}
         just["primitive"] = just["irreducible"]
         just["finitely_irreducible"] = just["irreducible"]
         return MatrixProperties(False, False, False, None, just)
 
+    ids = system.edge_ids
+    succ = system.successor_map
     period = _graph_period(ids, succ)
     primitive = period == 1
     witness = _connecting_words(ids, succ, system)

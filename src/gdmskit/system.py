@@ -100,6 +100,12 @@ class GdmsSystem:
             self._components = g.cyclic_components(self.edge_ids, self.successor_map)
         return self._components
 
+    @property
+    def irreducible(self) -> bool:
+        """Whether the edge graph is one strongly connected component that
+        carries a cycle, i.e. the incidence matrix is irreducible."""
+        return self.components == (frozenset(self.edge_ids),)
+
     def component_blocks(self):
         """(A_k, log r_k) of each of `components`: the diagonal block of
         `incidence_matrix` and the entries of `log_norms` for its edges."""

@@ -225,22 +225,29 @@ def block_pressure(A, log_norms, t, start=None):
     """(P_lower, P_upper, x): bounds on ln rho(B) for B = A o exp(t log r)
     of one irreducible block, from `collatz_wielandt` started at `start`.
 
-    The computed weights exp(t ln r) are within relative u (4 |t ln r| + 16)
-    of the exact ones: ln r and its product with t err by 3u relative, which
-    exp turns into 3u |t ln r|, and exp itself errs by at most 4 ulp. rho
-    is monotone in the entries of a nonnegative matrix, so the bracket
-    widens by that relative amount before its logarithm. A weight below the
-    least normal number has no such relative bound and raises
-    ConvergenceError.
+    With c the largest exponent t ln r, rho(B) = e^c rho(B_c) for
+    B_c = A o exp(t log r - c), whose weights lie in (0, 1]; the bounds are
+    c + ln of the bracket of rho(B_c), rounded outward. The computed
+    weights of B_c are within relative u (4 |t ln r| + spread + 16) of the
+    exact ones, spread the largest minus the smallest exponent: ln r and
+    its product with t err by 3u relative, which exp turns into
+    3u |t ln r|; subtracting c adds u spread; exp itself errs by at most
+    4 ulp. rho is monotone in the entries of a nonnegative matrix, so the
+    bracket widens by that relative amount before its logarithm. Raises
+    ConvergenceError when the spread is so large (above about 708) that a
+    weight of B_c falls below the least normal number, which has no such
+    relative bound.
     """
     exponents = t * log_norms
-    weights = np.exp(exponents)
+    c = float(exponents.max())
+    weights = np.exp(exponents - c)
     if not weights.min() >= TINY:
-        raise ConvergenceError(f"weights r^t underflow at t = {t}")
+        raise ConvergenceError(f"weights r^t span more than the double range at t = {t}")
     lower, upper, x = collatz_wielandt(A * weights, start)
-    weight_err = UNIT_ROUNDOFF * (4 * float(np.max(np.abs(exponents))) + 16)
+    spread = c - float(exponents.min())
+    weight_err = UNIT_ROUNDOFF * (4 * float(np.max(np.abs(exponents))) + spread + 16)
     p_lower, p_upper = _log_bounds(lower * (1 - weight_err), upper * (1 + weight_err))
-    return p_lower, p_upper, x
+    return math.nextafter(c + p_lower, -math.inf), math.nextafter(c + p_upper, math.inf), x
 
 
 def _transfer_partition_sums(system, t, n_max):
@@ -592,71 +599,67 @@ def cf_collocations(system: GdmsSystem):
 def partition_sum(system: GdmsSystem, n: int, t: float,
                   method: str = "auto", guard: int | None = None) -> PartitionSum:
     """Z_n(t) = sum over admissible length-n words of ||phi_word'||^t."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if t < 0:
-        raise InputError("t must be >= 0")
-    if system.infinite:
-        report = finiteness_parameters(system, [n])
-        if t <= report.theta_n[n]:
-            return PartitionSum(n, t, math.inf, math.inf, RULE_ANALYTIC, divergent=True)
-        raise UnsupportedAnalysisError(
-            "infinite-alphabet partition sums are only classified as finite or "
-            "divergent; truncate the system for numeric values")
-
-    if system.family.kind == "similarity":
-        if method in ("auto", TRANSFER_MATRIX):
-            z = _transfer_partition_sums(system, t, n)[-1]
-            if not math.isfinite(z):
-                raise ResourceGuardError(f"Z_{n}({t}) exceeded the overflow budget")
-            return PartitionSum(n, t, z, z, TRANSFER_MATRIX)
-        if method == ENUMERATION:
-            logs = system.one_step_log_norms()
-            total = math.fsum(
-                math.exp(t * sum(logs[e] for e in w))
-                for w in g.enumerate_words(system, n, limit=guard))
-            return PartitionSum(n, t, total, total, ENUMERATION)
-        raise InputError(f"unknown method {method!r}")
-
-    # continued-fraction family
-    if method in ("auto", ENUMERATION) and n <= CF_EXACT_LENGTH_CAP:
-        try:
-            cache = CfPartitionCache(system, guard=guard)
-            z = cache.partition_sum(n, t)
-            return PartitionSum(n, t, z, z, ENUMERATION)
-        except ResourceGuardError:
-            if method == ENUMERATION:
-                raise
-    lo, hi = _cf_product_bracket(system, n, t)
-    return PartitionSum(n, t, lo, hi, TRANSFER_MATRIX)
+    return partition_sums(system, [n], t, method, guard)[0]
 
 
-def partition_sums(system: GdmsSystem, ns, t: float):
-    """[partition_sum(system, n, t) for n in ns] for a finite system.
+def partition_sums(system: GdmsSystem, ns, t: float,
+                   method: str = "auto", guard: int | None = None) -> list:
+    """[partition_sum(system, n, t, method, guard) for n in ns], sharing the
+    work across n.
 
-    A continued-fraction system shares one CfPartitionCache over all n: its
-    levels are enumerated once, and after the count guard trips at some n
-    every n at or above it takes the product bracket without enumerating
-    again. A fresh cache per n would trip at the same n, so each value is
-    the one `partition_sum` gives.
+    Similarity transfer sums come from one run of matrix-vector products up
+    to max(ns). A continued-fraction system enumerates its levels once in a
+    single CfPartitionCache up to CF_EXACT_LENGTH_CAP, and after the count
+    guard trips at some n every n at or above it takes the product bracket
+    (method "auto") or raises (method "enumeration").
     """
     ns = [int(n) for n in ns]
-    if system.family.kind != "cf" or system.infinite:
-        return [partition_sum(system, n, t) for n in ns]
     if any(n < 1 for n in ns):
         raise InputError("n must be >= 1")
     if t < 0:
         raise InputError("t must be >= 0")
-    cache, tripped = CfPartitionCache(system), math.inf
+    if not ns:
+        return []
+    if system.infinite:
+        report = finiteness_parameters(system, ns)
+        if any(t > report.theta_n[n] for n in ns):
+            raise UnsupportedAnalysisError(
+                "infinite-alphabet partition sums are only classified as finite or "
+                "divergent; truncate the system for numeric values")
+        return [PartitionSum(n, t, math.inf, math.inf, RULE_ANALYTIC, divergent=True)
+                for n in ns]
+
+    if system.family.kind == "similarity":
+        if method in ("auto", TRANSFER_MATRIX):
+            sums = _transfer_partition_sums(system, t, max(ns))
+            if not all(math.isfinite(sums[n - 1]) for n in ns):
+                raise ResourceGuardError(f"Z_n({t}) exceeded the overflow budget")
+            return [PartitionSum(n, t, sums[n - 1], sums[n - 1], TRANSFER_MATRIX) for n in ns]
+        if method == ENUMERATION:
+            logs = system.one_step_log_norms()
+            out = []
+            for n in ns:
+                total = math.fsum(
+                    math.exp(t * sum(logs[e] for e in w))
+                    for w in g.enumerate_words(system, n, limit=guard))
+                out.append(PartitionSum(n, t, total, total, ENUMERATION))
+            return out
+        raise InputError(f"unknown method {method!r}")
+
+    # continued-fraction family
+    enumerate_up_to = CF_EXACT_LENGTH_CAP if method in ("auto", ENUMERATION) else 0
+    cache = CfPartitionCache(system, guard=guard)
     out = []
     for n in ns:
-        if n <= CF_EXACT_LENGTH_CAP and n < tripped:
+        if n <= enumerate_up_to:
             try:
                 z = cache.partition_sum(n, t)
                 out.append(PartitionSum(n, t, z, z, ENUMERATION))
                 continue
             except ResourceGuardError:
-                tripped = n
+                if method == ENUMERATION:
+                    raise
+                enumerate_up_to = n - 1
         lo, hi = _cf_product_bracket(system, n, t)
         out.append(PartitionSum(n, t, lo, hi, TRANSFER_MATRIX))
     return out
@@ -798,7 +801,7 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
         raise UnsupportedAnalysisError("conformal measures need a finite system")
     if system.family.kind != "similarity":
         raise UnsupportedAnalysisError("conformal measures are built for similarity systems")
-    if system.components != (frozenset(system.edge_ids),):
+    if not system.irreducible:
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")
     B, u = transfer_matrix(system, h)
     rho, v, _ = perron(B, pressure_tolerance)

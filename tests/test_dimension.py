@@ -185,6 +185,20 @@ class TestPerronNewton:
         assert lo <= 0.3 < hi
         assert hi - lo <= tol / 2
 
+    def test_unresolved_perron_root_is_refused(self, monkeypatch):
+        block = gd._PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
+        monkeypatch.setattr(thermo, "collatz_wielandt",
+                            lambda B, start: (0.9, 1.1, np.ones(len(B))))
+        with pytest.raises(gk.ConvergenceError, match="not resolved"):
+            block.pressure_slope(0.5)
+
+    def test_nonpositive_left_perron_vector_is_refused(self, monkeypatch):
+        block = gd._PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
+        monkeypatch.setattr(thermo, "equilibrium_weights",
+                            lambda B, v, upper: np.array([1.5, -0.5]))
+        with pytest.raises(gk.ConvergenceError, match="not positive"):
+            block.pressure_slope(0.5)
+
     def test_overfull_system_rejected(self):
         sys = packed_system("overfull", {"a": 0.6, "b": 0.6},
                             {(x, y) for x in "ab" for y in "ab"})
@@ -326,6 +340,13 @@ class TestHausdorffClassification:
             exact = gk.partition_sum(sys, n, h)
             assert exact.method == (thermo.ENUMERATION if n < 8 else thermo.TRANSFER_MATRIX)
             assert z == exact.value
+
+    def test_similarity_evidence_is_partition_sum(self):
+        sys = two_component_system(linked=True)
+        res = gk.classify_hausdorff_measure(sys)
+        h = res.dimension.mid
+        for n, z in zip(res.evidence_n, res.evidence_z):
+            assert z == gk.partition_sum(sys, n, h).value
 
     def test_evidence_partition_sums_bounded_when_finite(self):
         sys = two_component_system(r1=1 / 3, r2=1 / 3, linked=False)

@@ -254,6 +254,20 @@ class TestMatrixProperties:
         assert not props.primitive
         assert props.finitely_irreducible
 
+    def test_irreducible_is_one_cyclic_strong_component(self, rng):
+        checked = 0
+        while checked < 12:
+            sys = random_packed_system(rng)
+            if sys is None:
+                continue
+            checked += 1
+            ids, succ = sys.edge_ids, sys.successor_map
+            sccs = gg.tarjan_scc(ids, succ)
+            want = len(sccs) == 1 and (len(ids) > 1 or ids[0] in succ[ids[0]])
+            assert sys.irreducible == want
+            assert gk.matrix_properties(sys).irreducible == want
+        assert not two_component_system(linked=True).irreducible
+
     def test_finite_equivalence_of_irreducibility_notions(self, rng):
         checked = 0
         while checked < 12:

@@ -188,10 +188,17 @@ class TestCollatzWielandt:
         with pytest.raises(gk.ConvergenceError, match="underflow"):
             thermo.collatz_wielandt(B, np.array([1.0, 1e-200]))
 
-    def test_underflowing_weights_are_refused(self):
-        # 0.25^600 is below the least normal number
-        with pytest.raises(gk.ConvergenceError, match="underflow"):
-            gk.pressure(gk.full_shift([0.25, 0.5]), 600.0)
+    def test_weights_below_the_normal_range_are_rescaled(self):
+        # 0.25^600 and 0.5^600 are below the least normal number, but their
+        # ratio is not; P = 600 ln 0.5 + ln(1 + 2^-600)
+        est = gk.pressure(gk.full_shift([0.25, 0.5]), 600.0)
+        assert est.lower <= 600 * math.log(0.5) <= est.upper
+        assert est.upper - est.lower <= 1e-14 * 600 * math.log(2)
+
+    def test_weights_spanning_more_than_the_double_range_are_refused(self):
+        # 0.25^t / 0.5^t = 2^-1100 is below the least normal number
+        with pytest.raises(gk.ConvergenceError, match="double range"):
+            gk.pressure(gk.full_shift([0.25, 0.5]), 1100.0)
 
 
 class TestPressure:
