@@ -3,8 +3,8 @@ import pytest
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
-from conftest import (two_component_system, feeder_system, random_graph_complete_system,
-                      random_packed_system)
+from conftest import (two_component_system, feeder_system, packed_system,
+                      random_graph_complete_system, random_packed_system)
 
 
 def banded_cf(width=1, truncate=None):
@@ -164,6 +164,67 @@ class TestScc:
             # communication must be consistent with condensation reachability
             closure = _transitive_closure(report.condensation, len(report.components))
             assert set(report.communication) == closure
+
+
+    def test_condensation_and_communication_match_definitions(self, rng):
+        systems = [_two_step_bridge_system()]
+        while len(systems) < 60:
+            make = random_packed_system if len(systems) % 2 else random_graph_complete_system
+            sys = make(rng, max_edges=8)
+            if sys is None:
+                continue
+            systems.append(sys)
+            keep = [e for e in sys.edge_ids if rng.random() < 0.7]
+            if keep:
+                systems.append(sys.restrict(keep))
+        for sys in systems:
+            report = gk.scc_decompose(sys)
+            condensation, communication = _reachability_oracle(sys, report.components)
+            assert report.condensation == condensation
+            assert report.communication == communication
+
+    def test_two_isolated_edges_bridge_components(self):
+        # {a, b} -> x1 -> x2 -> {c, d} -> {e}: the first two components are
+        # joined through isolated edges only; {a, b} reaches {e} but has no
+        # condensation arc to it
+        report = gk.scc_decompose(_two_step_bridge_system())
+        assert report.components == (frozenset("ab"), frozenset("cd"), frozenset("e"))
+        assert report.isolated == frozenset({"x1", "x2"})
+        assert report.condensation == frozenset({(0, 1), (1, 2)})
+        assert report.communication == frozenset({(0, 1), (1, 2), (0, 2)})
+
+
+def _two_step_bridge_system():
+    ratios = {"a": 0.1, "b": 0.1, "x1": 0.1, "x2": 0.1, "c": 0.1, "d": 0.1, "e": 0.1}
+    allowed = {(p, q) for p in "ab" for q in "ab"} | {(p, q) for p in "cd" for q in "cd"}
+    allowed |= {("b", "x1"), ("x1", "x2"), ("x2", "c"), ("d", "e"), ("e", "e")}
+    return packed_system("bridge", ratios, allowed)
+
+
+def _reachability_oracle(sys, components):
+    """(condensation, communication) by breadth-first search on edges: (i, j)
+    is a condensation arc when an edge of component j follows component i
+    through isolated edges only, and a communication pair when some
+    admissible word leads from component i to component j."""
+    succ = sys.successor_map
+    owner = {e: k for k, comp in enumerate(components) for e in comp}
+    condensation, communication = set(), set()
+    for i, comp in enumerate(components):
+        for through_isolated, found in ((True, condensation), (False, communication)):
+            queue = [w for e in comp for w in succ[e]]
+            seen = set(queue)
+            while queue:
+                v = queue.pop(0)
+                j = owner.get(v)
+                if j is not None and j != i:
+                    found.add((i, j))
+                if through_isolated and j is not None:
+                    continue
+                for w in succ[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+    return frozenset(condensation), frozenset(communication)
 
 
 def _assert_acyclic(arcs, n):
