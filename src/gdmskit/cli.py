@@ -91,56 +91,41 @@ def _write_csv(path_or_none, header, rows, report):
         sys.stdout.write(text)
 
 
-def _int_list(raw):
+def _list(raw, kind, what):
     try:
-        return [int(tok) for tok in raw.split(",") if tok]
+        return [kind(tok) for tok in raw.split(",") if tok]
     except ValueError:
-        raise InputError(f"expected comma-separated integers, got {raw!r}") from None
+        raise InputError(f"expected comma-separated {what}, got {raw!r}") from None
 
 
-def _float_list(raw):
-    try:
-        return [float(tok) for tok in raw.split(",") if tok]
-    except ValueError:
-        raise InputError(f"expected comma-separated numbers, got {raw!r}") from None
+def _arcs(pairs):
+    return " ".join(f"{i}->{j}" for i, j in pairs) or "-"
 
 
 # -- subcommands --------------------------------------------------------------
+# A body adds the command's lines, CSVs and own warnings to the report; `_run`
+# loads the spec before it and appends the spec warnings after it.
 
-def _cmd_scc(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("scc", args.started, args.spec, text)
+def _scc(args, report, system):
     result = graph.scc_decompose(system)
     report.add("components", len(result.components))
     for k, comp in enumerate(result.components):
         report.add(f"component[{k}]", " ".join(map(str, sorted(comp, key=str))))
     report.add("isolated", " ".join(map(str, sorted(result.isolated, key=str))) or "-")
-    report.add("condensation", " ".join(f"{i}->{j}" for i, j in sorted(result.condensation)) or "-")
-    report.add("communication", " ".join(f"{i}->{j}" for i, j in sorted(result.communication)) or "-")
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
+    report.add("condensation", _arcs(sorted(result.condensation)))
+    report.add("communication", _arcs(sorted(result.communication)))
 
 
-def _cmd_props(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("props", args.started, args.spec, text)
+def _props(args, report, system):
     props = graph.matrix_properties(system)
     for flag in ("irreducible", "primitive", "finitely_irreducible"):
         report.add(flag, getattr(props, flag))
         report.add(f"{flag}_why", props.justification[flag])
     if props.witness is not None:
         report.add("witness_words", len(props.witness))
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_pressure(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("pressure", args.started, args.spec, text)
+def _pressure(args, report, system):
     est = thermo.pressure(system, args.t, n_max=args.nmax)
     report.add("t", est.t)
     report.add("P_lower", est.lower)
@@ -149,15 +134,9 @@ def _cmd_pressure(args):
     report.add("method", est.method)
     if est.is_infinite:
         report.warn("pressure is infinite below the finiteness parameter")
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_curve(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("curve", args.started, args.spec, text)
+def _curve(args, report, system):
     if args.steps < 2 or args.tmax <= args.tmin:
         raise InputError("need steps >= 2 and tmax > tmin")
     rows = []
@@ -166,30 +145,18 @@ def _cmd_curve(args):
         est = thermo.pressure(system, t, n_max=args.nmax)
         rows.append((t, est.lower, est.upper, est.n_used))
     _write_csv(args.out, "t,P_lower,P_upper,n_used", rows, report)
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_dim(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("dim", args.started, args.spec, text)
+def _dim(args, report, system):
     est = dimension.bowen_dimension(system, args.tol)
     report.add("h_lo", est.lo)
     report.add("h_hi", est.hi)
     report.add("method", est.method)
     report.add("tolerance", args.tol)
     report.add("iterations", est.iterations)
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_classify(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("classify", args.started, args.spec, text)
+def _classify(args, report, system):
     result = dimension.classify_hausdorff_measure(
         system, n_range=range(args.nmin, args.nmax + 1))
     if result.verdict == dimension.NOT_APPLICABLE:
@@ -198,56 +165,36 @@ def _cmd_classify(args):
     report.add("h_lo", result.dimension.lo)
     report.add("h_hi", result.dimension.hi)
     report.add("maximal_components", " ".join(map(str, result.maximal_components)) or "-")
-    report.add("communicating_pairs",
-               " ".join(f"{i}->{j}" for i, j in result.communicating_pairs) or "-")
+    report.add("communicating_pairs", _arcs(result.communicating_pairs))
     report.add("growth_slope", result.growth_slope)
     report.add("explanation", result.explanation)
-    _write_csv(args.out, "n,Z_n",
-               list(zip(result.evidence_n, result.evidence_z)), report)
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
+    _write_csv(args.out, "n,Z_n", list(zip(result.evidence_n, result.evidence_z)), report)
 
 
-def _cmd_theta(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("theta", args.started, args.spec, text)
-    n_list = _int_list(args.n) if args.n else [1, 2, 3]
+def _theta(args, report, system):
+    n_list = _list(args.n, int, "integers") if args.n else [1, 2, 3]
     result = thermo.finiteness_parameters(system, n_list)
     report.add("theta", result.theta)
     for n in sorted(result.theta_n):
         report.add(f"theta_n[{n}]", result.theta_n[n])
     report.add("justification", result.justification)
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_sweep(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("sweep", args.started, args.spec, text)
-    sizes = _int_list(args.sizes)
+def _sweep(args, report, system):
+    sizes = _list(args.sizes, int, "integers")
     sweep = dimension.truncation_sweep(system, sizes, tolerance=args.tol)
-    rows = [(e.size, e.estimate.lo, e.estimate.hi) for e in sweep.entries]
     report.add("sup_h_lo", sweep.sup_lo)
     report.add("final_interval", f"[{_fmt(sweep.final_interval[0])}, {_fmt(sweep.final_interval[1])}]")
     report.add("monotone", sweep.monotone)
     for e in sweep.entries:
         report.add(f"irreducible[{e.size}]", e.irreducible)
-    _write_csv(args.out, "size,h_lo,h_hi", rows, report)
+    _write_csv(args.out, "size,h_lo,h_hi",
+               [(e.size, e.estimate.lo, e.estimate.hi) for e in sweep.entries], report)
     for w in sweep.warnings:
         report.warn(w)
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_sample(args):
-    system, warnings, text = _load(args.spec)
-    report = Report("sample", args.started, args.spec, text)
+def _sample(args, report, system):
     sample = sampling.sample_points(system, args.count, args.depth, args.seed)
     report.add("count", len(sample.entries))
     report.add("depth", sample.depth)
@@ -255,14 +202,9 @@ def _cmd_sample(args):
     report.add("rng", sample.rng_name)
     report.add("position_error_bound", sample.diameter_bound)
     _write_csv(args.out, "point", [(p,) for p in sample.points], report)
-    for w in warnings:
-        report.warn(w)
-    report.emit()
-    return EXIT_OK
 
 
-def _cmd_boxdim(args):
-    report = Report("boxdim", args.started)
+def _boxdim(args, report, system):
     try:
         with open(args.csv, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -276,12 +218,46 @@ def _cmd_boxdim(args):
         raise InputError(f"bad point value: {exc}") from exc
     sample = sampling.sample_from_points(points, anchor=args.anchor,
                                          error_bound=args.errbound)
-    result = sampling.box_dimension(sample, _float_list(args.scales))
+    result = sampling.box_dimension(sample, _list(args.scales, float, "numbers"))
     report.add("slope", result.slope)
     report.add("residual", result.residual)
     _write_csv(args.out, "scale,count", list(zip(result.scales, result.counts)), report)
-    report.emit()
-    return EXIT_OK
+
+
+def _required(kind):
+    return {"type": kind, "required": True}
+
+
+NMAX = {"type": int, "default": 14}
+
+# name -> (help, body, positional argument, {flag: add_argument keywords}).
+# Every command but boxdim reads a spec file.
+COMMANDS = {
+    "scc": ("strongly connected component report", _scc, "spec", {}),
+    "props": ("incidence matrix properties", _props, "spec", {}),
+    "pressure": ("pressure bracket at one exponent", _pressure, "spec",
+                 {"--t": _required(float), "--nmax": NMAX}),
+    "curve": ("pressure brackets over a t grid (CSV)", _curve, "spec",
+              {"--tmin": _required(float), "--tmax": _required(float),
+               "--steps": _required(int), "--nmax": NMAX, "--out": {}}),
+    "dim": ("Bowen dimension bracket", _dim, "spec",
+            {"--tol": {"type": float, "default": 1e-10}}),
+    "classify": ("Hausdorff-measure finiteness verdict", _classify, "spec",
+                 {"--nmin": {"type": int, "default": 1}, "--nmax": {"type": int, "default": 30},
+                  "--out": {}}),
+    "theta": ("finiteness parameters", _theta, "spec",
+              {"--n": {"help": "comma-separated word lengths"}}),
+    "sweep": ("dimension sweep over truncations (CSV)", _sweep, "spec",
+              {"--sizes": {"required": True, "help": "comma-separated truncation sizes"},
+               "--tol": {"type": float, "default": 1e-3}, "--out": {}}),
+    "sample": ("random limit-set points (CSV)", _sample, "spec",
+               {"--count": _required(int), "--depth": _required(int),
+                "--seed": _required(int), "--out": {}}),
+    "boxdim": ("box-counting slope from a point CSV", _boxdim, "csv",
+               {"--scales": {"required": True, "help": "comma-separated decreasing scales"},
+                "--anchor": {"type": float, "default": 0.0},
+                "--errbound": {"type": float, "default": 0.0}, "--out": {}}),
+}
 
 
 def build_parser():
@@ -289,71 +265,28 @@ def build_parser():
         prog="gdms",
         description="Dimension and pressure analyses of graph-directed Markov systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scc", help="strongly connected component report")
-    p.add_argument("spec")
-    p.set_defaults(fn=_cmd_scc)
-
-    p = sub.add_parser("props", help="incidence matrix properties")
-    p.add_argument("spec")
-    p.set_defaults(fn=_cmd_props)
-
-    p = sub.add_parser("pressure", help="pressure bracket at one exponent")
-    p.add_argument("spec")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--nmax", type=int, default=14)
-    p.set_defaults(fn=_cmd_pressure)
-
-    p = sub.add_parser("curve", help="pressure brackets over a t grid (CSV)")
-    p.add_argument("spec")
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=14)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_curve)
-
-    p = sub.add_parser("dim", help="Bowen dimension bracket")
-    p.add_argument("spec")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(fn=_cmd_dim)
-
-    p = sub.add_parser("classify", help="Hausdorff-measure finiteness verdict")
-    p.add_argument("spec")
-    p.add_argument("--nmin", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=30)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("theta", help="finiteness parameters")
-    p.add_argument("spec")
-    p.add_argument("--n", default=None, help="comma-separated word lengths")
-    p.set_defaults(fn=_cmd_theta)
-
-    p = sub.add_parser("sweep", help="dimension sweep over truncations (CSV)")
-    p.add_argument("spec")
-    p.add_argument("--sizes", required=True, help="comma-separated truncation sizes")
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("sample", help="random limit-set points (CSV)")
-    p.add_argument("spec")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_sample)
-
-    p = sub.add_parser("boxdim", help="box-counting slope from a point CSV")
-    p.add_argument("csv")
-    p.add_argument("--scales", required=True, help="comma-separated decreasing scales")
-    p.add_argument("--anchor", type=float, default=0.0)
-    p.add_argument("--errbound", type=float, default=0.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_boxdim)
-
+    for name, (help_text, _, positional, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
+
+
+def _run(args, started):
+    """Load the spec, build the report, run the command's body, append the
+    spec warnings after the body's own and print the report."""
+    _, body, positional, _ = COMMANDS[args.command]
+    if positional == "spec":
+        system, warnings, text = _load(args.spec)
+        report = Report(args.command, started, args.spec, text)
+    else:
+        system, warnings, report = None, (), Report(args.command, started)
+    body(args, report, system)
+    for w in warnings:
+        report.warn(w)
+    report.emit()
+    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -363,9 +296,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_SPEC if exc.code not in (0, None) else EXIT_OK
-    args.started = started
     try:
-        return args.fn(args)
+        return _run(args, started)
     except (SpecError, InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -108,12 +108,6 @@ def _moran_root(ratios, tolerance):
     return 0.5 * (lo + hi)
 
 
-def _is_full_shift(system):
-    succ = system.successor_map
-    ids = system.edge_ids
-    return all(len(succ[e]) == len(ids) for e in ids)
-
-
 # Most pressure evaluations one component root or one certificate may take.
 STEP_CAP = 100
 # P(1) above this means the images overlap too much for the open set condition.
@@ -239,6 +233,46 @@ def _certified_bracket(bounds, h, tolerance):
     return lo, hi, steps
 
 
+def _component_roots(system, tolerance):
+    """Pressure blocks of `system.components` (a _PerronBlock per similarity
+    component, a CfCollocation per continued-fraction one) and the
+    (root, Newton steps) of each."""
+    if tolerance <= 0:
+        raise InputError("tolerance must be positive")
+    if system.infinite:
+        raise NotApplicableError("truncate the system first")
+    if system.family.kind == "similarity":
+        blocks = [_PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
+    else:
+        blocks = thermo.cf_collocations(system)
+    return blocks, [_component_root(block.pressure_slope, tolerance) for block in blocks]
+
+
+def _certified_dimension(system, blocks, roots, tolerance):
+    """Certify the largest of `roots` for `system`, whose cyclic components
+    are those of `blocks`: the pressure bounds are the max over blocks of
+    their certified brackets. A similarity full shift (every entry of the
+    incidence matrix 1) is cross-checked against the Moran root."""
+    if not blocks:
+        return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
+
+    def bounds(t):
+        brackets = [block.certified_pressure(t) for block in blocks]
+        return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
+    lo, hi, n = _certified_bracket(bounds, max(root for root, _ in roots), tolerance)
+    similarity = system.family.kind == "similarity"
+    method = PERRON_NEWTON if similarity else COLLOCATION_NEWTON
+    if similarity and system.incidence_matrix.all():
+        ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
+        moran = _moran_root(ratios, tolerance)
+        if not (lo - tolerance <= moran <= hi + tolerance):
+            raise InputError(
+                f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
+                f"root {moran}")
+        method = MORAN_EXACT
+    return DimensionEstimate(lo, hi, method, sum(steps for _, steps in roots) + n)
+
+
 def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
                     n_max: int = 14) -> DimensionEstimate:
     """Bracket HD(J) = inf{t : P(t) < 0} for a finite system.
@@ -253,36 +287,7 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
     certificate needed. `n_max` is accepted for compatibility and does not
     affect the result.
     """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
-    if system.infinite:
-        raise NotApplicableError("truncate the system first")
-    if not system.components:
-        return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
-    similarity = system.family.kind == "similarity"
-    if similarity:
-        blocks = [_PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
-    else:
-        blocks = thermo.cf_collocations(system)
-    h, steps = 0.0, 0
-    for block in blocks:
-        root, n = _component_root(block.pressure_slope, tolerance)
-        h, steps = max(h, root), steps + n
-
-    def bounds(t):
-        brackets = [block.certified_pressure(t) for block in blocks]
-        return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
-    lo, hi, n = _certified_bracket(bounds, h, tolerance)
-    method = PERRON_NEWTON if similarity else COLLOCATION_NEWTON
-    if similarity and _is_full_shift(system):
-        ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
-        moran = _moran_root(ratios, tolerance)
-        if not (lo - tolerance <= moran <= hi + tolerance):
-            raise InputError(
-                f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
-                f"root {moran}")
-        method = MORAN_EXACT
-    return DimensionEstimate(lo, hi, method, steps + n)
+    return _certified_dimension(system, *_component_roots(system, tolerance), tolerance)
 
 
 def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> ComponentDimensionReport:
@@ -290,18 +295,16 @@ def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> Compon
 
     The overall dimension must equal the maximum over strongly connected
     components (isolated edges only contribute a geometrically decaying tail).
+    Each component root is found once; a component's bracket is certified
+    by its own block, the overall one by all blocks, as in `bowen_dimension`.
     """
-    components = system.components
-    estimates = tuple(bowen_dimension(system.restrict(comp), tolerance)
-                      for comp in components)
-    overall = bowen_dimension(system, tolerance)
-    if estimates:
-        max_est = max(estimates, key=lambda e: e.mid)
-    else:
-        max_est = DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
-    difference = abs(overall.mid - max_est.mid)
-    return ComponentDimensionReport(components, estimates, overall,
-                                    max_est, difference)
+    blocks, roots = _component_roots(system, tolerance)
+    estimates = tuple(_certified_dimension(system.restrict(comp), [block], [root], tolerance)
+                      for comp, block, root in zip(system.components, blocks, roots))
+    overall = _certified_dimension(system, blocks, roots, tolerance)
+    max_est = max(estimates, key=lambda e: e.mid, default=overall)
+    return ComponentDimensionReport(system.components, estimates, overall, max_est,
+                                    abs(overall.mid - max_est.mid))
 
 
 def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,

@@ -243,76 +243,42 @@ def scc_decompose(system) -> SccReport:
 
     An edge belongs to a component only if some admissible cycle passes
     through it; a singleton {e} counts only when e may follow itself.
-    Everything else lands in the isolated set.
+    Everything else lands in the isolated set. Component i communicates
+    with j when some admissible word leads from i to j, and (i, j) is a
+    condensation arc when that word can pass through isolated edges only.
     """
     _require_finite(system)
     ids = system.edge_ids
     succ = system.successor_map
-    nontrivial = system.components
-    comp_index = {}
-    for k, comp in enumerate(nontrivial):
-        for e in comp:
-            comp_index[e] = k
+    comp_index = {e: k for k, comp in enumerate(system.components) for e in comp}
     isolated = frozenset(e for e in ids if e not in comp_index)
 
-    # Reachability over edges, collapsed to component pairs.
-    reach = {e: set() for e in ids}
-    for e in reversed(list(topo_order(ids, succ))):
-        acc = set()
-        for w in succ[e]:
-            acc.add(w)
-            acc |= reach[w]
-        reach[e] = acc
-
-    communication = set()
-    condensation = set()
-    for i, ci in enumerate(nontrivial):
-        targets = set()
-        for e in ci:
-            targets |= reach[e]
-        for j, cj in enumerate(nontrivial):
-            if i != j and targets & cj:
-                communication.add((i, j))
-        # condensation arc: reachable directly or through isolated edges only
-        frontier = set()
-        for e in ci:
-            frontier |= set(succ[e])
-        seen = set()
-        while frontier:
-            w = frontier.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            j = comp_index.get(w)
+    # For each Tarjan component n: reached[n] holds the cyclic components
+    # some word from n leads to, bridged[n] those it leads to through
+    # isolated edges only. Tarjan lists components sink first, so the sets
+    # of every successor of n are complete when n reads them.
+    sccs = tarjan_scc(ids, succ)
+    position = {e: n for n, scc in enumerate(sccs) for e in scc}
+    reached, bridged = [], []
+    communication, condensation = set(), set()
+    for n, scc in enumerate(sccs):
+        reach, bridge = set(), set()
+        for m in {position[w] for e in scc for w in succ[e]} - {n}:
+            reach |= reached[m]
+            j = comp_index.get(sccs[m][0])
             if j is None:
-                frontier |= set(succ[w])
-            elif j != i:
-                condensation.add((i, j))
-    return SccReport(tuple(nontrivial), frozenset(condensation), isolated, frozenset(communication))
-
-
-def topo_order(nodes, succ):
-    """DFS postorder; safe on cyclic graphs (used only for reachability)."""
-    seen = set()
-    post = []
-    for root in nodes:
-        if root in seen:
-            continue
-        stack = [(root, iter(succ[root]))]
-        seen.add(root)
-        while stack:
-            v, it = stack[-1]
-            pushed = False
-            for w in it:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append((w, iter(succ[w])))
-                    pushed = True
-                    break
-            if not pushed:
-                post.append(v)
-                stack.pop()
-    return reversed(post)
+                bridge |= bridged[m]
+            else:
+                reach.add(j)
+                bridge.add(j)
+        reached.append(reach)
+        bridged.append(bridge)
+        i = comp_index.get(scc[0])
+        if i is not None:
+            communication.update((i, j) for j in reach)
+            condensation.update((i, j) for j in bridge)
+    return SccReport(system.components, frozenset(condensation), isolated,
+                     frozenset(communication))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotApplicableError, ResourceGuardError
-from .system import GdmsSystem, diameter_bound, empty_limit_set
+from .errors import InputError, NotApplicableError
+from .system import GdmsSystem, diameter_bound, empty_limit_set, prune
 
 RNG_NAME = "python-mt19937-per-point"
 _SEED_MIX = 0x9E3779B97F4A7C15
@@ -49,13 +49,14 @@ class BoxCount:
     residual: float
 
 
-def sample_points(system: GdmsSystem, count: int, depth: int, seed: int,
-                  max_retries: int = 100) -> LimitPointSample:
+def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> LimitPointSample:
     """Draw `count` admissible words of length `depth`, reproducibly.
 
-    Point k uses its own generator derived from (seed, k), so the output is
-    independent of evaluation order. Midpoints of the terminal image
-    intervals approximate coding-map values within the interval diameter.
+    Words are walked on the pruned system, where every edge has a
+    successor, so every walk reaches `depth`. Point k uses its own generator
+    derived from (seed, k), so the output is independent of evaluation
+    order. Midpoints of the terminal image intervals approximate coding-map
+    values within the interval diameter.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -66,27 +67,17 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int,
     if empty_limit_set(system):
         raise NotApplicableError("empty limit set: nothing to sample")
 
+    system = prune(system)[0]
     ids = list(system.edge_ids)
     succ = system.successor_map
     entries = []
     for k in range(count):
         rng = random.Random(seed * _SEED_MIX + k)
-        word = None
-        for _ in range(max_retries):
-            trial = [rng.choice(ids)]
-            while len(trial) < depth:
-                options = succ[trial[-1]]
-                if not options:
-                    break
-                trial.append(rng.choice(options))
-            if len(trial) == depth:
-                word = tuple(trial)
-                break
-        if word is None:
-            raise ResourceGuardError(
-                f"point {k}: dead-end words exceeded {max_retries} retries")
+        word = [rng.choice(ids)]
+        while len(word) < depth:
+            word.append(rng.choice(succ[word[-1]]))
         lo, hi = system.word_interval(word)
-        entries.append(SampleEntry(word, (lo, hi), 0.5 * (lo + hi)))
+        entries.append(SampleEntry(tuple(word), (lo, hi), 0.5 * (lo + hi)))
 
     anchor = min(s.lo for s in system.spaces.values())
     return LimitPointSample(seed, depth, tuple(entries),

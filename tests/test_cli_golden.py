@@ -26,7 +26,8 @@ def _allow(*pairs):
 
 BLOCKS = [("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"),
           ("c", "c"), ("c", "d"), ("d", "c"), ("d", "d")]
-TWO_COMPONENT_EDGES = _edges(("a", 0.3333333333333333, 0), ("b", 0.3333333333333333, 0.6666666666666667),
+TWO_COMPONENT_EDGES = _edges(("a", 0.3333333333333333, 0),
+                             ("b", 0.3333333333333333, 0.6666666666666667),
                              ("c", 0.25, 0), ("d", 0.25, 0.75))
 
 
@@ -74,7 +75,8 @@ CASES = [
     ("cantor-theta", "theta {d}/cantor.gdms"),
     ("cantor-sample", "sample {d}/cantor.gdms --count 12 --depth 9 --seed 3 --out {d}/pts.csv"),
     ("cantor-sample-stdout", "sample {d}/cantor.gdms --count 5 --depth 4 --seed 11"),
-    ("boxdim", f"boxdim {{d}}/points.csv --scales {BOX_SCALES} --errbound 1e-5 --out {{d}}/box.csv"),
+    ("boxdim",
+     f"boxdim {{d}}/points.csv --scales {BOX_SCALES} --errbound 1e-5 --out {{d}}/box.csv"),
     ("boxdim-stdout", f"boxdim {{d}}/points.csv --scales {BOX_SCALES} --anchor 0"),
     ("linked-scc", "scc {d}/linked.gdms"),
     ("linked-props", "props {d}/linked.gdms"),
@@ -98,7 +100,8 @@ CASES = [
     ("cf-full2-scc", "scc {d}/cf-full2.gdms"),
     ("cf-full2-props", "props {d}/cf-full2.gdms"),
     ("cf-full2-pressure", "pressure {d}/cf-full2.gdms --t 0.5"),
-    ("cf-full2-curve", "curve {d}/cf-full2.gdms --tmin 0.25 --tmax 1 --steps 4 --out {d}/curve.csv"),
+    ("cf-full2-curve",
+     "curve {d}/cf-full2.gdms --tmin 0.25 --tmax 1 --steps 4 --out {d}/curve.csv"),
     ("cf-full2-dim", "dim {d}/cf-full2.gdms"),
     ("cf-full2-classify", "classify {d}/cf-full2.gdms --nmax 5 --out {d}/z.csv"),
     ("cf-full2-theta", "theta {d}/cf-full2.gdms"),

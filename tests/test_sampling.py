@@ -43,6 +43,18 @@ class TestSampling:
         with pytest.raises((gk.DomainError, gk.NotApplicableError)):
             gk.sample_points(sys, 10, 8, seed=0)
 
+    def test_dead_end_edge_is_never_sampled(self):
+        # a may follow itself or lead into the dead end d; only a^30 is an
+        # admissible word of length 30 that extends to an infinite word
+        space = gk.VertexSpace("v", 0.0, 1.0)
+        sys = gk.similarity_system(
+            "dead-end", ("v",), {"v": space},
+            [("a", "v", "v", gk.SimilarityMap(0.5, 0.0)),
+             ("d", "v", "v", gk.SimilarityMap(0.25, 0.5))],
+            gk.IncidenceSpec(gg.EXPLICIT, allowed=frozenset({("a", "a"), ("a", "d")})))
+        sample = gk.sample_points(sys, 20, 30, seed=4)
+        assert [e.word for e in sample.entries] == [("a",) * 30] * 20
+
     def test_cf_sample_in_unit_interval(self):
         sys = gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=4)
         sample = gk.sample_points(sys, 100, 10, seed=2)
