@@ -227,13 +227,12 @@ def tarjan_scc(nodes, succ):
     return sccs
 
 
-def cyclic_components(ids, succ):
-    """Strongly connected components that an admissible cycle passes
-    through (more than one edge, or one edge that may follow itself), as
-    frozensets ordered by their first edge in `ids`."""
+def cyclic_components(ids, succ, sccs):
+    """The components of `sccs` (from `tarjan_scc(ids, succ)`) that an
+    admissible cycle passes through (more than one edge, or one edge that
+    may follow itself), as frozensets ordered by their first edge in `ids`."""
     order = {e: k for k, e in enumerate(ids)}
-    comps = [frozenset(c) for c in tarjan_scc(ids, succ)
-             if len(c) > 1 or c[0] in succ[c[0]]]
+    comps = [frozenset(c) for c in sccs if len(c) > 1 or c[0] in succ[c[0]]]
     comps.sort(key=lambda c: min(order[e] for e in c))
     return tuple(comps)
 
@@ -257,7 +256,7 @@ def scc_decompose(system) -> SccReport:
     # some word from n leads to, bridged[n] those it leads to through
     # isolated edges only. Tarjan lists components sink first, so the sets
     # of every successor of n are complete when n reads them.
-    sccs = tarjan_scc(ids, succ)
+    sccs = system.sccs
     position = {e: n for n, scc in enumerate(sccs) for e in scc}
     reached, bridged = [], []
     communication, condensation = set(), set()

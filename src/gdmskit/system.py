@@ -28,6 +28,7 @@ class GdmsSystem:
     # Built on first use. init=False keeps them out of `replace`, so every
     # derived system (restrict, truncate) starts with empty caches.
     _succ: dict = field(default=None, init=False, repr=False, compare=False)
+    _sccs: tuple = field(default=None, init=False, repr=False, compare=False)
     _components: tuple = field(default=None, init=False, repr=False, compare=False)
     _ids: tuple = field(default=None, init=False, repr=False, compare=False)
     _dense: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -93,11 +94,20 @@ class GdmsSystem:
         return self._succ
 
     @property
+    def sccs(self):
+        """Every strongly connected component of the edge graph as a tuple
+        of edge ids, sink first: the output of one `graph.tarjan_scc` pass,
+        from which `components` and `graph.scc_decompose` both read."""
+        if self._sccs is None:
+            self._sccs = tuple(map(tuple, g.tarjan_scc(self.edge_ids, self.successor_map)))
+        return self._sccs
+
+    @property
     def components(self):
         """Edge sets of the strongly connected components that carry a
         cycle, ordered by their first edge (see `graph.cyclic_components`)."""
         if self._components is None:
-            self._components = g.cyclic_components(self.edge_ids, self.successor_map)
+            self._components = g.cyclic_components(self.edge_ids, self.successor_map, self.sccs)
         return self._components
 
     @property

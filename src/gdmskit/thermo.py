@@ -213,14 +213,6 @@ def equilibrium_weights(B, v, upper):
     return z / z.sum()
 
 
-def _shifted_solves(B, rho):
-    """Right and left solutions x of (B - s I) x = 1, s = rho (1 + PERRON_SHIFT):
-    one inverse-iteration step each towards the eigenvalue rho."""
-    shifted = B - rho * (1.0 + PERRON_SHIFT) * np.eye(B.shape[0])
-    ones = np.ones(B.shape[0])
-    return np.linalg.solve(shifted, ones), np.linalg.solve(shifted.T, ones)
-
-
 def block_pressure(A, log_norms, t, start=None):
     """(P_lower, P_upper, x): bounds on ln rho(B) for B = A o exp(t log r)
     of one irreducible block, from `collatz_wielandt` started at `start`.
@@ -346,8 +338,8 @@ COLLOCATION_NODES = 20
 CERTIFICATE_PANELS = 8
 PANEL_POINTS = 24
 PANEL_ELLIPSE = 8.0
-# Most diagonal rescalings `CfCollocation._eigenpair` tries.
-BALANCING_ROUNDS = 8
+# Most inverse-iteration steps one `CfCollocation._eigenpair` call takes.
+EIGEN_STEPS = 100
 
 
 def _chebyshev_nodes(m, lo=0.0, hi=1.0):
@@ -432,51 +424,124 @@ class CfCollocation:
         shifted = self.letters[:, None] + _chebyshev_nodes(COLLOCATION_NODES)
         self.log_weights = -2.0 * np.log(shifted)
         self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, COLLOCATION_NODES) @ self.to_coef
-        # route[s, a, s'] = 1 when letter a is in predecessor set s and has state s'
-        self.route = self.members[:, :, None] * np.eye(len(states))[self.state_of][None]
+        # The letters a in predecessor set s, grouped by the block (s, s(a))
+        # of L they add to: feeding[starts[k]:starts[k + 1]] for block k,
+        # which sits at (block_rows[k], block_cols[k]).
+        rows, feeding = np.nonzero(self.members)
+        keys = rows * len(states) + self.state_of[feeding]
+        order = np.argsort(keys, kind="stable")
+        self.feeding, keys = feeding[order], keys[order]
+        self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        self.block_rows, self.block_cols = np.divmod(keys[self.starts], len(states))
+        # right vector of the last eigenpair and the `_state_sizes` at its t,
+        # from which the next eigenpair starts
+        self.right = self.sizes = None
 
     @property
     def size(self) -> int:
         return len(self.members) * COLLOCATION_NODES
 
+    def _blocks(self, per_letter):
+        """Sum per_letter[a] (one array per letter) into the block (s, s(a))
+        for every predecessor set s holding a: shape (states, states, ...)."""
+        states = len(self.members)
+        out = np.zeros((states, states) + per_letter.shape[1:])
+        out[self.block_rows, self.block_cols] = np.add.reduceat(
+            per_letter[self.feeding], self.starts, axis=0)
+        return out
+
     def matrix(self, t, derivative=False):
         """L(t), and with `derivative` also L'(t)."""
+        def assemble(scaled):
+            return self._blocks(scaled).transpose(0, 2, 1, 3).reshape(self.size, self.size)
         scaled = self.kernel * np.exp(t * self.log_weights)[:, :, None]
-        L = np.einsum("sar,aij->sirj", self.route, scaled).reshape(self.size, self.size)
+        L = assemble(scaled)
         if not derivative:
             return L
-        scaled *= self.log_weights[:, :, None]
-        return L, np.einsum("sar,aij->sirj", self.route, scaled).reshape(self.size, self.size)
+        return L, assemble(scaled * self.log_weights[:, :, None])
+
+    def _state_sizes(self, t, start=None):
+        """x > 0, one entry per state: the Perron vector of the state matrix
+        that sums (a + 1/2)^(-2t) over the letters a of each block, from
+        `collatz_wielandt` started at `start`.
+
+        It models the sizes of the state functions by the letter weights at
+        the middle of [0, 1]; at t = 0, where the constants are
+        eigenfunctions, it is exact. The weights a^(-2t) at x = 0 would
+        bound rho(L_t) instead, but their eigenvalue sits above rho(L_t) by
+        a factor that the ratio of neighbouring states along a band
+        compounds. Measured on banded N = 40 from t = 0.24 to 0.54, the
+        entries of a start built from them err by factors spanning e^8.5,
+        and of one built from these by e^1.6.
+        """
+        S = self._blocks(np.exp(-2.0 * t * np.log(self.letters + 0.5)))
+        return collatz_wielandt(S, start)[2]
 
     @staticmethod
-    def _eigenpair(L, tolerance=1e-9):
+    def _eigenpair(L, tolerance=1e-9, start=None):
         """(lam, v, w): the eigenvalue of largest real part, its right vector
         scaled to max 1 and its left vector scaled to w.v = 1.
 
-        The vectors come from shifted solves on D^-1 L D with D = diag of the
-        previous right vector, repeated until that vector is nearly flat.
-        The state functions of a banded rule differ in size by factors of a
-        million, and without the scaling the rounding of the large ones
-        swamps the small ones. Raises ConvergenceError unless lam is real and
-        positive, v is positive at every node with
+        Shifted inverse iteration (Noda, Numer. Math. 17, 1971) from
+        `start`, a positive vector such as the v of a nearby t, or from
+        ones; no eigenvalue solver runs. Each step solves
+        (s I - D^-1 L D) x = sign(v) with D = diag |v| for the current
+        vector v, and moves v to D x. The scaling keeps the relative digits
+        of every entry: the state functions of a banded rule differ in size
+        by many orders. The shift s is
+        - for a positive v, the largest ratio (L v)_i / v_i (Noda's shift).
+          (L v)_i is L_t g at node i for the interpolant g of v, so this is
+          the Collatz-Wielandt upper bound sup (L_t g) / g >= rho(L_t)
+          sampled at the nodes. Unlike a Rayleigh quotient, which averages
+          the ratios, it does not fall below lam beyond that sampling, so
+          lam stays the eigenvalue nearest s: |s - mu| > s - lam for every
+          other eigenvalue mu once s >= lam >= Re mu. The ratios then close
+          in on lam quadratically.
+        - for a v with an entry of the wrong sign, as after a step pulled
+          towards another eigenvector, ||D^-1 L D||_inf, which is proved to
+          be at least |mu| for every eigenvalue mu, so that again no other
+          eigenvalue lies nearer s than lam.
+        The iteration stops when a step from a positive v moves no entry by
+        more than FIXED_POINT relative; lam is the two-sided Rayleigh
+        quotient of that step's right and left solutions.
+
+        Raises ConvergenceError when EIGEN_STEPS steps do not converge (as
+        for a complex leading pair) or the vector leaves the double range;
+        and unless lam is positive, v is positive at every node with
         max|Lv - lam v| <= tolerance * lam, and the rescaled right and left
         vectors, each of max modulus 1, have a dot product above tolerance
         (a defective eigenvalue drives it to 0). The left vector of a
         collocation matrix need not be positive and is not checked.
         """
-        values = np.linalg.eigvals(L)
-        lam = values[np.argmax(values.real)]
-        if lam.imag != 0.0 or not lam.real > 0.0:
+        n = len(L)
+        v = np.ones(n) if start is None else start / np.max(start)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for _ in range(EIGEN_STEPS):
+                    scale, sign = np.abs(v), np.sign(v)
+                    M = L * scale
+                    M /= scale[:, None]
+                    shift = M.sum(axis=1).max()
+                    noda = sign.min() > 0.0 and shift > 0.0
+                    if not noda:
+                        shift = np.abs(M).sum(axis=1).max()
+                    shifted = -M
+                    shifted.flat[::n + 1] += shift * (1.0 + PERRON_SHIFT)
+                    x = np.linalg.solve(shifted, sign)
+                    x = x / x[np.argmax(np.abs(x))]
+                    v = scale * x
+                    if noda and np.ptp(x) <= FIXED_POINT:
+                        break
+                else:
+                    raise ConvergenceError(
+                        f"collocation eigenvector did not converge in {EIGEN_STEPS} steps")
+                y = np.linalg.solve(shifted.T, np.ones(n))
+                y = y / y[np.argmax(np.abs(y))]
+                lam = float(y @ M @ x) / float(y @ x)
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise ConvergenceError(f"collocation eigenvector iteration failed: {exc}") from exc
+        if not lam > 0.0:
             raise ConvergenceError(f"collocation matrix has no positive leading eigenvalue ({lam})")
-        lam = float(lam.real)
-        scale = np.ones(len(L))
-        for _ in range(BALANCING_ROUNDS):
-            x, y = _shifted_solves(L * scale / scale[:, None], lam)
-            x, y = x / x[np.argmax(np.abs(x))], y / y[np.argmax(np.abs(y))]
-            v = scale * x
-            if np.ptp(x) < 1e-6:
-                break
-            scale = np.abs(v) / np.max(np.abs(v))
         v = v / v[np.argmax(np.abs(v))]
         residual = float(np.max(np.abs(L @ v - lam * v)))
         if not (v.min() > 0.0 and residual <= tolerance * lam):
@@ -489,17 +554,35 @@ class CfCollocation:
         w = y / scale
         return lam, v, w / (w @ v)
 
+    def _leading_pair(self, t, L):
+        """`_eigenpair` of L = L(t). The first call starts from
+        `_state_sizes(t)` on every node, the next from the previous right
+        vector times the change of the state sizes since its t."""
+        sizes = self._state_sizes(t, self.sizes)
+        if self.right is None:
+            start = np.repeat(sizes, COLLOCATION_NODES)
+        else:
+            start = self.right * np.repeat(sizes / self.sizes, COLLOCATION_NODES)
+        lam, v, w = self._eigenpair(L, start=start)
+        self.right, self.sizes = v, sizes
+        return lam, v, w
+
     def pressure_slope(self, t):
         """(ln lam, lam'/lam) of the collocation matrix: P(t) and P'(t) up to
         the collocation error, without a certificate."""
         L, dL = self.matrix(t, derivative=True)
-        lam, v, w = self._eigenpair(L)
+        lam, v, w = self._leading_pair(t, L)
         return math.log(lam), float(w @ dL @ v) / lam
 
     def certified_pressure(self, t):
-        """[P_lower, P_upper] holding P(t) = ln rho(L_t), proved on all of [0, 1]."""
-        lam, v, _ = self._eigenpair(self.matrix(t))
+        """[P_lower, P_upper] holding P(t) = ln rho(L_t), proved on all of
+        [0, 1]. Raises ConvergenceError when the residual bound s is not
+        below lam, where the lower bound would be lost."""
+        lam, v, _ = self._leading_pair(t, self.matrix(t))
         s = self._residual_bound(t, lam, v)
+        if not lam - s > 0.0:
+            raise ConvergenceError(
+                f"collocation residual bound {s:.3g} at t = {t!r} is not below lam = {lam:.3g}")
         return _log_bounds(lam - s, lam + s)
 
     def _residual_bound(self, t, lam, v):
@@ -671,8 +754,8 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     Similarity systems: P = ln rho(B(t)) is the max of ln rho(B_k(t)) over
     the diagonal blocks of `system.components`. In a topological order of
     the components B(t) is block triangular, and the remaining diagonal
-    blocks are nilpotent, so the two agree; dense eigvals of the whole
-    matrix would instead carry an error near sqrt(eps) when two linked
+    blocks are nilpotent, so the two agree; a dense eigenvalue solve of the
+    whole matrix would instead carry an error near sqrt(eps) when two linked
     components have equal radius. Each block contributes the proved
     Collatz-Wielandt bracket of `block_pressure`, about 1e-14 wide.
     Continued-fraction truncations: the max over `system.components` of the

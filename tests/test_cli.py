@@ -5,9 +5,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gdmskit as gk
 from gdmskit import cli, specfile
+from gdmskit import graph as gg
 
 CANTOR = """\
 system cantor
@@ -107,6 +110,22 @@ def test_import_loads_no_scipy_or_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_no_eigenvalue_solver_runs(monkeypatch):
+    # both pressure engines find their eigenpairs by shifted linear solves
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue solver ran")
+    for name in ("eigvals", "eig", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    systems = [gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=3),
+               gk.cf_system(gk.IncidenceSpec(gg.BANDED, 1), truncate=8),
+               gk.full_shift([1 / 3, 1 / 4, 1 / 5])]
+    for system in systems:
+        est = gk.bowen_dimension(system)
+        assert 0.0 < est.lo <= est.hi < 1.0
+        p = gk.pressure(system, 0.5)
+        assert p.lower <= p.upper
 
 
 class TestCsvOutputs:

@@ -551,8 +551,8 @@ wall_time_s = *
 command = sweep
 spec = {d}/cf-full.gdms
 spec_sha256 = 836d81be899378a6e14d2be86543a68e28a19c3e360f7fa8158be920e2e4cb64
-sup_h_lo = 0.7886955574831519
-final_interval = [0.7886955574831519, 1]
+sup_h_lo = 0.78869555748315157
+final_interval = [0.78869555748315157, 1]
 monotone = True
 irreducible[2] = True
 irreducible[4] = True
@@ -561,8 +561,8 @@ wall_time_s = *
 """, "", {
         'sweep.csv': """\
 size,h_lo,h_hi
-2,0.53103050626375226,0.5315305062637522
-4,0.7886955574831519,0.78919555748315184
+2,0.53103050626375092,0.53153050626375087
+4,0.78869555748315157,0.78919555748315151
 """,
     }),
     'cf-banded-props': (0, """\
@@ -590,13 +590,13 @@ wall_time_s = *
 """, "", {}),
     'cf-banded-sweep': (0, """\
 size,h_lo,h_hi
-2,0.53128025627720654,0.5312807562772065
-3,0.57396101286311396,0.57396151286311392
+2,0.5312802562772051,0.53128075627720506
+3,0.57396101286311385,0.57396151286311381
 command = sweep
 spec = {d}/cf-banded.gdms
 spec_sha256 = 4126d62a5d9f1f2952239de988a15b3f529f1bc73845df6823bd4bebe5046cb4
-sup_h_lo = 0.57396101286311396
-final_interval = [0.57396101286311396, 1]
+sup_h_lo = 0.57396101286311385
+final_interval = [0.57396101286311385, 1]
 monotone = True
 irreducible[2] = True
 irreducible[3] = True
@@ -671,8 +671,8 @@ command = pressure
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 t = 0.5
-P_lower = 0.039628465963872102
-P_upper = 0.039628465964006633
+P_lower = 0.039628465963876584
+P_upper = 0.03962846596399916
 n_used = 0
 method = chebyshev-collocation
 wall_time_s = *
@@ -686,18 +686,18 @@ wall_time_s = *
 """, "", {
         'curve.csv': """\
 t,P_lower,P_upper,n_used
-0.25,0.36157746557398757,0.3615774655740937,0
-0.5,0.039628465963872102,0.039628465964006633,0
-0.75,-0.27318342428381753,-0.27318342428366466,0
-1,-0.57745179817260861,-0.57745179817240033,0
+0.25,0.36157746557398945,0.36157746557408965,0
+0.5,0.039628465963876584,0.03962846596399916,0
+0.75,-0.27318342428381925,-0.2731834242836626,0
+1,-0.57745179817260961,-0.577451798172399,0
 """,
     }),
     'cf-full2-dim': (0, """\
 command = dim
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
-h_lo = 0.53128050625220513
-h_hi = 0.53128050630220502
+h_lo = 0.53128050625220546
+h_hi = 0.53128050630220536
 method = collocation-newton
 tolerance = 1e-10
 iterations = 5
@@ -708,22 +708,22 @@ command = classify
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 verdict = FiniteHMeasure
-h_lo = 0.53128050602720656
-h_hi = 0.53128050652720649
+h_lo = 0.53128050602720511
+h_hi = 0.53128050652720504
 maximal_components = 0
 communicating_pairs = -
-growth_slope = -0.027297604639368186
+growth_slope = -0.02729760463936546
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-1,1.4787813919304604
-2,1.2820100241338581
-3,1.3361632928143024
-4,1.3186008052093743
-5,1.323997978195862
+1,1.4787813919304615
+2,1.2820100241338621
+3,1.336163292814309
+4,1.3186008052093836
+5,1.3239979781958739
 """,
     }),
     'cf-full2-theta': (0, """\

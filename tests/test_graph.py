@@ -193,6 +193,24 @@ class TestScc:
         assert report.condensation == frozenset({(0, 1), (1, 2)})
         assert report.communication == frozenset({(0, 1), (1, 2), (0, 2)})
 
+    def test_one_tarjan_pass_per_fresh_system(self, monkeypatch):
+        # components and the reachability pass read the same cached SCC list
+        calls = []
+        tarjan = gg.tarjan_scc
+
+        def counted(nodes, succ):
+            calls.append(1)
+            return tarjan(nodes, succ)
+        monkeypatch.setattr(gg, "tarjan_scc", counted)
+        for make in (lambda: two_component_system(linked=True), feeder_system,
+                     _two_step_bridge_system):
+            sys = make()
+            report = gk.scc_decompose(sys)
+            assert len(calls) == 1
+            assert gk.scc_decompose(sys) == report
+            assert len(calls) == 1
+            calls.clear()
+
 
 def _two_step_bridge_system():
     ratios = {"a": 0.1, "b": 0.1, "x1": 0.1, "x2": 0.1, "c": 0.1, "d": 0.1, "e": 0.1}

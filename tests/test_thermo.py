@@ -354,10 +354,76 @@ class TestCfCollocation:
         with pytest.raises(gk.ConvergenceError):
             engine._residual_bound(0.5, lam, -v)
 
+    def test_residual_bound_at_lam_is_refused(self, monkeypatch):
+        # lam - s <= 0 would leave no lower bound
+        engine = thermo.CfCollocation(cf_sys(truncate=2))
+        monkeypatch.setattr(thermo.CfCollocation, "_residual_bound",
+                            lambda self, t, lam, v: lam)
+        with pytest.raises(gk.ConvergenceError, match="not below"):
+            engine.certified_pressure(0.5)
+
+    @pytest.mark.parametrize("size,t", [(20, 5.0), (20, 8.0), (12, 10.0)])
+    def test_large_t_lower_bound_is_never_minus_infinity(self, size, t):
+        system = cf_sys(gg.BANDED, 1, truncate=size)
+        try:
+            est = gk.pressure(system, t)
+        except gk.ConvergenceError:
+            return
+        L = thermo.cf_collocations(system)[0].matrix(t)
+        lam = max(np.linalg.eigvals(L).real)
+        assert math.isfinite(est.lower)
+        assert est.lower <= math.log(lam) <= est.upper
+
+    def test_next_t_starts_from_the_previous_vector(self, monkeypatch):
+        engine = thermo.cf_collocations(cf_sys(gg.BANDED, 1, truncate=6))[0]
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            if len(a) == engine.size:
+                solves.append(1)
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        engine.pressure_slope(0.5)
+        cold = len(solves)
+        assert engine.right is not None
+        solves.clear()
+        engine.certified_pressure(0.5 + 1e-9)
+        # a step or two until the vector stays in place, then the left solve
+        assert len(solves) <= 3 < cold
+
     def test_matrix_size_honours_the_count_guard(self, monkeypatch):
         monkeypatch.setenv("GDMS_COUNT_GUARD", str(thermo.COLLOCATION_NODES ** 2 - 1))
         with pytest.raises(gk.ResourceGuardError):
             gk.pressure(cf_sys(truncate=3), 0.5)
+
+
+def _cf_rules():
+    """(kind, width, size): banded rules up to 10 letters wide 1 to 3, and
+    full rules up to 8 letters."""
+    banded = st.tuples(st.just(gg.BANDED), st.integers(1, 3), st.integers(1, 10))
+    full = st.tuples(st.just(gg.FULL), st.just(1), st.integers(1, 8))
+    return st.one_of(banded, full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cf_rules(), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_collocation_eigenpair_is_the_leading_one(rule, t, t_before):
+    # numpy's eigenvalues are the oracle; the package itself runs none. The
+    # engine is warm from another t, the bare call starts from ones.
+    kind, width, size = rule
+    system = cf_sys(kind, width, truncate=size)
+    engine = thermo.cf_collocations(system)[0]
+    engine.pressure_slope(t_before)
+    L = engine.matrix(t)
+    values = np.linalg.eigvals(L)
+    leading = values[np.argmax(values.real)]
+    assert leading.imag == 0.0
+    for lam, v, _ in (engine._leading_pair(t, L), thermo.CfCollocation._eigenpair(L)):
+        assert abs(lam - leading.real) <= 1e-12 * leading.real
+        assert v.min() > 0.0
+    p0 = gk.pressure(system, 0.0)
+    assert p0.lower <= log_rho(system) <= p0.upper
 
 
 class TestFiniteness:
