@@ -86,35 +86,10 @@ class ComponentDimensionReport:
     difference: float
 
 
-def _bisect_decreasing(fn, lo, hi, tolerance):
-    """Bracket the sign change of a non-increasing function on [lo, hi],
-    keeping fn(lo) >= 0 > fn(hi)."""
-    iterations = 0
-    while hi - lo > tolerance and iterations < 200:
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return lo, hi, iterations
-
-
-def _moran_root(ratios, tolerance):
-    """Independent root of the Moran equation sum r_e^t = 1 on [0, 1]."""
-    def fn(t):
-        return math.fsum(r ** t for r in ratios) - 1.0
-    lo, hi, _ = _bisect_decreasing(fn, 0.0, 1.0, tolerance)
-    return 0.5 * (lo + hi)
-
-
 # Most pressure evaluations one component root or one certificate may take.
 STEP_CAP = 100
 # P(1) above this means the images overlap too much for the open set condition.
 P1_SLACK = 1e-12
-# Widest relative Collatz-Wielandt bracket a Newton step accepts as the
-# Perron root; Noda's iteration normally ends near 1e-14.
-PERRON_WIDTH = 1e-9
 
 
 def _component_root(pressure_slope, tolerance):
@@ -153,43 +128,6 @@ def _component_root(pressure_slope, tolerance):
             return t + step, steps
         t += step
     raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
-
-
-class _PerronBlock:
-    """One irreducible block B(t) = A o exp(t log r) of a similarity system,
-    with the `pressure_slope` and `certified_pressure` of a CfCollocation.
-
-    Each call starts `thermo.collatz_wielandt` from the Perron vector of
-    the previous call: the Newton steps and the end certificate move t
-    little, and near h the previous vector certifies the new t after about
-    one solve.
-    """
-
-    def __init__(self, A, log_norms):
-        self.A, self.log_norms = A, log_norms
-        self.right = None
-
-    def pressure_slope(self, t):
-        """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
-        (v, w the right and left Perron vectors of B(t)); P is ln of the
-        midpoint of the Collatz-Wielandt bracket. Raises ConvergenceError,
-        as `thermo.perron` does, when the bracket is not positive and
-        PERRON_WIDTH narrow or the weights w o v are not all positive."""
-        B = self.A * np.exp(t * self.log_norms)
-        lower, upper, self.right = thermo.collatz_wielandt(B, self.right)
-        if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
-            raise ConvergenceError(
-                f"Perron root at t = {t!r} not resolved: bracket [{lower:.17g}, {upper:.17g}]")
-        weights = thermo.equilibrium_weights(B, self.right, upper)
-        if not weights.min() > 0.0:
-            raise ConvergenceError(
-                f"left Perron vector at t = {t!r} is not positive: min weight {weights.min():.3g}")
-        return math.log(0.5 * (lower + upper)), float(weights @ self.log_norms)
-
-    def certified_pressure(self, t):
-        """[P_lower, P_upper] holding ln rho(B(t)), from `thermo.block_pressure`."""
-        lower, upper, self.right = thermo.block_pressure(self.A, self.log_norms, t, self.right)
-        return lower, upper
 
 
 def _certified_bracket(bounds, h, tolerance):
@@ -233,18 +171,22 @@ def _certified_bracket(bounds, h, tolerance):
     return lo, hi, steps
 
 
+def _full_shift_pressure(log_r, t):
+    """(P, P') of a full shift in closed form: P(t) = ln sum r^t and
+    P'(t) = sum r^t ln r / sum r^t."""
+    weights = np.exp(t * log_r)
+    total = weights.sum()
+    return math.log(total), float(weights @ log_r) / total
+
+
 def _component_roots(system, tolerance):
-    """Pressure blocks of `system.components` (a _PerronBlock per similarity
-    component, a CfCollocation per continued-fraction one) and the
-    (root, Newton steps) of each."""
+    """The `thermo.engines` of `system.components` and the (root, Newton
+    steps) of each."""
     if tolerance <= 0:
         raise InputError("tolerance must be positive")
     if system.infinite:
         raise NotApplicableError("truncate the system first")
-    if system.family.kind == "similarity":
-        blocks = [_PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
-    else:
-        blocks = thermo.cf_collocations(system)
+    blocks = thermo.engines(system)
     return blocks, [_component_root(block.pressure_slope, tolerance) for block in blocks]
 
 
@@ -252,7 +194,8 @@ def _certified_dimension(system, blocks, roots, tolerance):
     """Certify the largest of `roots` for `system`, whose cyclic components
     are those of `blocks`: the pressure bounds are the max over blocks of
     their certified brackets. A similarity full shift (every entry of the
-    incidence matrix 1) is cross-checked against the Moran root."""
+    incidence matrix 1) is cross-checked against the Moran root, the zero of
+    `_full_shift_pressure`."""
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
 
@@ -263,8 +206,8 @@ def _certified_dimension(system, blocks, roots, tolerance):
     similarity = system.family.kind == "similarity"
     method = PERRON_NEWTON if similarity else COLLOCATION_NEWTON
     if similarity and system.incidence_matrix.all():
-        ratios = [system.family.map_for(e).ratio for e in system.edge_ids]
-        moran = _moran_root(ratios, tolerance)
+        moran, _ = _component_root(
+            lambda t: _full_shift_pressure(system.log_norms, t), tolerance)
         if not (lo - tolerance <= moran <= hi + tolerance):
             raise InputError(
                 f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
@@ -315,8 +258,12 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
     whole-system interval (exact equality is a measure-zero event). The
     verdict is structural: the measure is infinite exactly when two distinct
     maximal components communicate. Z_n(h) evidence is attached but never
-    overrides the structural verdict.
+    overrides the structural verdict; its growth slope is fitted over
+    n_range, which must hold at least two word lengths.
     """
+    ns = tuple(int(n) for n in n_range)
+    if len(set(ns)) < 2:
+        raise InputError("need at least two word lengths in n_range")
     if system.infinite:
         raise NotApplicableError("truncate the system first")
     report = g.scc_decompose(system)
@@ -342,9 +289,8 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
                        "(Z_n(h) stays bounded)")
 
     h = overall.mid
-    ns = tuple(int(n) for n in n_range)
     zs = tuple(z.value for z in thermo.partition_sums(system, ns, h))
-    slope = float(np.polyfit(ns, zs, 1)[0]) if len(ns) > 1 else 0.0
+    slope = float(np.polyfit(ns, zs, 1)[0])
     return MeasureClassification(verdict, overall, maximal, communicating,
                                  ns, zs, slope, explanation)
 

@@ -162,9 +162,6 @@ class GdmsSystem:
         """Image interval phi_word(X_t(word)), exact for monotone maps."""
         return self.family.interval_image(tuple(word), self.terminal_space(word))
 
-    def one_step_log_norms(self):
-        return {e: self.family.one_step_log_norm(e) for e in self.edge_ids}
-
     def contraction_bound(self):
         """(s_eff, step): diam decays like s_eff^floor(n/step).
 
@@ -261,7 +258,7 @@ def prune(system: GdmsSystem):
     return current, tuple(removed)
 
 
-def validate(system: GdmsSystem, do_prune: bool = True):
+def validate(system: GdmsSystem):
     """Run load-time checks; returns (system, warnings).
 
     Checks: explicit-incidence compatibility, contraction, image containment,
@@ -291,7 +288,7 @@ def validate(system: GdmsSystem, do_prune: bool = True):
                     f"[{dst_space.lo}, {dst_space.hi}]")
         warnings.extend(_osc_level1_warnings(system))
 
-    if do_prune and not system.infinite and system.incidence.kind == g.EXPLICIT:
+    if not system.infinite and system.incidence.kind == g.EXPLICIT:
         system, removed = prune(system)
         if removed:
             warnings.append(f"pruned {len(removed)} edge(s) with no successor: "

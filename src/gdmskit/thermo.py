@@ -12,7 +12,7 @@ holds on all of [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +23,6 @@ from .errors import (ConvergenceError, DomainError, InputError,
                      UnsupportedAnalysisError)
 from .maps import distortion_constant
 from .system import GdmsSystem
-
-# Continued-fraction partition sums stay exact (full enumeration) up to this
-# word length; beyond it they collapse to product/distortion brackets.
-CF_EXACT_LENGTH_CAP = 30
 
 ENUMERATION = "enumeration"
 TRANSFER_MATRIX = "transfer-matrix"
@@ -68,7 +64,6 @@ class FinitenessReport:
     theta: Fraction
     theta_n: dict  # n -> Fraction
     justification: str
-    witness: dict = field(default_factory=dict)
 
 
 # -- transfer matrices ------------------------------------------------------
@@ -242,6 +237,48 @@ def block_pressure(A, log_norms, t, start=None):
     return math.nextafter(c + p_lower, -math.inf), math.nextafter(c + p_upper, math.inf), x
 
 
+# Widest relative Collatz-Wielandt bracket a Newton step accepts as the
+# Perron root; Noda's iteration normally ends near 1e-14.
+PERRON_WIDTH = 1e-9
+
+
+class PerronBlock:
+    """One irreducible block B(t) = A o exp(t log r) of a similarity system,
+    with the `pressure_slope` and `certified_pressure` of a CfCollocation.
+
+    Each call starts `collatz_wielandt` from the Perron vector of the
+    previous call: the Newton steps and the end certificate move t little,
+    and near h the previous vector certifies the new t after about one
+    solve.
+    """
+
+    def __init__(self, A, log_norms):
+        self.A, self.log_norms = A, log_norms
+        self.right = None
+
+    def pressure_slope(self, t):
+        """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
+        (v, w the right and left Perron vectors of B(t)); P is ln of the
+        midpoint of the Collatz-Wielandt bracket. Raises ConvergenceError,
+        as `perron` does, when the bracket is not positive and PERRON_WIDTH
+        narrow or the weights w o v are not all positive."""
+        B = self.A * np.exp(t * self.log_norms)
+        lower, upper, self.right = collatz_wielandt(B, self.right)
+        if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
+            raise ConvergenceError(
+                f"Perron root at t = {t!r} not resolved: bracket [{lower:.17g}, {upper:.17g}]")
+        weights = equilibrium_weights(B, self.right, upper)
+        if not weights.min() > 0.0:
+            raise ConvergenceError(
+                f"left Perron vector at t = {t!r} is not positive: min weight {weights.min():.3g}")
+        return math.log(0.5 * (lower + upper)), float(weights @ self.log_norms)
+
+    def certified_pressure(self, t):
+        """[P_lower, P_upper] holding ln rho(B(t)), from `block_pressure`."""
+        lower, upper, self.right = block_pressure(self.A, self.log_norms, t, self.right)
+        return lower, upper
+
+
 def _transfer_partition_sums(system, t, n_max):
     B, u = transfer_matrix(system, t)
     w = np.ones(len(u))
@@ -262,7 +299,7 @@ class CfPartitionCache:
     cache serves every exponent during bisection.
     """
 
-    def __init__(self, system: GdmsSystem, guard: int | None = None):
+    def __init__(self, system: GdmsSystem):
         if system.family.kind != "cf":
             raise InputError("CfPartitionCache is for continued-fraction systems")
         if system.infinite:
@@ -270,7 +307,7 @@ class CfPartitionCache:
         self.system = system
         self.labels = list(system.edge_ids)
         self.succ = system.successor_map
-        self.guard = g.count_guard() if guard is None else guard
+        self.guard = g.count_guard()
         self._levels = []
         self._nodes = 0
 
@@ -671,30 +708,30 @@ class CfCollocation:
         return bound
 
 
-def cf_collocations(system: GdmsSystem):
-    """One CfCollocation per cyclic component of a finite continued-fraction
-    system, in the order of `system.components`."""
+def engines(system: GdmsSystem):
+    """The pressure engine of each cyclic component of a finite system, in
+    the order of `system.components`: a PerronBlock for a similarity system,
+    a CfCollocation for a continued-fraction one. Both offer
+    `pressure_slope(t)` and `certified_pressure(t)`."""
+    if system.family.kind == "similarity":
+        return [PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
     return [CfCollocation(system.restrict(comp)) for comp in system.components]
 
 
 # -- operations --------------------------------------------------------------
 
-def partition_sum(system: GdmsSystem, n: int, t: float,
-                  method: str = "auto", guard: int | None = None) -> PartitionSum:
+def partition_sum(system: GdmsSystem, n: int, t: float) -> PartitionSum:
     """Z_n(t) = sum over admissible length-n words of ||phi_word'||^t."""
-    return partition_sums(system, [n], t, method, guard)[0]
+    return partition_sums(system, [n], t)[0]
 
 
-def partition_sums(system: GdmsSystem, ns, t: float,
-                   method: str = "auto", guard: int | None = None) -> list:
-    """[partition_sum(system, n, t, method, guard) for n in ns], sharing the
-    work across n.
+def partition_sums(system: GdmsSystem, ns, t: float) -> list:
+    """[partition_sum(system, n, t) for n in ns], sharing the work across n.
 
     Similarity transfer sums come from one run of matrix-vector products up
     to max(ns). A continued-fraction system enumerates its levels once in a
-    single CfPartitionCache up to CF_EXACT_LENGTH_CAP, and after the count
-    guard trips at some n every n at or above it takes the product bracket
-    (method "auto") or raises (method "enumeration").
+    single CfPartitionCache, exact per word, and after the count guard trips
+    at some n every n at or above it takes the product bracket.
     """
     ns = [int(n) for n in ns]
     if any(n < 1 for n in ns):
@@ -713,25 +750,14 @@ def partition_sums(system: GdmsSystem, ns, t: float,
                 for n in ns]
 
     if system.family.kind == "similarity":
-        if method in ("auto", TRANSFER_MATRIX):
-            sums = _transfer_partition_sums(system, t, max(ns))
-            if not all(math.isfinite(sums[n - 1]) for n in ns):
-                raise ResourceGuardError(f"Z_n({t}) exceeded the overflow budget")
-            return [PartitionSum(n, t, sums[n - 1], sums[n - 1], TRANSFER_MATRIX) for n in ns]
-        if method == ENUMERATION:
-            logs = system.one_step_log_norms()
-            out = []
-            for n in ns:
-                total = math.fsum(
-                    math.exp(t * sum(logs[e] for e in w))
-                    for w in g.enumerate_words(system, n, limit=guard))
-                out.append(PartitionSum(n, t, total, total, ENUMERATION))
-            return out
-        raise InputError(f"unknown method {method!r}")
+        sums = _transfer_partition_sums(system, t, max(ns))
+        if not all(math.isfinite(sums[n - 1]) for n in ns):
+            raise ResourceGuardError(f"Z_n({t}) exceeded the overflow budget")
+        return [PartitionSum(n, t, sums[n - 1], sums[n - 1], TRANSFER_MATRIX) for n in ns]
 
     # continued-fraction family
-    enumerate_up_to = CF_EXACT_LENGTH_CAP if method in ("auto", ENUMERATION) else 0
-    cache = CfPartitionCache(system, guard=guard)
+    enumerate_up_to = math.inf
+    cache = CfPartitionCache(system)
     out = []
     for n in ns:
         if n <= enumerate_up_to:
@@ -740,8 +766,6 @@ def partition_sums(system: GdmsSystem, ns, t: float,
                 out.append(PartitionSum(n, t, z, z, ENUMERATION))
                 continue
             except ResourceGuardError:
-                if method == ENUMERATION:
-                    raise
                 enumerate_up_to = n - 1
         lo, hi = _cf_product_bracket(system, n, t)
         out.append(PartitionSum(n, t, lo, hi, TRANSFER_MATRIX))
@@ -751,15 +775,16 @@ def partition_sums(system: GdmsSystem, ns, t: float,
 def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t).
 
-    Similarity systems: P = ln rho(B(t)) is the max of ln rho(B_k(t)) over
-    the diagonal blocks of `system.components`. In a topological order of
+    P is the max over the `engines` of `system.components` of their
+    certified bounds. Similarity systems: P = ln rho(B(t)) is the max of
+    ln rho(B_k(t)) over the diagonal blocks of the components. In a topological order of
     the components B(t) is block triangular, and the remaining diagonal
     blocks are nilpotent, so the two agree; a dense eigenvalue solve of the
     whole matrix would instead carry an error near sqrt(eps) when two linked
     components have equal radius. Each block contributes the proved
     Collatz-Wielandt bracket of `block_pressure`, about 1e-14 wide.
-    Continued-fraction truncations: the max over `system.components` of the
-    certified bounds on ln rho(L_t) from `CfCollocation.certified_pressure`.
+    Continued-fraction truncations: the bounds on ln rho(L_t) of each
+    component from `CfCollocation.certified_pressure`.
     A system with no cyclic component has P = -inf. `n_max` is accepted for
     compatibility and affects neither family.
     """
@@ -772,12 +797,8 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
         raise UnsupportedAnalysisError(
             "pressure of an infinite system needs a truncation sweep")
 
-    if system.family.kind == "similarity":
-        bounds = [block_pressure(A, logs, t)[:2] for A, logs in system.component_blocks()]
-        method = TRANSFER_MATRIX
-    else:
-        bounds = [engine.certified_pressure(t) for engine in cf_collocations(system)]
-        method = CHEBYSHEV_COLLOCATION
+    bounds = [engine.certified_pressure(t) for engine in engines(system)]
+    method = TRANSFER_MATRIX if system.family.kind == "similarity" else CHEBYSHEV_COLLOCATION
     lower = max((lo for lo, _ in bounds), default=-math.inf)
     upper = max((hi for _, hi in bounds), default=-math.inf)
     return PressureEstimate(t, lower, upper, 0, method)
@@ -797,9 +818,7 @@ def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessRep
     """theta and theta_n: where Z_n(t) becomes a finite sum.
 
     Finite systems: 0 (finite sums are always finite). Infinite
-    continued-fraction rules have closed forms; each comes with a numeric
-    witness (partial product-bound sums at theta_n +/- 0.05 against integral
-    tail bounds).
+    continued-fraction rules have closed forms.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if any(n < 1 for n in n_list):
@@ -824,28 +843,7 @@ def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessRep
         raise UnsupportedAnalysisError(
             "finiteness analysis supports only the full, banded and "
             "upper-triangular rules")
-    witness = {n: _theta_witness(system, n, theta_n[n]) for n in n_list}
-    return FinitenessReport(theta, theta_n, _THETA_JUSTIFICATION[kind], witness)
-
-
-def _theta_witness(system, n, theta_n, caps=(25, 50, 100, 200)):
-    """Partial product-bound sums on growing label heads at theta_n +/- 0.05.
-
-    Above theta_n the partial sums approach the integral tail bound; below it
-    they keep growing without one.
-    """
-    t_plus = float(theta_n) + 0.05
-    t_minus = max(float(theta_n) - 0.05, float(theta_n) / 2.0)
-    rows = []
-    for cap in caps:
-        head = system.truncate(cap)
-        s_plus = _transfer_partition_sums(head, t_plus, n)[-1]
-        s_minus = _transfer_partition_sums(head, t_minus, n)[-1]
-        rows.append({"cap": cap, "sum_at_t_plus": s_plus, "sum_at_t_minus": s_minus})
-    # integral comparison: tail of sum e^(-2t) past the largest cap
-    tail = caps[-1] ** (1.0 - 2.0 * t_plus) / (2.0 * t_plus - 1.0) if t_plus > 0.5 else math.inf
-    return {"t_plus": t_plus, "t_minus": t_minus, "partial_sums": rows,
-            "one_step_tail_bound_at_t_plus": tail}
+    return FinitenessReport(theta, theta_n, _THETA_JUSTIFICATION[kind])
 
 
 # -- conformal cylinder measure ----------------------------------------------

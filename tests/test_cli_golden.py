@@ -113,6 +113,7 @@ CASES = [
     ("bad-flag", "pressure {d}/cantor.gdms --t not-a-number"),
     ("missing-flag", "curve {d}/cantor.gdms --tmin 0 --tmax 1"),
     ("bad-steps", "curve {d}/cantor.gdms --tmin 0 --tmax 1 --steps 1"),
+    ("bad-classify-range", "classify {d}/cantor.gdms --nmin 5 --nmax 2 --out {d}/z.csv"),
     ("bad-sizes", "sweep {d}/cf-full.gdms --sizes 2,x"),
     ("bad-theta-n", "theta {d}/cf-full.gdms --n 1,y"),
     ("boxdim-no-header", f"boxdim {{d}}/noheader.csv --scales {BOX_SCALES}"),
@@ -781,6 +782,9 @@ gdms curve: error: the following arguments are required: --steps
 """, {}),
     'bad-steps': (2, "", """\
 error: need steps >= 2 and tmax > tmin
+""", {}),
+    'bad-classify-range': (2, "", """\
+error: need at least two word lengths in n_range
 """, {}),
     'bad-sizes': (2, "", """\
 error: expected comma-separated integers, got '2,x'

@@ -176,6 +176,14 @@ class TestPerronNewton:
             assert est.method == gd.MORAN_EXACT
             assert est.lo - 1e-12 <= _moran_bisect(ratios) <= est.hi + 1e-12
 
+    def test_moran_disagreement_is_refused(self, monkeypatch):
+        # the closed form of ratios 1.2 times larger has a later root
+        closed_form = gd._full_shift_pressure
+        monkeypatch.setattr(gd, "_full_shift_pressure",
+                            lambda log_r, t: closed_form(log_r + math.log(1.2), t))
+        with pytest.raises(gk.InputError, match="disagrees with the Moran root"):
+            gk.bowen_dimension(gk.full_shift([0.3, 0.4]))
+
     @pytest.mark.parametrize("offset", [-3e-9, 3e-9, -0.25])
     def test_failed_end_certificate_widens_then_bisects(self, offset):
         # a root estimate off by more than tol/4 fails one end's sign test
@@ -186,14 +194,14 @@ class TestPerronNewton:
         assert hi - lo <= tol / 2
 
     def test_unresolved_perron_root_is_refused(self, monkeypatch):
-        block = gd._PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
+        block = thermo.PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
         monkeypatch.setattr(thermo, "collatz_wielandt",
                             lambda B, start: (0.9, 1.1, np.ones(len(B))))
         with pytest.raises(gk.ConvergenceError, match="not resolved"):
             block.pressure_slope(0.5)
 
     def test_nonpositive_left_perron_vector_is_refused(self, monkeypatch):
-        block = gd._PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
+        block = thermo.PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
         monkeypatch.setattr(thermo, "equilibrium_weights",
                             lambda B, v, upper: np.array([1.5, -0.5]))
         with pytest.raises(gk.ConvergenceError, match="not positive"):
@@ -314,6 +322,12 @@ class TestHausdorffClassification:
         res = gk.classify_hausdorff_measure(sys)
         assert res.verdict == gd.FINITE_H_MEASURE
         assert len(res.maximal_components) == 1
+
+    @pytest.mark.parametrize("n_range", [range(5, 3), range(4, 5), (3, 3)])
+    def test_fewer_than_two_word_lengths_are_refused(self, n_range):
+        # a growth slope needs two distinct word lengths to fit
+        with pytest.raises(gk.InputError, match="two word lengths"):
+            gk.classify_hausdorff_measure(gk.full_shift([1 / 3, 1 / 3]), n_range=n_range)
 
     def test_empty_limit_set_not_applicable(self):
         res = gk.classify_hausdorff_measure(cf_sys(gg.UPPER, truncate=4))

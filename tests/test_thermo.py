@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import gdmskit as gk
 from gdmskit import graph as gg
+from gdmskit import maps as gm
 from gdmskit import thermo
 from conftest import (log_rho, period_two_system, two_component_system,
                       random_packed_system)
@@ -31,11 +32,13 @@ class TestPartitionSums:
             if sys is None or not sys.edge_ids:
                 continue
             checked += 1
+            logs = dict(zip(sys.edge_ids, sys.log_norms))
             for n in (1, 2, 4, 6):
                 t = rng.uniform(0.1, 1.5)
-                a = gk.partition_sum(sys, n, t, method="enumeration")
-                b = gk.partition_sum(sys, n, t, method="transfer-matrix")
-                assert abs(a.value - b.value) <= 1e-12 * max(abs(a.value), 1.0)
+                a = math.fsum(math.exp(t * sum(logs[e] for e in w))
+                              for w in gk.enumerate_words(sys, n))
+                b = gk.partition_sum(sys, n, t)
+                assert abs(a - b.value) <= 1e-12 * max(abs(a), 1.0)
 
     def test_cf_truncated_pair_sum(self):
         # Z_2(t) for letters {1,2}: sum over 4 pairs of q_2^{-2t}
@@ -60,13 +63,19 @@ class TestPartitionSums:
             z4 = gk.partition_sum(sys, 4, t)
             assert z4.upper <= z2.upper ** 2 * (1 + 1e-12)
 
-    def test_bracket_fallback_contains_exact(self):
-        # beyond the exact-length cap the bracket must still cover the truth
-        sys = cf_sys(truncate=3)
-        t = 0.6
-        n = 5
-        exact = gk.partition_sum(sys, n, t, method="enumeration")
-        assert exact.lower <= exact.value <= exact.upper
+    @pytest.mark.parametrize("kind,size", [(gg.FULL, 3), (gg.BANDED, 5)])
+    def test_product_bracket_fallback_contains_exact(self, kind, size, monkeypatch):
+        # 40 continuants hold levels 1-3 of full N = 3 and 1-2 of banded
+        # N = 5, so the cache trips and the product bracket answers
+        monkeypatch.setenv("GDMS_COUNT_GUARD", "40")
+        sys = cf_sys(kind, 1, truncate=size)
+        for n in (4, 5, 7):
+            words = list(gk.enumerate_words(sys, n, limit=10 ** 6))
+            for t in (0.3, 0.8, 1.5):
+                exact = math.fsum(gm.cf_continuants(w)[2] ** (-2 * t) for w in words)
+                z = gk.partition_sum(sys, n, t)
+                assert z.method == thermo.TRANSFER_MATRIX
+                assert z.lower < exact < z.upper
 
 
 class TestTransferMatrix:
@@ -302,7 +311,7 @@ class TestCfCollocation:
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 5)])
     def test_slope_matches_difference_quotient(self, kind, size):
-        engine = thermo.cf_collocations(cf_sys(kind, 1, truncate=size))[0]
+        engine = thermo.engines(cf_sys(kind, 1, truncate=size))[0]
         t, h = 0.55, 1e-5
         p, slope = engine.pressure_slope(t)
         ahead, behind = engine.pressure_slope(t + h)[0], engine.pressure_slope(t - h)[0]
@@ -313,7 +322,7 @@ class TestCfCollocation:
     def test_certificate_holds_off_the_nodes(self):
         # Collatz-Wielandt: a positive g with (lam - s) g <= L g <= (lam + s) g
         # at points that are not collocation nodes
-        engine = thermo.cf_collocations(cf_sys(gg.BANDED, 1, truncate=4))[0]
+        engine = thermo.engines(cf_sys(gg.BANDED, 1, truncate=4))[0]
         t = 0.7
         lam, v, _ = engine._eigenpair(engine.matrix(t))
         s = engine._residual_bound(t, lam, v)
@@ -369,13 +378,13 @@ class TestCfCollocation:
             est = gk.pressure(system, t)
         except gk.ConvergenceError:
             return
-        L = thermo.cf_collocations(system)[0].matrix(t)
+        L = thermo.engines(system)[0].matrix(t)
         lam = max(np.linalg.eigvals(L).real)
         assert math.isfinite(est.lower)
         assert est.lower <= math.log(lam) <= est.upper
 
     def test_next_t_starts_from_the_previous_vector(self, monkeypatch):
-        engine = thermo.cf_collocations(cf_sys(gg.BANDED, 1, truncate=6))[0]
+        engine = thermo.engines(cf_sys(gg.BANDED, 1, truncate=6))[0]
         solves = []
         solve = np.linalg.solve
 
@@ -413,7 +422,7 @@ def test_collocation_eigenpair_is_the_leading_one(rule, t, t_before):
     # engine is warm from another t, the bare call starts from ones.
     kind, width, size = rule
     system = cf_sys(kind, width, truncate=size)
-    engine = thermo.cf_collocations(system)[0]
+    engine = thermo.engines(system)[0]
     engine.pressure_slope(t_before)
     L = engine.matrix(t)
     values = np.linalg.eigvals(L)
@@ -424,6 +433,34 @@ def test_collocation_eigenpair_is_the_leading_one(rule, t, t_before):
         assert v.min() > 0.0
     p0 = gk.pressure(system, 0.0)
     assert p0.lower <= log_rho(system) <= p0.upper
+
+
+@st.composite
+def _nested_banded(draw):
+    """(width, N, M): two banded truncations with N < M <= 30."""
+    width = draw(st.integers(1, 3))
+    big = draw(st.integers(2, 30))
+    return width, draw(st.integers(1, big - 1)), big
+
+
+@settings(max_examples=25, deadline=None)
+@given(_nested_banded(), st.floats(0.0, 10.0))
+def test_nested_banded_truncations_stay_ordered(rule, t):
+    # the words of {1..N} are words of {1..M}, so P_N(t) <= P_M(t); each
+    # bracket is finite and ordered, or its pressure refuses loudly
+    width, small, big = rule
+    estimates = []
+    for size in (small, big):
+        try:
+            est = gk.pressure(cf_sys(gg.BANDED, width, truncate=size), t)
+        except gk.ConvergenceError:
+            estimates.append(None)
+            continue
+        assert math.isfinite(est.lower) and math.isfinite(est.upper)
+        assert est.lower <= est.upper
+        estimates.append(est)
+    if None not in estimates:
+        assert estimates[0].lower <= estimates[1].upper
 
 
 class TestFiniteness:
@@ -446,19 +483,6 @@ class TestFiniteness:
     def test_upper_rule_theta_half(self):
         rep = gk.finiteness_parameters(cf_sys(gg.UPPER))
         assert rep.theta == Fraction(1, 2)
-
-    def test_witness_series_behaviour(self):
-        # partial sums of the level-n bound keep growing below theta_n while
-        # above theta_n the remaining tail is bounded
-        rep = gk.finiteness_parameters(cf_sys())
-        for data in rep.witness.values():
-            sums = data["partial_sums"]
-            below = [row["sum_at_t_minus"] for row in sums]
-            above = [row["sum_at_t_plus"] for row in sums]
-            assert all(b < c for b, c in zip(below, below[1:]))
-            # increments shrink above theta_n and do not below it
-            assert above[-1] - above[-2] < below[-1] - below[-2]
-            assert math.isfinite(data["one_step_tail_bound_at_t_plus"])
 
 
 class TestConformalMeasure:
