@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -106,11 +107,12 @@ def incidence_array(incidence: IncidenceSpec, edges, index):
     dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
     allowed = dst[:, None] == src[None, :]
     if incidence.kind == EXPLICIT:
+        # one lookup per label; -1 marks a pair that names a dropped edge
+        pairs = np.fromiter(map(index.get, chain.from_iterable(incidence.allowed), repeat(-1)),
+                            dtype=int, count=2 * len(incidence.allowed)).reshape(-1, 2)
+        pairs = pairs[(pairs >= 0).all(axis=1)]
         rule = np.zeros_like(allowed)
-        pairs = [(index[a], index[b]) for a, b in incidence.allowed
-                 if a in index and b in index]
-        if pairs:
-            rule[tuple(np.array(pairs).T)] = True
+        rule[pairs[:, 0], pairs[:, 1]] = True
         allowed &= rule
     elif incidence.kind != FULL:
         labels = np.array([e.id for e in edges])

@@ -26,7 +26,8 @@ class GdmsSystem:
     spaces: dict    # vertex id -> VertexSpace
     infinite: bool = False
     # Built on first use. init=False keeps them out of `replace`, so every
-    # derived system (restrict, truncate) starts with empty caches.
+    # derived system (restrict, truncate) starts with empty caches; a finite
+    # `restrict` then fills `_dense` with slices of its parent's arrays.
     _succ: dict = field(default=None, init=False, repr=False, compare=False)
     _sccs: tuple = field(default=None, init=False, repr=False, compare=False)
     _components: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -127,10 +128,31 @@ class GdmsSystem:
         return blocks
 
     def restrict(self, edge_ids) -> "GdmsSystem":
-        """Subsystem on a subset of edges (incidence restricted implicitly)."""
-        keep = set(edge_ids)
-        edges = tuple(e for e in self.graph.edges if e.id in keep)
-        return replace(self, graph=g.MultiGraph(self.graph.vertices, edges))
+        """Subsystem on the given edges, kept in this system's edge order.
+
+        A finite subsystem slices this system's incidence matrix and log
+        norms at the kept positions instead of rebuilding them, and an
+        explicit incidence keeps the allow pairs of the sliced entries.
+        """
+        wanted = set(edge_ids)
+        idx = [k for k, e in enumerate(self.graph.edges) if e.id in wanted]
+        edges = tuple(self.graph.edges[k] for k in idx)
+        graph = g.MultiGraph(self.graph.vertices, edges)
+        if self.infinite:
+            return replace(self, graph=graph)
+        A, log_norms = self._dense_arrays()
+        idx = np.array(idx, dtype=int)
+        sub_A, sub_log_norms = A[np.ix_(idx, idx)], log_norms[idx]
+        sub_A.flags.writeable = sub_log_norms.flags.writeable = False
+        incidence = self.incidence
+        if incidence.kind == g.EXPLICIT:
+            ids = [e.id for e in edges]
+            rows, cols = np.nonzero(sub_A)
+            incidence = replace(incidence, allowed=frozenset(zip(
+                map(ids.__getitem__, rows.tolist()), map(ids.__getitem__, cols.tolist()))))
+        sub = replace(self, graph=graph, incidence=incidence)
+        sub._dense = (sub_A, sub_log_norms)
+        return sub
 
     def truncate(self, size: int) -> "GdmsSystem":
         """Finite head {1..size} of an infinite integer-labelled family."""
@@ -263,30 +285,39 @@ def validate(system: GdmsSystem):
 
     Checks: explicit-incidence compatibility, contraction, image containment,
     successor pruning (explicit incidence only: rule truncations keep their
-    edges so structural reports stay meaningful), and a pairwise level-1
+    edges so structural reports stay meaningful), and a level-1
     interior-overlap sanity check (warning only).
     """
     warnings = []
-    if system.incidence.kind == g.EXPLICIT:
+    allowed = system.incidence.allowed
+    # A pair gives an entry of the incidence matrix exactly when it names two
+    # edges that compose, so the pairs are looked at one by one only when the
+    # count falls short.
+    if system.incidence.kind == g.EXPLICIT and (
+            system.infinite or system.incidence_matrix.sum() != len(allowed)):
         by_id = system.edges_by_id
-        for a, b in sorted(system.incidence.allowed, key=str):
+        bad = [(a, b) for a, b in allowed
+               if a not in by_id or b not in by_id or by_id[a].dst != by_id[b].src]
+        if bad:
+            a, b = min(bad, key=str)  # the first failing pair in str order
             if a not in by_id or b not in by_id:
                 raise SpecError(f"allow pair ({a!r}, {b!r}) names an unknown edge")
-            if by_id[a].dst != by_id[b].src:
-                raise SpecError(
-                    f"allow pair ({a!r}, {b!r}) is incompatible: terminal vertex of "
-                    f"{a!r} is {by_id[a].dst!r} but initial vertex of {b!r} is {by_id[b].src!r}")
+            raise SpecError(
+                f"allow pair ({a!r}, {b!r}) is incompatible: terminal vertex of "
+                f"{a!r} is {by_id[a].dst!r} but initial vertex of {b!r} is {by_id[b].src!r}")
 
     if system.family.kind == "similarity":
+        images = []
         for e in system.graph.edges:
-            sm = system.family.map_for(e.id)
             src_space, dst_space = system.spaces[e.dst], system.spaces[e.src]
             lo, hi = system.family.interval_image((e.id,), src_space)
-            if lo < dst_space.lo - 1e-12 or hi > dst_space.hi + 1e-12:
+            # written as "not inside" so that a NaN end is refused too
+            if not (dst_space.lo - 1e-12 <= lo and hi <= dst_space.hi + 1e-12):
                 raise SpecError(
                     f"edge {e.id!r}: image [{lo}, {hi}] leaves the target space "
                     f"[{dst_space.lo}, {dst_space.hi}]")
-        warnings.extend(_osc_level1_warnings(system))
+            images.append((lo, hi))
+        warnings.extend(_osc_level1_warnings(system.graph.edges, images))
 
     if not system.infinite and system.incidence.kind == g.EXPLICIT:
         system, removed = prune(system)
@@ -296,22 +327,40 @@ def validate(system: GdmsSystem):
     return system, tuple(warnings)
 
 
-def _osc_level1_warnings(system):
-    """Pairwise interior-overlap test of first-level image intervals."""
-    warnings = []
-    edges = system.graph.edges
-    images = [system.word_interval((e.id,)) for e in edges]
-    for i, a in enumerate(edges):
-        lo_a, hi_a = images[i]
-        for b, (lo_b, hi_b) in zip(edges[i + 1:], images[i + 1:]):
-            if a.src != b.src:
-                continue
-            overlap = min(hi_a, hi_b) - max(lo_a, lo_b)
-            if overlap > 1e-12:
-                warnings.append(
-                    f"images of edges {a.id!r} and {b.id!r} overlap on interior "
-                    f"width {overlap:.3g}; open set condition may fail")
-    return warnings
+def _osc_level1_warnings(edges, images):
+    """Interior overlaps wider than 1e-12 between the first-level images
+    `images[k] = (lo, hi)` of edges with a common source vertex.
+
+    Per source vertex, a sweep in order of lower ends keeps a list of
+    active images. An image p leaves it at the first q with
+    hi_p - lo_q <= 1e-12: every later lower end is at least lo_q, and
+    rounded subtraction is monotone, so p overlaps no later image by more
+    than 1e-12. The cost is O(E log E) plus the pairs that are active
+    together. Warnings come in edge-position order of the pair (i < j), the
+    width min(hi) - max(lo) taken with edge i first, as a loop over all
+    pairs would give them.
+    """
+    by_src = {}
+    for k, e in enumerate(edges):
+        by_src.setdefault(e.src, []).append(k)
+    found = []
+    for ks in by_src.values():
+        ks.sort(key=lambda k: images[k][0])
+        active = []
+        for q in ks:
+            lo_q = images[q][0]
+            active = [p for p in active if images[p][1] - lo_q > 1e-12]
+            for p in active:
+                i, j = min(p, q), max(p, q)
+                (lo_a, hi_a), (lo_b, hi_b) = images[i], images[j]
+                overlap = min(hi_a, hi_b) - max(lo_a, lo_b)
+                if overlap > 1e-12:
+                    found.append((i, j, overlap))
+            active.append(q)
+    found.sort()
+    return [f"images of edges {edges[i].id!r} and {edges[j].id!r} overlap on interior "
+            f"width {overlap:.3g}; open set condition may fail"
+            for i, j, overlap in found]
 
 
 def empty_limit_set(system: GdmsSystem) -> bool:

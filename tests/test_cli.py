@@ -10,6 +10,7 @@ import pytest
 
 import gdmskit as gk
 from gdmskit import cli, specfile
+from gdmskit import dimension as gd
 from gdmskit import graph as gg
 
 CANTOR = """\
@@ -198,6 +199,15 @@ class TestExitCodes:
     def test_bad_flag(self, capsys, cantor_spec):
         code, _, _ = run(capsys, "pressure", cantor_spec, "--t", "not-a-number")
         assert code == cli.EXIT_SPEC
+
+    def test_classify_word_length_below_one(self, capsys, cantor_spec, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("component_dimensions ran before the word lengths were checked")
+        monkeypatch.setattr(gd, "component_dimensions", solve)
+        code, out, err = run(capsys, "classify", cantor_spec, "--nmin", "0", "--nmax", "3")
+        assert code == cli.EXIT_SPEC
+        assert out == ""
+        assert err == "error: n must be >= 1\n"
 
     def test_not_applicable(self, capsys, cantor_spec):
         code, _, err = run(capsys, "sweep", cantor_spec, "--sizes", "1,2")

@@ -329,6 +329,13 @@ class TestHausdorffClassification:
         with pytest.raises(gk.InputError, match="two word lengths"):
             gk.classify_hausdorff_measure(gk.full_shift([1 / 3, 1 / 3]), n_range=n_range)
 
+    def test_word_length_below_one_is_refused_before_any_solve(self, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("component_dimensions ran before the word lengths were checked")
+        monkeypatch.setattr(gd, "component_dimensions", solve)
+        with pytest.raises(gk.InputError, match="n must be >= 1"):
+            gk.classify_hausdorff_measure(gk.full_shift([1 / 3, 1 / 3]), n_range=range(0, 4))
+
     def test_empty_limit_set_not_applicable(self):
         res = gk.classify_hausdorff_measure(cf_sys(gg.UPPER, truncate=4))
         assert res.verdict == gd.NOT_APPLICABLE

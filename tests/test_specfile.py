@@ -2,6 +2,7 @@ import pytest
 
 import gdmskit as gk
 from gdmskit import graph as gg
+from gdmskit import maps as gm
 
 CANTOR = """\
 system cantor
@@ -37,6 +38,26 @@ allow d c
 allow d d
 """
 
+# a two-edge block fed by the chain x1 -> x2 -> a; z follows only x1 and
+# has no successor, so loading drops it
+FEEDER = """\
+system feeder
+space v 0 1
+edge a v v similarity 0.3333333333333333 0 1
+edge b v v similarity 0.3333333333333333 0.66666666666666674 1
+edge x1 v v similarity 0.5 0 1
+edge x2 v v similarity 0.5 0.5 1
+edge z v v similarity 0.125 0 1
+incidence explicit
+allow a a
+allow a b
+allow b a
+allow b b
+allow x1 x2
+allow x2 a
+allow x1 z
+"""
+
 
 class TestParsing:
     def test_similarity_round_trip(self):
@@ -53,6 +74,17 @@ class TestParsing:
         text = gk.serialize_spec(sys1)
         sys2, _ = gk.parse_spec(text)
         assert gk.serialize_spec(sys2) == text
+
+    def test_pruned_explicit_round_trip(self):
+        sys1, warnings = gk.parse_spec(FEEDER)
+        assert "pruned 1 edge(s) with no successor: z" in warnings
+        text = gk.serialize_spec(sys1)
+        assert "z" not in text.split()
+        sys2, _ = gk.parse_spec(text)
+        assert gk.serialize_spec(sys2) == text
+        assert sys2.edge_ids == sys1.edge_ids == ("a", "b", "x1", "x2")
+        assert sys2.incidence.allowed == sys1.incidence.allowed
+        assert sys2.successor_map == sys1.successor_map
 
     def test_truncated_cf_round_trip(self):
         sys1, _ = gk.parse_spec("system t\nfamily cf truncate 3\nincidence banded 1\n")
@@ -127,6 +159,36 @@ incidence explicit
 allow a b
 """
         self.reject(text, "compat")
+
+    def test_first_failing_allow_pair_in_str_order(self):
+        # ('a', 'a') and ('b', 'b') break the vertex structure and
+        # ('zz', 'a') names no edge; the pairs are reported in str order
+        space = {v: gm.VertexSpace(v, 0.0, 1.0) for v in ("u", "w")}
+        edges = [("a", "u", "w", gm.SimilarityMap(0.3, 0.0)),
+                 ("b", "w", "u", gm.SimilarityMap(0.3, 0.0)),
+                 ("c", "u", "u", gm.SimilarityMap(0.3, 0.5))]
+
+        def check(pairs, fragment):
+            sys = gk.similarity_system("bad", ("u", "w"), space, edges,
+                                       gk.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(pairs)))
+            with pytest.raises(gk.SpecError) as exc:
+                gk.validate(sys)
+            assert str(exc.value) == fragment
+
+        good = {("a", "b"), ("b", "a"), ("c", "c"), ("b", "c")}
+        check(good | {("a", "a"), ("b", "b"), ("zz", "a")},
+              "allow pair ('a', 'a') is incompatible: terminal vertex of 'a' is 'w' "
+              "but initial vertex of 'a' is 'u'")
+        check(good | {("A", "a"), ("a", "a")},
+              "allow pair ('A', 'a') names an unknown edge")
+        sys = gk.similarity_system("good", ("u", "w"), space, edges,
+                                   gk.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(good)))
+        assert gk.validate(sys)[0].successor_map == {"a": ("b",), "b": ("a", "c"), "c": ("c",)}
+
+    def test_nan_offset_refused(self):
+        # a NaN image end fails every comparison, so it must not pass as inside
+        self.reject(CANTOR.replace("0.3333333333333333 0 1", "0.3333333333333333 nan 1"),
+                    "leaves the target space")
 
     def test_image_outside_space(self):
         text = """\
