@@ -179,22 +179,27 @@ def _full_shift_pressure(log_r, t):
     return math.log(total), float(weights @ log_r) / total
 
 
+def _check_tolerance(tolerance):
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise InputError(f"tolerance must be positive and finite, got {tolerance!r}")
+
+
 def _component_roots(system, tolerance):
     """The `thermo.engines` of `system.components` and the (root, Newton
     steps) of each."""
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
+    _check_tolerance(tolerance)
     if system.infinite:
         raise NotApplicableError("truncate the system first")
     blocks = thermo.engines(system)
     return blocks, [_component_root(block.pressure_slope, tolerance) for block in blocks]
 
 
-def _certified_dimension(system, blocks, roots, tolerance):
-    """Certify the largest of `roots` for `system`, whose cyclic components
-    are those of `blocks`: the pressure bounds are the max over blocks of
-    their certified brackets. A similarity full shift (every entry of the
-    incidence matrix 1) is cross-checked against the Moran root, the zero of
+def _certified_dimension(blocks, roots, tolerance, full_shift=False):
+    """Certify the largest of `roots`, those of the pressure engines
+    `blocks`: the pressure bounds are the max over blocks of their certified
+    brackets. When the blocks make a similarity full shift (`full_shift`:
+    one `thermo.PerronBlock` whose incidence entries are all 1), the bracket
+    is cross-checked against the Moran root, the zero of
     `_full_shift_pressure`."""
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
@@ -203,11 +208,10 @@ def _certified_dimension(system, blocks, roots, tolerance):
         brackets = [block.certified_pressure(t) for block in blocks]
         return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
     lo, hi, n = _certified_bracket(bounds, max(root for root, _ in roots), tolerance)
-    similarity = system.family.kind == "similarity"
-    method = PERRON_NEWTON if similarity else COLLOCATION_NEWTON
-    if similarity and system.incidence_matrix.all():
+    method = PERRON_NEWTON if isinstance(blocks[0], thermo.PerronBlock) else COLLOCATION_NEWTON
+    if full_shift:
         moran, _ = _component_root(
-            lambda t: _full_shift_pressure(system.log_norms, t), tolerance)
+            lambda t: _full_shift_pressure(blocks[0].log_norms, t), tolerance)
         if not (lo - tolerance <= moran <= hi + tolerance):
             raise InputError(
                 f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
@@ -230,7 +234,14 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
     certificate needed. `n_max` is accepted for compatibility and does not
     affect the result.
     """
-    return _certified_dimension(system, *_component_roots(system, tolerance), tolerance)
+    blocks, roots = _component_roots(system, tolerance)
+    return _certified_dimension(blocks, roots, tolerance, _is_full_shift(system))
+
+
+def _is_full_shift(system):
+    """Whether `system` is a similarity system whose incidence entries are
+    all 1; its one engine is then the whole system."""
+    return system.family.kind == "similarity" and system.incidence_matrix.all()
 
 
 def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> ComponentDimensionReport:
@@ -240,11 +251,14 @@ def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> Compon
     components (isolated edges only contribute a geometrically decaying tail).
     Each component root is found once; a component's bracket is certified
     by its own block, the overall one by all blocks, as in `bowen_dimension`.
+    A component is cross-checked as a full shift when its own block is one.
     """
     blocks, roots = _component_roots(system, tolerance)
-    estimates = tuple(_certified_dimension(system.restrict(comp), [block], [root], tolerance)
-                      for comp, block, root in zip(system.components, blocks, roots))
-    overall = _certified_dimension(system, blocks, roots, tolerance)
+    estimates = tuple(
+        _certified_dimension([block], [root], tolerance,
+                             isinstance(block, thermo.PerronBlock) and block.A.all())
+        for block, root in zip(blocks, roots))
+    overall = _certified_dimension(blocks, roots, tolerance, _is_full_shift(system))
     max_est = max(estimates, key=lambda e: e.mid, default=overall)
     return ComponentDimensionReport(system.components, estimates, overall, max_est,
                                     abs(overall.mid - max_est.mid))
@@ -266,6 +280,7 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
         raise InputError("need at least two word lengths in n_range")
     if min(ns) < 1:
         raise InputError("n must be >= 1")
+    _check_tolerance(tolerance)
     if system.infinite:
         raise NotApplicableError("truncate the system first")
     report = g.scc_decompose(system)
@@ -312,6 +327,7 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     sizes = [int(s) for s in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
         raise InputError("sizes must be strictly increasing")
+    _check_tolerance(tolerance)
 
     entries = []
     warnings = []

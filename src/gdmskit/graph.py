@@ -98,23 +98,32 @@ def edge_allows(incidence: IncidenceSpec, a: Edge, b: Edge) -> bool:
     return incidence.allows_labels(a.id, b.id)
 
 
-def incidence_array(incidence: IncidenceSpec, edges, index):
-    """0/1 float matrix of the edge graph, rows and columns placed by
-    `index` (edge id -> position): entry (a, b) is 1 exactly when
-    edge_allows(incidence, a, b), computed for all pairs at once."""
+def allow_positions(pairs, position):
+    """(m, 2) integer array: the positions (`position`: edge id -> position)
+    of the two edges of each of the m label pairs, -1 for an unknown id."""
+    return np.fromiter(map(position.get, chain.from_iterable(pairs), repeat(-1)),
+                       dtype=int, count=2 * len(pairs)).reshape(-1, 2)
+
+
+def incidence_array(incidence, edges, pairs=None):
+    """0/1 float matrix of the edge graph, rows and columns in the order of
+    `edges`: entry (a, b) is 1 exactly when edge_allows(incidence, a, b).
+
+    An explicit incidence reads its allow pairs from `pairs`, an (m, 2)
+    integer array of edge positions (pairs that name a dropped edge left
+    out); only those m entries are looked at. A named rule is computed for
+    all pairs at once.
+    """
     vertex = {}
     src = np.array([vertex.setdefault(e.src, len(vertex)) for e in edges], dtype=int)
     dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
-    allowed = dst[:, None] == src[None, :]
     if incidence.kind == EXPLICIT:
-        # one lookup per label; -1 marks a pair that names a dropped edge
-        pairs = np.fromiter(map(index.get, chain.from_iterable(incidence.allowed), repeat(-1)),
-                            dtype=int, count=2 * len(incidence.allowed)).reshape(-1, 2)
-        pairs = pairs[(pairs >= 0).all(axis=1)]
-        rule = np.zeros_like(allowed)
-        rule[pairs[:, 0], pairs[:, 1]] = True
-        allowed &= rule
-    elif incidence.kind != FULL:
+        pairs = pairs[dst[pairs[:, 0]] == src[pairs[:, 1]]]
+        A = np.zeros((len(edges), len(edges)))
+        A[pairs[:, 0], pairs[:, 1]] = 1.0
+        return A
+    allowed = dst[:, None] == src[None, :]
+    if incidence.kind != FULL:
         labels = np.array([e.id for e in edges])
         if incidence.kind == BANDED:
             allowed &= np.abs(labels[:, None] - labels[None, :]) <= incidence.width
@@ -150,7 +159,7 @@ def enumerate_words(system, n: int, limit: int | None = None):
         raise InputError("word length must be >= 1")
     _require_finite(system)
     bound = count_guard() if limit is None else limit
-    succ = system.successor_map
+    succ = system.successors
     ids = system.edge_ids
     emitted = 0
 
@@ -160,14 +169,14 @@ def enumerate_words(system, n: int, limit: int | None = None):
             emitted += 1
             if emitted > bound:
                 raise ResourceGuardError(f"enumeration exceeded count guard of {bound}")
-            yield tuple(prefix)
+            yield tuple(map(ids.__getitem__, prefix))
             return
         for nxt in succ[prefix[-1]]:
             prefix.append(nxt)
             yield from extend(prefix)
             prefix.pop()
 
-    for first in ids:
+    for first in range(len(ids)):
         yield from extend([first])
 
 
@@ -184,59 +193,57 @@ def _require_finite(system):
         raise NotApplicableError("analysis needs a finite edge set; truncate the system first")
 
 
-def tarjan_scc(nodes, succ):
-    """Iterative Tarjan; returns SCCs in reverse topological order."""
-    index, low = {}, {}
-    onstack, stack, sccs = set(), [], []
+def tarjan_scc(succ):
+    """Iterative Tarjan on the graph whose node k has the successors
+    succ[k] (positions 0..len(succ)-1); returns the SCCs as lists of
+    positions, in reverse topological order."""
+    n = len(succ)
+    index, low, onstack = [-1] * n, [0] * n, [False] * n
+    stack, sccs = [], []
     counter = 0
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack.add(root)
+        onstack[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    onstack.add(w)
+                    onstack[w] = True
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if onstack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
-def cyclic_components(ids, succ, sccs):
-    """The components of `sccs` (from `tarjan_scc(ids, succ)`) that an
-    admissible cycle passes through (more than one edge, or one edge that
-    may follow itself), as frozensets ordered by their first edge in `ids`."""
-    order = {e: k for k, e in enumerate(ids)}
-    comps = [frozenset(c) for c in sccs if len(c) > 1 or c[0] in succ[c[0]]]
-    comps.sort(key=lambda c: min(order[e] for e in c))
-    return tuple(comps)
+def cyclic_components(succ, sccs):
+    """The components of `sccs` (from `tarjan_scc(succ)`) that an admissible
+    cycle passes through (more than one edge, or one edge that may follow
+    itself), each as a sorted tuple of positions, ordered by their first."""
+    return tuple(sorted(tuple(sorted(c)) for c in sccs if len(c) > 1 or c[0] in succ[c[0]]))
 
 
 def scc_decompose(system) -> SccReport:
@@ -250,32 +257,38 @@ def scc_decompose(system) -> SccReport:
     """
     _require_finite(system)
     ids = system.edge_ids
-    succ = system.successor_map
-    comp_index = {e: k for k, comp in enumerate(system.components) for e in comp}
-    isolated = frozenset(e for e in ids if e not in comp_index)
+    succ = system.successors
+    comp_of = [-1] * len(ids)
+    for k, comp in enumerate(system.component_positions):
+        for e in comp:
+            comp_of[e] = k
+    isolated = frozenset(ids[e] for e, k in enumerate(comp_of) if k < 0)
 
     # For each Tarjan component n: reached[n] holds the cyclic components
     # some word from n leads to, bridged[n] those it leads to through
     # isolated edges only. Tarjan lists components sink first, so the sets
     # of every successor of n are complete when n reads them.
     sccs = system.sccs
-    position = {e: n for n, scc in enumerate(sccs) for e in scc}
+    position = [0] * len(ids)
+    for n, scc in enumerate(sccs):
+        for e in scc:
+            position[e] = n
     reached, bridged = [], []
     communication, condensation = set(), set()
     for n, scc in enumerate(sccs):
         reach, bridge = set(), set()
         for m in {position[w] for e in scc for w in succ[e]} - {n}:
             reach |= reached[m]
-            j = comp_index.get(sccs[m][0])
-            if j is None:
+            j = comp_of[sccs[m][0]]
+            if j < 0:
                 bridge |= bridged[m]
             else:
                 reach.add(j)
                 bridge.add(j)
         reached.append(reach)
         bridged.append(bridge)
-        i = comp_index.get(scc[0])
-        if i is not None:
+        i = comp_of[scc[0]]
+        if i >= 0:
             communication.update((i, j) for j in reach)
             condensation.update((i, j) for j in bridge)
     return SccReport(system.components, frozenset(condensation), isolated,
@@ -321,11 +334,10 @@ def matrix_properties(system) -> MatrixProperties:
         just["finitely_irreducible"] = just["irreducible"]
         return MatrixProperties(False, False, False, None, just)
 
-    ids = system.edge_ids
-    succ = system.successor_map
-    period = _graph_period(ids, succ)
+    succ = system.successors
+    period = _graph_period(succ)
     primitive = period == 1
-    witness = _connecting_words(ids, succ, system)
+    witness = _connecting_words(succ, system.edge_ids)
     just = {
         "irreducible": "the edge graph is strongly connected",
         "primitive": (f"gcd of cycle lengths is {period}"
@@ -335,47 +347,49 @@ def matrix_properties(system) -> MatrixProperties:
     return MatrixProperties(True, primitive, True, witness, just)
 
 
-def _graph_period(ids, succ):
-    """gcd of cycle lengths of a strongly connected graph."""
-    root = ids[0]
-    level = {root: 0}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
+def _graph_period(succ):
+    """gcd of cycle lengths of a strongly connected graph on positions."""
+    level = [-1] * len(succ)
+    level[0] = 0
+    queue = [0]
+    for v in queue:
         for w in succ[v]:
-            if w not in level:
+            if level[w] < 0:
                 level[w] = level[v] + 1
                 queue.append(w)
     g = 0
-    for v in ids:
-        for w in succ[v]:
+    for v, row in enumerate(succ):
+        for w in row:
             g = math.gcd(g, level[v] + 1 - level[w])
     return abs(g) if g else 1
 
 
-def _connecting_words(ids, succ, system):
-    """Shortest word w per ordered edge pair (i, j) with i w j admissible."""
+def _connecting_words(succ, ids):
+    """Shortest word w per ordered edge pair (i, j) with i w j admissible,
+    in labels, sorted; None when some pair has no such word."""
+    n = len(succ)
     words = set()
-    for i in ids:
-        # BFS over successors, tracking the connecting word (without endpoints)
-        parents = {w: (i, None) for w in succ[i]}
+    for i in range(n):
+        # BFS over successors; parent[w] is the edge before w on the word
+        parent = [-1] * n
+        for w in succ[i]:
+            parent[w] = i
         queue = list(succ[i])
-        reached = dict(parents)
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for w in succ[v]:
-                if w not in reached:
-                    reached[w] = (v, None)
+                if parent[w] < 0:
+                    parent[w] = v
                     queue.append(w)
-        for j in ids:
-            if j in succ[i]:
+        direct = set(succ[i])
+        for j in range(n):
+            if j in direct:
                 continue  # empty connecting word
-            if j not in reached:
+            if parent[j] < 0:
                 return None
             path = []
-            v = reached[j][0]
+            v = parent[j]
             while v != i:
-                path.append(v)
-                v = reached[v][0]
+                path.append(ids[v])
+                v = parent[v]
             words.add(tuple(reversed(path)))
     return tuple(sorted(words))

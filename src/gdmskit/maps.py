@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, InputError
 
 # Integer continuants are kept exact up to this word length.
@@ -30,6 +32,8 @@ class VertexSpace:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise InputError(f"vertex space {self.vertex!r}: need lo < hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InputError(f"vertex space {self.vertex!r}: need finite ends")
 
     @property
     def diameter(self) -> float:
@@ -99,10 +103,22 @@ class SimilarityFamily:
         a, b = self.affine(word)
         return a * x + b
 
-    def interval_image(self, word, space: VertexSpace):
-        a, b = self.affine(word)
-        u, v = a * space.lo + b, a * space.hi + b
-        return (u, v) if u <= v else (v, u)
+    def interval_images(self, letters, words, lo, hi):
+        """Images [min, max] of phi_w([lo_k, hi_k]) for the words w whose
+        letters are letters[words[k, j]] (words an integer array, one word
+        of equal length per row): two float arrays. The coefficients are
+        composed from the last letter to the first, as in `affine`."""
+        maps = [self.map_for(e) for e in letters]
+        scale = np.array([m.sign * m.ratio for m in maps])
+        offset = np.array([m.offset for m in maps])
+        words = np.asarray(words)
+        a, b = np.ones(len(words)), np.zeros(len(words))
+        for column in words.T[::-1]:
+            s = scale[column]
+            a, b = s * a, s * b + offset[column]
+        u, v = a * np.asarray(lo) + b, a * np.asarray(hi) + b
+        ordered = u <= v
+        return np.where(ordered, u, v), np.where(ordered, v, u)
 
 
 def _check_cf_label(edge_id):
@@ -154,9 +170,15 @@ class MoebiusCfFamily:
         p, p_prev, q, q_prev = cf_continuants(word)
         return (p + p_prev * x) / (q + q_prev * x)
 
-    def interval_image(self, word, space: VertexSpace):
-        u, v = self.apply(word, space.lo), self.apply(word, space.hi)
-        return (u, v) if u <= v else (v, u)
+    def interval_images(self, letters, words, lo, hi):
+        """As `SimilarityFamily.interval_images`, each word through its
+        exact continuants."""
+        images = []
+        for row, x, y in zip(np.asarray(words).tolist(), lo, hi):
+            word = [letters[k] for k in row]
+            u, v = self.apply(word, x), self.apply(word, y)
+            images.append((u, v) if u <= v else (v, u))
+        return np.array([u for u, _ in images]), np.array([v for _, v in images])
 
 
 def evaluate(family, word, x, space: VertexSpace | None = None) -> float:

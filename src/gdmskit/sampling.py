@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotApplicableError
+from .errors import InputError, NotApplicableError, ResourceGuardError
+from .graph import count_guard
 from .system import GdmsSystem, diameter_bound, empty_limit_set, prune
 
 RNG_NAME = "python-mt19937-per-point"
@@ -56,7 +57,8 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
     successor, so every walk reaches `depth`. Point k uses its own generator
     derived from (seed, k), so the output is independent of evaluation
     order. Midpoints of the terminal image intervals approximate coding-map
-    values within the interval diameter.
+    values within the interval diameter. More than the count guard of
+    letters (count * depth) raises ResourceGuardError before any is drawn.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
@@ -67,17 +69,27 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
     if empty_limit_set(system):
         raise NotApplicableError("empty limit set: nothing to sample")
 
+    guard = count_guard()
+    if count * depth > guard:
+        raise ResourceGuardError(
+            f"sample of {count} words of length {depth} exceeds count guard of {guard}")
+
     system = prune(system)[0]
-    ids = list(system.edge_ids)
-    succ = system.successor_map
-    entries = []
+    succ = system.successors
+    edges = range(len(succ))
+    walks = []
     for k in range(count):
-        rng = random.Random(seed * _SEED_MIX + k)
-        word = [rng.choice(ids)]
-        while len(word) < depth:
-            word.append(rng.choice(succ[word[-1]]))
-        lo, hi = system.word_interval(word)
-        entries.append(SampleEntry(tuple(word), (lo, hi), 0.5 * (lo + hi)))
+        choice = random.Random(seed * _SEED_MIX + k).choice
+        e = choice(edges)
+        walk = [e]
+        for _ in range(depth - 1):
+            e = choice(succ[e])
+            walk.append(e)
+        walks.append(walk)
+    los, his = system.word_intervals(walks)
+    ids = system.edge_ids
+    entries = [SampleEntry(tuple(map(ids.__getitem__, walk)), (lo, hi), 0.5 * (lo + hi))
+               for walk, lo, hi in zip(walks, los.tolist(), his.tolist())]
 
     anchor = min(s.lo for s in system.spaces.values())
     return LimitPointSample(seed, depth, tuple(entries),

@@ -16,6 +16,10 @@ ignored.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from . import graph as g
 from . import maps as m
 from .errors import SpecError
@@ -43,7 +47,8 @@ def parse_spec(text: str):
     edges = []          # (line, id, src, dst, SimilarityMap)
     family_cf = None    # None | (line, truncate or None)
     incidence = None    # (line, kind, width)
-    allows = []         # (line, a, b)
+    allows = []         # (a, b)
+    allow_lines = []    # the line of each allow pair
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -52,7 +57,13 @@ def parse_spec(text: str):
         tokens = stripped.split()
         keyword, args = tokens[0], tokens[1:]
 
-        if keyword == "system":
+        # allow lines are most of a large spec, so they are matched first
+        if keyword == "allow":
+            if len(args) != 2:
+                raise SpecError("usage: allow <a> <b>", lineno)
+            allows.append((args[0], args[1]))
+            allow_lines.append(lineno)
+        elif keyword == "system":
             if name is not None:
                 raise SpecError("duplicate system directive", lineno)
             if len(args) != 1:
@@ -68,6 +79,8 @@ def parse_spec(text: str):
             hi = _parse_number(args[2], lineno, "space hi")
             if not lo < hi:
                 raise SpecError("space needs lo < hi", lineno)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise SpecError(f"space for vertex {vertex!r} needs finite ends", lineno)
             spaces[vertex] = m.VertexSpace(vertex, lo, hi)
         elif keyword == "edge":
             if len(args) != 7 or args[3] != "similarity":
@@ -114,22 +127,18 @@ def parse_spec(text: str):
             else:
                 raise SpecError(
                     "usage: incidence full | banded <w> | upper | explicit", lineno)
-        elif keyword == "allow":
-            if len(args) != 2:
-                raise SpecError("usage: allow <a> <b>", lineno)
-            allows.append((lineno, args[0], args[1]))
         else:
             raise SpecError(f"unknown keyword {keyword!r}", lineno)
 
-    return _assemble(name, spaces, edges, family_cf, incidence, allows)
+    return _assemble(name, spaces, edges, family_cf, incidence, allows, allow_lines)
 
 
-def _assemble(name, spaces, edges, family_cf, incidence, allows):
+def _assemble(name, spaces, edges, family_cf, incidence, allows, allow_lines):
     if incidence is None:
         raise SpecError("missing incidence directive")
     inc_line, kind, width = incidence
     if allows and kind != g.EXPLICIT:
-        raise SpecError("allow lines need 'incidence explicit'", allows[0][0])
+        raise SpecError("allow lines need 'incidence explicit'", allow_lines[0])
     if kind == g.EXPLICIT and not allows:
         raise SpecError("explicit incidence needs at least one allow line", inc_line)
     name = name or "unnamed"
@@ -176,19 +185,24 @@ def _assemble(name, spaces, edges, family_cf, incidence, allows):
                     lineno) from None
         edges = converted
 
-    id_set = {eid for _, eid, _, _, _ in edges}
-    allowed = set()
-    for lineno, a, b in allows:
-        if a not in id_set or b not in id_set:
-            raise SpecError(f"allow pair names unknown edge ({a!r}, {b!r})", lineno)
-        allowed.add((a, b))
+    # each allow pair as the positions of its two edges (-1 for an unknown
+    # label), which the system's incidence matrix is filled from
+    position = {eid: k for k, (_, eid, _, _, _) in enumerate(edges)}
+    pairs = g.allow_positions(allows, position)
+    unknown = np.flatnonzero((pairs < 0).any(axis=1))
+    if unknown.size:
+        a, b = allows[unknown[0]]
+        raise SpecError(f"allow pair names unknown edge ({a!r}, {b!r})",
+                        allow_lines[unknown[0]])
 
-    spec = g.IncidenceSpec(kind, width, frozenset(allowed))
+    spec = g.IncidenceSpec(kind, width, frozenset(allows))
     graph = g.MultiGraph(tuple(sorted(spaces)),
                          tuple(g.Edge(eid, src, dst) for _, eid, src, dst, _ in edges))
     family = m.SimilarityFamily({eid: sim for _, eid, _, _, sim in edges})
     system = GdmsSystem(name=name, graph=graph, incidence=spec,
                         family=family, spaces=dict(spaces))
+    if kind == g.EXPLICIT:
+        system._dense_arrays(pairs)
     return validate(system)
 
 

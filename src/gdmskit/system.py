@@ -26,10 +26,12 @@ class GdmsSystem:
     spaces: dict    # vertex id -> VertexSpace
     infinite: bool = False
     # Built on first use. init=False keeps them out of `replace`, so every
-    # derived system (restrict, truncate) starts with empty caches; a finite
-    # `restrict` then fills `_dense` with slices of its parent's arrays.
-    _succ: dict = field(default=None, init=False, repr=False, compare=False)
+    # derived system (subsystem, truncate) starts with empty caches; a
+    # finite `subsystem` then fills `_dense` with slices of its parent's
+    # arrays.
+    _successors: tuple = field(default=None, init=False, repr=False, compare=False)
     _sccs: tuple = field(default=None, init=False, repr=False, compare=False)
+    _cyclic: tuple = field(default=None, init=False, repr=False, compare=False)
     _components: tuple = field(default=None, init=False, repr=False, compare=False)
     _ids: tuple = field(default=None, init=False, repr=False, compare=False)
     _dense: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -61,11 +63,19 @@ class GdmsSystem:
     def edges_by_id(self):
         return self._id_maps()[1]
 
-    def _dense_arrays(self):
+    def _dense_arrays(self, allow_positions=None):
+        """(incidence_matrix, log_norms), built on the first call. An
+        explicit incidence's allow pairs are looked up in `edge_index`
+        unless the first caller passes their positions, an (m, 2) integer
+        array, as `parse_spec` does."""
         if self.infinite:
             raise NotApplicableError("the edge graph needs a finite edge set")
         if self._dense is None:
-            A = g.incidence_array(self.incidence, self.graph.edges, self.edge_index)
+            if allow_positions is None and self.incidence.kind == g.EXPLICIT:
+                # a pair that names a dropped edge has no entry
+                allow_positions = g.allow_positions(self.incidence.allowed, self.edge_index)
+                allow_positions = allow_positions[(allow_positions >= 0).all(axis=1)]
+            A = g.incidence_array(self.incidence, self.graph.edges, allow_positions)
             log_norms = np.array([self.family.one_step_log_norm(e)
                                   for e in self.edge_ids])
             A.flags.writeable = log_norms.flags.writeable = False
@@ -83,59 +93,81 @@ class GdmsSystem:
         return self._dense_arrays()[1]
 
     @property
+    def successors(self):
+        """The edge graph by position: entry k lists the positions of the
+        edges allowed to follow edge k, ascending, i.e. the nonzero columns
+        of row k of `incidence_matrix`. Shared by every reader; not to be
+        modified."""
+        if self.infinite:
+            raise NotApplicableError("successor lists need a finite edge set")
+        if self._successors is None:
+            A = self.incidence_matrix
+            rows, cols = np.nonzero(A)
+            ends = np.searchsorted(rows, np.arange(len(A) + 1)).tolist()
+            cols = cols.tolist()
+            self._successors = tuple(cols[a:b] for a, b in zip(ends, ends[1:]))
+        return self._successors
+
+    @property
     def successor_map(self):
         """edge id -> tuple of allowed successor edge ids, in edge order:
-        the nonzero columns of each row of `incidence_matrix`."""
-        if self.infinite:
-            raise NotApplicableError("successor map needs a finite edge set")
-        if self._succ is None:
-            ids = self.edge_ids
-            self._succ = {a: tuple(ids[j] for j in np.flatnonzero(row))
-                          for a, row in zip(ids, self.incidence_matrix)}
-        return self._succ
+        `successors` in labels, built on each call."""
+        ids = self.edge_ids
+        return {a: tuple(map(ids.__getitem__, row)) for a, row in zip(ids, self.successors)}
 
     @property
     def sccs(self):
         """Every strongly connected component of the edge graph as a tuple
-        of edge ids, sink first: the output of one `graph.tarjan_scc` pass,
-        from which `components` and `graph.scc_decompose` both read."""
+        of positions, sink first: the output of one `graph.tarjan_scc`
+        pass, from which `components` and `graph.scc_decompose` both read."""
         if self._sccs is None:
-            self._sccs = tuple(map(tuple, g.tarjan_scc(self.edge_ids, self.successor_map)))
+            self._sccs = tuple(map(tuple, g.tarjan_scc(self.successors)))
         return self._sccs
 
     @property
+    def component_positions(self):
+        """Sorted positions of each strongly connected component that
+        carries a cycle, ordered by their first (see
+        `graph.cyclic_components`)."""
+        if self._cyclic is None:
+            self._cyclic = g.cyclic_components(self.successors, self.sccs)
+        return self._cyclic
+
+    @property
     def components(self):
-        """Edge sets of the strongly connected components that carry a
-        cycle, ordered by their first edge (see `graph.cyclic_components`)."""
+        """Edge-id sets of `component_positions`, in their order."""
         if self._components is None:
-            self._components = g.cyclic_components(self.edge_ids, self.successor_map, self.sccs)
+            ids = self.edge_ids
+            self._components = tuple(frozenset(map(ids.__getitem__, comp))
+                                     for comp in self.component_positions)
         return self._components
 
     @property
     def irreducible(self) -> bool:
         """Whether the edge graph is one strongly connected component that
         carries a cycle, i.e. the incidence matrix is irreducible."""
-        return self.components == (frozenset(self.edge_ids),)
+        cyclic = self.component_positions
+        return len(cyclic) == 1 and len(cyclic[0]) == len(self.graph.edges)
 
     def component_blocks(self):
         """(A_k, log r_k) of each of `components`: the diagonal block of
         `incidence_matrix` and the entries of `log_norms` for its edges."""
-        pos = self.edge_index
-        blocks = []
-        for comp in self.components:
-            idx = sorted(pos[e] for e in comp)
-            blocks.append((self.incidence_matrix[np.ix_(idx, idx)], self.log_norms[idx]))
-        return blocks
+        return [(self.incidence_matrix[np.ix_(idx, idx)], self.log_norms[list(idx)])
+                for idx in self.component_positions]
 
     def restrict(self, edge_ids) -> "GdmsSystem":
-        """Subsystem on the given edges, kept in this system's edge order.
+        """Subsystem on the given edges, kept in this system's edge order
+        (see `subsystem`)."""
+        wanted = set(edge_ids)
+        return self.subsystem([k for k, e in enumerate(self.graph.edges) if e.id in wanted])
+
+    def subsystem(self, idx) -> "GdmsSystem":
+        """Subsystem on the edges at the ascending positions `idx`.
 
         A finite subsystem slices this system's incidence matrix and log
-        norms at the kept positions instead of rebuilding them, and an
+        norms at those positions instead of rebuilding them, and an
         explicit incidence keeps the allow pairs of the sliced entries.
         """
-        wanted = set(edge_ids)
-        idx = [k for k, e in enumerate(self.graph.edges) if e.id in wanted]
         edges = tuple(self.graph.edges[k] for k in idx)
         graph = g.MultiGraph(self.graph.vertices, edges)
         if self.infinite:
@@ -182,7 +214,21 @@ class GdmsSystem:
 
     def word_interval(self, word):
         """Image interval phi_word(X_t(word)), exact for monotone maps."""
-        return self.family.interval_image(tuple(word), self.terminal_space(word))
+        word = tuple(word)
+        space = self.terminal_space(word)
+        lo, hi = self.family.interval_images(word, [range(len(word))], [space.lo], [space.hi])
+        return float(lo[0]), float(hi[0])
+
+    def word_intervals(self, words):
+        """`word_interval` of each row of `words`, an integer array of edge
+        positions with one word of equal length per row, by one family
+        call: two float arrays."""
+        words = np.asarray(words)
+        ends = [self.spaces[e.dst] for e in self.graph.edges]
+        last = words[:, -1]
+        lo = np.array([space.lo for space in ends])[last]
+        hi = np.array([space.hi for space in ends])[last]
+        return self.family.interval_images(self.edge_ids, words, lo, hi)
 
     def contraction_bound(self):
         """(s_eff, step): diam decays like s_eff^floor(n/step).
@@ -196,12 +242,10 @@ class GdmsSystem:
         if self.infinite:
             a, b = _min_rule_pair(self.incidence)
             return 1.0 / (a * b + 1) ** 2, 2
-        best = None
-        for a in self.edge_ids:
-            for b in self.successor_map[a]:
-                val = 1.0 / (a * b + 1) ** 2
-                best = val if best is None else max(best, val)
-        return (best if best is not None else 0.25), 2
+        ids = self.edge_ids
+        # 1/(ab + 1)^2 is largest at the least product ab
+        products = [ids[a] * ids[b] for a, row in enumerate(self.successors) for b in row]
+        return (1.0 / (min(products) + 1) ** 2 if products else 0.25), 2
 
     def max_space_diameter(self) -> float:
         return max(s.diameter for s in self.spaces.values())
@@ -270,13 +314,13 @@ def prune(system: GdmsSystem):
     removed = []
     current = system
     while True:
-        succ = current.successor_map
-        dead = [e for e in current.edge_ids if not succ[e]]
-        if not dead:
+        succ = current.successors
+        keep = [k for k, row in enumerate(succ) if row]
+        if len(keep) == len(succ):
             break
-        removed.extend(dead)
-        keep = [e for e in current.edge_ids if succ[e]]
-        current = current.restrict(keep)
+        ids = current.edge_ids
+        removed.extend(ids[k] for k, row in enumerate(succ) if not row)
+        current = current.subsystem(keep)
     return current, tuple(removed)
 
 
@@ -307,17 +351,17 @@ def validate(system: GdmsSystem):
                 f"{a!r} is {by_id[a].dst!r} but initial vertex of {b!r} is {by_id[b].src!r}")
 
     if system.family.kind == "similarity":
-        images = []
-        for e in system.graph.edges:
-            src_space, dst_space = system.spaces[e.dst], system.spaces[e.src]
-            lo, hi = system.family.interval_image((e.id,), src_space)
+        edges = system.graph.edges
+        los, his = system.word_intervals(np.arange(len(edges))[:, None])
+        images = list(zip(los.tolist(), his.tolist()))
+        for e, (lo, hi) in zip(edges, images):
+            dst_space = system.spaces[e.src]
             # written as "not inside" so that a NaN end is refused too
             if not (dst_space.lo - 1e-12 <= lo and hi <= dst_space.hi + 1e-12):
                 raise SpecError(
                     f"edge {e.id!r}: image [{lo}, {hi}] leaves the target space "
                     f"[{dst_space.lo}, {dst_space.hi}]")
-            images.append((lo, hi))
-        warnings.extend(_osc_level1_warnings(system.graph.edges, images))
+        warnings.extend(_osc_level1_warnings(edges, images))
 
     if not system.infinite and system.incidence.kind == g.EXPLICIT:
         system, removed = prune(system)

@@ -160,6 +160,8 @@ def collatz_wielandt(B, start=None):
         if y is None:
             break
         x = y
+    if best is None:
+        raise ConvergenceError("Collatz-Wielandt ratios are not numbers")
     return best
 
 
@@ -305,8 +307,8 @@ class CfPartitionCache:
         if system.infinite:
             raise NotApplicableError("truncate the system before enumeration")
         self.system = system
-        self.labels = list(system.edge_ids)
-        self.succ = system.successor_map
+        self.log_labels = [math.log(e) for e in system.edge_ids]
+        self.succ = system.successors
         self.guard = g.count_guard()
         self._levels = []
         self._nodes = 0
@@ -314,17 +316,18 @@ class CfPartitionCache:
     def _ensure(self, n):
         while len(self._levels) < n:
             if not self._levels:
-                level = {e: (np.zeros(1), np.array([math.log(e)])) for e in self.labels}
+                level = {e: (np.zeros(1), np.array([log_e]))
+                         for e, log_e in enumerate(self.log_labels)}
             else:
                 prev = self._levels[-1]
                 parts = {}
-                for e in self.labels:
+                for e in range(len(self.succ)):
                     lq_prev, lq = prev.get(e, (None, None))
                     if lq is None or lq.size == 0:
                         continue
                     for b in self.succ[e]:
                         new_prev = lq
-                        new_q = np.logaddexp(math.log(b) + lq, lq_prev)
+                        new_q = np.logaddexp(self.log_labels[b] + lq, lq_prev)
                         parts.setdefault(b, []).append((new_prev, new_q))
                 level = {}
                 for b, chunks in parts.items():
@@ -339,7 +342,7 @@ class CfPartitionCache:
     def log_qs(self, n):
         self._ensure(n)
         level = self._levels[n - 1]
-        chunks = [level[b][1] for b in self.labels if b in level]
+        chunks = [level[b][1] for b in sorted(level)]
         if not chunks:
             return np.empty(0)
         return np.concatenate(chunks)
@@ -444,8 +447,12 @@ class CfCollocation:
 
     def __init__(self, system: GdmsSystem):
         ids = system.edge_ids
-        succ = system.successor_map
-        preds = [frozenset(a for a in ids if c in succ[a]) for c in ids]
+        # the predecessor positions of each letter, ascending
+        preds = [[] for _ in ids]
+        for a, row in enumerate(system.successors):
+            for c in row:
+                preds[c].append(a)
+        preds = list(map(tuple, preds))
         states = list(dict.fromkeys(preds))
         size = len(states) * COLLOCATION_NODES
         guard = g.count_guard()
@@ -456,7 +463,9 @@ class CfCollocation:
         self.letters = np.array(ids, dtype=float)
         self.state_of = np.array([index[p] for p in preds])
         # members[s, a] = 1 when letter a is in predecessor set s: this is Q
-        self.members = np.array([[a in p for a in ids] for p in states], dtype=float)
+        self.members = np.zeros((len(states), len(ids)))
+        for row, p in zip(self.members, states):
+            row[list(p)] = 1.0
         self.to_coef = _values_to_coefficients(COLLOCATION_NODES)
         shifted = self.letters[:, None] + _chebyshev_nodes(COLLOCATION_NODES)
         self.log_weights = -2.0 * np.log(shifted)
@@ -715,7 +724,7 @@ def engines(system: GdmsSystem):
     `pressure_slope(t)` and `certified_pressure(t)`."""
     if system.family.kind == "similarity":
         return [PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
-    return [CfCollocation(system.restrict(comp)) for comp in system.components]
+    return [CfCollocation(system.subsystem(idx)) for idx in system.component_positions]
 
 
 # -- operations --------------------------------------------------------------
@@ -788,8 +797,8 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     A system with no cyclic component has P = -inf. `n_max` is accepted for
     compatibility and affects neither family.
     """
-    if t < 0:
-        raise InputError("t must be >= 0")
+    if not (t >= 0 and math.isfinite(t)):
+        raise InputError(f"t must be finite and >= 0, got {t!r}")
     if system.infinite:
         theta = finiteness_parameters(system, [1]).theta
         if t < theta:

@@ -23,6 +23,7 @@ incidence full
 
 CF_UPPER = "system u\nfamily cf\nincidence upper\n"
 CF_FULL = "system g\nfamily cf\nincidence full\n"
+CF_FULL2 = "system t\nfamily cf truncate 2\nincidence full\n"
 
 
 @pytest.fixture
@@ -219,6 +220,38 @@ class TestExitCodes:
         spec.write_text(CF_FULL)
         code, _, _ = run(capsys, "pressure", str(spec), "--t", "0.9")
         assert code == cli.EXIT_NOT_APPLICABLE
+
+    @pytest.mark.parametrize("spec,argv,message", [
+        ("cf-full2", ["pressure", "--t", "nan"], "t must be finite and >= 0, got nan"),
+        ("cantor", ["pressure", "--t", "inf"], "t must be finite and >= 0, got inf"),
+        ("cf-full2", ["curve", "--tmin", "0", "--tmax", "inf", "--steps", "3"],
+         "t must be finite and >= 0, got nan"),
+        ("cf-full2", ["dim", "--tol", "nan"], "tolerance must be positive and finite, got nan"),
+        ("cantor", ["dim", "--tol", "inf"], "tolerance must be positive and finite, got inf"),
+        ("cf-full", ["sweep", "--sizes", "2,3", "--tol", "nan"],
+         "tolerance must be positive and finite, got nan"),
+    ])
+    def test_non_finite_t_and_tolerance(self, capsys, tmp_path, spec, argv, message):
+        text = {"cantor": CANTOR, "cf-full": CF_FULL, "cf-full2": CF_FULL2}[spec]
+        spec = tmp_path / f"{spec}.gdms"
+        spec.write_text(text)
+        code, out, err = run(capsys, argv[0], str(spec), *argv[1:])
+        assert code == cli.EXIT_SPEC
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_sample_letter_count_guard(self, capsys, cantor_spec, monkeypatch):
+        monkeypatch.setenv("GDMS_COUNT_GUARD", "50")
+        code, out, err = run(capsys, "sample", cantor_spec,
+                             "--count", "10", "--depth", "6", "--seed", "1")
+        assert code == cli.EXIT_RESOURCE
+        assert out == ""
+        assert err == ("resource guard: sample of 10 words of length 6 exceeds "
+                       "count guard of 50\n")
+        code, out, _ = run(capsys, "sample", cantor_spec,
+                           "--count", "10", "--depth", "5", "--seed", "1")
+        assert code == cli.EXIT_OK
+        assert grab(out, "count") == "10"
 
     def test_resource_guard(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GDMS_COUNT_GUARD", "50")

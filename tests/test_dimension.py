@@ -294,6 +294,29 @@ class TestComponentDimensions:
         want = math.log(2) / math.log(3)
         assert abs(best - want) <= 1e-9
 
+    def test_components_are_certified_without_restricting(self, monkeypatch):
+        # two full-shift blocks joined by one pair: each component is
+        # cross-checked as the full shift its block is, the whole system is not
+        def no_restrict(*args):
+            raise AssertionError("component_dimensions restricted the system")
+        monkeypatch.setattr(gk.GdmsSystem, "restrict", no_restrict)
+        report = gk.component_dimensions(two_component_system(linked=True))
+        assert [est.method for est in report.estimates] == [gd.MORAN_EXACT, gd.MORAN_EXACT]
+        assert report.overall.method == gd.PERRON_NEWTON
+        first = report.estimates[0]
+        assert (report.overall.lo, report.overall.hi) == (first.lo, first.hi)
+        assert gk.component_dimensions(gk.full_shift([0.3, 0.4])).overall.method == gd.MORAN_EXACT
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-3])
+    def test_non_finite_tolerance_is_refused(self, tolerance):
+        sys = two_component_system(linked=True)
+        for run in (lambda: gk.bowen_dimension(sys, tolerance),
+                    lambda: gk.component_dimensions(sys, tolerance),
+                    lambda: gk.classify_hausdorff_measure(sys, tolerance, range(1, 4)),
+                    lambda: gk.truncation_sweep(cf_sys(), [2, 3], tolerance)):
+            with pytest.raises(gk.InputError, match="tolerance must be positive and finite"):
+                run()
+
     def test_feeder_edges_do_not_change_dimension(self):
         est = gk.bowen_dimension(feeder_system())
         want = math.log(2) / math.log(3)

@@ -88,6 +88,18 @@ class TestDerivativeNorms:
             assert c <= a + b + 1e-12
 
 
+class TestVertexSpace:
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0),
+                                       (-math.inf, math.inf)])
+    def test_infinite_end_refused(self, lo, hi):
+        with pytest.raises(gk.InputError, match="vertex space 'v': need finite ends"):
+            gm.VertexSpace("v", lo, hi)
+
+    def test_nan_end_refused(self):
+        with pytest.raises(gk.InputError):
+            gm.VertexSpace("v", math.nan, 1.0)
+
+
 class TestIntervals:
     def test_similarity_image(self):
         # full_shift packs images left to right without gaps

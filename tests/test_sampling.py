@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gdmskit as gk
 from gdmskit import graph as gg
+from gdmskit import maps as gm
 from gdmskit import sampling as gsamp
 
 
@@ -55,6 +58,14 @@ class TestSampling:
         sample = gk.sample_points(sys, 20, 30, seed=4)
         assert [e.word for e in sample.entries] == [("a",) * 30] * 20
 
+    def test_letter_count_guard_trips_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a generator was seeded before the guard was checked")
+        monkeypatch.setenv("GDMS_COUNT_GUARD", "50")
+        monkeypatch.setattr(gsamp.random, "Random", no_draw)
+        with pytest.raises(gk.ResourceGuardError, match="count guard of 50"):
+            gk.sample_points(cantor(), 10, 6, seed=1)
+
     def test_cf_sample_in_unit_interval(self):
         sys = gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=4)
         sample = gk.sample_points(sys, 100, 10, seed=2)
@@ -99,3 +110,88 @@ class TestBoxDimension:
         box = gk.box_dimension(sample, scales)
         assert list(box.counts) == sorted(box.counts)
         assert all(c >= 1 for c in box.counts)
+
+
+# -- the sampler against a per-word reference ---------------------------------
+
+def _per_word_interval(system, word):
+    """The image interval of one word from the family's own composition
+    (`apply`, which composes letter by letter), ordered."""
+    space = system.terminal_space(word)
+    u = system.family.apply(word, space.lo)
+    v = system.family.apply(word, space.hi)
+    return (u, v) if u <= v else (v, u)
+
+
+def _reference_sample(system, count, depth, seed):
+    """sample_points written out per word: point k draws from
+    random.Random(seed * MIX + k), first over the edge ids, then over the
+    successor labels of the last letter in edge order."""
+    system = gk.prune(system)[0]
+    ids = list(system.edge_ids)
+    succ = system.successor_map
+    entries = []
+    for k in range(count):
+        rng = random.Random(seed * gsamp._SEED_MIX + k)
+        word = [rng.choice(ids)]
+        while len(word) < depth:
+            word.append(rng.choice(succ[word[-1]]))
+        word = tuple(word)
+        lo, hi = _per_word_interval(system, word)
+        assert system.word_interval(word) == (lo, hi)
+        entries.append((word, (lo, hi), 0.5 * (lo + hi)))
+    return entries
+
+
+@st.composite
+def _explicit_similarity_systems(draw):
+    """1-3 vertices with spaces of width 1, images inside their target
+    spaces with both orientations, and a random set of composable allow
+    pairs, so that some edges may have no successor and get pruned."""
+    vertices = tuple(f"v{k}" for k in range(draw(st.integers(1, 3))))
+    spaces = {}
+    for v in vertices:
+        lo = draw(st.sampled_from((-2.0, -0.5, 0.0, 0.25, 3.0)))
+        spaces[v] = gm.VertexSpace(v, lo, lo + 1.0)
+    edges = []
+    for k in range(draw(st.integers(1, 8))):
+        src, dst = draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))
+        ratio = draw(st.floats(0.05, 0.6))
+        sign = draw(st.sampled_from((1, -1)))
+        left = spaces[src].lo + draw(st.floats(0.0, 1.0)) * (1.0 - ratio)
+        # the image of [lo, hi] starts at `left` for either sign
+        offset = left - ratio * spaces[dst].lo if sign == 1 else left + ratio * spaces[dst].hi
+        edges.append((f"e{k}", src, dst, gm.SimilarityMap(ratio, offset, sign)))
+    composable = [(a[0], b[0]) for a in edges for b in edges if a[2] == b[1]]
+    allowed = frozenset(pair for pair in composable if draw(st.booleans()))
+    return gk.similarity_system("walks", vertices, spaces, edges,
+                                gk.IncidenceSpec(gg.EXPLICIT, allowed=allowed))
+
+
+def _cf_truncations():
+    full = st.builds(lambda n: gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=n),
+                     st.integers(1, 6))
+    banded = st.builds(lambda w, n: gk.cf_system(gk.IncidenceSpec(gg.BANDED, w), truncate=n),
+                       st.integers(1, 2), st.integers(1, 8))
+    return full | banded
+
+
+@settings(max_examples=200, deadline=None)
+@given(_explicit_similarity_systems() | _cf_truncations(),
+       st.integers(1, 25), st.integers(1, 8), st.integers(0, 10 ** 6))
+def test_sampler_matches_the_per_word_reference(system, count, depth, seed):
+    if gk.empty_limit_set(system):
+        with pytest.raises(gk.NotApplicableError):
+            gk.sample_points(system, count, depth, seed)
+        return
+    sample = gk.sample_points(system, count, depth, seed)
+    got = [(e.word, e.interval, e.midpoint) for e in sample.entries]
+    assert got == _reference_sample(system, count, depth, seed)
+
+
+@pytest.mark.parametrize("size", [1, 3, 6])
+def test_upper_truncations_are_refused(size):
+    # strictly increasing labels: every truncation has an empty limit set
+    system = gk.cf_system(gk.IncidenceSpec(gg.UPPER), truncate=size)
+    with pytest.raises(gk.NotApplicableError, match="empty limit set"):
+        gk.sample_points(system, 5, 4, seed=1)

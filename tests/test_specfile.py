@@ -190,6 +190,11 @@ allow a b
         self.reject(CANTOR.replace("0.3333333333333333 0 1", "0.3333333333333333 nan 1"),
                     "leaves the target space")
 
+    @pytest.mark.parametrize("ends", ["0 inf", "-inf 1", "-inf inf"])
+    def test_infinite_space_end_refused(self, ends):
+        self.reject(CANTOR.replace("space v 0 1", f"space v {ends}"),
+                    "space for vertex 'v' needs finite ends", line=2)
+
     def test_image_outside_space(self):
         text = """\
 system bad

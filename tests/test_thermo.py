@@ -192,6 +192,11 @@ class TestCollatzWielandt:
         assert lower <= rho * (1 + 1e-14) and rho * (1 - 1e-14) <= upper
         assert upper - lower <= 1e-13 * rho
 
+    def test_nan_matrix_is_refused(self):
+        # every ratio is NaN, so no bracket is ever recorded
+        with pytest.raises(gk.ConvergenceError, match="not numbers"):
+            thermo.collatz_wielandt(np.full((2, 2), np.nan))
+
     def test_underflowing_row_sums_are_refused(self):
         B = np.array([[0.0, 1e-200], [1e-200, 0.0]])
         with pytest.raises(gk.ConvergenceError, match="underflow"):
@@ -294,6 +299,13 @@ class TestPressure:
         assert est.is_infinite
         with pytest.raises(gk.UnsupportedAnalysisError):
             gk.pressure(sys, 0.9)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+def test_pressure_refuses_t_not_finite_and_nonnegative(t):
+    for system in (gk.full_shift([0.3, 0.4]), cf_sys(truncate=2)):
+        with pytest.raises(gk.InputError, match="t must be finite and >= 0"):
+            thermo.pressure(system, t)
 
 
 class TestCfCollocation:
