@@ -76,8 +76,9 @@ class IncidenceSpec:
         if self.kind == BANDED and self.width < 1:
             raise InputError("banded incidence needs width >= 1")
 
-    def allows_labels(self, a, b) -> bool:
-        """Rule check on raw labels; explicit matrices use the stored pairs."""
+    def allows_labels(self, a, b):
+        """Rule check on raw labels, or elementwise on numeric label arrays
+        for a named rule; explicit matrices use the stored pairs."""
         if self.kind == FULL:
             return True
         if self.kind == BANDED:
@@ -89,13 +90,7 @@ class IncidenceSpec:
 
 def edge_allows(incidence: IncidenceSpec, a: Edge, b: Edge) -> bool:
     """True when b may follow a. Composition also needs t(a) = i(b)."""
-    if a.dst != b.src:
-        return False
-    if incidence.kind == EXPLICIT:
-        return (a.id, b.id) in incidence.allowed
-    if incidence.kind == FULL:
-        return True
-    return incidence.allows_labels(a.id, b.id)
+    return a.dst == b.src and incidence.allows_labels(a.id, b.id)
 
 
 def allow_positions(pairs, position):
@@ -111,8 +106,8 @@ def incidence_array(incidence, edges, pairs=None):
 
     An explicit incidence reads its allow pairs from `pairs`, an (m, 2)
     integer array of edge positions (pairs that name a dropped edge left
-    out); only those m entries are looked at. A named rule is computed for
-    all pairs at once.
+    out); only those m entries are looked at. A named rule applies
+    `allows_labels` to all pairs of labels at once.
     """
     vertex = {}
     src = np.array([vertex.setdefault(e.src, len(vertex)) for e in edges], dtype=int)
@@ -122,14 +117,9 @@ def incidence_array(incidence, edges, pairs=None):
         A = np.zeros((len(edges), len(edges)))
         A[pairs[:, 0], pairs[:, 1]] = 1.0
         return A
-    allowed = dst[:, None] == src[None, :]
-    if incidence.kind != FULL:
-        labels = np.array([e.id for e in edges])
-        if incidence.kind == BANDED:
-            allowed &= np.abs(labels[:, None] - labels[None, :]) <= incidence.width
-        else:
-            allowed &= labels[:, None] < labels[None, :]
-    return allowed.astype(float)
+    labels = np.array([e.id for e in edges])
+    rule = incidence.allows_labels(labels[:, None], labels[None, :])
+    return ((dst[:, None] == src[None, :]) & rule).astype(float)
 
 
 def is_admissible(system, word) -> bool:

@@ -3,10 +3,11 @@
 Similarity partition sums are exact: Z_n(t) comes from the weighted transfer
 matrix B(t)_{ab} = A_{ab} r_b^t, and the pressure ln rho(B(t)) is bracketed by
 Collatz-Wielandt bounds from Noda's inverse iteration. Continued-fraction
-partition sums are enumerated through continuants (exact per word); their
-pressure is the log spectral radius of the transfer operator L_t, bracketed
-by a Chebyshev collocation of L_t and a Collatz-Wielandt certificate that
-holds on all of [0, 1].
+partition sums are enumerated level by level through continuants (exact per
+word) up to the count guard and bracketed by one-step products beyond it;
+their pressure is the log spectral radius of the transfer operator L_t,
+bracketed by a Chebyshev collocation of L_t and a Collatz-Wielandt
+certificate that holds on all of [0, 1].
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import graph as g
-from .errors import (ConvergenceError, DomainError, InputError,
-                     NotApplicableError, ResourceGuardError,
+from .errors import (ConvergenceError, DomainError, InputError, ResourceGuardError,
                      UnsupportedAnalysisError)
 from .maps import distortion_constant
 from .system import GdmsSystem
@@ -293,75 +293,54 @@ def _transfer_partition_sums(system, t, n_max):
 
 # -- continued-fraction enumeration -----------------------------------------
 
-class CfPartitionCache:
-    """Level-synchronous continuant tables for a finite CF system.
+def _predecessors(system):
+    """The positions of the edges allowed to precede each edge, ascending."""
+    preds = [[] for _ in system.successors]
+    for a, row in enumerate(system.successors):
+        for c in row:
+            preds[c].append(a)
+    return list(map(tuple, preds))
 
-    Level n stores, grouped by last letter, the pair (ln q_{n-1}, ln q_n) for
-    every admissible word of length n. The tables are t-independent, so one
-    cache serves every exponent during bisection.
+
+def _cf_level_sums(system, ns, t):
+    """{n: Z_n(t)}, exact, for each n in ns up to the last word length that
+    the count guard allows on a finite continued-fraction system.
+
+    Level n holds ln q_{n-1} and ln q_n of every admissible length-n word
+    in two flat arrays, ordered by last letter, then by the letter before
+    it, then by the order of level n - 1; `counts[b]` words end in letter b.
+    q_{n+1} = b q_n + q_{n-1} builds level n + 1 from level n alone, so only
+    one level is kept. A level is built only while the words of all levels
+    up to it stay within the guard; that is checked before it is built.
     """
-
-    def __init__(self, system: GdmsSystem):
-        if system.family.kind != "cf":
-            raise InputError("CfPartitionCache is for continued-fraction systems")
-        if system.infinite:
-            raise NotApplicableError("truncate the system before enumeration")
-        self.system = system
-        self.log_labels = [math.log(e) for e in system.edge_ids]
-        self.succ = system.successors
-        self.guard = g.count_guard()
-        self._levels = []
-        self._nodes = 0
-
-    def _ensure(self, n):
-        while len(self._levels) < n:
-            if not self._levels:
-                level = {e: (np.zeros(1), np.array([log_e]))
-                         for e, log_e in enumerate(self.log_labels)}
-            else:
-                prev = self._levels[-1]
-                parts = {}
-                for e in range(len(self.succ)):
-                    lq_prev, lq = prev.get(e, (None, None))
-                    if lq is None or lq.size == 0:
-                        continue
-                    for b in self.succ[e]:
-                        new_prev = lq
-                        new_q = np.logaddexp(self.log_labels[b] + lq, lq_prev)
-                        parts.setdefault(b, []).append((new_prev, new_q))
-                level = {}
-                for b, chunks in parts.items():
-                    level[b] = (np.concatenate([c[0] for c in chunks]),
-                                np.concatenate([c[1] for c in chunks]))
-            self._nodes += sum(arr.size for _, arr in level.values())
-            if self._nodes > self.guard:
-                raise ResourceGuardError(
-                    f"continued-fraction enumeration exceeded count guard of {self.guard}")
-            self._levels.append(level)
-
-    def log_qs(self, n):
-        self._ensure(n)
-        level = self._levels[n - 1]
-        chunks = [level[b][1] for b in sorted(level)]
-        if not chunks:
-            return np.empty(0)
-        return np.concatenate(chunks)
-
-    def word_count(self, n) -> int:
-        return int(self.log_qs(n).size)
-
-    def partition_sum(self, n, t) -> float:
-        lq = self.log_qs(n)
-        if lq.size == 0:
-            return 0.0
-        return float(np.exp(-2.0 * t * lq).sum())
-
-
-def _cf_product_bracket(system, n, t):
-    """[K^{-t(n-1)} * S_n, S_n] with S_n the one-step-product transfer sum."""
-    S_n = _transfer_partition_sums(system, t, n)[-1]
-    K = distortion_constant(system.family)
-    return S_n * K ** (-t * (n - 1)), S_n
+    guard = g.count_guard()
+    preds = _predecessors(system)
+    log_labels = [math.log(e) for e in system.edge_ids]
+    lq_prev, lq = np.zeros(len(log_labels)), np.array(log_labels)
+    counts = np.ones(len(log_labels), dtype=int)
+    wanted, words, out = set(ns), 0, {}
+    for n in range(1, max(ns) + 1):
+        grown = counts if n == 1 else (counts @ system.incidence_matrix).astype(int)
+        size = int(grown.sum())
+        words += size
+        if words > guard:
+            break
+        if n > 1:
+            starts = np.cumsum(counts) - counts
+            next_prev, next_q = np.empty(size), np.empty(size)
+            pos = 0
+            for b, p in enumerate(preds):
+                for a in p:
+                    part = slice(starts[a], starts[a] + counts[a])
+                    stop = pos + counts[a]
+                    next_prev[pos:stop] = lq[part]
+                    np.logaddexp(log_labels[b] + lq[part], lq_prev[part], out=next_q[pos:stop])
+                    pos = stop
+            lq_prev, lq, counts = next_prev, next_q, grown
+        if n in wanted:
+            terms = -2.0 * t * lq
+            out[n] = float(np.exp(terms, out=terms).sum())
+    return out
 
 
 # -- continued-fraction transfer operator ------------------------------------
@@ -447,12 +426,7 @@ class CfCollocation:
 
     def __init__(self, system: GdmsSystem):
         ids = system.edge_ids
-        # the predecessor positions of each letter, ascending
-        preds = [[] for _ in ids]
-        for a, row in enumerate(system.successors):
-            for c in row:
-                preds[c].append(a)
-        preds = list(map(tuple, preds))
+        preds = _predecessors(system)
         states = list(dict.fromkeys(preds))
         size = len(states) * COLLOCATION_NODES
         guard = g.count_guard()
@@ -737,16 +711,19 @@ def partition_sum(system: GdmsSystem, n: int, t: float) -> PartitionSum:
 def partition_sums(system: GdmsSystem, ns, t: float) -> list:
     """[partition_sum(system, n, t) for n in ns], sharing the work across n.
 
-    Similarity transfer sums come from one run of matrix-vector products up
-    to max(ns). A continued-fraction system enumerates its levels once in a
-    single CfPartitionCache, exact per word, and after the count guard trips
-    at some n every n at or above it takes the product bracket.
+    One run of matrix-vector products up to max(ns) gives the sums S_n over
+    the length-n words of the products of one-step norms ||phi_e'||^t.
+    Similarity words have constant derivatives, so S_n = Z_n(t). A
+    continued-fraction word's norm lies within a factor K^(n-1),
+    K = `distortion_constant`, below that product, so Z_n(t) lies in
+    [K^(-t(n-1)) S_n, S_n]; the n that the count guard allows take the exact
+    sums of `_cf_level_sums` instead, with method `enumeration`.
     """
     ns = [int(n) for n in ns]
     if any(n < 1 for n in ns):
         raise InputError("n must be >= 1")
-    if t < 0:
-        raise InputError("t must be >= 0")
+    if not (t >= 0 and math.isfinite(t)):
+        raise InputError(f"t must be finite and >= 0, got {t!r}")
     if not ns:
         return []
     if system.infinite:
@@ -758,26 +735,18 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
         return [PartitionSum(n, t, math.inf, math.inf, RULE_ANALYTIC, divergent=True)
                 for n in ns]
 
-    if system.family.kind == "similarity":
-        sums = _transfer_partition_sums(system, t, max(ns))
-        if not all(math.isfinite(sums[n - 1]) for n in ns):
-            raise ResourceGuardError(f"Z_n({t}) exceeded the overflow budget")
-        return [PartitionSum(n, t, sums[n - 1], sums[n - 1], TRANSFER_MATRIX) for n in ns]
-
-    # continued-fraction family
-    enumerate_up_to = math.inf
-    cache = CfPartitionCache(system)
+    sums = _transfer_partition_sums(system, t, max(ns))
+    if not all(math.isfinite(sums[n - 1]) for n in ns):
+        raise ResourceGuardError(f"Z_n({t}) exceeded the overflow budget")
+    exact = _cf_level_sums(system, ns, t) if system.family.kind == "cf" else {}
+    K = distortion_constant(system.family)
     out = []
     for n in ns:
-        if n <= enumerate_up_to:
-            try:
-                z = cache.partition_sum(n, t)
-                out.append(PartitionSum(n, t, z, z, ENUMERATION))
-                continue
-            except ResourceGuardError:
-                enumerate_up_to = n - 1
-        lo, hi = _cf_product_bracket(system, n, t)
-        out.append(PartitionSum(n, t, lo, hi, TRANSFER_MATRIX))
+        if n in exact:
+            out.append(PartitionSum(n, t, exact[n], exact[n], ENUMERATION))
+        else:
+            S_n = sums[n - 1]
+            out.append(PartitionSum(n, t, S_n * K ** (-t * (n - 1)), S_n, TRANSFER_MATRIX))
     return out
 
 

@@ -104,6 +104,9 @@ CASES = [
      "curve {d}/cf-full2.gdms --tmin 0.25 --tmax 1 --steps 4 --out {d}/curve.csv"),
     ("cf-full2-dim", "dim {d}/cf-full2.gdms"),
     ("cf-full2-classify", "classify {d}/cf-full2.gdms --nmax 5 --out {d}/z.csv"),
+    # the count guard stops enumeration after n = 22; n = 23..30 are product brackets
+    ("cf-full2-classify-switch",
+     "classify {d}/cf-full2.gdms --nmin 20 --nmax 30 --out {d}/z.csv"),
     ("cf-full2-theta", "theta {d}/cf-full2.gdms"),
     ("cf-full2-sample", "sample {d}/cf-full2.gdms --count 4 --depth 6 --seed 5"),
     ("cf-upper4-scc", "scc {d}/cf-upper4.gdms"),
@@ -725,6 +728,35 @@ n,Z_n
 3,1.336163292814309
 4,1.3186008052093836
 5,1.3239979781958739
+""",
+    }),
+    'cf-full2-classify-switch': (0, """\
+command = classify
+spec = {d}/cf-full2.gdms
+spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
+verdict = FiniteHMeasure
+h_lo = 0.53128050602720511
+h_hi = 0.53128050652720504
+maximal_components = 0
+communicating_pairs = -
+growth_slope = 0.16914064867704359
+explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
+csv = {d}/z.csv
+wall_time_s = *
+""", "", {
+        'z.csv': """\
+n,Z_n
+20,1.3227080241678335
+21,1.322708024210991
+22,1.3227080241975362
+23,2.4507632818093663
+24,2.507690724054112
+25,2.5659405027744246
+26,2.6255433338023511
+27,2.6865306464512324
+28,2.7489346000887558
+29,2.8127881010950158
+30,2.878124820214448
 """,
     }),
     'cf-full2-theta': (0, """\

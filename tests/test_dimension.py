@@ -368,14 +368,14 @@ class TestHausdorffClassification:
         # 510, so the guard trips at n = 8 and the product bracket takes over
         monkeypatch.setenv("GDMS_COUNT_GUARD", "400")
         built = []
+        level_sums = thermo._cf_level_sums
 
-        class CountingCache(thermo.CfPartitionCache):
-            def __init__(self, *args, **kwargs):
-                built.append(self)
-                super().__init__(*args, **kwargs)
+        def counting_level_sums(*args, **kwargs):
+            built.append(args)
+            return level_sums(*args, **kwargs)
         sys = cf_sys(truncate=2)
         with monkeypatch.context() as patch:
-            patch.setattr(thermo, "CfPartitionCache", CountingCache)
+            patch.setattr(thermo, "_cf_level_sums", counting_level_sums)
             res = gk.classify_hausdorff_measure(sys)
         assert len(built) == 1
         h = res.dimension.mid

@@ -283,8 +283,7 @@ class TestPressure:
     def test_cf_pressure_against_partition_sums(self, kind, size, t):
         sys = cf_sys(kind, 1, truncate=size)
         est = gk.pressure(sys, t)
-        cache = thermo.CfPartitionCache(sys)
-        z = {n: cache.partition_sum(n, t) for n in range(1, 13)}
+        z = {s.n: s.value for s in thermo.partition_sums(sys, range(1, 13), t)}
         # subadditivity: P <= (1/n) ln Z_n for every n
         assert est.upper <= min(math.log(z[n]) / n for n in z)
         assert abs(0.5 * (est.lower + est.upper) - math.log(z[12] / z[11])) < 1e-2
@@ -306,6 +305,64 @@ def test_pressure_refuses_t_not_finite_and_nonnegative(t):
     for system in (gk.full_shift([0.3, 0.4]), cf_sys(truncate=2)):
         with pytest.raises(gk.InputError, match="t must be finite and >= 0"):
             thermo.pressure(system, t)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5])
+def test_partition_sums_refuse_t_not_finite_and_nonnegative(t):
+    # a similarity system, a continued-fraction truncation and an infinite rule
+    for system in (gk.full_shift([0.3, 0.4]), cf_sys(truncate=2), cf_sys()):
+        with pytest.raises(gk.InputError, match="t must be finite and >= 0"):
+            gk.partition_sum(system, 3, t)
+        with pytest.raises(gk.InputError, match="t must be finite and >= 0"):
+            thermo.partition_sums(system, [1, 3], t)
+
+
+# words per level the enumeration oracle below may walk
+ORACLE_WORDS = 2000
+
+
+@st.composite
+def _cf_partition_cases(draw):
+    """(system, guard, ns): a full, banded (width 1-3) or upper truncation
+    of at most 8 letters, a count guard (None: unset) and a shuffled list
+    of word lengths with a repeat, none with more than ORACLE_WORDS words."""
+    kind = draw(st.sampled_from([gg.FULL, gg.BANDED, gg.UPPER]))
+    width = draw(st.integers(1, 3)) if kind == gg.BANDED else 1
+    system = cf_sys(kind, width, truncate=draw(st.integers(1, 8)))
+    A = system.incidence_matrix
+    counts, row = [], np.ones(len(A))
+    while len(counts) < 12 and row.sum() <= ORACLE_WORDS:
+        counts.append(row.sum())
+        row = row @ A
+    ns = draw(st.lists(st.integers(1, len(counts)), min_size=1, max_size=6))
+    ns = draw(st.permutations(ns + [draw(st.sampled_from(ns))]))
+    return system, draw(st.sampled_from([None, "40", "400"])), ns
+
+
+def _exact_partition_sum(system, n, t):
+    return math.fsum(float(gm.cf_continuants(word)[2]) ** (-2.0 * t)
+                     for word in gg.enumerate_words(system, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cf_partition_cases(), st.floats(0.0, 3.0))
+def test_cf_partition_sums_are_exact_or_bracket_the_exact_sum(case, t):
+    system, guard, ns = case
+    with pytest.MonkeyPatch.context() as patch:
+        if guard is None:
+            patch.delenv("GDMS_COUNT_GUARD", raising=False)
+        else:
+            patch.setenv("GDMS_COUNT_GUARD", guard)
+        sums = thermo.partition_sums(system, ns, t)
+        assert sums == [thermo.partition_sum(system, n, t) for n in ns]
+    for z in sums:
+        exact = _exact_partition_sum(system, z.n, t)
+        if z.method == thermo.ENUMERATION:
+            assert z.lower == z.upper
+            assert abs(z.lower - exact) <= 1e-12 * exact
+        else:
+            assert z.method == thermo.TRANSFER_MATRIX
+            assert z.lower * (1 - 1e-12) <= exact <= z.upper * (1 + 1e-12)
 
 
 class TestCfCollocation:
