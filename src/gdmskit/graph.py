@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import InputError, NotApplicableError, ResourceGuardError
+from .errors import InputError, NotApplicableError, ResourceGuardError, SpecError
 
 DEFAULT_COUNT_GUARD = 10_000_000
 COUNT_GUARD_ENV = "GDMS_COUNT_GUARD"
@@ -64,11 +64,12 @@ EXPLICIT = "explicit"
 
 @dataclass(frozen=True)
 class IncidenceSpec:
-    """Explicit 0/1 matrix over edge ids, or one of three named rules."""
+    """One of three named rules over integer edge ids, or `explicit`: a 0/1
+    matrix given by allow pairs and kept only as the system's incidence
+    matrix (see `incidence_array`)."""
 
     kind: str
     width: int = 0
-    allowed: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.kind not in (FULL, BANDED, UPPER, EXPLICIT):
@@ -77,49 +78,70 @@ class IncidenceSpec:
             raise InputError("banded incidence needs width >= 1")
 
     def allows_labels(self, a, b):
-        """Rule check on raw labels, or elementwise on numeric label arrays
-        for a named rule; explicit matrices use the stored pairs."""
+        """Named-rule check on raw labels, or elementwise on numeric label
+        arrays."""
         if self.kind == FULL:
             return True
         if self.kind == BANDED:
             return abs(a - b) <= self.width
         if self.kind == UPPER:
             return a < b
-        return (a, b) in self.allowed
+        raise NotApplicableError("an explicit incidence has no rule, only allow pairs")
 
 
-def edge_allows(incidence: IncidenceSpec, a: Edge, b: Edge) -> bool:
-    """True when b may follow a. Composition also needs t(a) = i(b)."""
-    return a.dst == b.src and incidence.allows_labels(a.id, b.id)
-
-
-def allow_positions(pairs, position):
+def allow_positions(labels, position):
     """(m, 2) integer array: the positions (`position`: edge id -> position)
-    of the two edges of each of the m label pairs, -1 for an unknown id."""
-    return np.fromiter(map(position.get, chain.from_iterable(pairs), repeat(-1)),
-                       dtype=int, count=2 * len(pairs)).reshape(-1, 2)
+    of the 2m edge ids `labels`, pairs laid out flat (a1, b1, a2, b2, ...),
+    -1 for an unknown id."""
+    return np.fromiter(map(position.get, labels, repeat(-1)),
+                       dtype=int, count=len(labels)).reshape(-1, 2)
 
 
-def incidence_array(incidence, edges, pairs=None):
+def incidence_array(incidence, edges, labels=None, lines=None):
     """0/1 float matrix of the edge graph, rows and columns in the order of
-    `edges`: entry (a, b) is 1 exactly when edge_allows(incidence, a, b).
-
-    An explicit incidence reads its allow pairs from `pairs`, an (m, 2)
-    integer array of edge positions (pairs that name a dropped edge left
-    out); only those m entries are looked at. A named rule applies
+    `edges`. b may follow a only when t(a) = i(b); a named rule applies
     `allows_labels` to all pairs of labels at once.
+
+    An explicit incidence has a 1 at each of its allow pairs, which `labels`
+    holds flat (a1, b1, a2, b2, ...); a repeated pair counts once. A pair
+    that names an unknown edge or whose edges do not meet raises SpecError,
+    for the first such pair in the order of str((a, b)). `lines`, the
+    spec-file line of each pair, puts the line on the error and reports
+    unknown edges as the file is read: the first one in line order.
     """
     vertex = {}
     src = np.array([vertex.setdefault(e.src, len(vertex)) for e in edges], dtype=int)
     dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
-    if incidence.kind == EXPLICIT:
-        pairs = pairs[dst[pairs[:, 0]] == src[pairs[:, 1]]]
-        A = np.zeros((len(edges), len(edges)))
-        A[pairs[:, 0], pairs[:, 1]] = 1.0
-        return A
-    labels = np.array([e.id for e in edges])
-    rule = incidence.allows_labels(labels[:, None], labels[None, :])
-    return ((dst[:, None] == src[None, :]) & rule).astype(float)
+    if labels is None:  # a named rule; `allows_labels` refuses an explicit one
+        ids = np.array([e.id for e in edges])
+        rule = incidence.allows_labels(ids[:, None], ids[None, :])
+        return ((dst[:, None] == src[None, :]) & rule).astype(float)
+    pairs = allow_positions(labels, {e.id: k for k, e in enumerate(edges)})
+    unknown = (pairs < 0).any(axis=1)
+    bad = unknown.copy()
+    bad[~unknown] = dst[pairs[~unknown, 0]] != src[pairs[~unknown, 1]]
+    if bad.any():
+        raise _allow_pair_error(edges, labels, pairs, unknown, bad, lines)
+    A = np.zeros((len(edges), len(edges)))
+    A[pairs[:, 0], pairs[:, 1]] = 1.0
+    return A
+
+
+def _allow_pair_error(edges, labels, pairs, unknown, bad, lines):
+    """The SpecError `incidence_array` raises for the allow pairs flagged in
+    `bad`, those in `unknown` naming an unknown edge."""
+    if lines is not None and unknown.any():
+        k = int(unknown.argmax())
+        return SpecError(f"allow pair names unknown edge ({labels[2 * k]!r}, "
+                         f"{labels[2 * k + 1]!r})", lines[k])
+    k = min(np.flatnonzero(bad).tolist(), key=lambda k: str((labels[2 * k], labels[2 * k + 1])))
+    a, b = labels[2 * k], labels[2 * k + 1]
+    line = None if lines is None else lines[k]
+    if unknown[k]:
+        return SpecError(f"allow pair ({a!r}, {b!r}) names an unknown edge", line)
+    return SpecError(f"allow pair ({a!r}, {b!r}) is incompatible: terminal vertex of {a!r} "
+                     f"is {edges[pairs[k, 0]].dst!r} but initial vertex of {b!r} is "
+                     f"{edges[pairs[k, 1]].src!r}", line)
 
 
 def is_admissible(system, word) -> bool:
@@ -132,11 +154,12 @@ def is_admissible(system, word) -> bool:
             if not isinstance(e, int) or e < 1:
                 raise InputError(f"unknown edge id {e!r}")
         return all(system.incidence.allows_labels(a, b) for a, b in zip(word, word[1:]))
-    by_id = system.edges_by_id
+    index = system.edge_index
     for e in word:
-        if e not in by_id:
+        if e not in index:
             raise InputError(f"unknown edge id {e!r}")
-    return all(edge_allows(system.incidence, by_id[a], by_id[b]) for a, b in zip(word, word[1:]))
+    A = system.incidence_matrix
+    return all(A[index[a], index[b]] for a, b in zip(word, word[1:]))
 
 
 def enumerate_words(system, n: int, limit: int | None = None):

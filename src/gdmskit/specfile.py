@@ -11,7 +11,8 @@ whitespace):
     allow <a> <b>              (explicit incidence only)
 
 Unknown keywords are rejected with their line number; nothing is silently
-ignored.
+ignored. An allow pair that is repeated is accepted and counts once: the
+incidence matrix has a single 1 there.
 """
 
 from __future__ import annotations
@@ -47,21 +48,21 @@ def parse_spec(text: str):
     edges = []          # (line, id, src, dst, SimilarityMap)
     family_cf = None    # None | (line, truncate or None)
     incidence = None    # (line, kind, width)
-    allows = []         # (a, b)
+    labels = []         # the allow pairs laid out flat: a1, b1, a2, b2, ...
     allow_lines = []    # the line of each allow pair
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = stripped.split()
         keyword, args = tokens[0], tokens[1:]
 
-        # allow lines are most of a large spec, so they are matched first
+        # allow lines are most of a large spec, so they are matched first;
+        # their labels are resolved in bulk by `graph.incidence_array`
         if keyword == "allow":
             if len(args) != 2:
                 raise SpecError("usage: allow <a> <b>", lineno)
-            allows.append((args[0], args[1]))
+            labels += args
             allow_lines.append(lineno)
         elif keyword == "system":
             if name is not None:
@@ -130,16 +131,16 @@ def parse_spec(text: str):
         else:
             raise SpecError(f"unknown keyword {keyword!r}", lineno)
 
-    return _assemble(name, spaces, edges, family_cf, incidence, allows, allow_lines)
+    return _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines)
 
 
-def _assemble(name, spaces, edges, family_cf, incidence, allows, allow_lines):
+def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
     if incidence is None:
         raise SpecError("missing incidence directive")
     inc_line, kind, width = incidence
-    if allows and kind != g.EXPLICIT:
+    if labels and kind != g.EXPLICIT:
         raise SpecError("allow lines need 'incidence explicit'", allow_lines[0])
-    if kind == g.EXPLICIT and not allows:
+    if kind == g.EXPLICIT and not labels:
         raise SpecError("explicit incidence needs at least one allow line", inc_line)
     name = name or "unnamed"
 
@@ -157,8 +158,7 @@ def _assemble(name, spaces, edges, family_cf, incidence, allows, allow_lines):
             if not (space.lo == 0.0 and space.hi == 1.0):
                 raise SpecError("the cf family needs the space [0, 1]", fam_line)
         system = cf_system(g.IncidenceSpec(kind, width), truncate=truncate, name=name)
-        validated, warnings = validate(system)
-        return validated, warnings
+        return validate(system)
 
     if not edges:
         raise SpecError("no edges and no family directive")
@@ -185,24 +185,14 @@ def _assemble(name, spaces, edges, family_cf, incidence, allows, allow_lines):
                     lineno) from None
         edges = converted
 
-    # each allow pair as the positions of its two edges (-1 for an unknown
-    # label), which the system's incidence matrix is filled from
-    position = {eid: k for k, (_, eid, _, _, _) in enumerate(edges)}
-    pairs = g.allow_positions(allows, position)
-    unknown = np.flatnonzero((pairs < 0).any(axis=1))
-    if unknown.size:
-        a, b = allows[unknown[0]]
-        raise SpecError(f"allow pair names unknown edge ({a!r}, {b!r})",
-                        allow_lines[unknown[0]])
-
-    spec = g.IncidenceSpec(kind, width, frozenset(allows))
+    spec = g.IncidenceSpec(kind, width)
     graph = g.MultiGraph(tuple(sorted(spaces)),
                          tuple(g.Edge(eid, src, dst) for _, eid, src, dst, _ in edges))
     family = m.SimilarityFamily({eid: sim for _, eid, _, _, sim in edges})
     system = GdmsSystem(name=name, graph=graph, incidence=spec,
                         family=family, spaces=dict(spaces))
     if kind == g.EXPLICIT:
-        system._dense_arrays(pairs)
+        system._set_matrix(g.incidence_array(spec, graph.edges, labels, allow_lines))
     return validate(system)
 
 
@@ -232,6 +222,11 @@ def serialize_spec(system: GdmsSystem) -> str:
         lines.append("incidence upper")
     else:
         lines.append("incidence explicit")
-        for a, b in sorted(inc.allowed, key=lambda p: (str(p[0]), str(p[1]))):
-            lines.append(f"allow {a} {b}")
+        # A with its edges in str order of their ids, so that the pairs of
+        # its nonzero entries come sorted by (str(a), str(b))
+        ids = system.edge_ids
+        order = sorted(range(len(ids)), key=lambda k: str(ids[k]))
+        rows, cols = np.nonzero(system.incidence_matrix[np.ix_(order, order)])
+        named = [ids[k] for k in order]
+        lines += [f"allow {named[a]} {named[b]}" for a, b in zip(rows.tolist(), cols.tolist())]
     return "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ class GdmsSystem:
     # Built on first use. init=False keeps them out of `replace`, so every
     # derived system (subsystem, truncate) starts with empty caches; a
     # finite `subsystem` then fills `_dense` with slices of its parent's
-    # arrays.
+    # arrays, and an explicit incidence fills it when the system is made.
     _successors: tuple = field(default=None, init=False, repr=False, compare=False)
     _sccs: tuple = field(default=None, init=False, repr=False, compare=False)
     _cyclic: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -63,24 +63,20 @@ class GdmsSystem:
     def edges_by_id(self):
         return self._id_maps()[1]
 
-    def _dense_arrays(self, allow_positions=None):
-        """(incidence_matrix, log_norms), built on the first call. An
-        explicit incidence's allow pairs are looked up in `edge_index`
-        unless the first caller passes their positions, an (m, 2) integer
-        array, as `parse_spec` does."""
+    def _dense_arrays(self):
+        """(incidence_matrix, log_norms), built on the first call from a
+        named rule. An explicit incidence has no rule: its matrix is set by
+        `_set_matrix` when the system is made."""
         if self.infinite:
             raise NotApplicableError("the edge graph needs a finite edge set")
         if self._dense is None:
-            if allow_positions is None and self.incidence.kind == g.EXPLICIT:
-                # a pair that names a dropped edge has no entry
-                allow_positions = g.allow_positions(self.incidence.allowed, self.edge_index)
-                allow_positions = allow_positions[(allow_positions >= 0).all(axis=1)]
-            A = g.incidence_array(self.incidence, self.graph.edges, allow_positions)
-            log_norms = np.array([self.family.one_step_log_norm(e)
-                                  for e in self.edge_ids])
-            A.flags.writeable = log_norms.flags.writeable = False
-            self._dense = (A, log_norms)
+            self._set_matrix(g.incidence_array(self.incidence, self.graph.edges))
         return self._dense
+
+    def _set_matrix(self, A):
+        log_norms = np.array([self.family.one_step_log_norm(e) for e in self.edge_ids])
+        A.flags.writeable = log_norms.flags.writeable = False
+        self._dense = (A, log_norms)
 
     @property
     def incidence_matrix(self):
@@ -165,8 +161,7 @@ class GdmsSystem:
         """Subsystem on the edges at the ascending positions `idx`.
 
         A finite subsystem slices this system's incidence matrix and log
-        norms at those positions instead of rebuilding them, and an
-        explicit incidence keeps the allow pairs of the sliced entries.
+        norms at those positions instead of rebuilding them.
         """
         edges = tuple(self.graph.edges[k] for k in idx)
         graph = g.MultiGraph(self.graph.vertices, edges)
@@ -176,13 +171,7 @@ class GdmsSystem:
         idx = np.array(idx, dtype=int)
         sub_A, sub_log_norms = A[np.ix_(idx, idx)], log_norms[idx]
         sub_A.flags.writeable = sub_log_norms.flags.writeable = False
-        incidence = self.incidence
-        if incidence.kind == g.EXPLICIT:
-            ids = [e.id for e in edges]
-            rows, cols = np.nonzero(sub_A)
-            incidence = replace(incidence, allowed=frozenset(zip(
-                map(ids.__getitem__, rows.tolist()), map(ids.__getitem__, cols.tolist()))))
-        sub = replace(self, graph=graph, incidence=incidence)
+        sub = replace(self, graph=graph)
         sub._dense = (sub_A, sub_log_norms)
         return sub
 
@@ -272,16 +261,25 @@ def cf_system(incidence: g.IncidenceSpec, truncate: int | None = None,
     return sys
 
 
-def similarity_system(name, vertices, spaces, edges, incidence) -> GdmsSystem:
+def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> GdmsSystem:
     """Build a finite similarity system.
 
     edges: iterable of (id, src, dst, SimilarityMap).
+    allow: the (a, b) edge-id pairs of an explicit incidence, b allowed to
+    follow a. A pair that names an unknown edge or whose edges do not meet
+    raises SpecError (see `graph.incidence_array`).
     """
     edge_objs = tuple(g.Edge(eid, src, dst) for eid, src, dst, _ in edges)
     fam = m.SimilarityFamily({eid: sm for eid, _, _, sm in edges})
-    return GdmsSystem(name=name, graph=g.MultiGraph(tuple(vertices), edge_objs),
-                      incidence=incidence, family=fam,
-                      spaces=dict(spaces), infinite=False)
+    system = GdmsSystem(name=name, graph=g.MultiGraph(tuple(vertices), edge_objs),
+                        incidence=incidence, family=fam,
+                        spaces=dict(spaces), infinite=False)
+    if incidence.kind == g.EXPLICIT:
+        labels = [label for a, b in allow for label in (a, b)]
+        system._set_matrix(g.incidence_array(incidence, edge_objs, labels))
+    elif allow:
+        raise InputError("allow pairs need an explicit incidence")
+    return system
 
 
 def full_shift(ratios, offsets=None, signs=None, lo=0.0, hi=1.0, name="full-shift"):
@@ -327,29 +325,12 @@ def prune(system: GdmsSystem):
 def validate(system: GdmsSystem):
     """Run load-time checks; returns (system, warnings).
 
-    Checks: explicit-incidence compatibility, contraction, image containment,
-    successor pruning (explicit incidence only: rule truncations keep their
-    edges so structural reports stay meaningful), and a level-1
-    interior-overlap sanity check (warning only).
+    Checks: contraction, image containment, successor pruning (explicit
+    incidence only: rule truncations keep their edges so structural reports
+    stay meaningful), and a level-1 interior-overlap sanity check (warning
+    only).
     """
     warnings = []
-    allowed = system.incidence.allowed
-    # A pair gives an entry of the incidence matrix exactly when it names two
-    # edges that compose, so the pairs are looked at one by one only when the
-    # count falls short.
-    if system.incidence.kind == g.EXPLICIT and (
-            system.infinite or system.incidence_matrix.sum() != len(allowed)):
-        by_id = system.edges_by_id
-        bad = [(a, b) for a, b in allowed
-               if a not in by_id or b not in by_id or by_id[a].dst != by_id[b].src]
-        if bad:
-            a, b = min(bad, key=str)  # the first failing pair in str order
-            if a not in by_id or b not in by_id:
-                raise SpecError(f"allow pair ({a!r}, {b!r}) names an unknown edge")
-            raise SpecError(
-                f"allow pair ({a!r}, {b!r}) is incompatible: terminal vertex of "
-                f"{a!r} is {by_id[a].dst!r} but initial vertex of {b!r} is {by_id[b].src!r}")
-
     if system.family.kind == "similarity":
         edges = system.graph.edges
         los, his = system.word_intervals(np.arange(len(edges))[:, None])

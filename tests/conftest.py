@@ -37,7 +37,7 @@ def two_component_system(r1=1 / 3, r2=1 / 4, linked=False):
         ("d", "v", "v", gm.SimilarityMap(r2, 1.0 - r2)),
     ]
     return gs.similarity_system("two-component", ("v",), {"v": space}, edges,
-                                gg.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(allowed)))
+                                gg.IncidenceSpec(gg.EXPLICIT), allowed)
 
 
 def feeder_system():
@@ -51,7 +51,7 @@ def feeder_system():
         ("x2", "v", "v", gm.SimilarityMap(1 / 2, 1 / 2)),
     ]
     return gs.similarity_system("feeder", ("v",), {"v": space}, edges,
-                                gg.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(allowed)))
+                                gg.IncidenceSpec(gg.EXPLICIT), allowed)
 
 
 def packed_system(name, ratios, allowed):
@@ -63,7 +63,7 @@ def packed_system(name, ratios, allowed):
         edges.append((eid, "v", "v", gm.SimilarityMap(ratio, cursor)))
         cursor += ratio
     return gs.similarity_system(name, ("v",), {"v": space}, edges,
-                                gg.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(allowed)))
+                                gg.IncidenceSpec(gg.EXPLICIT), allowed)
 
 
 def mirrored_blocks_system():
@@ -89,6 +89,12 @@ def period_two_system():
 
 def random_packed_system(rng, max_edges=6):
     """Random explicit-incidence similarity system with disjoint level-1 images."""
+    made = random_packed_system_and_pairs(rng, max_edges)
+    return None if made is None else made[0]
+
+
+def random_packed_system_and_pairs(rng, max_edges=6):
+    """(`random_packed_system`, the set of allow pairs it was made from)."""
     n_vertices = rng.randint(1, 3)
     vertices = tuple(f"v{k}" for k in range(n_vertices))
     spaces = {v: gm.VertexSpace(v, 0.0, 1.0) for v in vertices}
@@ -114,7 +120,7 @@ def random_packed_system(rng, max_edges=6):
     if not allowed:
         return None
     return gs.similarity_system("random", vertices, spaces, edges,
-                                gg.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(allowed)))
+                                gg.IncidenceSpec(gg.EXPLICIT), allowed), allowed
 
 
 def random_graph_complete_system(rng, max_edges=6):

@@ -11,7 +11,7 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import system as gs
-from conftest import random_graph_complete_system, random_packed_system
+from conftest import random_graph_complete_system, random_packed_system_and_pairs
 
 # image ends on a grid of eighths, nudged around the 1e-12 overlap threshold,
 # so that images touch, share lower ends and nest
@@ -80,12 +80,18 @@ def test_osc_sweep_threshold_cases():
         "images of edges 'r' and 's'"]
 
 
-def _fresh(system, keep):
+def _fresh(system, keep, allowed=None):
     """The subsystem on `keep` with nothing carried over: its incidence
-    matrix comes from `graph.incidence_array`."""
+    matrix comes from the named rule or, for an explicit incidence, from
+    `allowed`, the allow pairs the system was made from."""
     keep = set(keep)
     edges = tuple(e for e in system.graph.edges if e.id in keep)
-    return replace(system, graph=gg.MultiGraph(system.graph.vertices, edges))
+    if allowed is None:
+        return replace(system, graph=gg.MultiGraph(system.graph.vertices, edges))
+    return gk.similarity_system(
+        system.name, system.graph.vertices, system.spaces,
+        [(e.id, e.src, e.dst, system.family.map_for(e.id)) for e in edges],
+        system.incidence, {(a, b) for a, b in allowed if a in keep and b in keep})
 
 
 def _assert_same_edge_graph(sliced, fresh):
@@ -111,18 +117,18 @@ def _subsets(rng, system):
 def test_sliced_restriction_equals_fresh_build_explicit(rng):
     checked = 0
     while checked < 40:
-        make = (random_packed_system, random_graph_complete_system)[checked % 2]
-        system = make(rng, max_edges=9)
+        if checked % 2:
+            system, allowed = random_graph_complete_system(rng, max_edges=9), None
+        else:
+            system, allowed = random_packed_system_and_pairs(rng, max_edges=9) or (None, None)
         if system is None:
             continue
         checked += 1
         for keep in _subsets(rng, system):
             sub = system.restrict(keep)
-            _assert_same_edge_graph(sub, _fresh(system, keep))
-            if system.incidence.kind == gg.EXPLICIT:
-                kept = set(sub.edge_ids)
-                assert sub.incidence.allowed == frozenset(
-                    (a, b) for a, b in system.incidence.allowed if a in kept and b in kept)
+            fresh = _fresh(system, keep, allowed)
+            _assert_same_edge_graph(sub, fresh)
+            assert gk.serialize_spec(sub) == gk.serialize_spec(fresh)
 
 
 @pytest.mark.parametrize("kind,width", [(gg.FULL, 0), (gg.BANDED, 1), (gg.BANDED, 2)])

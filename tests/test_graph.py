@@ -4,7 +4,8 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from conftest import (two_component_system, feeder_system, packed_system,
-                      random_graph_complete_system, random_packed_system)
+                      random_graph_complete_system, random_packed_system,
+                      random_packed_system_and_pairs)
 
 
 def banded_cf(width=1, truncate=None):
@@ -33,9 +34,17 @@ class TestAdmissibility:
             gk.is_admissible(upper_cf(), (0, 1))
 
 
-def _successors_by_definition(system):
+def _successors_by_definition(system, allowed=None):
+    """b follows a when t(a) = i(b) and the labels are allowed: by the
+    named rule, or by `allowed`, the allow pairs an explicit system was made
+    from. The incidence matrix is not read."""
+    def allows(a, b):
+        if system.incidence.kind == gg.EXPLICIT:
+            return (a.id, b.id) in allowed
+        return system.incidence.allows_labels(a.id, b.id)
+
     edges = system.graph.edges
-    return {a.id: tuple(b.id for b in edges if gg.edge_allows(system.incidence, a, b))
+    return {a.id: tuple(b.id for b in edges if a.dst == b.src and allows(a, b))
             for a in edges}
 
 
@@ -43,27 +52,40 @@ class TestSuccessorMap:
     def test_matches_edge_allows_on_random_systems(self, rng):
         checked = 0
         while checked < 20:
-            make = (random_packed_system, random_graph_complete_system)[checked % 2]
-            sys = make(rng)
+            if checked % 2:
+                sys, allowed = random_graph_complete_system(rng), None
+            else:
+                sys, allowed = random_packed_system_and_pairs(rng) or (None, None)
             if sys is None:
                 continue
             checked += 1
-            assert sys.successor_map == _successors_by_definition(sys)
+            assert sys.successor_map == _successors_by_definition(sys, allowed)
             # allow pairs that name dropped edges are ignored
             keep = rng.sample(sys.edge_ids, rng.randint(1, len(sys.edge_ids)))
             sub = sys.restrict(keep)
-            assert sub.successor_map == _successors_by_definition(sub)
+            assert sub.successor_map == _successors_by_definition(sub, allowed)
 
     def test_explicit_pairs_need_matching_vertices(self):
         space = {v: gm.VertexSpace(v, 0.0, 1.0) for v in ("u", "w")}
         edges = [("p", "u", "w", gm.SimilarityMap(0.3, 0.0)),
                  ("q", "w", "u", gm.SimilarityMap(0.3, 0.0)),
                  ("r", "u", "u", gm.SimilarityMap(0.3, 0.5))]
-        allowed = frozenset((a, b) for a in "pqr" for b in "pqr")
+        every_pair = {(a, b) for a in "pqr" for b in "pqr"}
+        with pytest.raises(gk.SpecError, match=r"allow pair \('p', 'p'\) is incompatible"):
+            gk.similarity_system("two-vertex", ("u", "w"), space, edges,
+                                 gk.IncidenceSpec(gg.EXPLICIT), every_pair)
+        allowed = {("p", "q"), ("q", "p"), ("q", "r"), ("r", "p"), ("r", "r")}
         sys = gk.similarity_system("two-vertex", ("u", "w"), space, edges,
-                                   gk.IncidenceSpec(gg.EXPLICIT, allowed=allowed))
+                                   gk.IncidenceSpec(gg.EXPLICIT), allowed)
         assert sys.successor_map == {"p": ("q",), "q": ("p", "r"), "r": ("p", "r")}
-        assert sys.successor_map == _successors_by_definition(sys)
+        assert sys.successor_map == _successors_by_definition(sys, allowed)
+
+    def test_allow_pairs_need_explicit_incidence(self):
+        space = {"v": gm.VertexSpace("v", 0.0, 1.0)}
+        edges = [("p", "v", "v", gm.SimilarityMap(0.3, 0.0))]
+        with pytest.raises(gk.InputError, match="explicit incidence"):
+            gk.similarity_system("full", ("v",), space, edges, gk.IncidenceSpec(gg.FULL),
+                                 {("p", "p")})
 
     @pytest.mark.parametrize("kind,width", [(gg.FULL, 0), (gg.BANDED, 1),
                                             (gg.BANDED, 3), (gg.UPPER, 0)])
@@ -326,8 +348,7 @@ class TestMatrixProperties:
         edges = [("e1", "v", "v", gm.SimilarityMap(1 / 3, 0.0)),
                  ("e2", "v", "v", gm.SimilarityMap(1 / 3, 2 / 3))]
         sys = gs.similarity_system("alt", ("v",), {"v": space}, edges,
-                                   gk.IncidenceSpec(gg.EXPLICIT,
-                                                    allowed=frozenset({("e1", "e2"), ("e2", "e1")})))
+                                   gk.IncidenceSpec(gg.EXPLICIT), {("e1", "e2"), ("e2", "e1")})
         props = gk.matrix_properties(sys)
         assert props.irreducible
         assert not props.primitive

@@ -54,7 +54,7 @@ class TestSampling:
             "dead-end", ("v",), {"v": space},
             [("a", "v", "v", gk.SimilarityMap(0.5, 0.0)),
              ("d", "v", "v", gk.SimilarityMap(0.25, 0.5))],
-            gk.IncidenceSpec(gg.EXPLICIT, allowed=frozenset({("a", "a"), ("a", "d")})))
+            gk.IncidenceSpec(gg.EXPLICIT), {("a", "a"), ("a", "d")})
         sample = gk.sample_points(sys, 20, 30, seed=4)
         assert [e.word for e in sample.entries] == [("a",) * 30] * 20
 
@@ -165,7 +165,7 @@ def _explicit_similarity_systems(draw):
     composable = [(a[0], b[0]) for a in edges for b in edges if a[2] == b[1]]
     allowed = frozenset(pair for pair in composable if draw(st.booleans()))
     return gk.similarity_system("walks", vertices, spaces, edges,
-                                gk.IncidenceSpec(gg.EXPLICIT, allowed=allowed))
+                                gk.IncidenceSpec(gg.EXPLICIT), allowed)
 
 
 def _cf_truncations():

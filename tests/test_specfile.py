@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import gdmskit as gk
@@ -83,7 +84,7 @@ class TestParsing:
         sys2, _ = gk.parse_spec(text)
         assert gk.serialize_spec(sys2) == text
         assert sys2.edge_ids == sys1.edge_ids == ("a", "b", "x1", "x2")
-        assert sys2.incidence.allowed == sys1.incidence.allowed
+        assert np.array_equal(sys2.incidence_matrix, sys1.incidence_matrix)
         assert sys2.successor_map == sys1.successor_map
 
     def test_truncated_cf_round_trip(self):
@@ -99,6 +100,16 @@ class TestParsing:
         sys, _ = gk.parse_spec(TWO_COMPONENT)
         assert gk.is_admissible(sys, ("b", "c"))
         assert not gk.is_admissible(sys, ("c", "a"))
+
+    def test_duplicate_allow_lines_count_once(self):
+        text = TWO_COMPONENT.replace("allow b c\n", "allow b c\nallow b c  # again\nallow b c\n")
+        sys_dup, warnings = gk.parse_spec(text)
+        sys, plain_warnings = gk.parse_spec(TWO_COMPONENT)
+        assert warnings == plain_warnings
+        assert sys_dup.incidence_matrix[1, 2] == 1.0
+        assert np.array_equal(sys_dup.incidence_matrix, sys.incidence_matrix)
+        assert gk.serialize_spec(sys_dup) == gk.serialize_spec(sys)
+        assert gk.serialize_spec(sys_dup).count("allow b c\n") == 1
 
     def test_comments_and_blank_lines_ignored(self):
         text = CANTOR.replace("incidence full", "\n# note\nincidence full  # trailing")
@@ -160,6 +171,26 @@ allow a b
 """
         self.reject(text, "compat")
 
+    def test_incompatible_allow_pair_carries_its_line(self):
+        # a runs u -> w, so it cannot follow itself; the pair is on line 8
+        text = """\
+system bad
+space u 0 1
+space w 0 1
+edge a u w similarity 0.5 0 1
+edge b w u similarity 0.5 0 1
+incidence explicit
+allow a b
+allow a a
+allow b a
+"""
+        self.reject(text, "allow pair ('a', 'a') is incompatible", line=8)
+
+    def test_unknown_allow_label_carries_its_line(self):
+        self.reject(CANTOR.replace("incidence full", "incidence explicit")
+                    + "allow e1 e2\nallow e2 zz\nallow aa e1\n",
+                    "allow pair names unknown edge ('e2', 'zz')", line=7)
+
     def test_first_failing_allow_pair_in_str_order(self):
         # ('a', 'a') and ('b', 'b') break the vertex structure and
         # ('zz', 'a') names no edge; the pairs are reported in str order
@@ -169,10 +200,9 @@ allow a b
                  ("c", "u", "u", gm.SimilarityMap(0.3, 0.5))]
 
         def check(pairs, fragment):
-            sys = gk.similarity_system("bad", ("u", "w"), space, edges,
-                                       gk.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(pairs)))
             with pytest.raises(gk.SpecError) as exc:
-                gk.validate(sys)
+                gk.similarity_system("bad", ("u", "w"), space, edges,
+                                     gk.IncidenceSpec(gg.EXPLICIT), pairs)
             assert str(exc.value) == fragment
 
         good = {("a", "b"), ("b", "a"), ("c", "c"), ("b", "c")}
@@ -182,7 +212,7 @@ allow a b
         check(good | {("A", "a"), ("a", "a")},
               "allow pair ('A', 'a') names an unknown edge")
         sys = gk.similarity_system("good", ("u", "w"), space, edges,
-                                   gk.IncidenceSpec(gg.EXPLICIT, allowed=frozenset(good)))
+                                   gk.IncidenceSpec(gg.EXPLICIT), good)
         assert gk.validate(sys)[0].successor_map == {"a": ("b",), "b": ("a", "c"), "c": ("c",)}
 
     def test_nan_offset_refused(self):
