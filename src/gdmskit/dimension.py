@@ -204,10 +204,8 @@ def _certified_dimension(blocks, roots, tolerance, full_shift=False):
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
 
-    def bounds(t):
-        brackets = [block.certified_pressure(t) for block in blocks]
-        return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
-    lo, hi, n = _certified_bracket(bounds, max(root for root, _ in roots), tolerance)
+    lo, hi, n = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
+                                   max(root for root, _ in roots), tolerance)
     method = PERRON_NEWTON if isinstance(blocks[0], thermo.PerronBlock) else COLLOCATION_NEWTON
     if full_shift:
         moran, _ = _component_root(

@@ -105,11 +105,16 @@ def sample_from_points(points, anchor: float = 0.0,
 
 def box_dimension(sample: LimitPointSample, scales) -> BoxCount:
     """Occupied-box counts on a grid anchored at the vertex-space lower end,
-    with the least-squares slope of log N against log(1/scale)."""
+    with the least-squares slope of log N against log(1/scale). Raises
+    InputError for a point, scale or anchor that is not finite, or a
+    position error bound that is not finite and >= 0."""
     points = np.asarray(sample.points, dtype=float)
     if points.size < 1000:
         raise InputError("box counting needs at least 1000 points")
     scales = [float(s) for s in scales]
+    if not (np.isfinite(points).all() and np.isfinite(scales).all()
+            and math.isfinite(sample.anchor) and 0 <= sample.diameter_bound < math.inf):
+        raise InputError("box counting needs finite points, scales, anchor and error bound >= 0")
     if any(s <= 0 for s in scales) or any(b >= a for a, b in zip(scales, scales[1:])):
         raise InputError("scales must be positive and strictly decreasing")
     floor = 10.0 * sample.diameter_bound

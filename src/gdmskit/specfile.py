@@ -192,7 +192,7 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
     system = GdmsSystem(name=name, graph=graph, incidence=spec,
                         family=family, spaces=dict(spaces))
     if kind == g.EXPLICIT:
-        system._set_matrix(g.incidence_array(spec, graph.edges, labels, allow_lines))
+        system.store_matrix(g.incidence_array(spec, graph.edges, labels, allow_lines))
     return validate(system)
 
 

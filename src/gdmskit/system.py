@@ -8,7 +8,8 @@ left infinite (integer labels) and truncated on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,22 +20,18 @@ from .errors import DomainError, InputError, NotApplicableError, SpecError
 
 @dataclass
 class GdmsSystem:
+    """A graph-directed Markov system: multigraph, incidence, contraction
+    family and vertex spaces. Its views of the edge graph, from `edge_index`
+    to `components`, are `functools.cached_property`s, built on first use
+    (or given to `store_matrix`) and not to be modified; every derived
+    system is a `dataclasses.replace` copy and starts with empty caches."""
+
     name: str
     graph: g.MultiGraph
     incidence: g.IncidenceSpec
     family: object  # SimilarityFamily | MoebiusCfFamily
     spaces: dict    # vertex id -> VertexSpace
     infinite: bool = False
-    # Built on first use. init=False keeps them out of `replace`, so every
-    # derived system (subsystem, truncate) starts with empty caches; a
-    # finite `subsystem` then fills `_dense` with slices of its parent's
-    # arrays, and an explicit incidence fills it when the system is made.
-    _successors: tuple = field(default=None, init=False, repr=False, compare=False)
-    _sccs: tuple = field(default=None, init=False, repr=False, compare=False)
-    _cyclic: tuple = field(default=None, init=False, repr=False, compare=False)
-    _components: tuple = field(default=None, init=False, repr=False, compare=False)
-    _ids: tuple = field(default=None, init=False, repr=False, compare=False)
-    _dense: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.graph.vertices:
@@ -47,62 +44,46 @@ class GdmsSystem:
     def edge_ids(self):
         return tuple(e.id for e in self.graph.edges)
 
-    def _id_maps(self):
-        if self._ids is None:
-            edges = self.graph.edges
-            self._ids = ({e.id: k for k, e in enumerate(edges)},
-                         {e.id: e for e in edges})
-        return self._ids
-
-    @property
+    @cached_property
     def edge_index(self):
         """edge id -> row and column of the edge in `incidence_matrix`."""
-        return self._id_maps()[0]
+        return {e.id: k for k, e in enumerate(self.graph.edges)}
 
-    @property
+    @cached_property
     def edges_by_id(self):
-        return self._id_maps()[1]
+        return {e.id: e for e in self.graph.edges}
 
-    def _dense_arrays(self):
-        """(incidence_matrix, log_norms), built on the first call from a
-        named rule. An explicit incidence has no rule: its matrix is set by
-        `_set_matrix` when the system is made."""
+    @cached_property
+    def incidence_matrix(self):
+        """Read-only 0/1 matrix of the edge graph, rows and columns in edge
+        order, built from a named rule. An explicit incidence has no rule:
+        its matrix is given to `store_matrix` when the system is made."""
         if self.infinite:
             raise NotApplicableError("the edge graph needs a finite edge set")
-        if self._dense is None:
-            self._set_matrix(g.incidence_array(self.incidence, self.graph.edges))
-        return self._dense
+        return _read_only(g.incidence_array(self.incidence, self.graph.edges))
 
-    def _set_matrix(self, A):
-        log_norms = np.array([self.family.one_step_log_norm(e) for e in self.edge_ids])
-        A.flags.writeable = log_norms.flags.writeable = False
-        self._dense = (A, log_norms)
+    def store_matrix(self, A):
+        """Make A, marked read-only, this system's `incidence_matrix`."""
+        self.__dict__["incidence_matrix"] = _read_only(A)
 
-    @property
-    def incidence_matrix(self):
-        """Read-only 0/1 matrix of the edge graph, rows and columns in edge order."""
-        return self._dense_arrays()[0]
-
-    @property
+    @cached_property
     def log_norms(self):
         """Read-only vector of ln ||phi_e'|| in edge order."""
-        return self._dense_arrays()[1]
+        if self.infinite:
+            raise NotApplicableError("the edge graph needs a finite edge set")
+        return _read_only(np.array([self.family.one_step_log_norm(e) for e in self.edge_ids]))
 
-    @property
+    @cached_property
     def successors(self):
         """The edge graph by position: entry k lists the positions of the
         edges allowed to follow edge k, ascending, i.e. the nonzero columns
         of row k of `incidence_matrix`. Shared by every reader; not to be
         modified."""
-        if self.infinite:
-            raise NotApplicableError("successor lists need a finite edge set")
-        if self._successors is None:
-            A = self.incidence_matrix
-            rows, cols = np.nonzero(A)
-            ends = np.searchsorted(rows, np.arange(len(A) + 1)).tolist()
-            cols = cols.tolist()
-            self._successors = tuple(cols[a:b] for a, b in zip(ends, ends[1:]))
-        return self._successors
+        A = self.incidence_matrix
+        rows, cols = np.nonzero(A)
+        ends = np.searchsorted(rows, np.arange(len(A) + 1)).tolist()
+        cols = cols.tolist()
+        return tuple(cols[a:b] for a, b in zip(ends, ends[1:]))
 
     @property
     def successor_map(self):
@@ -111,32 +92,25 @@ class GdmsSystem:
         ids = self.edge_ids
         return {a: tuple(map(ids.__getitem__, row)) for a, row in zip(ids, self.successors)}
 
-    @property
+    @cached_property
     def sccs(self):
         """Every strongly connected component of the edge graph as a tuple
         of positions, sink first: the output of one `graph.tarjan_scc`
         pass, from which `components` and `graph.scc_decompose` both read."""
-        if self._sccs is None:
-            self._sccs = tuple(map(tuple, g.tarjan_scc(self.successors)))
-        return self._sccs
+        return tuple(map(tuple, g.tarjan_scc(self.successors)))
 
-    @property
+    @cached_property
     def component_positions(self):
         """Sorted positions of each strongly connected component that
         carries a cycle, ordered by their first (see
         `graph.cyclic_components`)."""
-        if self._cyclic is None:
-            self._cyclic = g.cyclic_components(self.successors, self.sccs)
-        return self._cyclic
+        return g.cyclic_components(self.successors, self.sccs)
 
-    @property
+    @cached_property
     def components(self):
         """Edge-id sets of `component_positions`, in their order."""
-        if self._components is None:
-            ids = self.edge_ids
-            self._components = tuple(frozenset(map(ids.__getitem__, comp))
-                                     for comp in self.component_positions)
-        return self._components
+        ids = self.edge_ids
+        return tuple(frozenset(map(ids.__getitem__, comp)) for comp in self.component_positions)
 
     @property
     def irreducible(self) -> bool:
@@ -144,12 +118,6 @@ class GdmsSystem:
         carries a cycle, i.e. the incidence matrix is irreducible."""
         cyclic = self.component_positions
         return len(cyclic) == 1 and len(cyclic[0]) == len(self.graph.edges)
-
-    def component_blocks(self):
-        """(A_k, log r_k) of each of `components`: the diagonal block of
-        `incidence_matrix` and the entries of `log_norms` for its edges."""
-        return [(self.incidence_matrix[np.ix_(idx, idx)], self.log_norms[list(idx)])
-                for idx in self.component_positions]
 
     def restrict(self, edge_ids) -> "GdmsSystem":
         """Subsystem on the given edges, kept in this system's edge order
@@ -160,19 +128,13 @@ class GdmsSystem:
     def subsystem(self, idx) -> "GdmsSystem":
         """Subsystem on the edges at the ascending positions `idx`.
 
-        A finite subsystem slices this system's incidence matrix and log
-        norms at those positions instead of rebuilding them.
+        A finite subsystem slices this system's incidence matrix at those
+        positions instead of rebuilding it.
         """
         edges = tuple(self.graph.edges[k] for k in idx)
-        graph = g.MultiGraph(self.graph.vertices, edges)
-        if self.infinite:
-            return replace(self, graph=graph)
-        A, log_norms = self._dense_arrays()
-        idx = np.array(idx, dtype=int)
-        sub_A, sub_log_norms = A[np.ix_(idx, idx)], log_norms[idx]
-        sub_A.flags.writeable = sub_log_norms.flags.writeable = False
-        sub = replace(self, graph=graph)
-        sub._dense = (sub_A, sub_log_norms)
+        sub = replace(self, graph=g.MultiGraph(self.graph.vertices, edges))
+        if not self.infinite:
+            sub.store_matrix(self.incidence_matrix[np.ix_(idx, idx)])
         return sub
 
     def truncate(self, size: int) -> "GdmsSystem":
@@ -240,6 +202,11 @@ class GdmsSystem:
         return max(s.diameter for s in self.spaces.values())
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
 def _min_rule_pair(incidence):
     if incidence.kind == g.UPPER:
         return 1, 2
@@ -276,7 +243,7 @@ def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> Gdm
                         spaces=dict(spaces), infinite=False)
     if incidence.kind == g.EXPLICIT:
         labels = [label for a, b in allow for label in (a, b)]
-        system._set_matrix(g.incidence_array(incidence, edge_objs, labels))
+        system.store_matrix(g.incidence_array(incidence, edge_objs, labels))
     elif allow:
         raise InputError("allow pairs need an explicit incidence")
     return system

@@ -165,35 +165,6 @@ def collatz_wielandt(B, start=None):
     return best
 
 
-def perron(B, tolerance: float = 1e-9):
-    """(rho, v, w) of an irreducible nonnegative matrix B.
-
-    rho is the midpoint of the Collatz-Wielandt bracket of `collatz_wielandt`
-    and v its positive vector; w = `equilibrium_weights` / v. Both vectors
-    are scaled to sum 1. Raises ConvergenceError when the lower bound is not
-    positive (a nilpotent matrix); when a vector is not strictly positive
-    or max|Bv - rho v|, max|wB - rho w| exceeds tolerance * rho * max(vector);
-    or when w.v / (max v * max w) is at most tolerance (a defective root, as
-    in a reducible B with two equal blocks, drives it to 0).
-    """
-    lower, upper, v = collatz_wielandt(B)
-    if not lower > 0.0:
-        raise ConvergenceError("Perron root of a nilpotent matrix")
-    rho = 0.5 * (lower + upper)
-    w = equilibrium_weights(B, v, upper) / v
-    v, w = v / v.sum(), w / w.sum()
-    for name, vec, image in (("right", v, B @ v), ("left", w, w @ B)):
-        residual = float(np.max(np.abs(image - rho * vec)))
-        if not (vec.min() > 0.0 and residual <= tolerance * rho * vec.max()):
-            raise ConvergenceError(
-                f"{name} Perron vector failed: min entry {vec.min():.3g}, "
-                f"residual {residual:.3g} against rho = {rho:.17g}")
-    overlap = float(w @ v) / (v.max() * w.max())
-    if not overlap > tolerance:
-        raise ConvergenceError(f"Perron root is not simple: w.v overlap {overlap:.3g}")
-    return rho, v, w
-
-
 def equilibrium_weights(B, v, upper):
     """w o v / (w . v) for the left Perron vector w of B, given its right
     Perron vector v > 0 and a bound upper >= rho(B).
@@ -261,9 +232,10 @@ class PerronBlock:
     def pressure_slope(self, t):
         """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
         (v, w the right and left Perron vectors of B(t)); P is ln of the
-        midpoint of the Collatz-Wielandt bracket. Raises ConvergenceError,
-        as `perron` does, when the bracket is not positive and PERRON_WIDTH
-        narrow or the weights w o v are not all positive."""
+        midpoint of the Collatz-Wielandt bracket and v, kept as `right`, its
+        positive vector. Raises ConvergenceError unless the bracket is
+        positive (it is 0 for a nilpotent B) and PERRON_WIDTH narrow and the
+        weights w o v are all positive."""
         B = self.A * np.exp(t * self.log_norms)
         lower, upper, self.right = collatz_wielandt(B, self.right)
         if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
@@ -293,13 +265,10 @@ def _transfer_partition_sums(system, t, n_max):
 
 # -- continued-fraction enumeration -----------------------------------------
 
-def _predecessors(system):
-    """The positions of the edges allowed to precede each edge, ascending."""
-    preds = [[] for _ in system.successors]
-    for a, row in enumerate(system.successors):
-        for c in row:
-            preds[c].append(a)
-    return list(map(tuple, preds))
+def _predecessors(A):
+    """The positions of the edges allowed to precede each edge, ascending:
+    the nonzero rows of each column of the incidence matrix A."""
+    return [tuple(np.flatnonzero(column).tolist()) for column in A.T]
 
 
 def _cf_level_sums(system, ns, t):
@@ -314,7 +283,7 @@ def _cf_level_sums(system, ns, t):
     up to it stay within the guard; that is checked before it is built.
     """
     guard = g.count_guard()
-    preds = _predecessors(system)
+    preds = _predecessors(system.incidence_matrix)
     log_labels = [math.log(e) for e in system.edge_ids]
     lq_prev, lq = np.zeros(len(log_labels)), np.array(log_labels)
     counts = np.ones(len(log_labels), dtype=int)
@@ -403,7 +372,8 @@ def _log_bounds(low, high):
 
 class CfCollocation:
     """Chebyshev collocation of the transfer operator of one strongly
-    connected finite continued-fraction system.
+    connected finite continued-fraction system, given by its incidence
+    matrix A and its letters, the integer labels of its rows in order.
 
     The operator acts on one function per letter c on [0, 1]:
 
@@ -424,9 +394,8 @@ class CfCollocation:
     L'(t) = Q (K o Lam o exp(t Lam)) gives Ruelle's derivative.
     """
 
-    def __init__(self, system: GdmsSystem):
-        ids = system.edge_ids
-        preds = _predecessors(system)
+    def __init__(self, A, letters):
+        preds = _predecessors(A)
         states = list(dict.fromkeys(preds))
         size = len(states) * COLLOCATION_NODES
         guard = g.count_guard()
@@ -434,10 +403,10 @@ class CfCollocation:
             raise ResourceGuardError(
                 f"collocation matrix of size {size} exceeds count guard of {guard}")
         index = {p: k for k, p in enumerate(states)}
-        self.letters = np.array(ids, dtype=float)
+        self.letters = np.array(letters, dtype=float)
         self.state_of = np.array([index[p] for p in preds])
         # members[s, a] = 1 when letter a is in predecessor set s: this is Q
-        self.members = np.zeros((len(states), len(ids)))
+        self.members = np.zeros((len(states), len(preds)))
         for row, p in zip(self.members, states):
             row[list(p)] = 1.0
         self.to_coef = _values_to_coefficients(COLLOCATION_NODES)
@@ -693,12 +662,25 @@ class CfCollocation:
 
 def engines(system: GdmsSystem):
     """The pressure engine of each cyclic component of a finite system, in
-    the order of `system.components`: a PerronBlock for a similarity system,
-    a CfCollocation for a continued-fraction one. Both offer
+    the order of `system.components`, built from the component's diagonal
+    block of `system.incidence_matrix`: a PerronBlock for a similarity
+    system, a CfCollocation for a continued-fraction one. Both offer
     `pressure_slope(t)` and `certified_pressure(t)`."""
+    A, ids = system.incidence_matrix, system.edge_ids
     if system.family.kind == "similarity":
-        return [PerronBlock(A, log_norms) for A, log_norms in system.component_blocks()]
-    return [CfCollocation(system.subsystem(idx)) for idx in system.component_positions]
+        return [PerronBlock(A[np.ix_(idx, idx)], system.log_norms[list(idx)])
+                for idx in system.component_positions]
+    return [CfCollocation(A[np.ix_(idx, idx)], [ids[k] for k in idx])
+            for idx in system.component_positions]
+
+
+def certified_bounds(blocks, t):
+    """(P_lower, P_upper) of a system from the pressure engines `blocks` of
+    its components: the max over them of their `certified_pressure(t)`
+    ends, -inf for none."""
+    bounds = [block.certified_pressure(t) for block in blocks]
+    return (max((lo for lo, _ in bounds), default=-math.inf),
+            max((hi for _, hi in bounds), default=-math.inf))
 
 
 # -- operations --------------------------------------------------------------
@@ -775,10 +757,8 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
         raise UnsupportedAnalysisError(
             "pressure of an infinite system needs a truncation sweep")
 
-    bounds = [engine.certified_pressure(t) for engine in engines(system)]
+    lower, upper = certified_bounds(engines(system), t)
     method = TRANSFER_MATRIX if system.family.kind == "similarity" else CHEBYSHEV_COLLOCATION
-    lower = max((lo for lo, _ in bounds), default=-math.inf)
-    upper = max((hi for _, hi in bounds), default=-math.inf)
     return PressureEstimate(t, lower, upper, 0, method)
 
 
@@ -852,24 +832,30 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     With rho(B(h)) = 1 and Perron right eigenvector v, the masses
     m([word]) = r_word^h * v_last / Z (Z = sum_e r_e^h v_e) are nonnegative,
     sum to one at every level, and satisfy the refinement identity
-    m([word]) = sum over admissible extensions of m([word e]). v comes from
-    `perron`, which raises ConvergenceError when it is not strictly positive
-    or its residual exceeds pressure_tolerance.
+    m([word]) = sum over admissible extensions of m([word e]). v is the
+    Collatz-Wielandt vector of the system's one `engines` entry at h
+    (`PerronBlock.pressure_slope`), which raises ConvergenceError unless the
+    bracket of rho(B(h)) is positive and PERRON_WIDTH narrow;
+    pressure_tolerance bounds only |P(h)|. Raises InputError unless h is
+    finite and >= 0 and pressure_tolerance finite and > 0.
     """
+    if not (0 <= h < math.inf and 0 < pressure_tolerance < math.inf):
+        raise InputError(f"h must be finite and >= 0 and pressure_tolerance finite and > 0, "
+                         f"got {h!r} and {pressure_tolerance!r}")
     if system.infinite:
         raise UnsupportedAnalysisError("conformal measures need a finite system")
     if system.family.kind != "similarity":
         raise UnsupportedAnalysisError("conformal measures are built for similarity systems")
     if not system.irreducible:
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")
-    B, u = transfer_matrix(system, h)
-    rho, v, _ = perron(B, pressure_tolerance)
-    if abs(math.log(rho)) > pressure_tolerance:
-        raise DomainError(
-            f"h={h} is not a pressure zero: ln rho(B(h)) = {math.log(rho):.3g}")
+    (block,) = engines(system)
+    p, _ = block.pressure_slope(h)
+    if abs(p) > pressure_tolerance:
+        raise DomainError(f"h={h} is not a pressure zero: ln rho(B(h)) = {p:.3g}")
 
     ids = system.edge_ids
-    weights = u * v
+    v = block.right / block.right.sum()
+    weights = np.exp(h * system.log_norms) * v
     z = float(weights.sum())
     edge_masses = {e: float(weights[k] / z) for k, e in enumerate(ids)}
     vertex_masses = {vx: 0.0 for vx in system.graph.vertices}

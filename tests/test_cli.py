@@ -240,6 +240,20 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("rows,flags", [
+        (["nan"], []), (["inf"], []), ([], ["--anchor", "nan"]),
+        ([], ["--errbound", "nan"]), ([], ["--errbound", "-1"]),
+        ([], ["--scales", "nan,0.05"])])
+    def test_boxdim_non_finite_input(self, capsys, tmp_path, rows, flags):
+        pts = tmp_path / "pts.csv"
+        points = [repr((k + 0.5) / 1200) for k in range(1200)]
+        pts.write_text("\n".join(["point", *points, *rows]) + "\n")
+        # a --scales in `flags` overrides the first one
+        code, out, err = run(capsys, "boxdim", str(pts), "--scales", "0.1,0.05", *flags)
+        assert code == cli.EXIT_SPEC
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
     def test_sample_letter_count_guard(self, capsys, cantor_spec, monkeypatch):
         monkeypatch.setenv("GDMS_COUNT_GUARD", "50")
         code, out, err = run(capsys, "sample", cantor_spec,

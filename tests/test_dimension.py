@@ -194,14 +194,14 @@ class TestPerronNewton:
         assert hi - lo <= tol / 2
 
     def test_unresolved_perron_root_is_refused(self, monkeypatch):
-        block = thermo.PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
+        block = thermo.engines(gk.full_shift([0.3, 0.4]))[0]
         monkeypatch.setattr(thermo, "collatz_wielandt",
                             lambda B, start: (0.9, 1.1, np.ones(len(B))))
         with pytest.raises(gk.ConvergenceError, match="not resolved"):
             block.pressure_slope(0.5)
 
     def test_nonpositive_left_perron_vector_is_refused(self, monkeypatch):
-        block = thermo.PerronBlock(*gk.full_shift([0.3, 0.4]).component_blocks()[0])
+        block = thermo.engines(gk.full_shift([0.3, 0.4]))[0]
         monkeypatch.setattr(thermo, "equilibrium_weights",
                             lambda B, v, upper: np.array([1.5, -0.5]))
         with pytest.raises(gk.ConvergenceError, match="not positive"):

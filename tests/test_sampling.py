@@ -104,6 +104,22 @@ class TestBoxDimension:
         with pytest.raises(gk.InputError):
             gk.box_dimension(sample, [0.01, 0.1])
 
+    @pytest.mark.parametrize("extra,anchor,error_bound,scales", [
+        ([math.nan], 0.0, 0.0, [0.1, 0.05]), ([math.inf], 0.0, 0.0, [0.1, 0.05]),
+        ([-math.inf], 0.0, 0.0, [0.1, 0.05]), ([], math.nan, 0.0, [0.1, 0.05]),
+        ([], math.inf, 0.0, [0.1, 0.05]), ([], 0.0, math.nan, [0.1, 0.05]),
+        ([], 0.0, -1.0, [0.1, 0.05]), ([], 0.0, math.inf, [0.1, 0.05]),
+        ([], 0.0, 0.0, [math.nan, 0.05]), ([], 0.0, 0.0, [math.inf, 0.1])])
+    def test_rejects_non_finite_input(self, extra, anchor, error_bound, scales):
+        # a non-finite row would count as one more occupied box, a nan or
+        # negative error bound would switch off the resolution check, and a
+        # non-finite scale would reach the least-squares fit
+        points = [(k + 0.5) / 1200 for k in range(1200)]
+        assert gsamp.box_dimension(gsamp.sample_from_points(points), [0.1, 0.05]).counts == (10, 20)
+        sample = gsamp.sample_from_points(points + extra, anchor, error_bound)
+        with pytest.raises(gk.InputError, match="finite"):
+            gk.box_dimension(sample, scales)
+
     def test_counts_monotone_in_scale(self):
         sample = gk.sample_points(cantor(), 3000, 22, seed=9)
         scales = [3.0 ** -k for k in range(3, 8)]

@@ -112,27 +112,29 @@ class TestTransferMatrix:
 
 
 class TestPerron:
-    def test_period_two_vectors(self):
-        # eigenvalues +rho and -rho share the spectral circle
-        B = np.array([[0.0, 2.0], [0.5, 0.0]])
-        rho, v, w = thermo.perron(B)
-        assert rho == pytest.approx(1.0)
-        assert v == pytest.approx([2 / 3, 1 / 3])
-        assert w == pytest.approx([1 / 3, 2 / 3])
+    # the Perron data of one irreducible block, as every similarity caller
+    # reads it: `PerronBlock.pressure_slope`
 
-    def test_reducible_matrix_is_refused(self):
-        # a Jordan block at the spectral radius has no positive Perron vector
-        with pytest.raises(gk.ConvergenceError):
-            thermo.perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_period_two_vectors(self):
+        # eigenvalues +rho and -rho share the spectral circle: B(1) is
+        # [[0, 2], [0.5, 0]], with rho = 1 at every t
+        block = thermo.PerronBlock(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                   np.log([0.5, 2.0]))
+        p, slope = block.pressure_slope(1.0)
+        assert p == pytest.approx(0.0, abs=1e-12)
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert block.right / block.right.sum() == pytest.approx([2 / 3, 1 / 3])
 
     def test_nilpotent_matrix_is_refused(self):
+        block = thermo.PerronBlock(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
         with pytest.raises(gk.ConvergenceError):
-            thermo.perron(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            block.pressure_slope(0.5)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_zero_matrix_is_refused(self, size):
-        with pytest.raises(gk.ConvergenceError, match="nilpotent"):
-            thermo.perron(np.zeros((size, size)))
+        block = thermo.PerronBlock(np.zeros((size, size)), np.zeros(size))
+        with pytest.raises(gk.ConvergenceError, match="not resolved"):
+            block.pressure_slope(0.5)
 
 
 @st.composite
@@ -367,14 +369,14 @@ def test_cf_partition_sums_are_exact_or_bracket_the_exact_sum(case, t):
 
 class TestCfCollocation:
     def test_states_are_distinct_predecessor_sets(self):
-        full = thermo.CfCollocation(cf_sys(truncate=5))
+        full = thermo.engines(cf_sys(truncate=5))[0]
         assert full.size == thermo.COLLOCATION_NODES
-        banded = thermo.CfCollocation(cf_sys(gg.BANDED, 1, truncate=6))
+        banded = thermo.engines(cf_sys(gg.BANDED, 1, truncate=6))[0]
         assert banded.size == 6 * thermo.COLLOCATION_NODES
 
     def test_constant_functions_at_zero(self):
         # L_0 maps constants to constants: the matrix is exact there
-        engine = thermo.CfCollocation(cf_sys(truncate=3))
+        engine = thermo.engines(cf_sys(truncate=3))[0]
         L = engine.matrix(0.0)
         assert L @ np.ones(engine.size) == pytest.approx(3.0 * np.ones(engine.size), rel=1e-13)
 
@@ -412,13 +414,13 @@ class TestCfCollocation:
         # the left collocation vector is not a Perron vector, so the
         # similarity solver refuses the matrix and the collocation checks
         # only the overlap of the two vectors
-        engine = thermo.CfCollocation(cf_sys(truncate=2))
+        engine = thermo.engines(cf_sys(truncate=2))[0]
         L = engine.matrix(0.5)
         lam, v, w = engine._eigenpair(L)
         assert v.min() > 0 > w.min()
         assert w @ v == pytest.approx(1.0)
         with pytest.raises(gk.ConvergenceError, match="left Perron vector"):
-            thermo.perron(L)
+            thermo.PerronBlock(L, np.zeros(len(L))).pressure_slope(0.0)
 
     def test_leading_vector_not_positive_is_refused(self):
         with pytest.raises(gk.ConvergenceError):
@@ -427,14 +429,14 @@ class TestCfCollocation:
             thermo.CfCollocation._eigenpair(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
     def test_certificate_needs_a_positive_function(self):
-        engine = thermo.CfCollocation(cf_sys(truncate=2))
+        engine = thermo.engines(cf_sys(truncate=2))[0]
         lam, v, _ = engine._eigenpair(engine.matrix(0.5))
         with pytest.raises(gk.ConvergenceError):
             engine._residual_bound(0.5, lam, -v)
 
     def test_residual_bound_at_lam_is_refused(self, monkeypatch):
         # lam - s <= 0 would leave no lower bound
-        engine = thermo.CfCollocation(cf_sys(truncate=2))
+        engine = thermo.engines(cf_sys(truncate=2))[0]
         monkeypatch.setattr(thermo.CfCollocation, "_residual_bound",
                             lambda self, t, lam, v: lam)
         with pytest.raises(gk.ConvergenceError, match="not below"):
@@ -605,3 +607,28 @@ class TestConformalMeasure:
     def test_rejects_infinite_system(self):
         with pytest.raises(gk.UnsupportedAnalysisError):
             gk.conformal_cylinder_measure(cf_sys(), 0.5)
+
+    @pytest.mark.parametrize("h,tolerance", [
+        (math.nan, 1e-9), (math.inf, 1e-9), (-0.5, 1e-9),
+        (0.6, math.nan), (0.6, 0.0), (0.6, -1.0), (0.6, math.inf)])
+    def test_rejects_bad_arguments_before_any_solve(self, monkeypatch, h, tolerance):
+        def no_solve(*args):
+            raise AssertionError("a Perron vector was computed")
+        monkeypatch.setattr(thermo, "collatz_wielandt", no_solve)
+        with pytest.raises(gk.InputError, match="finite"):
+            gk.conformal_cylinder_measure(gk.full_shift([1 / 3, 1 / 3]), h, tolerance)
+
+
+def test_spectral_quantities_never_build_a_subsystem(monkeypatch):
+    # every engine is a slice of the system's incidence matrix
+    similarity = [two_component_system(linked=True), period_two_system()]
+    cf = [cf_sys(truncate=3), cf_sys(gg.BANDED, 1, truncate=6)]
+
+    def no_subsystem(*args):
+        raise AssertionError("a subsystem was built")
+    monkeypatch.setattr(gk.GdmsSystem, "subsystem", no_subsystem)
+    for system in similarity + cf:
+        gk.pressure(system, 0.5)
+        gk.bowen_dimension(system)
+    system = similarity[1]
+    gk.conformal_cylinder_measure(system, gk.bowen_dimension(system).mid)
