@@ -336,11 +336,10 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     sup_lo = max(e.estimate.lo for e in entries)
     monotone = all(entries[k].estimate.lo <= entries[k + 1].estimate.lo + 2 * tolerance
                    for k in range(len(entries) - 1))
-    if system.incidence.kind == g.UPPER:
-        theta = thermo.finiteness_parameters(system, [1]).theta
+    rule = system.incidence.rule
+    if rule.gap:
         warnings.append(
-            f"sup over finite subsystems = {sup_lo:g} < theta = {float(theta):g}: "
-            "the pressure-root dimension formula fails for this system "
-            "(every finite truncation has an empty limit set)")
+            f"sup over finite subsystems = {sup_lo:g} < theta = {float(rule.theta):g}: "
+            f"the pressure-root dimension formula fails for this system ({rule.gap})")
     return TruncationSweep(tuple(entries), sup_lo, (sup_lo, 1.0), monotone,
                            tuple(warnings))

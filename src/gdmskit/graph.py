@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
@@ -63,30 +64,79 @@ EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
+class NamedRule:
+    """All that a named incidence rule over the labels 1, 2, 3, ... means:
+    which label may follow which, and the closed forms of the infinite
+    alphabet, each with its reason. Every analysis of a rule reads it here."""
+
+    directive: str      # the spec file's incidence line, "{}" standing for the width
+    allows: object      # (a, b, width) -> may b follow a; elementwise on label arrays
+    integer_ids: bool   # whether `allows` compares edge ids as integers
+    verdicts: tuple     # (irreducible, primitive, finitely irreducible, reason)
+    theta: Fraction     # the limit of theta_n(n), past which Z_n(t) is a finite sum
+    theta_n: object
+    theta_reason: str
+    gap: str | None = None  # why sup HD(J_F) over finite F stays below theta
+
+
+RULES = {
+    FULL: NamedRule(
+        "full", lambda a, b, width: True, False,
+        (True, True, True, "every entry is 1, so any edge follows any edge"),
+        Fraction(1, 2), lambda n: Fraction(1, 2),
+        "sum over labels e of e^(-2t) converges exactly when t > 1/2, at every word length"),
+    BANDED: NamedRule(
+        "banded {}", lambda a, b, width: abs(a - b) <= width, True,
+        (True, False, False, "labels walk the band one step at a time, so any two labels "
+         "are joined, but no finite word set connects arbitrarily distant labels"),
+        Fraction(0), lambda n: Fraction(1, 2 * n),
+        "length-n words stay within the band, so the label-k block contributes "
+        "about k^(-2tn); convergence needs t > 1/(2n)"),
+    UPPER: NamedRule(
+        "upper", lambda a, b, width: a < b, True,
+        (False, False, False, "labels must strictly increase, so no label is ever revisited"),
+        Fraction(1, 2), lambda n: Fraction(1, 2),
+        "labels strictly increase; the n-fold sum behaves like the n-th power "
+        "of sum e^(-2t), so every level needs t > 1/2",
+        "every finite truncation has an empty limit set"),
+}
+
+
+@dataclass(frozen=True)
 class IncidenceSpec:
-    """One of three named rules over integer edge ids, or `explicit`: a 0/1
-    matrix given by allow pairs and kept only as the system's incidence
-    matrix (see `incidence_array`)."""
+    """One of the named rules of `RULES` over integer edge ids, or
+    `explicit`: a 0/1 matrix given by allow pairs and kept only as the
+    system's incidence matrix (see `incidence_array`)."""
 
     kind: str
     width: int = 0
 
     def __post_init__(self):
-        if self.kind not in (FULL, BANDED, UPPER, EXPLICIT):
+        if self.kind not in RULES and self.kind != EXPLICIT:
             raise InputError(f"unknown incidence kind {self.kind!r}")
         if self.kind == BANDED and self.width < 1:
             raise InputError("banded incidence needs width >= 1")
 
+    @property
+    def rule(self) -> NamedRule:
+        if self.kind == EXPLICIT:
+            raise NotApplicableError("an explicit incidence has no rule, only allow pairs")
+        return RULES[self.kind]
+
     def allows_labels(self, a, b):
-        """Named-rule check on raw labels, or elementwise on numeric label
-        arrays."""
-        if self.kind == FULL:
-            return True
-        if self.kind == BANDED:
-            return abs(a - b) <= self.width
-        if self.kind == UPPER:
-            return a < b
-        raise NotApplicableError("an explicit incidence has no rule, only allow pairs")
+        """`rule.allows` at this width: on raw labels, or elementwise on
+        numeric label arrays."""
+        return self.rule.allows(a, b, self.width)
+
+    def check_ids(self, ids):
+        """Raise InputError at the first of `ids` that is not an integer,
+        when this is a named rule that compares integer labels."""
+        for eid in ids if self.kind != EXPLICIT and self.rule.integer_ids else ():
+            if not isinstance(eid, (int, np.integer)):
+                raise InputError(INTEGER_IDS.format(self.kind, eid))
+
+
+INTEGER_IDS = "incidence rule {!r} needs integer edge ids, got {!r}"
 
 
 def allow_positions(labels, position):
@@ -112,7 +162,7 @@ def incidence_array(incidence, edges, labels=None, lines=None):
     vertex = {}
     src = np.array([vertex.setdefault(e.src, len(vertex)) for e in edges], dtype=int)
     dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
-    if labels is None:  # a named rule; `allows_labels` refuses an explicit one
+    if labels is None:  # a named rule; `rule` refuses an explicit one
         ids = np.array([e.id for e in edges])
         rule = incidence.allows_labels(ids[:, None], ids[None, :])
         return ((dst[:, None] == src[None, :]) & rule).astype(float)
@@ -317,17 +367,6 @@ class MatrixProperties:
     justification: dict
 
 
-_RULE_VERDICTS = {
-    FULL: (True, True, True,
-           "every entry is 1, so any edge follows any edge"),
-    BANDED: (True, False, False,
-             "labels walk the band one step at a time, so any two labels are "
-             "joined, but no finite word set connects arbitrarily distant labels"),
-    UPPER: (False, False, False,
-            "labels must strictly increase, so no label is ever revisited"),
-}
-
-
 def matrix_properties(system) -> MatrixProperties:
     """Irreducibility, primitivity and finite irreducibility.
 
@@ -337,7 +376,7 @@ def matrix_properties(system) -> MatrixProperties:
     closed-form verdicts: truncation would change the answers.
     """
     if system.infinite:
-        irr, prim, fin, why = _RULE_VERDICTS[system.incidence.kind]
+        irr, prim, fin, why = system.incidence.rule.verdicts
         just = {"irreducible": why, "primitive": why, "finitely_irreducible": why}
         return MatrixProperties(irr, prim, fin, None, just)
 

@@ -114,17 +114,13 @@ def parse_spec(text: str):
         elif keyword == "incidence":
             if incidence is not None:
                 raise SpecError("duplicate incidence directive", lineno)
-            if args == ["full"]:
-                incidence = (lineno, g.FULL, 0)
-            elif len(args) == 2 and args[0] == "banded":
+            if len(args) == 2 and args[0] == g.BANDED:
                 width = _parse_int(args[1], lineno, "band width")
                 if width < 1:
                     raise SpecError("band width must be >= 1", lineno)
                 incidence = (lineno, g.BANDED, width)
-            elif args == ["upper"]:
-                incidence = (lineno, g.UPPER, 0)
-            elif args == ["explicit"]:
-                incidence = (lineno, g.EXPLICIT, 0)
+            elif args in ([g.FULL], [g.UPPER], [g.EXPLICIT]):
+                incidence = (lineno, args[0], 0)
             else:
                 raise SpecError(
                     "usage: incidence full | banded <w> | upper | explicit", lineno)
@@ -163,7 +159,6 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
     if not edges:
         raise SpecError("no edges and no family directive")
     seen = set()
-    edge_ids = []
     for lineno, eid, src, dst, _ in edges:
         if eid in seen:
             raise SpecError(f"duplicate edge id {eid!r}", lineno)
@@ -172,20 +167,17 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
             raise SpecError(f"edge {eid!r}: no space for vertex {src!r}", lineno)
         if dst not in spaces:
             raise SpecError(f"edge {eid!r}: no space for vertex {dst!r}", lineno)
-        edge_ids.append(eid)
 
-    if kind in (g.BANDED, g.UPPER):
+    spec = g.IncidenceSpec(kind, width)
+    if kind != g.EXPLICIT and spec.rule.integer_ids:
         converted = []
         for lineno, eid, src, dst, sim in edges:
             try:
                 converted.append((lineno, int(eid), src, dst, sim))
             except ValueError:
-                raise SpecError(
-                    f"incidence rule {kind!r} needs integer edge ids, got {eid!r}",
-                    lineno) from None
+                raise SpecError(g.INTEGER_IDS.format(kind, eid), lineno) from None
         edges = converted
 
-    spec = g.IncidenceSpec(kind, width)
     graph = g.MultiGraph(tuple(sorted(spaces)),
                          tuple(g.Edge(eid, src, dst) for _, eid, src, dst, _ in edges))
     family = m.SimilarityFamily({eid: sim for _, eid, _, _, sim in edges})
@@ -214,12 +206,8 @@ def serialize_spec(system: GdmsSystem) -> str:
             lines.append(f"edge {e.id} {e.src} {e.dst} similarity "
                          f"{sm.ratio:.17g} {sm.offset:.17g} {sm.sign}")
     inc = system.incidence
-    if inc.kind == g.FULL:
-        lines.append("incidence full")
-    elif inc.kind == g.BANDED:
-        lines.append(f"incidence banded {inc.width}")
-    elif inc.kind == g.UPPER:
-        lines.append("incidence upper")
+    if inc.kind != g.EXPLICIT:
+        lines.append("incidence " + inc.rule.directive.format(inc.width))
     else:
         lines.append("incidence explicit")
         # A with its edges in str order of their ids, so that the pairs of

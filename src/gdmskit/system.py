@@ -190,9 +190,9 @@ class GdmsSystem:
         """
         if self.family.kind == "similarity":
             return max(f.ratio for f in self.family.maps.values()), 1
-        if self.infinite:
-            a, b = _min_rule_pair(self.incidence)
-            return 1.0 / (a * b + 1) ** 2, 2
+        if self.infinite:  # the least pair is (1, 1) if the rule allows it, else (1, 2)
+            b = 1 if self.incidence.allows_labels(1, 1) else 2
+            return 1.0 / (b + 1) ** 2, 2
         ids = self.edge_ids
         # 1/(ab + 1)^2 is largest at the least product ab
         products = [ids[a] * ids[b] for a, row in enumerate(self.successors) for b in row]
@@ -207,15 +207,11 @@ def _read_only(array):
     return array
 
 
-def _min_rule_pair(incidence):
-    if incidence.kind == g.UPPER:
-        return 1, 2
-    return 1, 1  # full and banded both admit the pair (1, 1)
-
-
 def cf_system(incidence: g.IncidenceSpec, truncate: int | None = None,
               name: str = "cf") -> GdmsSystem:
-    """Continued-fraction system on the single vertex space [0, 1]."""
+    """Continued-fraction system on the vertex space [0, 1] under a named rule."""
+    if incidence.kind == g.EXPLICIT:
+        raise InputError("the cf family uses a named incidence rule")
     space = m.VertexSpace("v", 0.0, 1.0)
     sys = GdmsSystem(name=name,
                      graph=g.MultiGraph(("v",), ()),
@@ -234,8 +230,10 @@ def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> Gdm
     edges: iterable of (id, src, dst, SimilarityMap).
     allow: the (a, b) edge-id pairs of an explicit incidence, b allowed to
     follow a. A pair that names an unknown edge or whose edges do not meet
-    raises SpecError (see `graph.incidence_array`).
+    raises SpecError (see `graph.incidence_array`). A rule that compares
+    integer labels refuses other edge ids with InputError.
     """
+    incidence.check_ids(eid for eid, _, _, _ in edges)
     edge_objs = tuple(g.Edge(eid, src, dst) for eid, src, dst, _ in edges)
     fam = m.SimilarityFamily({eid: sm for eid, _, _, sm in edges})
     system = GdmsSystem(name=name, graph=g.MultiGraph(tuple(vertices), edge_objs),

@@ -709,8 +709,7 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
     if not ns:
         return []
     if system.infinite:
-        report = finiteness_parameters(system, ns)
-        if any(t > report.theta_n[n] for n in ns):
+        if any(t > system.incidence.rule.theta_n(n) for n in ns):
             raise UnsupportedAnalysisError(
                 "infinite-alphabet partition sums are only classified as finite or "
                 "divergent; truncate the system for numeric values")
@@ -751,8 +750,7 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     if not (t >= 0 and math.isfinite(t)):
         raise InputError(f"t must be finite and >= 0, got {t!r}")
     if system.infinite:
-        theta = finiteness_parameters(system, [1]).theta
-        if t < theta:
+        if t < system.incidence.rule.theta:
             return PressureEstimate(t, math.inf, math.inf, 0, RULE_ANALYTIC, is_infinite=True)
         raise UnsupportedAnalysisError(
             "pressure of an infinite system needs a truncation sweep")
@@ -762,21 +760,11 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     return PressureEstimate(t, lower, upper, 0, method)
 
 
-_THETA_JUSTIFICATION = {
-    g.FULL: ("sum over labels e of e^(-2t) converges exactly when t > 1/2, "
-             "at every word length"),
-    g.BANDED: ("length-n words stay within the band, so the label-k block "
-               "contributes about k^(-2tn); convergence needs t > 1/(2n)"),
-    g.UPPER: ("labels strictly increase; the n-fold sum behaves like the "
-              "n-th power of sum e^(-2t), so every level needs t > 1/2"),
-}
-
-
 def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessReport:
     """theta and theta_n: where Z_n(t) becomes a finite sum.
 
     Finite systems: 0 (finite sums are always finite). Infinite
-    continued-fraction rules have closed forms.
+    continued-fraction rules have the closed forms of their `graph.NamedRule`.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if any(n < 1 for n in n_list):
@@ -787,21 +775,8 @@ def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessRep
 
     if system.family.kind != "cf":
         raise UnsupportedAnalysisError("no analytic finiteness table for this family")
-    kind = system.incidence.kind
-    if kind == g.FULL:
-        theta = Fraction(1, 2)
-        theta_n = {n: Fraction(1, 2) for n in n_list}
-    elif kind == g.BANDED:
-        theta = Fraction(0)
-        theta_n = {n: Fraction(1, 2 * n) for n in n_list}
-    elif kind == g.UPPER:
-        theta = Fraction(1, 2)
-        theta_n = {n: Fraction(1, 2) for n in n_list}
-    else:
-        raise UnsupportedAnalysisError(
-            "finiteness analysis supports only the full, banded and "
-            "upper-triangular rules")
-    return FinitenessReport(theta, theta_n, _THETA_JUSTIFICATION[kind])
+    rule = system.incidence.rule
+    return FinitenessReport(rule.theta, {n: rule.theta_n(n) for n in n_list}, rule.theta_reason)
 
 
 # -- conformal cylinder measure ----------------------------------------------

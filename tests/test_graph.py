@@ -96,6 +96,22 @@ class TestSuccessorMap:
         assert sub.successor_map == _successors_by_definition(sub)
 
 
+class TestRuleRefusals:
+    def test_cf_system_refuses_explicit_incidence(self):
+        with pytest.raises(gk.InputError, match="the cf family uses a named incidence rule"):
+            gk.cf_system(gk.IncidenceSpec(gg.EXPLICIT))
+
+    @pytest.mark.parametrize("kind,width", [(gg.BANDED, 1), (gg.UPPER, 0)])
+    def test_similarity_system_refuses_non_integer_ids(self, kind, width):
+        space = {"v": gm.VertexSpace("v", 0.0, 1.0)}
+        edges = [("a", "v", "v", gm.SimilarityMap(0.3, 0.0)),
+                 ("b", "v", "v", gm.SimilarityMap(0.3, 0.5))]
+        message = f"incidence rule '{kind}' needs integer edge ids, got 'a'"
+        with pytest.raises(gk.InputError) as exc:
+            gk.similarity_system("s", ("v",), space, edges, gk.IncidenceSpec(kind, width))
+        assert str(exc.value) == message
+
+
 class TestEnumeration:
     def test_full_two_edge_shift_counts(self):
         sys = gk.full_shift([1 / 2, 1 / 2])

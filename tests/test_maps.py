@@ -125,6 +125,13 @@ class TestIntervals:
             lo, hi = sys.word_interval(word)
             assert hi - lo <= s_eff ** (n // step) * sys.max_space_diameter() + 1e-15
 
+    @pytest.mark.parametrize("kind,width,bound", [(gg.FULL, 0, (0.25, 2)),
+                                                  (gg.BANDED, 1, (0.25, 2)),
+                                                  (gg.UPPER, 0, (1 / 9, 2))])
+    def test_infinite_rule_contraction_bound(self, kind, width, bound):
+        # the least admissible pair is (1, 1), or (1, 2) under the upper rule
+        assert gk.cf_system(gk.IncidenceSpec(kind, width)).contraction_bound() == bound
+
     def test_distortion_constants(self):
         assert gk.distortion_constant(gk.full_shift([1 / 2, 1 / 2]).family) == 1.0
         assert gk.distortion_constant(cf_sys().family) == 4.0

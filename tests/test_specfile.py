@@ -59,6 +59,17 @@ allow x2 a
 allow x1 z
 """
 
+# edge ids that are integers, so that every named rule applies; listed out
+# of label order so that the matrix rows follow the edge lines
+INTEGER_IDS = """\
+system ints
+space v 0 1
+edge 1 v v similarity 0.25 0 1
+edge 3 v v similarity 0.25 0.75 1
+edge 2 v v similarity 0.25 0.375 1
+incidence full
+"""
+
 
 class TestParsing:
     def test_similarity_round_trip(self):
@@ -96,6 +107,28 @@ class TestParsing:
         assert sys2.edge_ids == (1, 2, 3)
         assert sys2.incidence.kind == gg.BANDED
 
+    @pytest.mark.parametrize("rule,expected", [
+        ("banded 1", [[1, 0, 1], [0, 1, 1], [1, 1, 1]]),
+        ("upper", [[0, 1, 1], [0, 0, 0], [0, 1, 0]]),
+    ])
+    def test_named_rule_on_integer_edge_ids(self, rule, expected):
+        sys, _ = gk.parse_spec(INTEGER_IDS.replace("incidence full", f"incidence {rule}"))
+        assert sys.edge_ids == (1, 3, 2)
+        assert sys.incidence_matrix.tolist() == expected
+
+    @pytest.mark.parametrize("text", [
+        INTEGER_IDS.replace("incidence full", "incidence upper"),
+        "system u\nfamily cf\nincidence upper\n",
+    ])
+    def test_upper_rule_round_trip(self, text):
+        sys1, _ = gk.parse_spec(text)
+        written = gk.serialize_spec(sys1)
+        assert written.endswith("\nincidence upper\n")
+        sys2, _ = gk.parse_spec(written)
+        assert gk.serialize_spec(sys2) == written
+        assert sys2.incidence == sys1.incidence
+        assert sys2.edge_ids == sys1.edge_ids
+
     def test_explicit_system(self):
         sys, _ = gk.parse_spec(TWO_COMPONENT)
         assert gk.is_admissible(sys, ("b", "c"))
@@ -124,6 +157,56 @@ class TestRejections:
         assert fragment in str(exc.value)
         if line is not None:
             assert exc.value.line == line
+
+    @pytest.mark.parametrize("text,fragment,line", [
+        (CANTOR.replace("space v 0 1", "space v 0 one"), "space hi must be a number, got 'one'", 2),
+        (CANTOR.replace("space v 0 1", "space v x 1"), "space lo must be a number, got 'x'", 2),
+        (CANTOR.replace("0 1\nedge e2", "zero 1\nedge e2"), "offset must be a number", 3),
+        (CANTOR.replace("0.3333333333333333 0 1", "r 0 1"), "ratio must be a number", 3),
+        (CANTOR.replace("0.3333333333333333 0 1", "0.3333333333333333 0 1.0"),
+         "sign must be an integer, got '1.0'", 3),
+        ("system c\nfamily cf truncate two\nincidence full\n",
+         "truncation size must be an integer, got 'two'", 2),
+        (CANTOR.replace("incidence full", "incidence banded w"),
+         "band width must be an integer, got 'w'", 5),
+        (CANTOR + "system again\n", "duplicate system directive", 6),
+        (CANTOR + "space v 0 1\n", "duplicate space for vertex 'v'", 6),
+        ("system c\nfamily cf\nfamily cf\nincidence full\n", "duplicate family directive", 3),
+        (CANTOR + "incidence upper\n", "duplicate incidence directive", 6),
+        (CANTOR.replace("incidence full", "incidence explicit") + "allow e1\n",
+         "usage: allow <a> <b>", 6),
+        ("system\n", "usage: system <name>", 1),
+        (CANTOR.replace("space v 0 1", "space v 0"), "usage: space <vertex> <lo> <hi>", 2),
+        (CANTOR.replace("similarity 0.3333333333333333 0 1", "affine 0.3333333333333333 0 1"),
+         "usage: edge <id> <from> <to> similarity <ratio> <offset> <sign>", 3),
+        (CANTOR.replace(" 0 1\nedge e2", " 0\nedge e2"),
+         "usage: edge <id> <from> <to> similarity <ratio> <offset> <sign>", 3),
+        ("system c\nfamily cf 3\nincidence full\n", "usage: family cf [truncate <N>]", 2),
+        ("system c\nfamily cf truncate\nincidence full\n", "usage: family cf [truncate <N>]", 2),
+        (CANTOR.replace("incidence full", "incidence lower"),
+         "usage: incidence full | banded <w> | upper | explicit", 5),
+        (CANTOR.replace("incidence full", "incidence banded"),
+         "usage: incidence full | banded <w> | upper | explicit", 5),
+        ("system c\nfamily moebius\nincidence full\n", "only 'family cf' is supported", 2),
+        (CANTOR.replace("space v 0 1", "space v 1 1"), "space needs lo < hi", 2),
+        (CANTOR.replace("space v 0 1", "space v 1 0"), "space needs lo < hi", 2),
+        (CANTOR.replace("0.3333333333333333 0 1", "0.3333333333333333 0 2"),
+         "sign must be 1 or -1", 3),
+        ("system c\nfamily cf truncate 0\nincidence full\n", "truncation size must be >= 1", 2),
+        (CANTOR.replace("incidence full", "incidence banded 0"), "band width must be >= 1", 5),
+        ("system c\nfamily cf\nincidence explicit\nallow 1 1\n",
+         "the cf family uses a named incidence rule", 2),
+        ("system c\nspace v 0 1\nspace w 0 1\nfamily cf\nincidence full\n",
+         "the cf family lives on a single vertex", 4),
+        ("system c\nspace v 0 1\nincidence full\n", "no edges and no family directive", None),
+        (CANTOR.replace("edge e2 v v", "edge e2 w v"), "edge 'e2': no space for vertex 'w'", 4),
+        (CANTOR.replace("edge e2 v v", "edge e2 v w"), "edge 'e2': no space for vertex 'w'", 4),
+    ])
+    def test_parse_refusals(self, text, fragment, line):
+        with pytest.raises(gk.SpecError) as exc:
+            gk.parse_spec(text)
+        assert fragment in str(exc.value)
+        assert exc.value.line == line
 
     def test_unknown_keyword(self):
         self.reject("system x\nweird 1 2\n", "unknown keyword", line=2)
