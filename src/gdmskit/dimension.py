@@ -188,8 +188,6 @@ def _component_roots(system, tolerance):
     """The `thermo.engines` of `system.components` and the (root, Newton
     steps) of each."""
     _check_tolerance(tolerance)
-    if system.infinite:
-        raise NotApplicableError("truncate the system first")
     blocks = thermo.engines(system)
     return blocks, [_component_root(block.pressure_slope, tolerance) for block in blocks]
 
@@ -279,8 +277,6 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
     if min(ns) < 1:
         raise InputError("n must be >= 1")
     _check_tolerance(tolerance)
-    if system.infinite:
-        raise NotApplicableError("truncate the system first")
     report = g.scc_decompose(system)
     if not report.components:
         return MeasureClassification(NOT_APPLICABLE,

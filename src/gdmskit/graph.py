@@ -106,7 +106,8 @@ RULES = {
 class IncidenceSpec:
     """One of the named rules of `RULES` over integer edge ids, or
     `explicit`: a 0/1 matrix given by allow pairs and kept only as the
-    system's incidence matrix (see `incidence_array`)."""
+    system's incidence matrix (see `incidence_array`). Only `banded` reads
+    its width; every other kind stores width 0."""
 
     kind: str
     width: int = 0
@@ -114,8 +115,10 @@ class IncidenceSpec:
     def __post_init__(self):
         if self.kind not in RULES and self.kind != EXPLICIT:
             raise InputError(f"unknown incidence kind {self.kind!r}")
-        if self.kind == BANDED and self.width < 1:
-            raise InputError("banded incidence needs width >= 1")
+        if self.kind != BANDED:
+            object.__setattr__(self, "width", 0)
+        elif self.width < 1:
+            raise InputError("band width must be >= 1")
 
     @property
     def rule(self) -> NamedRule:
@@ -220,9 +223,8 @@ def enumerate_words(system, n: int, limit: int | None = None):
     """
     if n < 1:
         raise InputError("word length must be >= 1")
-    _require_finite(system)
-    bound = count_guard() if limit is None else limit
     succ = system.successors
+    bound = count_guard() if limit is None else limit
     ids = system.edge_ids
     emitted = 0
 
@@ -249,11 +251,6 @@ class SccReport:
     condensation: frozenset  # ordered pairs of component indices
     isolated: frozenset      # edge ids in no strongly connected component
     communication: frozenset  # ordered pairs of component indices
-
-
-def _require_finite(system):
-    if system.infinite:
-        raise NotApplicableError("analysis needs a finite edge set; truncate the system first")
 
 
 def tarjan_scc(succ):
@@ -318,7 +315,6 @@ def scc_decompose(system) -> SccReport:
     with j when some admissible word leads from i to j, and (i, j) is a
     condensation arc when that word can pass through isolated edges only.
     """
-    _require_finite(system)
     ids = system.edge_ids
     succ = system.successors
     comp_of = [-1] * len(ids)

@@ -31,9 +31,9 @@ class VertexSpace:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise InputError(f"vertex space {self.vertex!r}: need lo < hi")
+            raise InputError("space needs lo < hi")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InputError(f"vertex space {self.vertex!r}: need finite ends")
+            raise InputError(f"space for vertex {self.vertex!r} needs finite ends")
 
     @property
     def diameter(self) -> float:
@@ -52,10 +52,10 @@ class SimilarityMap:
     sign: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise InputError(f"similarity ratio must lie in (0,1), got {self.ratio}")
         if self.sign not in (-1, 1):
-            raise InputError(f"similarity sign must be +1 or -1, got {self.sign}")
+            raise InputError("sign must be 1 or -1")
+        if not 0.0 < self.ratio < 1.0:
+            raise InputError("ratio must lie strictly between 0 and 1")
 
     def __call__(self, x: float) -> float:
         return self.sign * self.ratio * x + self.offset

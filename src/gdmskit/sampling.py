@@ -64,8 +64,6 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
         raise InputError("depth must be >= 1")
     if count < 1:
         raise InputError("count must be >= 1")
-    if system.infinite:
-        raise NotApplicableError("truncate the system first")
     if empty_limit_set(system):
         raise NotApplicableError("empty limit set: nothing to sample")
 

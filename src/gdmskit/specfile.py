@@ -13,18 +13,21 @@ whitespace):
 Unknown keywords are rejected with their line number; nothing is silently
 ignored. An allow pair that is repeated is accepted and counts once: the
 incidence matrix has a single 1 there.
+
+The parser reads tokens only. Each value is checked by the constructor of
+the object it becomes (`maps.VertexSpace`, `maps.SimilarityMap`,
+`graph.IncidenceSpec`, `system.cf_system`), and its InputError is raised
+as a SpecError at the line that holds the value.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import graph as g
 from . import maps as m
-from .errors import SpecError
-from .system import GdmsSystem, cf_system, validate
+from .errors import InputError, SpecError
+from .system import GdmsSystem, _similarity_system, cf_system, validate
 
 
 def _parse_number(token, line, what):
@@ -41,13 +44,21 @@ def _parse_int(token, line, what):
         raise SpecError(f"{what} must be an integer, got {token!r}", line) from None
 
 
+def _at_line(line, make, *args):
+    """make(*args), its InputError raised as a SpecError at `line`."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise SpecError(str(exc), line) from None
+
+
 def parse_spec(text: str):
     """Parse and validate a spec file; returns (system, warnings)."""
     name = None
     spaces = {}
     edges = []          # (line, id, src, dst, SimilarityMap)
     family_cf = None    # None | (line, truncate or None)
-    incidence = None    # (line, kind, width)
+    incidence = None    # (line, IncidenceSpec)
     labels = []         # the allow pairs laid out flat: a1, b1, a2, b2, ...
     allow_lines = []    # the line of each allow pair
 
@@ -78,26 +89,17 @@ def parse_spec(text: str):
                 raise SpecError(f"duplicate space for vertex {vertex!r}", lineno)
             lo = _parse_number(args[1], lineno, "space lo")
             hi = _parse_number(args[2], lineno, "space hi")
-            if not lo < hi:
-                raise SpecError("space needs lo < hi", lineno)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise SpecError(f"space for vertex {vertex!r} needs finite ends", lineno)
-            spaces[vertex] = m.VertexSpace(vertex, lo, hi)
+            spaces[vertex] = _at_line(lineno, m.VertexSpace, vertex, lo, hi)
         elif keyword == "edge":
             if len(args) != 7 or args[3] != "similarity":
                 raise SpecError(
                     "usage: edge <id> <from> <to> similarity <ratio> <offset> <sign>",
                     lineno)
-            eid = args[0]
             ratio = _parse_number(args[4], lineno, "ratio")
             offset = _parse_number(args[5], lineno, "offset")
             sign = _parse_int(args[6], lineno, "sign")
-            if sign not in (1, -1):
-                raise SpecError("sign must be 1 or -1", lineno)
-            if not 0.0 < ratio < 1.0:
-                raise SpecError("ratio must lie strictly between 0 and 1", lineno)
-            edges.append((lineno, eid, args[1], args[2],
-                          m.SimilarityMap(ratio, offset, sign)))
+            edges.append((lineno, args[0], args[1], args[2],
+                          _at_line(lineno, m.SimilarityMap, ratio, offset, sign)))
         elif keyword == "family":
             if not args or args[0] != "cf":
                 raise SpecError("only 'family cf' is supported", lineno)
@@ -116,14 +118,12 @@ def parse_spec(text: str):
                 raise SpecError("duplicate incidence directive", lineno)
             if len(args) == 2 and args[0] == g.BANDED:
                 width = _parse_int(args[1], lineno, "band width")
-                if width < 1:
-                    raise SpecError("band width must be >= 1", lineno)
-                incidence = (lineno, g.BANDED, width)
             elif args in ([g.FULL], [g.UPPER], [g.EXPLICIT]):
-                incidence = (lineno, args[0], 0)
+                width = 0
             else:
                 raise SpecError(
                     "usage: incidence full | banded <w> | upper | explicit", lineno)
+            incidence = (lineno, _at_line(lineno, g.IncidenceSpec, args[0], width))
         else:
             raise SpecError(f"unknown keyword {keyword!r}", lineno)
 
@@ -133,10 +133,11 @@ def parse_spec(text: str):
 def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
     if incidence is None:
         raise SpecError("missing incidence directive")
-    inc_line, kind, width = incidence
-    if labels and kind != g.EXPLICIT:
+    inc_line, spec = incidence
+    explicit = spec.kind == g.EXPLICIT
+    if labels and not explicit:
         raise SpecError("allow lines need 'incidence explicit'", allow_lines[0])
-    if kind == g.EXPLICIT and not labels:
+    if explicit and not labels:
         raise SpecError("explicit incidence needs at least one allow line", inc_line)
     name = name or "unnamed"
 
@@ -145,21 +146,27 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
         if edges:
             raise SpecError("'family cf' and edge lines are mutually exclusive",
                             fam_line)
-        if kind == g.EXPLICIT:
-            raise SpecError("the cf family uses a named incidence rule", fam_line)
+        system = _at_line(fam_line, cf_system, spec, truncate, name)
         if spaces:
             if len(spaces) != 1:
                 raise SpecError("the cf family lives on a single vertex", fam_line)
             space = next(iter(spaces.values()))
             if not (space.lo == 0.0 and space.hi == 1.0):
                 raise SpecError("the cf family needs the space [0, 1]", fam_line)
-        system = cf_system(g.IncidenceSpec(kind, width), truncate=truncate, name=name)
         return validate(system)
 
     if not edges:
         raise SpecError("no edges and no family directive")
-    seen = set()
-    for lineno, eid, src, dst, _ in edges:
+    # a rule over integer labels reads each id as an integer before the
+    # duplicate check, so that '1' and '01' are one id
+    integer_ids = not explicit and spec.rule.integer_ids
+    seen, checked = set(), []
+    for lineno, eid, src, dst, sim in edges:
+        if integer_ids:
+            try:
+                eid = int(eid)
+            except ValueError:
+                raise SpecError(g.INTEGER_IDS.format(spec.kind, eid), lineno) from None
         if eid in seen:
             raise SpecError(f"duplicate edge id {eid!r}", lineno)
         seen.add(eid)
@@ -167,25 +174,9 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
             raise SpecError(f"edge {eid!r}: no space for vertex {src!r}", lineno)
         if dst not in spaces:
             raise SpecError(f"edge {eid!r}: no space for vertex {dst!r}", lineno)
-
-    spec = g.IncidenceSpec(kind, width)
-    if kind != g.EXPLICIT and spec.rule.integer_ids:
-        converted = []
-        for lineno, eid, src, dst, sim in edges:
-            try:
-                converted.append((lineno, int(eid), src, dst, sim))
-            except ValueError:
-                raise SpecError(g.INTEGER_IDS.format(kind, eid), lineno) from None
-        edges = converted
-
-    graph = g.MultiGraph(tuple(sorted(spaces)),
-                         tuple(g.Edge(eid, src, dst) for _, eid, src, dst, _ in edges))
-    family = m.SimilarityFamily({eid: sim for _, eid, _, _, sim in edges})
-    system = GdmsSystem(name=name, graph=graph, incidence=spec,
-                        family=family, spaces=dict(spaces))
-    if kind == g.EXPLICIT:
-        system.store_matrix(g.incidence_array(spec, graph.edges, labels, allow_lines))
-    return validate(system)
+        checked.append((eid, src, dst, sim))
+    return validate(_similarity_system(name, sorted(spaces), spaces, checked, spec,
+                                       labels, allow_lines))
 
 
 def serialize_spec(system: GdmsSystem) -> str:

@@ -7,7 +7,6 @@ left infinite (integer labels) and truncated on demand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import graph as g
 from . import maps as m
-from .errors import DomainError, InputError, NotApplicableError, SpecError
+from .errors import InputError, NotApplicableError, SpecError
 
 
 @dataclass
@@ -24,7 +23,10 @@ class GdmsSystem:
     family and vertex spaces. Its views of the edge graph, from `edge_index`
     to `components`, are `functools.cached_property`s, built on first use
     (or given to `store_matrix`) and not to be modified; every derived
-    system is a `dataclasses.replace` copy and starts with empty caches."""
+    system is a `dataclasses.replace` copy and starts with empty caches.
+    An infinite system has no edge graph: `incidence_matrix` and
+    `log_norms`, and so every view built on them, raise
+    NotApplicableError."""
 
     name: str
     graph: g.MultiGraph
@@ -59,7 +61,7 @@ class GdmsSystem:
         order, built from a named rule. An explicit incidence has no rule:
         its matrix is given to `store_matrix` when the system is made."""
         if self.infinite:
-            raise NotApplicableError("the edge graph needs a finite edge set")
+            raise NotApplicableError("truncate the system first")
         return _read_only(g.incidence_array(self.incidence, self.graph.edges))
 
     def store_matrix(self, A):
@@ -70,7 +72,7 @@ class GdmsSystem:
     def log_norms(self):
         """Read-only vector of ln ||phi_e'|| in edge order."""
         if self.infinite:
-            raise NotApplicableError("the edge graph needs a finite edge set")
+            raise NotApplicableError("truncate the system first")
         return _read_only(np.array([self.family.one_step_log_norm(e) for e in self.edge_ids]))
 
     @cached_property
@@ -233,6 +235,14 @@ def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> Gdm
     raises SpecError (see `graph.incidence_array`). A rule that compares
     integer labels refuses other edge ids with InputError.
     """
+    return _similarity_system(name, vertices, spaces, edges, incidence,
+                              [label for a, b in allow for label in (a, b)])
+
+
+def _similarity_system(name, vertices, spaces, edges, incidence, labels, lines=None):
+    """`similarity_system` with the allow pairs laid out flat in `labels`
+    (a1, b1, a2, b2, ...); `lines`, the spec-file line of each pair, goes to
+    `graph.incidence_array`."""
     incidence.check_ids(eid for eid, _, _, _ in edges)
     edge_objs = tuple(g.Edge(eid, src, dst) for eid, src, dst, _ in edges)
     fam = m.SimilarityFamily({eid: sm for eid, _, _, sm in edges})
@@ -240,9 +250,8 @@ def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> Gdm
                         incidence=incidence, family=fam,
                         spaces=dict(spaces), infinite=False)
     if incidence.kind == g.EXPLICIT:
-        labels = [label for a, b in allow for label in (a, b)]
-        system.store_matrix(g.incidence_array(incidence, edge_objs, labels))
-    elif allow:
+        system.store_matrix(g.incidence_array(incidence, edge_objs, labels, lines))
+    elif labels:
         raise InputError("allow pairs need an explicit incidence")
     return system
 

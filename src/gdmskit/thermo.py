@@ -817,8 +817,6 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     if not (0 <= h < math.inf and 0 < pressure_tolerance < math.inf):
         raise InputError(f"h must be finite and >= 0 and pressure_tolerance finite and > 0, "
                          f"got {h!r} and {pressure_tolerance!r}")
-    if system.infinite:
-        raise UnsupportedAnalysisError("conformal measures need a finite system")
     if system.family.kind != "similarity":
         raise UnsupportedAnalysisError("conformal measures are built for similarity systems")
     if not system.irreducible:

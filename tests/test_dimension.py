@@ -128,6 +128,20 @@ def _self_loop_system():
     return packed_system("self-loop", {"s": 0.5}, {("s", "s")})
 
 
+class TestComponentRoot:
+    def test_overshooting_slope_bisects(self):
+        # P(t) = 1 - 2t with the slope -0.5: the first Newton step overshoots
+        # to t = 1, the step back would leave [0, 1], so t bisects to 0.5
+        ts = []
+
+        def oracle(t):
+            ts.append(t)
+            return 1.0 - 2.0 * t, -0.5
+
+        assert gd._component_root(oracle, 1e-10) == (0.5, 3)
+        assert ts == [0.0, 1.0, 0.5]
+
+
 class TestPerronNewton:
     def test_mirrored_linked_blocks(self):
         # equal radii and a link: the whole matrix has no simple Perron root

@@ -112,6 +112,38 @@ class TestRuleRefusals:
         assert str(exc.value) == message
 
 
+    def test_width_is_kept_only_by_the_banded_rule(self):
+        assert gk.IncidenceSpec(gg.FULL, 1) == gk.IncidenceSpec(gg.FULL)
+        assert gk.IncidenceSpec(gg.UPPER, 3).width == 0
+        assert gk.IncidenceSpec(gg.EXPLICIT, 2) == gk.IncidenceSpec(gg.EXPLICIT)
+        assert gk.IncidenceSpec(gg.BANDED, 2).width == 2
+        with pytest.raises(gk.InputError, match="band width must be >= 1"):
+            gk.IncidenceSpec(gg.BANDED, 0)
+
+
+class TestInfiniteRefusal:
+    """Every analysis that needs the edge graph refuses an infinite system
+    where the system builds that graph, with one message."""
+
+    @pytest.mark.parametrize("analysis", [
+        lambda s: s.incidence_matrix,
+        lambda s: s.log_norms,
+        gk.scc_decompose,
+        lambda s: list(gk.enumerate_words(s, 2)),
+        gk.bowen_dimension,
+        gk.component_dimensions,
+        gk.classify_hausdorff_measure,
+        lambda s: gk.sample_points(s, 10, 5, seed=0),
+    ], ids=["incidence_matrix", "log_norms", "scc_decompose", "enumerate_words",
+            "bowen_dimension", "component_dimensions", "classify_hausdorff_measure",
+            "sample_points"])
+    @pytest.mark.parametrize("system", [banded_cf, upper_cf])
+    def test_truncate_first(self, analysis, system):
+        with pytest.raises(gk.NotApplicableError) as exc:
+            analysis(system())
+        assert str(exc.value) == "truncate the system first"
+
+
 class TestEnumeration:
     def test_full_two_edge_shift_counts(self):
         sys = gk.full_shift([1 / 2, 1 / 2])

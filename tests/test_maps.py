@@ -5,6 +5,7 @@ import pytest
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
+from conftest import two_component_system
 
 
 def cf_sys():
@@ -92,12 +93,24 @@ class TestVertexSpace:
     @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 1.0),
                                        (-math.inf, math.inf)])
     def test_infinite_end_refused(self, lo, hi):
-        with pytest.raises(gk.InputError, match="vertex space 'v': need finite ends"):
+        with pytest.raises(gk.InputError, match="space for vertex 'v' needs finite ends"):
             gm.VertexSpace("v", lo, hi)
 
     def test_nan_end_refused(self):
         with pytest.raises(gk.InputError):
             gm.VertexSpace("v", math.nan, 1.0)
+
+
+class TestSimilarityMap:
+    def test_call(self):
+        assert gm.SimilarityMap(0.25, 0.5)(1.0) == 0.75
+        assert gm.SimilarityMap(0.5, 0.75, -1)(0.5) == 0.5
+
+    def test_sign_checked_before_ratio(self):
+        with pytest.raises(gk.InputError, match="sign must be 1 or -1"):
+            gm.SimilarityMap(1.5, 0.0, 2)
+        with pytest.raises(gk.InputError, match="ratio must lie strictly between 0 and 1"):
+            gm.SimilarityMap(1.5, 0.0, -1)
 
 
 class TestIntervals:
@@ -156,6 +169,21 @@ class TestEvaluation:
         f2 = sys.family.map_for("e2")
         direct = f1.ratio * (f2.ratio * x + f2.offset) + f1.offset
         assert abs(gk.evaluate(sys.family, ("e1", "e2"), x) - direct) < 1e-15
+
+    def test_system_evaluate_admissible_word(self):
+        # phi_a(phi_b(x)) with a: x/3 and b: x/3 + 2/3
+        assert abs(two_component_system().evaluate(("a", "b"), 0.5) - 5 / 18) < 1e-15
+        # 1/(1 + 1/(2 + 0)) on the infinite continued-fraction system
+        assert abs(cf_sys().evaluate((1, 2), 0.0) - 2 / 3) < 1e-15
+
+    def test_system_evaluate_refuses_inadmissible_word(self):
+        # the blocks {a, b} and {c, d} are not linked
+        with pytest.raises(gk.InputError, match="not admissible"):
+            two_component_system().evaluate(("a", "c"), 0.5)
+
+    def test_system_evaluate_refuses_point_outside_terminal_space(self):
+        with pytest.raises(gk.DomainError):
+            two_component_system().evaluate(("a", "b"), 2.0)
 
     def test_evaluate_rejects_point_outside_space(self):
         sys = cf_sys()

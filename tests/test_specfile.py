@@ -87,6 +87,11 @@ class TestParsing:
         sys2, _ = gk.parse_spec(text)
         assert gk.serialize_spec(sys2) == text
 
+    def test_round_trip_keeps_an_incidence_whose_width_its_rule_ignores(self):
+        sys1 = gk.cf_system(gk.IncidenceSpec(gg.FULL, 1), truncate=3)
+        sys2, _ = gk.parse_spec(gk.serialize_spec(sys1))
+        assert sys2.incidence == sys1.incidence == gk.IncidenceSpec(gg.FULL)
+
     def test_pruned_explicit_round_trip(self):
         sys1, warnings = gk.parse_spec(FEEDER)
         assert "pruned 1 edge(s) with no successor: z" in warnings
@@ -192,6 +197,8 @@ class TestRejections:
         (CANTOR.replace("space v 0 1", "space v 1 0"), "space needs lo < hi", 2),
         (CANTOR.replace("0.3333333333333333 0 1", "0.3333333333333333 0 2"),
          "sign must be 1 or -1", 3),
+        # a bad sign and a bad ratio on one line: the sign is named
+        (CANTOR.replace("0.3333333333333333 0 1", "1.5 0 2"), "sign must be 1 or -1", 3),
         ("system c\nfamily cf truncate 0\nincidence full\n", "truncation size must be >= 1", 2),
         (CANTOR.replace("incidence full", "incidence banded 0"), "band width must be >= 1", 5),
         ("system c\nfamily cf\nincidence explicit\nallow 1 1\n",
@@ -240,6 +247,15 @@ class TestRejections:
     def test_duplicate_edge_id(self):
         bad = CANTOR.replace("edge e2", "edge e1")
         self.reject(bad, "duplicate edge id")
+
+    @pytest.mark.parametrize("rule", ["banded 1", "upper"])
+    def test_integer_ids_equal_after_reading_are_duplicates(self, rule):
+        # '1' and '01' are one label under a rule over integer labels
+        text = (CANTOR.replace("edge e1", "edge 1").replace("edge e2", "edge 01")
+                .replace("incidence full", f"incidence {rule}"))
+        with pytest.raises(gk.SpecError) as exc:
+            gk.parse_spec(text)
+        assert str(exc.value) == "line 4: duplicate edge id 1"
 
     def test_incompatible_allow_pair(self):
         # a allow pair must respect the vertex structure
