@@ -159,8 +159,6 @@ def _dim(args, report, system):
 def _classify(args, report, system):
     result = dimension.classify_hausdorff_measure(
         system, n_range=range(args.nmin, args.nmax + 1))
-    if result.verdict == dimension.NOT_APPLICABLE:
-        raise NotApplicableError(result.explanation)
     report.add("verdict", result.verdict)
     report.add("h_lo", result.dimension.lo)
     report.add("h_hi", result.dimension.hi)

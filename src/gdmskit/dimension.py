@@ -46,7 +46,6 @@ class DimensionEstimate:
 
 FINITE_H_MEASURE = "FiniteHMeasure"
 INFINITE_H_MEASURE = "InfiniteHMeasure"
-NOT_APPLICABLE = "NotApplicable"
 
 
 @dataclass(frozen=True)
@@ -192,12 +191,12 @@ def _component_roots(system, tolerance):
     return blocks, [_component_root(block.pressure_slope, tolerance) for block in blocks]
 
 
-def _certified_dimension(blocks, roots, tolerance, full_shift=False):
+def _certified_dimension(blocks, roots, tolerance):
     """Certify the largest of `roots`, those of the pressure engines
     `blocks`: the pressure bounds are the max over blocks of their certified
-    brackets. When the blocks make a similarity full shift (`full_shift`:
-    one `thermo.PerronBlock` whose incidence entries are all 1), the bracket
-    is cross-checked against the Moran root, the zero of
+    brackets. When the blocks make a similarity full shift (one
+    `thermo.PerronBlock` whose incidence entries are all 1), the bracket is
+    cross-checked against the Moran root, the zero of
     `_full_shift_pressure`."""
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
@@ -205,7 +204,7 @@ def _certified_dimension(blocks, roots, tolerance, full_shift=False):
     lo, hi, n = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
                                    max(root for root, _ in roots), tolerance)
     method = PERRON_NEWTON if isinstance(blocks[0], thermo.PerronBlock) else COLLOCATION_NEWTON
-    if full_shift:
+    if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].A.all():
         moran, _ = _component_root(
             lambda t: _full_shift_pressure(blocks[0].log_norms, t), tolerance)
         if not (lo - tolerance <= moran <= hi + tolerance):
@@ -227,17 +226,13 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
     >= 0 at the low end and P_upper < 0 at the high end. The bracket has
     width at most tolerance / 2. `iterations` counts the Newton steps over
     all components, plus any widening or bisection steps the end
-    certificate needed. `n_max` is accepted for compatibility and does not
-    affect the result.
+    certificate needed. The method is MORAN_EXACT when the one cyclic
+    component is a similarity full shift: its bracket is then cross-checked
+    against the root of Moran's equation sum r_e^h = 1. `n_max` is
+    accepted for compatibility and does not affect the result.
     """
     blocks, roots = _component_roots(system, tolerance)
-    return _certified_dimension(blocks, roots, tolerance, _is_full_shift(system))
-
-
-def _is_full_shift(system):
-    """Whether `system` is a similarity system whose incidence entries are
-    all 1; its one engine is then the whole system."""
-    return system.family.kind == "similarity" and system.incidence_matrix.all()
+    return _certified_dimension(blocks, roots, tolerance)
 
 
 def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> ComponentDimensionReport:
@@ -247,14 +242,14 @@ def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> Compon
     components (isolated edges only contribute a geometrically decaying tail).
     Each component root is found once; a component's bracket is certified
     by its own block, the overall one by all blocks, as in `bowen_dimension`.
-    A component is cross-checked as a full shift when its own block is one.
+    A component, or the whole system, is cross-checked as a full shift
+    when its blocks are one full-shift block: a system whose only cyclic
+    component is a full shift reports MORAN_EXACT overall too.
     """
     blocks, roots = _component_roots(system, tolerance)
-    estimates = tuple(
-        _certified_dimension([block], [root], tolerance,
-                             isinstance(block, thermo.PerronBlock) and block.A.all())
-        for block, root in zip(blocks, roots))
-    overall = _certified_dimension(blocks, roots, tolerance, _is_full_shift(system))
+    estimates = tuple(_certified_dimension([block], [root], tolerance)
+                      for block, root in zip(blocks, roots))
+    overall = _certified_dimension(blocks, roots, tolerance)
     max_est = max(estimates, key=lambda e: e.mid, default=overall)
     return ComponentDimensionReport(system.components, estimates, overall, max_est,
                                     abs(overall.mid - max_est.mid))
@@ -269,7 +264,9 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
     verdict is structural: the measure is infinite exactly when two distinct
     maximal components communicate. Z_n(h) evidence is attached but never
     overrides the structural verdict; its growth slope is fitted over
-    n_range, which must hold at least two word lengths, all >= 1.
+    n_range, which must hold at least two word lengths, all >= 1. A system
+    with an empty limit set has no dimension to classify and raises
+    NotApplicableError.
     """
     ns = tuple(int(n) for n in n_range)
     if len(set(ns)) < 2:
@@ -279,10 +276,7 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
     _check_tolerance(tolerance)
     report = g.scc_decompose(system)
     if not report.components:
-        return MeasureClassification(NOT_APPLICABLE,
-                                     DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET),
-                                     (), (), (), (), 0.0,
-                                     "empty limit set: no dimension to classify")
+        raise NotApplicableError("empty limit set: no dimension to classify")
     comp_report = component_dimensions(system, tolerance)
     overall = comp_report.overall
     maximal = tuple(

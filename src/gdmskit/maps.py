@@ -3,9 +3,8 @@
 Two families are supported: orientation-aware affine similarities, and the
 continued-fraction Moebius maps x -> 1/(e + x) on [0, 1] with positive
 integer labels. Continued-fraction compositions are evaluated through the
-integer continuant recurrence q_k = a_k*q_{k-1} + q_{k-2}, which gives exact
-derivative norms for short words; long words switch to a log-space float
-recurrence.
+integer continuant recurrence q_k = a_k*q_{k-1} + q_{k-2}, exact at every
+word length.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InputError
-
-# Integer continuants are kept exact up to this word length.
-EXACT_CONTINUANT_CAP = 30
-
 
 @dataclass(frozen=True)
 class VertexSpace:
@@ -67,7 +62,6 @@ class DerivativeNorm:
 
     word: tuple
     log_value: float
-    exact: bool
 
     @property
     def value(self) -> float:
@@ -140,22 +134,6 @@ def cf_continuants(word):
     return p, p_prev, q, q_prev
 
 
-def cf_log_continuants(word):
-    """Log-space (ln q_n, ln q_{n-1}) recurrence for long words."""
-    lq_prev, lq = -math.inf, 0.0
-    for a in word:
-        _check_cf_label(a)
-        hi = math.log(a) + lq
-        # logaddexp(hi, lq_prev) without numpy
-        if lq_prev == -math.inf:
-            nxt = hi
-        else:
-            m = max(hi, lq_prev)
-            nxt = m + math.log(math.exp(hi - m) + math.exp(lq_prev - m))
-        lq_prev, lq = lq, nxt
-    return lq, lq_prev
-
-
 @dataclass(frozen=True)
 class MoebiusCfFamily:
     """The continued-fraction maps phi_e(x) = 1/(e + x) on [0, 1]."""
@@ -198,19 +176,16 @@ def derivative_norm(family, word) -> DerivativeNorm:
     """sup over the domain of |phi_word'|.
 
     Exact for similarities (constant derivative) and for continued-fraction
-    words up to EXACT_CONTINUANT_CAP letters (sup = 1/q_n^2 at x = 0).
+    words of any length: sup = 1/q_n^2 at x = 0, from the integer
+    continuant q_n.
     """
     word = tuple(word)
     if not word:
         raise InputError("word must have length >= 1")
     if family.kind == "similarity":
-        log_value = sum(family.one_step_log_norm(e) for e in word)
-        return DerivativeNorm(word, log_value, True)
-    if len(word) <= EXACT_CONTINUANT_CAP:
-        _, _, q, _ = cf_continuants(word)
-        return DerivativeNorm(word, -2.0 * math.log(q), True)
-    lq, _ = cf_log_continuants(word)
-    return DerivativeNorm(word, -2.0 * lq, False)
+        return DerivativeNorm(word, sum(family.one_step_log_norm(e) for e in word))
+    _, _, q, _ = cf_continuants(word)
+    return DerivativeNorm(word, -2.0 * math.log(q))
 
 
 def distortion_constant(family) -> float:

@@ -104,12 +104,14 @@ def sample_from_points(points, anchor: float = 0.0,
 def box_dimension(sample: LimitPointSample, scales) -> BoxCount:
     """Occupied-box counts on a grid anchored at the vertex-space lower end,
     with the least-squares slope of log N against log(1/scale). Raises
-    InputError for a point, scale or anchor that is not finite, or a
-    position error bound that is not finite and >= 0."""
+    InputError for fewer than two scales, a point, scale or anchor that is
+    not finite, or a position error bound that is not finite and >= 0."""
     points = np.asarray(sample.points, dtype=float)
     if points.size < 1000:
         raise InputError("box counting needs at least 1000 points")
     scales = [float(s) for s in scales]
+    if len(scales) < 2:
+        raise InputError("box counting needs at least two scales to fit a slope")
     if not (np.isfinite(points).all() and np.isfinite(scales).all()
             and math.isfinite(sample.anchor) and 0 <= sample.diameter_bound < math.inf):
         raise InputError("box counting needs finite points, scales, anchor and error bound >= 0")

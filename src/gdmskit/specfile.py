@@ -12,7 +12,9 @@ whitespace):
 
 Unknown keywords are rejected with their line number; nothing is silently
 ignored. An allow pair that is repeated is accepted and counts once: the
-incidence matrix has a single 1 there.
+incidence matrix has a single 1 there. Under `banded` and `upper` an edge
+id is an ASCII decimal integer, -?[0-9]+, and ids of one value, such as 1
+and 01, are duplicates.
 
 The parser reads tokens only. Each value is checked by the constructor of
 the object it becomes (`maps.VertexSpace`, `maps.SimilarityMap`,
@@ -21,6 +23,8 @@ as a SpecError at the line that holds the value.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -157,16 +161,15 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
 
     if not edges:
         raise SpecError("no edges and no family directive")
-    # a rule over integer labels reads each id as an integer before the
-    # duplicate check, so that '1' and '01' are one id
+    # a rule over integer labels reads each id as an ASCII decimal integer
+    # before the duplicate check, so that '1' and '01' are one id
     integer_ids = not explicit and spec.rule.integer_ids
     seen, checked = set(), []
     for lineno, eid, src, dst, sim in edges:
         if integer_ids:
-            try:
-                eid = int(eid)
-            except ValueError:
-                raise SpecError(g.INTEGER_IDS.format(spec.kind, eid), lineno) from None
+            if not re.fullmatch("-?[0-9]+", eid):
+                raise SpecError(g.INTEGER_IDS.format(spec.kind, eid), lineno)
+            eid = int(eid)
         if eid in seen:
             raise SpecError(f"duplicate edge id {eid!r}", lineno)
         seen.add(eid)

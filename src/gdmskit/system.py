@@ -52,10 +52,6 @@ class GdmsSystem:
         return {e.id: k for k, e in enumerate(self.graph.edges)}
 
     @cached_property
-    def edges_by_id(self):
-        return {e.id: e for e in self.graph.edges}
-
-    @cached_property
     def incidence_matrix(self):
         """Read-only 0/1 matrix of the edge graph, rows and columns in edge
         order, built from a named rule. An explicit incidence has no rule:
@@ -155,7 +151,7 @@ class GdmsSystem:
     def terminal_space(self, word) -> m.VertexSpace:
         if self.infinite:
             return self.spaces[self.graph.vertices[0]]
-        last = self.edges_by_id[word[-1]]
+        last = self.graph.edges[self.edge_index[word[-1]]]
         return self.spaces[last.dst]
 
     def evaluate(self, word, x: float) -> float:
@@ -276,24 +272,31 @@ def full_shift(ratios, offsets=None, signs=None, lo=0.0, hi=1.0, name="full-shif
 
 
 def prune(system: GdmsSystem):
-    """Drop edges with no allowed successor, iterated to a fixpoint.
+    """Drop edges with no allowed successor, iterated to a fixpoint: the
+    edges from which no cycle can be reached. Returns (pruned system,
+    removed ids in the order the iteration drops them).
 
     Removing such edges leaves the limit set unchanged: no infinite word can
-    pass through them.
+    pass through them. One sweep over `system.sccs`, sink first, gives each
+    edge the round in which the iteration would drop it (0: never), read
+    from one member per component: an edge stays if a successor stays,
+    else it goes one round after its last successor. The members of a
+    component read each other as staying, so a cycle keeps them all.
     """
     if system.infinite:
         return system, ()
-    removed = []
-    current = system
-    while True:
-        succ = current.successors
-        keep = [k for k, row in enumerate(succ) if row]
-        if len(keep) == len(succ):
-            break
-        ids = current.edge_ids
-        removed.extend(ids[k] for k, row in enumerate(succ) if not row)
-        current = current.subsystem(keep)
-    return current, tuple(removed)
+    succ = system.successors
+    rounds = [0] * len(succ)
+    for comp in system.sccs:
+        later = [rounds[j] for j in succ[comp[0]]]
+        if 0 not in later:
+            rounds[comp[0]] = 1 + max(later, default=0)
+    removed = sorted((r, k) for k, r in enumerate(rounds) if r)
+    if not removed:
+        return system, ()
+    ids = system.edge_ids
+    return (system.subsystem([k for k, r in enumerate(rounds) if not r]),
+            tuple(ids[k] for _, k in removed))
 
 
 def validate(system: GdmsSystem):

@@ -254,12 +254,16 @@ class PerronBlock:
 
 
 def _transfer_partition_sums(system, t, n_max):
+    """[u B^(n-1) 1 for n = 1..n_max]. A sum past the float range comes
+    out inf, or nan where a 0 entry of B meets an inf; the caller refuses
+    it, so neither raises a floating-point warning here."""
     B, u = transfer_matrix(system, t)
     w = np.ones(len(u))
     out = []
-    for _ in range(n_max):
-        out.append(float(u @ w))
-        w = B @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_max):
+            out.append(float(u @ w))
+            w = B @ w
     return out
 
 

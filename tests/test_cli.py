@@ -80,6 +80,14 @@ class TestReports:
         assert grab(out, "theta") == "1/2"
         assert grab(out, "theta_n[2]") == "1/2"
 
+    def test_infinite_pressure_below_theta(self, capsys, tmp_path):
+        spec = tmp_path / "g.gdms"
+        spec.write_text(CF_FULL)
+        code, out, _ = run(capsys, "pressure", str(spec), "--t", "0.3")
+        assert code == cli.EXIT_OK
+        assert (grab(out, "P_lower"), grab(out, "P_upper")) == ("inf", "inf")
+        assert grab(out, "method") == "rule-analytic"
+        assert "warning: pressure is infinite below the finiteness parameter\n" in out
 
     def test_dim_cf_truncation(self, capsys, tmp_path):
         spec = tmp_path / "t.gdms"
@@ -253,6 +261,16 @@ class TestExitCodes:
         assert code == cli.EXIT_SPEC
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("scales", [",", "0.1"])
+    def test_boxdim_needs_two_scales(self, capsys, tmp_path, scales):
+        pts = tmp_path / "pts.csv"
+        points = [repr((k + 0.5) / 1200) for k in range(1200)]
+        pts.write_text("\n".join(["point", *points]) + "\n")
+        code, out, err = run(capsys, "boxdim", str(pts), "--scales", scales)
+        assert code == cli.EXIT_SPEC
+        assert out == ""
+        assert err == "error: box counting needs at least two scales to fit a slope\n"
 
     def test_sample_letter_count_guard(self, capsys, cantor_spec, monkeypatch):
         monkeypatch.setenv("GDMS_COUNT_GUARD", "50")

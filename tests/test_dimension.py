@@ -280,6 +280,11 @@ class TestCfDimension:
         assert lo <= 0.3 - 1e-13 and 0.3 + 1e-13 < hi
         assert hi - lo <= 1e-10 / 2
 
+    def test_pressure_that_stays_positive_is_refused(self):
+        # the upper end doubles STEP_CAP times and never finds P_upper < 0
+        with pytest.raises(gk.ConvergenceError, match="no negative pressure found"):
+            gd._certified_bracket(lambda t: (1.0, 1.0), 0.3, 1e-10)
+
 
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(1, 6), width=st.integers(1, 3),
@@ -336,6 +341,15 @@ class TestComponentDimensions:
         want = math.log(2) / math.log(3)
         assert abs(est.mid - want) <= 1e-9
 
+    def test_lone_full_shift_component_is_moran_exact(self):
+        # the feeder chain carries no cycle, so the one block is the full
+        # shift {a, b}: the whole system reports its component's bracket
+        sys = feeder_system()
+        est = gk.bowen_dimension(sys)
+        first = gk.component_dimensions(sys).estimates[0]
+        assert est.method == first.method == gd.MORAN_EXACT
+        assert (est.lo, est.hi) == (first.lo, first.hi)
+
 
 class TestHausdorffClassification:
     def test_unlinked_equal_dimension_components_finite(self):
@@ -374,8 +388,8 @@ class TestHausdorffClassification:
             gk.classify_hausdorff_measure(gk.full_shift([1 / 3, 1 / 3]), n_range=range(0, 4))
 
     def test_empty_limit_set_not_applicable(self):
-        res = gk.classify_hausdorff_measure(cf_sys(gg.UPPER, truncate=4))
-        assert res.verdict == gd.NOT_APPLICABLE
+        with pytest.raises(gk.NotApplicableError, match="empty limit set"):
+            gk.classify_hausdorff_measure(cf_sys(gg.UPPER, truncate=4))
 
     def test_cf_evidence_enumerates_once(self, monkeypatch):
         # the collocation needs 20^2 = 400; the words of lengths 1..8 number
@@ -435,6 +449,11 @@ class TestTruncationSweep:
         sys = gk.full_shift([1 / 3, 1 / 3])
         with pytest.raises(gk.NotApplicableError):
             gk.truncation_sweep(sys, [1, 2])
+
+    @pytest.mark.parametrize("sizes", [[], [3, 2], [2, 2], [1, 3, 3]])
+    def test_sizes_must_increase_strictly(self, sizes):
+        with pytest.raises(gk.InputError, match="strictly increasing"):
+            gk.truncation_sweep(cf_sys(), sizes)
 
     def test_full_rule_sweep_converges_upward(self):
         sys = cf_sys(gg.FULL)

@@ -162,6 +162,13 @@ class TestEnumeration:
         with pytest.raises(gk.ResourceGuardError):
             list(gk.enumerate_words(sys, 10, limit=100))
 
+    @pytest.mark.parametrize("raw", ["0", "-3", "x"])
+    def test_count_guard_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("GDMS_COUNT_GUARD", raw)
+        with pytest.raises(gk.InputError,
+                           match=f"GDMS_COUNT_GUARD must be a positive integer, got '{raw}'"):
+            gg.count_guard()
+
     def test_matches_brute_force_filter(self, rng):
         # enumeration must equal filtering all |E|^n sequences by is_admissible
         from itertools import product
@@ -365,6 +372,44 @@ class TestPruning:
             twice, removed_again = gk.prune(once)
             assert removed_again == ()
             assert twice.edge_ids == once.edge_ids
+
+    def test_dead_chain_is_pruned_by_one_slice(self, monkeypatch):
+        # block {a, b}, fed by f; the chain d4 -> d3 -> d2 -> d1 and s -> d2, d1
+        # reach no cycle. Each dead edge goes one round after its last
+        # successor, and the ids of a round come in edge order
+        ratios = {k: 0.1 for k in ("d1", "a", "d3", "b", "d2", "s", "d4", "f")}
+        allowed = {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("f", "a"),
+                   ("d4", "d3"), ("d3", "d2"), ("d2", "d1"), ("s", "d2"), ("s", "d1")}
+        sys = packed_system("dead-chain", ratios, allowed)
+        slices = []
+        subsystem = gk.GdmsSystem.subsystem
+
+        def counted(self, idx):
+            slices.append(list(idx))
+            return subsystem(self, idx)
+        monkeypatch.setattr(gk.GdmsSystem, "subsystem", counted)
+        pruned, warnings = gk.validate(sys)
+        assert slices == [[1, 3, 7]]
+        assert pruned.edge_ids == ("a", "b", "f")
+        assert warnings == ("pruned 5 edge(s) with no successor: d1, d2, d3, s, d4",)
+        assert gk.prune(pruned) == (pruned, ())
+        assert len(slices) == 1
+
+    def test_prune_matches_round_by_round_removal(self, rng):
+        checked = 0
+        while checked < 40:
+            sys = random_packed_system(rng, max_edges=8)
+            if sys is None:
+                continue
+            checked += 1
+            pruned, removed = gk.prune(sys)
+            live, want = list(sys.edge_ids), []
+            succ = sys.successor_map
+            while dead := [a for a in live if not set(succ[a]) & set(live)]:
+                want += dead
+                live = [a for a in live if a not in dead]
+            assert removed == tuple(want)
+            assert pruned.edge_ids == tuple(live)
 
 
 class TestMatrixProperties:

@@ -36,7 +36,6 @@ class TestDerivativeNorms:
         sys = gk.full_shift([1 / 2, 1 / 4])
         norm = gk.derivative_norm(sys.family, ("e1", "e2", "e1"))
         assert abs(norm.value - 1 / 16) < 1e-13 / 16
-        assert norm.exact
 
     def test_cf_pair_norm(self):
         sys = cf_sys()
@@ -44,15 +43,12 @@ class TestDerivativeNorms:
         # q_2 = 2*q_1 + q_0 = 3, so the norm is 1/9
         assert abs(norm.value - 1 / 9) < 1e-13 / 9
 
-    def test_cf_norm_exactness_flag(self):
-        sys = cf_sys()
-        short = gk.derivative_norm(sys.family, (1,) * 10)
-        long = gk.derivative_norm(sys.family, (2,) * 60)
-        assert short.exact
-        assert not long.exact
+    @pytest.mark.parametrize("word", [(1,) * 10, (2,) * 60, (7, 1) * 40])
+    def test_cf_norm_is_exact_at_every_length(self, word):
+        norm = gk.derivative_norm(cf_sys().family, word)
+        assert norm.log_value == -2.0 * math.log(gm.cf_continuants(word)[2])
 
     def test_long_word_log_norm_consistent(self):
-        # log-space branch must agree with exact integer continuants
         sys = cf_sys()
         word = (1, 3, 2, 5, 1, 2) * 5
         exact = gm.cf_continuants(word)[2]

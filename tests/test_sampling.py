@@ -99,6 +99,13 @@ class TestBoxDimension:
         with pytest.raises(gk.InputError):
             gk.box_dimension(sample, [3.0 ** -5, 3.0 ** -6])
 
+    @pytest.mark.parametrize("scales", [[], [0.1]])
+    def test_rejects_fewer_than_two_scales(self, scales):
+        # a slope needs two points of log N against log(1/scale)
+        sample = gk.sample_points(cantor(), 2000, 22, seed=0)
+        with pytest.raises(gk.InputError, match="at least two scales"):
+            gk.box_dimension(sample, scales)
+
     def test_rejects_unsorted_scales(self):
         sample = gk.sample_points(cantor(), 2000, 22, seed=0)
         with pytest.raises(gk.InputError):

@@ -244,6 +244,18 @@ class TestRejections:
         self.reject(CANTOR.replace("incidence full", "incidence banded 1"),
                     "integer edge ids")
 
+    @pytest.mark.parametrize("rule", ["banded 1", "upper"])
+    @pytest.mark.parametrize("eid", ["1_0", "+2", "\u0663", "\uff11"])
+    def test_integer_edge_ids_are_ascii_decimal(self, rule, eid):
+        # Python's int would read these as 10, 2, 3 and 1 and rename the edge
+        kind = rule.split()[0]
+        text = (CANTOR.replace("edge e1", f"edge {eid}").replace("edge e2", "edge 5")
+                .replace("incidence full", f"incidence {rule}"))
+        with pytest.raises(gk.SpecError) as exc:
+            gk.parse_spec(text)
+        assert str(exc.value) == (f"line 3: incidence rule {kind!r} needs integer "
+                                  f"edge ids, got {eid!r}")
+
     def test_duplicate_edge_id(self):
         bad = CANTOR.replace("edge e2", "edge e1")
         self.reject(bad, "duplicate edge id")

@@ -9,8 +9,8 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import thermo
-from conftest import (log_rho, period_two_system, two_component_system,
-                      random_packed_system)
+from conftest import (log_rho, packed_system, period_two_system,
+                      two_component_system, random_packed_system)
 
 
 def cf_sys(kind=gg.FULL, width=1, truncate=None):
@@ -97,11 +97,9 @@ class TestTransferMatrix:
 
     def test_index_is_built_once_and_dropped_by_restrict(self):
         sys = two_component_system(linked=True)
-        assert sys.edges_by_id is sys.edges_by_id
         assert sys.incidence_matrix is sys.incidence_matrix
         assert not sys.incidence_matrix.flags.writeable
         sub = sys.restrict(("c", "d"))
-        assert set(sub.edges_by_id) == {"c", "d"}
         assert sub.edge_index == {"c": 0, "d": 1}
         assert sub.incidence_matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
@@ -317,6 +315,29 @@ def test_partition_sums_refuse_t_not_finite_and_nonnegative(t):
             gk.partition_sum(system, 3, t)
         with pytest.raises(gk.InputError, match="t must be finite and >= 0"):
             thermo.partition_sums(system, [1, 3], t)
+
+
+@pytest.mark.parametrize("ns", [[0], [2, -1]])
+def test_partition_sums_refuse_word_lengths_below_one(ns):
+    for system in (gk.full_shift([0.3, 0.4]), cf_sys(truncate=2), cf_sys()):
+        with pytest.raises(gk.InputError, match="n must be >= 1"):
+            thermo.partition_sums(system, ns, 0.3)
+
+
+def test_partition_sums_of_no_word_lengths_are_empty():
+    for system in (gk.full_shift([0.3, 0.4]), cf_sys(truncate=2), cf_sys()):
+        assert thermo.partition_sums(system, [], 0.3) == []
+
+
+@pytest.mark.parametrize("system,n", [
+    (gk.full_shift([0.5, 0.5]), 1100),
+    # golden mean shift: the 0 entry of B meets an inf once the sums overflow
+    (packed_system("golden", {"a": 0.3, "b": 0.3}, {("a", "a"), ("a", "b"), ("b", "a")}), 1600)])
+def test_partition_sum_overflow_is_a_resource_refusal(system, n):
+    # RuntimeWarning is an error in this suite, so a floating-point warning
+    # from the matrix products would surface before the refusal
+    with pytest.raises(gk.ResourceGuardError, match="overflow budget"):
+        gk.partition_sum(system, n, 0.0)
 
 
 # words per level the enumeration oracle below may walk
@@ -554,6 +575,11 @@ class TestFiniteness:
     def test_upper_rule_theta_half(self):
         rep = gk.finiteness_parameters(cf_sys(gg.UPPER))
         assert rep.theta == Fraction(1, 2)
+
+    @pytest.mark.parametrize("system", [gk.full_shift([1 / 2, 1 / 2]), cf_sys()])
+    def test_word_lengths_below_one_are_refused(self, system):
+        with pytest.raises(gk.InputError, match="n values must be >= 1"):
+            gk.finiteness_parameters(system, (0, 1))
 
 
 class TestConformalMeasure:
