@@ -121,8 +121,6 @@ def _props(args, report, system):
     for flag in ("irreducible", "primitive", "finitely_irreducible"):
         report.add(flag, getattr(props, flag))
         report.add(f"{flag}_why", props.justification[flag])
-    if props.witness is not None:
-        report.add("witness_words", len(props.witness))
 
 
 def _pressure(args, report, system):

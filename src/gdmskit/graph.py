@@ -356,43 +356,45 @@ def scc_decompose(system) -> SccReport:
 
 @dataclass(frozen=True)
 class MatrixProperties:
+    """The three verdicts on the incidence matrix, each with the reason
+    `justification` gives under its name."""
+
     irreducible: bool
     primitive: bool
     finitely_irreducible: bool
-    witness: tuple | None  # connecting word set H, or None
     justification: dict
 
 
 def matrix_properties(system) -> MatrixProperties:
     """Irreducibility, primitivity and finite irreducibility.
 
-    Finite explicit matrices are analysed directly; for a finite edge set,
-    finitely irreducible coincides with irreducible (take one connecting word
-    per ordered edge pair as the witness H). Named infinite rules get
-    closed-form verdicts: truncation would change the answers.
+    A finite system is read from its cached views: `system.irreducible`
+    and the period of the edge graph, so the cost is O(E + nnz). For a
+    finite edge set finitely irreducible coincides with irreducible, since
+    one connecting word per ordered edge pair is a finite set. Named
+    infinite rules get closed-form verdicts: truncation would change the
+    answers.
     """
     if system.infinite:
         irr, prim, fin, why = system.incidence.rule.verdicts
         just = {"irreducible": why, "primitive": why, "finitely_irreducible": why}
-        return MatrixProperties(irr, prim, fin, None, just)
+        return MatrixProperties(irr, prim, fin, just)
 
     if not system.irreducible:
         just = {"irreducible": "the edge graph is not strongly connected"}
         just["primitive"] = just["irreducible"]
         just["finitely_irreducible"] = just["irreducible"]
-        return MatrixProperties(False, False, False, None, just)
+        return MatrixProperties(False, False, False, just)
 
-    succ = system.successors
-    period = _graph_period(succ)
+    period = _graph_period(system.successors)
     primitive = period == 1
-    witness = _connecting_words(succ, system.edge_ids)
     just = {
         "irreducible": "the edge graph is strongly connected",
         "primitive": (f"gcd of cycle lengths is {period}"
                       + ("" if primitive else ", so powers of A stay patterned")),
         "finitely_irreducible": "finite edge set: one connecting word per ordered pair",
     }
-    return MatrixProperties(True, primitive, True, witness, just)
+    return MatrixProperties(True, primitive, True, just)
 
 
 def _graph_period(succ):
@@ -411,33 +413,3 @@ def _graph_period(succ):
             g = math.gcd(g, level[v] + 1 - level[w])
     return abs(g) if g else 1
 
-
-def _connecting_words(succ, ids):
-    """Shortest word w per ordered edge pair (i, j) with i w j admissible,
-    in labels, sorted; None when some pair has no such word."""
-    n = len(succ)
-    words = set()
-    for i in range(n):
-        # BFS over successors; parent[w] is the edge before w on the word
-        parent = [-1] * n
-        for w in succ[i]:
-            parent[w] = i
-        queue = list(succ[i])
-        for v in queue:
-            for w in succ[v]:
-                if parent[w] < 0:
-                    parent[w] = v
-                    queue.append(w)
-        direct = set(succ[i])
-        for j in range(n):
-            if j in direct:
-                continue  # empty connecting word
-            if parent[j] < 0:
-                return None
-            path = []
-            v = parent[j]
-            while v != i:
-                path.append(ids[v])
-                v = parent[v]
-            words.add(tuple(reversed(path)))
-    return tuple(sorted(words))

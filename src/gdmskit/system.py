@@ -162,8 +162,11 @@ class GdmsSystem:
         return m.evaluate(self.family, word, x, self.terminal_space(word))
 
     def word_interval(self, word):
-        """Image interval phi_word(X_t(word)), exact for monotone maps."""
+        """Image interval phi_word(X_t(word)), exact for monotone maps; the
+        word must be admissible."""
         word = tuple(word)
+        if not g.is_admissible(self, word):
+            raise InputError(f"word {word} is not admissible")
         space = self.terminal_space(word)
         lo, hi = self.family.interval_images(word, [range(len(word))], [space.lo], [space.hi])
         return float(lo[0]), float(hi[0])

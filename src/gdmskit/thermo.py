@@ -794,7 +794,11 @@ class CylinderMeasure:
     normalizer: float
 
     def word_mass(self, system: GdmsSystem, word) -> float:
+        """m([word]); 0 when the word is not admissible, its cylinder then
+        being empty."""
         word = tuple(word)
+        if not g.is_admissible(system, word):
+            return 0.0
         log_r = sum(system.family.one_step_log_norm(e) for e in word)
         return math.exp(self.h * log_r) * self.right_vector[word[-1]] / self.normalizer
 

@@ -192,7 +192,6 @@ primitive = True
 primitive_why = gcd of cycle lengths is 1
 finitely_irreducible = True
 finitely_irreducible_why = finite edge set: one connecting word per ordered pair
-witness_words = 0
 wall_time_s = *
 """, "", {}),
     'cantor-pressure': (0, """\
@@ -667,7 +666,6 @@ primitive = True
 primitive_why = gcd of cycle lengths is 1
 finitely_irreducible = True
 finitely_irreducible_why = finite edge set: one connecting word per ordered pair
-witness_words = 0
 wall_time_s = *
 """, "", {}),
     'cf-full2-pressure': (0, """\

@@ -1,8 +1,12 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
+from gdmskit import system as gs
 from conftest import (two_component_system, feeder_system, packed_system,
                       random_graph_complete_system, random_packed_system,
                       random_packed_system_and_pairs)
@@ -436,7 +440,6 @@ class TestMatrixProperties:
 
     def test_alternating_matrix_not_primitive(self):
         # A = [[0,1],[1,0]]: all cycle lengths even
-        from gdmskit import maps as gm, system as gs
         space = gm.VertexSpace("v", 0.0, 1.0)
         edges = [("e1", "v", "v", gm.SimilarityMap(1 / 3, 0.0)),
                  ("e2", "v", "v", gm.SimilarityMap(1 / 3, 2 / 3))]
@@ -462,13 +465,50 @@ class TestMatrixProperties:
         assert not two_component_system(linked=True).irreducible
 
     def test_finite_equivalence_of_irreducibility_notions(self, rng):
-        checked = 0
-        while checked < 12:
-            sys = random_packed_system(rng)
-            if sys is None:
+        # about 2% of these systems are irreducible with a period above 1
+        checked, periodic = 0, 0
+        while checked < 300:
+            made = random_packed_system_and_pairs(rng)
+            if made is None:
                 continue
             checked += 1
+            sys, allowed = made
             props = gk.matrix_properties(sys)
             assert props.finitely_irreducible == props.irreducible
-            if props.irreducible:
-                assert props.witness is not None
+            assert props.primitive == _wielandt_primitive(sys.edge_ids, allowed)
+            periodic += props.irreducible and not props.primitive
+        assert periodic > 0
+
+    def test_cost_is_linear_in_the_edge_graph(self):
+        # a 300-edge ring with out-degree 2: e_k -> e_{k+1}, e_{k+2}. Once the
+        # cached views are built, the verdicts need only the period BFS; one
+        # connecting word per ordered pair would hold about E^3/2 letters.
+        E = 300
+        space = gm.VertexSpace("v", 0.0, 1.0)
+        edges = [(f"e{k}", "v", "v", gm.SimilarityMap(0.5 / E, k / E)) for k in range(E)]
+        allow = {(f"e{k}", f"e{(k + d) % E}") for k in range(E) for d in (1, 2)}
+        sys = gs.similarity_system("ring", ("v",), {"v": space}, edges,
+                                   gk.IncidenceSpec(gg.EXPLICIT), allow)
+        assert sys.irreducible and sys.successors
+        tracemalloc.start()
+        try:
+            props = gk.matrix_properties(sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (props.irreducible, props.primitive, props.finitely_irreducible) \
+            == (True, True, True)
+        assert peak < 1_000_000
+
+
+def _wielandt_primitive(ids, allowed):
+    """Whether A^k > 0 at k = (E - 1)^2 + 1, A the 0/1 matrix of the allow
+    pairs: Wielandt's bound, past which a primitive matrix stays positive."""
+    index = {e: k for k, e in enumerate(ids)}
+    A = np.zeros((len(ids), len(ids)), dtype=bool)
+    for a, b in allowed:
+        A[index[a], index[b]] = True
+    power = A
+    for _ in range((len(ids) - 1) ** 2):
+        power = (power.astype(int) @ A.astype(int)) > 0
+    return bool(power.all())

@@ -5,7 +5,7 @@ import pytest
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
-from conftest import two_component_system
+from conftest import packed_system, two_component_system
 
 
 def cf_sys():
@@ -115,6 +115,18 @@ class TestIntervals:
         sys = gk.full_shift([1 / 3, 1 / 3])
         lo, hi = sys.word_interval(("e2",))
         assert abs(lo - 1 / 3) < 1e-15 and abs(hi - 2 / 3) < 1e-15
+
+    def test_word_must_be_admissible(self):
+        # golden mean shift: e2 may not follow e2
+        sys = packed_system("golden", {"e1": 0.5, "e2": 0.25},
+                            {("e1", "e1"), ("e1", "e2"), ("e2", "e1")})
+        assert sys.word_interval(("e2", "e1")) == (0.5, 0.625)
+        with pytest.raises(gk.InputError, match="unknown edge id 'zzz'"):
+            sys.word_interval(("zzz",))
+        with pytest.raises(gk.InputError, match="length >= 1"):
+            sys.word_interval(())
+        with pytest.raises(gk.InputError, match="not admissible"):
+            sys.word_interval(("e2", "e2"))
 
     def test_cylinder_nesting(self, rng):
         # [omega b] is always a subset of [omega]

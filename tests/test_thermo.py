@@ -620,6 +620,23 @@ class TestConformalMeasure:
                      if gk.is_admissible(sys, (e, f))]
             assert math.fsum(parts) == pytest.approx(m.word_mass(sys, (e,)), abs=1e-12)
 
+    def test_refinement_sums_over_every_letter(self):
+        # golden mean shift: e2 may not follow e2, so [e2 e2] is empty and
+        # m([w]) is the sum of m([w f]) over all letters f, admissible or not
+        sys = packed_system("golden", {"e1": 0.5, "e2": 0.25},
+                            {("e1", "e1"), ("e1", "e2"), ("e2", "e1")})
+        m = gk.conformal_cylinder_measure(sys, gk.bowen_dimension(sys).mid)
+        assert m.word_mass(sys, ("e2", "e2")) == 0.0
+        words = [(e,) for e in sys.edge_ids]
+        for _ in range(3):
+            for w in words:
+                parts = [m.word_mass(sys, w + (f,)) for f in sys.edge_ids]
+                assert math.fsum(parts) == pytest.approx(m.word_mass(sys, w), abs=1e-12)
+            words = [w + (f,) for w in words for f in sys.edge_ids]
+        for word in [(), ("zzz",), ("e1", "zzz")]:
+            with pytest.raises(gk.InputError):
+                m.word_mass(sys, word)
+
     def test_rejects_reducible_system(self):
         sys = two_component_system(r1=1 / 3, r2=1 / 3)
         with pytest.raises(gk.UnsupportedAnalysisError, match="irreducible"):
