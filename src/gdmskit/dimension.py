@@ -4,9 +4,11 @@ The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}, the
 largest zero over strongly connected components (Mauldin and Urbanski,
 Graph Directed Markov Systems, 2003). Each component zero is found by
 safeguarded Newton steps with Ruelle's derivative: on the pressure
-ln rho(B(t)) of a similarity system, or on the Chebyshev collocation of
-the transfer operator of a continued-fraction system. The bracket ends are
-then certified by the sign of the proved pressure bounds of both families.
+ln rho(B(t)) of a similarity system from t = 0, or on the Chebyshev
+collocation of the transfer operator of a continued-fraction system from
+the root of a coarser collocation. Both bracket ends are then certified by
+one evaluation of the proved pressure bounds at the root and each engine's
+proved lower bound on -P'.
 """
 
 from __future__ import annotations
@@ -91,18 +93,19 @@ STEP_CAP = 100
 P1_SLACK = 1e-12
 
 
-def _component_root(pressure_slope, tolerance):
+def _component_root(pressure_slope, tolerance, t0=0.0):
     """Zero of a convex decreasing pressure on [0, 1].
 
-    pressure_slope(t) returns (P(t), P'(t)). Safeguarded Newton from t = 0:
-    P is convex and decreasing, so Newton steps from the left climb
-    monotonically to the zero; the bracket [a, b] with P(a) >= 0 > P(b)
-    absorbs rounding, and a step that would leave it becomes a bisection
-    step. The right end t = 1 is only evaluated when a step reaches it.
-    Returns (root, steps).
+    pressure_slope(t) returns (P(t), P'(t)). Safeguarded Newton from t0
+    (an engine's `newton_start`, or 0): P is convex and decreasing, so
+    Newton steps from the left climb monotonically to the zero, and a step
+    from the right of it lands on its left; the bracket [a, b] with
+    P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
+    becomes a bisection step. The right end t = 1 is only evaluated when a
+    step reaches it. Returns (root, steps).
     """
     a, b, b_known = 0.0, 1.0, False
-    t = 0.0
+    t = t0
     for steps in range(1, STEP_CAP + 1):
         p, slope = pressure_slope(t)
         if t == 1.0 and p >= 0.0:
@@ -129,12 +132,16 @@ def _component_root(pressure_slope, tolerance):
     raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
-def _certified_bracket(bounds, h, tolerance):
-    """[lo, hi] around h with P_lower(lo) >= 0 > P_upper(hi).
+def _certified_bracket(bounds, h, tolerance, decay=0.0):
+    """[lo, hi] around h with P(lo) >= 0 > P(hi) proved.
 
     bounds(t) returns (P_lower, P_upper), bounds that hold the pressure.
     Starts from h -/+ tolerance/4. lo = 0 needs no check: the dimension is
-    nonnegative. An end that fails its test is widened by doubling, and the
+    nonnegative. With `decay` > 0, a proved lower bound on -P', one call
+    bounds(h) first tries both ends: P(lo) >= P_lower(h) + decay (h - lo)
+    and P(hi) <= P_upper(h) - decay (hi - h), the products rounded down.
+    An end that this does not decide must show P_lower(lo) >= 0 or
+    P_upper(hi) < 0 itself; one that fails is widened by doubling, and the
     bracket is then bisected back to width tolerance/2, keeping both tests
     true at its ends. A midpoint where neither test holds raises
     ConvergenceError: the pressure bounds are too wide for this tolerance.
@@ -144,12 +151,18 @@ def _certified_bracket(bounds, h, tolerance):
     lo, hi = max(0.0, h - down), h + up
     while hi - lo > tolerance / 2:  # rounding can add an ulp to the width
         hi = math.nextafter(hi, lo)
+    lo_done = hi_done = False
+    if decay > 0.0:
+        lower, upper = bounds(h)
+        # decay (b - a) less the 3 roundings of the difference and products
+        lo_done = lower >= -decay * (h - lo) * (1 - 4 * thermo.UNIT_ROUNDOFF)
+        hi_done = upper < decay * (hi - h) * (1 - 4 * thermo.UNIT_ROUNDOFF)
     steps = 0
-    while lo > 0.0 and bounds(lo)[0] < 0.0:
+    while not lo_done and lo > 0.0 and bounds(lo)[0] < 0.0:
         down *= 2
         lo = max(0.0, h - down)
         steps += 1
-    while bounds(hi)[1] >= 0.0:
+    while not hi_done and bounds(hi)[1] >= 0.0:
         up *= 2
         hi = h + up
         steps += 1
@@ -183,26 +196,39 @@ def _check_tolerance(tolerance):
         raise InputError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
+def _newton_start(block, tolerance):
+    """The block's `newton_start`, or t = 0 when that raises
+    ConvergenceError: a coarse collocation that fails leaves the
+    full-size Newton steps to start cold."""
+    try:
+        return block.newton_start(tolerance)
+    except ConvergenceError:
+        return 0.0
+
+
 def _component_roots(system, tolerance):
     """The `thermo.engines` of `system.components` and the (root, Newton
-    steps) of each."""
+    steps) of each, the steps counting only those on the engine itself."""
     _check_tolerance(tolerance)
     blocks = thermo.engines(system)
-    return blocks, [_component_root(block.pressure_slope, tolerance) for block in blocks]
+    return blocks, [_component_root(block.pressure_slope, tolerance,
+                                    _newton_start(block, tolerance))
+                    for block in blocks]
 
 
 def _certified_dimension(blocks, roots, tolerance):
     """Certify the largest of `roots`, those of the pressure engines
     `blocks`: the pressure bounds are the max over blocks of their certified
-    brackets. When the blocks make a similarity full shift (one
-    `thermo.PerronBlock` whose incidence entries are all 1), the bracket is
-    cross-checked against the Moran root, the zero of
-    `_full_shift_pressure`."""
+    brackets, and the least `decay` of the blocks bounds -P' of that max.
+    When the blocks make a similarity full shift (one `thermo.PerronBlock`
+    whose incidence entries are all 1), the bracket is cross-checked
+    against the Moran root, the zero of `_full_shift_pressure`."""
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
 
     lo, hi, n = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
-                                   max(root for root, _ in roots), tolerance)
+                                   max(root for root, _ in roots), tolerance,
+                                   min(block.decay for block in blocks))
     method = PERRON_NEWTON if isinstance(blocks[0], thermo.PerronBlock) else COLLOCATION_NEWTON
     if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].A.all():
         moran, _ = _component_root(
@@ -220,13 +246,16 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
     """Bracket HD(J) = inf{t : P(t) < 0} for a finite system.
 
     h is the largest component root (Perron-Newton for similarities,
-    collocation-Newton for continued fractions), and the bracket
-    [h - tolerance/4, h + tolerance/4] is certified by the system pressure
-    bounds, the max over components of their certified brackets: P_lower
-    >= 0 at the low end and P_upper < 0 at the high end. The bracket has
-    width at most tolerance / 2. `iterations` counts the Newton steps over
-    all components, plus any widening or bisection steps the end
-    certificate needed. The method is MORAN_EXACT when the one cyclic
+    collocation-Newton for continued fractions, each from its engine's
+    `newton_start`), and the bracket [h - tolerance/4, h + tolerance/4] is
+    certified by the system pressure bounds, the max over components of
+    their certified brackets: one evaluation at h and the least `decay` of
+    the engines prove P >= 0 at the low end and P < 0 at the high end, and
+    an end this leaves open is tested at the end itself (see
+    `_certified_bracket`). The bracket has width at most tolerance / 2.
+    `iterations` counts the full-size Newton steps over all components (not
+    those of a coarse collocation), plus any widening or bisection steps
+    the end certificate needed. The method is MORAN_EXACT when the one cyclic
     component is a similarity full shift: its bracket is then cross-checked
     against the root of Moran's equation sum r_e^h = 1. `n_max` is
     accepted for compatibility and does not affect the result.

@@ -217,7 +217,8 @@ PERRON_WIDTH = 1e-9
 
 class PerronBlock:
     """One irreducible block B(t) = A o exp(t log r) of a similarity system,
-    with the `pressure_slope` and `certified_pressure` of a CfCollocation.
+    with the `pressure_slope`, `certified_pressure`, `decay` and
+    `newton_start` of a CfCollocation.
 
     Each call starts `collatz_wielandt` from the Perron vector of the
     previous call: the Newton steps and the end certificate move t little,
@@ -228,6 +229,19 @@ class PerronBlock:
     def __init__(self, A, log_norms):
         self.A, self.log_norms = A, log_norms
         self.right = None
+
+    @property
+    def decay(self) -> float:
+        """A lower bound on -P'(t) for every t: -max ln r, rounded down.
+
+        For s > t, B(s) = B(t) o exp((s - t) log r) <= (max r)^(s - t) B(t)
+        entrywise, and rho is monotone in the entries of a nonnegative
+        matrix, so P(s) <= P(t) + (s - t) max ln r."""
+        return _rounded_down(-float(self.log_norms.max()))
+
+    def newton_start(self, tolerance) -> float:
+        """Where Newton on this block starts: t = 0."""
+        return 0.0
 
     def pressure_slope(self, t):
         """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
@@ -323,6 +337,11 @@ def _cf_level_sums(system, ns, t):
 # collocation error falls like (3 + sqrt 8)^-M: about 1e-15 at M = 20,
 # below the rounding slack of the certificate for t in [0, 2].
 COLLOCATION_NODES = 20
+# Nodes per state of the coarse collocation whose root starts the Newton
+# steps on the COLLOCATION_NODES one: that root lies about 2e-8 from the
+# full-size one (full N = 2 and 5, banded N = 8 and 20), so one full-size
+# step reaches the tolerance and the next confirms it.
+COARSE_NODES = 8
 # The certificate splits [0, 1] into equal panels and bounds the residual on
 # each through its interpolant at PANEL_POINTS first-kind Chebyshev points
 # (at least COLLOCATION_NODES), with the remainder estimated on the
@@ -366,6 +385,12 @@ def _ellipse_parameter(center, radius):
     return a + np.sqrt(a * a - 1.0)
 
 
+def _rounded_down(x):
+    """x lowered by 4 unit roundoffs of |x|: a lower bound on the exact
+    value of an x computed with up to three roundings."""
+    return x - 4 * UNIT_ROUNDOFF * abs(x)
+
+
 def _log_bounds(low, high):
     """Outward-rounded [ln low, ln high]; ln of a nonpositive low is -inf."""
     slack = 4 * UNIT_ROUNDOFF
@@ -385,10 +410,11 @@ class CfCollocation:
 
     and rho(L_t) = exp P(t). The image depends on c only through its
     predecessor set, so the unknowns are one function per distinct
-    predecessor set (a state), stored by its values at the
-    COLLOCATION_NODES first-kind Chebyshev nodes x_i; the full rule has a
-    single state. With l_j the Lagrange basis of the nodes and s(a) the
-    state of letter a, the collocation matrix is
+    predecessor set (a state), stored by its values at `nodes` first-kind
+    Chebyshev nodes x_i (COLLOCATION_NODES unless the engine is the coarse
+    one of `newton_start`); the full rule has a single state. With l_j the
+    Lagrange basis of the nodes and s(a) the state of letter a, the
+    collocation matrix is
 
         L(t) = Q (K o exp(t Lam)),   K[(a, i), (s(a), j)] = l_j(1/(a + x_i)),
                                      Lam[(a, i), .] = -2 ln(a + x_i),
@@ -398,10 +424,16 @@ class CfCollocation:
     L'(t) = Q (K o Lam o exp(t Lam)) gives Ruelle's derivative.
     """
 
-    def __init__(self, A, letters):
+    # -P'(t) >= ln 2 for every t: each length-2 word has
+    # ||phi_w'|| = q_2^-2 <= 1/4, and the norms are submultiplicative, so
+    # Z_n(s) <= 4^(-floor(n/2) (s - t)) Z_n(t) for s > t
+    decay = _rounded_down(math.log(2.0))
+
+    def __init__(self, A, letters, nodes=COLLOCATION_NODES):
+        self.A, self.nodes = A, nodes
         preds = _predecessors(A)
         states = list(dict.fromkeys(preds))
-        size = len(states) * COLLOCATION_NODES
+        size = len(states) * nodes
         guard = g.count_guard()
         if size * size > guard:
             raise ResourceGuardError(
@@ -413,10 +445,10 @@ class CfCollocation:
         self.members = np.zeros((len(states), len(preds)))
         for row, p in zip(self.members, states):
             row[list(p)] = 1.0
-        self.to_coef = _values_to_coefficients(COLLOCATION_NODES)
-        shifted = self.letters[:, None] + _chebyshev_nodes(COLLOCATION_NODES)
+        self.to_coef = _values_to_coefficients(nodes)
+        shifted = self.letters[:, None] + _chebyshev_nodes(nodes)
         self.log_weights = -2.0 * np.log(shifted)
-        self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, COLLOCATION_NODES) @ self.to_coef
+        self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, nodes) @ self.to_coef
         # The letters a in predecessor set s, grouped by the block (s, s(a))
         # of L they add to: feeding[starts[k]:starts[k + 1]] for block k,
         # which sits at (block_rows[k], block_cols[k]).
@@ -432,7 +464,7 @@ class CfCollocation:
 
     @property
     def size(self) -> int:
-        return len(self.members) * COLLOCATION_NODES
+        return len(self.members) * self.nodes
 
     def _blocks(self, per_letter):
         """Sum per_letter[a] (one array per letter) into the block (s, s(a))
@@ -553,12 +585,35 @@ class CfCollocation:
         vector times the change of the state sizes since its t."""
         sizes = self._state_sizes(t, self.sizes)
         if self.right is None:
-            start = np.repeat(sizes, COLLOCATION_NODES)
+            start = np.repeat(sizes, self.nodes)
         else:
-            start = self.right * np.repeat(sizes / self.sizes, COLLOCATION_NODES)
+            start = self.right * np.repeat(sizes / self.sizes, self.nodes)
         lam, v, w = self._eigenpair(L, start=start)
         self.right, self.sizes = v, sizes
         return lam, v, w
+
+    def newton_start(self, tolerance) -> float:
+        """Where Newton on this engine starts: the root that
+        `dimension._component_root` finds on the COARSE_NODES collocation of
+        the same block, whose matrices have COARSE_NODES / `nodes` the size
+        of these.
+
+        The coarse engine's last right vector, interpolated onto this
+        engine's nodes, becomes `right`, with the coarse state sizes as
+        `sizes`, so the first eigenpair here starts near its vector. Raises
+        ConvergenceError when the coarse steps do or the interpolated vector
+        is not positive.
+        """
+        from .dimension import _component_root  # dimension imports this module
+        coarse = CfCollocation(self.A, self.letters, COARSE_NODES)
+        root, _ = _component_root(coarse.pressure_slope, tolerance)
+        coef = coarse.right.reshape(len(self.members), COARSE_NODES) @ coarse.to_coef.T
+        grid = _chebyshev_vander(2.0 * _chebyshev_nodes(self.nodes) - 1.0, COARSE_NODES)
+        right = (coef @ grid.T).ravel()
+        if not right.min() > 0.0:
+            raise ConvergenceError("coarse collocation vector does not interpolate positive")
+        self.right, self.sizes = right, coarse.sizes
+        return root
 
     def pressure_slope(self, t):
         """(ln lam, lam'/lam) of the collocation matrix: P(t) and P'(t) up to
@@ -602,7 +657,7 @@ class CfCollocation:
 
         Raises ConvergenceError when g cannot be shown positive.
         """
-        u, m, n, rho = UNIT_ROUNDOFF, COLLOCATION_NODES, PANEL_POINTS, PANEL_ELLIPSE
+        u, m, n, rho = UNIT_ROUNDOFF, self.nodes, PANEL_POINTS, PANEL_ELLIPSE
         states = len(self.members)
         coef = v.reshape(states, m) @ self.to_coef.T
         size0 = np.abs(coef).sum(axis=1)                      # >= sup |g|
@@ -669,7 +724,8 @@ def engines(system: GdmsSystem):
     the order of `system.components`, built from the component's diagonal
     block of `system.incidence_matrix`: a PerronBlock for a similarity
     system, a CfCollocation for a continued-fraction one. Both offer
-    `pressure_slope(t)` and `certified_pressure(t)`."""
+    `pressure_slope(t)`, `certified_pressure(t)`, `newton_start(tolerance)`
+    and `decay`, a proved lower bound on -P'."""
     A, ids = system.incidence_matrix, system.edge_ids
     if system.family.kind == "similarity":
         return [PerronBlock(A[np.ix_(idx, idx)], system.log_norms[list(idx)])

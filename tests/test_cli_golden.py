@@ -554,8 +554,8 @@ wall_time_s = *
 command = sweep
 spec = {d}/cf-full.gdms
 spec_sha256 = 836d81be899378a6e14d2be86543a68e28a19c3e360f7fa8158be920e2e4cb64
-sup_h_lo = 0.78869555748315157
-final_interval = [0.78869555748315157, 1]
+sup_h_lo = 0.78869555748315379
+final_interval = [0.78869555748315379, 1]
 monotone = True
 irreducible[2] = True
 irreducible[4] = True
@@ -564,8 +564,8 @@ wall_time_s = *
 """, "", {
         'sweep.csv': """\
 size,h_lo,h_hi
-2,0.53103050626375092,0.53153050626375087
-4,0.78869555748315157,0.78919555748315151
+2,0.53103050627720549,0.53153050627720544
+4,0.78869555748315379,0.78919555748315373
 """,
     }),
     'cf-banded-props': (0, """\
@@ -593,7 +593,7 @@ wall_time_s = *
 """, "", {}),
     'cf-banded-sweep': (0, """\
 size,h_lo,h_hi
-2,0.5312802562772051,0.53128075627720506
+2,0.53128025627720532,0.53128075627720528
 3,0.57396101286311385,0.57396151286311381
 command = sweep
 spec = {d}/cf-banded.gdms
@@ -702,7 +702,7 @@ h_lo = 0.53128050625220546
 h_hi = 0.53128050630220536
 method = collocation-newton
 tolerance = 1e-10
-iterations = 5
+iterations = 2
 wall_time_s = *
 """, "", {}),
     'cf-full2-classify': (0, """\
@@ -710,22 +710,22 @@ command = classify
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 verdict = FiniteHMeasure
-h_lo = 0.53128050602720511
-h_hi = 0.53128050652720504
+h_lo = 0.53128050602720556
+h_hi = 0.53128050652720549
 maximal_components = 0
 communicating_pairs = -
-growth_slope = -0.02729760463936546
+growth_slope = -0.027297604639366136
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-1,1.4787813919304615
-2,1.2820100241338621
-3,1.336163292814309
-4,1.3186008052093836
-5,1.3239979781958739
+1,1.4787813919304611
+2,1.282010024133861
+3,1.336163292814307
+4,1.3186008052093809
+5,1.3239979781958704
 """,
     }),
     'cf-full2-classify-switch': (0, """\
@@ -733,28 +733,28 @@ command = classify
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 verdict = FiniteHMeasure
-h_lo = 0.53128050602720511
-h_hi = 0.53128050652720504
+h_lo = 0.53128050602720556
+h_hi = 0.53128050652720549
 maximal_components = 0
 communicating_pairs = -
-growth_slope = 0.16914064867704359
+growth_slope = 0.16914064867704132
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-20,1.3227080241678335
-21,1.322708024210991
-22,1.3227080241975362
-23,2.4507632818093663
-24,2.507690724054112
-25,2.5659405027744246
-26,2.6255433338023511
-27,2.6865306464512324
-28,2.7489346000887558
-29,2.8127881010950158
-30,2.878124820214448
+20,1.3227080241678191
+21,1.3227080242109757
+22,1.32270802419752
+23,2.4507632818093446
+24,2.5076907240540849
+25,2.5659405027743962
+26,2.6255433338023231
+27,2.6865306464511991
+28,2.7489346000887216
+29,2.812788101094986
+30,2.8781248202144099
 """,
     }),
     'cf-full2-theta': (0, """\

@@ -286,6 +286,90 @@ class TestCfDimension:
             gd._certified_bracket(lambda t: (1.0, 1.0), 0.3, 1e-10)
 
 
+class TestOnePointCertificate:
+    def test_exact_linear_pressure_needs_one_bounds_call(self):
+        calls = []
+
+        def bounds(t):
+            calls.append(t)
+            return 0.3 - t, 0.3 - t
+        lo, hi, steps = gd._certified_bracket(bounds, 0.3, 1e-10, decay=1.0)
+        assert calls == [0.3]
+        assert steps == 0
+        assert lo <= 0.3 < hi
+        assert hi - lo <= 1e-10 / 2
+
+    def test_bounds_too_wide_fall_back_to_each_end(self):
+        # +/- 2e-11 at h is more than decay * tol/4 = 1.25e-11, but each end
+        # shows its sign from its own bounds
+        calls = []
+
+        def bounds(t):
+            calls.append(t)
+            return 0.3 - t - 2e-11, 0.3 - t + 2e-11
+        lo, hi, steps = gd._certified_bracket(bounds, 0.3, 1e-10, decay=0.5)
+        assert calls == [0.3, lo, hi]
+        assert steps == 0
+        assert lo <= 0.3 - 2e-11 and 0.3 + 2e-11 < hi
+
+    @pytest.mark.parametrize("offset", [-3e-9, 3e-9])
+    def test_one_end_decided_the_other_widens_then_bisects(self, offset):
+        # h is off by 3e-9: the call at h decides only the end beyond the root
+        tol = 1e-10
+        lo, hi, steps = gd._certified_bracket(lambda t: (0.3 - t, 0.3 - t), 0.3 + offset,
+                                              tol, decay=1.0)
+        assert steps > 0
+        assert lo <= 0.3 < hi
+        assert hi - lo <= tol / 2
+
+    def test_bounds_holding_zero_are_still_refused(self):
+        with pytest.raises(gk.ConvergenceError, match="cannot certify"):
+            gd._certified_bracket(lambda t: (0.3 - t - 1e-3, 0.3 - t + 1e-3), 0.3, 1e-10,
+                                  decay=1.0)
+
+
+class TestTwoLevelNewton:
+    @pytest.mark.parametrize("size", [8, 20, 40])
+    def test_banded_dimension_takes_few_full_size_solves(self, size, monkeypatch):
+        # a cold Newton start took 31, 34 and 37 solves of this size
+        full = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            if len(a) == size * thermo.COLLOCATION_NODES:
+                full.append(len(a))
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        est = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=size))
+        assert est.width <= 1e-10 / 2
+        assert len(full) <= 10
+
+    def test_two_letters_at_tolerance_1e12_hold_e2(self):
+        est = gk.bowen_dimension(cf_sys(truncate=2), tolerance=1e-12)
+        assert est.lo <= E2 <= est.hi
+        assert est.width <= 1e-12 / 2
+
+    def test_two_letters_at_tolerance_1e13_are_refused(self):
+        with pytest.raises(gk.ConvergenceError, match="cannot certify"):
+            gk.bowen_dimension(cf_sys(truncate=2), tolerance=1e-13)
+
+    def test_failed_coarse_engine_starts_newton_at_zero(self, monkeypatch):
+        slope = thermo.CfCollocation.pressure_slope
+        full_ts = []
+
+        def coarse_fails(self, t):
+            if self.nodes == thermo.COARSE_NODES:
+                raise gk.ConvergenceError("coarse collocation refused")
+            full_ts.append(t)
+            return slope(self, t)
+        monkeypatch.setattr(thermo.CfCollocation, "pressure_slope", coarse_fails)
+        est = gk.bowen_dimension(cf_sys(truncate=2))
+        assert full_ts[0] == 0.0
+        assert est.lo <= E2 <= est.hi
+        assert est.width <= 1e-10 / 2
+        assert est.iterations == len(full_ts) == 5
+
+
 @settings(max_examples=25, deadline=None)
 @given(size=st.integers(1, 6), width=st.integers(1, 3),
        tol=st.sampled_from([1e-6, 1e-8, 1e-10]))

@@ -499,6 +499,65 @@ class TestCfCollocation:
             gk.pressure(cf_sys(truncate=3), 0.5)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.01, 0.15), min_size=1, max_size=6), st.floats(0.0, 3.0))
+def test_similarity_decay_bounds_the_closed_form_slope(ratios, t):
+    # a full shift has P'(t) = sum r^t ln r / sum r^t, a mean of the ln r,
+    # so -P'(t) >= -max ln r
+    log_r = np.log(ratios)
+    weights = np.exp(t * log_r)
+    slope = float(weights @ log_r) / float(weights.sum())
+    block = thermo.engines(gk.full_shift(ratios))[0]
+    assert -slope >= block.decay > 0.0
+
+
+@pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.FULL, 3), (gg.FULL, 4),
+                                       (gg.FULL, 5), (gg.BANDED, 8)])
+def test_cf_decay_bounds_the_certified_pressure_drop(kind, size):
+    engine = thermo.engines(cf_sys(kind, 1, truncate=size))[0]
+    assert engine.decay <= math.log(2)
+    for t in np.linspace(0.0, 2.0, 9):
+        lower = engine.certified_pressure(t)[0]
+        upper = engine.certified_pressure(t + 0.01)[1]
+        assert lower - upper >= 0.01 * math.log(2)
+
+
+class TestNewtonStart:
+    def test_similarity_starts_at_zero(self):
+        block = thermo.engines(gk.full_shift([0.3, 0.4]))[0]
+        assert block.newton_start(1e-10) == 0.0
+        assert block.right is None
+
+    @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 8)])
+    def test_coarse_root_starts_near_the_full_one(self, kind, size, monkeypatch):
+        engine = thermo.engines(cf_sys(kind, 1, truncate=size))[0]
+        t0 = engine.newton_start(1e-10)
+        assert engine.right.shape == (engine.size,) and engine.right.min() > 0.0
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solves.append(len(a))
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        p, slope = engine.pressure_slope(t0)
+        # the coarse root is a Newton step of about 2e-8 from the full one,
+        # and the interpolated vector is that close to its eigenvector
+        assert abs(p / slope) <= 1e-7
+        assert solves.count(engine.size) <= 4
+
+    def test_coarse_vector_that_is_not_positive_is_refused(self, monkeypatch):
+        # flip the sign of the interpolation onto the full grid, the one
+        # Chebyshev table that newton_start builds on a flat array of points
+        engine = thermo.engines(cf_sys(truncate=2))[0]
+        vander = thermo._chebyshev_vander
+        monkeypatch.setattr(thermo, "_chebyshev_vander",
+                            lambda u, m: -vander(u, m) if np.ndim(u) == 1 else vander(u, m))
+        with pytest.raises(gk.ConvergenceError, match="interpolate positive"):
+            engine.newton_start(1e-10)
+        assert engine.right is None
+
+
 def _cf_rules():
     """(kind, width, size): banded rules up to 10 letters wide 1 to 3, and
     full rules up to 8 letters."""
