@@ -293,15 +293,13 @@ def classify_hausdorff_measure(system: GdmsSystem, tolerance: float = 1e-9,
     verdict is structural: the measure is infinite exactly when two distinct
     maximal components communicate. Z_n(h) evidence is attached but never
     overrides the structural verdict; its growth slope is fitted over
-    n_range, which must hold at least two word lengths, all >= 1. A system
-    with an empty limit set has no dimension to classify and raises
-    NotApplicableError.
+    n_range, which must hold at least two word lengths, all integers >= 1.
+    A system with an empty limit set has no dimension to classify and
+    raises NotApplicableError.
     """
-    ns = tuple(int(n) for n in n_range)
+    ns = tuple(g.word_lengths(n_range))
     if len(set(ns)) < 2:
         raise InputError("need at least two word lengths in n_range")
-    if min(ns) < 1:
-        raise InputError("n must be >= 1")
     _check_tolerance(tolerance)
     report = g.scc_decompose(system)
     if not report.components:

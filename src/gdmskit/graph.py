@@ -8,6 +8,7 @@ allows b to follow a.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,14 +216,29 @@ def is_admissible(system, word) -> bool:
     return all(A[index[a], index[b]] for a, b in zip(word, word[1:]))
 
 
+def word_lengths(ns) -> list:
+    """ns as a list of ints. Raises InputError unless each n is an integer
+    (`operator.index`, so numpy integers pass and 2.7 is refused rather
+    than truncated) and >= 1."""
+    out = []
+    for n in ns:
+        try:
+            out.append(operator.index(n))
+        except TypeError:
+            raise InputError(f"word length must be an integer, got {n!r}") from None
+    if any(n < 1 for n in out):
+        raise InputError("n must be >= 1")
+    return out
+
+
 def enumerate_words(system, n: int, limit: int | None = None):
     """Yield the admissible length-n words in lexicographic edge-list order.
 
     Dead prefixes are pruned depth-first. Raises ResourceGuardError once the
-    stream exceeds `limit` (default: the global count guard).
+    stream exceeds `limit` (default: the global count guard), and InputError
+    unless n is a `word_lengths` entry.
     """
-    if n < 1:
-        raise InputError("word length must be >= 1")
+    (n,) = word_lengths([n])
     succ = system.successors
     bound = count_guard() if limit is None else limit
     ids = system.edge_ids

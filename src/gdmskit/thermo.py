@@ -90,6 +90,10 @@ UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 TINY = float(np.finfo(float).tiny)
 
 
+class _Underflow(ConvergenceError):
+    """Row sums of `collatz_wielandt` fell below the normal range."""
+
+
 def collatz_wielandt(B, start=None):
     """(lower, upper, x): lower <= rho(B) <= upper for an irreducible
     nonnegative matrix B, and the positive vector x that proves them.
@@ -111,7 +115,12 @@ def collatz_wielandt(B, start=None):
     2 n times the least normal number keeps that part below u relative.
     The bounds carry (n + 5) u relative slack for all of it and the
     division. Raises ConvergenceError when a row with a nonzero entry sums
-    below that.
+    below that, in moduli.
+
+    A collocation matrix of `CfCollocation` has entries of both signs, so
+    its ratios bound nothing; the iteration still drives them to its
+    leading eigenvalue when its eigenvector is positive, and a row whose
+    sum is not positive only gives a ratio <= 0.
     """
     n = len(B)
     x = np.ones(n) if start is None else start / np.max(start)
@@ -133,8 +142,10 @@ def collatz_wielandt(B, start=None):
     for _ in range(NODA_STEPS + 1):
         image = B @ x
         small = image < 2 * n * TINY
-        if small.any() and B[small].any():
-            raise ConvergenceError("Collatz-Wielandt row sums underflow")
+        if small.any():
+            rows = B[small]
+            if (rows.any(axis=1) & (np.abs(rows) @ x < 2 * n * TINY)).any():
+                raise _Underflow("Collatz-Wielandt row sums underflow")
         ratios = image / x
         low, high = ratios.min(), ratios.max()
         if high - low < width:
@@ -165,20 +176,58 @@ def collatz_wielandt(B, start=None):
     return best
 
 
-def equilibrium_weights(B, v, upper):
-    """w o v / (w . v) for the left Perron vector w of B, given its right
-    Perron vector v > 0 and a bound upper >= rho(B).
+# Widest relative Collatz-Wielandt bracket a Newton step accepts as the
+# Perron root; Noda's iteration normally ends near 1e-14. Also the least
+# |w . v| relative to max |w o v| that shows the eigenvalue simple.
+PERRON_WIDTH = 1e-9
 
-    w o v is the left Perron vector of D^-1 B D, D = diag(v), whose right
+
+def equilibrium_weights(B, v, upper):
+    """w o v / (w . v) for the left eigenvector w of B's leading eigenvalue,
+    given its right eigenvector v > 0 and a bound upper >= that eigenvalue.
+
+    w o v is the left eigenvector of D^-1 B D, D = diag(v), whose right
     one is flat; one inverse-iteration solve (s I - D^-1 B D)^T z = 1 with
-    s = upper (1 + PERRON_SHIFT) gives it. The root is simple, so the solve
-    amplifies its direction by about 1/PERRON_SHIFT over every other one,
-    and the scaling keeps the digits of the small entries of v.
+    s = upper (1 + PERRON_SHIFT) gives it. A simple eigenvalue has its
+    direction amplified by about 1/PERRON_SHIFT over every other one, and
+    the scaling keeps the digits of the small entries of v. A defective one
+    has w . v = 0, so ConvergenceError is raised unless |sum z| exceeds
+    PERRON_WIDTH max |z| before z is divided by it, or when the solve is
+    singular.
     """
     n = len(B)
     shifted = upper * (1.0 + PERRON_SHIFT) * np.eye(n) - B * v / v[:, None]
-    z = np.linalg.solve(shifted.T, np.ones(n))
-    return z / z.sum()
+    try:
+        z = np.linalg.solve(shifted.T, np.ones(n))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"leading eigenvalue is not simple: {exc}") from exc
+    total = z.sum()
+    if not abs(total) > PERRON_WIDTH * np.abs(z).max():
+        raise ConvergenceError(f"leading eigenvalue is not simple: w.v = {total:.3g} "
+                               f"against max |w o v| = {np.abs(z).max():.3g}")
+    return z / total
+
+
+def perron_root(B, t, start=None):
+    """(lam, upper, v): the midpoint and upper end of the `collatz_wielandt`
+    bracket of B = B(t) from `start`, and its positive vector v. Raises
+    ConvergenceError unless the bracket is positive (it is 0 for a
+    nilpotent B, and for a leading eigenvector that is not positive) and
+    PERRON_WIDTH narrow."""
+    lower, upper, v = collatz_wielandt(B, start)
+    if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
+        raise ConvergenceError(
+            f"Perron root at t = {t!r} not resolved: bracket [{lower:.17g}, {upper:.17g}]")
+    return float(0.5 * (lower + upper)), upper, v
+
+
+def ruelle_slope(B, dB, v, lam, upper):
+    """(P'(t), z) for P = ln lam, lam the leading eigenvalue of B = B(t)
+    with right vector v and dB = B'(t): Ruelle's
+    P' = sum_i (z_i / v_i) (B' v)_i / lam with z = w o v / (w . v) the
+    `equilibrium_weights` of v."""
+    z = equilibrium_weights(B, v, upper)
+    return float((z / v) @ (dB @ v)) / lam, z
 
 
 def block_pressure(A, log_norms, t, start=None):
@@ -210,11 +259,6 @@ def block_pressure(A, log_norms, t, start=None):
     return math.nextafter(c + p_lower, -math.inf), math.nextafter(c + p_upper, math.inf), x
 
 
-# Widest relative Collatz-Wielandt bracket a Newton step accepts as the
-# Perron root; Noda's iteration normally ends near 1e-14.
-PERRON_WIDTH = 1e-9
-
-
 class PerronBlock:
     """One irreducible block B(t) = A o exp(t log r) of a similarity system,
     with the `pressure_slope`, `certified_pressure`, `decay` and
@@ -244,22 +288,17 @@ class PerronBlock:
         return 0.0
 
     def pressure_slope(self, t):
-        """(P, P') with Ruelle's P'(t) = sum_b w_b v_b ln r_b / sum_b w_b v_b
-        (v, w the right and left Perron vectors of B(t)); P is ln of the
-        midpoint of the Collatz-Wielandt bracket and v, kept as `right`, its
-        positive vector. Raises ConvergenceError unless the bracket is
-        positive (it is 0 for a nilpotent B) and PERRON_WIDTH narrow and the
-        weights w o v are all positive."""
+        """(P, P'): P is ln of the `perron_root` of B(t), whose vector v is
+        kept as `right`, and P' its `ruelle_slope`, which here is
+        sum_b z_b ln r_b. Raises ConvergenceError unless the weights
+        z = w o v / (w . v) are all positive."""
         B = self.A * np.exp(t * self.log_norms)
-        lower, upper, self.right = collatz_wielandt(B, self.right)
-        if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
-            raise ConvergenceError(
-                f"Perron root at t = {t!r} not resolved: bracket [{lower:.17g}, {upper:.17g}]")
-        weights = equilibrium_weights(B, self.right, upper)
+        lam, upper, self.right = perron_root(B, t, self.right)
+        slope, weights = ruelle_slope(B, B * self.log_norms, self.right, lam, upper)
         if not weights.min() > 0.0:
             raise ConvergenceError(
                 f"left Perron vector at t = {t!r} is not positive: min weight {weights.min():.3g}")
-        return math.log(0.5 * (lower + upper)), float(weights @ self.log_norms)
+        return math.log(lam), slope
 
     def certified_pressure(self, t):
         """[P_lower, P_upper] holding ln rho(B(t)), from `block_pressure`."""
@@ -349,8 +388,6 @@ COARSE_NODES = 8
 CERTIFICATE_PANELS = 8
 PANEL_POINTS = 24
 PANEL_ELLIPSE = 8.0
-# Most inverse-iteration steps one `CfCollocation._eigenpair` call takes.
-EIGEN_STEPS = 100
 
 
 def _chebyshev_nodes(m, lo=0.0, hi=1.0):
@@ -458,8 +495,8 @@ class CfCollocation:
         self.feeding, keys = feeding[order], keys[order]
         self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.block_rows, self.block_cols = np.divmod(keys[self.starts], len(states))
-        # right vector of the last eigenpair and the `_state_sizes` at its t,
-        # from which the next eigenpair starts
+        # right vector of the last `_perron` call and the `_state_sizes` at
+        # its t, from which the next call starts
         self.right = self.sizes = None
 
     @property
@@ -502,95 +539,24 @@ class CfCollocation:
         S = self._blocks(np.exp(-2.0 * t * np.log(self.letters + 0.5)))
         return collatz_wielandt(S, start)[2]
 
-    @staticmethod
-    def _eigenpair(L, tolerance=1e-9, start=None):
-        """(lam, v, w): the eigenvalue of largest real part, its right vector
-        scaled to max 1 and its left vector scaled to w.v = 1.
-
-        Shifted inverse iteration (Noda, Numer. Math. 17, 1971) from
-        `start`, a positive vector such as the v of a nearby t, or from
-        ones; no eigenvalue solver runs. Each step solves
-        (s I - D^-1 L D) x = sign(v) with D = diag |v| for the current
-        vector v, and moves v to D x. The scaling keeps the relative digits
-        of every entry: the state functions of a banded rule differ in size
-        by many orders. The shift s is
-        - for a positive v, the largest ratio (L v)_i / v_i (Noda's shift).
-          (L v)_i is L_t g at node i for the interpolant g of v, so this is
-          the Collatz-Wielandt upper bound sup (L_t g) / g >= rho(L_t)
-          sampled at the nodes. Unlike a Rayleigh quotient, which averages
-          the ratios, it does not fall below lam beyond that sampling, so
-          lam stays the eigenvalue nearest s: |s - mu| > s - lam for every
-          other eigenvalue mu once s >= lam >= Re mu. The ratios then close
-          in on lam quadratically.
-        - for a v with an entry of the wrong sign, as after a step pulled
-          towards another eigenvector, ||D^-1 L D||_inf, which is proved to
-          be at least |mu| for every eigenvalue mu, so that again no other
-          eigenvalue lies nearer s than lam.
-        The iteration stops when a step from a positive v moves no entry by
-        more than FIXED_POINT relative; lam is the two-sided Rayleigh
-        quotient of that step's right and left solutions.
-
-        Raises ConvergenceError when EIGEN_STEPS steps do not converge (as
-        for a complex leading pair) or the vector leaves the double range;
-        and unless lam is positive, v is positive at every node with
-        max|Lv - lam v| <= tolerance * lam, and the rescaled right and left
-        vectors, each of max modulus 1, have a dot product above tolerance
-        (a defective eigenvalue drives it to 0). The left vector of a
-        collocation matrix need not be positive and is not checked.
-        """
-        n = len(L)
-        v = np.ones(n) if start is None else start / np.max(start)
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                for _ in range(EIGEN_STEPS):
-                    scale, sign = np.abs(v), np.sign(v)
-                    M = L * scale
-                    M /= scale[:, None]
-                    shift = M.sum(axis=1).max()
-                    noda = sign.min() > 0.0 and shift > 0.0
-                    if not noda:
-                        shift = np.abs(M).sum(axis=1).max()
-                    shifted = -M
-                    shifted.flat[::n + 1] += shift * (1.0 + PERRON_SHIFT)
-                    x = np.linalg.solve(shifted, sign)
-                    x = x / x[np.argmax(np.abs(x))]
-                    v = scale * x
-                    if noda and np.ptp(x) <= FIXED_POINT:
-                        break
-                else:
-                    raise ConvergenceError(
-                        f"collocation eigenvector did not converge in {EIGEN_STEPS} steps")
-                y = np.linalg.solve(shifted.T, np.ones(n))
-                y = y / y[np.argmax(np.abs(y))]
-                lam = float(y @ M @ x) / float(y @ x)
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise ConvergenceError(f"collocation eigenvector iteration failed: {exc}") from exc
-        if not lam > 0.0:
-            raise ConvergenceError(f"collocation matrix has no positive leading eigenvalue ({lam})")
-        v = v / v[np.argmax(np.abs(v))]
-        residual = float(np.max(np.abs(L @ v - lam * v)))
-        if not (v.min() > 0.0 and residual <= tolerance * lam):
-            raise ConvergenceError(
-                f"collocation right vector failed: min entry {v.min():.3g}, "
-                f"residual {residual:.3g} against lam = {lam:.17g}")
-        overlap = float(x @ y)
-        if not abs(overlap) > tolerance:
-            raise ConvergenceError(f"collocation eigenvalue is not simple: x.y = {overlap:.3g}")
-        w = y / scale
-        return lam, v, w / (w @ v)
-
-    def _leading_pair(self, t, L):
-        """`_eigenpair` of L = L(t). The first call starts from
+    def _perron(self, t, L):
+        """`perron_root` of L = L(t). The first call starts from
         `_state_sizes(t)` on every node, the next from the previous right
-        vector times the change of the state sizes since its t."""
-        sizes = self._state_sizes(t, self.sizes)
-        if self.right is None:
-            start = np.repeat(sizes, self.nodes)
-        else:
-            start = self.right * np.repeat(sizes / self.sizes, self.nodes)
-        lam, v, w = self._eigenpair(L, start=start)
+        vector times the change of the state sizes since its t. Row sums
+        that underflow mean that the state functions span more than the
+        double range, which is refused as such."""
+        try:
+            sizes = self._state_sizes(t, self.sizes)
+            if self.right is None:
+                start = np.repeat(sizes, self.nodes)
+            else:
+                start = self.right * np.repeat(sizes / self.sizes, self.nodes)
+            lam, upper, v = perron_root(L, t, start)
+        except _Underflow as exc:
+            raise ConvergenceError(f"the collocation's state functions span more than the "
+                                   f"double range at t = {t!r}") from exc
         self.right, self.sizes = v, sizes
-        return lam, v, w
+        return lam, upper, v
 
     def newton_start(self, tolerance) -> float:
         """Where Newton on this engine starts: the root that
@@ -600,9 +566,9 @@ class CfCollocation:
 
         The coarse engine's last right vector, interpolated onto this
         engine's nodes, becomes `right`, with the coarse state sizes as
-        `sizes`, so the first eigenpair here starts near its vector. Raises
-        ConvergenceError when the coarse steps do or the interpolated vector
-        is not positive.
+        `sizes`, so the first `_perron` call here starts near its vector.
+        Raises ConvergenceError when the coarse steps do or the interpolated
+        vector is not positive.
         """
         from .dimension import _component_root  # dimension imports this module
         coarse = CfCollocation(self.A, self.letters, COARSE_NODES)
@@ -616,17 +582,19 @@ class CfCollocation:
         return root
 
     def pressure_slope(self, t):
-        """(ln lam, lam'/lam) of the collocation matrix: P(t) and P'(t) up to
-        the collocation error, without a certificate."""
+        """(ln lam, `ruelle_slope`) of the collocation matrix: P(t) and
+        P'(t) up to the collocation error, without a certificate. The left
+        vector need not be positive and is not checked."""
         L, dL = self.matrix(t, derivative=True)
-        lam, v, w = self._leading_pair(t, L)
-        return math.log(lam), float(w @ dL @ v) / lam
+        lam, upper, v = self._perron(t, L)
+        return math.log(lam), ruelle_slope(L, dL, v, lam, upper)[0]
 
     def certified_pressure(self, t):
         """[P_lower, P_upper] holding P(t) = ln rho(L_t), proved on all of
-        [0, 1]. Raises ConvergenceError when the residual bound s is not
-        below lam, where the lower bound would be lost."""
-        lam, v, _ = self._leading_pair(t, self.matrix(t))
+        [0, 1] by `_residual_bound` at the `perron_root` lam of L(t).
+        Raises ConvergenceError when the residual bound s is not below lam,
+        where the lower bound would be lost."""
+        lam, _, v = self._perron(t, self.matrix(t))
         s = self._residual_bound(t, lam, v)
         if not lam - s > 0.0:
             raise ConvergenceError(
@@ -761,9 +729,7 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
     [K^(-t(n-1)) S_n, S_n]; the n that the count guard allows take the exact
     sums of `_cf_level_sums` instead, with method `enumeration`.
     """
-    ns = [int(n) for n in ns]
-    if any(n < 1 for n in ns):
-        raise InputError("n must be >= 1")
+    ns = g.word_lengths(ns)
     if not (t >= 0 and math.isfinite(t)):
         raise InputError(f"t must be finite and >= 0, got {t!r}")
     if not ns:
@@ -826,9 +792,7 @@ def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessRep
     Finite systems: 0 (finite sums are always finite). Infinite
     continued-fraction rules have the closed forms of their `graph.NamedRule`.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    if any(n < 1 for n in n_list):
-        raise InputError("n values must be >= 1")
+    n_list = sorted(set(g.word_lengths(n_list)))
     if not system.infinite:
         return FinitenessReport(Fraction(0), {n: Fraction(0) for n in n_list},
                                 "finite sums")

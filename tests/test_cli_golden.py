@@ -554,8 +554,8 @@ wall_time_s = *
 command = sweep
 spec = {d}/cf-full.gdms
 spec_sha256 = 836d81be899378a6e14d2be86543a68e28a19c3e360f7fa8158be920e2e4cb64
-sup_h_lo = 0.78869555748315379
-final_interval = [0.78869555748315379, 1]
+sup_h_lo = 0.78869555748315368
+final_interval = [0.78869555748315368, 1]
 monotone = True
 irreducible[2] = True
 irreducible[4] = True
@@ -564,8 +564,8 @@ wall_time_s = *
 """, "", {
         'sweep.csv': """\
 size,h_lo,h_hi
-2,0.53103050627720549,0.53153050627720544
-4,0.78869555748315379,0.78919555748315373
+2,0.53103050627720527,0.53153050627720522
+4,0.78869555748315368,0.78919555748315362
 """,
     }),
     'cf-banded-props': (0, """\
@@ -673,8 +673,8 @@ command = pressure
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 t = 0.5
-P_lower = 0.039628465963876584
-P_upper = 0.03962846596399916
+P_lower = 0.039628465963877008
+P_upper = 0.039628465963998306
 n_used = 0
 method = chebyshev-collocation
 wall_time_s = *
@@ -688,18 +688,18 @@ wall_time_s = *
 """, "", {
         'curve.csv': """\
 t,P_lower,P_upper,n_used
-0.25,0.36157746557398945,0.36157746557408965,0
-0.5,0.039628465963876584,0.03962846596399916,0
-0.75,-0.27318342428381925,-0.2731834242836626,0
-1,-0.57745179817260961,-0.577451798172399,0
+0.25,0.36157746557398557,0.36157746557409259,0
+0.5,0.039628465963877008,0.039628465963998306,0
+0.75,-0.27318342428382159,-0.27318342428366027,0
+1,-0.57745179817260883,-0.57745179817240055,0
 """,
     }),
     'cf-full2-dim': (0, """\
 command = dim
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
-h_lo = 0.53128050625220546
-h_hi = 0.53128050630220536
+h_lo = 0.53128050625220513
+h_hi = 0.53128050630220502
 method = collocation-newton
 tolerance = 1e-10
 iterations = 2
@@ -710,22 +710,22 @@ command = classify
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 verdict = FiniteHMeasure
-h_lo = 0.53128050602720556
-h_hi = 0.53128050652720549
+h_lo = 0.53128050602720533
+h_hi = 0.53128050652720527
 maximal_components = 0
 communicating_pairs = -
-growth_slope = -0.027297604639366136
+growth_slope = -0.027297604639365727
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-1,1.4787813919304611
-2,1.282010024133861
-3,1.336163292814307
-4,1.3186008052093809
-5,1.3239979781958704
+1,1.4787813919304613
+2,1.2820100241338617
+3,1.3361632928143079
+4,1.3186008052093823
+5,1.3239979781958722
 """,
     }),
     'cf-full2-classify-switch': (0, """\
@@ -733,28 +733,28 @@ command = classify
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 verdict = FiniteHMeasure
-h_lo = 0.53128050602720556
-h_hi = 0.53128050652720549
+h_lo = 0.53128050602720533
+h_hi = 0.53128050652720527
 maximal_components = 0
 communicating_pairs = -
-growth_slope = 0.16914064867704132
+growth_slope = 0.16914064867704234
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-20,1.3227080241678191
-21,1.3227080242109757
-22,1.32270802419752
-23,2.4507632818093446
-24,2.5076907240540849
-25,2.5659405027743962
-26,2.6255433338023231
-27,2.6865306464511991
-28,2.7489346000887216
-29,2.812788101094986
-30,2.8781248202144099
+20,1.3227080241678262
+21,1.3227080242109832
+22,1.322708024197528
+23,2.4507632818093557
+24,2.507690724054096
+25,2.5659405027744095
+26,2.6255433338023368
+27,2.6865306464512133
+28,2.7489346000887411
+29,2.8127881010950007
+30,2.8781248202144254
 """,
     }),
     'cf-full2-theta': (0, """\

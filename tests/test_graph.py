@@ -166,6 +166,13 @@ class TestEnumeration:
         with pytest.raises(gk.ResourceGuardError):
             list(gk.enumerate_words(sys, 10, limit=100))
 
+    @pytest.mark.parametrize("n,match", [(2.5, "integer, got 2.5"), (0, "n must be >= 1")])
+    def test_word_length_must_be_a_positive_integer(self, n, match):
+        # a length of 2.5 was never reached, so the prefixes grew until
+        # the interpreter's recursion limit
+        with pytest.raises(gk.InputError, match=match):
+            list(gk.enumerate_words(gk.full_shift([1 / 2, 1 / 2]), n))
+
     @pytest.mark.parametrize("raw", ["0", "-3", "x"])
     def test_count_guard_must_be_a_positive_integer(self, monkeypatch, raw):
         monkeypatch.setenv("GDMS_COUNT_GUARD", raw)

@@ -317,6 +317,17 @@ def test_partition_sums_refuse_t_not_finite_and_nonnegative(t):
             thermo.partition_sums(system, [1, 3], t)
 
 
+def test_word_lengths_that_are_not_integers_are_refused():
+    # 2.7 was truncated to 2, and [1.5, 2] reported the keys {1, 2}
+    system = gk.full_shift([0.3, 0.4])
+    with pytest.raises(gk.InputError, match="integer, got 2.7"):
+        gk.partition_sum(system, 2.7, 0.5)
+    with pytest.raises(gk.InputError, match="integer, got 1.5"):
+        gk.finiteness_parameters(system, [1.5, 2])
+    assert gk.partition_sum(system, np.int64(2), 0.5).n == 2
+    assert set(gk.finiteness_parameters(system, np.arange(1, 3)).theta_n) == {1, 2}
+
+
 @pytest.mark.parametrize("ns", [[0], [2, -1]])
 def test_partition_sums_refuse_word_lengths_below_one(ns):
     for system in (gk.full_shift([0.3, 0.4]), cf_sys(truncate=2), cf_sys()):
@@ -416,7 +427,7 @@ class TestCfCollocation:
         # at points that are not collocation nodes
         engine = thermo.engines(cf_sys(gg.BANDED, 1, truncate=4))[0]
         t = 0.7
-        lam, v, _ = engine._eigenpair(engine.matrix(t))
+        lam, _, v = thermo.perron_root(engine.matrix(t), t)
         s = engine._residual_bound(t, lam, v)
         m = thermo.COLLOCATION_NODES
         coef = v.reshape(-1, m) @ engine.to_coef.T
@@ -437,21 +448,38 @@ class TestCfCollocation:
         # only the overlap of the two vectors
         engine = thermo.engines(cf_sys(truncate=2))[0]
         L = engine.matrix(0.5)
-        lam, v, w = engine._eigenpair(L)
+        lam, upper, v = thermo.perron_root(L, 0.5)
+        w = thermo.equilibrium_weights(L, v, upper) / v
         assert v.min() > 0 > w.min()
         assert w @ v == pytest.approx(1.0)
         with pytest.raises(gk.ConvergenceError, match="left Perron vector"):
             thermo.PerronBlock(L, np.zeros(len(L))).pressure_slope(0.0)
 
     def test_leading_vector_not_positive_is_refused(self):
-        with pytest.raises(gk.ConvergenceError):
-            thermo.CfCollocation._eigenpair(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        # rows that sum to 0 are a bracket that is not positive, not an
+        # underflow
+        with pytest.raises(gk.ConvergenceError, match="not resolved"):
+            thermo.perron_root(np.array([[1.0, -1.0], [-1.0, 1.0]]), 0.0)
         with pytest.raises(gk.ConvergenceError):  # leading pair is complex
-            thermo.CfCollocation._eigenpair(np.array([[0.0, -1.0], [1.0, 0.0]]))
+            thermo.perron_root(np.array([[0.0, -1.0], [1.0, 0.0]]), 0.0)
+
+    @pytest.mark.parametrize("gap", [1e-10, 1e-13])
+    def test_eigenvalue_that_is_not_simple_is_refused(self, gap):
+        # the rows sum to 0.7, so v = (1, 1); the left vector of 0.7 is
+        # (0.3, gap - 0.3), and the other eigenvalue is 0.7 - gap. At
+        # 1e-10 the left solve gives w.v near 0, at 1e-13 it is singular.
+        B = np.array([[1.0 - gap, gap - 0.3], [0.3, 0.4]])
+        lam, upper, v = thermo.perron_root(B, 0.0)
+        with pytest.raises(gk.ConvergenceError, match="not simple"):
+            thermo.ruelle_slope(B, B, v, lam, upper)
+
+    def test_state_functions_beyond_the_double_range_are_refused(self):
+        with pytest.raises(gk.ConvergenceError, match="state functions span more than the double"):
+            gk.pressure(cf_sys(gg.BANDED, 1, truncate=40), 4.0)
 
     def test_certificate_needs_a_positive_function(self):
         engine = thermo.engines(cf_sys(truncate=2))[0]
-        lam, v, _ = engine._eigenpair(engine.matrix(0.5))
+        lam, _, v = thermo.perron_root(engine.matrix(0.5), 0.5)
         with pytest.raises(gk.ConvergenceError):
             engine._residual_bound(0.5, lam, -v)
 
@@ -579,7 +607,7 @@ def test_collocation_eigenpair_is_the_leading_one(rule, t, t_before):
     values = np.linalg.eigvals(L)
     leading = values[np.argmax(values.real)]
     assert leading.imag == 0.0
-    for lam, v, _ in (engine._leading_pair(t, L), thermo.CfCollocation._eigenpair(L)):
+    for lam, _, v in (engine._perron(t, L), thermo.perron_root(L, t)):
         assert abs(lam - leading.real) <= 1e-12 * leading.real
         assert v.min() > 0.0
     p0 = gk.pressure(system, 0.0)
@@ -637,7 +665,7 @@ class TestFiniteness:
 
     @pytest.mark.parametrize("system", [gk.full_shift([1 / 2, 1 / 2]), cf_sys()])
     def test_word_lengths_below_one_are_refused(self, system):
-        with pytest.raises(gk.InputError, match="n values must be >= 1"):
+        with pytest.raises(gk.InputError, match="n must be >= 1"):
             gk.finiteness_parameters(system, (0, 1))
 
 
