@@ -335,11 +335,12 @@ def truncation_sweep(system: GdmsSystem, sizes, tolerance: float = 1e-3,
     sup{HD(J_F) : F finite}. The strictly-increasing-labels rule is accepted
     but flagged: all its truncations have empty limit sets, so the sup is 0
     even though the finiteness parameter is 1/2. `n_max` is accepted for
-    compatibility and does not affect the result.
+    compatibility and does not affect the result. Raises InputError unless
+    every size is an integer (`graph.as_integer`), before any is solved.
     """
     if not system.infinite:
         raise NotApplicableError("truncation sweeps apply to infinite systems")
-    sizes = [int(s) for s in sizes]
+    sizes = [g.as_integer(s, "truncation size") for s in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or not sizes:
         raise InputError("sizes must be strictly increasing")
     _check_tolerance(tolerance)

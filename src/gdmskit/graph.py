@@ -216,16 +216,19 @@ def is_admissible(system, word) -> bool:
     return all(A[index[a], index[b]] for a, b in zip(word, word[1:]))
 
 
+def as_integer(value, what: str) -> int:
+    """value as an int by `operator.index`, so numpy integers pass and 2.7
+    is refused rather than truncated. Raises InputError naming `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def word_lengths(ns) -> list:
     """ns as a list of ints. Raises InputError unless each n is an integer
-    (`operator.index`, so numpy integers pass and 2.7 is refused rather
-    than truncated) and >= 1."""
-    out = []
-    for n in ns:
-        try:
-            out.append(operator.index(n))
-        except TypeError:
-            raise InputError(f"word length must be an integer, got {n!r}") from None
+    (`as_integer`) and >= 1."""
+    out = [as_integer(n, "word length") for n in ns]
     if any(n < 1 for n in out):
         raise InputError("n must be >= 1")
     return out

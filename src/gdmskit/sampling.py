@@ -3,22 +3,27 @@
 Words are drawn by uniform random successor choice, so point density is
 biased relative to the conformal measure, but the support is not; the box
 slope only sees the support.
+
+Step j of every walk reads one keyed stream, the raw 64-bit output of
+PCG64 seeded with SeedSequence([seed, j]), and walk k takes its value k.
+NEP 19 keeps that raw stream fixed across numpy versions. So word k depends
+only on (seed, k): the first `count` words of a larger sample are the same
+words, and a word at depth d is the prefix of the same walk at any greater
+depth.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NotApplicableError, ResourceGuardError
-from .graph import count_guard
+from .graph import as_integer, count_guard
 from .system import GdmsSystem, diameter_bound, empty_limit_set, prune
 
-RNG_NAME = "python-mt19937-per-point"
-_SEED_MIX = 0x9E3779B97F4A7C15
+RNG_NAME = "numpy-pcg64-per-step"
 
 
 @dataclass(frozen=True)
@@ -50,20 +55,44 @@ class BoxCount:
     residual: float
 
 
+def _step_draws(seed: int, step: int, count: int):
+    """The first `count` raw 64-bit draws of the stream of walk step `step`:
+    PCG64 seeded with SeedSequence([seed, step]). Walk k reads entry k."""
+    return np.random.PCG64(np.random.SeedSequence([seed, step])).random_raw(count)
+
+
+def _pick(raw, n):
+    """floor(u * n) with u = (raw >> 11) * 2^-53, the top 53 bits of each
+    raw draw as a double in [0, 1). For n < 2^53 the index is below n even
+    at the largest draw, and the choice is uniform up to a total variation
+    of at most n * 2^-53."""
+    return ((raw >> np.uint64(11)) * 2.0 ** -53 * n).astype(np.intp)
+
+
 def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> LimitPointSample:
     """Draw `count` admissible words of length `depth`, reproducibly.
 
     Words are walked on the pruned system, where every edge has a
-    successor, so every walk reaches `depth`. Point k uses its own generator
-    derived from (seed, k), so the output is independent of evaluation
-    order. Midpoints of the terminal image intervals approximate coding-map
-    values within the interval diameter. More than the count guard of
-    letters (count * depth) raises ResourceGuardError before any is drawn.
+    successor, so every walk reaches `depth`. All walks advance together,
+    one vectorized step per letter on the rows of the pruned
+    `incidence_matrix`: letter j of walk k is `_pick`ed by entry k of
+    `_step_draws(seed, j, count)`, the first among all edges, each later
+    one among the successors of the letter before it, in edge order.
+    Midpoints of the terminal image intervals approximate coding-map values
+    within the interval diameter. Raises InputError unless count, depth and
+    seed are integers (`graph.as_integer`) with count, depth >= 1 and
+    seed >= 0, and ResourceGuardError before any draw when count * depth
+    letters exceed the count guard.
     """
+    count = as_integer(count, "count")
+    depth = as_integer(depth, "depth")
+    seed = as_integer(seed, "seed")
     if depth < 1:
         raise InputError("depth must be >= 1")
     if count < 1:
         raise InputError("count must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     if empty_limit_set(system):
         raise NotApplicableError("empty limit set: nothing to sample")
 
@@ -73,25 +102,22 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
             f"sample of {count} words of length {depth} exceeds count guard of {guard}")
 
     system = prune(system)[0]
-    succ = system.successors
-    edges = range(len(succ))
-    walks = []
-    for k in range(count):
-        choice = random.Random(seed * _SEED_MIX + k).choice
-        e = choice(edges)
-        walk = [e]
-        for _ in range(depth - 1):
-            e = choice(succ[e])
-            walk.append(e)
-        walks.append(walk)
+    rows, indices = np.nonzero(system.incidence_matrix)
+    deg = np.bincount(rows, minlength=len(system.graph.edges))
+    starts = np.cumsum(deg) - deg
+    walks = np.empty((depth, count), dtype=np.intp)
+    walks[0] = e = _pick(_step_draws(seed, 0, count), len(deg))
+    for j in range(1, depth):
+        walks[j] = e = indices[starts[e] + _pick(_step_draws(seed, j, count), deg[e])]
+    walks = walks.T
+
+    labels = np.array(system.edge_ids, dtype=object)
     los, his = system.word_intervals(walks)
-    ids = system.edge_ids
-    entries = [SampleEntry(tuple(map(ids.__getitem__, walk)), (lo, hi), 0.5 * (lo + hi))
-               for walk, lo, hi in zip(walks, los.tolist(), his.tolist())]
+    entries = tuple(map(SampleEntry, map(tuple, labels[walks].tolist()),
+                        zip(los.tolist(), his.tolist()), (0.5 * (los + his)).tolist()))
 
     anchor = min(s.lo for s in system.spaces.values())
-    return LimitPointSample(seed, depth, tuple(entries),
-                            diameter_bound(system, depth), anchor)
+    return LimitPointSample(seed, depth, entries, diameter_bound(system, depth), anchor)
 
 
 def sample_from_points(points, anchor: float = 0.0,

@@ -136,9 +136,12 @@ class GdmsSystem:
         return sub
 
     def truncate(self, size: int) -> "GdmsSystem":
-        """Finite head {1..size} of an infinite integer-labelled family."""
+        """Finite head {1..size} of an infinite integer-labelled family.
+        Raises InputError unless size is an integer (`graph.as_integer`)
+        and >= 1."""
         if not self.infinite:
             raise InputError("truncate applies to infinite systems only")
+        size = g.as_integer(size, "truncation size")
         if size < 1:
             raise InputError("truncation size must be >= 1")
         v = self.graph.vertices[0]

@@ -272,6 +272,11 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: box counting needs at least two scales to fit a slope\n"
 
+    def test_sample_negative_seed_is_a_flag_error(self, capsys, cantor_spec):
+        code, out, err = run(capsys, "sample", cantor_spec,
+                             "--count", "3", "--depth", "4", "--seed", "-1")
+        assert (code, out, err) == (cli.EXIT_SPEC, "", "error: seed must be >= 0\n")
+
     def test_sample_letter_count_guard(self, capsys, cantor_spec, monkeypatch):
         monkeypatch.setenv("GDMS_COUNT_GUARD", "50")
         code, out, err = run(capsys, "sample", cantor_spec,

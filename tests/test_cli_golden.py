@@ -291,41 +291,41 @@ spec_sha256 = 4e54a422f560d98a2c21bbafa4592d4a1bf8efe2906817ec4bfff21fdd6b30d1
 count = 12
 depth = 9
 seed = 3
-rng = python-mt19937-per-point
+rng = numpy-pcg64-per-step
 position_error_bound = 5.0805263425290837e-05
 csv = {d}/pts.csv
 wall_time_s = *
 """, "", {
         'pts.csv': """\
 point
-0.77399278565259344
-0.076842960930752421
+0.0085606868871615088
+0.07816389777980999
+0.7685058172026622
+0.66943555352334494
+0.25821775135904074
+0.2561855408220291
 0.00043184473911497216
-0.9999745973682872
-0.32101305695270027
-0.0094751816288167409
-0.70235736422293349
-0.30546664634456128
-0.30831174109637755
-0.0010415079002184622
-0.033353655438703445
-0.9963166184016663
+0.23454249860285525
+0.89836407051770562
+0.23047807752883198
+0.25923385662754656
+0.74107097495300511
 """,
     }),
     'cantor-sample-stdout': (0, """\
 point
-0.030864197530864196
-0.0061728395061728392
-0.080246913580246909
-0.30246913580246915
+0.10493827160493827
+0.25308641975308643
 0.96913580246913567
+0.22839506172839505
+0.30246913580246915
 command = sample
 spec = {d}/cantor.gdms
 spec_sha256 = 4e54a422f560d98a2c21bbafa4592d4a1bf8efe2906817ec4bfff21fdd6b30d1
 count = 5
 depth = 4
 seed = 11
-rng = python-mt19937-per-point
+rng = numpy-pcg64-per-step
 position_error_bound = 0.012345679012345677
 wall_time_s = *
 """, "", {}),
@@ -507,19 +507,19 @@ wall_time_s = *
 """, "", {}),
     'feeder-sample': (0, """\
 point
-0.25720164609053497
-0.74279835390946514
-0.89094650205761328
-0.61419753086419759
-0.22427983539094654
-0.31018518518518523
+0.97325102880658432
+0.9979423868312759
+0.54012345679012341
+0.30658436213991769
+0.27314814814814814
+0.32870370370370372
 command = sample
 spec = {d}/feeder.gdms
 spec_sha256 = 1f0d8e16070635c9c5c942845a003cd6bd22719e300fc3e6411b36c515166e96
 count = 6
 depth = 5
 seed = 2
-rng = python-mt19937-per-point
+rng = numpy-pcg64-per-step
 position_error_bound = 0.03125
 warning: images of edges 'a' and 'x1' overlap on interior width 0.333; open set condition may fail
 warning: images of edges 'a' and 'z' overlap on interior width 0.125; open set condition may fail
@@ -770,17 +770,17 @@ wall_time_s = *
 """, "", {}),
     'cf-full2-sample': (0, """\
 point
-0.58554006968641115
-0.70777873811581671
-0.58712905452035891
-0.57795138888888886
+0.42260781181936979
+0.38266583229036294
+0.41421356242727342
+0.70321085164835173
 command = sample
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
 count = 4
 depth = 6
 seed = 5
-rng = python-mt19937-per-point
+rng = numpy-pcg64-per-step
 position_error_bound = 0.015625
 wall_time_s = *
 """, "", {}),

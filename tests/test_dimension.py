@@ -548,6 +548,20 @@ class TestTruncationSweep:
         with pytest.raises(gk.InputError, match="strictly increasing"):
             gk.truncation_sweep(cf_sys(), sizes)
 
+    @pytest.mark.parametrize("sizes", [[2.5, 4.9], [2, 3.0], ["2", "3"]])
+    def test_sizes_must_be_integers(self, sizes, monkeypatch):
+        # refused before any truncation is solved
+        monkeypatch.setattr(gd, "bowen_dimension", None)
+        with pytest.raises(gk.InputError, match="truncation size must be an integer"):
+            gk.truncation_sweep(cf_sys(), sizes)
+
+    @pytest.mark.parametrize("size", [2.5, 3.0, "3"])
+    def test_truncate_needs_an_integer_size(self, size):
+        with pytest.raises(gk.InputError,
+                           match=f"truncation size must be an integer, got {size!r}"):
+            cf_sys().truncate(size)
+        assert cf_sys().truncate(np.int64(3)).edge_ids == (1, 2, 3)
+
     def test_full_rule_sweep_converges_upward(self):
         sys = cf_sys(gg.FULL)
         sweep = gk.truncation_sweep(sys, [1, 2, 3, 4], n_max=10)

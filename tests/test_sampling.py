@@ -1,6 +1,6 @@
 import math
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,9 +62,47 @@ class TestSampling:
         def no_draw(*args):
             raise AssertionError("a generator was seeded before the guard was checked")
         monkeypatch.setenv("GDMS_COUNT_GUARD", "50")
-        monkeypatch.setattr(gsamp.random, "Random", no_draw)
+        monkeypatch.setattr(gsamp.np.random, "PCG64", no_draw)
         with pytest.raises(gk.ResourceGuardError, match="count guard of 50"):
             gk.sample_points(cantor(), 10, 6, seed=1)
+
+    @pytest.mark.parametrize("count,depth,seed,message", [
+        (3, 3, 1.5, "seed must be an integer, got 1.5"),
+        (2.5, 3, 1, "count must be an integer, got 2.5"),
+        (3, 2.5, 1, "depth must be an integer, got 2.5"),
+        (3, 3, "1", "seed must be an integer, got '1'"),
+        (3, 3, -1, "seed must be >= 0")])
+    def test_rejects_non_integer_and_negative_arguments(self, count, depth, seed, message):
+        with pytest.raises(gk.InputError, match=message):
+            gk.sample_points(cantor(), count, depth, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        a = gk.sample_points(cantor(), np.int64(5), np.int32(4), seed=np.uint64(2))
+        b = gk.sample_points(cantor(), 5, 4, seed=2)
+        assert a == b
+        assert type(a.seed) is int
+
+    def test_successor_frequencies(self):
+        # d is the only edge with three successors (a, b, c); every walk of
+        # length 3 makes exactly one choice from d, at step 1 or step 2
+        space = gk.VertexSpace("v", 0.0, 1.0)
+        sys = gk.similarity_system(
+            "fan", ("v",), {"v": space},
+            [(name, "v", "v", gk.SimilarityMap(0.2, 0.25 * k))
+             for k, name in enumerate("abcd")],
+            gk.IncidenceSpec(gg.EXPLICIT),
+            {("a", "d"), ("b", "d"), ("c", "d"), ("d", "a"), ("d", "b"), ("d", "c")})
+        walks = 30_000
+        sample = gk.sample_points(sys, walks, 3, seed=20261019)
+        after_d = [e.word[e.word.index("d") + 1] for e in sample.entries]
+        sigma = math.sqrt(walks * (1 / 3) * (2 / 3))
+        for letter in "abc":
+            assert abs(after_d.count(letter) - walks / 3) <= 5 * sigma
+
+    @pytest.mark.parametrize("n", [3, 4, 2 ** 40, 2 ** 52 + 1])
+    def test_largest_draw_picks_the_last_index(self, n):
+        raw = np.array([0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+        assert gsamp._pick(raw, n).tolist() == [0, n // 2, n - 1]
 
     def test_cf_sample_in_unit_interval(self):
         sys = gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=4)
@@ -147,18 +185,28 @@ def _per_word_interval(system, word):
 
 
 def _reference_sample(system, count, depth, seed):
-    """sample_points written out per word: point k draws from
-    random.Random(seed * MIX + k), first over the edge ids, then over the
-    successor labels of the last letter in edge order."""
+    """sample_points written out per word: letter j of word k takes value k
+    of the raw PCG64 stream seeded with SeedSequence([seed, j]), turns it
+    into u = (raw >> 11) * 2^-53 in Python floats, and picks index
+    floor(u * n), first among the edge ids, then among the successor
+    labels of the last letter in edge order."""
     system = gk.prune(system)[0]
     ids = list(system.edge_ids)
     succ = system.successor_map
+    streams = {}
+
+    def choose(options, k, j):
+        if j not in streams:
+            bits = np.random.PCG64(np.random.SeedSequence([seed, j]))
+            streams[j] = [int(raw) for raw in bits.random_raw(count)]
+        u = (streams[j][k] >> 11) * 2.0 ** -53
+        return options[int(u * len(options))]
+
     entries = []
     for k in range(count):
-        rng = random.Random(seed * gsamp._SEED_MIX + k)
-        word = [rng.choice(ids)]
+        word = [choose(ids, k, 0)]
         while len(word) < depth:
-            word.append(rng.choice(succ[word[-1]]))
+            word.append(choose(succ[word[-1]], k, len(word)))
         word = tuple(word)
         lo, hi = _per_word_interval(system, word)
         assert system.word_interval(word) == (lo, hi)
@@ -210,6 +258,22 @@ def test_sampler_matches_the_per_word_reference(system, count, depth, seed):
     sample = gk.sample_points(system, count, depth, seed)
     got = [(e.word, e.interval, e.midpoint) for e in sample.entries]
     assert got == _reference_sample(system, count, depth, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_explicit_similarity_systems() | _cf_truncations(),
+       st.integers(1, 20), st.integers(1, 20), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 70))
+def test_samples_are_prefixes_of_larger_samples(system, count, more, depth, deeper, seed):
+    # word k depends only on (seed, k): a larger count appends words and a
+    # greater depth extends each word
+    if gk.empty_limit_set(system):
+        return
+    small = gk.sample_points(system, count, depth, seed).entries
+    wide = gk.sample_points(system, count + more, depth, seed).entries
+    deep = gk.sample_points(system, count, depth + deeper, seed).entries
+    assert wide[:count] == small
+    assert [e.word[:depth] for e in deep] == [e.word for e in small]
 
 
 @pytest.mark.parametrize("size", [1, 3, 6])
