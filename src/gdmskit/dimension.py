@@ -141,16 +141,24 @@ def _certified_bracket(bounds, h, tolerance, decay=0.0):
     bounds(h) first tries both ends: P(lo) >= P_lower(h) + decay (h - lo)
     and P(hi) <= P_upper(h) - decay (hi - h), the products rounded down.
     An end that this does not decide must show P_lower(lo) >= 0 or
-    P_upper(hi) < 0 itself; one that fails is widened by doubling, and the
-    bracket is then bisected back to width tolerance/2, keeping both tests
-    true at its ends. A midpoint where neither test holds raises
-    ConvergenceError: the pressure bounds are too wide for this tolerance.
-    Returns (lo, hi, widening and bisection steps).
+    P_upper(hi) < 0 itself; one that fails is widened by doubling, at most
+    STEP_CAP times in all, and the bracket is then bisected back to width
+    tolerance/2, keeping both tests true at its ends. A midpoint where
+    neither test holds raises ConvergenceError: the pressure bounds are too
+    wide for this tolerance. So does a tolerance whose ends do not differ
+    from h, or whose bisection stops moving, in doubles. Returns (lo, hi,
+    widening and bisection steps).
     """
+    def too_fine(t):
+        return ConvergenceError(f"tolerance {tolerance!r} is below the spacing of doubles "
+                                f"at t = {t!r}: the bracket ends cannot be separated there")
+
     down = up = tolerance / 4
     lo, hi = max(0.0, h - down), h + up
     while hi - lo > tolerance / 2:  # rounding can add an ulp to the width
         hi = math.nextafter(hi, lo)
+    if not (lo < h or lo == 0.0) or not h < hi:
+        raise too_fine(h)
     lo_done = hi_done = False
     if decay > 0.0:
         lower, upper = bounds(h)
@@ -159,17 +167,21 @@ def _certified_bracket(bounds, h, tolerance, decay=0.0):
         hi_done = upper < decay * (hi - h) * (1 - 4 * thermo.UNIT_ROUNDOFF)
     steps = 0
     while not lo_done and lo > 0.0 and bounds(lo)[0] < 0.0:
+        if steps == STEP_CAP:
+            raise ConvergenceError(f"no nonnegative pressure found down to t = {lo}")
         down *= 2
         lo = max(0.0, h - down)
         steps += 1
     while not hi_done and bounds(hi)[1] >= 0.0:
+        if steps == STEP_CAP:
+            raise ConvergenceError(f"no negative pressure found up to t = {hi}")
         up *= 2
         hi = h + up
         steps += 1
-        if steps > STEP_CAP:
-            raise ConvergenceError(f"no negative pressure found up to t = {hi}")
     while hi - lo > tolerance / 2:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise too_fine(mid)
         steps += 1
         lower, upper = bounds(mid)
         if lower >= 0.0:
@@ -206,14 +218,30 @@ def _newton_start(block, tolerance):
         return 0.0
 
 
+def _engine_root(block, tolerance):
+    """(root, Newton steps) of one pressure engine, kept as its `root`
+    with the tolerance it was solved at. A root kept at a tolerance no
+    looser than this one is returned with 0 steps; one kept at a looser
+    tolerance starts Newton in place of the engine's `newton_start`."""
+    if block.root is None:
+        t0 = _newton_start(block, tolerance)
+    else:
+        root, solved_at = block.root
+        if solved_at <= tolerance:
+            return root, 0
+        t0 = root
+    root, steps = _component_root(block.pressure_slope, tolerance, t0)
+    block.root = root, tolerance
+    return root, steps
+
+
 def _component_roots(system, tolerance):
-    """The `thermo.engines` of `system.components` and the (root, Newton
-    steps) of each, the steps counting only those on the engine itself."""
+    """The cached `system.engines` and the (root, Newton steps) of each
+    (`_engine_root`), the steps counting only those this call made on the
+    engine itself."""
     _check_tolerance(tolerance)
-    blocks = thermo.engines(system)
-    return blocks, [_component_root(block.pressure_slope, tolerance,
-                                    _newton_start(block, tolerance))
-                    for block in blocks]
+    blocks = system.engines
+    return blocks, [_engine_root(block, tolerance) for block in blocks]
 
 
 def _certified_dimension(blocks, roots, tolerance):

@@ -74,8 +74,8 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
 
     Words are walked on the pruned system, where every edge has a
     successor, so every walk reaches `depth`. All walks advance together,
-    one vectorized step per letter on the rows of the pruned
-    `incidence_matrix`: letter j of walk k is `_pick`ed by entry k of
+    one vectorized step per letter on the pruned system's cached
+    `successor_csr`: letter j of walk k is `_pick`ed by entry k of
     `_step_draws(seed, j, count)`, the first among all edges, each later
     one among the successors of the letter before it, in edge order.
     Midpoints of the terminal image intervals approximate coding-map values
@@ -102,9 +102,7 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
             f"sample of {count} words of length {depth} exceeds count guard of {guard}")
 
     system = prune(system)[0]
-    rows, indices = np.nonzero(system.incidence_matrix)
-    deg = np.bincount(rows, minlength=len(system.graph.edges))
-    starts = np.cumsum(deg) - deg
+    indices, starts, deg = system.successor_csr
     walks = np.empty((depth, count), dtype=np.intp)
     walks[0] = e = _pick(_step_draws(seed, 0, count), len(deg))
     for j in range(1, depth):

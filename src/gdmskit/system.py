@@ -21,9 +21,12 @@ from .errors import InputError, NotApplicableError, SpecError
 class GdmsSystem:
     """A graph-directed Markov system: multigraph, incidence, contraction
     family and vertex spaces. Its views of the edge graph, from `edge_index`
-    to `components`, are `functools.cached_property`s, built on first use
-    (or given to `store_matrix`) and not to be modified; every derived
-    system is a `dataclasses.replace` copy and starts with empty caches.
+    to `engines`, are `functools.cached_property`s, built on first use
+    (or given to `store_matrix`) and not to be modified, except by the
+    `engines` themselves, which keep their last vectors and roots. So one
+    system object is not to be analysed from two threads at once. Every
+    derived system is a `dataclasses.replace` copy and starts with empty
+    caches.
     An infinite system has no edge graph: `incidence_matrix` and
     `log_norms`, and so every view built on them, raise
     NotApplicableError."""
@@ -72,16 +75,25 @@ class GdmsSystem:
         return _read_only(np.array([self.family.one_step_log_norm(e) for e in self.edge_ids]))
 
     @cached_property
-    def successors(self):
-        """The edge graph by position: entry k lists the positions of the
-        edges allowed to follow edge k, ascending, i.e. the nonzero columns
-        of row k of `incidence_matrix`. Shared by every reader; not to be
-        modified."""
+    def successor_csr(self):
+        """The edge graph by position in compressed sparse rows, three
+        read-only integer arrays (indices, starts, degrees): the positions
+        of the edges allowed to follow edge k are
+        indices[starts[k]:starts[k] + degrees[k]], ascending, i.e. the
+        nonzero columns of row k of `incidence_matrix`."""
         A = self.incidence_matrix
-        rows, cols = np.nonzero(A)
-        ends = np.searchsorted(rows, np.arange(len(A) + 1)).tolist()
-        cols = cols.tolist()
-        return tuple(cols[a:b] for a, b in zip(ends, ends[1:]))
+        rows, indices = np.nonzero(A)
+        degrees = np.bincount(rows, minlength=len(A))
+        starts = np.cumsum(degrees) - degrees
+        return tuple(map(_read_only, (indices, starts, degrees)))
+
+    @cached_property
+    def successors(self):
+        """`successor_csr` as one list of successor positions per edge.
+        Shared by every reader; not to be modified."""
+        indices, starts, degrees = self.successor_csr
+        cols = indices.tolist()
+        return tuple(cols[a:a + d] for a, d in zip(starts.tolist(), degrees.tolist()))
 
     @property
     def successor_map(self):
@@ -109,6 +121,24 @@ class GdmsSystem:
         """Edge-id sets of `component_positions`, in their order."""
         ids = self.edge_ids
         return tuple(frozenset(map(ids.__getitem__, comp)) for comp in self.component_positions)
+
+    @cached_property
+    def engines(self):
+        """The pressure engine of each of `component_positions`, in their
+        order, built from the component's diagonal block of
+        `incidence_matrix`: a `thermo.PerronBlock` for a similarity system,
+        a `thermo.CfCollocation` for a continued-fraction one. Both offer
+        `pressure_slope(t)`, `certified_pressure(t)`, `newton_start(tolerance)`
+        and `decay`, a proved lower bound on -P'. The engines keep their last
+        vectors and roots, so every analysis of this system object starts
+        from the work of the ones before it."""
+        from .thermo import CfCollocation, PerronBlock  # thermo imports this module
+        A, ids = self.incidence_matrix, self.edge_ids
+        if self.family.kind == "similarity":
+            return tuple(PerronBlock(A[np.ix_(idx, idx)], self.log_norms[list(idx)])
+                         for idx in self.component_positions)
+        return tuple(CfCollocation(A[np.ix_(idx, idx)], [ids[k] for k in idx])
+                     for idx in self.component_positions)
 
     @property
     def irreducible(self) -> bool:

@@ -267,12 +267,13 @@ class PerronBlock:
     Each call starts `collatz_wielandt` from the Perron vector of the
     previous call: the Newton steps and the end certificate move t little,
     and near h the previous vector certifies the new t after about one
-    solve.
+    solve. `root` is the (root, tolerance) of the last Newton solve that
+    `dimension._component_roots` ran on this engine, or None.
     """
 
     def __init__(self, A, log_norms):
         self.A, self.log_norms = A, log_norms
-        self.right = None
+        self.right = self.root = None
 
     @property
     def decay(self) -> float:
@@ -496,8 +497,9 @@ class CfCollocation:
         self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         self.block_rows, self.block_cols = np.divmod(keys[self.starts], len(states))
         # right vector of the last `_perron` call and the `_state_sizes` at
-        # its t, from which the next call starts
-        self.right = self.sizes = None
+        # its t, from which the next call starts; the (root, tolerance) of
+        # the last `dimension._component_roots` solve
+        self.right = self.sizes = self.root = None
 
     @property
     def size(self) -> int:
@@ -540,14 +542,16 @@ class CfCollocation:
         return collatz_wielandt(S, start)[2]
 
     def _perron(self, t, L):
-        """`perron_root` of L = L(t). The first call starts from
-        `_state_sizes(t)` on every node, the next from the previous right
-        vector times the change of the state sizes since its t. Row sums
-        that underflow mean that the state functions span more than the
+        """`perron_root` of L = L(t). The first call, and every call at
+        t = 0, where the state sizes are exact, starts from `_state_sizes(t)`
+        on every node, as a new engine does; the others from the previous
+        right vector times the change of the state sizes since its t. Row
+        sums that underflow mean that the state functions span more than the
         double range, which is refused as such."""
+        fresh = self.right is None or t == 0.0
         try:
-            sizes = self._state_sizes(t, self.sizes)
-            if self.right is None:
+            sizes = self._state_sizes(t, None if fresh else self.sizes)
+            if fresh:
                 start = np.repeat(sizes, self.nodes)
             else:
                 start = self.right * np.repeat(sizes / self.sizes, self.nodes)
@@ -687,21 +691,6 @@ class CfCollocation:
         return bound
 
 
-def engines(system: GdmsSystem):
-    """The pressure engine of each cyclic component of a finite system, in
-    the order of `system.components`, built from the component's diagonal
-    block of `system.incidence_matrix`: a PerronBlock for a similarity
-    system, a CfCollocation for a continued-fraction one. Both offer
-    `pressure_slope(t)`, `certified_pressure(t)`, `newton_start(tolerance)`
-    and `decay`, a proved lower bound on -P'."""
-    A, ids = system.incidence_matrix, system.edge_ids
-    if system.family.kind == "similarity":
-        return [PerronBlock(A[np.ix_(idx, idx)], system.log_norms[list(idx)])
-                for idx in system.component_positions]
-    return [CfCollocation(A[np.ix_(idx, idx)], [ids[k] for k in idx])
-            for idx in system.component_positions]
-
-
 def certified_bounds(blocks, t):
     """(P_lower, P_upper) of a system from the pressure engines `blocks` of
     its components: the max over them of their `certified_pressure(t)`
@@ -760,9 +749,10 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
 def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t).
 
-    P is the max over the `engines` of `system.components` of their
-    certified bounds. Similarity systems: P = ln rho(B(t)) is the max of
-    ln rho(B_k(t)) over the diagonal blocks of the components. In a topological order of
+    P is the max over the cached `system.engines` of their certified
+    bounds, each engine starting from its vector of the previous call.
+    Similarity systems: P = ln rho(B(t)) is the max of ln rho(B_k(t)) over
+    the diagonal blocks of the components. In a topological order of
     the components B(t) is block triangular, and the remaining diagonal
     blocks are nilpotent, so the two agree; a dense eigenvalue solve of the
     whole matrix would instead carry an error near sqrt(eps) when two linked
@@ -781,7 +771,7 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
         raise UnsupportedAnalysisError(
             "pressure of an infinite system needs a truncation sweep")
 
-    lower, upper = certified_bounds(engines(system), t)
+    lower, upper = certified_bounds(system.engines, t)
     method = TRANSFER_MATRIX if system.family.kind == "similarity" else CHEBYSHEV_COLLOCATION
     return PressureEstimate(t, lower, upper, 0, method)
 
@@ -849,7 +839,7 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
         raise UnsupportedAnalysisError("conformal measures are built for similarity systems")
     if not system.irreducible:
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")
-    (block,) = engines(system)
+    (block,) = system.engines
     p, _ = block.pressure_slope(h)
     if abs(p) > pressure_tolerance:
         raise DomainError(f"h={h} is not a pressure zero: ln rho(B(h)) = {p:.3g}")

@@ -110,16 +110,34 @@ class TestReports:
         assert float(grab(out, "wall_time_s")) >= 0.05
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_import_loads_no_scipy_or_mpmath():
     # each gdms process pays for what `import gdmskit` pulls in
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, gdmskit; print(sorted({m.split('.')[0] for m in sys.modules}"
             " & {'scipy', 'mpmath'}))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("text", [CANTOR, CF_FULL2], ids=["cantor", "cf-full2"])
+def test_dim_at_a_tolerance_below_the_double_spacing_exits_3(tmp_path, text):
+    # tolerance/4 underflows to 0; in a child process, so that a bracket
+    # certificate that never ends fails at the timeout
+    spec = tmp_path / "spec.gdms"
+    spec.write_text(text)
+    done = subprocess.run([sys.executable, "-m", "gdmskit.cli", "dim", str(spec),
+                           "--tol", "5e-324"], env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == cli.EXIT_NOT_APPLICABLE
+    assert done.stdout == ""
+    assert "tolerance 5e-324 is below the spacing of doubles" in done.stderr
 
 
 def test_no_eigenvalue_solver_runs(monkeypatch):

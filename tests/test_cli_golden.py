@@ -689,9 +689,9 @@ wall_time_s = *
         'curve.csv': """\
 t,P_lower,P_upper,n_used
 0.25,0.36157746557398557,0.36157746557409259,0
-0.5,0.039628465963877008,0.039628465963998306,0
-0.75,-0.27318342428382159,-0.27318342428366027,0
-1,-0.57745179817260883,-0.57745179817240055,0
+0.5,0.039628465963875092,0.039628465964000228,0
+0.75,-0.2731834242838197,-0.2731834242836616,0
+1,-0.57745179817260717,-0.57745179817240255,0
 """,
     }),
     'cf-full2-dim': (0, """\

@@ -208,14 +208,14 @@ class TestPerronNewton:
         assert hi - lo <= tol / 2
 
     def test_unresolved_perron_root_is_refused(self, monkeypatch):
-        block = thermo.engines(gk.full_shift([0.3, 0.4]))[0]
+        block = gk.full_shift([0.3, 0.4]).engines[0]
         monkeypatch.setattr(thermo, "collatz_wielandt",
                             lambda B, start: (0.9, 1.1, np.ones(len(B))))
         with pytest.raises(gk.ConvergenceError, match="not resolved"):
             block.pressure_slope(0.5)
 
     def test_nonpositive_left_perron_vector_is_refused(self, monkeypatch):
-        block = thermo.engines(gk.full_shift([0.3, 0.4]))[0]
+        block = gk.full_shift([0.3, 0.4]).engines[0]
         monkeypatch.setattr(thermo, "equilibrium_weights",
                             lambda B, v, upper: np.array([1.5, -0.5]))
         with pytest.raises(gk.ConvergenceError, match="not positive"):
@@ -326,6 +326,42 @@ class TestOnePointCertificate:
         with pytest.raises(gk.ConvergenceError, match="cannot certify"):
             gd._certified_bracket(lambda t: (0.3 - t - 1e-3, 0.3 - t + 1e-3), 0.3, 1e-10,
                                   decay=1.0)
+
+
+class TestToleranceBelowTheDoubleSpacing:
+    @staticmethod
+    def _bounds(pressure):
+        """`pressure` as the bounds of a bracket certificate that fails on
+        its 1000th call, so that a certificate that never ends fails here."""
+        calls = []
+
+        def bounds(t):
+            calls.append(t)
+            assert len(calls) < 1000, "the bracket certificate does not end"
+            return pressure(t)
+        return bounds
+
+    @pytest.mark.parametrize("tolerance", [5e-324, 1e-300, 1e-17])
+    @pytest.mark.parametrize("decay", [0.0, 1.0])
+    def test_ends_that_round_to_h_are_refused(self, tolerance, decay):
+        # tolerance/4 is 0 or below half an ulp of h, so h -/+ tolerance/4 is h
+        bounds = self._bounds(lambda t: (0.63 - t, 0.63 - t))
+        with pytest.raises(gk.ConvergenceError,
+                           match=f"tolerance {tolerance!r} is below the spacing of doubles "
+                                 f"at t = 0.63:"):
+            gd._certified_bracket(bounds, 0.63, tolerance, decay)
+
+    def test_bisection_that_stops_moving_is_refused(self):
+        # P changes sign at t = 5, where doubles lie 8.9e-16 apart: the upper
+        # end widens past 5, and no bracket there is 5e-16 wide
+        bounds = self._bounds(lambda t: (1.0, 1.0) if t < 5.0 else (-1.0, -1.0))
+        with pytest.raises(gk.ConvergenceError, match="below the spacing of doubles at t = [45]"):
+            gd._certified_bracket(bounds, 0.63, 1e-15)
+
+    def test_smallest_separable_tolerance_is_certified(self):
+        bounds = self._bounds(lambda t: (0.63 - t, 0.63 - t))
+        lo, hi, steps = gd._certified_bracket(bounds, 0.63, 1e-15, decay=1.0)
+        assert lo < 0.63 < hi and hi - lo <= 1e-15 / 2 and steps == 0
 
 
 class TestTwoLevelNewton:
@@ -579,3 +615,117 @@ class TestTruncationSweep:
         assert sweep.sup_lo == 0.0
         assert any("sup over finite subsystems = 0 < theta = 0.5" in w
                    for w in sweep.warnings)
+
+
+def _solve_counter(monkeypatch, size=None):
+    """A list that gets one entry per `np.linalg.solve` call (of matrices of
+    `size` only, if given) from now on."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        if size is None or len(a) == size:
+            solves.append(len(a))
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return solves
+
+
+class TestEngineCache:
+    def test_engines_are_built_once_per_system(self):
+        sys = two_component_system(linked=True)
+        assert sys.engines is sys.engines
+        gk.bowen_dimension(sys)
+        assert all(block.root is not None for block in sys.engines)
+        assert sys.restrict(sys.edge_ids).engines is not sys.engines
+
+    def test_classify_after_dimension_reuses_the_roots(self, monkeypatch):
+        fresh = gk.classify_hausdorff_measure(mirrored_blocks_system())
+        sys = mirrored_blocks_system()
+        est = gk.bowen_dimension(sys)
+        solves = _solve_counter(monkeypatch)
+        warm = gk.classify_hausdorff_measure(sys)
+        assert len(solves) <= 10
+        assert (warm.verdict, warm.maximal_components) == (fresh.verdict,
+                                                           fresh.maximal_components)
+        assert warm.dimension.iterations == 0
+        root = _reference_root(_dense_pressure(sys))
+        assert warm.dimension.lo <= root <= warm.dimension.hi
+        assert (fresh.dimension.lo, fresh.dimension.hi) == (warm.dimension.lo,
+                                                            warm.dimension.hi)
+        assert est.lo <= root <= est.hi
+
+    def test_tighter_tolerance_starts_newton_from_the_kept_root(self, monkeypatch):
+        sys = cf_sys(truncate=2)
+        gk.bowen_dimension(sys, 1e-6)
+        # the coarse collocation of newton_start is not run again
+        solves = _solve_counter(monkeypatch, thermo.COARSE_NODES)
+        est = gk.bowen_dimension(sys, 1e-12)
+        assert solves == []
+        assert 0 < est.iterations and est.lo <= E2 <= est.hi
+        assert est.width <= 1e-12 / 2
+        assert sys.engines[0].root[1] == 1e-12
+        assert gk.bowen_dimension(sys, 1e-8).iterations == 0
+
+    def test_banded_curve_warm_starts_each_point(self, monkeypatch):
+        sys = cf_sys(gg.BANDED, 1, truncate=20)
+        solves = _solve_counter(monkeypatch, 20 * thermo.COLLOCATION_NODES)
+        curve = [gk.pressure(sys, t) for t in np.linspace(0.5, 1.5, 11)]
+        assert len(solves) <= 78
+        assert all(p.lower < p.upper < p.lower + 1e-9 for p in curve)
+        assert curve[0].lower > 0.0 > curve[-1].upper
+
+    @pytest.mark.parametrize("kind,size", [(gg.BANDED, 8), (gg.FULL, 2)])
+    def test_pressure_at_zero_after_a_dimension_starts_fresh(self, kind, size, monkeypatch):
+        solves = _solve_counter(monkeypatch)
+        fresh = gk.pressure(cf_sys(kind, 1, truncate=size), 0.0)
+        cold = len(solves)
+        sys = cf_sys(kind, 1, truncate=size)
+        gk.bowen_dimension(sys)
+        solves.clear()
+        warm = gk.pressure(sys, 0.0)
+        assert len(solves) <= cold
+        assert (warm.lower, warm.upper) == (fresh.lower, fresh.upper)
+        assert warm.lower <= log_rho(sys) <= warm.upper
+
+
+# (kind, ratios) of systems whose dimension has an oracle: similarity full
+# shifts (the Moran root) and continued-fraction digits {1, 2} (E_2)
+_ORACLE_SYSTEMS = st.sampled_from([("moran", (0.3, 0.4)), ("moran", (0.2, 0.25, 0.3)),
+                                   ("e2", None)])
+_CACHE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("pressure"), st.sampled_from([0.0, 0.25, 0.5, 0.55, 0.7, 1.0, 2.0])),
+    st.tuples(st.sampled_from(["dim", "components", "classify"]),
+              st.sampled_from([1e-6, 1e-8, 1e-10, 1e-12]))), min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ORACLE_SYSTEMS, _CACHE_OPS)
+def test_any_call_sequence_on_one_system_holds_the_oracles(case, ops):
+    kind, ratios = case
+
+    def make():
+        return gk.full_shift(list(ratios)) if kind == "moran" else cf_sys(truncate=2)
+    sys = make()
+    h = _moran_bisect(ratios) if kind == "moran" else E2
+    for op, arg in ops:
+        if op == "pressure":
+            p = gk.pressure(sys, arg)
+            fresh = gk.pressure(make(), arg)
+            assert max(p.lower, fresh.lower) <= min(p.upper, fresh.upper)
+            if kind == "moran":
+                exact = math.log(sum(r ** arg for r in ratios))
+                assert p.lower - 1e-15 <= exact <= p.upper + 1e-15
+            if arg == 0.0:
+                assert p.lower <= log_rho(sys) <= p.upper
+            continue
+        if op == "dim":
+            ests = [gk.bowen_dimension(sys, arg)]
+        elif op == "components":
+            report = gk.component_dimensions(sys, arg)
+            ests = [report.overall, *report.estimates]
+        else:
+            ests = [gk.classify_hausdorff_measure(sys, arg, range(1, 4)).dimension]
+        for est in ests:
+            assert est.lo - 1e-15 <= h <= est.hi + 1e-15
+            assert est.width <= arg / 2

@@ -8,6 +8,7 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import sampling as gsamp
+from conftest import two_component_system
 
 
 def cantor():
@@ -282,3 +283,20 @@ def test_upper_truncations_are_refused(size):
     system = gk.cf_system(gk.IncidenceSpec(gg.UPPER), truncate=size)
     with pytest.raises(gk.NotApplicableError, match="empty limit set"):
         gk.sample_points(system, 5, 4, seed=1)
+
+
+def test_sampler_walks_the_cached_successor_rows(monkeypatch):
+    # nothing is pruned here, so every sample walks the system's own
+    # `successor_csr`, which one np.nonzero builds on first use
+    system = two_component_system(linked=True)
+    A = system.incidence_matrix
+    indices, starts, degrees = system.successor_csr
+    for k, row in enumerate(system.successors):
+        assert indices[starts[k]:starts[k] + degrees[k]].tolist() == row
+        assert row == np.flatnonzero(A[k]).tolist()
+    first = gk.sample_points(system, 50, 6, seed=3)
+
+    def refuse(*args):
+        raise AssertionError("the incidence matrix was scanned again")
+    monkeypatch.setattr(np, "nonzero", refuse)
+    assert gk.sample_points(system, 50, 6, seed=3) == first

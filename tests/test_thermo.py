@@ -401,20 +401,20 @@ def test_cf_partition_sums_are_exact_or_bracket_the_exact_sum(case, t):
 
 class TestCfCollocation:
     def test_states_are_distinct_predecessor_sets(self):
-        full = thermo.engines(cf_sys(truncate=5))[0]
+        full = cf_sys(truncate=5).engines[0]
         assert full.size == thermo.COLLOCATION_NODES
-        banded = thermo.engines(cf_sys(gg.BANDED, 1, truncate=6))[0]
+        banded = cf_sys(gg.BANDED, 1, truncate=6).engines[0]
         assert banded.size == 6 * thermo.COLLOCATION_NODES
 
     def test_constant_functions_at_zero(self):
         # L_0 maps constants to constants: the matrix is exact there
-        engine = thermo.engines(cf_sys(truncate=3))[0]
+        engine = cf_sys(truncate=3).engines[0]
         L = engine.matrix(0.0)
         assert L @ np.ones(engine.size) == pytest.approx(3.0 * np.ones(engine.size), rel=1e-13)
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 5)])
     def test_slope_matches_difference_quotient(self, kind, size):
-        engine = thermo.engines(cf_sys(kind, 1, truncate=size))[0]
+        engine = cf_sys(kind, 1, truncate=size).engines[0]
         t, h = 0.55, 1e-5
         p, slope = engine.pressure_slope(t)
         ahead, behind = engine.pressure_slope(t + h)[0], engine.pressure_slope(t - h)[0]
@@ -425,7 +425,7 @@ class TestCfCollocation:
     def test_certificate_holds_off_the_nodes(self):
         # Collatz-Wielandt: a positive g with (lam - s) g <= L g <= (lam + s) g
         # at points that are not collocation nodes
-        engine = thermo.engines(cf_sys(gg.BANDED, 1, truncate=4))[0]
+        engine = cf_sys(gg.BANDED, 1, truncate=4).engines[0]
         t = 0.7
         lam, _, v = thermo.perron_root(engine.matrix(t), t)
         s = engine._residual_bound(t, lam, v)
@@ -446,7 +446,7 @@ class TestCfCollocation:
         # the left collocation vector is not a Perron vector, so the
         # similarity solver refuses the matrix and the collocation checks
         # only the overlap of the two vectors
-        engine = thermo.engines(cf_sys(truncate=2))[0]
+        engine = cf_sys(truncate=2).engines[0]
         L = engine.matrix(0.5)
         lam, upper, v = thermo.perron_root(L, 0.5)
         w = thermo.equilibrium_weights(L, v, upper) / v
@@ -478,14 +478,14 @@ class TestCfCollocation:
             gk.pressure(cf_sys(gg.BANDED, 1, truncate=40), 4.0)
 
     def test_certificate_needs_a_positive_function(self):
-        engine = thermo.engines(cf_sys(truncate=2))[0]
+        engine = cf_sys(truncate=2).engines[0]
         lam, _, v = thermo.perron_root(engine.matrix(0.5), 0.5)
         with pytest.raises(gk.ConvergenceError):
             engine._residual_bound(0.5, lam, -v)
 
     def test_residual_bound_at_lam_is_refused(self, monkeypatch):
         # lam - s <= 0 would leave no lower bound
-        engine = thermo.engines(cf_sys(truncate=2))[0]
+        engine = cf_sys(truncate=2).engines[0]
         monkeypatch.setattr(thermo.CfCollocation, "_residual_bound",
                             lambda self, t, lam, v: lam)
         with pytest.raises(gk.ConvergenceError, match="not below"):
@@ -498,13 +498,13 @@ class TestCfCollocation:
             est = gk.pressure(system, t)
         except gk.ConvergenceError:
             return
-        L = thermo.engines(system)[0].matrix(t)
+        L = system.engines[0].matrix(t)
         lam = max(np.linalg.eigvals(L).real)
         assert math.isfinite(est.lower)
         assert est.lower <= math.log(lam) <= est.upper
 
     def test_next_t_starts_from_the_previous_vector(self, monkeypatch):
-        engine = thermo.engines(cf_sys(gg.BANDED, 1, truncate=6))[0]
+        engine = cf_sys(gg.BANDED, 1, truncate=6).engines[0]
         solves = []
         solve = np.linalg.solve
 
@@ -535,14 +535,14 @@ def test_similarity_decay_bounds_the_closed_form_slope(ratios, t):
     log_r = np.log(ratios)
     weights = np.exp(t * log_r)
     slope = float(weights @ log_r) / float(weights.sum())
-    block = thermo.engines(gk.full_shift(ratios))[0]
+    block = gk.full_shift(ratios).engines[0]
     assert -slope >= block.decay > 0.0
 
 
 @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.FULL, 3), (gg.FULL, 4),
                                        (gg.FULL, 5), (gg.BANDED, 8)])
 def test_cf_decay_bounds_the_certified_pressure_drop(kind, size):
-    engine = thermo.engines(cf_sys(kind, 1, truncate=size))[0]
+    engine = cf_sys(kind, 1, truncate=size).engines[0]
     assert engine.decay <= math.log(2)
     for t in np.linspace(0.0, 2.0, 9):
         lower = engine.certified_pressure(t)[0]
@@ -552,13 +552,13 @@ def test_cf_decay_bounds_the_certified_pressure_drop(kind, size):
 
 class TestNewtonStart:
     def test_similarity_starts_at_zero(self):
-        block = thermo.engines(gk.full_shift([0.3, 0.4]))[0]
+        block = gk.full_shift([0.3, 0.4]).engines[0]
         assert block.newton_start(1e-10) == 0.0
         assert block.right is None
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 8)])
     def test_coarse_root_starts_near_the_full_one(self, kind, size, monkeypatch):
-        engine = thermo.engines(cf_sys(kind, 1, truncate=size))[0]
+        engine = cf_sys(kind, 1, truncate=size).engines[0]
         t0 = engine.newton_start(1e-10)
         assert engine.right.shape == (engine.size,) and engine.right.min() > 0.0
         solves = []
@@ -577,7 +577,7 @@ class TestNewtonStart:
     def test_coarse_vector_that_is_not_positive_is_refused(self, monkeypatch):
         # flip the sign of the interpolation onto the full grid, the one
         # Chebyshev table that newton_start builds on a flat array of points
-        engine = thermo.engines(cf_sys(truncate=2))[0]
+        engine = cf_sys(truncate=2).engines[0]
         vander = thermo._chebyshev_vander
         monkeypatch.setattr(thermo, "_chebyshev_vander",
                             lambda u, m: -vander(u, m) if np.ndim(u) == 1 else vander(u, m))
@@ -601,7 +601,7 @@ def test_collocation_eigenpair_is_the_leading_one(rule, t, t_before):
     # engine is warm from another t, the bare call starts from ones.
     kind, width, size = rule
     system = cf_sys(kind, width, truncate=size)
-    engine = thermo.engines(system)[0]
+    engine = system.engines[0]
     engine.pressure_slope(t_before)
     L = engine.matrix(t)
     values = np.linalg.eigvals(L)
