@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -483,6 +484,7 @@ class CfCollocation:
         self.members = np.zeros((len(states), len(preds)))
         for row, p in zip(self.members, states):
             row[list(p)] = 1.0
+        self.mid_logs = np.log(self.letters + 0.5)  # of `_state_sizes`' weights
         self.to_coef = _values_to_coefficients(nodes)
         shifted = self.letters[:, None] + _chebyshev_nodes(nodes)
         self.log_weights = -2.0 * np.log(shifted)
@@ -538,7 +540,7 @@ class CfCollocation:
         entries of a start built from them err by factors spanning e^8.5,
         and of one built from these by e^1.6.
         """
-        S = self._blocks(np.exp(-2.0 * t * np.log(self.letters + 0.5)))
+        S = self._blocks(np.exp(-2.0 * t * self.mid_logs))
         return collatz_wielandt(S, start)[2]
 
     def _perron(self, t, L):
@@ -605,6 +607,42 @@ class CfCollocation:
                 f"collocation residual bound {s:.3g} at t = {t!r} is not below lam = {lam:.3g}")
         return _log_bounds(lam - s, lam + s)
 
+    @cached_property
+    def _plan(self):
+        """The tables of `_residual_bound` that depend only on the letters a
+        and the node count m, built at this engine's first certificate and
+        kept for every later t. Over the panel points y of [0, 1] and the
+        disks around the panels' ellipses:
+
+            (a + y,                  letters x points
+             T_k(2/(a + y) - 1),     letters x points x m
+             T_k(2y - 1),            points x m
+             a + Re z on the disks,  letters x panels
+             R^k of the disks' images under z -> 1/(a + z), letters x panels x m
+             R^k of the disks,       1 x panels x m
+             the Lebesgue constant,
+             `_values_to_coefficients(PANEL_POINTS)`,
+             k^2 for k < PANEL_POINTS).
+        """
+        m, n, rho = self.nodes, PANEL_POINTS, PANEL_ELLIPSE
+        half = 0.5 / CERTIFICATE_PANELS
+        centers = (2 * np.arange(CERTIFICATE_PANELS) + 1) * half
+        y = np.concatenate([_chebyshev_nodes(n, c - half, c + half) for c in centers])
+        a = self.letters[:, None]
+        reach = half * (rho + 1 / rho) / 2          # disk around each ellipse
+        near = a + centers - reach                  # <= |a + z| on the disk
+        if not near.min() > 0.0:
+            raise ConvergenceError("certificate ellipse reaches a branch point")
+        mid = a + centers
+        spread = mid * mid - reach * reach
+        r_image = _ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
+        r_self = _ellipse_parameter(2 * centers - 1, 2 * reach)
+        powers = np.arange(m)
+        return (a + y, _chebyshev_vander(2.0 / (a + y) - 1.0, m),
+                _chebyshev_vander(2.0 * y - 1.0, m), near,
+                r_image[:, :, None] ** powers, r_self[None, :, None] ** powers,
+                2 / np.pi * math.log(n) + 1, _values_to_coefficients(n), np.arange(n) ** 2.0)
+
     def _residual_bound(self, t, lam, v):
         """s >= max over states c and x in [0, 1] of |r_c(x)| / g_c(x).
 
@@ -627,9 +665,17 @@ class CfCollocation:
           the distance to the nearest point; g has degree below the number
           of points, so its own panel interpolant bounds |g'| there.
 
+        The terms that depend only on the letters and the node count (the
+        points a + y, the Chebyshev tables at y and at 1/(a + y), the disk
+        bounds, the ellipse powers, the Lebesgue constant and the panel
+        interpolation matrix) come from `_plan`; what is computed here
+        depends on v, lam and t.
+
         Raises ConvergenceError when g cannot be shown positive.
         """
         u, m, n, rho = UNIT_ROUNDOFF, self.nodes, PANEL_POINTS, PANEL_ELLIPSE
+        (shifted, image, self_image, near, image_powers, self_powers,
+         lebesgue, panel_to_coef, squares) = self._plan
         states = len(self.members)
         coef = v.reshape(states, m) @ self.to_coef.T
         size0 = np.abs(coef).sum(axis=1)                      # >= sup |g|
@@ -638,39 +684,26 @@ class CfCollocation:
         own = self.state_of
 
         half = 0.5 / CERTIFICATE_PANELS
-        centers = (2 * np.arange(CERTIFICATE_PANELS) + 1) * half
-        y = np.concatenate([_chebyshev_nodes(n, c - half, c + half) for c in centers])
-        a = self.letters[:, None]
-        weights = (a + y) ** (-2.0 * t)
-        g_image_y = np.einsum("apk,ak->ap", _chebyshev_vander(2.0 / (a + y) - 1.0, m), coef[own])
+        weights = shifted ** (-2.0 * t)
+        g_image_y = np.einsum("apk,ak->ap", image, coef[own])
         terms = weights * g_image_y
-        g_y = (_chebyshev_vander(2.0 * y - 1.0, m) @ coef.T).T
+        g_y = (self_image @ coef.T).T
         r = self.members @ terms - lam * g_y
+        letters = self.letters
         # rounding of the weights, products and sums; of g; and of the
         # points, which lie within 3u of the exact ones, times sup |r'|
-        arithmetic = (len(a) + 8 + 2 * t) * u * (self.members @ np.abs(terms)
-                                                 + lam * np.abs(g_y))
+        arithmetic = (len(letters) + 8 + 2 * t) * u * (self.members @ np.abs(terms)
+                                                       + lam * np.abs(g_y))
         evaluation = self.members @ (weights * eval_err[own][:, None]) + (lam * eval_err)[:, None]
-        letters = self.letters
         drift = (self.members @ (2 * t * letters ** (-2 * t - 1) * size0[own]
                                  + letters ** (-2 * t - 2) * size1[own])
                  + lam * size1)
         slack = arithmetic + evaluation + 3 * u * drift[:, None] + u * np.abs(r)
         worst = (np.abs(r) + slack).reshape(states, CERTIFICATE_PANELS, n).max(axis=2)
 
-        reach = half * (rho + 1 / rho) / 2          # disk around each ellipse
-        near = a + centers - reach                  # <= |a + z| on the disk
-        if not near.min() > 0.0:
-            raise ConvergenceError("certificate ellipse reaches a branch point")
-        mid = a + centers
-        spread = mid * mid - reach * reach
-        r_image = _ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
-        r_self = _ellipse_parameter(2 * centers - 1, 2 * reach)
-        powers = np.arange(m)
-        g_image = (np.abs(coef[own])[:, None, :] * r_image[:, :, None] ** powers).sum(axis=2)
-        g_self = (np.abs(coef)[:, None, :] * r_self[None, :, None] ** powers).sum(axis=2)
+        g_image = (np.abs(coef[own])[:, None, :] * image_powers).sum(axis=2)
+        g_self = (np.abs(coef)[:, None, :] * self_powers).sum(axis=2)
         disk_max = self.members @ (near ** (-2 * t) * g_image) + lam * g_self
-        lebesgue = 2 / np.pi * math.log(n) + 1
         sup_r = lebesgue * worst + 4 * disk_max * rho ** (1 - n) / (rho - 1)
 
         # g has degree m - 1 < n, so on each panel it is its own interpolant
@@ -678,8 +711,7 @@ class CfCollocation:
         values = g_y.reshape(states, CERTIFICATE_PANELS, n)
         value_err = (eval_err + 3 * u * size1)[:, None]
         panel_coef_err = 2 * value_err + 2 * n * u * np.abs(values).max(axis=2)
-        squares = np.arange(n) ** 2.0
-        slope = (np.abs(values @ _values_to_coefficients(n).T) @ squares
+        slope = (np.abs(values @ panel_to_coef.T) @ squares
                  + panel_coef_err * squares.sum()) / half
         floor = values.min(axis=2) - value_err - slope * half * np.pi / (2 * n)
         if not floor.min() > 0.0:

@@ -586,6 +586,84 @@ class TestNewtonStart:
         assert engine.right is None
 
 
+def _recorded_vander(monkeypatch):
+    """Patch `thermo._chebyshev_vander` to record the shape of every u it
+    is called on; returns the list of shapes."""
+    shapes = []
+    vander = thermo._chebyshev_vander
+
+    def recorded(u, m):
+        shapes.append(np.shape(u))
+        return vander(u, m)
+    monkeypatch.setattr(thermo, "_chebyshev_vander", recorded)
+    return shapes
+
+
+def _outcome(call, *args):
+    """call(*args), or the text of the ConvergenceError it raises."""
+    try:
+        return call(*args)
+    except gk.ConvergenceError as exc:
+        return str(exc)
+
+
+class TestCertificatePlan:
+    # the certificate's points: its tables are built on arrays of this length
+    POINTS = thermo.CERTIFICATE_PANELS * thermo.PANEL_POINTS
+
+    @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 6)])
+    def test_plan_is_built_once_per_engine(self, kind, size, monkeypatch):
+        system = cf_sys(kind, 1, truncate=size)
+        (engine,) = system.engines
+        shapes = _recorded_vander(monkeypatch)
+        gk.bowen_dimension(system)
+        # one image table over letters x points, one self table over points
+        assert shapes.count((size, self.POINTS)) == 1
+        assert shapes.count((self.POINTS,)) == 1
+        plan = engine._plan
+        shapes.clear()
+        for t in (0.0, 0.3, 0.9, 1.5, 2.0):
+            est = gk.pressure(system, t)
+            assert est.lower <= est.upper
+        assert shapes == []
+        assert engine._plan is plan
+
+    def test_coarse_engine_builds_no_plan(self, monkeypatch):
+        engine = cf_sys(gg.BANDED, 1, truncate=6).engines[0]
+        shapes = _recorded_vander(monkeypatch)
+        engine.newton_start(1e-10)
+        assert shapes and all(self.POINTS not in shape for shape in shapes)
+        assert "_plan" not in engine.__dict__
+
+    def test_vander_matches_numpy_chebvander(self):
+        # numpy.polynomial is an independent oracle, imported here only
+        from numpy.polynomial.chebyshev import chebvander
+        rng = np.random.default_rng(3)
+        for shape in ((7,), (192,), (5, 192), (3, 8)):
+            u = rng.uniform(-1.0, 1.0, shape)
+            for m in (2, 8, 20):
+                T = thermo._chebyshev_vander(u, m)
+                assert T.shape == shape + (m,)
+                assert np.array_equal(T, chebvander(u, m - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.tuples(st.just(gg.FULL), st.integers(1, 5)),
+                 st.tuples(st.just(gg.BANDED), st.integers(2, 8))),
+       st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+def test_certificate_from_a_reused_plan_is_bit_identical(rule, t1, t2):
+    # the plan built at t1 serves t2 exactly as a fresh engine's does
+    kind, size = rule
+    warm = cf_sys(kind, 1, truncate=size).engines[0]
+    fresh = cf_sys(kind, 1, truncate=size).engines[0]
+    lam, _, v = thermo.perron_root(warm.matrix(t1), t1)
+    _outcome(warm._residual_bound, t1, lam, v)
+    assert "_plan" in warm.__dict__ and "_plan" not in fresh.__dict__
+    lam, _, v = thermo.perron_root(fresh.matrix(t2), t2)
+    assert _outcome(warm._residual_bound, t2, lam, v) == _outcome(fresh._residual_bound,
+                                                                  t2, lam, v)
+
+
 def _cf_rules():
     """(kind, width, size): banded rules up to 10 letters wide 1 to 3, and
     full rules up to 8 letters."""
