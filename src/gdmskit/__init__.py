@@ -10,8 +10,7 @@ from .graph import (Edge, IncidenceSpec, MatrixProperties, MultiGraph, SccReport
                     enumerate_words, is_admissible, matrix_properties,
                     scc_decompose)
 from .maps import (DerivativeNorm, MoebiusCfFamily, SimilarityFamily,
-                   SimilarityMap, VertexSpace, derivative_norm,
-                   distortion_constant, evaluate)
+                   SimilarityMap, VertexSpace, derivative_norm, evaluate)
 from .sampling import (BoxCount, LimitPointSample, box_dimension, sample_points)
 from .specfile import parse_spec, serialize_spec
 from .system import (GdmsSystem, cf_system, diameter_bound, empty_limit_set,

@@ -23,10 +23,9 @@ from . import thermo
 from .errors import (ConvergenceError, InputError, NotApplicableError,
                      UnsupportedAnalysisError)
 from .system import GdmsSystem
+from .thermo import COLLOCATION_NEWTON, PERRON_NEWTON  # the engines' dimension methods
 
 MORAN_EXACT = "moran-exact"
-PERRON_NEWTON = "perron-newton"
-COLLOCATION_NEWTON = "collocation-newton"
 EMPTY_LIMIT_SET = "empty-limit-set"
 
 
@@ -208,23 +207,13 @@ def _check_tolerance(tolerance):
         raise InputError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
-def _newton_start(block, tolerance):
-    """The block's `newton_start`, or t = 0 when that raises
-    ConvergenceError: a coarse collocation that fails leaves the
-    full-size Newton steps to start cold."""
-    try:
-        return block.newton_start(tolerance)
-    except ConvergenceError:
-        return 0.0
-
-
 def _engine_root(block, tolerance):
     """(root, Newton steps) of one pressure engine, kept as its `root`
     with the tolerance it was solved at. A root kept at a tolerance no
     looser than this one is returned with 0 steps; one kept at a looser
     tolerance starts Newton in place of the engine's `newton_start`."""
     if block.root is None:
-        t0 = _newton_start(block, tolerance)
+        t0 = block.newton_start(tolerance)
     else:
         root, solved_at = block.root
         if solved_at <= tolerance:
@@ -248,16 +237,17 @@ def _certified_dimension(blocks, roots, tolerance):
     """Certify the largest of `roots`, those of the pressure engines
     `blocks`: the pressure bounds are the max over blocks of their certified
     brackets, and the least `decay` of the blocks bounds -P' of that max.
-    When the blocks make a similarity full shift (one `thermo.PerronBlock`
-    whose incidence entries are all 1), the bracket is cross-checked
-    against the Moran root, the zero of `_full_shift_pressure`."""
+    The method is the blocks' `dimension_method`, or MORAN_EXACT when they
+    make a similarity full shift (one `thermo.PerronBlock` whose incidence
+    entries are all 1), whose bracket is cross-checked against the Moran
+    root, the zero of `_full_shift_pressure`."""
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
 
     lo, hi, n = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
                                    max(root for root, _ in roots), tolerance,
                                    min(block.decay for block in blocks))
-    method = PERRON_NEWTON if isinstance(blocks[0], thermo.PerronBlock) else COLLOCATION_NEWTON
+    method = blocks[0].dimension_method
     if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].A.all():
         moran, _ = _component_root(
             lambda t: _full_shift_pressure(blocks[0].log_norms, t), tolerance)

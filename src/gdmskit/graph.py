@@ -108,7 +108,7 @@ class IncidenceSpec:
     """One of the named rules of `RULES` over integer edge ids, or
     `explicit`: a 0/1 matrix given by allow pairs and kept only as the
     system's incidence matrix (see `incidence_array`). Only `banded` reads
-    its width; every other kind stores width 0."""
+    its width, an int >= 1 (`as_integer`); every other kind stores 0."""
 
     kind: str
     width: int = 0
@@ -116,10 +116,10 @@ class IncidenceSpec:
     def __post_init__(self):
         if self.kind not in RULES and self.kind != EXPLICIT:
             raise InputError(f"unknown incidence kind {self.kind!r}")
-        if self.kind != BANDED:
-            object.__setattr__(self, "width", 0)
-        elif self.width < 1:
+        width = as_integer(self.width, "band width") if self.kind == BANDED else 0
+        if self.kind == BANDED and width < 1:
             raise InputError("band width must be >= 1")
+        object.__setattr__(self, "width", width)
 
     @property
     def rule(self) -> NamedRule:

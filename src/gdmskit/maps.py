@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import thermo
 from .errors import DomainError, InputError
+from .graph import as_integer
 
 @dataclass(frozen=True)
 class VertexSpace:
@@ -40,15 +42,17 @@ class VertexSpace:
 
 @dataclass(frozen=True)
 class SimilarityMap:
-    """x -> sign * ratio * x + offset with ratio in (0, 1)."""
+    """x -> sign * ratio * x + offset, ratio in (0, 1), sign the int 1 or -1."""
 
     ratio: float
     offset: float
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (-1, 1):
+        sign = as_integer(self.sign, "sign")
+        if sign not in (-1, 1):
             raise InputError("sign must be 1 or -1")
+        object.__setattr__(self, "sign", sign)
         if not 0.0 < self.ratio < 1.0:
             raise InputError("ratio must lie strictly between 0 and 1")
 
@@ -74,7 +78,9 @@ class SimilarityFamily:
 
     maps: dict = field(default_factory=dict)
 
-    kind = "similarity"
+    # derivatives are constant, so sup|phi_w'| = inf|phi_w'| for every word
+    distortion = 1.0
+    engine_type = thermo.PerronBlock  # the pressure engine of each component
 
     def map_for(self, edge_id) -> SimilarityMap:
         try:
@@ -82,26 +88,44 @@ class SimilarityFamily:
         except KeyError:
             raise InputError(f"unknown edge id {edge_id!r}") from None
 
-    def one_step_log_norm(self, edge_id) -> float:
-        return math.log(self.map_for(edge_id).ratio)
+    def log_norm(self, word) -> float:
+        """ln sup|phi_word'|, exact: the sum of ln ratio over the letters."""
+        return sum(math.log(self.map_for(e).ratio) for e in word)
 
-    def affine(self, word):
-        """Coefficients (a, b) of the composed map phi_word(x) = a*x + b."""
+    def contraction_bound(self, system):
+        """(largest ratio, 1): similarities contract at every step."""
+        return max(f.ratio for f in self.maps.values()), 1
+
+    def level_sums(self, system, ns, t):
+        """{}: no word is enumerated, the transfer-matrix sums being exact."""
+        return {}
+
+    def spec_lines(self, system):
+        """The `space` and `edge` lines of `system` in a spec file."""
+        lines = []
+        for vertex in sorted(system.spaces):
+            s = system.spaces[vertex]
+            lines.append(f"space {vertex} {s.lo:.17g} {s.hi:.17g}")
+        for e in system.graph.edges:
+            sm = self.map_for(e.id)
+            lines.append(f"edge {e.id} {e.src} {e.dst} similarity "
+                         f"{sm.ratio:.17g} {sm.offset:.17g} {sm.sign}")
+        return lines
+
+    def apply(self, word, x: float) -> float:
+        """phi_word(x) = a*x + b, the coefficients (a, b) composed from the
+        last letter to the first."""
         a, b = 1.0, 0.0
         for e in reversed(word):
             m = self.map_for(e)
             a, b = m.sign * m.ratio * a, m.sign * m.ratio * b + m.offset
-        return a, b
-
-    def apply(self, word, x: float) -> float:
-        a, b = self.affine(word)
         return a * x + b
 
     def interval_images(self, letters, words, lo, hi):
         """Images [min, max] of phi_w([lo_k, hi_k]) for the words w whose
         letters are letters[words[k, j]] (words an integer array, one word
         of equal length per row): two float arrays. The coefficients are
-        composed from the last letter to the first, as in `affine`."""
+        composed from the last letter to the first, as in `apply`."""
         maps = [self.map_for(e) for e in letters]
         scale = np.array([m.sign * m.ratio for m in maps])
         offset = np.array([m.offset for m in maps])
@@ -115,11 +139,6 @@ class SimilarityFamily:
         return np.where(ordered, u, v), np.where(ordered, v, u)
 
 
-def _check_cf_label(edge_id):
-    if not isinstance(edge_id, int) or edge_id < 1:
-        raise InputError(f"continued-fraction labels are positive integers, got {edge_id!r}")
-
-
 def cf_continuants(word):
     """Exact continuants (p_n, p_{n-1}, q_n, q_{n-1}) for the composed map.
 
@@ -128,7 +147,8 @@ def cf_continuants(word):
     p_prev, p = 1, 0
     q_prev, q = 0, 1
     for a in word:
-        _check_cf_label(a)
+        if not isinstance(a, int) or a < 1:
+            raise InputError(f"continued-fraction labels are positive integers, got {a!r}")
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     return p, p_prev, q, q_prev
@@ -138,11 +158,35 @@ def cf_continuants(word):
 class MoebiusCfFamily:
     """The continued-fraction maps phi_e(x) = 1/(e + x) on [0, 1]."""
 
-    kind = "cf"
+    # sup|phi_w'| / inf|phi_w'| = ((q_n + q_{n-1}) / q_n)^2 <= 4, since q_{n-1} <= q_n
+    distortion = 4.0
+    engine_type = thermo.CfCollocation  # the pressure engine of each component
 
-    def one_step_log_norm(self, edge_id) -> float:
-        _check_cf_label(edge_id)
-        return -2.0 * math.log(edge_id)
+    def log_norm(self, word) -> float:
+        """ln sup|phi_word'| = -2 ln q_n, attained at x = 0, from the exact
+        integer continuant q_n: exact at every word length."""
+        _, _, q, _ = cf_continuants(word)
+        return -2.0 * math.log(q)
+
+    def contraction_bound(self, system):
+        """(s_eff, 2): the norm is 1 at label 1, but every two-letter word ab
+        has norm 1/(ab + 1)^2 <= 1/4, so decay is certified per pair of steps."""
+        if system.infinite:  # the least pair is (1, 1) if the rule allows it, else (1, 2)
+            b = 1 if system.incidence.allows_labels(1, 1) else 2
+            return 1.0 / (b + 1) ** 2, 2
+        ids = system.edge_ids
+        # 1/(ab + 1)^2 is largest at the least product ab
+        products = [ids[a] * ids[b] for a, row in enumerate(system.successors) for b in row]
+        return (1.0 / (min(products) + 1) ** 2 if products else 0.25), 2
+
+    def level_sums(self, system, ns, t):
+        """`thermo._cf_level_sums`: exact Z_n(t) for the n the count guard allows."""
+        return thermo._cf_level_sums(system, ns, t)
+
+    def spec_lines(self, system):
+        """The `family` line of `system`; its [0, 1] space is implicit."""
+        size = "" if system.infinite else f" truncate {len(system.graph.edges)}"
+        return [f"family cf{size}"]
 
     def apply(self, word, x: float) -> float:
         p, p_prev, q, q_prev = cf_continuants(word)
@@ -173,25 +217,9 @@ def evaluate(family, word, x, space: VertexSpace | None = None) -> float:
 
 
 def derivative_norm(family, word) -> DerivativeNorm:
-    """sup over the domain of |phi_word'|.
-
-    Exact for similarities (constant derivative) and for continued-fraction
-    words of any length: sup = 1/q_n^2 at x = 0, from the integer
-    continuant q_n.
-    """
+    """sup over the domain of |phi_word'|, exact: the family's `log_norm`
+    of a nonempty word."""
     word = tuple(word)
     if not word:
         raise InputError("word must have length >= 1")
-    if family.kind == "similarity":
-        return DerivativeNorm(word, sum(family.one_step_log_norm(e) for e in word))
-    _, _, q, _ = cf_continuants(word)
-    return DerivativeNorm(word, -2.0 * math.log(q))
-
-
-def distortion_constant(family) -> float:
-    """Uniform bound K on sup|phi_word'| / inf|phi_word'| over all words.
-
-    Similarities have constant derivatives (K = 1). For continued-fraction
-    words the ratio is ((q_n + q_{n-1}) / q_n)^2 <= 4 since q_{n-1} <= q_n.
-    """
-    return 1.0 if family.kind == "similarity" else 4.0
+    return DerivativeNorm(word, family.log_norm(word))

@@ -184,21 +184,7 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
 
 def serialize_spec(system: GdmsSystem) -> str:
     """Canonical text form; parse(serialize(s)) reproduces s."""
-    lines = [f"system {system.name}"]
-    if system.family.kind != "cf":  # the cf family's [0, 1] space is implicit
-        for vertex in sorted(system.spaces):
-            s = system.spaces[vertex]
-            lines.append(f"space {vertex} {s.lo:.17g} {s.hi:.17g}")
-    if system.family.kind == "cf":
-        if system.infinite:
-            lines.append("family cf")
-        else:
-            lines.append(f"family cf truncate {len(system.graph.edges)}")
-    else:
-        for e in system.graph.edges:
-            sm = system.family.map_for(e.id)
-            lines.append(f"edge {e.id} {e.src} {e.dst} similarity "
-                         f"{sm.ratio:.17g} {sm.offset:.17g} {sm.sign}")
+    lines = [f"system {system.name}", *system.family.spec_lines(system)]
     inc = system.incidence
     if inc.kind != g.EXPLICIT:
         lines.append("incidence " + inc.rule.directive.format(inc.width))

@@ -72,7 +72,7 @@ class GdmsSystem:
         """Read-only vector of ln ||phi_e'|| in edge order."""
         if self.infinite:
             raise NotApplicableError("truncate the system first")
-        return _read_only(np.array([self.family.one_step_log_norm(e) for e in self.edge_ids]))
+        return _read_only(np.array([self.family.log_norm((e,)) for e in self.edge_ids]))
 
     @cached_property
     def successor_csr(self):
@@ -124,21 +124,14 @@ class GdmsSystem:
 
     @cached_property
     def engines(self):
-        """The pressure engine of each of `component_positions`, in their
-        order, built from the component's diagonal block of
-        `incidence_matrix`: a `thermo.PerronBlock` for a similarity system,
-        a `thermo.CfCollocation` for a continued-fraction one. Both offer
-        `pressure_slope(t)`, `certified_pressure(t)`, `newton_start(tolerance)`
-        and `decay`, a proved lower bound on -P'. The engines keep their last
-        vectors and roots, so every analysis of this system object starts
-        from the work of the ones before it."""
-        from .thermo import CfCollocation, PerronBlock  # thermo imports this module
-        A, ids = self.incidence_matrix, self.edge_ids
-        if self.family.kind == "similarity":
-            return tuple(PerronBlock(A[np.ix_(idx, idx)], self.log_norms[list(idx)])
-                         for idx in self.component_positions)
-        return tuple(CfCollocation(A[np.ix_(idx, idx)], [ids[k] for k in idx])
-                     for idx in self.component_positions)
+        """The family's `engine_type` built `of_component` for each of
+        `component_positions`, in their order. Each engine offers
+        `pressure_slope(t)`, `certified_pressure(t)`, `newton_start(tolerance)`,
+        `decay` (a proved lower bound on -P') and its methods' names. It keeps
+        its last vectors and roots, so every analysis of this system object
+        starts from the work of the ones before it."""
+        build = self.family.engine_type.of_component
+        return tuple(build(self, idx) for idx in self.component_positions)
 
     @property
     def irreducible(self) -> bool:
@@ -216,21 +209,8 @@ class GdmsSystem:
         return self.family.interval_images(self.edge_ids, words, lo, hi)
 
     def contraction_bound(self):
-        """(s_eff, step): diam decays like s_eff^floor(n/step).
-
-        Similarities contract at every step. The continued-fraction family
-        has one-step norm 1 at label 1, but every two-letter composition has
-        norm 1/(ab+1)^2 <= 1/4, so decay is certified per pair of steps.
-        """
-        if self.family.kind == "similarity":
-            return max(f.ratio for f in self.family.maps.values()), 1
-        if self.infinite:  # the least pair is (1, 1) if the rule allows it, else (1, 2)
-            b = 1 if self.incidence.allows_labels(1, 1) else 2
-            return 1.0 / (b + 1) ** 2, 2
-        ids = self.edge_ids
-        # 1/(ab + 1)^2 is largest at the least product ab
-        products = [ids[a] * ids[b] for a, row in enumerate(self.successors) for b in row]
-        return (1.0 / (min(products) + 1) ** 2 if products else 0.25), 2
+        """The family's `contraction_bound` (s_eff, step): diam decays like s_eff^floor(n/step)."""
+        return self.family.contraction_bound(self)
 
     def max_space_diameter(self) -> float:
         return max(s.diameter for s in self.spaces.values())
@@ -338,24 +318,22 @@ def prune(system: GdmsSystem):
 def validate(system: GdmsSystem):
     """Run load-time checks; returns (system, warnings).
 
-    Checks: contraction, image containment, successor pruning (explicit
-    incidence only: rule truncations keep their edges so structural reports
-    stay meaningful), and a level-1 interior-overlap sanity check (warning
-    only).
+    Checks: contraction, image containment of every edge, successor
+    pruning (explicit incidence only: rule truncations keep their edges so
+    structural reports stay meaningful), and a level-1 interior-overlap
+    sanity check (warning only).
     """
-    warnings = []
-    if system.family.kind == "similarity":
-        edges = system.graph.edges
-        los, his = system.word_intervals(np.arange(len(edges))[:, None])
-        images = list(zip(los.tolist(), his.tolist()))
-        for e, (lo, hi) in zip(edges, images):
-            dst_space = system.spaces[e.src]
-            # written as "not inside" so that a NaN end is refused too
-            if not (dst_space.lo - 1e-12 <= lo and hi <= dst_space.hi + 1e-12):
-                raise SpecError(
-                    f"edge {e.id!r}: image [{lo}, {hi}] leaves the target space "
-                    f"[{dst_space.lo}, {dst_space.hi}]")
-        warnings.extend(_osc_level1_warnings(edges, images))
+    edges = system.graph.edges
+    los, his = system.word_intervals(np.arange(len(edges))[:, None])
+    images = list(zip(los.tolist(), his.tolist()))
+    for e, (lo, hi) in zip(edges, images):
+        dst_space = system.spaces[e.src]
+        # written as "not inside" so that a NaN end is refused too
+        if not (dst_space.lo - 1e-12 <= lo and hi <= dst_space.hi + 1e-12):
+            raise SpecError(
+                f"edge {e.id!r}: image [{lo}, {hi}] leaves the target space "
+                f"[{dst_space.lo}, {dst_space.hi}]")
+    warnings = _osc_level1_warnings(edges, images)
 
     if not system.infinite and system.incidence.kind == g.EXPLICIT:
         system, removed = prune(system)

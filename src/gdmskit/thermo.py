@@ -16,19 +16,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import graph as g
 from .errors import (ConvergenceError, DomainError, InputError, ResourceGuardError,
                      UnsupportedAnalysisError)
-from .maps import distortion_constant
-from .system import GdmsSystem
+if TYPE_CHECKING:  # system imports maps, which imports this module
+    from .system import GdmsSystem
 
 ENUMERATION = "enumeration"
 TRANSFER_MATRIX = "transfer-matrix"
 RULE_ANALYTIC = "rule-analytic"
 CHEBYSHEV_COLLOCATION = "chebyshev-collocation"
+# the methods of `dimension.bowen_dimension` on the two pressure engines
+PERRON_NEWTON = "perron-newton"
+COLLOCATION_NEWTON = "collocation-newton"
 
 
 @dataclass(frozen=True)
@@ -272,9 +276,16 @@ class PerronBlock:
     `dimension._component_roots` ran on this engine, or None.
     """
 
+    pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
+
     def __init__(self, A, log_norms):
         self.A, self.log_norms = A, log_norms
         self.right = self.root = None
+
+    @classmethod
+    def of_component(cls, system, idx):
+        """The block of `system` at the edge positions `idx`."""
+        return cls(system.incidence_matrix[np.ix_(idx, idx)], system.log_norms[list(idx)])
 
     @property
     def decay(self) -> float:
@@ -467,6 +478,7 @@ class CfCollocation:
     # ||phi_w'|| = q_2^-2 <= 1/4, and the norms are submultiplicative, so
     # Z_n(s) <= 4^(-floor(n/2) (s - t)) Z_n(t) for s > t
     decay = _rounded_down(math.log(2.0))
+    pressure_method, dimension_method = CHEBYSHEV_COLLOCATION, COLLOCATION_NEWTON
 
     def __init__(self, A, letters, nodes=COLLOCATION_NODES):
         self.A, self.nodes = A, nodes
@@ -502,6 +514,12 @@ class CfCollocation:
         # its t, from which the next call starts; the (root, tolerance) of
         # the last `dimension._component_roots` solve
         self.right = self.sizes = self.root = None
+
+    @classmethod
+    def of_component(cls, system, idx):
+        """The collocation of `system` on the letters at the edge positions `idx`."""
+        ids = system.edge_ids
+        return cls(system.incidence_matrix[np.ix_(idx, idx)], [ids[k] for k in idx])
 
     @property
     def size(self) -> int:
@@ -573,12 +591,16 @@ class CfCollocation:
         The coarse engine's last right vector, interpolated onto this
         engine's nodes, becomes `right`, with the coarse state sizes as
         `sizes`, so the first `_perron` call here starts near its vector.
-        Raises ConvergenceError when the coarse steps do or the interpolated
-        vector is not positive.
+        When the coarse steps raise ConvergenceError, returns 0.0 and leaves
+        `right` and `sizes` as they are: the full-size steps start cold.
+        Raises ConvergenceError when the interpolated vector is not positive.
         """
         from .dimension import _component_root  # dimension imports this module
         coarse = CfCollocation(self.A, self.letters, COARSE_NODES)
-        root, _ = _component_root(coarse.pressure_slope, tolerance)
+        try:
+            root, _ = _component_root(coarse.pressure_slope, tolerance)
+        except ConvergenceError:
+            return 0.0
         coef = coarse.right.reshape(len(self.members), COARSE_NODES) @ coarse.to_coef.T
         grid = _chebyshev_vander(2.0 * _chebyshev_nodes(self.nodes) - 1.0, COARSE_NODES)
         right = (coef @ grid.T).ravel()
@@ -743,12 +765,12 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
     """[partition_sum(system, n, t) for n in ns], sharing the work across n.
 
     One run of matrix-vector products up to max(ns) gives the sums S_n over
-    the length-n words of the products of one-step norms ||phi_e'||^t.
-    Similarity words have constant derivatives, so S_n = Z_n(t). A
-    continued-fraction word's norm lies within a factor K^(n-1),
-    K = `distortion_constant`, below that product, so Z_n(t) lies in
-    [K^(-t(n-1)) S_n, S_n]; the n that the count guard allows take the exact
-    sums of `_cf_level_sums` instead, with method `enumeration`.
+    the length-n words of the products of one-step norms ||phi_e'||^t. A
+    word's norm lies within a factor K^(n-1), K = the family's
+    `distortion`, below that product, so Z_n(t) lies in
+    [K^(-t(n-1)) S_n, S_n], exact when K = 1. The n that the family's
+    `level_sums` enumerates take those exact sums instead, with method
+    `enumeration`.
     """
     ns = g.word_lengths(ns)
     if not (t >= 0 and math.isfinite(t)):
@@ -766,8 +788,8 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
     sums = _transfer_partition_sums(system, t, max(ns))
     if not all(math.isfinite(sums[n - 1]) for n in ns):
         raise ResourceGuardError(f"Z_n({t}) exceeded the overflow budget")
-    exact = _cf_level_sums(system, ns, t) if system.family.kind == "cf" else {}
-    K = distortion_constant(system.family)
+    exact = system.family.level_sums(system, ns, t)
+    K = system.family.distortion
     out = []
     for n in ns:
         if n in exact:
@@ -804,23 +826,19 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
             "pressure of an infinite system needs a truncation sweep")
 
     lower, upper = certified_bounds(system.engines, t)
-    method = TRANSFER_MATRIX if system.family.kind == "similarity" else CHEBYSHEV_COLLOCATION
-    return PressureEstimate(t, lower, upper, 0, method)
+    return PressureEstimate(t, lower, upper, 0, system.family.engine_type.pressure_method)
 
 
 def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessReport:
     """theta and theta_n: where Z_n(t) becomes a finite sum.
 
-    Finite systems: 0 (finite sums are always finite). Infinite
-    continued-fraction rules have the closed forms of their `graph.NamedRule`.
+    Finite systems: 0 (finite sums are always finite). Infinite systems,
+    all from `system.cf_system`, have the closed forms of their `graph.NamedRule`.
     """
     n_list = sorted(set(g.word_lengths(n_list)))
     if not system.infinite:
         return FinitenessReport(Fraction(0), {n: Fraction(0) for n in n_list},
                                 "finite sums")
-
-    if system.family.kind != "cf":
-        raise UnsupportedAnalysisError("no analytic finiteness table for this family")
     rule = system.incidence.rule
     return FinitenessReport(rule.theta, {n: rule.theta_n(n) for n in n_list}, rule.theta_reason)
 
@@ -841,7 +859,7 @@ class CylinderMeasure:
         word = tuple(word)
         if not g.is_admissible(system, word):
             return 0.0
-        log_r = sum(system.family.one_step_log_norm(e) for e in word)
+        log_r = system.family.log_norm(word)
         return math.exp(self.h * log_r) * self.right_vector[word[-1]] / self.normalizer
 
     @property
@@ -867,7 +885,8 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     if not (0 <= h < math.inf and 0 < pressure_tolerance < math.inf):
         raise InputError(f"h must be finite and >= 0 and pressure_tolerance finite and > 0, "
                          f"got {h!r} and {pressure_tolerance!r}")
-    if system.family.kind != "similarity":
+    # the masses r_word^h v_last / Z need derivatives constant on each cylinder
+    if system.family.distortion != 1.0:
         raise UnsupportedAnalysisError("conformal measures are built for similarity systems")
     if not system.irreducible:
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")

@@ -154,8 +154,25 @@ class TestIntervals:
         assert gk.cf_system(gk.IncidenceSpec(kind, width)).contraction_bound() == bound
 
     def test_distortion_constants(self):
-        assert gk.distortion_constant(gk.full_shift([1 / 2, 1 / 2]).family) == 1.0
-        assert gk.distortion_constant(cf_sys().family) == 4.0
+        assert gk.full_shift([1 / 2, 1 / 2]).family.distortion == 1.0
+        assert cf_sys().family.distortion == 4.0
+
+    def test_one_letter_log_norms(self):
+        sim = gk.full_shift([0.3, 0.25]).family
+        assert sim.log_norm(("e2",)) == math.log(0.25)
+        assert sim.log_norm(("e1", "e2")) == math.log(0.3) + math.log(0.25)
+        cf = cf_sys().family
+        for e in (1, 2, 7, 40):
+            assert cf.log_norm((e,)) == -2.0 * math.log(e)
+        with pytest.raises(gk.InputError, match="positive integers"):
+            cf.log_norm((0,))
+
+    def test_families_name_their_engines_and_carry_no_kind(self):
+        from gdmskit import thermo
+        sim, cf = gk.full_shift([0.5, 0.5]).family, cf_sys().family
+        assert sim.engine_type is thermo.PerronBlock
+        assert cf.engine_type is thermo.CfCollocation
+        assert not hasattr(sim, "kind") and not hasattr(cf, "kind")
 
     def test_distortion_bound_holds_pointwise(self, rng):
         # sup / inf of |phi'| over [0,1] is within the distortion constant

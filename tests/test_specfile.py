@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,39 @@ class TestParsing:
         assert gk.serialize_spec(sys2) == written
         assert sys2.incidence == sys1.incidence
         assert sys2.edge_ids == sys1.edge_ids
+
+    @pytest.mark.parametrize("width,stored", [(True, 1), (np.int64(2), 2), (3, 3)])
+    def test_integer_band_width_round_trips_as_an_int(self, width, stored):
+        edges = [(e, "v", "v", gm.SimilarityMap(0.25, 0.375 * (e - 1))) for e in (1, 2, 3)]
+        sys1 = gk.similarity_system("ints", ("v",), {"v": gm.VertexSpace("v", 0.0, 1.0)},
+                                    edges, gk.IncidenceSpec(gg.BANDED, width))
+        assert type(sys1.incidence.width) is int and sys1.incidence.width == stored
+        text = gk.serialize_spec(sys1)
+        assert text.endswith(f"\nincidence banded {stored}\n")
+        sys2, _ = gk.parse_spec(text)
+        assert sys2.incidence == sys1.incidence
+        assert gk.serialize_spec(sys2) == text
+
+    @pytest.mark.parametrize("width", [1.5, 2.0, math.nan, "2", None])
+    def test_band_width_that_is_not_an_integer_is_refused(self, width):
+        # such a width would be written as a token that parse_spec refuses
+        with pytest.raises(gk.InputError, match="band width must be an integer"):
+            gk.IncidenceSpec(gg.BANDED, width)
+
+    @pytest.mark.parametrize("sign,stored", [(True, 1), (np.int64(-1), -1), (-1, -1)])
+    def test_integer_sign_round_trips_as_an_int(self, sign, stored):
+        sys1 = gk.full_shift([0.3], offsets=[0.35], signs=[sign])
+        assert type(sys1.family.map_for("e1").sign) is int
+        text = gk.serialize_spec(sys1)
+        assert f" {stored}\nincidence full\n" in text
+        sys2, _ = gk.parse_spec(text)
+        assert sys2.family == sys1.family
+        assert gk.serialize_spec(sys2) == text
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.5, math.nan, "1"])
+    def test_sign_that_is_not_an_integer_is_refused(self, sign):
+        with pytest.raises(gk.InputError, match="sign must be an integer"):
+            gm.SimilarityMap(0.3, 0.0, sign)
 
     def test_explicit_system(self):
         sys, _ = gk.parse_spec(TWO_COMPONENT)
@@ -370,3 +405,24 @@ incidence full
 """
         _, warnings = gk.parse_spec(text)
         assert any("overlap" in w.lower() for w in warnings)
+
+    def test_cf_truncation_images_are_checked(self, monkeypatch):
+        # every CF image [1/(e+1), 1/e] lies in [0, 1]; one that leaves it
+        # is refused as for a similarity edge
+        def leaving(self, letters, words, lo, hi):
+            return np.full(len(words), -0.5), np.full(len(words), 1.0)
+        monkeypatch.setattr(gm.MoebiusCfFamily, "interval_images", leaving)
+        with pytest.raises(gk.SpecError, match=r"edge 1: image \[-0.5, 1.0\] leaves"):
+            gk.validate(gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=3))
+        with pytest.raises(gk.SpecError, match="leaves the target space"):
+            gk.parse_spec("system c\nfamily cf truncate 2\nincidence upper\n")
+        # an infinite system lists no edges, so there is no image to check
+        assert gk.validate(gk.cf_system(gk.IncidenceSpec(gg.FULL)))[1] == ()
+
+    @pytest.mark.parametrize("rule,width", [(gg.FULL, 0), (gg.BANDED, 1), (gg.UPPER, 0)])
+    def test_cf_truncation_images_meet_only_at_endpoints(self, rule, width):
+        for size in range(1, 41):
+            system = gk.cf_system(gk.IncidenceSpec(rule, width), truncate=size)
+            checked, warnings = gk.validate(system)
+            assert checked is system
+            assert warnings == ()

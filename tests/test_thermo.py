@@ -17,6 +17,14 @@ def cf_sys(kind=gg.FULL, width=1, truncate=None):
     return gk.cf_system(gk.IncidenceSpec(kind, width), truncate=truncate)
 
 
+def acyclic_similarity_system():
+    """Two similarities where b may follow a and nothing else: no cycle."""
+    edges = [("a", "v", "v", gm.SimilarityMap(0.3, 0.0)),
+             ("b", "v", "v", gm.SimilarityMap(0.3, 0.5))]
+    return gk.similarity_system("chain", ("v",), {"v": gm.VertexSpace("v", 0.0, 1.0)}, edges,
+                                gk.IncidenceSpec(gg.EXPLICIT), allow=[("a", "b")])
+
+
 class TestPartitionSums:
     def test_full_shift_at_dimension_is_one(self):
         sys = gk.full_shift([1 / 3, 1 / 3])
@@ -291,6 +299,25 @@ class TestPressure:
     def test_cf_without_cycles_has_minus_infinite_pressure(self):
         est = gk.pressure(cf_sys(gg.UPPER, truncate=5), 0.4)
         assert (est.lower, est.upper) == (-math.inf, -math.inf)
+        assert est.method == thermo.CHEBYSHEV_COLLOCATION
+
+    def test_similarity_without_cycles_has_minus_infinite_pressure(self):
+        est = gk.pressure(acyclic_similarity_system(), 0.4)
+        assert (est.lower, est.upper) == (-math.inf, -math.inf)
+        assert est.method == thermo.TRANSFER_MATRIX
+
+    @pytest.mark.parametrize("engine,system", [
+        (thermo.PerronBlock, acyclic_similarity_system),
+        (thermo.CfCollocation, lambda: cf_sys(gg.UPPER, truncate=5)),
+    ])
+    def test_method_without_an_engine_comes_from_the_family(self, engine, system,
+                                                           monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an engine was built")
+        monkeypatch.setattr(engine, "__init__", refused)
+        sys = system()
+        assert sys.engines == ()
+        assert gk.pressure(sys, 0.4).method == engine.pressure_method
 
     def test_infinite_full_rule_markers(self):
         sys = cf_sys()
@@ -573,6 +600,20 @@ class TestNewtonStart:
         # and the interpolated vector is that close to its eigenvector
         assert abs(p / slope) <= 1e-7
         assert solves.count(engine.size) <= 4
+
+    def test_failed_coarse_steps_start_cold_and_keep_the_vectors(self, monkeypatch):
+        engine = cf_sys(truncate=2).engines[0]
+        engine.pressure_slope(0.4)
+        right, sizes = engine.right, engine.sizes
+        slope = thermo.CfCollocation.pressure_slope
+
+        def coarse_fails(self, t):
+            if self.nodes == thermo.COARSE_NODES:
+                raise gk.ConvergenceError("coarse collocation refused")
+            return slope(self, t)
+        monkeypatch.setattr(thermo.CfCollocation, "pressure_slope", coarse_fails)
+        assert engine.newton_start(1e-10) == 0.0
+        assert engine.right is right and engine.sizes is sizes
 
     def test_coarse_vector_that_is_not_positive_is_refused(self, monkeypatch):
         # flip the sign of the interpolation onto the full grid, the one
