@@ -9,8 +9,7 @@ from .errors import (ConvergenceError, DomainError, GdmsError, InputError, NotAp
 from .graph import (Edge, IncidenceSpec, MatrixProperties, MultiGraph, SccReport,
                     enumerate_words, is_admissible, matrix_properties,
                     scc_decompose)
-from .maps import (DerivativeNorm, MoebiusCfFamily, SimilarityFamily,
-                   SimilarityMap, VertexSpace, derivative_norm, evaluate)
+from .maps import MoebiusCfFamily, SimilarityFamily, SimilarityMap, VertexSpace
 from .sampling import (BoxCount, LimitPointSample, box_dimension, sample_points)
 from .specfile import parse_spec, serialize_spec
 from .system import (GdmsSystem, cf_system, diameter_bound, empty_limit_set,

@@ -204,10 +204,8 @@ def is_admissible(system, word) -> bool:
     if not word:
         raise InputError("word must have length >= 1")
     if system.infinite:
-        for e in word:
-            if not isinstance(e, int) or e < 1:
-                raise InputError(f"unknown edge id {e!r}")
-        return all(system.incidence.allows_labels(a, b) for a, b in zip(word, word[1:]))
+        labels = positive_labels(word, "unknown edge id ")
+        return all(system.incidence.allows_labels(a, b) for a, b in zip(labels, labels[1:]))
     index = system.edge_index
     for e in word:
         if e not in index:
@@ -223,6 +221,22 @@ def as_integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def positive_labels(word, refusal: str) -> list:
+    """The letters of `word` as ints by `as_integer`, so numpy integers
+    pass. A letter that is not an integer >= 1 raises InputError with
+    `refusal` followed by its repr."""
+    out = []
+    for e in word:
+        try:
+            label = as_integer(e, "label")
+        except InputError:
+            label = 0
+        if label < 1:
+            raise InputError(f"{refusal}{e!r}")
+        out.append(label)
+    return out
 
 
 def word_lengths(ns) -> list:

@@ -2,9 +2,14 @@
 
 Two families are supported: orientation-aware affine similarities, and the
 continued-fraction Moebius maps x -> 1/(e + x) on [0, 1] with positive
-integer labels. Continued-fraction compositions are evaluated through the
-integer continuant recurrence q_k = a_k*q_{k-1} + q_{k-2}, exact at every
-word length.
+integer labels. Every map of both is linear-fractional,
+phi(x) = (alpha*x + beta) / (gamma*x + delta): a family states the four
+coefficients of each letter (`coefficients`), and `word_images` composes
+them for every word at once. Continuants are exact only in the
+continued-fraction `log_norm`, which walks the integer recurrence
+q_k = a_k*q_{k-1} + q_{k-2} (`cf_continuants`) at every word length.
+Images are float compositions: bit-equal to the exact-continuant formula
+while the continuants stay below 2^53, and within a few ulp beyond it.
 """
 
 from __future__ import annotations
@@ -15,8 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import thermo
-from .errors import DomainError, InputError
-from .graph import as_integer
+from .errors import InputError
+from .graph import as_integer, positive_labels
+
+RESCALE_ABOVE = 2.0 ** 512  # see `word_images`
+CF_REFUSAL = "continued-fraction labels are positive integers, got "
 
 @dataclass(frozen=True)
 class VertexSpace:
@@ -61,18 +69,6 @@ class SimilarityMap:
 
 
 @dataclass(frozen=True)
-class DerivativeNorm:
-    """sup-norm of a composed derivative, carried as a natural log."""
-
-    word: tuple
-    log_value: float
-
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
-
-@dataclass(frozen=True)
 class SimilarityFamily:
     """A finite family of affine similarities keyed by edge id."""
 
@@ -112,31 +108,12 @@ class SimilarityFamily:
                          f"{sm.ratio:.17g} {sm.offset:.17g} {sm.sign}")
         return lines
 
-    def apply(self, word, x: float) -> float:
-        """phi_word(x) = a*x + b, the coefficients (a, b) composed from the
-        last letter to the first."""
-        a, b = 1.0, 0.0
-        for e in reversed(word):
-            m = self.map_for(e)
-            a, b = m.sign * m.ratio * a, m.sign * m.ratio * b + m.offset
-        return a * x + b
-
-    def interval_images(self, letters, words, lo, hi):
-        """Images [min, max] of phi_w([lo_k, hi_k]) for the words w whose
-        letters are letters[words[k, j]] (words an integer array, one word
-        of equal length per row): two float arrays. The coefficients are
-        composed from the last letter to the first, as in `apply`."""
+    def coefficients(self, letters):
+        """(alpha, beta, gamma, delta) of each letter's map
+        x -> (sign*ratio*x + offset) / (0*x + 1): four float arrays."""
         maps = [self.map_for(e) for e in letters]
-        scale = np.array([m.sign * m.ratio for m in maps])
-        offset = np.array([m.offset for m in maps])
-        words = np.asarray(words)
-        a, b = np.ones(len(words)), np.zeros(len(words))
-        for column in words.T[::-1]:
-            s = scale[column]
-            a, b = s * a, s * b + offset[column]
-        u, v = a * np.asarray(lo) + b, a * np.asarray(hi) + b
-        ordered = u <= v
-        return np.where(ordered, u, v), np.where(ordered, v, u)
+        return (np.array([m.sign * m.ratio for m in maps]), np.array([m.offset for m in maps]),
+                np.zeros(len(maps)), np.ones(len(maps)))
 
 
 def cf_continuants(word):
@@ -146,9 +123,7 @@ def cf_continuants(word):
     """
     p_prev, p = 1, 0
     q_prev, q = 0, 1
-    for a in word:
-        if not isinstance(a, int) or a < 1:
-            raise InputError(f"continued-fraction labels are positive integers, got {a!r}")
+    for a in positive_labels(word, CF_REFUSAL):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
     return p, p_prev, q, q_prev
@@ -184,42 +159,42 @@ class MoebiusCfFamily:
         return thermo._cf_level_sums(system, ns, t)
 
     def spec_lines(self, system):
-        """The `family` line of `system`; its [0, 1] space is implicit."""
-        size = "" if system.infinite else f" truncate {len(system.graph.edges)}"
-        return [f"family cf{size}"]
+        """The `family` line of `system`; its [0, 1] space is implicit. The
+        line states a truncation by its size N, so InputError unless the
+        edges are the digits 1..N, N >= 1."""
+        if system.infinite:
+            return ["family cf"]
+        ids = system.edge_ids
+        if not ids or ids != tuple(range(1, len(ids) + 1)):
+            raise InputError(f"a spec file states only the cf digits 1..N, not {list(ids)}")
+        return [f"family cf truncate {len(ids)}"]
 
-    def apply(self, word, x: float) -> float:
-        p, p_prev, q, q_prev = cf_continuants(word)
-        return (p + p_prev * x) / (q + q_prev * x)
-
-    def interval_images(self, letters, words, lo, hi):
-        """As `SimilarityFamily.interval_images`, each word through its
-        exact continuants."""
-        images = []
-        for row, x, y in zip(np.asarray(words).tolist(), lo, hi):
-            word = [letters[k] for k in row]
-            u, v = self.apply(word, x), self.apply(word, y)
-            images.append((u, v) if u <= v else (v, u))
-        return np.array([u for u, _ in images]), np.array([v for _, v in images])
+    def coefficients(self, letters):
+        """(0, 1, 1, a) for each label a, the map x -> 1/(a + x): four float
+        arrays. InputError unless each label is an integer >= 1."""
+        a = np.array(positive_labels(letters, CF_REFUSAL), dtype=float)
+        return np.zeros(len(a)), np.ones(len(a)), np.ones(len(a)), a
 
 
-def evaluate(family, word, x, space: VertexSpace | None = None) -> float:
-    """Evaluate the composed contraction phi_word at x.
-
-    `space` is the vertex space of the terminal vertex; when given, x must
-    lie inside it.
-    """
-    if not word:
-        raise InputError("word must have length >= 1")
-    if space is not None and not space.contains(x):
-        raise DomainError(f"point {x} outside vertex space [{space.lo}, {space.hi}]")
-    return family.apply(tuple(word), x)
-
-
-def derivative_norm(family, word) -> DerivativeNorm:
-    """sup over the domain of |phi_word'|, exact: the family's `log_norm`
-    of a nonempty word."""
-    word = tuple(word)
-    if not word:
-        raise InputError("word must have length >= 1")
-    return DerivativeNorm(word, family.log_norm(word))
+def word_images(family, letters, words, points):
+    """phi_w(x) for each row w of `words` (an integer array, letter j of
+    word k being letters[words[k, j]]) at the points in column k of
+    `points`; the result has the shape of `points`. Each word's matrices
+    [[alpha, beta], [gamma, delta]] (`family.coefficients(letters)`) are
+    multiplied from the last letter to the first. A product with an entry
+    above `RESCALE_ABOVE` is scaled by a power of two: exact, and phi_w is
+    unchanged, so images stay finite at any depth."""
+    alpha, beta, gamma, delta = family.coefficients(letters)
+    words = np.asarray(words)
+    k = len(words)
+    a, b, c, d = np.ones(k), np.zeros(k), np.zeros(k), np.ones(k)
+    for column in words.T[::-1]:
+        al, be, ga, de = alpha[column], beta[column], gamma[column], delta[column]
+        a, b, c, d = al * a + be * c, al * b + be * d, ga * a + de * c, ga * b + de * d
+        big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), np.abs(d)))
+        over = big > RESCALE_ABOVE
+        if over.any():
+            shift = np.where(over, -np.frexp(big)[1], 0)
+            a, b, c, d = (np.ldexp(v, shift) for v in (a, b, c, d))
+    x = np.asarray(points, dtype=float)
+    return (a * x + b) / (c * x + d)

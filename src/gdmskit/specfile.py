@@ -25,6 +25,7 @@ as a SpecError at the line that holds the value.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -150,7 +151,8 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
         if edges:
             raise SpecError("'family cf' and edge lines are mutually exclusive",
                             fam_line)
-        system = _at_line(fam_line, cf_system, spec, truncate, name)
+        # the system keeps the spec's name, which `GdmsSystem.truncate` would extend
+        system = replace(_at_line(fam_line, cf_system, spec, truncate), name=name)
         if spaces:
             if len(spaces) != 1:
                 raise SpecError("the cf family lives on a single vertex", fam_line)
@@ -183,7 +185,8 @@ def _assemble(name, spaces, edges, family_cf, incidence, labels, allow_lines):
 
 
 def serialize_spec(system: GdmsSystem) -> str:
-    """Canonical text form; parse(serialize(s)) reproduces s."""
+    """Canonical text form; parse(serialize(s)) reproduces s. InputError
+    for a system the grammar cannot state (`MoebiusCfFamily.spec_lines`)."""
     lines = [f"system {system.name}", *system.family.spec_lines(system)]
     inc = system.incidence
     if inc.kind != g.EXPLICIT:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import graph as g
 from . import maps as m
-from .errors import InputError, NotApplicableError, SpecError
+from .errors import DomainError, InputError, NotApplicableError, SpecError
 
 
 @dataclass
@@ -180,33 +180,39 @@ class GdmsSystem:
         last = self.graph.edges[self.edge_index[word[-1]]]
         return self.spaces[last.dst]
 
-    def evaluate(self, word, x: float) -> float:
-        """phi_word(x); the word must be admissible, x in the terminal space."""
+    def _admitted(self, word):
+        """(word as a tuple, its terminal space); InputError unless the word
+        is admissible."""
         word = tuple(word)
         if not g.is_admissible(self, word):
             raise InputError(f"word {word} is not admissible")
-        return m.evaluate(self.family, word, x, self.terminal_space(word))
+        return word, self.terminal_space(word)
+
+    def evaluate(self, word, x: float) -> float:
+        """phi_word(x); the word must be admissible, x in the terminal space."""
+        word, space = self._admitted(word)
+        if not space.contains(x):
+            raise DomainError(f"point {x} outside vertex space [{space.lo}, {space.hi}]")
+        return float(m.word_images(self.family, word, [range(len(word))], [[x]])[0, 0])
 
     def word_interval(self, word):
         """Image interval phi_word(X_t(word)), exact for monotone maps; the
         word must be admissible."""
-        word = tuple(word)
-        if not g.is_admissible(self, word):
-            raise InputError(f"word {word} is not admissible")
-        space = self.terminal_space(word)
-        lo, hi = self.family.interval_images(word, [range(len(word))], [space.lo], [space.hi])
-        return float(lo[0]), float(hi[0])
+        word, space = self._admitted(word)
+        images = m.word_images(self.family, word, [range(len(word))], [[space.lo], [space.hi]])
+        return float(images.min()), float(images.max())
 
     def word_intervals(self, words):
         """`word_interval` of each row of `words`, an integer array of edge
-        positions with one word of equal length per row, by one family
-        call: two float arrays."""
+        positions with one word of equal length per row, by one
+        `maps.word_images` call: two float arrays."""
         words = np.asarray(words)
         ends = [self.spaces[e.dst] for e in self.graph.edges]
         last = words[:, -1]
         lo = np.array([space.lo for space in ends])[last]
         hi = np.array([space.hi for space in ends])[last]
-        return self.family.interval_images(self.edge_ids, words, lo, hi)
+        images = m.word_images(self.family, self.edge_ids, words, [lo, hi])
+        return images.min(axis=0), images.max(axis=0)
 
     def contraction_bound(self):
         """The family's `contraction_bound` (s_eff, step): diam decays like s_eff^floor(n/step)."""

@@ -54,6 +54,21 @@ def feeder_system():
                                 gg.IncidenceSpec(gg.EXPLICIT), allowed)
 
 
+def reference_image(family, word, x):
+    """phi_word(x) without `maps.word_images`: a continued-fraction word
+    from its exact integer continuants, (p_n + p_{n-1} x) / (q_n + q_{n-1} x);
+    a similarity word by composing x -> a*x + b in Python floats from the
+    last letter to the first."""
+    if isinstance(family, gm.MoebiusCfFamily):
+        p, p_prev, q, q_prev = gm.cf_continuants(word)
+        return (p + p_prev * x) / (q + q_prev * x)
+    a, b = 1.0, 0.0
+    for e in reversed(word):
+        m = family.map_for(e)
+        a, b = m.sign * m.ratio * a, m.sign * m.ratio * b + m.offset
+    return a * x + b
+
+
 def packed_system(name, ratios, allowed):
     """One-vertex explicit-incidence system; `ratios` maps edge id -> ratio
     and the level-1 images are packed left to right inside [0, 1]."""

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
-from conftest import packed_system, two_component_system
+from conftest import packed_system, reference_image, two_component_system
+
+U = 2.0 ** -53  # unit roundoff of a double
 
 
 def cf_sys():
@@ -21,39 +26,39 @@ class TestContinuants:
         # continuants of (1,...,1) are Fibonacci numbers, so phi at 0 is a
         # ratio of consecutive Fibonacci numbers
         sys = cf_sys()
-        val = gk.evaluate(sys.family, (1,) * 10, 0.0)
+        val = sys.evaluate((1,) * 10, 0.0)
         assert abs(val - 55 / 89) < 1e-15
 
     def test_golden_mean_fixed_point(self):
         sys = cf_sys()
         phi = (math.sqrt(5) - 1) / 2
-        val = gk.evaluate(sys.family, (1,) * 40, 0.3)
+        val = sys.evaluate((1,) * 40, 0.3)
         assert abs(val - phi) < 1e-15
 
 
 class TestDerivativeNorms:
     def test_similarity_norm_is_ratio_product(self):
         sys = gk.full_shift([1 / 2, 1 / 4])
-        norm = gk.derivative_norm(sys.family, ("e1", "e2", "e1"))
-        assert abs(norm.value - 1 / 16) < 1e-13 / 16
+        norm = math.exp(sys.family.log_norm(("e1", "e2", "e1")))
+        assert abs(norm - 1 / 16) < 1e-13 / 16
 
     def test_cf_pair_norm(self):
         sys = cf_sys()
-        norm = gk.derivative_norm(sys.family, (1, 2))
+        norm = math.exp(sys.family.log_norm((1, 2)))
         # q_2 = 2*q_1 + q_0 = 3, so the norm is 1/9
-        assert abs(norm.value - 1 / 9) < 1e-13 / 9
+        assert abs(norm - 1 / 9) < 1e-13 / 9
 
     @pytest.mark.parametrize("word", [(1,) * 10, (2,) * 60, (7, 1) * 40])
     def test_cf_norm_is_exact_at_every_length(self, word):
-        norm = gk.derivative_norm(cf_sys().family, word)
-        assert norm.log_value == -2.0 * math.log(gm.cf_continuants(word)[2])
+        log_norm = cf_sys().family.log_norm(word)
+        assert log_norm == -2.0 * math.log(gm.cf_continuants(word)[2])
 
     def test_long_word_log_norm_consistent(self):
         sys = cf_sys()
         word = (1, 3, 2, 5, 1, 2) * 5
         exact = gm.cf_continuants(word)[2]
-        norm = gk.derivative_norm(sys.family, word)
-        assert abs(norm.log_value - (-2 * math.log(exact))) < 1e-10
+        log_norm = sys.family.log_norm(word)
+        assert abs(log_norm - (-2 * math.log(exact))) < 1e-10
 
     def test_difference_quotient_cross_check(self, rng):
         # independent oracle: compose x -> 1/(e + x) with exact rationals and
@@ -71,18 +76,106 @@ class TestDerivativeNorms:
             n = rng.randrange(1, 13)
             word = tuple(rng.randrange(1, 9) for _ in range(n))
             quotient = abs(phi(word, h) - phi(word, -h)) / (2 * h)
-            norm = gk.derivative_norm(cf_sys().family, word)
-            assert abs(float(quotient) - norm.value) <= 1e-9 * norm.value
+            norm = math.exp(cf_sys().family.log_norm(word))
+            assert abs(float(quotient) - norm) <= 1e-9 * norm
 
     def test_submultiplicative_in_concatenation(self, rng):
         sys = cf_sys()
         for _ in range(30):
             w1 = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 6)))
             w2 = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 6)))
-            a = gk.derivative_norm(sys.family, w1).log_value
-            b = gk.derivative_norm(sys.family, w2).log_value
-            c = gk.derivative_norm(sys.family, w1 + w2).log_value
+            a = sys.family.log_norm(w1)
+            b = sys.family.log_norm(w2)
+            c = sys.family.log_norm(w1 + w2)
             assert c <= a + b + 1e-12
+
+
+def _exact_cf_image(word, x):
+    """phi_word(x) in exact rationals, x -> 1/(a + x) from the last letter."""
+    y = Fraction(x)
+    for a in reversed(word):
+        y = 1 / (a + y)
+    return y
+
+
+class TestWordImages:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(gm.SimilarityMap, st.floats(0.01, 0.99), st.floats(-5.0, 5.0),
+                              st.sampled_from((1, -1))), min_size=1, max_size=5),
+           st.integers(1, 40), st.integers(1, 6), st.integers(0, 2 ** 32))
+    def test_similarity_images_are_bit_equal_to_per_word_composition(self, maps, depth,
+                                                                     count, seed):
+        family = gm.SimilarityFamily(dict(enumerate(maps)))
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, len(maps), size=(count, depth))
+        points = rng.uniform(-3.0, 3.0, size=(2, count))
+        got = gm.word_images(family, tuple(range(len(maps))), words, points)
+        want = [[reference_image(family, tuple(w), x) for w, x in zip(words.tolist(), row)]
+                for row in points.tolist()]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 400), st.integers(1, 4), st.integers(0, 2 ** 32))
+    @example(max_digit=5, depth=20, count=4, seed=0)
+    def test_cf_images_match_continuants_then_exact_rationals(self, max_digit, depth,
+                                                              count, seed):
+        # bit-equal to the continuant formula while q_n < 2^53; beyond it,
+        # within 8 * depth rounding units of the exact value
+        rng = np.random.default_rng(seed)
+        words = rng.integers(0, max_digit, size=(count, depth))
+        points = rng.uniform(0.0, 1.0, size=(1, count))
+        got = gm.word_images(gm.MoebiusCfFamily(), tuple(range(1, max_digit + 1)),
+                             words, points)[0]
+        for value, positions, x in zip(got.tolist(), words.tolist(), points[0].tolist()):
+            word = tuple(k + 1 for k in positions)
+            if gm.cf_continuants(word)[2] < 2 ** 53:
+                assert value == reference_image(gm.MoebiusCfFamily(), word, x)
+            else:
+                exact = _exact_cf_image(word, x)
+                assert abs(Fraction(value) - exact) <= Fraction(8 * depth) * Fraction(U) * exact
+
+    @pytest.mark.parametrize("depth", [200, 400])
+    def test_deep_cf_word_interval_is_finite_and_near_exact(self, depth):
+        # q_n of (40,) * 200 passes 2^1064, beyond the double range, so only
+        # the rescaled product keeps the images finite
+        system = gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=40)
+        word = (40,) * depth
+        lo, hi = system.word_interval(word)
+        assert math.isfinite(lo) and lo <= hi
+        exact = sorted(_exact_cf_image(word, x) for x in (0, 1))
+        for value, want in zip((lo, hi), exact):
+            assert abs(Fraction(value) - want) <= Fraction(8 * depth) * Fraction(U) * want
+
+    def test_rescaling_by_powers_of_two_leaves_images_bit_for_bit(self, monkeypatch):
+        # q_n < 41^60 < 2^322 for digits up to 40 at depth 60, so at the
+        # default bound no product is scaled; at 2^40 every one is, often
+        rng = np.random.default_rng(5)
+        words = rng.integers(0, 40, size=(50, 60))
+        points = rng.uniform(0.0, 1.0, size=(2, 50))
+        letters = tuple(range(1, 41))
+        plain = gm.word_images(gm.MoebiusCfFamily(), letters, words, points)
+        monkeypatch.setattr(gm, "RESCALE_ABOVE", 2.0 ** 40)
+        scaled = gm.word_images(gm.MoebiusCfFamily(), letters, words, points)
+        assert np.array_equal(scaled.view(np.int64), plain.view(np.int64))
+
+    @pytest.mark.parametrize("truncate", [3, None])
+    def test_numpy_integer_labels_pass(self, truncate):
+        system = gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=truncate)
+        assert system.evaluate((np.int64(2),), 0.5) == system.evaluate((2,), 0.5)
+        assert system.word_interval((np.int64(2), np.int32(1))) == system.word_interval((2, 1))
+        assert system.family.log_norm((np.int64(2),)) == system.family.log_norm((2,))
+        assert gk.is_admissible(system, (np.int64(1), np.int64(3)))
+
+    def test_labels_that_are_not_positive_integers_keep_their_messages(self):
+        infinite = cf_sys()
+        for label in (2.0, 0, -1, "x"):
+            with pytest.raises(gk.InputError, match=f"unknown edge id {label!r}"):
+                infinite.evaluate((label,), 0.5)
+            with pytest.raises(gk.InputError,
+                               match=f"labels are positive integers, got {label!r}"):
+                infinite.family.log_norm((label,))
+        with pytest.raises(gk.InputError, match="unknown edge id 'x'"):
+            gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=3).evaluate(("x",), 0.5)
 
 
 class TestVertexSpace:
@@ -193,7 +286,7 @@ class TestEvaluation:
         f1 = sys.family.map_for("e1")
         f2 = sys.family.map_for("e2")
         direct = f1.ratio * (f2.ratio * x + f2.offset) + f1.offset
-        assert abs(gk.evaluate(sys.family, ("e1", "e2"), x) - direct) < 1e-15
+        assert abs(sys.evaluate(("e1", "e2"), x) - direct) < 1e-15
 
     def test_system_evaluate_admissible_word(self):
         # phi_a(phi_b(x)) with a: x/3 and b: x/3 + 2/3
@@ -213,4 +306,4 @@ class TestEvaluation:
     def test_evaluate_rejects_point_outside_space(self):
         sys = cf_sys()
         with pytest.raises(gk.DomainError):
-            gk.evaluate(sys.family, (1,), 2.0, space=sys.terminal_space((1,)))
+            sys.evaluate((1,), 2.0)

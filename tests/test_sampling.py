@@ -8,7 +8,7 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import sampling as gsamp
-from conftest import two_component_system
+from conftest import reference_image, two_component_system
 
 
 def cantor():
@@ -177,11 +177,11 @@ class TestBoxDimension:
 # -- the sampler against a per-word reference ---------------------------------
 
 def _per_word_interval(system, word):
-    """The image interval of one word from the family's own composition
-    (`apply`, which composes letter by letter), ordered."""
+    """The image interval of one word from `conftest.reference_image`,
+    which composes it without `maps.word_images`, ordered."""
     space = system.terminal_space(word)
-    u = system.family.apply(word, space.lo)
-    v = system.family.apply(word, space.hi)
+    u = reference_image(system.family, word, space.lo)
+    v = reference_image(system.family, word, space.hi)
     return (u, v) if u <= v else (v, u)
 
 

@@ -114,6 +114,28 @@ class TestParsing:
         assert sys2.edge_ids == (1, 2, 3)
         assert sys2.incidence.kind == gg.BANDED
 
+    def test_truncated_cf_keeps_the_spec_name(self):
+        sys1, _ = gk.parse_spec("system t\nfamily cf truncate 2\nincidence full\n")
+        assert sys1.name == "t"
+
+    @pytest.mark.parametrize("kind,width", [(gg.FULL, 0), (gg.BANDED, 1), (gg.UPPER, 0)])
+    def test_serialized_cf_truncation_is_a_fixed_point(self, kind, width):
+        for size in range(1, 7):
+            sys1 = gk.cf_system(gk.IncidenceSpec(kind, width), truncate=size)
+            text = gk.serialize_spec(sys1)
+            sys2, _ = gk.parse_spec(text)
+            assert sys2.name == sys1.name
+            assert gk.serialize_spec(sys2) == text
+
+    def test_cf_subset_of_digits_is_refused(self):
+        # `family cf truncate N` states the digits 1..N; {2, 3} would come
+        # back as {1, 2}, another system
+        full3 = gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=3)
+        assert "\nfamily cf truncate 2\n" in gk.serialize_spec(full3.restrict([1, 2]))
+        for edges in ([2, 3], [1, 3], []):
+            with pytest.raises(gk.InputError, match="states only the cf digits 1..N"):
+                gk.serialize_spec(full3.restrict(edges))
+
     @pytest.mark.parametrize("rule,expected", [
         ("banded 1", [[1, 0, 1], [0, 1, 1], [1, 1, 1]]),
         ("upper", [[0, 1, 1], [0, 0, 0], [0, 1, 0]]),
@@ -409,9 +431,11 @@ incidence full
     def test_cf_truncation_images_are_checked(self, monkeypatch):
         # every CF image [1/(e+1), 1/e] lies in [0, 1]; one that leaves it
         # is refused as for a similarity edge
-        def leaving(self, letters, words, lo, hi):
-            return np.full(len(words), -0.5), np.full(len(words), 1.0)
-        monkeypatch.setattr(gm.MoebiusCfFamily, "interval_images", leaving)
+        def leaving(self, letters):
+            # x -> 1.5x - 0.5 maps [0, 1] onto [-0.5, 1]
+            n = len(letters)
+            return np.full(n, 1.5), np.full(n, -0.5), np.zeros(n), np.ones(n)
+        monkeypatch.setattr(gm.MoebiusCfFamily, "coefficients", leaving)
         with pytest.raises(gk.SpecError, match=r"edge 1: image \[-0.5, 1.0\] leaves"):
             gk.validate(gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=3))
         with pytest.raises(gk.SpecError, match="leaves the target space"):
