@@ -135,6 +135,9 @@ def _pressure(args, report, system):
 
 
 def _curve(args, report, system):
+    for flag, value in (("--tmin", args.tmin), ("--tmax", args.tmax)):
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value!r}")
     if args.steps < 2 or args.tmax <= args.tmin:
         raise InputError("need steps >= 2 and tmax > tmin")
     rows = []
@@ -168,7 +171,7 @@ def _classify(args, report, system):
 
 
 def _theta(args, report, system):
-    n_list = _list(args.n, int, "integers") if args.n else [1, 2, 3]
+    n_list = [1, 2, 3] if args.n is None else _list(args.n, int, "integers")
     result = thermo.finiteness_parameters(system, n_list)
     report.add("theta", result.theta)
     for n in sorted(result.theta_n):

@@ -4,7 +4,8 @@ The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}, the
 largest zero over strongly connected components (Mauldin and Urbanski,
 Graph Directed Markov Systems, 2003). Each component zero is found by
 safeguarded Newton steps with Ruelle's derivative: on the pressure
-ln rho(B(t)) of a similarity system from t = 0, or on the Chebyshev
+ln rho(B(t)) of a similarity system from the root of its row-sum model
+(`thermo.PerronBlock.newton_start`), or on the Chebyshev
 collocation of the transfer operator of a continued-fraction system from
 the root of a coarser collocation. Both bracket ends are then certified by
 one evaluation of the proved pressure bounds at the root and each engine's
@@ -24,6 +25,7 @@ from .errors import (ConvergenceError, InputError, NotApplicableError,
                      UnsupportedAnalysisError)
 from .system import GdmsSystem
 from .thermo import COLLOCATION_NEWTON, PERRON_NEWTON  # the engines' dimension methods
+from .thermo import _full_shift_pressure
 
 MORAN_EXACT = "moran-exact"
 EMPTY_LIMIT_SET = "empty-limit-set"
@@ -192,14 +194,6 @@ def _certified_bracket(bounds, h, tolerance, decay=0.0):
                 f"pressure bounds at t = {mid!r} hold 0: they cannot certify a "
                 f"bracket of width {tolerance / 2:g}")
     return lo, hi, steps
-
-
-def _full_shift_pressure(log_r, t):
-    """(P, P') of a full shift in closed form: P(t) = ln sum r^t and
-    P'(t) = sum r^t ln r / sum r^t."""
-    weights = np.exp(t * log_r)
-    total = weights.sum()
-    return math.log(total), float(weights @ log_r) / total
 
 
 def _check_tolerance(tolerance):

@@ -215,7 +215,9 @@ def equilibrium_weights(B, v, upper):
 
 def perron_root(B, t, start=None):
     """(lam, upper, v): the midpoint and upper end of the `collatz_wielandt`
-    bracket of B = B(t) from `start`, and its positive vector v. Raises
+    bracket of B = B(t) from `start`, and its positive vector v. lam is 1.0
+    when the bracket holds 1, so that a pressure ln lam that the bracket
+    cannot tell from 0 is 0 and Newton stops there. Raises
     ConvergenceError unless the bracket is positive (it is 0 for a
     nilpotent B, and for a leading eigenvector that is not positive) and
     PERRON_WIDTH narrow."""
@@ -223,7 +225,8 @@ def perron_root(B, t, start=None):
     if not (lower > 0.0 and upper - lower <= PERRON_WIDTH * upper):
         raise ConvergenceError(
             f"Perron root at t = {t!r} not resolved: bracket [{lower:.17g}, {upper:.17g}]")
-    return float(0.5 * (lower + upper)), upper, v
+    lam = 1.0 if lower <= 1.0 <= upper else float(0.5 * (lower + upper))
+    return lam, upper, v
 
 
 def ruelle_slope(B, dB, v, lam, upper):
@@ -264,16 +267,26 @@ def block_pressure(A, log_norms, t, start=None):
     return math.nextafter(c + p_lower, -math.inf), math.nextafter(c + p_upper, math.inf), x
 
 
+def _full_shift_pressure(log_r, t, weights=1.0):
+    """(P, P') of a full shift in closed form: P(t) = ln sum w r^t and
+    P'(t) = sum w r^t ln r / sum w r^t, the weights w all 1 by default."""
+    terms = weights * np.exp(t * log_r)
+    total = float(terms.sum())
+    return math.log(total), float(terms @ log_r) / total
+
+
 class PerronBlock:
     """One irreducible block B(t) = A o exp(t log r) of a similarity system,
     with the `pressure_slope`, `certified_pressure`, `decay` and
     `newton_start` of a CfCollocation.
 
-    Each call starts `collatz_wielandt` from the Perron vector of the
-    previous call: the Newton steps and the end certificate move t little,
-    and near h the previous vector certifies the new t after about one
-    solve. `root` is the (root, tolerance) of the last Newton solve that
-    `dimension._component_roots` ran on this engine, or None.
+    Newton starts at the root of the block's row-sum model, which costs no
+    linear solve (`newton_start`). Each call starts `collatz_wielandt` from
+    the Perron vector of the previous call: the Newton steps and the end
+    certificate move t little, and near h the previous vector certifies the
+    new t after about one solve. `root` is the (root, tolerance) of the
+    last Newton solve that `dimension._component_roots` ran on this engine,
+    or None.
     """
 
     pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
@@ -297,8 +310,25 @@ class PerronBlock:
         return _rounded_down(-float(self.log_norms.max()))
 
     def newton_start(self, tolerance) -> float:
-        """Where Newton on this block starts: t = 0."""
-        return 0.0
+        """Where Newton on this block starts: the root in [0, 1] of the
+        row-sum model m(t) = ln(sum_j c_j r_j^t / n), c the column sums of
+        the n x n matrix A, or 1.0 when m(1) >= 0: only P itself can show
+        P(1) > 0, which `dimension._component_root` then refuses.
+
+        m(t) is ln of the mean row sum of B(t), and rho(B(t)) lies between
+        its least and largest row sums (Collatz-Wielandt with x = 1), so m
+        tracks P. Its root is `dimension._component_root` on its closed
+        form, `_full_shift_pressure` with weights c / n. For a full shift
+        c / n = 1 and m = P, so the start is the Moran root.
+        """
+        from .dimension import _component_root  # dimension imports this module
+        weights = self.A.sum(axis=0) / len(self.A)
+
+        def model(t):
+            return _full_shift_pressure(self.log_norms, t, weights)
+        if model(1.0)[0] >= 0.0:
+            return 1.0
+        return _component_root(model, tolerance)[0]
 
     def pressure_slope(self, t):
         """(P, P'): P is ln of the `perron_root` of B(t), whose vector v is
@@ -834,8 +864,11 @@ def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessRep
 
     Finite systems: 0 (finite sums are always finite). Infinite systems,
     all from `system.cf_system`, have the closed forms of their `graph.NamedRule`.
+    Raises InputError unless n_list holds at least one word length.
     """
     n_list = sorted(set(g.word_lengths(n_list)))
+    if not n_list:
+        raise InputError("need at least one word length")
     if not system.infinite:
         return FinitenessReport(Fraction(0), {n: Fraction(0) for n in n_list},
                                 "finite sums")

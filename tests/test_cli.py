@@ -251,7 +251,9 @@ class TestExitCodes:
         ("cf-full2", ["pressure", "--t", "nan"], "t must be finite and >= 0, got nan"),
         ("cantor", ["pressure", "--t", "inf"], "t must be finite and >= 0, got inf"),
         ("cf-full2", ["curve", "--tmin", "0", "--tmax", "inf", "--steps", "3"],
-         "t must be finite and >= 0, got nan"),
+         "--tmax must be finite, got inf"),
+        ("cantor", ["curve", "--tmin", "nan", "--tmax", "1", "--steps", "3"],
+         "--tmin must be finite, got nan"),
         ("cf-full2", ["dim", "--tol", "nan"], "tolerance must be positive and finite, got nan"),
         ("cantor", ["dim", "--tol", "inf"], "tolerance must be positive and finite, got inf"),
         ("cf-full", ["sweep", "--sizes", "2,3", "--tol", "nan"],
@@ -289,6 +291,12 @@ class TestExitCodes:
         assert code == cli.EXIT_SPEC
         assert out == ""
         assert err == "error: box counting needs at least two scales to fit a slope\n"
+
+    @pytest.mark.parametrize("n", [",", ""])
+    def test_theta_needs_a_word_length(self, capsys, cantor_spec, n):
+        # "--n ," printed theta and no theta_n line, with exit 0
+        code, out, err = run(capsys, "theta", cantor_spec, "--n", n)
+        assert (code, out, err) == (cli.EXIT_SPEC, "", "error: need at least one word length\n")
 
     def test_sample_negative_seed_is_a_flag_error(self, capsys, cantor_spec):
         code, out, err = run(capsys, "sample", cantor_spec,

@@ -236,7 +236,7 @@ h_lo = 0.63092975354645731
 h_hi = 0.6309297535964572
 method = moran-exact
 tolerance = 1e-10
-iterations = 2
+iterations = 1
 wall_time_s = *
 """, "", {}),
     'cantor-dim-tol': (0, """\
@@ -247,7 +247,7 @@ h_lo = 0.63092950357145727
 h_hi = 0.63093000357145723
 method = moran-exact
 tolerance = 9.9999999999999995e-07
-iterations = 2
+iterations = 1
 wall_time_s = *
 """, "", {}),
     'cantor-classify': (0, """\
@@ -389,7 +389,7 @@ h_lo = 0.63092975354645731
 h_hi = 0.6309297535964572
 method = perron-newton
 tolerance = 1e-10
-iterations = 4
+iterations = 2
 warning: images of edges 'a' and 'c' overlap on interior width 0.25; open set condition may fail
 warning: images of edges 'b' and 'd' overlap on interior width 0.25; open set condition may fail
 wall_time_s = *
@@ -698,8 +698,8 @@ t,P_lower,P_upper,n_used
 command = dim
 spec = {d}/cf-full2.gdms
 spec_sha256 = 6f54af13e4a3dce1dc41c0cd4c62682e5601c3d92eb6308b25bb1065634a0365
-h_lo = 0.53128050625220513
-h_hi = 0.53128050630220502
+h_lo = 0.53128050625220535
+h_hi = 0.53128050630220525
 method = collocation-newton
 tolerance = 1e-10
 iterations = 2

@@ -1,16 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gdmskit as gk
+from gdmskit import dimension as gd
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import thermo
 from conftest import (log_rho, packed_system, period_two_system,
                       two_component_system, random_packed_system)
+from test_dimension import _dense_pressure, _reference_root, _solve_counter
 
 
 def cf_sys(kind=gg.FULL, width=1, truncate=None):
@@ -566,6 +569,22 @@ def test_similarity_decay_bounds_the_closed_form_slope(ratios, t):
     assert -slope >= block.decay > 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_row_sum_start_keeps_the_bracket(seed):
+    system = random_packed_system(random.Random(seed))
+    assume(system is not None and not gk.empty_limit_set(system))
+    tolerance = 1e-10
+    assert all(0.0 <= block.newton_start(tolerance) <= 1.0 for block in system.engines)
+    est = gk.bowen_dimension(system, tolerance)
+    # the same blocks, solved by Newton from t = 0
+    cold = system.restrict(system.edge_ids).engines
+    roots = [gd._component_root(block.pressure_slope, tolerance) for block in cold]
+    est0 = gd._certified_dimension(cold, roots, tolerance)
+    assert est.lo <= _reference_root(_dense_pressure(system)) <= est.hi
+    assert abs(est.lo - est0.lo) <= tolerance / 2 and abs(est.hi - est0.hi) <= tolerance / 2
+
+
 @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.FULL, 3), (gg.FULL, 4),
                                        (gg.FULL, 5), (gg.BANDED, 8)])
 def test_cf_decay_bounds_the_certified_pressure_drop(kind, size):
@@ -577,11 +596,50 @@ def test_cf_decay_bounds_the_certified_pressure_drop(kind, size):
         assert lower - upper >= 0.01 * math.log(2)
 
 
+def _seeded_block(n=120):
+    """One-vertex packed similarity system whose n edges form one
+    irreducible block: the ring e_k -> e_(k+1) plus every other pair with
+    probability 0.3, and seeded random ratios summing to 0.9."""
+    rng = random.Random(0)
+    raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+    ratios = {f"e{k}": 0.9 * x / sum(raw) for k, x in enumerate(raw)}
+    ids = list(ratios)
+    allowed = {(a, b) for a in ids for b in ids if rng.random() < 0.3}
+    allowed |= {(ids[k], ids[(k + 1) % n]) for k in range(n)}
+    return packed_system("seeded-block", ratios, allowed)
+
+
 class TestNewtonStart:
-    def test_similarity_starts_at_zero(self):
-        block = gk.full_shift([0.3, 0.4]).engines[0]
-        assert block.newton_start(1e-10) == 0.0
+    @pytest.mark.parametrize("ratios", [[1 / 3, 1 / 3], [0.3, 0.4],
+                                        [0.1, 0.2, 0.3, 0.05], [0.45, 0.45, 0.05]])
+    def test_full_shift_starts_at_its_moran_root(self, ratios):
+        block = gk.full_shift(ratios).engines[0]
+        moran, _ = gd._component_root(
+            lambda t: gd._full_shift_pressure(block.log_norms, t), 1e-10)
+        assert block.newton_start(1e-10) == moran
         assert block.right is None
+        est = gk.bowen_dimension(gk.full_shift(ratios))
+        assert est.iterations == 1 and est.method == gd.MORAN_EXACT
+
+    def test_row_sum_start_saves_solves_on_a_large_block(self, monkeypatch):
+        system = _seeded_block()
+        assert len(system.engines) == 1 and len(system.engines[0].A) == 120
+        solves = _solve_counter(monkeypatch)
+        est = gk.bowen_dimension(system)
+        # from t = 0 this block takes 4 Newton steps and 16 solves
+        assert est.iterations <= 3 and len(solves) <= 13
+
+    @pytest.mark.parametrize("allowed,start", [
+        ({("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")}, 1.0),
+        ({("a", "a"), ("a", "b"), ("b", "a")}, 0.85)])
+    def test_overfull_blocks_are_still_refused(self, allowed, start):
+        # ratios 0.62 + 0.62: the full block's model root lies beyond 1, so
+        # Newton starts at 1; the golden-mean block's lies at 0.85, yet
+        # rho(B(1)) = (0.62 + sqrt(0.62^2 + 4 * 0.62^2)) / 2 > 1
+        system = packed_system("overfull", {"a": 0.62, "b": 0.62}, allowed)
+        assert system.engines[0].newton_start(1e-10) == pytest.approx(start, abs=0.01)
+        with pytest.raises(gk.UnsupportedAnalysisError, match="P\\(1\\) > 0"):
+            gk.bowen_dimension(system)
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 8)])
     def test_coarse_root_starts_near_the_full_one(self, kind, size, monkeypatch):
@@ -786,6 +844,12 @@ class TestFiniteness:
     def test_word_lengths_below_one_are_refused(self, system):
         with pytest.raises(gk.InputError, match="n must be >= 1"):
             gk.finiteness_parameters(system, (0, 1))
+
+    @pytest.mark.parametrize("system", [gk.full_shift([1 / 2, 1 / 2]), cf_sys()])
+    def test_empty_word_length_list_is_refused(self, system):
+        # it reported theta with no theta_n at all
+        with pytest.raises(gk.InputError, match="need at least one word length"):
+            gk.finiteness_parameters(system, [])
 
 
 class TestConformalMeasure:
