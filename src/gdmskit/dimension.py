@@ -88,7 +88,7 @@ class ComponentDimensionReport:
     difference: float
 
 
-# Most pressure evaluations one component root or one certificate may take.
+# Most pressure evaluations one Newton solve for a component root may take.
 STEP_CAP = 100
 # P(1) above this means the images overlap too much for the open set condition.
 P1_SLACK = 1e-12
@@ -103,7 +103,9 @@ def _component_root(pressure_slope, tolerance, t0=0.0):
     from the right of it lands on its left; the bracket [a, b] with
     P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
     becomes a bisection step. The right end t = 1 is only evaluated when a
-    step reaches it. Returns (root, steps).
+    step reaches it. It stops when a step is at most tolerance/8, which
+    leaves the root within reach of the fixed ends h -/+ tolerance/4 that
+    `_certified_bracket` tests. Returns (root, steps).
     """
     a, b, b_known = 0.0, 1.0, False
     t = t0
@@ -137,63 +139,40 @@ def _certified_bracket(bounds, h, tolerance, decay=0.0):
     """[lo, hi] around h with P(lo) >= 0 > P(hi) proved.
 
     bounds(t) returns (P_lower, P_upper), bounds that hold the pressure.
-    Starts from h -/+ tolerance/4. lo = 0 needs no check: the dimension is
-    nonnegative. With `decay` > 0, a proved lower bound on -P', one call
-    bounds(h) first tries both ends: P(lo) >= P_lower(h) + decay (h - lo)
-    and P(hi) <= P_upper(h) - decay (hi - h), the products rounded down.
-    An end that this does not decide must show P_lower(lo) >= 0 or
-    P_upper(hi) < 0 itself; one that fails is widened by doubling, at most
-    STEP_CAP times in all, and the bracket is then bisected back to width
-    tolerance/2, keeping both tests true at its ends. A midpoint where
-    neither test holds raises ConvergenceError: the pressure bounds are too
-    wide for this tolerance. So does a tolerance whose ends do not differ
-    from h, or whose bisection stops moving, in doubles. Returns (lo, hi,
-    widening and bisection steps).
+    lo = max(0, h - tolerance/4) (lo = 0 needs no check: the dimension is
+    nonnegative) and hi = h + tolerance/4, less an ulp of rounding. With
+    `decay` > 0, a proved lower bound on -P', one call bounds(h) tries both
+    ends: P(lo) >= P_lower(h) + decay (h - lo), P(hi) <= P_upper(h) -
+    decay (hi - h). An end it leaves open must show P_lower(lo) >= 0 or
+    P_upper(hi) < 0 itself, or, when lo = 0, P_upper(tolerance/2) < 0. An
+    end still open (bounds too wide, or h more than tolerance/4 from the
+    zero), or ends that do not differ from h in doubles, raise
+    ConvergenceError. Returns (lo, hi).
     """
-    def too_fine(t):
-        return ConvergenceError(f"tolerance {tolerance!r} is below the spacing of doubles "
-                                f"at t = {t!r}: the bracket ends cannot be separated there")
-
-    down = up = tolerance / 4
-    lo, hi = max(0.0, h - down), h + up
+    lo, hi = max(0.0, h - tolerance / 4), h + tolerance / 4
     while hi - lo > tolerance / 2:  # rounding can add an ulp to the width
         hi = math.nextafter(hi, lo)
     if not (lo < h or lo == 0.0) or not h < hi:
-        raise too_fine(h)
+        raise ConvergenceError(f"tolerance {tolerance!r} is below the spacing of doubles "
+                               f"at t = {h!r}: the bracket ends cannot be separated there")
     lo_done = hi_done = False
     if decay > 0.0:
         lower, upper = bounds(h)
         # decay (b - a) less the 3 roundings of the difference and products
         lo_done = lower >= -decay * (h - lo) * (1 - 4 * thermo.UNIT_ROUNDOFF)
         hi_done = upper < decay * (hi - h) * (1 - 4 * thermo.UNIT_ROUNDOFF)
-    steps = 0
-    while not lo_done and lo > 0.0 and bounds(lo)[0] < 0.0:
-        if steps == STEP_CAP:
-            raise ConvergenceError(f"no nonnegative pressure found down to t = {lo}")
-        down *= 2
-        lo = max(0.0, h - down)
-        steps += 1
-    while not hi_done and bounds(hi)[1] >= 0.0:
-        if steps == STEP_CAP:
-            raise ConvergenceError(f"no negative pressure found up to t = {hi}")
-        up *= 2
-        hi = h + up
-        steps += 1
-    while hi - lo > tolerance / 2:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise too_fine(mid)
-        steps += 1
-        lower, upper = bounds(mid)
-        if lower >= 0.0:
-            lo = mid
-        elif upper < 0.0:
-            hi = mid
-        else:
-            raise ConvergenceError(
-                f"pressure bounds at t = {mid!r} hold 0: they cannot certify a "
-                f"bracket of width {tolerance / 2:g}")
-    return lo, hi, steps
+    open_end = None
+    if not lo_done and lo > 0.0 and bounds(lo)[0] < 0.0:
+        open_end = lo
+    elif not hi_done and bounds(hi)[1] >= 0.0:
+        if lo == 0.0:
+            hi = tolerance / 2  # the bracket [0, hi] is still tolerance/2 wide
+        if lo > 0.0 or bounds(hi)[1] >= 0.0:
+            open_end = hi
+    if open_end is not None:
+        raise ConvergenceError(f"pressure bounds at t = {open_end!r} hold 0: they cannot "
+                               f"certify a bracket of width {tolerance / 2:g}")
+    return lo, hi
 
 
 def _check_tolerance(tolerance):
@@ -238,19 +217,19 @@ def _certified_dimension(blocks, roots, tolerance):
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
 
-    lo, hi, n = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
-                                   max(root for root, _ in roots), tolerance,
-                                   min(block.decay for block in blocks))
+    lo, hi = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
+                                max(root for root, _ in roots), tolerance,
+                                min(block.decay for block in blocks))
     method = blocks[0].dimension_method
     if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].A.all():
         moran, _ = _component_root(
             lambda t: _full_shift_pressure(blocks[0].log_norms, t), tolerance)
         if not (lo - tolerance <= moran <= hi + tolerance):
-            raise InputError(
+            raise ConvergenceError(
                 f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
                 f"root {moran}")
         method = MORAN_EXACT
-    return DimensionEstimate(lo, hi, method, sum(steps for _, steps in roots) + n)
+    return DimensionEstimate(lo, hi, method, sum(steps for _, steps in roots))
 
 
 def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
@@ -259,18 +238,16 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
 
     h is the largest component root (Perron-Newton for similarities,
     collocation-Newton for continued fractions, each from its engine's
-    `newton_start`), and the bracket [h - tolerance/4, h + tolerance/4] is
-    certified by the system pressure bounds, the max over components of
-    their certified brackets: one evaluation at h and the least `decay` of
-    the engines prove P >= 0 at the low end and P < 0 at the high end, and
-    an end this leaves open is tested at the end itself (see
-    `_certified_bracket`). The bracket has width at most tolerance / 2.
-    `iterations` counts the full-size Newton steps over all components (not
-    those of a coarse collocation), plus any widening or bisection steps
-    the end certificate needed. The method is MORAN_EXACT when the one cyclic
-    component is a similarity full shift: its bracket is then cross-checked
-    against the root of Moran's equation sum r_e^h = 1. `n_max` is
-    accepted for compatibility and does not affect the result.
+    `newton_start`). The bracket [h - tolerance/4, h + tolerance/4], of
+    width at most tolerance / 2, is certified by the system pressure bounds
+    (the max over components of their certified brackets) from one
+    evaluation at h and the least `decay` of the engines, or at an end
+    itself, or refused (see `_certified_bracket`). `iterations` counts the
+    full-size Newton steps over all components (not those of a coarse
+    collocation). The method is MORAN_EXACT when the one cyclic component is
+    a similarity full shift: its bracket is then cross-checked against the
+    root of Moran's equation sum r_e^h = 1. `n_max` is accepted for
+    compatibility and does not affect the result.
     """
     blocks, roots = _component_roots(system, tolerance)
     return _certified_dimension(blocks, roots, tolerance)

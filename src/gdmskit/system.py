@@ -285,7 +285,10 @@ def full_shift(ratios, offsets=None, signs=None, lo=0.0, hi=1.0, name="full-shif
         for r in ratios:
             offsets.append(cursor - lo * r)
             cursor += r * width
-    signs = signs or [1] * n
+    signs = [1] * n if signs is None else signs
+    for arg, values in (("offsets", offsets), ("signs", signs)):
+        if len(values) != n:
+            raise InputError(f"{arg} has {len(values)} entries for {n} ratios")
     space = m.VertexSpace("v", lo, hi)
     edges = [(f"e{k+1}", "v", "v", m.SimilarityMap(ratios[k], offsets[k], signs[k]))
              for k in range(n)]

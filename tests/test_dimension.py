@@ -195,17 +195,24 @@ class TestPerronNewton:
         closed_form = gd._full_shift_pressure
         monkeypatch.setattr(gd, "_full_shift_pressure",
                             lambda log_r, t: closed_form(log_r + math.log(1.2), t))
-        with pytest.raises(gk.InputError, match="disagrees with the Moran root"):
+        with pytest.raises(gk.ConvergenceError, match="disagrees with the Moran root"):
             gk.bowen_dimension(gk.full_shift([0.3, 0.4]))
 
-    @pytest.mark.parametrize("offset", [-3e-9, 3e-9, -0.25])
-    def test_failed_end_certificate_widens_then_bisects(self, offset):
-        # a root estimate off by more than tol/4 fails one end's sign test
-        tol = 1e-10
-        lo, hi, steps = gd._certified_bracket(lambda t: (0.3 - t, 0.3 - t), 0.3 + offset, tol)
-        assert steps > 0
-        assert lo <= 0.3 < hi
-        assert hi - lo <= tol / 2
+    @pytest.mark.parametrize("offset, end", [(-3e-9, 1), (3e-9, -1), (-0.25, 1)])
+    def test_root_more_than_a_quarter_tolerance_off_is_refused(self, offset, end):
+        # a root estimate off by more than tol/4 fails the sign test of the
+        # end on the near side of it, and the refusal names that end
+        tol, h = 1e-10, 0.3 + offset
+        calls = []
+
+        def bounds(t):
+            calls.append(t)
+            return 0.3 - t, 0.3 - t
+        with pytest.raises(gk.ConvergenceError) as refusal:
+            gd._certified_bracket(bounds, h, tol)
+        assert calls[-1] == pytest.approx(h + end * tol / 4, abs=1e-15)
+        assert str(refusal.value) == (f"pressure bounds at t = {calls[-1]!r} hold 0: they "
+                                      f"cannot certify a bracket of width 5e-11")
 
     def test_unresolved_perron_root_is_refused(self, monkeypatch):
         block = gk.full_shift([0.3, 0.4]).engines[0]
@@ -274,16 +281,25 @@ class TestCfDimension:
             gd._certified_bracket(lambda t: (0.3 - t - 1e-3, 0.3 - t + 1e-3), 0.3, 1e-10)
 
     def test_bounds_certify_both_ends(self):
-        lo, hi, steps = gd._certified_bracket(lambda t: (0.3 - t - 1e-13, 0.3 - t + 1e-13),
-                                              0.3, 1e-10)
-        assert steps == 0
+        lo, hi = gd._certified_bracket(lambda t: (0.3 - t - 1e-13, 0.3 - t + 1e-13),
+                                       0.3, 1e-10)
         assert lo <= 0.3 - 1e-13 and 0.3 + 1e-13 < hi
         assert hi - lo <= 1e-10 / 2
 
-    def test_pressure_that_stays_positive_is_refused(self):
-        # the upper end doubles STEP_CAP times and never finds P_upper < 0
-        with pytest.raises(gk.ConvergenceError, match="no negative pressure found"):
-            gd._certified_bracket(lambda t: (1.0, 1.0), 0.3, 1e-10)
+    @pytest.mark.parametrize("h, tested", [(0.3, [0.3 - 2.5e-11, 0.3 + 2.5e-11]),
+                                           (0.0, [2.5e-11, 5e-11])])
+    def test_pressure_that_stays_positive_is_refused_at_hi(self, h, tested):
+        # with lo = 0, the high end is tested at h + tol/4 and then at tol/2
+        calls = []
+
+        def bounds(t):
+            calls.append(t)
+            return 1.0, 1.0
+        with pytest.raises(gk.ConvergenceError) as refusal:
+            gd._certified_bracket(bounds, h, 1e-10)
+        assert calls == pytest.approx(tested, rel=1e-15)
+        assert str(refusal.value) == (f"pressure bounds at t = {calls[-1]!r} hold 0: they "
+                                      f"cannot certify a bracket of width 5e-11")
 
 
 class TestOnePointCertificate:
@@ -293,9 +309,8 @@ class TestOnePointCertificate:
         def bounds(t):
             calls.append(t)
             return 0.3 - t, 0.3 - t
-        lo, hi, steps = gd._certified_bracket(bounds, 0.3, 1e-10, decay=1.0)
+        lo, hi = gd._certified_bracket(bounds, 0.3, 1e-10, decay=1.0)
         assert calls == [0.3]
-        assert steps == 0
         assert lo <= 0.3 < hi
         assert hi - lo <= 1e-10 / 2
 
@@ -307,20 +322,25 @@ class TestOnePointCertificate:
         def bounds(t):
             calls.append(t)
             return 0.3 - t - 2e-11, 0.3 - t + 2e-11
-        lo, hi, steps = gd._certified_bracket(bounds, 0.3, 1e-10, decay=0.5)
+        lo, hi = gd._certified_bracket(bounds, 0.3, 1e-10, decay=0.5)
         assert calls == [0.3, lo, hi]
-        assert steps == 0
         assert lo <= 0.3 - 2e-11 and 0.3 + 2e-11 < hi
 
-    @pytest.mark.parametrize("offset", [-3e-9, 3e-9])
-    def test_one_end_decided_the_other_widens_then_bisects(self, offset):
-        # h is off by 3e-9: the call at h decides only the end beyond the root
-        tol = 1e-10
-        lo, hi, steps = gd._certified_bracket(lambda t: (0.3 - t, 0.3 - t), 0.3 + offset,
-                                              tol, decay=1.0)
-        assert steps > 0
-        assert lo <= 0.3 < hi
-        assert hi - lo <= tol / 2
+    @pytest.mark.parametrize("offset, end", [(-3e-9, 1), (3e-9, -1)])
+    def test_one_end_decided_the_other_is_refused_at_its_own_test(self, offset, end):
+        # h is off by 3e-9: the call at h decides only the end beyond the
+        # root, and the near end fails its own test
+        tol, h = 1e-10, 0.3 + offset
+        calls = []
+
+        def bounds(t):
+            calls.append(t)
+            return 0.3 - t, 0.3 - t
+        with pytest.raises(gk.ConvergenceError) as refusal:
+            gd._certified_bracket(bounds, h, tol, decay=1.0)
+        assert calls == [h, pytest.approx(h + end * tol / 4, abs=1e-15)]
+        assert str(refusal.value) == (f"pressure bounds at t = {calls[1]!r} hold 0: they "
+                                      f"cannot certify a bracket of width 5e-11")
 
     def test_bounds_holding_zero_are_still_refused(self):
         with pytest.raises(gk.ConvergenceError, match="cannot certify"):
@@ -351,17 +371,84 @@ class TestToleranceBelowTheDoubleSpacing:
                                  f"at t = 0.63:"):
             gd._certified_bracket(bounds, 0.63, tolerance, decay)
 
-    def test_bisection_that_stops_moving_is_refused(self):
-        # P changes sign at t = 5, where doubles lie 8.9e-16 apart: the upper
-        # end widens past 5, and no bracket there is 5e-16 wide
-        bounds = self._bounds(lambda t: (1.0, 1.0) if t < 5.0 else (-1.0, -1.0))
-        with pytest.raises(gk.ConvergenceError, match="below the spacing of doubles at t = [45]"):
-            gd._certified_bracket(bounds, 0.63, 1e-15)
-
     def test_smallest_separable_tolerance_is_certified(self):
         bounds = self._bounds(lambda t: (0.63 - t, 0.63 - t))
-        lo, hi, steps = gd._certified_bracket(bounds, 0.63, 1e-15, decay=1.0)
-        assert lo < 0.63 < hi and hi - lo <= 1e-15 / 2 and steps == 0
+        lo, hi = gd._certified_bracket(bounds, 0.63, 1e-15, decay=1.0)
+        assert lo < 0.63 < hi and hi - lo <= 1e-15 / 2
+
+
+class TestFixedEnds:
+    """A bracket's ends are h -/+ tolerance/4 (or [0, tolerance/2] from
+    lo = 0), each proved where it lies or refused: no end is searched for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(h=st.floats(0.0, 1.0), near_zero=st.booleans(),
+           tolerance=st.floats(1e-15, 1e-3), decay=st.sampled_from([0.0, 0.5, 1.0]),
+           data=st.data())
+    def test_any_bounds_get_at_most_three_calls_and_fixed_ends(self, h, near_zero, tolerance,
+                                                               decay, data):
+        h = h * tolerance if near_zero else h
+        calls = []
+
+        def bounds(t):
+            # arbitrary bounds at the scale of the sign tests
+            calls.append(t)
+            lower = data.draw(st.floats(-2.0, 2.0)) * tolerance
+            return lower, lower + data.draw(st.floats(0.0, 2.0)) * tolerance
+        try:
+            lo, hi = gd._certified_bracket(bounds, h, tolerance, decay)
+        except gk.ConvergenceError:
+            assert len(calls) <= 3
+            return
+        assert len(calls) <= 3
+        assert lo == max(0.0, h - tolerance / 4)
+        top = h + tolerance / 4
+        assert 0.0 <= top - hi <= 2 * math.ulp(top) or (lo == 0.0 and hi == tolerance / 2)
+        assert lo <= h < hi and hi - lo <= tolerance / 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.floats(-0.01, 1.0), offset=st.floats(-1.0, 1.0),
+           tolerance=st.floats(1e-15, 1e-3), width=st.floats(0.0, 1.0),
+           decay=st.sampled_from([0.0, 0.25, 0.5]))
+    def test_a_certified_bracket_holds_the_zero_of_a_linear_pressure(self, z, offset, tolerance,
+                                                                     width, decay):
+        # P(t) = z - t, known to +/- width * tolerance, from an h within
+        # tolerance/2 of z; decay is below the slope 1, with room for rounding
+        h = max(0.0, z + offset * tolerance / 2)
+        spread = width * tolerance
+        try:
+            lo, hi = gd._certified_bracket(lambda t: (z - t - spread, z - t + spread), h,
+                                           tolerance, decay)
+        except gk.ConvergenceError:
+            return
+        assert (lo == 0.0 or lo <= z) and z < hi
+
+    @staticmethod
+    def _recorded_bounds(monkeypatch):
+        calls = []
+        certified_bounds = thermo.certified_bounds
+
+        def recorded(blocks, t):
+            calls.append(t)
+            return certified_bounds(blocks, t)
+        monkeypatch.setattr(thermo, "certified_bounds", recorded)
+        return calls
+
+    @pytest.mark.parametrize("kind, size, tolerance", [(gg.FULL, 2, 3e-13),
+                                                       (gg.BANDED, 8, 2e-13)])
+    def test_ends_too_close_for_the_one_point_check_are_tested_themselves(
+            self, kind, size, tolerance, monkeypatch):
+        calls = self._recorded_bounds(monkeypatch)
+        est = gk.bowen_dimension(cf_sys(kind, 1, truncate=size), tolerance)
+        assert calls == [calls[0], est.lo, est.hi]
+        assert est.lo < calls[0] < est.hi and est.width <= tolerance / 2
+
+    def test_zero_dimension_takes_the_half_tolerance_end(self, monkeypatch):
+        # h = 0 and P_upper(tol/4) >= 0: the bracket [0, tol/2] is proved
+        calls = self._recorded_bounds(monkeypatch)
+        est = gk.bowen_dimension(cf_sys(truncate=1), 1e-13)
+        assert (est.lo, est.hi, est.iterations) == (0.0, 5e-14, 1)
+        assert calls == [0.0, 2.5e-14, 5e-14]
 
 
 class TestTwoLevelNewton:

@@ -115,6 +115,16 @@ class TestRuleRefusals:
             gk.similarity_system("s", ("v",), space, edges, gk.IncidenceSpec(kind, width))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"signs": [1]}, "signs has 1 entries for 2 ratios"),
+        ({"offsets": [0.0]}, "offsets has 1 entries for 2 ratios"),
+        ({"signs": [1, 1, 1]}, "signs has 3 entries for 2 ratios"),
+    ])
+    def test_full_shift_refuses_offsets_or_signs_of_another_length(self, kwargs, message):
+        # a short list raised a bare IndexError, a long one lost its extra entries
+        with pytest.raises(gk.InputError) as exc:
+            gk.full_shift([0.3, 0.3], **kwargs)
+        assert str(exc.value) == message
 
     def test_width_is_kept_only_by_the_banded_rule(self):
         assert gk.IncidenceSpec(gg.FULL, 1) == gk.IncidenceSpec(gg.FULL)
