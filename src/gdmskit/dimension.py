@@ -211,8 +211,8 @@ def _certified_dimension(blocks, roots, tolerance):
     `blocks`: the pressure bounds are the max over blocks of their certified
     brackets, and the least `decay` of the blocks bounds -P' of that max.
     The method is the blocks' `dimension_method`, or MORAN_EXACT when they
-    make a similarity full shift (one `thermo.PerronBlock` whose incidence
-    entries are all 1), whose bracket is cross-checked against the Moran
+    make a similarity full shift (one `thermo.PerronBlock` with one state
+    holding every edge), whose bracket is cross-checked against the Moran
     root, the zero of `_full_shift_pressure`."""
     if not blocks:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
@@ -221,7 +221,7 @@ def _certified_dimension(blocks, roots, tolerance):
                                 max(root for root, _ in roots), tolerance,
                                 min(block.decay for block in blocks))
     method = blocks[0].dimension_method
-    if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].A.all():
+    if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].lumping.members.all():
         moran, _ = _component_root(
             lambda t: _full_shift_pressure(blocks[0].log_norms, t), tolerance)
         if not (lo - tolerance <= moran <= hi + tolerance):

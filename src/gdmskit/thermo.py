@@ -2,12 +2,12 @@
 
 Similarity partition sums are exact: Z_n(t) comes from the weighted transfer
 matrix B(t)_{ab} = A_{ab} r_b^t, and the pressure ln rho(B(t)) is bracketed by
-Collatz-Wielandt bounds from Noda's inverse iteration. Continued-fraction
-partition sums are enumerated level by level through continuants (exact per
-word) up to the count guard and bracketed by one-step products beyond it;
-their pressure is the log spectral radius of the transfer operator L_t,
-bracketed by a Chebyshev collocation of L_t and a Collatz-Wielandt
-certificate that holds on all of [0, 1].
+Collatz-Wielandt bounds from Noda's inverse iteration on B(t) lumped by
+successor set. Continued-fraction partition sums are enumerated level by
+level through continuants (exact per word) up to the count guard and
+bracketed by one-step products beyond it; their pressure is the log spectral
+radius of the transfer operator L_t, bracketed by a Chebyshev collocation of
+L_t and a Collatz-Wielandt certificate that holds on all of [0, 1].
 """
 
 from __future__ import annotations
@@ -238,33 +238,41 @@ def ruelle_slope(B, dB, v, lam, upper):
     return float((z / v) @ (dB @ v)) / lam, z
 
 
-def block_pressure(A, log_norms, t, start=None):
-    """(P_lower, P_upper, x): bounds on ln rho(B) for B = A o exp(t log r)
-    of one irreducible block, from `collatz_wielandt` started at `start`.
+class StateLumping:
+    """The letters of a square matrix X grouped into states by their
+    predecessor sets (the nonzero rows of their columns), numbered in order
+    of first occurrence. An operator whose image at c sums a term T_a on the
+    unknown of a's state over the predecessors a of c depends on c only
+    through its state, so its matrix has one block row and column per state,
+    block (s, s(a)) summing T_a over a in s (`blocks`). X is A for a
+    continued-fraction collocation and A^T, whose predecessor sets are A's
+    successor sets, for a similarity block, where k <= V under a
+    vertex-determined incidence (`incidence full`)."""
 
-    With c the largest exponent t ln r, rho(B) = e^c rho(B_c) for
-    B_c = A o exp(t log r - c), whose weights lie in (0, 1]; the bounds are
-    c + ln of the bracket of rho(B_c), rounded outward. The computed
-    weights of B_c are within relative u (4 |t ln r| + spread + 16) of the
-    exact ones, spread the largest minus the smallest exponent: ln r and
-    its product with t err by 3u relative, which exp turns into
-    3u |t ln r|; subtracting c adds u spread; exp itself errs by at most
-    4 ulp. rho is monotone in the entries of a nonnegative matrix, so the
-    bracket widens by that relative amount before its logarithm. Raises
-    ConvergenceError when the spread is so large (above about 708) that a
-    weight of B_c falls below the least normal number, which has no such
-    relative bound.
-    """
-    exponents = t * log_norms
-    c = float(exponents.max())
-    weights = np.exp(exponents - c)
-    if not weights.min() >= TINY:
-        raise ConvergenceError(f"weights r^t span more than the double range at t = {t}")
-    lower, upper, x = collatz_wielandt(A * weights, start)
-    spread = c - float(exponents.min())
-    weight_err = UNIT_ROUNDOFF * (4 * float(np.max(np.abs(exponents))) + spread + 16)
-    p_lower, p_upper = _log_bounds(lower * (1 - weight_err), upper * (1 + weight_err))
-    return math.nextafter(c + p_lower, -math.inf), math.nextafter(c + p_upper, math.inf), x
+    def __init__(self, X):
+        index, pattern = {}, np.ascontiguousarray(X.T != 0)
+        packed = np.packbits(pattern, axis=1)
+        sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
+        self.state_of = np.array([index.setdefault(p, len(index)) for p in sets], dtype=np.intp)
+        self.counts = np.bincount(self.state_of)  # letters per state
+        # members[s, a] is True when letter a is in predecessor set s
+        self.members = pattern[np.unique(self.state_of, return_index=True)[1]]
+        # each (s, a) with a in predecessor set s, s ascending, and its block entry
+        rows, self.feeding = np.divmod(np.flatnonzero(self.members), len(self.state_of))
+        self.keys = rows * len(self.members) + self.state_of[self.feeding]
+        self._tail_keys = {1: self.keys}
+
+    def blocks(self, per_letter):
+        """Sum per_letter[a] (one array per letter) into the block (s, s(a))
+        for every predecessor set s holding a, in ascending order of a:
+        shape (states, states) + per_letter.shape[1:]."""
+        tail = per_letter.shape[1:]
+        size, states = math.prod(tail), len(self.members)
+        keys = self._tail_keys.get(size)
+        if keys is None:
+            keys = self._tail_keys[size] = (self.keys[:, None] * size + np.arange(size)).ravel()
+        flat = np.bincount(keys, per_letter[self.feeding].ravel(), minlength=states ** 2 * size)
+        return flat.reshape((states, states) + tail)
 
 
 def _full_shift_pressure(log_r, t, weights=1.0):
@@ -277,28 +285,33 @@ def _full_shift_pressure(log_r, t, weights=1.0):
 
 class PerronBlock:
     """One irreducible block B(t) = A o exp(t log r) of a similarity system,
-    with the `pressure_slope`, `certified_pressure`, `decay` and
-    `newton_start` of a CfCollocation.
+    with the `size`, `matrix`, `pressure_slope`, `certified_pressure`,
+    `decay` and `newton_start` of a CfCollocation.
 
-    Newton starts at the root of the block's row-sum model, which costs no
-    linear solve (`newton_start`). Each call starts `collatz_wielandt` from
-    the Perron vector of the previous call: the Newton steps and the end
-    certificate move t little, and near h the previous vector certifies the
-    new t after about one solve. `root` is the (root, tolerance) of the
-    last Newton solve that `dimension._component_roots` ran on this engine,
-    or None.
+    A row of B(t) depends only on the edge's successor set, so the engine
+    works on the k x k matrix M(t) of the `lumping` of A^T (one node per
+    state, kernel 1, log-weights ln r): rho(M(t)) = rho(B(t)), and `right`,
+    M's Perron vector, read at `lumping.state_of` is B's; with all rows
+    distinct, M(t) = B(t). Newton starts at the row-sum model's root, and
+    each call starts `collatz_wielandt` from the previous Perron vector: the
+    Newton steps and the end certificate move t little, and near h that
+    vector certifies the new t after about one solve. `root` is the
+    (root, tolerance) of the last Newton solve that
+    `dimension._component_roots` ran on this engine, or None.
     """
 
     pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
 
     def __init__(self, A, log_norms):
-        self.A, self.log_norms = A, log_norms
+        self.lumping, self.log_norms = StateLumping(A.T), log_norms
+        self.size = len(self.lumping.members)
         self.right = self.root = None
 
     @classmethod
     def of_component(cls, system, idx):
         """The block of `system` at the edge positions `idx`."""
-        return cls(system.incidence_matrix[np.ix_(idx, idx)], system.log_norms[list(idx)])
+        idx = list(idx)
+        return cls(system.incidence_matrix[idx][:, idx], system.log_norms[idx])
 
     @property
     def decay(self) -> float:
@@ -312,7 +325,8 @@ class PerronBlock:
     def newton_start(self, tolerance) -> float:
         """Where Newton on this block starts: the root in [0, 1] of the
         row-sum model m(t) = ln(sum_j c_j r_j^t / n), c the column sums of
-        the n x n matrix A, or 1.0 when m(1) >= 0: only P itself can show
+        the n x n matrix A (in exact integers, each state's successor set
+        times its row count), or 1.0 when m(1) >= 0: only P itself can show
         P(1) > 0, which `dimension._component_root` then refuses.
 
         m(t) is ln of the mean row sum of B(t), and rho(B(t)) lies between
@@ -322,7 +336,8 @@ class PerronBlock:
         c / n = 1 and m = P, so the start is the Moran root.
         """
         from .dimension import _component_root  # dimension imports this module
-        weights = self.A.sum(axis=0) / len(self.A)
+        lumping = self.lumping
+        weights = lumping.counts @ lumping.members / len(lumping.state_of)
 
         def model(t):
             return _full_shift_pressure(self.log_norms, t, weights)
@@ -330,23 +345,55 @@ class PerronBlock:
             return 1.0
         return _component_root(model, tolerance)[0]
 
+    def matrix(self, t, derivative=False):
+        """M(t), and with `derivative` also M'(t), for Ruelle's derivative."""
+        weights = np.exp(t * self.log_norms)
+        M = self.lumping.blocks(weights)
+        return (M, self.lumping.blocks(weights * self.log_norms)) if derivative else M
+
     def pressure_slope(self, t):
-        """(P, P'): P is ln of the `perron_root` of B(t), whose vector v is
-        kept as `right`, and P' its `ruelle_slope`, which here is
-        sum_b z_b ln r_b. Raises ConvergenceError unless the weights
-        z = w o v / (w . v) are all positive."""
-        B = self.A * np.exp(t * self.log_norms)
-        lam, upper, self.right = perron_root(B, t, self.right)
-        slope, weights = ruelle_slope(B, B * self.log_norms, self.right, lam, upper)
+        """(P, P'): P is ln of the `perron_root` of M(t), whose vector v is
+        kept as `right`, and P' its `ruelle_slope`. Raises
+        ConvergenceError unless the weights z = w o v / (w . v) are all
+        positive."""
+        M, dM = self.matrix(t, derivative=True)
+        lam, upper, self.right = perron_root(M, t, self.right)
+        slope, weights = ruelle_slope(M, dM, self.right, lam, upper)
         if not weights.min() > 0.0:
             raise ConvergenceError(
                 f"left Perron vector at t = {t!r} is not positive: min weight {weights.min():.3g}")
         return math.log(lam), slope
 
     def certified_pressure(self, t):
-        """[P_lower, P_upper] holding ln rho(B(t)), from `block_pressure`."""
-        lower, upper, self.right = block_pressure(self.A, self.log_norms, t, self.right)
-        return lower, upper
+        """[P_lower, P_upper] holding ln rho(B(t)), from `collatz_wielandt` on
+        M(t) started at `right`, whose vector becomes the new `right`.
+
+        With c the largest exponent t ln r, rho(B) = e^c rho(M_c) for M_c
+        built from the weights exp(t log r - c), which lie in (0, 1]; the
+        bounds are c + ln of the bracket of rho(M_c), rounded outward. The
+        computed weights are within relative u (4 |t ln r| + spread + 16) of
+        the exact ones, spread the largest minus the smallest exponent: ln r
+        and its product with t err by 3u relative, which exp turns into
+        3u |t ln r|; subtracting c adds u spread; exp itself errs by at most
+        4 ulp. An entry of M_c sums the weights of letters of one state, at
+        most g of them (the largest `counts`), which adds (g - 1) u. rho is
+        monotone in the entries of a nonnegative matrix, so the bracket
+        widens by that relative amount before its logarithm. Raises
+        ConvergenceError when the spread is so large (above about 708) that
+        a weight falls below the least normal number, which has no such
+        relative bound.
+        """
+        exponents = t * self.log_norms
+        c = float(exponents.max())
+        weights = np.exp(exponents - c)
+        if not weights.min() >= TINY:
+            raise ConvergenceError(f"weights r^t span more than the double range at t = {t}")
+        lower, upper, self.right = collatz_wielandt(self.lumping.blocks(weights), self.right)
+        spread = c - float(exponents.min())
+        weight_err = UNIT_ROUNDOFF * (4 * float(np.max(np.abs(exponents))) + spread + 16
+                                      + int(self.lumping.counts.max(initial=1)) - 1)
+        p_lower, p_upper = _log_bounds(lower * (1 - weight_err), upper * (1 + weight_err))
+        return math.nextafter(c + p_lower, -math.inf), math.nextafter(c + p_upper, math.inf)
 
 
 def _transfer_partition_sums(system, t, n_max):
@@ -365,12 +412,6 @@ def _transfer_partition_sums(system, t, n_max):
 
 # -- continued-fraction enumeration -----------------------------------------
 
-def _predecessors(A):
-    """The positions of the edges allowed to precede each edge, ascending:
-    the nonzero rows of each column of the incidence matrix A."""
-    return [tuple(np.flatnonzero(column).tolist()) for column in A.T]
-
-
 def _cf_level_sums(system, ns, t):
     """{n: Z_n(t)}, exact, for each n in ns up to the last word length that
     the count guard allows on a finite continued-fraction system.
@@ -383,7 +424,7 @@ def _cf_level_sums(system, ns, t):
     up to it stay within the guard; that is checked before it is built.
     """
     guard = g.count_guard()
-    preds = _predecessors(system.incidence_matrix)
+    preds = [np.flatnonzero(column).tolist() for column in system.incidence_matrix.T]
     log_labels = [math.log(e) for e in system.edge_ids]
     lq_prev, lq = np.zeros(len(log_labels)), np.array(log_labels)
     counts = np.ones(len(log_labels), dtype=int)
@@ -481,27 +522,24 @@ def _log_bounds(low, high):
 
 class CfCollocation:
     """Chebyshev collocation of the transfer operator of one strongly
-    connected finite continued-fraction system, given by its incidence
-    matrix A and its letters, the integer labels of its rows in order.
-
-    The operator acts on one function per letter c on [0, 1]:
+    connected finite continued-fraction system, given by the `StateLumping`
+    of its incidence matrix A and its letters, the labels of A's rows:
 
         (L_t f)_c(x) = sum over a with a -> c allowed of (a + x)^(-2t) f_a(1/(a + x)),
 
-    and rho(L_t) = exp P(t). The image depends on c only through its
-    predecessor set, so the unknowns are one function per distinct
-    predecessor set (a state), stored by its values at `nodes` first-kind
+    and rho(L_t) = exp P(t). The unknowns are one function per state (one
+    for the full rule), stored by its values at `nodes` first-kind
     Chebyshev nodes x_i (COLLOCATION_NODES unless the engine is the coarse
-    one of `newton_start`); the full rule has a single state. With l_j the
-    Lagrange basis of the nodes and s(a) the state of letter a, the
-    collocation matrix is
+    one of `newton_start`). With l_j the Lagrange basis of the nodes and
+    s(a) the state of letter a, the collocation matrix is
 
         L(t) = Q (K o exp(t Lam)),   K[(a, i), (s(a), j)] = l_j(1/(a + x_i)),
                                      Lam[(a, i), .] = -2 ln(a + x_i),
 
-    where Q adds up the rows of the letters in each predecessor set. With
-    Q = I this is the similarity matrix B(t) = A o exp(t log r), and
-    L'(t) = Q (K o Lam o exp(t Lam)) gives Ruelle's derivative.
+    where Q (the lumping's `members`) adds up the rows of the letters in
+    each predecessor set; L'(t) = Q (K o Lam o exp(t Lam)) gives Ruelle's
+    derivative. `PerronBlock` is this assembly with one node, K = 1 and
+    Lam = ln r.
     """
 
     # -P'(t) >= ln 2 for every t: each length-2 word has
@@ -510,36 +548,18 @@ class CfCollocation:
     decay = _rounded_down(math.log(2.0))
     pressure_method, dimension_method = CHEBYSHEV_COLLOCATION, COLLOCATION_NEWTON
 
-    def __init__(self, A, letters, nodes=COLLOCATION_NODES):
-        self.A, self.nodes = A, nodes
-        preds = _predecessors(A)
-        states = list(dict.fromkeys(preds))
-        size = len(states) * nodes
+    def __init__(self, lumping, letters, nodes=COLLOCATION_NODES):
+        self.lumping, self.nodes, self.size = lumping, nodes, len(lumping.members) * nodes
         guard = g.count_guard()
-        if size * size > guard:
+        if self.size * self.size > guard:
             raise ResourceGuardError(
-                f"collocation matrix of size {size} exceeds count guard of {guard}")
-        index = {p: k for k, p in enumerate(states)}
+                f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
-        self.state_of = np.array([index[p] for p in preds])
-        # members[s, a] = 1 when letter a is in predecessor set s: this is Q
-        self.members = np.zeros((len(states), len(preds)))
-        for row, p in zip(self.members, states):
-            row[list(p)] = 1.0
         self.mid_logs = np.log(self.letters + 0.5)  # of `_state_sizes`' weights
         self.to_coef = _values_to_coefficients(nodes)
         shifted = self.letters[:, None] + _chebyshev_nodes(nodes)
         self.log_weights = -2.0 * np.log(shifted)
         self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, nodes) @ self.to_coef
-        # The letters a in predecessor set s, grouped by the block (s, s(a))
-        # of L they add to: feeding[starts[k]:starts[k + 1]] for block k,
-        # which sits at (block_rows[k], block_cols[k]).
-        rows, feeding = np.nonzero(self.members)
-        keys = rows * len(states) + self.state_of[feeding]
-        order = np.argsort(keys, kind="stable")
-        self.feeding, keys = feeding[order], keys[order]
-        self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        self.block_rows, self.block_cols = np.divmod(keys[self.starts], len(states))
         # right vector of the last `_perron` call and the `_state_sizes` at
         # its t, from which the next call starts; the (root, tolerance) of
         # the last `dimension._component_roots` solve
@@ -548,31 +568,16 @@ class CfCollocation:
     @classmethod
     def of_component(cls, system, idx):
         """The collocation of `system` on the letters at the edge positions `idx`."""
-        ids = system.edge_ids
-        return cls(system.incidence_matrix[np.ix_(idx, idx)], [ids[k] for k in idx])
-
-    @property
-    def size(self) -> int:
-        return len(self.members) * self.nodes
-
-    def _blocks(self, per_letter):
-        """Sum per_letter[a] (one array per letter) into the block (s, s(a))
-        for every predecessor set s holding a: shape (states, states, ...)."""
-        states = len(self.members)
-        out = np.zeros((states, states) + per_letter.shape[1:])
-        out[self.block_rows, self.block_cols] = np.add.reduceat(
-            per_letter[self.feeding], self.starts, axis=0)
-        return out
+        idx, ids = list(idx), system.edge_ids
+        return cls(StateLumping(system.incidence_matrix[idx][:, idx]), [ids[k] for k in idx])
 
     def matrix(self, t, derivative=False):
         """L(t), and with `derivative` also L'(t)."""
         def assemble(scaled):
-            return self._blocks(scaled).transpose(0, 2, 1, 3).reshape(self.size, self.size)
+            return self.lumping.blocks(scaled).transpose(0, 2, 1, 3).reshape(self.size, self.size)
         scaled = self.kernel * np.exp(t * self.log_weights)[:, :, None]
         L = assemble(scaled)
-        if not derivative:
-            return L
-        return L, assemble(scaled * self.log_weights[:, :, None])
+        return (L, assemble(scaled * self.log_weights[:, :, None])) if derivative else L
 
     def _state_sizes(self, t, start=None):
         """x > 0, one entry per state: the Perron vector of the state matrix
@@ -588,7 +593,7 @@ class CfCollocation:
         entries of a start built from them err by factors spanning e^8.5,
         and of one built from these by e^1.6.
         """
-        S = self._blocks(np.exp(-2.0 * t * self.mid_logs))
+        S = self.lumping.blocks(np.exp(-2.0 * t * self.mid_logs))
         return collatz_wielandt(S, start)[2]
 
     def _perron(self, t, L):
@@ -615,8 +620,8 @@ class CfCollocation:
     def newton_start(self, tolerance) -> float:
         """Where Newton on this engine starts: the root that
         `dimension._component_root` finds on the COARSE_NODES collocation of
-        the same block, whose matrices have COARSE_NODES / `nodes` the size
-        of these.
+        the same block and lumping, whose matrices have COARSE_NODES /
+        `nodes` the size of these.
 
         The coarse engine's last right vector, interpolated onto this
         engine's nodes, becomes `right`, with the coarse state sizes as
@@ -626,12 +631,12 @@ class CfCollocation:
         Raises ConvergenceError when the interpolated vector is not positive.
         """
         from .dimension import _component_root  # dimension imports this module
-        coarse = CfCollocation(self.A, self.letters, COARSE_NODES)
+        coarse = CfCollocation(self.lumping, self.letters, COARSE_NODES)
         try:
             root, _ = _component_root(coarse.pressure_slope, tolerance)
         except ConvergenceError:
             return 0.0
-        coef = coarse.right.reshape(len(self.members), COARSE_NODES) @ coarse.to_coef.T
+        coef = coarse.right.reshape(-1, COARSE_NODES) @ coarse.to_coef.T
         grid = _chebyshev_vander(2.0 * _chebyshev_nodes(self.nodes) - 1.0, COARSE_NODES)
         right = (coef @ grid.T).ravel()
         if not right.min() > 0.0:
@@ -728,26 +733,26 @@ class CfCollocation:
         u, m, n, rho = UNIT_ROUNDOFF, self.nodes, PANEL_POINTS, PANEL_ELLIPSE
         (shifted, image, self_image, near, image_powers, self_powers,
          lebesgue, panel_to_coef, squares) = self._plan
-        states = len(self.members)
+        members, own = self.lumping.members, self.lumping.state_of
+        states = len(members)
         coef = v.reshape(states, m) @ self.to_coef.T
         size0 = np.abs(coef).sum(axis=1)                      # >= sup |g|
         size1 = 2.0 * np.abs(coef) @ np.arange(m) ** 2.0      # >= sup |g'|
         eval_err = u * (5.0 * size1 + 2.0 * m * size0)
-        own = self.state_of
 
         half = 0.5 / CERTIFICATE_PANELS
         weights = shifted ** (-2.0 * t)
         g_image_y = np.einsum("apk,ak->ap", image, coef[own])
         terms = weights * g_image_y
         g_y = (self_image @ coef.T).T
-        r = self.members @ terms - lam * g_y
+        r = members @ terms - lam * g_y
         letters = self.letters
         # rounding of the weights, products and sums; of g; and of the
         # points, which lie within 3u of the exact ones, times sup |r'|
-        arithmetic = (len(letters) + 8 + 2 * t) * u * (self.members @ np.abs(terms)
+        arithmetic = (len(letters) + 8 + 2 * t) * u * (members @ np.abs(terms)
                                                        + lam * np.abs(g_y))
-        evaluation = self.members @ (weights * eval_err[own][:, None]) + (lam * eval_err)[:, None]
-        drift = (self.members @ (2 * t * letters ** (-2 * t - 1) * size0[own]
+        evaluation = members @ (weights * eval_err[own][:, None]) + (lam * eval_err)[:, None]
+        drift = (members @ (2 * t * letters ** (-2 * t - 1) * size0[own]
                                  + letters ** (-2 * t - 2) * size1[own])
                  + lam * size1)
         slack = arithmetic + evaluation + 3 * u * drift[:, None] + u * np.abs(r)
@@ -755,7 +760,7 @@ class CfCollocation:
 
         g_image = (np.abs(coef[own])[:, None, :] * image_powers).sum(axis=2)
         g_self = (np.abs(coef)[:, None, :] * self_powers).sum(axis=2)
-        disk_max = self.members @ (near ** (-2 * t) * g_image) + lam * g_self
+        disk_max = members @ (near ** (-2 * t) * g_image) + lam * g_self
         sup_r = lebesgue * worst + 4 * disk_max * rho ** (1 - n) / (rho - 1)
 
         # g has degree m - 1 < n, so on each panel it is its own interpolant
@@ -831,21 +836,15 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
 
 
 def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
-    """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t).
-
-    P is the max over the cached `system.engines` of their certified
-    bounds, each engine starting from its vector of the previous call.
-    Similarity systems: P = ln rho(B(t)) is the max of ln rho(B_k(t)) over
-    the diagonal blocks of the components. In a topological order of
-    the components B(t) is block triangular, and the remaining diagonal
-    blocks are nilpotent, so the two agree; a dense eigenvalue solve of the
-    whole matrix would instead carry an error near sqrt(eps) when two linked
-    components have equal radius. Each block contributes the proved
-    Collatz-Wielandt bracket of `block_pressure`, about 1e-14 wide.
-    Continued-fraction truncations: the bounds on ln rho(L_t) of each
-    component from `CfCollocation.certified_pressure`.
-    A system with no cyclic component has P = -inf. `n_max` is accepted for
-    compatibility and affects neither family.
+    """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t): the max over the
+    cached `system.engines` of their `certified_pressure` bounds, each
+    engine starting from its vector of the previous call. In a topological
+    order of the components the transfer matrix is block triangular, with
+    nilpotent diagonal blocks off the components, so P is the max over
+    components; a dense eigen-solve of the whole matrix would err near
+    sqrt(eps) when two linked components have equal radius. A system with
+    no cyclic component has P = -inf. `n_max` is accepted for compatibility
+    and affects neither family.
     """
     if not (t >= 0 and math.isfinite(t)):
         raise InputError(f"t must be finite and >= 0, got {t!r}")
@@ -910,10 +909,10 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     sum to one at every level, and satisfy the refinement identity
     m([word]) = sum over admissible extensions of m([word e]). v is the
     Collatz-Wielandt vector of the system's one `engines` entry at h
-    (`PerronBlock.pressure_slope`), which raises ConvergenceError unless the
-    bracket of rho(B(h)) is positive and PERRON_WIDTH narrow;
-    pressure_tolerance bounds only |P(h)|. Raises InputError unless h is
-    finite and >= 0 and pressure_tolerance finite and > 0.
+    (`PerronBlock.pressure_slope`) read at each edge's state, `right[state_of]`;
+    it raises ConvergenceError unless the bracket of rho(B(h)) is positive
+    and PERRON_WIDTH narrow. pressure_tolerance bounds only |P(h)|. Raises
+    InputError unless h is finite and >= 0 and pressure_tolerance finite and > 0.
     """
     if not (0 <= h < math.inf and 0 < pressure_tolerance < math.inf):
         raise InputError(f"h must be finite and >= 0 and pressure_tolerance finite and > 0, "
@@ -929,7 +928,8 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
         raise DomainError(f"h={h} is not a pressure zero: ln rho(B(h)) = {p:.3g}")
 
     ids = system.edge_ids
-    v = block.right / block.right.sum()
+    v = block.right[block.lumping.state_of]
+    v = v / v.sum()
     weights = np.exp(h * system.log_norms) * v
     z = float(weights.sum())
     edge_masses = {e: float(weights[k] / z) for k, e in enumerate(ids)}

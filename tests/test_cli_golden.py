@@ -214,15 +214,15 @@ wall_time_s = *
 """, "", {
         'curve.csv': """\
 t,P_lower,P_upper,n_used
-0,0.69314718055994184,0.69314718055994884,0
+0,0.69314718055994184,0.69314718055994862,0
 0.5,0.14384103622588681,0.14384103622589409,0
 1,-0.40546510810816833,-0.40546510810816055,0
 """,
     }),
     'cantor-curve-stdout': (0, """\
 t,P_lower,P_upper,n_used
-0.25,0.41849410839291434,0.41849410839292156,0
-0.75,-0.13081203594114069,-0.13081203594113308,0
+0.25,0.41849410839291434,0.41849410839292134,0
+0.75,-0.13081203594114069,-0.1308120359411333,0
 command = curve
 spec = {d}/cantor.gdms
 spec_sha256 = 4e54a422f560d98a2c21bbafa4592d4a1bf8efe2906817ec4bfff21fdd6b30d1
@@ -554,8 +554,8 @@ wall_time_s = *
 command = sweep
 spec = {d}/cf-full.gdms
 spec_sha256 = 836d81be899378a6e14d2be86543a68e28a19c3e360f7fa8158be920e2e4cb64
-sup_h_lo = 0.78869555748315368
-final_interval = [0.78869555748315368, 1]
+sup_h_lo = 0.78869555748315379
+final_interval = [0.78869555748315379, 1]
 monotone = True
 irreducible[2] = True
 irreducible[4] = True
@@ -565,7 +565,7 @@ wall_time_s = *
         'sweep.csv': """\
 size,h_lo,h_hi
 2,0.53103050627720527,0.53153050627720522
-4,0.78869555748315368,0.78919555748315362
+4,0.78869555748315379,0.78919555748315373
 """,
     }),
     'cf-banded-props': (0, """\

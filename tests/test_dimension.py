@@ -222,7 +222,11 @@ class TestPerronNewton:
             block.pressure_slope(0.5)
 
     def test_nonpositive_left_perron_vector_is_refused(self, monkeypatch):
-        block = gk.full_shift([0.3, 0.4]).engines[0]
+        # the golden-mean block {a -> a, a -> b, b -> a} has two states, one
+        # per distinct successor set, so its Perron vectors have two entries
+        block = packed_system("golden", {"a": 0.3, "b": 0.4},
+                              {("a", "a"), ("a", "b"), ("b", "a")}).engines[0]
+        assert block.size == 2
         monkeypatch.setattr(thermo, "equilibrium_weights",
                             lambda B, v, upper: np.array([1.5, -0.5]))
         with pytest.raises(gk.ConvergenceError, match="not positive"):
@@ -237,12 +241,20 @@ class TestPerronNewton:
 
 @st.composite
 def _explicit_systems(draw):
+    """Packed one-vertex systems of 2 to 6 edges. Row i of the incidence
+    matrix repeats the successor set of row copies[i] when copies[i] < i,
+    so many systems have edges that share successor sets (fewer engine
+    states than edges)."""
     n = draw(st.integers(2, 6))
     ratios = draw(st.lists(st.floats(0.01, 0.4), min_size=n, max_size=n))
     scale = min(1.0, 0.95 / sum(ratios))
     flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    copies = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rows = []
+    for i in range(n):
+        rows.append(rows[copies[i]] if copies[i] < i else flags[i * n:(i + 1) * n])
     ids = [f"e{k}" for k in range(n)]
-    allowed = {(ids[i], ids[j]) for i in range(n) for j in range(n) if flags[i * n + j]}
+    allowed = {(ids[i], ids[j]) for i in range(n) for j in range(n) if rows[i][j]}
     return packed_system("hyp", {e: r * scale for e, r in zip(ids, ratios)}, allowed)
 
 
@@ -253,6 +265,101 @@ def test_bracket_contains_dense_bisection_root(system):
         assert gk.bowen_dimension(system).method == gd.EMPTY_LIMIT_SET
     else:
         _assert_certified(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_explicit_systems(), st.sampled_from([0.0, 0.3, 0.8, 1.5]))
+def test_lumped_engines_hold_the_dense_pressure_and_measure(system, t):
+    # each engine has one state per distinct successor set of its block,
+    # and its certified bracket holds ln rho of the dense block B(t) from
+    # eigvals, which is no proved bound: 1e-13 absorbs its rounding
+    A, log_r = system.incidence_matrix, system.log_norms
+    for engine, idx in zip(system.engines, system.component_positions):
+        block = A[np.ix_(idx, idx)]
+        assert engine.size == len({tuple(row) for row in block})
+        rho = max(abs(np.linalg.eigvals(block * np.exp(t * log_r[list(idx)]))))
+        lo, hi = engine.certified_pressure(t)
+        assert lo - 1e-13 <= math.log(rho) <= hi + 1e-13
+    if not system.irreducible:
+        return
+    # the measure's masses, expanded from the engine's states to the edges,
+    # sum to 1 and refine: m([a]) = sum over allowed b of m([ab])
+    h = gk.bowen_dimension(system, 1e-12).mid
+    measure = gk.conformal_cylinder_measure(system, h)
+    assert sum(measure.edge_masses.values()) == pytest.approx(1.0, abs=1e-12)
+    for a in system.edge_ids:
+        refined = sum(measure.word_mass(system, (a, b)) for b in system.edge_ids)
+        assert measure.edge_masses[a] == pytest.approx(refined, rel=1e-8)
+
+
+# a two-vertex graph-directed construction (Mauldin-Williams): the edges
+# that end at one vertex share a successor set, the edges leaving it, so the
+# engine has one state per vertex and works on the vertex matrix
+# [[0.4^t, 0.3^t], [0.5^t, 0.2^t]]
+TWO_VERTEX = """system two-vertex
+space p 0 1
+space q 0 1
+edge a p p similarity 0.4 0 1
+edge b p q similarity 0.3 0.5 1
+edge c q p similarity 0.5 0 1
+edge d q q similarity 0.2 0.6 1
+incidence full
+"""
+
+
+def _many_edge_spec(vertices=4, per_vertex=200):
+    """A vertex-determined system with `per_vertex` edges leaving each
+    vertex, edge j of vertex i landing on vertex (i + j) mod `vertices`;
+    the level-1 images are packed left to right inside [0, 1]."""
+    lines = ["system many-edges"] + [f"space v{i} 0 1" for i in range(vertices)]
+    for i in range(vertices):
+        cursor = 0.0
+        for j in range(per_vertex):
+            ratio = (0.9 - 0.1 * i) / per_vertex * (0.75 + (j % 5) / 8)
+            lines.append(f"edge e{i}_{j} v{i} v{(i + j) % vertices} similarity {ratio!r} "
+                         f"{cursor!r} 1")
+            cursor += ratio
+    return "\n".join(lines + ["incidence full"]) + "\n"
+
+
+def _vertex_matrix_root(system):
+    """The zero of rho(M(t)) - 1 by bisection with numpy eigvals, M(t)[i, j]
+    the sum of r_e^t over the edges e from vertex i to vertex j."""
+    vertices = system.graph.vertices
+    where = {v: k for k, v in enumerate(vertices)}
+    ratios = [(where[e.src], where[e.dst], system.family.map_for(e.id).ratio)
+              for e in system.graph.edges]
+
+    def rho(t):
+        M = np.zeros((len(vertices), len(vertices)))
+        for i, j, r in ratios:
+            M[i, j] += r ** t
+        return max(abs(np.linalg.eigvals(M)))
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rho(mid) >= 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestVertexDeterminedLumping:
+    @pytest.mark.parametrize("text,states", [(TWO_VERTEX, 2), (_many_edge_spec(), 4)])
+    def test_solves_are_vertex_sized(self, text, states, monkeypatch):
+        system, _ = gk.parse_spec(text)
+        assert [engine.size for engine in system.engines] == [states]
+        solves = _solve_counter(monkeypatch)
+        est = gk.bowen_dimension(system)
+        assert solves and max(solves) <= states
+        assert est.method == gd.PERRON_NEWTON
+        assert est.lo <= _vertex_matrix_root(system) <= est.hi
+        assert est.width <= 1e-10 / 2
+
+    def test_two_vertex_bracket_agrees_with_the_dense_engine(self):
+        # the dense 4 x 4 engine bracketed the same zero as
+        # [0.65023327589243407, 0.65023327594243396]
+        est = gk.bowen_dimension(gk.parse_spec(TWO_VERTEX)[0])
+        assert abs(est.lo - 0.65023327589243407) <= 1e-14
+        assert abs(est.hi - 0.65023327594243396) <= 1e-14
 
 
 class TestCfDimension:

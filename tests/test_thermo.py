@@ -146,6 +146,48 @@ class TestPerron:
             block.pressure_slope(0.5)
 
 
+class TestStateLumping:
+    def test_states_follow_first_occurrence(self):
+        # successor sets a -> {a, b}, b -> {c}, c -> {a, b}: lumping A^T
+        # gives states {a, b} (holding a and c) and {c} (holding b)
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        lumping = thermo.StateLumping(A.T)
+        assert lumping.state_of.tolist() == [0, 1, 0]
+        assert lumping.counts.tolist() == [2, 1]
+        assert lumping.members.tolist() == [[True, True, False], [False, False, True]]
+        weights = np.array([0.5, 0.25, 0.125])
+        M = lumping.blocks(weights)
+        assert M.tolist() == [[0.5, 0.25], [0.125, 0.0]]
+        B = A * weights
+        assert max(abs(np.linalg.eigvals(M))) == pytest.approx(
+            max(abs(np.linalg.eigvals(B))), rel=1e-14)
+        # B's right Perron vector is M's read at each edge's state
+        values, vectors = np.linalg.eig(M)
+        k = np.argmax(abs(values))
+        v = vectors[:, k].real[lumping.state_of]
+        assert B @ v == pytest.approx(values[k].real * v, rel=1e-12)
+
+    def test_trailing_axes_are_summed_per_block(self):
+        # three letters in one predecessor set: one block, summed in letter order
+        lumping = thermo.StateLumping(np.ones((3, 3)))
+        per_letter = np.arange(12.0).reshape(3, 2, 2)
+        assert lumping.blocks(per_letter).shape == (1, 1, 2, 2)
+        assert lumping.blocks(per_letter)[0, 0].tolist() == per_letter.sum(axis=0).tolist()
+        assert thermo.StateLumping(np.zeros((0, 0))).blocks(np.zeros(0)).shape == (0, 0)
+
+    def test_distinct_rows_give_the_dense_matrix_bit_for_bit(self):
+        # a block whose rows are all distinct has k = n, and M(t) and M'(t)
+        # are the dense B(t) = A o r^t and B o ln r entry for entry
+        system = _seeded_block()
+        engine = system.engines[0]
+        A, log_r = system.incidence_matrix, system.log_norms
+        assert engine.size == len(A)
+        for t in (0.0, 0.37, 1.4):
+            B = A * np.exp(t * log_r)
+            M, dM = engine.matrix(t, derivative=True)
+            assert np.array_equal(M, B) and np.array_equal(dM, B * log_r)
+
+
 @st.composite
 def _irreducible_matrices(draw):
     """Nonnegative n x n matrices made irreducible by the ring i -> i + 1,
@@ -466,24 +508,27 @@ class TestCfCollocation:
             return np.polynomial.chebyshev.chebval(2 * x - 1, coef[state])
 
         xs = np.linspace(0.0, 1.0, 101)
-        for state, members in enumerate(engine.members):
+        for state, members in enumerate(engine.lumping.members):
             image = sum(members[k] * (a + xs) ** (-2 * t)
-                        * g(engine.state_of[k], 1 / (a + xs))
+                        * g(engine.lumping.state_of[k], 1 / (a + xs))
                         for k, a in enumerate(engine.letters))
             assert np.all(np.abs(image - lam * g(state, xs)) <= s * g(state, xs))
 
-    def test_left_vector_may_be_negative(self):
+    def test_left_vector_may_be_negative(self, monkeypatch):
         # the left collocation vector is not a Perron vector, so the
-        # similarity solver refuses the matrix and the collocation checks
-        # only the overlap of the two vectors
+        # similarity engine refuses the matrix when it is handed it in place
+        # of its own M(t), and the collocation checks only the overlap of
+        # the two vectors
         engine = cf_sys(truncate=2).engines[0]
         L = engine.matrix(0.5)
         lam, upper, v = thermo.perron_root(L, 0.5)
         w = thermo.equilibrium_weights(L, v, upper) / v
         assert v.min() > 0 > w.min()
         assert w @ v == pytest.approx(1.0)
+        block = gk.full_shift([0.3, 0.4]).engines[0]
+        monkeypatch.setattr(block, "matrix", lambda t, derivative: engine.matrix(0.5, derivative))
         with pytest.raises(gk.ConvergenceError, match="left Perron vector"):
-            thermo.PerronBlock(L, np.zeros(len(L))).pressure_slope(0.0)
+            block.pressure_slope(0.5)
 
     def test_leading_vector_not_positive_is_refused(self):
         # rows that sum to 0 are a bracket that is not positive, not an
@@ -623,7 +668,7 @@ class TestNewtonStart:
 
     def test_row_sum_start_saves_solves_on_a_large_block(self, monkeypatch):
         system = _seeded_block()
-        assert len(system.engines) == 1 and len(system.engines[0].A) == 120
+        assert len(system.engines) == 1 and system.engines[0].size == 120
         solves = _solve_counter(monkeypatch)
         est = gk.bowen_dimension(system)
         # from t = 0 this block takes 4 Newton steps and 16 solves
