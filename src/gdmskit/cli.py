@@ -1,8 +1,8 @@
 """Command-line front end: parse a spec file, run one analysis, print a
 report and optionally emit CSV artifacts.
 
-Exit codes: 0 success, 2 spec or flag error, 3 analysis not applicable,
-4 resource guard tripped.
+Exit codes: 0 success, 2 spec or flag error, 3 analysis not applicable
+or not certified, 4 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import time
 from fractions import Fraction
 
 from . import dimension, graph, sampling, specfile, thermo
-from .errors import (DomainError, GdmsError, InputError, NotApplicableError,
-                     ResourceGuardError, SpecError, UnsupportedAnalysisError)
+from .errors import (ConvergenceError, DomainError, GdmsError, InputError,
+                     NotApplicableError, ResourceGuardError, SpecError,
+                     UnsupportedAnalysisError)
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
     except (SpecError, InputError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except ConvergenceError as exc:
+        print(f"not certified: {exc}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
     except (NotApplicableError, UnsupportedAnalysisError) as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE

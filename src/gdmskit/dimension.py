@@ -243,11 +243,12 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
     (the max over components of their certified brackets) from one
     evaluation at h and the least `decay` of the engines, or at an end
     itself, or refused (see `_certified_bracket`). `iterations` counts the
-    full-size Newton steps over all components (not those of a coarse
-    collocation). The method is MORAN_EXACT when the one cyclic component is
-    a similarity full shift: its bracket is then cross-checked against the
-    root of Moran's equation sum r_e^h = 1. `n_max` is accepted for
-    compatibility and does not affect the result.
+    full-size Newton steps over the components' distinct engines (not those
+    of a coarse collocation): components that share an engine
+    (`GdmsSystem.engines`) share its root. The method is MORAN_EXACT when
+    the one cyclic component is a similarity full shift: its bracket is then
+    cross-checked against the root of Moran's equation sum r_e^h = 1.
+    `n_max` is accepted for compatibility and does not affect the result.
     """
     blocks, roots = _component_roots(system, tolerance)
     return _certified_dimension(blocks, roots, tolerance)

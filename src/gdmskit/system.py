@@ -7,7 +7,7 @@ left infinite (integer labels) and truncated on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,10 +23,12 @@ class GdmsSystem:
     family and vertex spaces. Its views of the edge graph, from `edge_index`
     to `engines`, are `functools.cached_property`s, built on first use
     (or given to `store_matrix`) and not to be modified, except by the
-    `engines` themselves, which keep their last vectors and roots. So one
-    system object is not to be analysed from two threads at once. Every
+    `engines` themselves, which keep their last vectors and roots. Every
     derived system is a `dataclasses.replace` copy and starts with empty
-    caches.
+    caches, but a subsystem (`subsystem`, `restrict`, `prune`) keeps its
+    parent's `engine_pool`, so a block they share is one engine object.
+    So neither one system object nor two that share a pool are to be
+    analysed from two threads at once.
     An infinite system has no edge graph: `incidence_matrix` and
     `log_norms`, and so every view built on them, raise
     NotApplicableError."""
@@ -37,6 +39,9 @@ class GdmsSystem:
     family: object  # SimilarityFamily | MoebiusCfFamily
     spaces: dict    # vertex id -> VertexSpace
     infinite: bool = False
+    # pool key (see `engines`) -> pressure engine; `subsystem` passes it on,
+    # every other new system, a truncation too, starts an empty one
+    engine_pool: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.graph.vertices:
@@ -124,14 +129,31 @@ class GdmsSystem:
 
     @cached_property
     def engines(self):
-        """The family's `engine_type` built `of_component` for each of
-        `component_positions`, in their order. Each engine offers
-        `pressure_slope(t)`, `certified_pressure(t)`, `newton_start(tolerance)`,
-        `decay` (a proved lower bound on -P') and its methods' names. It keeps
-        its last vectors and roots, so every analysis of this system object
-        starts from the work of the ones before it."""
-        build = self.family.engine_type.of_component
-        return tuple(build(self, idx) for idx in self.component_positions)
+        """The family's `engine_type` built `of_block` for each of
+        `component_positions`, in their order, from the component's boolean
+        block of `incidence_matrix` and its `letter_values`. Each engine
+        offers `pressure_slope(t)`, `certified_pressure(t)`,
+        `newton_start(tolerance)`, `decay` (a proved lower bound on -P') and
+        its methods' names. It keeps its last vectors and roots, so every
+        analysis starts from the work of the ones before it.
+
+        An engine depends on nothing but its block and letter values, so
+        it is looked up in `engine_pool` by the key (engine type, size,
+        packed block, bytes of the values), equal only for blocks equal
+        entry for entry in position order: components that are copies of
+        one block get one engine, and a subsystem cut from this system gets
+        the engines its components already have here."""
+        engine_type = self.family.engine_type
+        pattern = self.incidence_matrix != 0
+        engines = []
+        for idx in map(list, self.component_positions):
+            block = pattern[idx][:, idx]
+            values = engine_type.letter_values(self, idx)
+            key = (engine_type, len(idx), np.packbits(block).tobytes(), values.tobytes())
+            if key not in self.engine_pool:
+                self.engine_pool[key] = engine_type.of_block(block, values)
+            engines.append(self.engine_pool[key])
+        return tuple(engines)
 
     @property
     def irreducible(self) -> bool:
@@ -142,24 +164,32 @@ class GdmsSystem:
 
     def restrict(self, edge_ids) -> "GdmsSystem":
         """Subsystem on the given edges, kept in this system's edge order
-        (see `subsystem`)."""
-        wanted = set(edge_ids)
-        return self.subsystem([k for k, e in enumerate(self.graph.edges) if e.id in wanted])
+        (see `subsystem`). Raises InputError for an id that is not an edge
+        of this system."""
+        index, wanted = self.edge_index, set()
+        for e in edge_ids:
+            if e not in index:
+                raise InputError(f"unknown edge id {e!r}")
+            wanted.add(index[e])
+        return self.subsystem(sorted(wanted))
 
     def subsystem(self, idx) -> "GdmsSystem":
         """Subsystem on the edges at the ascending positions `idx`.
 
         A finite subsystem slices this system's incidence matrix at those
-        positions instead of rebuilding it.
+        positions instead of rebuilding it, and shares its `engine_pool`.
         """
         edges = tuple(self.graph.edges[k] for k in idx)
         sub = replace(self, graph=g.MultiGraph(self.graph.vertices, edges))
+        sub.engine_pool = self.engine_pool
         if not self.infinite:
             sub.store_matrix(self.incidence_matrix[np.ix_(idx, idx)])
         return sub
 
     def truncate(self, size: int) -> "GdmsSystem":
-        """Finite head {1..size} of an infinite integer-labelled family.
+        """Finite head {1..size} of an infinite integer-labelled family,
+        with an empty `engine_pool`: heads of different sizes share no
+        block, and a sweep should not keep every head's engines alive.
         Raises InputError unless size is an integer (`graph.as_integer`)
         and >= 1."""
         if not self.infinite:

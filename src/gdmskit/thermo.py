@@ -239,18 +239,19 @@ def ruelle_slope(B, dB, v, lam, upper):
 
 
 class StateLumping:
-    """The letters of a square matrix X grouped into states by their
-    predecessor sets (the nonzero rows of their columns), numbered in order
-    of first occurrence. An operator whose image at c sums a term T_a on the
-    unknown of a's state over the predecessors a of c depends on c only
-    through its state, so its matrix has one block row and column per state,
-    block (s, s(a)) summing T_a over a in s (`blocks`). X is A for a
+    """The letters of a square matrix X, boolean or 0/1, grouped into
+    states by their predecessor sets (the nonzero rows of their columns),
+    numbered in order of first occurrence. An operator whose image at c
+    sums a term T_a on the unknown of a's state over the predecessors a of
+    c depends on c only through its state, so its matrix has one block row
+    and column per state, block (s, s(a)) summing T_a over a in s
+    (`blocks`). X is A for a
     continued-fraction collocation and A^T, whose predecessor sets are A's
     successor sets, for a similarity block, where k <= V under a
     vertex-determined incidence (`incidence full`)."""
 
     def __init__(self, X):
-        index, pattern = {}, np.ascontiguousarray(X.T != 0)
+        index, pattern = {}, np.ascontiguousarray(X.T, dtype=bool)
         packed = np.packbits(pattern, axis=1)
         sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
         self.state_of = np.array([index.setdefault(p, len(index)) for p in sets], dtype=np.intp)
@@ -307,11 +308,15 @@ class PerronBlock:
         self.size = len(self.lumping.members)
         self.right = self.root = None
 
+    @staticmethod
+    def letter_values(system, idx):
+        """The vector the block reads per letter: `log_norms` at `idx`."""
+        return system.log_norms[idx]
+
     @classmethod
-    def of_component(cls, system, idx):
-        """The block of `system` at the edge positions `idx`."""
-        idx = list(idx)
-        return cls(system.incidence_matrix[idx][:, idx], system.log_norms[idx])
+    def of_block(cls, block, log_norms):
+        """The engine of the boolean incidence block `block`."""
+        return cls(block, log_norms)
 
     @property
     def decay(self) -> float:
@@ -565,11 +570,17 @@ class CfCollocation:
         # the last `dimension._component_roots` solve
         self.right = self.sizes = self.root = None
 
+    @staticmethod
+    def letter_values(system, idx):
+        """The vector the collocation reads per letter: the letters, the
+        edge ids at `idx`, as floats."""
+        ids = system.edge_ids
+        return np.array([ids[k] for k in idx], dtype=float)
+
     @classmethod
-    def of_component(cls, system, idx):
-        """The collocation of `system` on the letters at the edge positions `idx`."""
-        idx, ids = list(idx), system.edge_ids
-        return cls(StateLumping(system.incidence_matrix[idx][:, idx]), [ids[k] for k in idx])
+    def of_block(cls, block, letters):
+        """The collocation on `letters` under the boolean incidence block `block`."""
+        return cls(StateLumping(block), letters)
 
     def matrix(self, t, derivative=False):
         """L(t), and with `derivative` also L'(t)."""
@@ -783,8 +794,9 @@ class CfCollocation:
 def certified_bounds(blocks, t):
     """(P_lower, P_upper) of a system from the pressure engines `blocks` of
     its components: the max over them of their `certified_pressure(t)`
-    ends, -inf for none."""
-    bounds = [block.certified_pressure(t) for block in blocks]
+    ends, -inf for none. An engine that serves several components (see
+    `GdmsSystem.engines`) is evaluated once."""
+    bounds = [block.certified_pressure(t) for block in dict.fromkeys(blocks)]
     return (max((lo for lo, _ in bounds), default=-math.inf),
             max((hi for _, hi in bounds), default=-math.inf))
 

@@ -140,6 +140,17 @@ def test_dim_at_a_tolerance_below_the_double_spacing_exits_3(tmp_path, text):
     assert "tolerance 5e-324 is below the spacing of doubles" in done.stderr
 
 
+def test_a_bracket_that_cannot_be_certified_is_reported_as_such(capsys, tmp_path):
+    # a ConvergenceError is a refusal of the certificate, not of the system
+    spec = tmp_path / "cf2.gdms"
+    spec.write_text(CF_FULL2)
+    code, out, err = run(capsys, "dim", str(spec), "--tol", "1e-13")
+    assert code == cli.EXIT_NOT_APPLICABLE
+    assert out == ""
+    assert err.startswith("not certified: pressure bounds at t = ")
+    assert "cannot certify a bracket of width 5e-14" in err
+
+
 def test_no_eigenvalue_solver_runs(monkeypatch):
     # both pressure engines find their eigenpairs by shifted linear solves
     def refuse(*args, **kwargs):

@@ -827,11 +827,15 @@ def _solve_counter(monkeypatch, size=None):
 
 class TestEngineCache:
     def test_engines_are_built_once_per_system(self):
+        # the tuple is cached per system object; the engines in it are
+        # pooled, so a subsystem on the same edges lists the same objects
         sys = two_component_system(linked=True)
         assert sys.engines is sys.engines
         gk.bowen_dimension(sys)
         assert all(block.root is not None for block in sys.engines)
-        assert sys.restrict(sys.edge_ids).engines is not sys.engines
+        sub = sys.restrict(sys.edge_ids)
+        assert sub.engines is not sys.engines
+        assert all(a is b for a, b in zip(sub.engines, sys.engines))
 
     def test_classify_after_dimension_reuses_the_roots(self, monkeypatch):
         fresh = gk.classify_hausdorff_measure(mirrored_blocks_system())
@@ -881,6 +885,80 @@ class TestEngineCache:
         assert len(solves) <= cold
         assert (warm.lower, warm.upper) == (fresh.lower, fresh.upper)
         assert warm.lower <= log_rho(sys) <= warm.upper
+
+
+def _mirrored_ids(block):
+    return tuple(f"{block}{i}" for i in (1, 2, 3))
+
+
+class TestEnginePool:
+    # an engine depends only on its 0/1 block and its per-letter vector, so
+    # equal blocks share one engine, within a system and with the
+    # subsystems cut from it
+
+    def test_mirrored_components_share_one_engine(self):
+        sys = mirrored_blocks_system()
+        assert len(sys.engines) == 2 and sys.engines[0] is sys.engines[1]
+        # the second component reuses the first one's root: Newton runs once
+        alone = mirrored_blocks_system().restrict(_mirrored_ids("a"))
+        assert gk.bowen_dimension(sys).iterations == gk.bowen_dimension(alone).iterations == 4
+
+    def test_brackets_are_those_of_one_engine_per_component(self):
+        # hex values of the brackets when each component had its own engine
+        est = gk.bowen_dimension(mirrored_blocks_system())
+        assert (est.lo.hex(), est.hi.hex()) == ("0x1.546f346423f22p-2", "0x1.546f3464ffd91p-2")
+        res = gk.classify_hausdorff_measure(mirrored_blocks_system())
+        assert (res.dimension.lo.hex(), res.dimension.hi.hex()) == ("0x1.546f34604662ap-2",
+                                                                    "0x1.546f3468dd689p-2")
+        assert (res.verdict, res.maximal_components) == (gd.INFINITE_H_MEASURE, (0, 1))
+        assert res.dimension.iterations == 3
+
+    def test_restricted_component_reuses_the_parent_engine(self):
+        sys = mirrored_blocks_system()
+        h = gk.bowen_dimension(sys, 1e-12).mid
+        core = sys.restrict(_mirrored_ids("b"))
+        assert core.engines[0] is sys.engines[1]
+        fresh = mirrored_blocks_system().restrict(_mirrored_ids("b"))
+        assert fresh.engines[0] is not sys.engines[1]
+        warm, cold = (gk.conformal_cylinder_measure(s, h) for s in (core, fresh))
+        for eid in core.edge_ids:
+            assert warm.edge_masses[eid] == pytest.approx(cold.edge_masses[eid], abs=1e-12)
+
+    def test_truncations_share_no_engine(self):
+        infinite = cf_sys()
+        heads = [infinite.truncate(size) for size in (2, 2, 3)]
+        assert len({id(head.engines[0]) for head in heads}) == 3
+        assert all(head.engine_pool is not infinite.engine_pool for head in heads)
+
+    def test_certified_bounds_evaluates_each_engine_once(self, monkeypatch):
+        sys = mirrored_blocks_system()
+        calls = []
+        certified = thermo.PerronBlock.certified_pressure
+
+        def counted(block, t):
+            calls.append(block)
+            return certified(block, t)
+        monkeypatch.setattr(thermo.PerronBlock, "certified_pressure", counted)
+        gk.pressure(sys, 0.5)
+        assert calls == [sys.engines[0]]
+        thermo.certified_bounds(sys.engines, 0.7)
+        assert calls == [sys.engines[0]] * 2
+
+    @pytest.mark.parametrize("eid,ratio,shared", [
+        ("b3", math.nextafter(0.08, 1.0), False),
+        # ln r, the engine's input, rounds to the same double: one engine
+        ("b2", math.nextafter(0.12, 1.0), True)])
+    def test_a_ratio_one_ulp_away(self, eid, ratio, shared):
+        pattern = [(1, 2), (2, 3), (3, 1), (1, 1), (2, 1)]
+        allowed = {(f"{k}{i}", f"{k}{j}") for k in "ab" for i, j in pattern}
+        allowed.add(("a3", "b1"))
+        ratios = {f"{k}{i}": r for i, r in zip((1, 2, 3), (0.2, 0.12, 0.08)) for k in "ab"}
+        ratios[eid] = ratio
+        sys = packed_system("nudged", ratios, allowed)
+        a, b = (sys.log_norms[list(idx)] for idx in sys.component_positions)
+        assert np.array_equal(a, b) == shared
+        assert len(sys.engines) == 2 and (sys.engines[0] is sys.engines[1]) == shared
+        assert len(sys.engine_pool) == (1 if shared else 2)
 
 
 # (kind, ratios) of systems whose dimension has an oracle: similarity full

@@ -114,6 +114,16 @@ class TestTransferMatrix:
         assert sub.edge_index == {"c": 0, "d": 1}
         assert sub.incidence_matrix.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
+    def test_restrict_refuses_an_unknown_edge_id(self):
+        # an unknown id is an input error, as in `is_admissible`, not an
+        # edge to leave out: the empty subsystem would have dimension 0
+        sys = gk.full_shift([1 / 3, 1 / 3])
+        with pytest.raises(gk.InputError, match="unknown edge id 'nope'"):
+            sys.restrict(["nope"])
+        with pytest.raises(gk.InputError, match="unknown edge id 'nope'"):
+            sys.restrict(["e1", "nope"])
+        assert sys.restrict(["e2", "e1"]).edge_ids == ("e1", "e2")
+
     def test_index_is_dropped_by_truncate(self):
         sys = cf_sys()
         assert sys.truncate(3).incidence_matrix.shape == (3, 3)
@@ -622,8 +632,9 @@ def test_row_sum_start_keeps_the_bracket(seed):
     tolerance = 1e-10
     assert all(0.0 <= block.newton_start(tolerance) <= 1.0 for block in system.engines)
     est = gk.bowen_dimension(system, tolerance)
-    # the same blocks, solved by Newton from t = 0
-    cold = system.restrict(system.edge_ids).engines
+    # the same blocks on a fresh system, whose engine pool is empty, solved
+    # by Newton from t = 0
+    cold = random_packed_system(random.Random(seed)).engines
     roots = [gd._component_root(block.pressure_slope, tolerance) for block in cold]
     est0 = gd._certified_dimension(cold, roots, tolerance)
     assert est.lo <= _reference_root(_dense_pressure(system)) <= est.hi
