@@ -7,9 +7,10 @@ safeguarded Newton steps with Ruelle's derivative: on the pressure
 ln rho(B(t)) of a similarity system from the root of its row-sum model
 (`thermo.PerronBlock.newton_start`), or on the Chebyshev
 collocation of the transfer operator of a continued-fraction system from
-the root of a coarser collocation. Both bracket ends are then certified by
-one evaluation of the proved pressure bounds at the root and each engine's
-proved lower bound on -P'.
+the root of a coarser collocation. Each distinct engine then certifies the
+bracket around its root once, from its own proved pressure bounds and
+lower bound on -P', and the system's bracket is [max lo, max hi] of its
+components' brackets.
 """
 
 from __future__ import annotations
@@ -197,78 +198,77 @@ def _engine_root(block, tolerance):
     return root, steps
 
 
-def _component_roots(system, tolerance):
-    """The cached `system.engines` and the (root, Newton steps) of each
-    (`_engine_root`), the steps counting only those this call made on the
-    engine itself."""
+def _component_estimates(system, tolerance):
+    """A DimensionEstimate per component: every engine's root first
+    (`_engine_root`), then one `_certified_bracket` per distinct engine at
+    its root from its own bounds and `decay`. `iterations` counts the
+    component's own `_engine_root` steps, so components that share an
+    engine count them once. A similarity full shift (a PerronBlock with one
+    state holding every edge) is cross-checked against the Moran root, the
+    zero of `_full_shift_pressure`, and takes method MORAN_EXACT."""
     _check_tolerance(tolerance)
     blocks = system.engines
-    return blocks, [_engine_root(block, tolerance) for block in blocks]
+    roots = [_engine_root(block, tolerance) for block in blocks]
+    certified = {}
+    for block, (root, _) in dict(zip(blocks, roots)).items():
+        lo, hi = _certified_bracket(block.certified_pressure, root, tolerance, block.decay)
+        method = block.dimension_method
+        if method == PERRON_NEWTON and block.lumping.members.all():
+            moran, _ = _component_root(
+                lambda t: _full_shift_pressure(block.log_norms, t), tolerance)
+            if not (lo - tolerance <= moran <= hi + tolerance):
+                raise ConvergenceError(f"Perron-Newton bracket [{lo}, {hi}] disagrees "
+                                       f"with the Moran root {moran}")
+            method = MORAN_EXACT
+        certified[block] = lo, hi, method
+    return tuple(DimensionEstimate(*certified[block], steps)
+                 for block, (_, steps) in zip(blocks, roots))
 
 
-def _certified_dimension(blocks, roots, tolerance):
-    """Certify the largest of `roots`, those of the pressure engines
-    `blocks`: the pressure bounds are the max over blocks of their certified
-    brackets, and the least `decay` of the blocks bounds -P' of that max.
-    The method is the blocks' `dimension_method`, or MORAN_EXACT when they
-    make a similarity full shift (one `thermo.PerronBlock` with one state
-    holding every edge), whose bracket is cross-checked against the Moran
-    root, the zero of `_full_shift_pressure`."""
-    if not blocks:
+def _combined(estimates, method):
+    """[max lo, max hi] of the component `estimates`: P is the max of the
+    decreasing component pressures, so both ends are proved, and the bracket
+    is no wider than the one whose hi it takes. The method is the lone
+    component's own, else `method`, and `iterations` is their sum."""
+    if len(estimates) == 1:
+        return estimates[0]
+    if not estimates:
         return DimensionEstimate(0.0, 0.0, EMPTY_LIMIT_SET)
-
-    lo, hi = _certified_bracket(lambda t: thermo.certified_bounds(blocks, t),
-                                max(root for root, _ in roots), tolerance,
-                                min(block.decay for block in blocks))
-    method = blocks[0].dimension_method
-    if method == PERRON_NEWTON and len(blocks) == 1 and blocks[0].lumping.members.all():
-        moran, _ = _component_root(
-            lambda t: _full_shift_pressure(blocks[0].log_norms, t), tolerance)
-        if not (lo - tolerance <= moran <= hi + tolerance):
-            raise ConvergenceError(
-                f"Perron-Newton bracket [{lo}, {hi}] disagrees with the Moran "
-                f"root {moran}")
-        method = MORAN_EXACT
-    return DimensionEstimate(lo, hi, method, sum(steps for _, steps in roots))
+    return DimensionEstimate(max(e.lo for e in estimates), max(e.hi for e in estimates),
+                             method, sum(e.iterations for e in estimates))
 
 
 def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
                     n_max: int = 14) -> DimensionEstimate:
     """Bracket HD(J) = inf{t : P(t) < 0} for a finite system.
 
-    h is the largest component root (Perron-Newton for similarities,
-    collocation-Newton for continued fractions, each from its engine's
-    `newton_start`). The bracket [h - tolerance/4, h + tolerance/4], of
-    width at most tolerance / 2, is certified by the system pressure bounds
-    (the max over components of their certified brackets) from one
-    evaluation at h and the least `decay` of the engines, or at an end
-    itself, or refused (see `_certified_bracket`). `iterations` counts the
-    full-size Newton steps over the components' distinct engines (not those
-    of a coarse collocation): components that share an engine
-    (`GdmsSystem.engines`) share its root. The method is MORAN_EXACT when
-    the one cyclic component is a similarity full shift: its bracket is then
-    cross-checked against the root of Moran's equation sum r_e^h = 1.
-    `n_max` is accepted for compatibility and does not affect the result.
+    HD(J) is the largest component root, so the bracket, of width at most
+    tolerance / 2, combines the component brackets (`_combined`). Each is
+    [h - tolerance/4, h + tolerance/4] around its engine's root h (from
+    Perron-Newton for similarities, collocation-Newton for continued
+    fractions), certified once per distinct engine or refused (see
+    `_certified_bracket`): a component that cannot certify its bracket
+    refuses the system's, largest root or not. `iterations` counts the
+    full-size Newton steps over the distinct engines (`GdmsSystem.engines`).
+    The method is MORAN_EXACT when the one cyclic component is a similarity
+    full shift, whose bracket is cross-checked against the root of Moran's
+    equation sum r_e^h = 1. `n_max` is accepted for compatibility and does
+    not affect the result.
     """
-    blocks, roots = _component_roots(system, tolerance)
-    return _certified_dimension(blocks, roots, tolerance)
+    return _combined(_component_estimates(system, tolerance),
+                     system.family.engine_type.dimension_method)
 
 
 def component_dimensions(system: GdmsSystem, tolerance: float = 1e-10) -> ComponentDimensionReport:
     """Per-component Bowen dimensions plus the whole-system value.
 
-    The overall dimension must equal the maximum over strongly connected
-    components (isolated edges only contribute a geometrically decaying tail).
-    Each component root is found once; a component's bracket is certified
-    by its own block, the overall one by all blocks, as in `bowen_dimension`.
-    A component, or the whole system, is cross-checked as a full shift
-    when its blocks are one full-shift block: a system whose only cyclic
-    component is a full shift reports MORAN_EXACT overall too.
+    The overall dimension is the maximum over strongly connected components
+    (isolated edges only contribute a geometrically decaying tail), so
+    `overall` combines the component `estimates` as `bowen_dimension` does,
+    with no certificate of its own.
     """
-    blocks, roots = _component_roots(system, tolerance)
-    estimates = tuple(_certified_dimension([block], [root], tolerance)
-                      for block, root in zip(blocks, roots))
-    overall = _certified_dimension(blocks, roots, tolerance)
+    estimates = _component_estimates(system, tolerance)
+    overall = _combined(estimates, system.family.engine_type.dimension_method)
     max_est = max(estimates, key=lambda e: e.mid, default=overall)
     return ComponentDimensionReport(system.components, estimates, overall, max_est,
                                     abs(overall.mid - max_est.mid))

@@ -298,7 +298,7 @@ class PerronBlock:
     Newton steps and the end certificate move t little, and near h that
     vector certifies the new t after about one solve. `root` is the
     (root, tolerance) of the last Newton solve that
-    `dimension._component_roots` ran on this engine, or None.
+    `dimension._component_estimates` ran on this engine, or None.
     """
 
     pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
@@ -567,7 +567,7 @@ class CfCollocation:
         self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, nodes) @ self.to_coef
         # right vector of the last `_perron` call and the `_state_sizes` at
         # its t, from which the next call starts; the (root, tolerance) of
-        # the last `dimension._component_roots` solve
+        # the last `dimension._component_estimates` solve
         self.right = self.sizes = self.root = None
 
     @staticmethod
@@ -791,16 +791,6 @@ class CfCollocation:
         return bound
 
 
-def certified_bounds(blocks, t):
-    """(P_lower, P_upper) of a system from the pressure engines `blocks` of
-    its components: the max over them of their `certified_pressure(t)`
-    ends, -inf for none. An engine that serves several components (see
-    `GdmsSystem.engines`) is evaluated once."""
-    bounds = [block.certified_pressure(t) for block in dict.fromkeys(blocks)]
-    return (max((lo for lo, _ in bounds), default=-math.inf),
-            max((hi for _, hi in bounds), default=-math.inf))
-
-
 # -- operations --------------------------------------------------------------
 
 def partition_sum(system: GdmsSystem, n: int, t: float) -> PartitionSum:
@@ -850,13 +840,13 @@ def partition_sums(system: GdmsSystem, ns, t: float) -> list:
 def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
     """Rigorous bracket for P(t) = lim (1/n) ln Z_n(t): the max over the
     cached `system.engines` of their `certified_pressure` bounds, each
-    engine starting from its vector of the previous call. In a topological
-    order of the components the transfer matrix is block triangular, with
-    nilpotent diagonal blocks off the components, so P is the max over
-    components; a dense eigen-solve of the whole matrix would err near
-    sqrt(eps) when two linked components have equal radius. A system with
-    no cyclic component has P = -inf. `n_max` is accepted for compatibility
-    and affects neither family.
+    distinct engine evaluated once, from its vector of the previous call.
+    In a topological order of the components the transfer matrix is block
+    triangular, with nilpotent diagonal blocks off the components, so P is
+    the max over components; a dense eigen-solve of the whole matrix would
+    err near sqrt(eps) when two linked components have equal radius. A
+    system with no cyclic component has P = -inf. `n_max` is accepted for
+    compatibility and affects neither family.
     """
     if not (t >= 0 and math.isfinite(t)):
         raise InputError(f"t must be finite and >= 0, got {t!r}")
@@ -866,8 +856,10 @@ def pressure(system: GdmsSystem, t: float, n_max: int = 14) -> PressureEstimate:
         raise UnsupportedAnalysisError(
             "pressure of an infinite system needs a truncation sweep")
 
-    lower, upper = certified_bounds(system.engines, t)
-    return PressureEstimate(t, lower, upper, 0, system.family.engine_type.pressure_method)
+    bounds = [block.certified_pressure(t) for block in dict.fromkeys(system.engines)]
+    return PressureEstimate(t, max((lo for lo, _ in bounds), default=-math.inf),
+                            max((hi for _, hi in bounds), default=-math.inf), 0,
+                            system.family.engine_type.pressure_method)
 
 
 def finiteness_parameters(system: GdmsSystem, n_list=(1, 2, 3)) -> FinitenessReport:

@@ -140,6 +140,40 @@ def test_dim_at_a_tolerance_below_the_double_spacing_exits_3(tmp_path, text):
     assert "tolerance 5e-324 is below the spacing of doubles" in done.stderr
 
 
+# a self-loop e0 of ratio near 1, whose component has dimension 0, beside a
+# three-edge block of dimension 0.3352 that e0 does not reach
+LOOP_AND_BLOCK = """\
+system loop-and-block
+space v 0 1
+edge e0 v v similarity 0.7784269484468122 0 1
+edge e1 v v similarity 0.062000995724464644 0.7784269484468122 1
+edge e2 v v similarity 0.08432037185959228 0.8404279441712768 1
+edge e3 v v similarity 0.05984012338281496 0.924748316030869 1
+incidence explicit
+""" + "".join(f"allow {a} {b}\n" for a, b in (
+    ("e0", "e0"), ("e1", "e0"), ("e1", "e1"), ("e1", "e2"), ("e2", "e1"),
+    ("e2", "e2"), ("e2", "e3"), ("e3", "e0"), ("e3", "e1"), ("e3", "e2")))
+
+
+def test_a_component_that_cannot_certify_its_bracket_refuses_the_dimension(capsys, tmp_path):
+    # the system's bracket is the max of the component brackets, so each
+    # must be proved: at 1e-14 the loop's P(5e-15) = 5e-15 ln r is below
+    # the slack of its bounds, though the maximal block alone certifies
+    spec = tmp_path / "loop.gdms"
+    spec.write_text(LOOP_AND_BLOCK)
+    system = specfile.parse_spec(LOOP_AND_BLOCK)[0]
+    block = gk.bowen_dimension(system.restrict(["e1", "e2", "e3"]), 1e-14)
+    assert block.width <= 5e-15
+    with pytest.raises(gk.ConvergenceError, match="at t = 5e-15"):
+        gk.component_dimensions(specfile.parse_spec(LOOP_AND_BLOCK)[0], 1e-14)
+    code, out, err = run(capsys, "dim", str(spec), "--tol", "1e-14")
+    assert (code, out) == (cli.EXIT_NOT_APPLICABLE, "")
+    assert err.startswith("not certified: pressure bounds at t = 5e-15 hold 0")
+    code, out, _ = run(capsys, "dim", str(spec), "--tol", "1e-13")
+    assert code == cli.EXIT_OK
+    assert float(grab(out, "h_lo")) <= block.mid <= float(grab(out, "h_hi"))
+
+
 def test_a_bracket_that_cannot_be_certified_is_reported_as_such(capsys, tmp_path):
     # a ConvergenceError is a refusal of the certificate, not of the system
     spec = tmp_path / "cf2.gdms"

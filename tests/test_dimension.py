@@ -240,11 +240,11 @@ class TestPerronNewton:
 
 
 @st.composite
-def _explicit_systems(draw):
-    """Packed one-vertex systems of 2 to 6 edges. Row i of the incidence
-    matrix repeats the successor set of row copies[i] when copies[i] < i,
-    so many systems have edges that share successor sets (fewer engine
-    states than edges)."""
+def _explicit_specs(draw):
+    """`packed_system` arguments of one-vertex systems of 2 to 6 edges. Row
+    i of the incidence matrix repeats the successor set of row copies[i]
+    when copies[i] < i, so many systems have edges that share successor
+    sets (fewer engine states than edges)."""
     n = draw(st.integers(2, 6))
     ratios = draw(st.lists(st.floats(0.01, 0.4), min_size=n, max_size=n))
     scale = min(1.0, 0.95 / sum(ratios))
@@ -255,7 +255,11 @@ def _explicit_systems(draw):
         rows.append(rows[copies[i]] if copies[i] < i else flags[i * n:(i + 1) * n])
     ids = [f"e{k}" for k in range(n)]
     allowed = {(ids[i], ids[j]) for i in range(n) for j in range(n) if rows[i][j]}
-    return packed_system("hyp", {e: r * scale for e, r in zip(ids, ratios)}, allowed)
+    return "hyp", {e: r * scale for e, r in zip(ids, ratios)}, allowed
+
+
+def _explicit_systems():
+    return _explicit_specs().map(lambda spec: packed_system(*spec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,6 +269,24 @@ def test_bracket_contains_dense_bisection_root(system):
         assert gk.bowen_dimension(system).method == gd.EMPTY_LIMIT_SET
     else:
         _assert_certified(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_explicit_specs(), st.sampled_from([1e-4, 1e-7, 1e-10, 1e-12]))
+def test_system_bracket_is_the_max_of_the_component_brackets(spec, tolerance):
+    # HD(J) is the largest component root, so [max lo, max hi] of proved
+    # component brackets is proved; each call runs on a fresh system
+    system = packed_system(*spec)
+    est = gk.bowen_dimension(system, tolerance)
+    report = gk.component_dimensions(packed_system(*spec), tolerance)
+    assert report.overall == est
+    assert est.width <= tolerance / 2
+    if not report.estimates:
+        assert est.method == gd.EMPTY_LIMIT_SET
+        return
+    assert (est.lo, est.hi) == (max(e.lo for e in report.estimates),
+                                max(e.hi for e in report.estimates))
+    assert est.lo <= _reference_root(_dense_pressure(system)) <= est.hi
 
 
 @settings(max_examples=60, deadline=None)
@@ -533,12 +555,12 @@ class TestFixedEnds:
     @staticmethod
     def _recorded_bounds(monkeypatch):
         calls = []
-        certified_bounds = thermo.certified_bounds
+        certified_pressure = thermo.CfCollocation.certified_pressure
 
-        def recorded(blocks, t):
+        def recorded(engine, t):
             calls.append(t)
-            return certified_bounds(blocks, t)
-        monkeypatch.setattr(thermo, "certified_bounds", recorded)
+            return certified_pressure(engine, t)
+        monkeypatch.setattr(thermo.CfCollocation, "certified_pressure", recorded)
         return calls
 
     @pytest.mark.parametrize("kind, size, tolerance", [(gg.FULL, 2, 3e-13),
@@ -930,8 +952,8 @@ class TestEnginePool:
         assert len({id(head.engines[0]) for head in heads}) == 3
         assert all(head.engine_pool is not infinite.engine_pool for head in heads)
 
-    def test_certified_bounds_evaluates_each_engine_once(self, monkeypatch):
-        sys = mirrored_blocks_system()
+    @staticmethod
+    def _counted_certificates(monkeypatch):
         calls = []
         certified = thermo.PerronBlock.certified_pressure
 
@@ -939,10 +961,31 @@ class TestEnginePool:
             calls.append(block)
             return certified(block, t)
         monkeypatch.setattr(thermo.PerronBlock, "certified_pressure", counted)
+        return calls
+
+    def test_pressure_evaluates_each_engine_once(self, monkeypatch):
+        sys = mirrored_blocks_system()
+        calls = self._counted_certificates(monkeypatch)
         gk.pressure(sys, 0.5)
         assert calls == [sys.engines[0]]
-        thermo.certified_bounds(sys.engines, 0.7)
+        gk.pressure(sys, 0.7)
         assert calls == [sys.engines[0]] * 2
+
+    def test_dimensions_certify_each_engine_once(self, monkeypatch):
+        # the two components share one engine and its root, so one
+        # certificate at that root proves both brackets and the system's
+        sys = mirrored_blocks_system()
+        calls = self._counted_certificates(monkeypatch)
+        gk.bowen_dimension(sys)
+        calls.clear()
+        gk.classify_hausdorff_measure(sys)
+        assert calls == [sys.engines[0]]
+        fresh = mirrored_blocks_system()
+        calls.clear()
+        report = gk.component_dimensions(fresh)
+        assert calls == [fresh.engines[0]]
+        a, b = report.estimates
+        assert (a.lo, a.hi, a.method) == (b.lo, b.hi, b.method)
 
     @pytest.mark.parametrize("eid,ratio,shared", [
         ("b3", math.nextafter(0.08, 1.0), False),

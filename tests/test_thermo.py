@@ -633,10 +633,12 @@ def test_row_sum_start_keeps_the_bracket(seed):
     assert all(0.0 <= block.newton_start(tolerance) <= 1.0 for block in system.engines)
     est = gk.bowen_dimension(system, tolerance)
     # the same blocks on a fresh system, whose engine pool is empty, solved
-    # by Newton from t = 0
-    cold = random_packed_system(random.Random(seed)).engines
-    roots = [gd._component_root(block.pressure_slope, tolerance) for block in cold]
-    est0 = gd._certified_dimension(cold, roots, tolerance)
+    # by Newton from t = 0: a root kept at an infinite tolerance is where
+    # the next solve starts
+    cold = random_packed_system(random.Random(seed))
+    for block in cold.engines:
+        block.root = 0.0, math.inf
+    est0 = gd._combined(gd._component_estimates(cold, tolerance), gd.PERRON_NEWTON)
     assert est.lo <= _reference_root(_dense_pressure(system)) <= est.hi
     assert abs(est.lo - est0.lo) <= tolerance / 2 and abs(est.hi - est0.hi) <= tolerance / 2
 
