@@ -22,11 +22,10 @@ import numpy as np
 
 from . import graph as g
 from . import thermo
-from .errors import (ConvergenceError, InputError, NotApplicableError,
-                     UnsupportedAnalysisError)
+from .errors import ConvergenceError, InputError, NotApplicableError
 from .system import GdmsSystem
 from .thermo import COLLOCATION_NEWTON, PERRON_NEWTON  # the engines' dimension methods
-from .thermo import _full_shift_pressure
+from .thermo import _component_root, _full_shift_pressure
 
 MORAN_EXACT = "moran-exact"
 EMPTY_LIMIT_SET = "empty-limit-set"
@@ -87,53 +86,6 @@ class ComponentDimensionReport:
     overall: DimensionEstimate
     max_component: DimensionEstimate
     difference: float
-
-
-# Most pressure evaluations one Newton solve for a component root may take.
-STEP_CAP = 100
-# P(1) above this means the images overlap too much for the open set condition.
-P1_SLACK = 1e-12
-
-
-def _component_root(pressure_slope, tolerance, t0=0.0):
-    """Zero of a convex decreasing pressure on [0, 1].
-
-    pressure_slope(t) returns (P(t), P'(t)). Safeguarded Newton from t0
-    (an engine's `newton_start`, or 0): P is convex and decreasing, so
-    Newton steps from the left climb monotonically to the zero, and a step
-    from the right of it lands on its left; the bracket [a, b] with
-    P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
-    becomes a bisection step. The right end t = 1 is only evaluated when a
-    step reaches it. It stops when a step is at most tolerance/8, which
-    leaves the root within reach of the fixed ends h -/+ tolerance/4 that
-    `_certified_bracket` tests. Returns (root, steps).
-    """
-    a, b, b_known = 0.0, 1.0, False
-    t = t0
-    for steps in range(1, STEP_CAP + 1):
-        p, slope = pressure_slope(t)
-        if t == 1.0 and p >= 0.0:
-            if p > P1_SLACK:
-                raise UnsupportedAnalysisError(
-                    "P(1) > 0: total contraction exceeds the interval, the "
-                    "system cannot satisfy the open set condition")
-            return 1.0, steps
-        if p == 0.0:
-            return t, steps
-        if p > 0.0:
-            a = t
-        else:
-            b, b_known = t, True
-        step = -p / slope
-        if not a <= t + step <= b:
-            if not b_known:
-                t = b
-                continue
-            step = 0.5 * (a + b) - t
-        if abs(step) <= tolerance / 8:
-            return t + step, steps
-        t += step
-    raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
 def _certified_bracket(bounds, h, tolerance, decay=0.0):

@@ -106,7 +106,7 @@ RULES = {
 @dataclass(frozen=True)
 class IncidenceSpec:
     """One of the named rules of `RULES` over integer edge ids, or
-    `explicit`: a 0/1 matrix given by allow pairs and kept only as the
+    `explicit`: a boolean matrix given by allow pairs and kept only as the
     system's incidence matrix (see `incidence_array`). Only `banded` reads
     its width, an int >= 1 (`as_integer`); every other kind stores 0."""
 
@@ -152,11 +152,11 @@ def allow_positions(labels, position):
 
 
 def incidence_array(incidence, edges, labels=None, lines=None):
-    """0/1 float matrix of the edge graph, rows and columns in the order of
+    """Boolean matrix of the edge graph, rows and columns in the order of
     `edges`. b may follow a only when t(a) = i(b); a named rule applies
     `allows_labels` to all pairs of labels at once.
 
-    An explicit incidence has a 1 at each of its allow pairs, which `labels`
+    An explicit incidence is True at each of its allow pairs, which `labels`
     holds flat (a1, b1, a2, b2, ...); a repeated pair counts once. A pair
     that names an unknown edge or whose edges do not meet raises SpecError,
     for the first such pair in the order of str((a, b)). `lines`, the
@@ -168,16 +168,17 @@ def incidence_array(incidence, edges, labels=None, lines=None):
     dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
     if labels is None:  # a named rule; `rule` refuses an explicit one
         ids = np.array([e.id for e in edges])
-        rule = incidence.allows_labels(ids[:, None], ids[None, :])
-        return ((dst[:, None] == src[None, :]) & rule).astype(float)
+        A = dst[:, None] == src[None, :]
+        A &= incidence.allows_labels(ids[:, None], ids[None, :])
+        return A
     pairs = allow_positions(labels, {e.id: k for k, e in enumerate(edges)})
     unknown = (pairs < 0).any(axis=1)
     bad = unknown.copy()
     bad[~unknown] = dst[pairs[~unknown, 0]] != src[pairs[~unknown, 1]]
     if bad.any():
         raise _allow_pair_error(edges, labels, pairs, unknown, bad, lines)
-    A = np.zeros((len(edges), len(edges)))
-    A[pairs[:, 0], pairs[:, 1]] = 1.0
+    A = np.zeros((len(edges), len(edges)), dtype=bool)
+    A[pairs[:, 0], pairs[:, 1]] = True
     return A
 
 

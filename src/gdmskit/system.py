@@ -61,9 +61,9 @@ class GdmsSystem:
 
     @cached_property
     def incidence_matrix(self):
-        """Read-only 0/1 matrix of the edge graph, rows and columns in edge
-        order, built from a named rule. An explicit incidence has no rule:
-        its matrix is given to `store_matrix` when the system is made."""
+        """Read-only boolean matrix of the edge graph, rows and columns in
+        edge order, built from a named rule. An explicit incidence has no
+        rule: its matrix is given to `store_matrix` when the system is made."""
         if self.infinite:
             raise NotApplicableError("truncate the system first")
         return _read_only(g.incidence_array(self.incidence, self.graph.edges))
@@ -144,10 +144,9 @@ class GdmsSystem:
         one block get one engine, and a subsystem cut from this system gets
         the engines its components already have here."""
         engine_type = self.family.engine_type
-        pattern = self.incidence_matrix != 0
         engines = []
         for idx in map(list, self.component_positions):
-            block = pattern[idx][:, idx]
+            block = self.incidence_matrix[np.ix_(idx, idx)]
             values = engine_type.letter_values(self, idx)
             key = (engine_type, len(idx), np.packbits(block).tobytes(), values.tobytes())
             if key not in self.engine_pool:

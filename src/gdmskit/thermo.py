@@ -1,13 +1,15 @@
 """Partition sums, topological pressure and conformal cylinder measures.
 
-Similarity partition sums are exact: Z_n(t) comes from the weighted transfer
-matrix B(t)_{ab} = A_{ab} r_b^t, and the pressure ln rho(B(t)) is bracketed by
-Collatz-Wielandt bounds from Noda's inverse iteration on B(t) lumped by
-successor set. Continued-fraction partition sums are enumerated level by
-level through continuants (exact per word) up to the count guard and
-bracketed by one-step products beyond it; their pressure is the log spectral
-radius of the transfer operator L_t, bracketed by a Chebyshev collocation of
-L_t and a Collatz-Wielandt certificate that holds on all of [0, 1].
+Similarity partition sums are exact: Z_n(t) = u B(t)^(n-1) 1 for the weighted
+transfer matrix B(t)_{ab} = A_{ab} r_b^t and u_a = r_a^t, iterated on the
+matrix M(t) of B(t) lumped by successor set, and the pressure ln rho(B(t)) is
+bracketed by Collatz-Wielandt bounds from Noda's inverse iteration on M(t).
+Continued-fraction partition sums are enumerated level by level through
+continuants (exact per word) up to the count guard and bracketed beyond it by
+the one-step products of the same lumped iteration; their pressure is the log
+spectral radius of the transfer operator L_t, bracketed by a Chebyshev
+collocation of L_t and a Collatz-Wielandt certificate that holds on all of
+[0, 1].
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ class FinitenessReport:
 
 
 # -- transfer matrices ------------------------------------------------------
-
-def transfer_matrix(system: GdmsSystem, t: float):
-    """B(t)_{ab} = A_{ab} * ||phi_b'||^t and the vector u_a = ||phi_a'||^t."""
-    u = np.exp(t * system.log_norms)
-    return system.incidence_matrix * u, u
-
 
 # Relative gap between the Perron root and the inverse-iteration shift.
 PERRON_SHIFT = 1e-14
@@ -239,19 +235,18 @@ def ruelle_slope(B, dB, v, lam, upper):
 
 
 class StateLumping:
-    """The letters of a square matrix X, boolean or 0/1, grouped into
-    states by their predecessor sets (the nonzero rows of their columns),
-    numbered in order of first occurrence. An operator whose image at c
-    sums a term T_a on the unknown of a's state over the predecessors a of
-    c depends on c only through its state, so its matrix has one block row
-    and column per state, block (s, s(a)) summing T_a over a in s
-    (`blocks`). X is A for a
+    """The letters of a square boolean matrix X grouped into states by
+    their predecessor sets (the True rows of their columns), numbered in
+    order of first occurrence. An operator whose image at c sums a term T_a
+    on the unknown of a's state over the predecessors a of c depends on c
+    only through its state, so its matrix has one block row and column per
+    state, block (s, s(a)) summing T_a over a in s (`blocks`). X is A for a
     continued-fraction collocation and A^T, whose predecessor sets are A's
-    successor sets, for a similarity block, where k <= V under a
-    vertex-determined incidence (`incidence full`)."""
+    successor sets, for a similarity block or partition sum, where k <= V
+    under a vertex-determined incidence (`incidence full`)."""
 
     def __init__(self, X):
-        index, pattern = {}, np.ascontiguousarray(X.T, dtype=bool)
+        index, pattern = {}, np.ascontiguousarray(X.T)
         packed = np.packbits(pattern, axis=1)
         sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
         self.state_of = np.array([index.setdefault(p, len(index)) for p in sets], dtype=np.intp)
@@ -282,6 +277,53 @@ def _full_shift_pressure(log_r, t, weights=1.0):
     terms = weights * np.exp(t * log_r)
     total = float(terms.sum())
     return math.log(total), float(terms @ log_r) / total
+
+
+# Most pressure evaluations one Newton solve for a component root may take.
+STEP_CAP = 100
+# P(1) above this means the images overlap too much for the open set condition.
+P1_SLACK = 1e-12
+
+
+def _component_root(pressure_slope, tolerance, t0=0.0):
+    """Zero of a convex decreasing pressure on [0, 1].
+
+    pressure_slope(t) returns (P(t), P'(t)). Safeguarded Newton from t0
+    (an engine's `newton_start`, or 0): P is convex and decreasing, so
+    Newton steps from the left climb monotonically to the zero, and a step
+    from the right of it lands on its left; the bracket [a, b] with
+    P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
+    becomes a bisection step. The right end t = 1 is only evaluated when a
+    step reaches it. It stops when a step is at most tolerance/8, which
+    leaves the root within reach of the fixed ends h -/+ tolerance/4 that
+    `dimension._certified_bracket` tests. Returns (root, steps).
+    """
+    a, b, b_known = 0.0, 1.0, False
+    t = t0
+    for steps in range(1, STEP_CAP + 1):
+        p, slope = pressure_slope(t)
+        if t == 1.0 and p >= 0.0:
+            if p > P1_SLACK:
+                raise UnsupportedAnalysisError(
+                    "P(1) > 0: total contraction exceeds the interval, the "
+                    "system cannot satisfy the open set condition")
+            return 1.0, steps
+        if p == 0.0:
+            return t, steps
+        if p > 0.0:
+            a = t
+        else:
+            b, b_known = t, True
+        step = -p / slope
+        if not a <= t + step <= b:
+            if not b_known:
+                t = b
+                continue
+            step = 0.5 * (a + b) - t
+        if abs(step) <= tolerance / 8:
+            return t + step, steps
+        t += step
+    raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
 class PerronBlock:
@@ -332,15 +374,14 @@ class PerronBlock:
         row-sum model m(t) = ln(sum_j c_j r_j^t / n), c the column sums of
         the n x n matrix A (in exact integers, each state's successor set
         times its row count), or 1.0 when m(1) >= 0: only P itself can show
-        P(1) > 0, which `dimension._component_root` then refuses.
+        P(1) > 0, which `_component_root` then refuses.
 
         m(t) is ln of the mean row sum of B(t), and rho(B(t)) lies between
         its least and largest row sums (Collatz-Wielandt with x = 1), so m
-        tracks P. Its root is `dimension._component_root` on its closed
-        form, `_full_shift_pressure` with weights c / n. For a full shift
+        tracks P. Its root is `_component_root` on its closed form,
+        `_full_shift_pressure` with weights c / n. For a full shift
         c / n = 1 and m = P, so the start is the Moran root.
         """
-        from .dimension import _component_root  # dimension imports this module
         lumping = self.lumping
         weights = lumping.counts @ lumping.members / len(lumping.state_of)
 
@@ -402,16 +443,21 @@ class PerronBlock:
 
 
 def _transfer_partition_sums(system, t, n_max):
-    """[u B^(n-1) 1 for n = 1..n_max]. A sum past the float range comes
-    out inf, or nan where a 0 entry of B meets an inf; the caller refuses
-    it, so neither raises a floating-point warning here."""
-    B, u = transfer_matrix(system, t)
+    """[u B^(n-1) 1 for n = 1..n_max], B = A o r^t and u = r^t, iterated on
+    M(t) = `StateLumping`(A^T)`.blocks`(r^t): B^(n-1) 1 is constant on the
+    edges of one successor set, so its values per state are M(t)^(n-1) 1,
+    and u is summed per state (M = B when all successor sets are distinct).
+    A sum past the float range comes out inf, or nan where a 0 entry of M
+    meets an inf; the caller refuses it, so neither raises a floating-point
+    warning here."""
+    lumping, r_t = StateLumping(system.incidence_matrix.T), np.exp(t * system.log_norms)
+    M, u = lumping.blocks(r_t), np.bincount(lumping.state_of, r_t)
     w = np.ones(len(u))
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_max):
             out.append(float(u @ w))
-            w = B @ w
+            w = M @ w
     return out
 
 
@@ -435,7 +481,7 @@ def _cf_level_sums(system, ns, t):
     counts = np.ones(len(log_labels), dtype=int)
     wanted, words, out = set(ns), 0, {}
     for n in range(1, max(ns) + 1):
-        grown = counts if n == 1 else (counts @ system.incidence_matrix).astype(int)
+        grown = counts if n == 1 else counts @ system.incidence_matrix
         size = int(grown.sum())
         words += size
         if words > guard:
@@ -630,9 +676,9 @@ class CfCollocation:
 
     def newton_start(self, tolerance) -> float:
         """Where Newton on this engine starts: the root that
-        `dimension._component_root` finds on the COARSE_NODES collocation of
-        the same block and lumping, whose matrices have COARSE_NODES /
-        `nodes` the size of these.
+        `_component_root` finds on the COARSE_NODES collocation of the same
+        block and lumping, whose matrices have COARSE_NODES / `nodes` the
+        size of these.
 
         The coarse engine's last right vector, interpolated onto this
         engine's nodes, becomes `right`, with the coarse state sizes as
@@ -641,7 +687,6 @@ class CfCollocation:
         `right` and `sizes` as they are: the full-size steps start cold.
         Raises ConvergenceError when the interpolated vector is not positive.
         """
-        from .dimension import _component_root  # dimension imports this module
         coarse = CfCollocation(self.lumping, self.letters, COARSE_NODES)
         try:
             root, _ = _component_root(coarse.pressure_slope, tolerance)
@@ -801,13 +846,13 @@ def partition_sum(system: GdmsSystem, n: int, t: float) -> PartitionSum:
 def partition_sums(system: GdmsSystem, ns, t: float) -> list:
     """[partition_sum(system, n, t) for n in ns], sharing the work across n.
 
-    One run of matrix-vector products up to max(ns) gives the sums S_n over
-    the length-n words of the products of one-step norms ||phi_e'||^t. A
-    word's norm lies within a factor K^(n-1), K = the family's
-    `distortion`, below that product, so Z_n(t) lies in
-    [K^(-t(n-1)) S_n, S_n], exact when K = 1. The n that the family's
-    `level_sums` enumerates take those exact sums instead, with method
-    `enumeration`.
+    One run of products with the lumped transfer matrix M(t) up to max(ns)
+    (`_transfer_partition_sums`) gives the sums S_n over the length-n words
+    of the products of one-step norms ||phi_e'||^t. A word's norm lies
+    within a factor K^(n-1), K = the family's `distortion`, below that
+    product, so Z_n(t) lies in [K^(-t(n-1)) S_n, S_n], exact when K = 1.
+    The n that the family's `level_sums` enumerates take those exact sums
+    instead, with method `enumeration`.
     """
     ns = g.word_lengths(ns)
     if not (t >= 0 and math.isfinite(t)):

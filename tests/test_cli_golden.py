@@ -403,7 +403,7 @@ h_lo = 0.63092975332145729
 h_hi = 0.63092975382145722
 maximal_components = 0
 communicating_pairs = -
-growth_slope = 0.050032769696676339
+growth_slope = 0.050032769696676291
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 warning: images of edges 'a' and 'c' overlap on interior width 0.25; open set condition may fail
@@ -413,11 +413,11 @@ wall_time_s = *
         'z.csv': """\
 n,Z_n
 1,1.8340122578421616
-2,1.9040795106915205
-3,1.9625164584412123
+2,1.9040795106915207
+3,1.9625164584412125
 4,2.0112535891753374
-5,2.0519009536196537
-6,2.0858013538151909
+5,2.0519009536196533
+6,2.0858013538151905
 """,
     }),
     'unlinked-scc': (0, """\
@@ -437,11 +437,11 @@ wall_time_s = *
     'unlinked-classify': (0, """\
 n,Z_n
 1,1.8340122578421616
-2,1.6955764462309801
-3,1.5801192824229269
+2,1.6955764462309804
+3,1.5801192824229271
 4,1.4838265925513201
-5,1.4035173088578066
-6,1.3365383818388921
+5,1.4035173088578063
+6,1.3365383818388923
 command = classify
 spec = {d}/unlinked.gdms
 spec_sha256 = 99a84ddb488b0f19f3eccfb3316be9241fd7f1a78fc7e563fac0600b5a30e2db
@@ -737,7 +737,7 @@ h_lo = 0.53128050602720533
 h_hi = 0.53128050652720527
 maximal_components = 0
 communicating_pairs = -
-growth_slope = 0.16914064867704234
+growth_slope = 0.16914064867704232
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
@@ -748,7 +748,7 @@ n,Z_n
 21,1.3227080242109832
 22,1.322708024197528
 23,2.4507632818093557
-24,2.507690724054096
+24,2.5076907240540982
 25,2.5659405027744095
 26,2.6255433338023368
 27,2.6865306464512133

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from gdmskit import maps as gm
 from gdmskit import thermo
 from conftest import (log_rho, packed_system, period_two_system,
                       two_component_system, random_packed_system)
-from test_dimension import _dense_pressure, _reference_root, _solve_counter
+from test_dimension import (_dense_pressure, _explicit_specs, _many_edge_spec,
+                            _reference_root, _solve_counter)
 
 
 def cf_sys(kind=gg.FULL, width=1, truncate=None):
@@ -90,21 +92,57 @@ class TestPartitionSums:
 
 
 class TestTransferMatrix:
-    def test_matches_definition(self, rng):
-        checked = 0
-        while checked < 5:
-            sys = random_packed_system(rng)
-            if sys is None:
-                continue
-            checked += 1
-            t = rng.uniform(0.1, 1.5)
-            B, u = thermo.transfer_matrix(sys, t)
-            ids = sys.edge_ids
-            for i, a in enumerate(ids):
-                assert u[i] == pytest.approx(sys.family.map_for(a).ratio ** t, rel=1e-12)
-                for j, b in enumerate(ids):
-                    want = u[j] if gk.is_admissible(sys, (a, b)) else 0.0
-                    assert B[i, j] == pytest.approx(want, rel=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(_explicit_specs(), st.floats(0.0, 2.0))
+    def test_matches_definition(self, spec, t):
+        # Z_n(t) = u B^(n-1) 1 with the dense B(t) = A o r^t and u = r^t;
+        # the partition sums iterate its lumping by successor set, which
+        # sums the letters of one state first: equal bit for bit when every
+        # successor set is distinct, within rounding when rows repeat
+        system = packed_system(*spec)
+        A = system.incidence_matrix
+        u = np.exp(t * system.log_norms)
+        B, w, want = A * u, np.ones(len(u)), []
+        for _ in range(8):
+            want.append(float(u @ w))
+            w = B @ w
+        got = [z.upper for z in thermo.partition_sums(system, range(1, 9), t)]
+        if len({row.tobytes() for row in A}) == len(A):
+            assert got == want
+        for g, x in zip(got, want):
+            assert abs(g - x) <= 1e-12 * x
+
+    def test_partition_sums_run_on_the_vertex_states(self):
+        # 2400 edges on 4 vertices under `incidence full`: the successor
+        # sets are the 4 vertices' edge sets, so the sums iterate a 4 x 4
+        # matrix and never build a dense 2400 x 2400 float one (46 MB).
+        # Z_n = 1 V^n 1 for the vertex matrix V(t) of summed edge weights.
+        system, _ = gk.parse_spec(_many_edge_spec(4, 600))
+        tracemalloc.start()
+        try:
+            sums = thermo.partition_sums(system, range(1, 31), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        where = {v: k for k, v in enumerate(system.graph.vertices)}
+        V = np.zeros((4, 4))
+        for e, log_r in zip(system.graph.edges, system.log_norms):
+            V[where[e.src], where[e.dst]] += math.exp(0.5 * log_r)
+        w = np.ones(4)
+        for z in sums:
+            w = V @ w
+            assert z.lower == z.upper == pytest.approx(w.sum(), rel=1e-12)
+
+    def test_incidence_is_a_read_only_boolean_pattern(self):
+        many, _ = gk.parse_spec(_many_edge_spec(4, 600))
+        dead_end = packed_system("dead-end", {"a": 0.3, "b": 0.3}, {("a", "a"), ("a", "b")})
+        pruned, removed = gk.prune(dead_end)
+        assert removed == ("b",)
+        for system in (many, many.restrict(["e0_0", "e1_3"]), dead_end, pruned,
+                       cf_sys(truncate=3)):
+            A = system.incidence_matrix
+            assert A.dtype == bool and not A.flags.writeable
 
     def test_index_is_built_once_and_dropped_by_restrict(self):
         sys = two_component_system(linked=True)
@@ -137,7 +175,7 @@ class TestPerron:
     def test_period_two_vectors(self):
         # eigenvalues +rho and -rho share the spectral circle: B(1) is
         # [[0, 2], [0.5, 0]], with rho = 1 at every t
-        block = thermo.PerronBlock(np.array([[0.0, 1.0], [1.0, 0.0]]),
+        block = thermo.PerronBlock(np.array([[False, True], [True, False]]),
                                    np.log([0.5, 2.0]))
         p, slope = block.pressure_slope(1.0)
         assert p == pytest.approx(0.0, abs=1e-12)
@@ -145,13 +183,13 @@ class TestPerron:
         assert block.right / block.right.sum() == pytest.approx([2 / 3, 1 / 3])
 
     def test_nilpotent_matrix_is_refused(self):
-        block = thermo.PerronBlock(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+        block = thermo.PerronBlock(np.array([[False, True], [False, False]]), np.zeros(2))
         with pytest.raises(gk.ConvergenceError):
             block.pressure_slope(0.5)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_zero_matrix_is_refused(self, size):
-        block = thermo.PerronBlock(np.zeros((size, size)), np.zeros(size))
+        block = thermo.PerronBlock(np.zeros((size, size), dtype=bool), np.zeros(size))
         with pytest.raises(gk.ConvergenceError, match="not resolved"):
             block.pressure_slope(0.5)
 
@@ -160,7 +198,7 @@ class TestStateLumping:
     def test_states_follow_first_occurrence(self):
         # successor sets a -> {a, b}, b -> {c}, c -> {a, b}: lumping A^T
         # gives states {a, b} (holding a and c) and {c} (holding b)
-        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        A = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=bool)
         lumping = thermo.StateLumping(A.T)
         assert lumping.state_of.tolist() == [0, 1, 0]
         assert lumping.counts.tolist() == [2, 1]
@@ -179,11 +217,12 @@ class TestStateLumping:
 
     def test_trailing_axes_are_summed_per_block(self):
         # three letters in one predecessor set: one block, summed in letter order
-        lumping = thermo.StateLumping(np.ones((3, 3)))
+        lumping = thermo.StateLumping(np.ones((3, 3), dtype=bool))
         per_letter = np.arange(12.0).reshape(3, 2, 2)
         assert lumping.blocks(per_letter).shape == (1, 1, 2, 2)
         assert lumping.blocks(per_letter)[0, 0].tolist() == per_letter.sum(axis=0).tolist()
-        assert thermo.StateLumping(np.zeros((0, 0))).blocks(np.zeros(0)).shape == (0, 0)
+        empty = thermo.StateLumping(np.zeros((0, 0), dtype=bool))
+        assert empty.blocks(np.zeros(0)).shape == (0, 0)
 
     def test_distinct_rows_give_the_dense_matrix_bit_for_bit(self):
         # a block whose rows are all distinct has k = n, and M(t) and M'(t)
@@ -320,7 +359,7 @@ class TestPressure:
             checked += 1
             est = gk.pressure(sys, t)
             assert est.method == thermo.TRANSFER_MATRIX
-            B, _ = thermo.transfer_matrix(sys, t)
+            B = sys.incidence_matrix * np.exp(t * sys.log_norms)
             want = math.log(max(abs(np.linalg.eigvals(B))))
             assert est.lower - 1e-12 <= want <= est.upper + 1e-12
             assert 0.0 < est.upper - est.lower <= 1e-12
