@@ -3,14 +3,13 @@
 The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}, the
 largest zero over strongly connected components (Mauldin and Urbanski,
 Graph Directed Markov Systems, 2003). Each component zero is found by
-safeguarded Newton steps with Ruelle's derivative: on the pressure
-ln rho(B(t)) of a similarity system from the root of its row-sum model
-(`thermo.PerronBlock.newton_start`), or on the Chebyshev
-collocation of the transfer operator of a continued-fraction system from
-the root of a coarser collocation. Each distinct engine then certifies the
-bracket around its root once, from its own proved pressure bounds and
-lower bound on -P', and the system's bracket is [max lo, max hi] of its
-components' brackets.
+safeguarded Newton steps (the engine's `find_root`): with Ruelle's
+derivative of ln rho(B(t)) from the row-sum model's root on a similarity
+block, or by nonlinear inverse iteration on the Chebyshev collocation of a
+continued-fraction transfer operator from the root of a coarser one. Each
+distinct engine then certifies the bracket around its root once, from its
+own proved pressure bounds and lower bound on -P', and the system's
+bracket is [max lo, max hi] of its components' brackets.
 """
 
 from __future__ import annotations
@@ -134,10 +133,10 @@ def _check_tolerance(tolerance):
 
 
 def _engine_root(block, tolerance):
-    """(root, Newton steps) of one pressure engine, kept as its `root`
-    with the tolerance it was solved at. A root kept at a tolerance no
-    looser than this one is returned with 0 steps; one kept at a looser
-    tolerance starts Newton in place of the engine's `newton_start`."""
+    """(root, Newton steps) of one pressure engine's `find_root`, kept as
+    its `root` with the tolerance it was solved at. A root kept at a
+    tolerance no looser than this one is returned with 0 steps; one kept at
+    a looser tolerance starts the search in place of its `newton_start`."""
     if block.root is None:
         t0 = block.newton_start(tolerance)
     else:
@@ -145,7 +144,7 @@ def _engine_root(block, tolerance):
         if solved_at <= tolerance:
             return root, 0
         t0 = root
-    root, steps = _component_root(block.pressure_slope, tolerance, t0)
+    root, steps = block.find_root(t0, tolerance)
     block.root = root, tolerance
     return root, steps
 

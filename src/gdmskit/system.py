@@ -132,7 +132,7 @@ class GdmsSystem:
         """The family's `engine_type` built `of_block` for each of
         `component_positions`, in their order, from the component's boolean
         block of `incidence_matrix` and its `letter_values`. Each engine
-        offers `pressure_slope(t)`, `certified_pressure(t)`,
+        offers `find_root(t0, tolerance)`, `certified_pressure(t)`,
         `newton_start(tolerance)`, `decay` (a proved lower bound on -P') and
         its methods' names. It keeps its last vectors and roots, so every
         analysis starts from the work of the ones before it.

@@ -8,8 +8,8 @@ Continued-fraction partition sums are enumerated level by level through
 continuants (exact per word) up to the count guard and bracketed beyond it by
 the one-step products of the same lumped iteration; their pressure is the log
 spectral radius of the transfer operator L_t, bracketed by a Chebyshev
-collocation of L_t and a Collatz-Wielandt certificate that holds on all of
-[0, 1].
+collocation of L_t and a certificate that holds on all of [0, 1], and its
+zero is found by nonlinear inverse iteration on the collocation.
 """
 
 from __future__ import annotations
@@ -225,15 +225,6 @@ def perron_root(B, t, start=None):
     return lam, upper, v
 
 
-def ruelle_slope(B, dB, v, lam, upper):
-    """(P'(t), z) for P = ln lam, lam the leading eigenvalue of B = B(t)
-    with right vector v and dB = B'(t): Ruelle's
-    P' = sum_i (z_i / v_i) (B' v)_i / lam with z = w o v / (w . v) the
-    `equilibrium_weights` of v."""
-    z = equilibrium_weights(B, v, upper)
-    return float((z / v) @ (dB @ v)) / lam, z
-
-
 class StateLumping:
     """The letters of a square boolean matrix X grouped into states by
     their predecessor sets (the True rows of their columns), numbered in
@@ -288,15 +279,16 @@ P1_SLACK = 1e-12
 def _component_root(pressure_slope, tolerance, t0=0.0):
     """Zero of a convex decreasing pressure on [0, 1].
 
-    pressure_slope(t) returns (P(t), P'(t)). Safeguarded Newton from t0
-    (an engine's `newton_start`, or 0): P is convex and decreasing, so
-    Newton steps from the left climb monotonically to the zero, and a step
-    from the right of it lands on its left; the bracket [a, b] with
-    P(a) >= 0 > P(b) absorbs rounding, and a step that would leave it
-    becomes a bisection step. The right end t = 1 is only evaluated when a
-    step reaches it. It stops when a step is at most tolerance/8, which
-    leaves the root within reach of the fixed ends h -/+ tolerance/4 that
-    `dimension._certified_bracket` tests. Returns (root, steps).
+    pressure_slope(t) returns (P(t), P'(t)), or a pair of P's sign whose
+    -P/P' is a Newton step. Safeguarded Newton from t0: P is convex and
+    decreasing, so steps from the left climb monotonically to the zero, and
+    one from its right lands on its left; the bracket [a, b] with
+    P(a) >= 0 > P(b) absorbs rounding, and a step that would not land inside
+    it becomes a bisection step. t = 1 is only evaluated when a step reaches
+    it. It stops at a step of at most tolerance/8, within reach of the ends
+    h -/+ tolerance/4 that `dimension._certified_bracket` tests, at a step
+    that no longer moves t, or with no double left inside [a, b]. Returns
+    (root, steps).
     """
     a, b, b_known = 0.0, 1.0, False
     t = t0
@@ -315,21 +307,24 @@ def _component_root(pressure_slope, tolerance, t0=0.0):
         else:
             b, b_known = t, True
         step = -p / slope
-        if not a <= t + step <= b:
+        if t + step != t and not a < t + step < b:
             if not b_known:
                 t = b
                 continue
             step = 0.5 * (a + b) - t
-        if abs(step) <= tolerance / 8:
-            return t + step, steps
+            if not a < t + step < b:
+                return t, steps
+        if abs(step) <= tolerance / 8 or t + step == t:
+            # P(0) = ln rho(A) >= 0: a root within tolerance/8 of 0 stays 0
+            return (t + step if t > 0.0 else t), steps
         t += step
     raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
 class PerronBlock:
     """One irreducible block B(t) = A o exp(t log r) of a similarity system,
-    with the `size`, `matrix`, `pressure_slope`, `certified_pressure`,
-    `decay` and `newton_start` of a CfCollocation.
+    with the `size`, `matrix`, `find_root`, `certified_pressure`, `decay`
+    and `newton_start` of a CfCollocation.
 
     A row of B(t) depends only on the edge's successor set, so the engine
     works on the k x k matrix M(t) of the `lumping` of A^T (one node per
@@ -348,6 +343,8 @@ class PerronBlock:
     def __init__(self, A, log_norms):
         self.lumping, self.log_norms = StateLumping(A.T), log_norms
         self.size = len(self.lumping.members)
+        # every letter has one successor: the block is one cycle
+        self.cycle = self.size > 0 and bool((self.lumping.members.sum(axis=1) == 1).all())
         self.right = self.root = None
 
     @staticmethod
@@ -391,6 +388,10 @@ class PerronBlock:
             return 1.0
         return _component_root(model, tolerance)[0]
 
+    def find_root(self, t0, tolerance):
+        """(root, steps) of `_component_root` on `pressure_slope` from t0."""
+        return _component_root(self.pressure_slope, tolerance, t0)
+
     def matrix(self, t, derivative=False):
         """M(t), and with `derivative` also M'(t), for Ruelle's derivative."""
         weights = np.exp(t * self.log_norms)
@@ -398,13 +399,14 @@ class PerronBlock:
         return (M, self.lumping.blocks(weights * self.log_norms)) if derivative else M
 
     def pressure_slope(self, t):
-        """(P, P'): P is ln of the `perron_root` of M(t), whose vector v is
-        kept as `right`, and P' its `ruelle_slope`. Raises
-        ConvergenceError unless the weights z = w o v / (w . v) are all
-        positive."""
+        """(P, P'): P is ln of the `perron_root` lam of M(t), whose vector v
+        is kept as `right`, and P' = sum_i (z_i / v_i) (M' v)_i / lam
+        (Ruelle) with z = w o v / (w . v) the `equilibrium_weights` of v.
+        Raises ConvergenceError unless z is positive."""
         M, dM = self.matrix(t, derivative=True)
-        lam, upper, self.right = perron_root(M, t, self.right)
-        slope, weights = ruelle_slope(M, dM, self.right, lam, upper)
+        lam, upper, v = perron_root(M, t, self.right)
+        self.right, weights = v, equilibrium_weights(M, v, upper)
+        slope = float((weights / v) @ (dM @ v)) / lam
         if not weights.min() > 0.0:
             raise ConvergenceError(
                 f"left Perron vector at t = {t!r} is not positive: min weight {weights.min():.3g}")
@@ -428,7 +430,17 @@ class PerronBlock:
         ConvergenceError when the spread is so large (above about 708) that
         a weight falls below the least normal number, which has no such
         relative bound.
+
+        A `cycle` through n letters has B(t)^n = (prod r)^t I, so it returns
+        P(t) = (t/n) sum ln r with (n + 5) u relative slack, rounded
+        outward: the logs err by 2u, their sum by (n - 1) u, the product
+        and quotient by 2u, relative to (t/n) sum |ln r|.
         """
+        if self.cycle:
+            n = self.size
+            p = t * float(self.log_norms.sum()) / n
+            err = (n + 5) * UNIT_ROUNDOFF * t * float(np.abs(self.log_norms).sum()) / n
+            return math.nextafter(p - err, -math.inf), math.nextafter(p + err, math.inf)
         exponents = t * self.log_norms
         c = float(exponents.max())
         weights = np.exp(exponents - c)
@@ -511,8 +523,8 @@ def _cf_level_sums(system, ns, t):
 # collocation error falls like (3 + sqrt 8)^-M: about 1e-15 at M = 20,
 # below the rounding slack of the certificate for t in [0, 2].
 COLLOCATION_NODES = 20
-# Nodes per state of the coarse collocation whose root starts the Newton
-# steps on the COLLOCATION_NODES one: that root lies about 2e-8 from the
+# Nodes per state of the coarse collocation whose root starts the inverse
+# iteration on the COLLOCATION_NODES one: that root lies about 2e-8 from the
 # full-size one (full N = 2 and 5, banded N = 8 and 20), so one full-size
 # step reaches the tolerance and the next confirms it.
 COARSE_NODES = 8
@@ -588,8 +600,8 @@ class CfCollocation:
                                      Lam[(a, i), .] = -2 ln(a + x_i),
 
     where Q (the lumping's `members`) adds up the rows of the letters in
-    each predecessor set; L'(t) = Q (K o Lam o exp(t Lam)) gives Ruelle's
-    derivative. `PerronBlock` is this assembly with one node, K = 1 and
+    each predecessor set; L'(t) = Q (K o Lam o exp(t Lam)) gives the
+    `_inverse_step`. `PerronBlock` is this assembly with one node, K = 1 and
     Lam = ln r.
     """
 
@@ -611,9 +623,9 @@ class CfCollocation:
         shifted = self.letters[:, None] + _chebyshev_nodes(nodes)
         self.log_weights = -2.0 * np.log(shifted)
         self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, nodes) @ self.to_coef
-        # right vector of the last `_perron` call and the `_state_sizes` at
-        # its t, from which the next call starts; the (root, tolerance) of
-        # the last `dimension._component_estimates` solve
+        # right vector of the last `_perron` or `find_root` call and the
+        # `_state_sizes` at its t, from which the next call starts; the
+        # (root, tolerance) of the last `dimension._component_estimates` solve
         self.right = self.sizes = self.root = None
 
     @staticmethod
@@ -637,36 +649,34 @@ class CfCollocation:
         return (L, assemble(scaled * self.log_weights[:, :, None])) if derivative else L
 
     def _state_sizes(self, t, start=None):
-        """x > 0, one entry per state: the Perron vector of the state matrix
-        that sums (a + 1/2)^(-2t) over the letters a of each block, from
-        `collatz_wielandt` started at `start`.
-
-        It models the sizes of the state functions by the letter weights at
-        the middle of [0, 1]; at t = 0, where the constants are
-        eigenfunctions, it is exact. The weights a^(-2t) at x = 0 would
-        bound rho(L_t) instead, but their eigenvalue sits above rho(L_t) by
-        a factor that the ratio of neighbouring states along a band
-        compounds. Measured on banded N = 40 from t = 0.24 to 0.54, the
-        entries of a start built from them err by factors spanning e^8.5,
-        and of one built from these by e^1.6.
+        """x > 0, one entry per state: the Perron vector, from
+        `collatz_wielandt` started at `start`, of the state model that sums
+        (a + 1/2)^(-2t) over the letters a of each block. It models the
+        sizes of the state functions by the letter weights at the middle of
+        [0, 1], exactly at t = 0, where the constants are eigenfunctions.
+        The weights a^(-2t) at x = 0 bound rho(L_t), but along a band the
+        ratios of neighbouring states compound their excess: on banded
+        N = 40 for t in [0.24, 0.54], a start built from them errs by
+        factors spanning e^8.5, one built from these by e^1.6.
         """
         S = self.lumping.blocks(np.exp(-2.0 * t * self.mid_logs))
         return collatz_wielandt(S, start)[2]
 
+    def _start(self, t):
+        """(x, `_state_sizes(t)`): x is the sizes on every node for a fresh
+        engine, after a failed search and at t = 0, where they are exact,
+        else the previous right vector times the change of the sizes."""
+        if self.right is None or t == 0.0 or not self.right.min() > 0.0:
+            sizes = self._state_sizes(t)
+            return np.repeat(sizes, self.nodes), sizes
+        sizes = self._state_sizes(t, self.sizes)
+        return self.right * np.repeat(sizes / self.sizes, self.nodes), sizes
+
     def _perron(self, t, L):
-        """`perron_root` of L = L(t). The first call, and every call at
-        t = 0, where the state sizes are exact, starts from `_state_sizes(t)`
-        on every node, as a new engine does; the others from the previous
-        right vector times the change of the state sizes since its t. Row
-        sums that underflow mean that the state functions span more than the
-        double range, which is refused as such."""
-        fresh = self.right is None or t == 0.0
+        """`perron_root` of L = L(t) from `_start(t)`; row sums that underflow
+        are refused as state functions spanning more than the double range."""
         try:
-            sizes = self._state_sizes(t, None if fresh else self.sizes)
-            if fresh:
-                start = np.repeat(sizes, self.nodes)
-            else:
-                start = self.right * np.repeat(sizes / self.sizes, self.nodes)
+            start, sizes = self._start(t)
             lam, upper, v = perron_root(L, t, start)
         except _Underflow as exc:
             raise ConvergenceError(f"the collocation's state functions span more than the "
@@ -675,23 +685,21 @@ class CfCollocation:
         return lam, upper, v
 
     def newton_start(self, tolerance) -> float:
-        """Where Newton on this engine starts: the root that
-        `_component_root` finds on the COARSE_NODES collocation of the same
-        block and lumping, whose matrices have COARSE_NODES / `nodes` the
-        size of these.
-
-        The coarse engine's last right vector, interpolated onto this
-        engine's nodes, becomes `right`, with the coarse state sizes as
-        `sizes`, so the first `_perron` call here starts near its vector.
-        When the coarse steps raise ConvergenceError, returns 0.0 and leaves
-        `right` and `sizes` as they are: the full-size steps start cold.
-        Raises ConvergenceError when the interpolated vector is not positive.
+        """Where `find_root` here starts: the root that the COARSE_NODES
+        collocation of this lumping finds from the root of the state model
+        (the `PerronBlock` of `_state_sizes`). Its vector, interpolated onto
+        these nodes, becomes `right`, with its `sizes`; when its search
+        raises ConvergenceError, the model root is returned and both are
+        cleared. Raises ConvergenceError unless the interpolation is positive.
         """
+        model = PerronBlock(self.lumping.members[self.lumping.state_of], -2.0 * self.mid_logs)
+        start, _ = model.find_root(model.newton_start(tolerance), tolerance)
         coarse = CfCollocation(self.lumping, self.letters, COARSE_NODES)
         try:
-            root, _ = _component_root(coarse.pressure_slope, tolerance)
+            root, _ = coarse.find_root(start, tolerance)
         except ConvergenceError:
-            return 0.0
+            self.right = self.sizes = None
+            return start
         coef = coarse.right.reshape(-1, COARSE_NODES) @ coarse.to_coef.T
         grid = _chebyshev_vander(2.0 * _chebyshev_nodes(self.nodes) - 1.0, COARSE_NODES)
         right = (coef @ grid.T).ravel()
@@ -700,13 +708,34 @@ class CfCollocation:
         self.right, self.sizes = right, coarse.sizes
         return root
 
-    def pressure_slope(self, t):
-        """(ln lam, `ruelle_slope`) of the collocation matrix: P(t) and
-        P'(t) up to the collocation error, without a certificate. The left
-        vector need not be positive and is not checked."""
+    def _inverse_step(self, t):
+        """(step, -1.0) for `_component_root`: one solve of
+        (L(t) - I) u = L'(t) v, v = `right`, gives Newton's step -1/(c . u)
+        on L(t) v = v, c . v = 1 (c all ones) and the new `right` u/(c . u):
+        nonlinear inverse iteration (Ruhe, SIAM J. Numer. Anal. 10, 1973).
+        A singular L(t) - I makes t the root."""
         L, dL = self.matrix(t, derivative=True)
-        lam, upper, v = self._perron(t, L)
-        return math.log(lam), ruelle_slope(L, dL, v, lam, upper)[0]
+        try:
+            u = np.linalg.solve(L - np.eye(self.size), dL @ self.right)
+        except np.linalg.LinAlgError:
+            return 0.0, -1.0
+        total = float(u.sum())
+        if not (math.isfinite(total) and total != 0.0):
+            raise ConvergenceError(f"inverse iteration at t = {t!r} has no step")
+        self.right = u / total
+        return -1.0 / total, -1.0
+
+    def find_root(self, t0, tolerance):
+        """(root, steps) of `_component_root` on `_inverse_step` from t0 and
+        `_start(t0)`. The final vector stays as `right`, with `_state_sizes`
+        at the root as `sizes`; ConvergenceError unless it is positive."""
+        start, self.sizes = self._start(t0)
+        self.right = start / start.sum()
+        root, steps = _component_root(self._inverse_step, tolerance, t0)
+        if not self.right.min() > 0.0:
+            raise ConvergenceError(f"inverse iteration vector at t = {root!r} is not positive")
+        self.sizes = self._state_sizes(root, self.sizes)
+        return root, steps
 
     def certified_pressure(self, t):
         """[P_lower, P_upper] holding P(t) = ln rho(L_t), proved on all of

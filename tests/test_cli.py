@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gdmskit as gk
-from gdmskit import cli, specfile
+from gdmskit import cli, specfile, thermo
 from gdmskit import dimension as gd
 from gdmskit import graph as gg
 
@@ -155,15 +155,27 @@ incidence explicit
     ("e2", "e2"), ("e2", "e3"), ("e3", "e0"), ("e3", "e1"), ("e3", "e2")))
 
 
-def test_a_component_that_cannot_certify_its_bracket_refuses_the_dimension(capsys, tmp_path):
+def test_a_component_that_cannot_certify_its_bracket_refuses_the_dimension(capsys, tmp_path,
+                                                                           monkeypatch):
     # the system's bracket is the max of the component brackets, so each
-    # must be proved: at 1e-14 the loop's P(5e-15) = 5e-15 ln r is below
-    # the slack of its bounds, though the maximal block alone certifies
+    # must be proved. The loop is one cycle, whose closed-form pressure
+    # 5e-15 ln r proves its end at 1e-14, so the dimension is the maximal
+    # block's bracket; bounds patched 1e-14 wide on the loop cannot prove
+    # it, and refuse the dimension
     spec = tmp_path / "loop.gdms"
     spec.write_text(LOOP_AND_BLOCK)
     system = specfile.parse_spec(LOOP_AND_BLOCK)[0]
     block = gk.bowen_dimension(system.restrict(["e1", "e2", "e3"]), 1e-14)
     assert block.width <= 5e-15
+    code, out, _ = run(capsys, "dim", str(spec), "--tol", "1e-14")
+    assert code == cli.EXIT_OK
+    assert (float(grab(out, "h_lo")), float(grab(out, "h_hi"))) == (block.lo, block.hi)
+    certified = thermo.PerronBlock.certified_pressure
+
+    def wide(engine, t):
+        lower, upper = certified(engine, t)
+        return (lower - 1e-14, upper + 1e-14) if engine.cycle else (lower, upper)
+    monkeypatch.setattr(thermo.PerronBlock, "certified_pressure", wide)
     with pytest.raises(gk.ConvergenceError, match="at t = 5e-15"):
         gk.component_dimensions(specfile.parse_spec(LOOP_AND_BLOCK)[0], 1e-14)
     code, out, err = run(capsys, "dim", str(spec), "--tol", "1e-14")

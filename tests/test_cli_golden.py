@@ -554,8 +554,8 @@ wall_time_s = *
 command = sweep
 spec = {d}/cf-full.gdms
 spec_sha256 = 836d81be899378a6e14d2be86543a68e28a19c3e360f7fa8158be920e2e4cb64
-sup_h_lo = 0.78869555748315379
-final_interval = [0.78869555748315379, 1]
+sup_h_lo = 0.78869555748315745
+final_interval = [0.78869555748315745, 1]
 monotone = True
 irreducible[2] = True
 irreducible[4] = True
@@ -564,8 +564,8 @@ wall_time_s = *
 """, "", {
         'sweep.csv': """\
 size,h_lo,h_hi
-2,0.53103050627720527,0.53153050627720522
-4,0.78869555748315379,0.78919555748315373
+2,0.5310305062772066,0.53153050627720655
+4,0.78869555748315745,0.78919555748315739
 """,
     }),
     'cf-banded-props': (0, """\
@@ -593,13 +593,13 @@ wall_time_s = *
 """, "", {}),
     'cf-banded-sweep': (0, """\
 size,h_lo,h_hi
-2,0.53128025627720532,0.53128075627720528
-3,0.57396101286311385,0.57396151286311381
+2,0.53128025627720654,0.5312807562772065
+3,0.57396101286311507,0.57396151286311503
 command = sweep
 spec = {d}/cf-banded.gdms
 spec_sha256 = 4126d62a5d9f1f2952239de988a15b3f529f1bc73845df6823bd4bebe5046cb4
-sup_h_lo = 0.57396101286311385
-final_interval = [0.57396101286311385, 1]
+sup_h_lo = 0.57396101286311507
+final_interval = [0.57396101286311507, 1]
 monotone = True
 irreducible[2] = True
 irreducible[3] = True

@@ -141,6 +141,19 @@ class TestComponentRoot:
         assert gd._component_root(oracle, 1e-10) == (0.5, 3)
         assert ts == [0.0, 1.0, 0.5]
 
+    def test_steps_that_round_onto_tried_points_end_the_search(self):
+        # P changes sign inside a 2-ulp bracket, and every Newton step of
+        # 1.56 ulp rounds onto a point already tried, as on a closed-form
+        # model at tolerance 5e-324: bisection takes the one double inside,
+        # then no double is left, and the search ends there
+        a = 0.36329231195052736
+
+        def rounding(t):
+            return (2.2e-16 if t <= a else -2.2e-16), -2.57
+
+        root, steps = gd._component_root(rounding, 5e-324, a)
+        assert root in (a, math.nextafter(a, 1.0)) and steps <= 4
+
 
 class TestPerronNewton:
     def test_mirrored_linked_blocks(self):
@@ -583,19 +596,15 @@ class TestFixedEnds:
 class TestTwoLevelNewton:
     @pytest.mark.parametrize("size", [8, 20, 40])
     def test_banded_dimension_takes_few_full_size_solves(self, size, monkeypatch):
-        # a cold Newton start took 31, 34 and 37 solves of this size, and a
-        # second inverse iteration for the collocation eigenpair took 8
-        full = []
-        solve = np.linalg.solve
-
-        def counted(a, b):
-            if len(a) == size * thermo.COLLOCATION_NODES:
-                full.append(len(a))
-            return solve(a, b)
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        # a cold Newton start took 31, 34 and 37 solves of size 20N, and a
+        # second inverse iteration for the collocation eigenpair took 8;
+        # Newton with Noda's iteration per step took 4 or 5 of size 20N and
+        # 24 to 33 of size 8N. Inverse iteration takes one solve per step.
+        solves = _solve_counter(monkeypatch)
         est = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=size))
         assert est.width <= 1e-10 / 2
-        assert len(full) <= 5
+        assert solves.count(size * thermo.COLLOCATION_NODES) <= 2
+        assert solves.count(size * thermo.COARSE_NODES) <= 6
 
     def test_two_letters_at_tolerance_1e12_hold_e2(self):
         est = gk.bowen_dimension(cf_sys(truncate=2), tolerance=1e-12)
@@ -606,21 +615,22 @@ class TestTwoLevelNewton:
         with pytest.raises(gk.ConvergenceError, match="cannot certify"):
             gk.bowen_dimension(cf_sys(truncate=2), tolerance=1e-13)
 
-    def test_failed_coarse_engine_starts_newton_at_zero(self, monkeypatch):
-        slope = thermo.CfCollocation.pressure_slope
-        full_ts = []
+    def test_failed_coarse_engine_starts_at_the_model_root(self, monkeypatch):
+        find_root = thermo.CfCollocation.find_root
+        starts = []
 
-        def coarse_fails(self, t):
+        def coarse_fails(self, t0, tolerance):
             if self.nodes == thermo.COARSE_NODES:
                 raise gk.ConvergenceError("coarse collocation refused")
-            full_ts.append(t)
-            return slope(self, t)
-        monkeypatch.setattr(thermo.CfCollocation, "pressure_slope", coarse_fails)
+            starts.append(t0)
+            return find_root(self, t0, tolerance)
+        monkeypatch.setattr(thermo.CfCollocation, "find_root", coarse_fails)
         est = gk.bowen_dimension(cf_sys(truncate=2))
-        assert full_ts[0] == 0.0
+        # the Moran root of the state model, ratios (a + 1/2)^-2, not t = 0
+        assert starts == [pytest.approx(_moran_bisect([1.5 ** -2, 2.5 ** -2]), abs=1e-10)]
         assert est.lo <= E2 <= est.hi
         assert est.width <= 1e-10 / 2
-        assert est.iterations == len(full_ts) == 5
+        assert est.iterations == 4
 
 
 @settings(max_examples=25, deadline=None)
@@ -637,6 +647,34 @@ def test_cf_truncations_are_certified_and_nested(size, width, tol):
     assert p0.lower <= log_rho(small) <= p0.upper
     # adding a letter cannot lower the dimension
     assert est.lo <= est_large.hi
+
+
+@st.composite
+def _nested_restrictions(draw):
+    """(kind, width, N, F, G): letters F inside G inside {1..N} of a full
+    (N <= 8), banded width 1 (N <= 12) or banded width 2 (N <= 10) rule."""
+    kind, width, most = draw(st.sampled_from([(gg.FULL, 1, 8), (gg.BANDED, 1, 12),
+                                              (gg.BANDED, 2, 10)]))
+    size = draw(st.integers(1, most))
+    outer = draw(st.lists(st.integers(1, size), min_size=1, unique=True))
+    inner = draw(st.lists(st.sampled_from(sorted(outer)), min_size=1, unique=True))
+    return kind, width, size, inner, outer
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nested_restrictions(), st.sampled_from([1e-3, 1e-8, 1e-10, 1e-12]))
+def test_restrictions_of_cf_truncations_are_certified_and_nested(case, tol):
+    kind, width, size, inner, outer = case
+    head = cf_sys(kind, width, truncate=size)
+    est_f, est_g = (gk.bowen_dimension(head.restrict(ids), tol) for ids in (inner, outer))
+    for e in (est_f, est_g):
+        assert 0.0 <= e.lo <= e.hi <= 1.0
+        assert e.width <= tol / 2
+    # a subsystem cannot have the larger dimension
+    assert est_f.lo <= est_g.hi
+    if kind == gg.FULL:
+        e2 = gk.bowen_dimension(cf_sys(truncate=max(size, 2)).restrict([1, 2]), tol)
+        assert e2.lo <= E2 <= e2.hi and e2.width <= tol / 2
 
 
 class TestComponentDimensions:

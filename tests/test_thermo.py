@@ -15,7 +15,7 @@ from gdmskit import thermo
 from conftest import (log_rho, packed_system, period_two_system,
                       two_component_system, random_packed_system)
 from test_dimension import (_dense_pressure, _explicit_specs, _many_edge_spec,
-                            _reference_root, _solve_counter)
+                            _moran_bisect, _reference_root, _solve_counter)
 
 
 def cf_sys(kind=gg.FULL, width=1, truncate=None):
@@ -192,6 +192,22 @@ class TestPerron:
         block = thermo.PerronBlock(np.zeros((size, size), dtype=bool), np.zeros(size))
         with pytest.raises(gk.ConvergenceError, match="not resolved"):
             block.pressure_slope(0.5)
+
+    @pytest.mark.parametrize("t", [0.0, 5e-15, 0.37, 2.0, 40.0])
+    def test_one_cycle_has_the_closed_form_pressure(self, t):
+        # e1 -> e2 -> e3 -> e1 has B(t)^3 = (r1 r2 r3)^t I, so P(t) is
+        # (t/3) sum ln r, here to 40 digits; the golden-mean block is no cycle
+        mpmath = pytest.importorskip("mpmath")
+        ratios = [0.778, 0.06, 0.3]
+        block = thermo.PerronBlock(np.roll(np.eye(3, dtype=bool), 1, axis=1), np.log(ratios))
+        assert block.cycle and block.size == 3
+        lower, upper = block.certified_pressure(t)
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(t) * mpmath.fsum(mpmath.log(r) for r in ratios) / 3
+            assert lower <= exact <= upper
+        assert upper - lower <= 4e-15 * abs(lower) + 1e-300
+        golden = thermo.PerronBlock(np.array([[True, True], [True, False]]), np.log([0.3, 0.4]))
+        assert not golden.cycle
 
 
 class TestStateLumping:
@@ -534,14 +550,18 @@ class TestCfCollocation:
         assert L @ np.ones(engine.size) == pytest.approx(3.0 * np.ones(engine.size), rel=1e-13)
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 5)])
-    def test_slope_matches_difference_quotient(self, kind, size):
+    def test_root_is_where_the_leading_eigenvalue_is_one(self, kind, size):
+        # numpy's eigenvalues are the oracle; the package itself runs none
         engine = cf_sys(kind, 1, truncate=size).engines[0]
-        t, h = 0.55, 1e-5
-        p, slope = engine.pressure_slope(t)
-        ahead, behind = engine.pressure_slope(t + h)[0], engine.pressure_slope(t - h)[0]
-        assert slope == pytest.approx((ahead - behind) / (2 * h), rel=1e-7)
-        lo, hi = engine.certified_pressure(t)
-        assert lo <= p <= hi
+        h, _ = engine.find_root(engine.newton_start(1e-10), 1e-10)
+        values = np.linalg.eigvals(engine.matrix(h))
+        leading = values[np.argmax(values.real)]
+        assert abs(leading - 1.0) <= 1e-12
+        v = engine.right
+        assert v.min() > 0.0 and v.sum() == pytest.approx(1.0)
+        assert engine.matrix(h) @ v == pytest.approx(v, rel=1e-12, abs=1e-14)
+        lo, hi = engine.certified_pressure(h)
+        assert lo <= 0.0 <= hi
 
     def test_certificate_holds_off_the_nodes(self):
         # Collatz-Wielandt: a positive g with (lam - s) g <= L g <= (lam + s) g
@@ -595,7 +615,7 @@ class TestCfCollocation:
         B = np.array([[1.0 - gap, gap - 0.3], [0.3, 0.4]])
         lam, upper, v = thermo.perron_root(B, 0.0)
         with pytest.raises(gk.ConvergenceError, match="not simple"):
-            thermo.ruelle_slope(B, B, v, lam, upper)
+            thermo.equilibrium_weights(B, v, upper)
 
     def test_state_functions_beyond_the_double_range_are_refused(self):
         with pytest.raises(gk.ConvergenceError, match="state functions span more than the double"):
@@ -637,13 +657,13 @@ class TestCfCollocation:
                 solves.append(1)
             return solve(a, b)
         monkeypatch.setattr(np.linalg, "solve", counted)
-        engine.pressure_slope(0.5)
+        engine.certified_pressure(0.5)
         cold = len(solves)
         assert engine.right is not None
         solves.clear()
         engine.certified_pressure(0.5 + 1e-9)
-        # a step or two until the vector stays in place, then the left solve
-        assert len(solves) <= 3 < cold
+        # a step or two until the vector stays in place
+        assert len(solves) <= 2 < cold
 
     def test_matrix_size_honours_the_count_guard(self, monkeypatch):
         monkeypatch.setenv("GDMS_COUNT_GUARD", str(thermo.COLLOCATION_NODES ** 2 - 1))
@@ -750,25 +770,38 @@ class TestNewtonStart:
             solves.append(len(a))
             return solve(a, b)
         monkeypatch.setattr(np.linalg, "solve", counted)
-        p, slope = engine.pressure_slope(t0)
-        # the coarse root is a Newton step of about 2e-8 from the full one,
-        # and the interpolated vector is that close to its eigenvector
-        assert abs(p / slope) <= 1e-7
-        assert solves.count(engine.size) <= 4
+        h, steps = engine.find_root(t0, 1e-10)
+        # the coarse root lies about 2e-8 from the full one, so one step of
+        # size 20N reaches the tolerance and the next confirms it
+        assert abs(h - t0) <= 1e-7
+        assert solves.count(engine.size) == steps <= 2
 
-    def test_failed_coarse_steps_start_cold_and_keep_the_vectors(self, monkeypatch):
+    def test_failed_coarse_steps_start_at_the_model_root(self, monkeypatch):
+        # the state model of digits {1, 2} is the full shift of ratios
+        # (a + 1/2)^-2, whose Moran root is where the full-size steps start,
+        # from the state sizes there rather than a warm vector
         engine = cf_sys(truncate=2).engines[0]
-        engine.pressure_slope(0.4)
-        right, sizes = engine.right, engine.sizes
-        slope = thermo.CfCollocation.pressure_slope
+        engine.certified_pressure(0.4)
+        find_root = thermo.CfCollocation.find_root
 
-        def coarse_fails(self, t):
+        def coarse_fails(self, t0, tolerance):
             if self.nodes == thermo.COARSE_NODES:
                 raise gk.ConvergenceError("coarse collocation refused")
-            return slope(self, t)
-        monkeypatch.setattr(thermo.CfCollocation, "pressure_slope", coarse_fails)
-        assert engine.newton_start(1e-10) == 0.0
-        assert engine.right is right and engine.sizes is sizes
+            return find_root(self, t0, tolerance)
+        monkeypatch.setattr(thermo.CfCollocation, "find_root", coarse_fails)
+        model_root = _moran_bisect([1.5 ** -2, 2.5 ** -2])
+        assert engine.newton_start(1e-10) == pytest.approx(model_root, abs=1e-10)
+        assert engine.right is None and engine.sizes is None
+
+    def test_singular_shifted_matrix_makes_t_the_root(self, monkeypatch):
+        # L(t) - I singular: eigenvalue 1 at t, so one step ends the search
+        engine = cf_sys(truncate=2).engines[0]
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert engine.find_root(0.4, 1e-10) == (0.4, 1)
+        assert engine.right.min() > 0.0
 
     def test_coarse_vector_that_is_not_positive_is_refused(self, monkeypatch):
         # flip the sign of the interpolation onto the full grid, the one
@@ -876,7 +909,7 @@ def test_collocation_eigenpair_is_the_leading_one(rule, t, t_before):
     kind, width, size = rule
     system = cf_sys(kind, width, truncate=size)
     engine = system.engines[0]
-    engine.pressure_slope(t_before)
+    engine._perron(t_before, engine.matrix(t_before))
     L = engine.matrix(t)
     values = np.linalg.eigvals(L)
     leading = values[np.argmax(values.real)]
