@@ -1,8 +1,8 @@
 """Directed multigraph, incidence rules, admissible words and SCC structure.
 
-The reachability analysis runs on the edge graph: its nodes are the edges of
-the multigraph and there is an arrow a -> b whenever the incidence matrix
-allows b to follow a.
+The edge graph has an arrow a -> b whenever the incidence matrix allows b
+to follow a. Every analysis reads it on the k states of `StateLumping`, its
+edges grouped by successor set (README "The edge graph on states").
 """
 
 from __future__ import annotations
@@ -252,31 +252,79 @@ def word_lengths(ns) -> list:
 def enumerate_words(system, n: int, limit: int | None = None):
     """Yield the admissible length-n words in lexicographic edge-list order.
 
-    Dead prefixes are pruned depth-first. Raises ResourceGuardError once the
-    stream exceeds `limit` (default: the global count guard), and InputError
-    unless n is a `word_lengths` entry.
+    Dead prefixes are pruned depth-first, on an explicit stack of iterators
+    over the `state_lists` of the prefix's letters. Raises ResourceGuardError
+    once the stream exceeds `limit` (default: the global count guard), and
+    InputError unless n is a `word_lengths` entry.
     """
     (n,) = word_lengths([n])
-    succ = system.successors
+    lists, state, ids = system.state_lists, system.lumping.state_of.tolist(), system.edge_ids
     bound = count_guard() if limit is None else limit
-    ids = system.edge_ids
-    emitted = 0
-
-    def extend(prefix):
-        nonlocal emitted
-        if len(prefix) == n:
+    emitted, prefix, stack = 0, [], [iter(range(len(ids)))]
+    while stack:
+        for nxt in stack[-1]:
+            prefix.append(nxt)
+            if len(prefix) < n:
+                stack.append(iter(lists[state[nxt]]))
+                break
             emitted += 1
             if emitted > bound:
                 raise ResourceGuardError(f"enumeration exceeded count guard of {bound}")
             yield tuple(map(ids.__getitem__, prefix))
-            return
-        for nxt in succ[prefix[-1]]:
-            prefix.append(nxt)
-            yield from extend(prefix)
             prefix.pop()
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
-    for first in range(len(ids)):
-        yield from extend([first])
+
+def grouped(rows, values, count):
+    """For each row 0..count-1, the distinct `values` paired with it in
+    `rows` (integer arrays, values >= 0), ascending, as one list per row."""
+    base = int(values.max(initial=0)) + 1
+    pairs = np.zeros(count * base, dtype=bool)
+    pairs[rows * base + values] = True
+    rows, values = np.divmod(np.flatnonzero(pairs), base)
+    bounds, values = np.searchsorted(rows, np.arange(count + 1)).tolist(), values.tolist()
+    return tuple(values[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+class StateLumping:
+    """The letters of a square boolean matrix X grouped into states by
+    their predecessor sets (the True rows of their columns), numbered in
+    order of first occurrence. An operator whose image at c sums a term T_a
+    on the unknown of a's state over the predecessors a of c depends on c
+    only through its state, so its matrix has one block row and column per
+    state, block (s, s(a)) summing T_a over a in s (`blocks`). X is A for a
+    continued-fraction collocation and A^T, whose predecessor sets are A's
+    successor sets, for a similarity block or a system's edge graph
+    (`GdmsSystem.lumping`), where k <= V under `incidence full`."""
+
+    def __init__(self, X):
+        index, pattern = {}, np.ascontiguousarray(X.T)
+        packed = np.packbits(pattern, axis=1)
+        sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
+        self.state_of = np.array([index.setdefault(p, len(index)) for p in sets], dtype=np.intp)
+        self.counts = np.bincount(self.state_of)  # letters per state
+        # members[s, a] is True when letter a is in predecessor set s
+        self.members = pattern[np.unique(self.state_of, return_index=True)[1]]
+        # (s, a) for each a in set s = feeding[starts[s]:starts[s + 1]], and its block entry
+        self.rows, self.feeding = np.divmod(np.flatnonzero(self.members), len(self.state_of))
+        self.starts = np.searchsorted(self.rows, np.arange(len(self.members) + 1))
+        self.keys = self.rows * len(self.members) + self.state_of[self.feeding]
+        self._tail_keys = {1: self.keys}
+
+    def blocks(self, per_letter):
+        """Sum per_letter[a] (one array per letter) into the block (s, s(a))
+        for every predecessor set s holding a, in ascending order of a:
+        shape (states, states) + per_letter.shape[1:]."""
+        tail = per_letter.shape[1:]
+        size, states = math.prod(tail), len(self.members)
+        keys = self._tail_keys.get(size)
+        if keys is None:
+            keys = self._tail_keys[size] = (self.keys[:, None] * size + np.arange(size)).ravel()
+        flat = np.bincount(keys, per_letter[self.feeding].ravel(), minlength=states ** 2 * size)
+        return flat.reshape((states, states) + tail)
 
 
 @dataclass(frozen=True)
@@ -290,54 +338,36 @@ class SccReport:
 def tarjan_scc(succ):
     """Iterative Tarjan on the graph whose node k has the successors
     succ[k] (positions 0..len(succ)-1); returns the SCCs as lists of
-    positions, in reverse topological order."""
-    n = len(succ)
-    index, low, onstack = [-1] * n, [0] * n, [False] * n
-    stack, sccs = [], []
-    counter = 0
+    positions, in reverse topological order. A node put in an SCC gets the
+    low link len(succ), which no later minimum takes."""
+    n, counter = len(succ), 0
+    index, low, stack, sccs = [-1] * n, [0] * n, [], []
     for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack[root] = True
-        work = [(root, iter(succ[root]))]
+        work = [(root, None)] if index[root] < 0 else []
         while work:
-            v, it = work[-1]
+            v, it = work.pop()
+            if it is None:  # first visit
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                it = iter(succ[v])
             for w in it:
                 if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack[w] = True
-                    work.append((w, iter(succ[w])))
+                    work += [(v, it), (w, None)]
                     break
-                if onstack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if low[w] < low[v]:
+                    low[v] = low[w]
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
                 if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        low[w] = n
                     sccs.append(comp)
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return sccs
-
-
-def cyclic_components(succ, sccs):
-    """The components of `sccs` (from `tarjan_scc(succ)`) that an admissible
-    cycle passes through (more than one edge, or one edge that may follow
-    itself), each as a sorted tuple of positions, ordered by their first."""
-    return tuple(sorted(tuple(sorted(c)) for c in sccs if len(c) > 1 or c[0] in succ[c[0]]))
 
 
 def scc_decompose(system) -> SccReport:
@@ -348,42 +378,37 @@ def scc_decompose(system) -> SccReport:
     Everything else lands in the isolated set. Component i communicates
     with j when some admissible word leads from i to j, and (i, j) is a
     condensation arc when that word can pass through isolated edges only.
+    All of it is read on the quotient SCCs `system.sccs`, sink first.
     """
-    ids = system.edge_ids
-    succ = system.successors
-    comp_of = [-1] * len(ids)
-    for k, comp in enumerate(system.component_positions):
-        for e in comp:
-            comp_of[e] = k
-    isolated = frozenset(ids[e] for e, k in enumerate(comp_of) if k < 0)
-
-    # For each Tarjan component n: reached[n] holds the cyclic components
-    # some word from n leads to, bridged[n] those it leads to through
-    # isolated edges only. Tarjan lists components sink first, so the sets
-    # of every successor of n are complete when n reads them.
-    sccs = system.sccs
-    position = [0] * len(ids)
+    ids, lumping, sccs = system.edge_ids, system.lumping, system.sccs
+    states, rows = len(lumping.members), lumping.rows
+    scc_of, comp_of = np.zeros(states, dtype=np.intp), [-1] * len(sccs)  # each SCC's component
     for n, scc in enumerate(sccs):
-        for e in scc:
-            position[e] = n
-    reached, bridged = [], []
+        scc_of[list(scc)] = n
+    # tag[c]: the state of an isolated edge c, states + the component of a cyclic one
+    tag = lumping.state_of.copy()
+    for i, comp in enumerate(system.component_positions):
+        comp_of[scc_of[tag[comp[0]]]] = i
+        tag[list(comp)] = states + i
+    isolated = frozenset(ids[e] for e in np.flatnonzero(tag < states).tolist())
+    later = grouped(scc_of[rows], scc_of[lumping.state_of[lumping.feeding]], len(sccs))
+    follow = grouped(rows, tag[lumping.feeding], states)
+    # reached[n]: the components but its own that SCC n leads to; bridged[s]: those state
+    # s leads to through isolated edges only, whose states lie in SCCs read before s's
+    reached, bridged = [], [None] * states
     communication, condensation = set(), set()
     for n, scc in enumerate(sccs):
-        reach, bridge = set(), set()
-        for m in {position[w] for e in scc for w in succ[e]} - {n}:
-            reach |= reached[m]
-            j = comp_of[sccs[m][0]]
-            if j < 0:
-                bridge |= bridged[m]
-            else:
-                reach.add(j)
-                bridge.add(j)
+        reach = set()
+        for m in set(later[n]) - {n}:
+            reach |= reached[m] | ({comp_of[m]} - {-1})
+        for s in scc:
+            bridged[s] = set()
+            for t in follow[s]:
+                bridged[s] |= {t - states} if t >= states else bridged[t]
         reached.append(reach)
-        bridged.append(bridge)
-        i = comp_of[scc[0]]
-        if i >= 0:
+        if (i := comp_of[n]) >= 0:
             communication.update((i, j) for j in reach)
-            condensation.update((i, j) for j in bridge)
+            condensation.update((i, j) for s in scc for j in bridged[s] if j != i)
     return SccReport(system.components, frozenset(condensation), isolated,
                      frozenset(communication))
 
@@ -403,7 +428,8 @@ def matrix_properties(system) -> MatrixProperties:
     """Irreducibility, primitivity and finite irreducibility.
 
     A finite system is read from its cached views: `system.irreducible`
-    and the period of the edge graph, so the cost is O(E + nnz). For a
+    and the period of `system.state_arcs`, whose cycle lengths are the edge
+    graph's, so past the lumping the cost is O(k + quotient arcs). For a
     finite edge set finitely irreducible coincides with irreducible, since
     one connecting word per ordered edge pair is a finite set. Named
     infinite rules get closed-form verdicts: truncation would change the
@@ -420,7 +446,7 @@ def matrix_properties(system) -> MatrixProperties:
         just["finitely_irreducible"] = just["irreducible"]
         return MatrixProperties(False, False, False, just)
 
-    period = _graph_period(system.successors)
+    period = _graph_period(system.state_arcs)
     primitive = period == 1
     just = {
         "irreducible": "the edge graph is strongly connected",
@@ -433,9 +459,7 @@ def matrix_properties(system) -> MatrixProperties:
 
 def _graph_period(succ):
     """gcd of cycle lengths of a strongly connected graph on positions."""
-    level = [-1] * len(succ)
-    level[0] = 0
-    queue = [0]
+    level, queue = [0] + [-1] * (len(succ) - 1), [0]
     for v in queue:
         for w in succ[v]:
             if level[w] < 0:

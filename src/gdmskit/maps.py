@@ -150,8 +150,11 @@ class MoebiusCfFamily:
             b = 1 if system.incidence.allows_labels(1, 1) else 2
             return 1.0 / (b + 1) ** 2, 2
         ids = system.edge_ids
-        # 1/(ab + 1)^2 is largest at the least product ab
-        products = [ids[a] * ids[b] for a, row in enumerate(system.successors) for b in row]
+        # 1/(ab + 1)^2 is largest at the least product ab: the least label
+        # of a state (the last one written) times the least in its successor set
+        least = {s: a for a, s in sorted(zip(ids, system.lumping.state_of.tolist()), reverse=True)}
+        products = [least[s] * min(map(ids.__getitem__, row))
+                    for s, row in enumerate(system.state_lists) if row]
         return (1.0 / (min(products) + 1) ** 2 if products else 0.25), 2
 
     def level_sums(self, system, ns, t):

@@ -74,10 +74,10 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
 
     Words are walked on the pruned system, where every edge has a
     successor, so every walk reaches `depth`. All walks advance together,
-    one vectorized step per letter on the pruned system's cached
-    `successor_csr`: letter j of walk k is `_pick`ed by entry k of
-    `_step_draws(seed, j, count)`, the first among all edges, each later
-    one among the successors of the letter before it, in edge order.
+    one vectorized step per letter on the pruned system's cached `lumping`:
+    letter j of walk k is `_pick`ed by entry k of `_step_draws(seed, j,
+    count)`, the first among all edges, each later one among the successors
+    of the letter before it, in edge order: its state's `feeding` row.
     Midpoints of the terminal image intervals approximate coding-map values
     within the interval diameter. Raises InputError unless count, depth and
     seed are integers (`graph.as_integer`) with count, depth >= 1 and
@@ -102,11 +102,12 @@ def sample_points(system: GdmsSystem, count: int, depth: int, seed: int) -> Limi
             f"sample of {count} words of length {depth} exceeds count guard of {guard}")
 
     system = prune(system)[0]
-    indices, starts, deg = system.successor_csr
+    lumping = system.lumping
+    starts, deg = lumping.starts[lumping.state_of], np.diff(lumping.starts)[lumping.state_of]
     walks = np.empty((depth, count), dtype=np.intp)
     walks[0] = e = _pick(_step_draws(seed, 0, count), len(deg))
     for j in range(1, depth):
-        walks[j] = e = indices[starts[e] + _pick(_step_draws(seed, j, count), deg[e])]
+        walks[j] = e = lumping.feeding[starts[e] + _pick(_step_draws(seed, j, count), deg[e])]
     walks = walks.T
 
     labels = np.array(system.edge_ids, dtype=object)

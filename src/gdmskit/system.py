@@ -20,10 +20,11 @@ from .errors import DomainError, InputError, NotApplicableError, SpecError
 @dataclass
 class GdmsSystem:
     """A graph-directed Markov system: multigraph, incidence, contraction
-    family and vertex spaces. Its views of the edge graph, from `edge_index`
-    to `engines`, are `functools.cached_property`s, built on first use
-    (or given to `store_matrix`) and not to be modified, except by the
-    `engines` themselves, which keep their last vectors and roots. Every
+    family and vertex spaces. Its views of the edge graph, read on the
+    states of `lumping`, from `edge_index` to `engines`, are
+    `functools.cached_property`s, built on first use (or given to
+    `store_matrix`) and not to be modified, except by the `engines`
+    themselves, which keep their last vectors and roots. Every
     derived system is a `dataclasses.replace` copy and starts with empty
     caches, but a subsystem (`subsystem`, `restrict`, `prune`) keeps its
     parent's `engine_pool`, so a block they share is one engine object.
@@ -80,46 +81,53 @@ class GdmsSystem:
         return _read_only(np.array([self.family.log_norm((e,)) for e in self.edge_ids]))
 
     @cached_property
-    def successor_csr(self):
-        """The edge graph by position in compressed sparse rows, three
-        read-only integer arrays (indices, starts, degrees): the positions
-        of the edges allowed to follow edge k are
-        indices[starts[k]:starts[k] + degrees[k]], ascending, i.e. the
-        nonzero columns of row k of `incidence_matrix`."""
-        A = self.incidence_matrix
-        rows, indices = np.nonzero(A)
-        degrees = np.bincount(rows, minlength=len(A))
-        starts = np.cumsum(degrees) - degrees
-        return tuple(map(_read_only, (indices, starts, degrees)))
+    def lumping(self):
+        """The edge graph on states: `graph.StateLumping` of the transposed
+        `incidence_matrix`, one state per distinct successor set, in order
+        of first occurrence; `state_of` maps each edge to its state."""
+        return g.StateLumping(self.incidence_matrix.T)
 
     @cached_property
-    def successors(self):
-        """`successor_csr` as one list of successor positions per edge.
-        Shared by every reader; not to be modified."""
-        indices, starts, degrees = self.successor_csr
-        cols = indices.tolist()
-        return tuple(cols[a:a + d] for a, d in zip(starts.tolist(), degrees.tolist()))
+    def state_lists(self):
+        """The successor set of each state as a list of positions, ascending."""
+        return g.grouped(self.lumping.rows, self.lumping.feeding, len(self.lumping.members))
+
+    @cached_property
+    def state_arcs(self):
+        """The quotient graph: for each state s, the distinct states of the
+        edges in its successor set, ascending."""
+        lumping = self.lumping
+        return g.grouped(lumping.rows, lumping.state_of[lumping.feeding], len(lumping.members))
 
     @property
     def successor_map(self):
         """edge id -> tuple of allowed successor edge ids, in edge order:
-        `successors` in labels, built on each call."""
-        ids = self.edge_ids
-        return {a: tuple(map(ids.__getitem__, row)) for a, row in zip(ids, self.successors)}
+        `state_lists` in labels, built on each call."""
+        ids, lists, state = self.edge_ids, self.state_lists, self.lumping.state_of.tolist()
+        return {a: tuple(ids[c] for c in lists[s]) for a, s in zip(ids, state)}
 
     @cached_property
     def sccs(self):
-        """Every strongly connected component of the edge graph as a tuple
-        of positions, sink first: the output of one `graph.tarjan_scc`
-        pass, from which `components` and `graph.scc_decompose` both read."""
-        return tuple(map(tuple, g.tarjan_scc(self.successors)))
+        """Every strongly connected component of `state_arcs` as a tuple of
+        states, sink first: one `graph.tarjan_scc` pass on the k states, from
+        which `components`, `prune` and `graph.scc_decompose` all read."""
+        return tuple(map(tuple, g.tarjan_scc(self.state_arcs)))
 
     @cached_property
     def component_positions(self):
-        """Sorted positions of each strongly connected component that
-        carries a cycle, ordered by their first (see
-        `graph.cyclic_components`)."""
-        return g.cyclic_components(self.successors, self.sccs)
+        """Sorted positions of each strongly connected component of the edge
+        graph that carries a cycle, ordered by their first: the edges in the
+        successor set of a state of their own state's quotient SCC, one
+        component per quotient SCC."""
+        lumping, scc_of = self.lumping, np.zeros(len(self.lumping.members), dtype=np.intp)
+        for n, scc in enumerate(self.sccs):
+            scc_of[list(scc)] = n
+        comps, own = {}, scc_of[lumping.state_of]
+        cyclic = np.zeros(len(own), dtype=bool)
+        cyclic[lumping.feeding[scc_of[lumping.rows] == own[lumping.feeding]]] = True
+        for e, n in zip(np.flatnonzero(cyclic).tolist(), own[cyclic].tolist()):
+            comps.setdefault(n, []).append(e)
+        return tuple(map(tuple, comps.values()))
 
     @cached_property
     def components(self):
@@ -143,10 +151,10 @@ class GdmsSystem:
         entry for entry in position order: components that are copies of
         one block get one engine, and a subsystem cut from this system gets
         the engines its components already have here."""
-        engine_type = self.family.engine_type
-        engines = []
+        engine_type, A, engines = self.family.engine_type, self.incidence_matrix, []
         for idx in map(list, self.component_positions):
-            block = self.incidence_matrix[np.ix_(idx, idx)]
+            # a component of every edge is all of A, taken without a copy
+            block = A if len(idx) == len(A) else A[idx][:, idx]
             values = engine_type.letter_values(self, idx)
             key = (engine_type, len(idx), np.packbits(block).tobytes(), values.tobytes())
             if key not in self.engine_pool:
@@ -182,7 +190,7 @@ class GdmsSystem:
         sub = replace(self, graph=g.MultiGraph(self.graph.vertices, edges))
         sub.engine_pool = self.engine_pool
         if not self.infinite:
-            sub.store_matrix(self.incidence_matrix[np.ix_(idx, idx)])
+            sub.store_matrix(self.incidence_matrix[idx][:, idx])
         return sub
 
     def truncate(self, size: int) -> "GdmsSystem":
@@ -332,25 +340,24 @@ def prune(system: GdmsSystem):
 
     Removing such edges leaves the limit set unchanged: no infinite word can
     pass through them. One sweep over `system.sccs`, sink first, gives each
-    edge the round in which the iteration would drop it (0: never), read
-    from one member per component: an edge stays if a successor stays,
-    else it goes one round after its last successor. The members of a
-    component read each other as staying, so a cycle keeps them all.
+    state the round in which the iteration drops its edges (0: never), read
+    from one member per SCC: a state stays if a successor state stays, else
+    it goes one round after its last successor. The members of an SCC read
+    each other as staying, so a cycle keeps them all.
     """
     if system.infinite:
         return system, ()
-    succ = system.successors
-    rounds = [0] * len(succ)
-    for comp in system.sccs:
-        later = [rounds[j] for j in succ[comp[0]]]
+    arcs, rounds = system.state_arcs, [0] * len(system.state_arcs)
+    for scc in system.sccs:
+        later = [rounds[s] for s in arcs[scc[0]]]
         if 0 not in later:
-            rounds[comp[0]] = 1 + max(later, default=0)
-    removed = sorted((r, k) for k, r in enumerate(rounds) if r)
-    if not removed:
+            rounds[scc[0]] = 1 + max(later, default=0)
+    rounds = np.array(rounds, dtype=np.intp)[system.lumping.state_of]
+    dead, ids = np.flatnonzero(rounds), system.edge_ids
+    if not dead.size:
         return system, ()
-    ids = system.edge_ids
-    return (system.subsystem([k for k, r in enumerate(rounds) if not r]),
-            tuple(ids[k] for _, k in removed))
+    return (system.subsystem(np.flatnonzero(rounds == 0).tolist()),
+            tuple(ids[k] for k in dead[np.argsort(rounds[dead], kind="stable")].tolist()))
 
 
 def validate(system: GdmsSystem):

@@ -225,43 +225,6 @@ def perron_root(B, t, start=None):
     return lam, upper, v
 
 
-class StateLumping:
-    """The letters of a square boolean matrix X grouped into states by
-    their predecessor sets (the True rows of their columns), numbered in
-    order of first occurrence. An operator whose image at c sums a term T_a
-    on the unknown of a's state over the predecessors a of c depends on c
-    only through its state, so its matrix has one block row and column per
-    state, block (s, s(a)) summing T_a over a in s (`blocks`). X is A for a
-    continued-fraction collocation and A^T, whose predecessor sets are A's
-    successor sets, for a similarity block or partition sum, where k <= V
-    under a vertex-determined incidence (`incidence full`)."""
-
-    def __init__(self, X):
-        index, pattern = {}, np.ascontiguousarray(X.T)
-        packed = np.packbits(pattern, axis=1)
-        sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
-        self.state_of = np.array([index.setdefault(p, len(index)) for p in sets], dtype=np.intp)
-        self.counts = np.bincount(self.state_of)  # letters per state
-        # members[s, a] is True when letter a is in predecessor set s
-        self.members = pattern[np.unique(self.state_of, return_index=True)[1]]
-        # each (s, a) with a in predecessor set s, s ascending, and its block entry
-        rows, self.feeding = np.divmod(np.flatnonzero(self.members), len(self.state_of))
-        self.keys = rows * len(self.members) + self.state_of[self.feeding]
-        self._tail_keys = {1: self.keys}
-
-    def blocks(self, per_letter):
-        """Sum per_letter[a] (one array per letter) into the block (s, s(a))
-        for every predecessor set s holding a, in ascending order of a:
-        shape (states, states) + per_letter.shape[1:]."""
-        tail = per_letter.shape[1:]
-        size, states = math.prod(tail), len(self.members)
-        keys = self._tail_keys.get(size)
-        if keys is None:
-            keys = self._tail_keys[size] = (self.keys[:, None] * size + np.arange(size)).ravel()
-        flat = np.bincount(keys, per_letter[self.feeding].ravel(), minlength=states ** 2 * size)
-        return flat.reshape((states, states) + tail)
-
-
 def _full_shift_pressure(log_r, t, weights=1.0):
     """(P, P') of a full shift in closed form: P(t) = ln sum w r^t and
     P'(t) = sum w r^t ln r / sum w r^t, the weights w all 1 by default."""
@@ -341,7 +304,7 @@ class PerronBlock:
     pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
 
     def __init__(self, A, log_norms):
-        self.lumping, self.log_norms = StateLumping(A.T), log_norms
+        self.lumping, self.log_norms = g.StateLumping(A.T), log_norms
         self.size = len(self.lumping.members)
         # every letter has one successor: the block is one cycle
         self.cycle = self.size > 0 and bool((self.lumping.members.sum(axis=1) == 1).all())
@@ -456,13 +419,13 @@ class PerronBlock:
 
 def _transfer_partition_sums(system, t, n_max):
     """[u B^(n-1) 1 for n = 1..n_max], B = A o r^t and u = r^t, iterated on
-    M(t) = `StateLumping`(A^T)`.blocks`(r^t): B^(n-1) 1 is constant on the
+    M(t) = `system.lumping.blocks`(r^t): B^(n-1) 1 is constant on the
     edges of one successor set, so its values per state are M(t)^(n-1) 1,
     and u is summed per state (M = B when all successor sets are distinct).
     A sum past the float range comes out inf, or nan where a 0 entry of M
     meets an inf; the caller refuses it, so neither raises a floating-point
     warning here."""
-    lumping, r_t = StateLumping(system.incidence_matrix.T), np.exp(t * system.log_norms)
+    lumping, r_t = system.lumping, np.exp(t * system.log_norms)
     M, u = lumping.blocks(r_t), np.bincount(lumping.state_of, r_t)
     w = np.ones(len(u))
     out = []
@@ -487,7 +450,8 @@ def _cf_level_sums(system, ns, t):
     up to it stay within the guard; that is checked before it is built.
     """
     guard = g.count_guard()
-    preds = [np.flatnonzero(column).tolist() for column in system.incidence_matrix.T]
+    by_preds = g.StateLumping(system.incidence_matrix)  # the letters by predecessor set
+    preds = g.grouped(by_preds.rows, by_preds.feeding, len(by_preds.members))
     log_labels = [math.log(e) for e in system.edge_ids]
     lq_prev, lq = np.zeros(len(log_labels)), np.array(log_labels)
     counts = np.ones(len(log_labels), dtype=int)
@@ -502,8 +466,8 @@ def _cf_level_sums(system, ns, t):
             starts = np.cumsum(counts) - counts
             next_prev, next_q = np.empty(size), np.empty(size)
             pos = 0
-            for b, p in enumerate(preds):
-                for a in p:
+            for b, s in enumerate(by_preds.state_of.tolist()):
+                for a in preds[s]:
                     part = slice(starts[a], starts[a] + counts[a])
                     stop = pos + counts[a]
                     next_prev[pos:stop] = lq[part]
@@ -585,8 +549,9 @@ def _log_bounds(low, high):
 
 class CfCollocation:
     """Chebyshev collocation of the transfer operator of one strongly
-    connected finite continued-fraction system, given by the `StateLumping`
-    of its incidence matrix A and its letters, the labels of A's rows:
+    connected finite continued-fraction system, given by the
+    `graph.StateLumping` of its incidence matrix A and its letters, the
+    labels of A's rows:
 
         (L_t f)_c(x) = sum over a with a -> c allowed of (a + x)^(-2t) f_a(1/(a + x)),
 
@@ -638,7 +603,7 @@ class CfCollocation:
     @classmethod
     def of_block(cls, block, letters):
         """The collocation on `letters` under the boolean incidence block `block`."""
-        return cls(StateLumping(block), letters)
+        return cls(g.StateLumping(block), letters)
 
     def matrix(self, t, derivative=False):
         """L(t), and with `derivative` also L'(t)."""

@@ -253,12 +253,12 @@ class TestPerronNewton:
 
 
 @st.composite
-def _explicit_specs(draw):
-    """`packed_system` arguments of one-vertex systems of 2 to 6 edges. Row
-    i of the incidence matrix repeats the successor set of row copies[i]
-    when copies[i] < i, so many systems have edges that share successor
-    sets (fewer engine states than edges)."""
-    n = draw(st.integers(2, 6))
+def _explicit_specs(draw, max_edges=6):
+    """`packed_system` arguments of one-vertex systems of 2 to `max_edges`
+    edges. Row i of the incidence matrix repeats the successor set of row
+    copies[i] when copies[i] < i, so many systems have edges that share
+    successor sets (fewer engine states than edges)."""
+    n = draw(st.integers(2, max_edges))
     ratios = draw(st.lists(st.floats(0.01, 0.4), min_size=n, max_size=n))
     scale = min(1.0, 0.95 / sum(ratios))
     flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))

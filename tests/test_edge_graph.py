@@ -1,6 +1,9 @@
 """One edge graph per parsed system: restrictions slice it, the level-1 open
-set check sweeps it, and the incidence matrix is built once."""
+set check sweeps it, the incidence matrix is built once, and every reader
+walks it on successor-set states with the answers of the edges."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,9 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import system as gs
-from conftest import random_graph_complete_system, random_packed_system_and_pairs
+from conftest import (packed_system, random_graph_complete_system,
+                      random_packed_system_and_pairs)
+from test_dimension import _explicit_specs, _many_edge_spec
 
 # image ends on a grid of eighths, nudged around the 1e-12 overlap threshold,
 # so that images touch, share lower ends and nest
@@ -181,3 +186,125 @@ def test_incidence_matrix_is_built_once_per_parse(monkeypatch):
     gk.conformal_cylinder_measure(system.restrict(core), result.dimension.mid)
     gk.sample_points(system, 20, 4, 1)
     assert len(calls) == 1
+
+
+@st.composite
+def _vertex_determined_systems(draw):
+    """1-4 vertices and 1-10 edges between random ends under `incidence
+    full`: b follows a exactly when a ends where b starts, so the edges
+    that end at one vertex share a successor set."""
+    vertices = tuple(f"v{k}" for k in range(draw(st.integers(1, 4))))
+    spaces = {v: gm.VertexSpace(v, 0.0, 1.0) for v in vertices}
+    n = draw(st.integers(1, 10))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=n, max_size=n))
+    edges = [(f"e{k}", a, b, gm.SimilarityMap(0.5 / n, k / n)) for k, (a, b) in enumerate(ends)]
+    return gk.similarity_system("vd", vertices, spaces, edges, gk.IncidenceSpec(gg.FULL))
+
+
+@st.composite
+def _layered_specs(draw):
+    """`_explicit_specs` of up to 10 edges keeping the pair (a, b) only when
+    b has at least as many successors as a: equal rows stay equal, most
+    cycles break, and components chain through isolated edges and through
+    each other, so that condensation and communication differ."""
+    name, ratios, allowed = draw(_explicit_specs(10))
+    out = {a: sum(1 for p in allowed if p[0] == a) for a in ratios}
+    return name, ratios, {(a, b) for a, b in allowed if out[b] >= out[a]}
+
+
+def _edge_level_answers(system):
+    """Every structural answer computed on the edges themselves, from the
+    rows of the incidence matrix and Tarjan on the edge graph: components
+    (ordered by their first edge), isolated ids, condensation and
+    communication pairs by breadth-first search, the period of an
+    irreducible graph (gcd of the n <= E with a closed walk of length n,
+    which include every simple cycle) and the prune removal order, round by
+    round."""
+    A, ids = system.incidence_matrix, system.edge_ids
+    succ = [np.flatnonzero(row).tolist() for row in A]
+    comps = sorted(sorted(c) for c in gg.tarjan_scc(succ) if len(c) > 1 or c[0] in succ[c[0]])
+    owner = {e: i for i, comp in enumerate(comps) for e in comp}
+    condensation, communication = set(), set()
+    for i, comp in enumerate(comps):
+        for through_isolated, found in ((True, condensation), (False, communication)):
+            queue = [w for e in comp for w in succ[e]]
+            seen = set(queue)
+            while queue:
+                v = queue.pop()
+                j = owner.get(v)
+                if j is not None and j != i:
+                    found.add((i, j))
+                if through_isolated and j is not None:
+                    continue
+                for w in set(succ[v]) - seen:
+                    seen.add(w)
+                    queue.append(w)
+    period = None
+    if len(comps) == 1 and len(comps[0]) == len(ids):
+        walks, power, period = A.astype(int), A.astype(int), 0
+        for n in range(1, len(ids) + 1):
+            if np.trace(power):
+                period = math.gcd(period, n)
+            power = np.minimum(power @ walks, 1)
+    live, removed = list(range(len(ids))), []
+    while dead := [a for a in live if not set(succ[a]) & set(live)]:
+        removed += dead
+        live = [a for a in live if a not in dead]
+    return (tuple(frozenset(ids[e] for e in comp) for comp in comps),
+            frozenset(ids[e] for e in range(len(ids)) if e not in owner),
+            frozenset(condensation), frozenset(communication), period,
+            tuple(ids[e] for e in removed))
+
+
+@settings(max_examples=300, deadline=None)
+@given((_explicit_specs() | _layered_specs()).map(lambda spec: packed_system(*spec))
+       | _vertex_determined_systems())
+def test_state_quotient_gives_the_edge_graph_answers(system):
+    # the explicit specs repeat rows, so edges share successor sets; an edge
+    # of a state on a quotient cycle can still be isolated
+    components, isolated, condensation, communication, period, removed = \
+        _edge_level_answers(system)
+    report = gk.scc_decompose(system)
+    assert system.components == report.components == components
+    assert report.isolated == isolated
+    assert report.condensation == condensation
+    assert report.communication == communication
+    props = gk.matrix_properties(system)
+    assert props.irreducible == (period is not None) == system.irreducible
+    if period is not None:
+        assert props.primitive == (period == 1)
+        assert props.justification["primitive"].startswith(f"gcd of cycle lengths is {period}")
+    pruned, dropped = gk.prune(system)
+    assert dropped == removed
+    assert set(pruned.edge_ids) == set(system.edge_ids) - set(removed)
+
+
+def test_vertex_determined_edge_graph_is_read_on_four_states():
+    # 2400 edges on 4 vertices under `incidence full`: 5.76 million allowed
+    # pairs, but 4 successor sets, so the SCC report, the verdicts, pruning
+    # and sampling all walk a 4-state quotient and hold no list per edge
+    system, _ = gk.parse_spec(_many_edge_spec(4, 600))
+    tracemalloc.start()
+    try:
+        report = gk.scc_decompose(system)
+        props = gk.matrix_properties(system)
+        pruned, removed = gk.prune(system)
+        sample = gk.sample_points(system, 2000, 12, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert len(system.lumping.members) == 4
+    # the 4 x 4 vertex graph (edge j of vertex i ends at i + j mod 4) is
+    # primitive: some power of it is positive
+    where = {v: k for k, v in enumerate(system.graph.vertices)}
+    V = np.zeros((4, 4), dtype=int)
+    for e in system.graph.edges:
+        V[where[e.src], where[e.dst]] = 1
+    assert (np.linalg.matrix_power(V, 10) > 0).all()
+    assert report.components == (frozenset(system.edge_ids),)
+    assert report.isolated == report.condensation == report.communication == frozenset()
+    assert (props.irreducible, props.primitive, props.finitely_irreducible) == (True, True, True)
+    assert pruned is system and removed == ()
+    assert len(sample.entries) == 2000

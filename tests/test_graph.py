@@ -176,6 +176,11 @@ class TestEnumeration:
         with pytest.raises(gk.ResourceGuardError):
             list(gk.enumerate_words(sys, 10, limit=100))
 
+    def test_long_words_need_no_recursion(self):
+        # the walk keeps its prefix on an explicit stack, so a word may be
+        # longer than the interpreter's recursion limit
+        assert list(gk.enumerate_words(gk.full_shift([0.5]), 5000)) == [("e1",) * 5000]
+
     @pytest.mark.parametrize("n,match", [(2.5, "integer, got 2.5"), (0, "n must be >= 1")])
     def test_word_length_must_be_a_positive_integer(self, n, match):
         # a length of 2.5 was never reached, so the prefixes grew until
@@ -292,22 +297,25 @@ class TestScc:
         assert report.communication == frozenset({(0, 1), (1, 2), (0, 2)})
 
     def test_one_tarjan_pass_per_fresh_system(self, monkeypatch):
-        # components and the reachability pass read the same cached SCC list
+        # components and the reachability pass read the same cached SCC
+        # list, from one Tarjan pass on the k successor-set states: three
+        # edges of a full shift are one state
         calls = []
         tarjan = gg.tarjan_scc
 
         def counted(succ):
-            calls.append(1)
+            calls.append(len(succ))
             return tarjan(succ)
         monkeypatch.setattr(gg, "tarjan_scc", counted)
         for make in (lambda: two_component_system(linked=True), feeder_system,
-                     _two_step_bridge_system):
+                     _two_step_bridge_system, lambda: gk.full_shift([0.2, 0.2, 0.2])):
             sys = make()
             report = gk.scc_decompose(sys)
-            assert len(calls) == 1
+            assert calls == [len(sys.lumping.members)]
             assert gk.scc_decompose(sys) == report
-            assert len(calls) == 1
+            assert calls == [len(sys.lumping.members)]
             calls.clear()
+        assert len(sys.lumping.members) == 1
 
 
 def _two_step_bridge_system():
@@ -474,7 +482,9 @@ class TestMatrixProperties:
             if sys is None:
                 continue
             checked += 1
-            ids, succ = sys.edge_ids, sys.successors
+            # Tarjan on the edges themselves, read from the matrix rows
+            ids = sys.edge_ids
+            succ = [np.flatnonzero(row).tolist() for row in sys.incidence_matrix]
             sccs = gg.tarjan_scc(succ)
             want = len(sccs) == 1 and (len(ids) > 1 or 0 in succ[0])
             assert sys.irreducible == want
@@ -497,16 +507,18 @@ class TestMatrixProperties:
         assert periodic > 0
 
     def test_cost_is_linear_in_the_edge_graph(self):
-        # a 300-edge ring with out-degree 2: e_k -> e_{k+1}, e_{k+2}. Once the
-        # cached views are built, the verdicts need only the period BFS; one
-        # connecting word per ordered pair would hold about E^3/2 letters.
+        # a 300-edge ring with out-degree 2: e_k -> e_{k+1}, e_{k+2}, whose
+        # successor sets are all distinct, so the quotient is the edge graph.
+        # Once the cached views are built, the verdicts need only the period
+        # BFS; one connecting word per ordered pair would hold about E^3/2
+        # letters.
         E = 300
         space = gm.VertexSpace("v", 0.0, 1.0)
         edges = [(f"e{k}", "v", "v", gm.SimilarityMap(0.5 / E, k / E)) for k in range(E)]
         allow = {(f"e{k}", f"e{(k + d) % E}") for k in range(E) for d in (1, 2)}
         sys = gs.similarity_system("ring", ("v",), {"v": space}, edges,
                                    gk.IncidenceSpec(gg.EXPLICIT), allow)
-        assert sys.irreducible and sys.successors
+        assert sys.irreducible and len(sys.state_arcs) == E
         tracemalloc.start()
         try:
             props = gk.matrix_properties(sys)

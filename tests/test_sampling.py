@@ -287,16 +287,16 @@ def test_upper_truncations_are_refused(size):
 
 def test_sampler_walks_the_cached_successor_rows(monkeypatch):
     # nothing is pruned here, so every sample walks the system's own
-    # `successor_csr`, which one np.nonzero builds on first use
+    # `lumping`, built on first use: the successor positions of edge k are
+    # the members of its state's successor set, ascending
     system = two_component_system(linked=True)
-    A = system.incidence_matrix
-    indices, starts, degrees = system.successor_csr
-    for k, row in enumerate(system.successors):
-        assert indices[starts[k]:starts[k] + degrees[k]].tolist() == row
-        assert row == np.flatnonzero(A[k]).tolist()
+    A, lumping = system.incidence_matrix, system.lumping
+    for k, s in enumerate(lumping.state_of):
+        row = lumping.feeding[lumping.starts[s]:lumping.starts[s + 1]].tolist()
+        assert row == system.state_lists[s] == np.flatnonzero(A[k]).tolist()
     first = gk.sample_points(system, 50, 6, seed=3)
 
     def refuse(*args):
-        raise AssertionError("the incidence matrix was scanned again")
-    monkeypatch.setattr(np, "nonzero", refuse)
+        raise AssertionError("the edge graph was lumped again")
+    monkeypatch.setattr(gg, "StateLumping", refuse)
     assert gk.sample_points(system, 50, 6, seed=3) == first

@@ -215,7 +215,7 @@ class TestStateLumping:
         # successor sets a -> {a, b}, b -> {c}, c -> {a, b}: lumping A^T
         # gives states {a, b} (holding a and c) and {c} (holding b)
         A = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=bool)
-        lumping = thermo.StateLumping(A.T)
+        lumping = gg.StateLumping(A.T)
         assert lumping.state_of.tolist() == [0, 1, 0]
         assert lumping.counts.tolist() == [2, 1]
         assert lumping.members.tolist() == [[True, True, False], [False, False, True]]
@@ -233,11 +233,11 @@ class TestStateLumping:
 
     def test_trailing_axes_are_summed_per_block(self):
         # three letters in one predecessor set: one block, summed in letter order
-        lumping = thermo.StateLumping(np.ones((3, 3), dtype=bool))
+        lumping = gg.StateLumping(np.ones((3, 3), dtype=bool))
         per_letter = np.arange(12.0).reshape(3, 2, 2)
         assert lumping.blocks(per_letter).shape == (1, 1, 2, 2)
         assert lumping.blocks(per_letter)[0, 0].tolist() == per_letter.sum(axis=0).tolist()
-        empty = thermo.StateLumping(np.zeros((0, 0), dtype=bool))
+        empty = gg.StateLumping(np.zeros((0, 0), dtype=bool))
         assert empty.blocks(np.zeros(0)).shape == (0, 0)
 
     def test_distinct_rows_give_the_dense_matrix_bit_for_bit(self):
