@@ -3,13 +3,13 @@
 The dimension of the limit set is the infimum of {t >= 0 : P(t) < 0}, the
 largest zero over strongly connected components (Mauldin and Urbanski,
 Graph Directed Markov Systems, 2003). Each component zero is found by
-safeguarded Newton steps (the engine's `find_root`): with Ruelle's
-derivative of ln rho(B(t)) from the row-sum model's root on a similarity
-block, or by nonlinear inverse iteration on the Chebyshev collocation of a
-continued-fraction transfer operator from the root of a coarser one. Each
-distinct engine then certifies the bracket around its root once, from its
-own proved pressure bounds and lower bound on -P', and the system's
-bracket is [max lo, max hi] of its components' brackets.
+safeguarded Newton steps (the engine's `find_root`) of nonlinear inverse
+iteration, one linear solve each: on the lumped transfer matrix of a
+similarity block from the row-sum model's root, or on the Chebyshev
+collocation of a continued-fraction transfer operator from the root of a
+coarser one. Each distinct engine then certifies the bracket around its root
+once, from its own proved pressure bounds and lower bound on -P', and the
+system's bracket is [max lo, max hi] of its components' brackets.
 """
 
 from __future__ import annotations

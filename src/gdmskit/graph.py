@@ -304,10 +304,13 @@ class StateLumping:
         index, pattern = {}, np.ascontiguousarray(X.T)
         packed = np.packbits(pattern, axis=1)
         sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
-        self.state_of = np.array([index.setdefault(p, len(index)) for p in sets], dtype=np.intp)
+        # each letter's state named by its first letter; `first` lists them in order
+        leader = np.array([index.setdefault(p, a) for a, p in enumerate(sets)], dtype=np.intp)
+        first = np.fromiter(index.values(), dtype=np.intp, count=len(index))
+        self.state_of = np.searchsorted(first, leader)
         self.counts = np.bincount(self.state_of)  # letters per state
         # members[s, a] is True when letter a is in predecessor set s
-        self.members = pattern[np.unique(self.state_of, return_index=True)[1]]
+        self.members = pattern[first]
         # (s, a) for each a in set s = feeding[starts[s]:starts[s + 1]], and its block entry
         self.rows, self.feeding = np.divmod(np.flatnonzero(self.members), len(self.state_of))
         self.starts = np.searchsorted(self.rows, np.arange(len(self.members) + 1))

@@ -137,9 +137,9 @@ class GdmsSystem:
 
     @cached_property
     def engines(self):
-        """The family's `engine_type` built `of_block` for each of
-        `component_positions`, in their order, from the component's boolean
-        block of `incidence_matrix` and its `letter_values`. Each engine
+        """The family's `engine_type` for each of `component_positions`, in
+        their order, built from the lumping (`lumping_of`) of the component's
+        boolean block of `incidence_matrix` and its `letter_values`. Each engine
         offers `find_root(t0, tolerance)`, `certified_pressure(t)`,
         `newton_start(tolerance)`, `decay` (a proved lower bound on -P') and
         its methods' names. It keeps its last vectors and roots, so every
@@ -158,7 +158,8 @@ class GdmsSystem:
             values = engine_type.letter_values(self, idx)
             key = (engine_type, len(idx), np.packbits(block).tobytes(), values.tobytes())
             if key not in self.engine_pool:
-                self.engine_pool[key] = engine_type.of_block(block, values)
+                lumping = engine_type.lumping_of(self, idx, block)
+                self.engine_pool[key] = engine_type(lumping, values)
             engines.append(self.engine_pool[key])
         return tuple(engines)
 

@@ -8,8 +8,9 @@ Continued-fraction partition sums are enumerated level by level through
 continuants (exact per word) up to the count guard and bracketed beyond it by
 the one-step products of the same lumped iteration; their pressure is the log
 spectral radius of the transfer operator L_t, bracketed by a Chebyshev
-collocation of L_t and a certificate that holds on all of [0, 1], and its
-zero is found by nonlinear inverse iteration on the collocation.
+collocation of L_t and a certificate that holds on all of [0, 1]. Both
+engines find the pressure's zero by nonlinear inverse iteration, on M(t) or
+on the collocation.
 """
 
 from __future__ import annotations
@@ -293,18 +294,18 @@ class PerronBlock:
     works on the k x k matrix M(t) of the `lumping` of A^T (one node per
     state, kernel 1, log-weights ln r): rho(M(t)) = rho(B(t)), and `right`,
     M's Perron vector, read at `lumping.state_of` is B's; with all rows
-    distinct, M(t) = B(t). Newton starts at the row-sum model's root, and
-    each call starts `collatz_wielandt` from the previous Perron vector: the
-    Newton steps and the end certificate move t little, and near h that
-    vector certifies the new t after about one solve. `root` is the
+    distinct, M(t) = B(t). `find_root` starts at the row-sum model's root
+    and takes one solve per step, by nonlinear inverse iteration; each
+    `collatz_wielandt` call starts from the last vector, so at the root the
+    certificate needs no solve, and near it about one. `root` is the
     (root, tolerance) of the last Newton solve that
     `dimension._component_estimates` ran on this engine, or None.
     """
 
     pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
 
-    def __init__(self, A, log_norms):
-        self.lumping, self.log_norms = g.StateLumping(A.T), log_norms
+    def __init__(self, lumping, log_norms):
+        self.lumping, self.log_norms = lumping, log_norms
         self.size = len(self.lumping.members)
         # every letter has one successor: the block is one cycle
         self.cycle = self.size > 0 and bool((self.lumping.members.sum(axis=1) == 1).all())
@@ -315,10 +316,12 @@ class PerronBlock:
         """The vector the block reads per letter: `log_norms` at `idx`."""
         return system.log_norms[idx]
 
-    @classmethod
-    def of_block(cls, block, log_norms):
-        """The engine of the boolean incidence block `block`."""
-        return cls(block, log_norms)
+    @staticmethod
+    def lumping_of(system, idx, block):
+        """`graph.StateLumping` of the boolean incidence block `block`
+        transposed: `system.lumping` when the block holds every edge."""
+        whole = len(idx) == len(system.incidence_matrix)
+        return system.lumping if whole else g.StateLumping(block.T)
 
     @property
     def decay(self) -> float:
@@ -352,11 +355,32 @@ class PerronBlock:
         return _component_root(model, tolerance)[0]
 
     def find_root(self, t0, tolerance):
-        """(root, steps) of `_component_root` on `pressure_slope` from t0."""
-        return _component_root(self.pressure_slope, tolerance, t0)
+        """(root, steps) of `_component_root` on `_inverse_step` from t0 and
+        `right`, the vector of ones on a fresh engine."""
+        self.right = np.ones(self.size) if self.right is None else self.right
+        return _component_root(self._inverse_step, tolerance, t0)
+
+    def _inverse_step(self, t):
+        """`CfCollocation._inverse_step` on M(t), v = `right` scaled to sum 1,
+        solved on D^-1 M D, D = diag(v), so that small entries keep their
+        digits. As M' v <= 0, a positive new `right` proves the step's sign
+        (Collatz-Wielandt: M u <= u for u > 0). A singular solve, or a vector
+        that is not positive (another eigenvalue of M(t) near 1), takes the
+        `pressure_slope` step instead."""
+        M, dM = self.matrix(t, derivative=True)
+        v = self.right / self.right.sum()
+        try:
+            u = v * np.linalg.solve(M * v / v[:, None] - np.eye(self.size), dM @ v / v)
+        except np.linalg.LinAlgError:
+            return self.pressure_slope(t)
+        total = float(u.sum())
+        if math.isfinite(total) and total != 0.0 and (u / total).min() > 0.0:
+            self.right = u / total
+            return -1.0 / total, -1.0
+        return self.pressure_slope(t)
 
     def matrix(self, t, derivative=False):
-        """M(t), and with `derivative` also M'(t), for Ruelle's derivative."""
+        """M(t), and with `derivative` also M'(t), for the Newton steps."""
         weights = np.exp(t * self.log_norms)
         M = self.lumping.blocks(weights)
         return (M, self.lumping.blocks(weights * self.log_norms)) if derivative else M
@@ -600,10 +624,10 @@ class CfCollocation:
         ids = system.edge_ids
         return np.array([ids[k] for k in idx], dtype=float)
 
-    @classmethod
-    def of_block(cls, block, letters):
-        """The collocation on `letters` under the boolean incidence block `block`."""
-        return cls(g.StateLumping(block), letters)
+    @staticmethod
+    def lumping_of(system, idx, block):
+        """`graph.StateLumping` of the boolean incidence block `block`."""
+        return g.StateLumping(block)
 
     def matrix(self, t, derivative=False):
         """L(t), and with `derivative` also L'(t)."""
@@ -652,13 +676,14 @@ class CfCollocation:
     def newton_start(self, tolerance) -> float:
         """Where `find_root` here starts: the root that the COARSE_NODES
         collocation of this lumping finds from the root of the state model
-        (the `PerronBlock` of `_state_sizes`). Its vector, interpolated onto
-        these nodes, becomes `right`, with its `sizes`; when its search
-        raises ConvergenceError, the model root is returned and both are
-        cleared. Raises ConvergenceError unless the interpolation is positive.
+        (the `PerronBlock` of `_state_sizes`, by Newton on `pressure_slope`,
+        whose last bits certificates at the edge of their width depend on).
+        Its vector, interpolated onto these nodes, becomes `right`, with its
+        `sizes`; when its search raises ConvergenceError, the model root is
+        returned and both are cleared; ConvergenceError unless it is positive.
         """
-        model = PerronBlock(self.lumping.members[self.lumping.state_of], -2.0 * self.mid_logs)
-        start, _ = model.find_root(model.newton_start(tolerance), tolerance)
+        model = PerronBlock(self.lumping, -2.0 * self.mid_logs)
+        start, _ = _component_root(model.pressure_slope, tolerance, model.newton_start(tolerance))
         coarse = CfCollocation(self.lumping, self.letters, COARSE_NODES)
         try:
             root, _ = coarse.find_root(start, tolerance)

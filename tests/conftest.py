@@ -94,6 +94,30 @@ def mirrored_blocks_system():
     return packed_system("mirrored", ratios, allowed)
 
 
+def three_block_system(seed, sizes=(120, 120, 60)):
+    """Seeded one-vertex explicit similarity system in three blocks a, b, c:
+    each block is a ring plus every other ordered pair with probability 0.3,
+    b a copy of a (same ratios, same pairs), and one-way links a -> b and
+    b -> c with probability 0.01 each. Every block's ratios sum to 0.3, so
+    the packed level-1 images fit in [0, 1]."""
+    rng = random.Random(seed)
+    ids = [[f"{p}{k:03d}" for k in range(n)] for p, n in zip("abc", sizes)]
+    raw = {}
+    patterns = {}
+    for name, n in (("a", sizes[0]), ("c", sizes[2])):
+        weights = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        raw[name] = [0.3 * w / sum(weights) for w in weights]
+        patterns[name] = {(i, (i + 1) % n) for i in range(n)} | {
+            (i, j) for i in range(n) for j in range(n) if rng.random() < 0.3}
+    raw["b"], patterns["b"] = raw["a"], patterns["a"]
+    ratios = {eid: r for block, name in zip(ids, "abc") for eid, r in zip(block, raw[name])}
+    allowed = {(block[i], block[j]) for block, name in zip(ids, "abc")
+               for i, j in patterns[name]}
+    allowed |= {(x, y) for src, dst in ((0, 1), (1, 2)) for x in ids[src] for y in ids[dst]
+                if rng.random() < 0.01}
+    return packed_system(f"three-block-{seed}", ratios, allowed)
+
+
 def period_two_system():
     """Irreducible with period 2: p-edges are always followed by q-edges."""
     ps, qs = ("p1", "p2"), ("q1", "q2")

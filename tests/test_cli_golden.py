@@ -232,8 +232,8 @@ wall_time_s = *
 command = dim
 spec = {d}/cantor.gdms
 spec_sha256 = 4e54a422f560d98a2c21bbafa4592d4a1bf8efe2906817ec4bfff21fdd6b30d1
-h_lo = 0.63092975354645731
-h_hi = 0.6309297535964572
+h_lo = 0.63092975354645753
+h_hi = 0.63092975359645742
 method = moran-exact
 tolerance = 1e-10
 iterations = 1
@@ -243,8 +243,8 @@ wall_time_s = *
 command = dim
 spec = {d}/cantor.gdms
 spec_sha256 = 4e54a422f560d98a2c21bbafa4592d4a1bf8efe2906817ec4bfff21fdd6b30d1
-h_lo = 0.63092950357145727
-h_hi = 0.63093000357145723
+h_lo = 0.6309295035714575
+h_hi = 0.63093000357145745
 method = moran-exact
 tolerance = 9.9999999999999995e-07
 iterations = 1
@@ -255,22 +255,22 @@ command = classify
 spec = {d}/cantor.gdms
 spec_sha256 = 4e54a422f560d98a2c21bbafa4592d4a1bf8efe2906817ec4bfff21fdd6b30d1
 verdict = FiniteHMeasure
-h_lo = 0.63092975332145729
-h_hi = 0.63092975382145722
+h_lo = 0.63092975332145751
+h_hi = 0.63092975382145744
 maximal_components = 0
 communicating_pairs = -
-growth_slope = 1.673100280485237e-16
+growth_slope = -2.7504316770249049e-16
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-2,1.0000000000000004
-3,1.0000000000000007
-4,1.0000000000000009
-5,1.0000000000000011
-6,1.0000000000000013
+2,0.99999999999999956
+3,0.99999999999999933
+4,0.99999999999999911
+5,0.99999999999999889
+6,0.99999999999999867
 """,
     }),
     'cantor-theta': (0, """\
@@ -385,8 +385,8 @@ wall_time_s = *
 command = dim
 spec = {d}/linked.gdms
 spec_sha256 = b965ea3f5ff550540b12beaebf480407a478dfc8c91dbfa9d1c18d19af53c9a2
-h_lo = 0.63092975354645731
-h_hi = 0.6309297535964572
+h_lo = 0.63092975354645753
+h_hi = 0.63092975359645742
 method = perron-newton
 tolerance = 1e-10
 iterations = 2
@@ -399,11 +399,11 @@ command = classify
 spec = {d}/linked.gdms
 spec_sha256 = b965ea3f5ff550540b12beaebf480407a478dfc8c91dbfa9d1c18d19af53c9a2
 verdict = FiniteHMeasure
-h_lo = 0.63092975332145729
-h_hi = 0.63092975382145722
+h_lo = 0.63092975332145751
+h_hi = 0.63092975382145744
 maximal_components = 0
 communicating_pairs = -
-growth_slope = 0.050032769696676291
+growth_slope = 0.050032769696675444
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 csv = {d}/z.csv
 warning: images of edges 'a' and 'c' overlap on interior width 0.25; open set condition may fail
@@ -412,12 +412,12 @@ wall_time_s = *
 """, "", {
         'z.csv': """\
 n,Z_n
-1,1.8340122578421616
-2,1.9040795106915207
-3,1.9625164584412125
-4,2.0112535891753374
-5,2.0519009536196533
-6,2.0858013538151905
+1,1.8340122578421609
+2,1.9040795106915189
+3,1.96251645844121
+4,2.0112535891753338
+5,2.0519009536196489
+6,2.0858013538151856
 """,
     }),
     'unlinked-scc': (0, """\
@@ -436,21 +436,21 @@ wall_time_s = *
 """, "", {}),
     'unlinked-classify': (0, """\
 n,Z_n
-1,1.8340122578421616
-2,1.6955764462309804
-3,1.5801192824229271
-4,1.4838265925513201
-5,1.4035173088578063
-6,1.3365383818388923
+1,1.8340122578421609
+2,1.6955764462309788
+3,1.5801192824229249
+4,1.4838265925513177
+5,1.4035173088578032
+6,1.3365383818388887
 command = classify
 spec = {d}/unlinked.gdms
 spec_sha256 = 99a84ddb488b0f19f3eccfb3316be9241fd7f1a78fc7e563fac0600b5a30e2db
 verdict = FiniteHMeasure
-h_lo = 0.63092975332145729
-h_hi = 0.63092975382145722
+h_lo = 0.63092975332145751
+h_hi = 0.63092975382145744
 maximal_components = 0
 communicating_pairs = -
-growth_slope = -0.098852556628785004
+growth_slope = -0.098852556628785546
 explanation = no two maximal components communicate => finite h-measure (Z_n(h) stays bounded)
 warning: images of edges 'a' and 'c' overlap on interior width 0.25; open set condition may fail
 warning: images of edges 'b' and 'd' overlap on interior width 0.25; open set condition may fail

