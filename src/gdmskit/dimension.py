@@ -195,9 +195,9 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
 
     HD(J) is the largest component root, so the bracket, of width at most
     tolerance / 2, combines the component brackets (`_combined`). Each is
-    [h - tolerance/4, h + tolerance/4] around its engine's root h (from
-    Perron-Newton for similarities, collocation-Newton for continued
-    fractions), certified once per distinct engine or refused (see
+    [h - tolerance/4, h + tolerance/4] around its engine's root h (by
+    nonlinear inverse iteration, a similarity block falling back to
+    Perron-Newton steps), certified once per distinct engine or refused (see
     `_certified_bracket`): a component that cannot certify its bracket
     refuses the system's, largest root or not. `iterations` counts the
     full-size Newton steps over the distinct engines (`GdmsSystem.engines`).

@@ -89,8 +89,8 @@ class SimilarityFamily:
         return sum(math.log(self.map_for(e).ratio) for e in word)
 
     def contraction_bound(self, system):
-        """(largest ratio, 1): similarities contract at every step."""
-        return max(f.ratio for f in self.maps.values()), 1
+        """(largest ratio of `system`'s edges, 1): similarities contract each step."""
+        return max((self.map_for(e).ratio for e in system.edge_ids), default=0.0), 1
 
     def level_sums(self, system, ns, t):
         """{}: no word is enumerated, the transfer-matrix sums being exact."""

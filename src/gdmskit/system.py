@@ -114,17 +114,22 @@ class GdmsSystem:
         return tuple(map(tuple, g.tarjan_scc(self.state_arcs)))
 
     @cached_property
+    def scc_of(self):
+        """Each state's index in `sccs`: the one SCC index of the states."""
+        scc_of = np.zeros(len(self.lumping.members), dtype=np.intp)
+        for n, scc in enumerate(self.sccs):
+            scc_of[list(scc)] = n
+        return scc_of
+
+    @cached_property
     def component_positions(self):
         """Sorted positions of each strongly connected component of the edge
         graph that carries a cycle, ordered by their first: the edges in the
         successor set of a state of their own state's quotient SCC, one
         component per quotient SCC."""
-        lumping, scc_of = self.lumping, np.zeros(len(self.lumping.members), dtype=np.intp)
-        for n, scc in enumerate(self.sccs):
-            scc_of[list(scc)] = n
-        comps, own = {}, scc_of[lumping.state_of]
+        lumping, comps, own = self.lumping, {}, self.scc_of[self.lumping.state_of]
         cyclic = np.zeros(len(own), dtype=bool)
-        cyclic[lumping.feeding[scc_of[lumping.rows] == own[lumping.feeding]]] = True
+        cyclic[lumping.feeding[self.scc_of[lumping.rows] == own[lumping.feeding]]] = True
         for e, n in zip(np.flatnonzero(cyclic).tolist(), own[cyclic].tolist()):
             comps.setdefault(n, []).append(e)
         return tuple(map(tuple, comps.values()))

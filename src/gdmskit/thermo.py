@@ -469,13 +469,13 @@ def _cf_level_sums(system, ns, t):
     Level n holds ln q_{n-1} and ln q_n of every admissible length-n word
     in two flat arrays, ordered by last letter, then by the letter before
     it, then by the order of level n - 1; `counts[b]` words end in letter b.
-    q_{n+1} = b q_n + q_{n-1} builds level n + 1 from level n alone, so only
-    one level is kept. A level is built only while the words of all levels
-    up to it stay within the guard; that is checked before it is built.
+    q_{n+1} = b q_n + q_{n-1} builds level n + 1 from level n alone, one
+    block per allowed pair a -> b in that order, so only one level is kept.
+    A level is built only while the words of all levels up to it stay
+    within the guard; that is checked before it is built.
     """
     guard = g.count_guard()
-    by_preds = g.StateLumping(system.incidence_matrix)  # the letters by predecessor set
-    preds = g.grouped(by_preds.rows, by_preds.feeding, len(by_preds.members))
+    pairs = np.argwhere(system.incidence_matrix.T).tolist()  # [b, a] for a -> b, by b, then a
     log_labels = [math.log(e) for e in system.edge_ids]
     lq_prev, lq = np.zeros(len(log_labels)), np.array(log_labels)
     counts = np.ones(len(log_labels), dtype=int)
@@ -488,15 +488,13 @@ def _cf_level_sums(system, ns, t):
             break
         if n > 1:
             starts = np.cumsum(counts) - counts
-            next_prev, next_q = np.empty(size), np.empty(size)
-            pos = 0
-            for b, s in enumerate(by_preds.state_of.tolist()):
-                for a in preds[s]:
-                    part = slice(starts[a], starts[a] + counts[a])
-                    stop = pos + counts[a]
-                    next_prev[pos:stop] = lq[part]
-                    np.logaddexp(log_labels[b] + lq[part], lq_prev[part], out=next_q[pos:stop])
-                    pos = stop
+            next_prev, next_q, pos = np.empty(size), np.empty(size), 0
+            for b, a in pairs:
+                part = slice(starts[a], starts[a] + counts[a])
+                stop = pos + counts[a]
+                next_prev[pos:stop] = lq[part]
+                np.logaddexp(log_labels[b] + lq[part], lq_prev[part], out=next_q[pos:stop])
+                pos = stop
             lq_prev, lq, counts = next_prev, next_q, grown
         if n in wanted:
             terms = -2.0 * t * lq
@@ -607,7 +605,7 @@ class CfCollocation:
             raise ResourceGuardError(
                 f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
-        self.mid_logs = np.log(self.letters + 0.5)  # of `_state_sizes`' weights
+        self.model = PerronBlock(lumping, -2.0 * np.log(self.letters + 0.5))
         self.to_coef = _values_to_coefficients(nodes)
         shifted = self.letters[:, None] + _chebyshev_nodes(nodes)
         self.log_weights = -2.0 * np.log(shifted)
@@ -639,17 +637,16 @@ class CfCollocation:
 
     def _state_sizes(self, t, start=None):
         """x > 0, one entry per state: the Perron vector, from
-        `collatz_wielandt` started at `start`, of the state model that sums
-        (a + 1/2)^(-2t) over the letters a of each block. It models the
-        sizes of the state functions by the letter weights at the middle of
-        [0, 1], exactly at t = 0, where the constants are eigenfunctions.
+        `collatz_wielandt` started at `start`, of the state model `model`,
+        summing (a + 1/2)^(-2t) over the letters a of each block. It models
+        the sizes of the state functions by the letter weights at the middle
+        of [0, 1], exact at t = 0, where the constants are eigenfunctions.
         The weights a^(-2t) at x = 0 bound rho(L_t), but along a band the
         ratios of neighbouring states compound their excess: on banded
         N = 40 for t in [0.24, 0.54], a start built from them errs by
         factors spanning e^8.5, one built from these by e^1.6.
         """
-        S = self.lumping.blocks(np.exp(-2.0 * t * self.mid_logs))
-        return collatz_wielandt(S, start)[2]
+        return collatz_wielandt(self.model.matrix(t), start)[2]
 
     def _start(self, t):
         """(x, `_state_sizes(t)`): x is the sizes on every node for a fresh
@@ -676,13 +673,14 @@ class CfCollocation:
     def newton_start(self, tolerance) -> float:
         """Where `find_root` here starts: the root that the COARSE_NODES
         collocation of this lumping finds from the root of the state model
-        (the `PerronBlock` of `_state_sizes`, by Newton on `pressure_slope`,
-        whose last bits certificates at the edge of their width depend on).
-        Its vector, interpolated onto these nodes, becomes `right`, with its
-        `sizes`; when its search raises ConvergenceError, the model root is
-        returned and both are cleared; ConvergenceError unless it is positive.
+        `model`, by Newton on `pressure_slope` from a cold vector at every
+        call (certificates at the edge of their width depend on its last
+        bits). Its vector, interpolated onto these nodes, becomes `right`, with
+        its `sizes`; when its search raises ConvergenceError, the model root
+        is returned and both are cleared; ConvergenceError unless positive.
         """
-        model = PerronBlock(self.lumping, -2.0 * self.mid_logs)
+        model = self.model
+        model.right = None
         start, _ = _component_root(model.pressure_slope, tolerance, model.newton_start(tolerance))
         coarse = CfCollocation(self.lumping, self.letters, COARSE_NODES)
         try:
@@ -976,10 +974,10 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     m([word]) = r_word^h * v_last / Z (Z = sum_e r_e^h v_e) are nonnegative,
     sum to one at every level, and satisfy the refinement identity
     m([word]) = sum over admissible extensions of m([word e]). v is the
-    Collatz-Wielandt vector of the system's one `engines` entry at h
-    (`PerronBlock.pressure_slope`) read at each edge's state, `right[state_of]`;
-    it raises ConvergenceError unless the bracket of rho(B(h)) is positive
-    and PERRON_WIDTH narrow. pressure_tolerance bounds only |P(h)|. Raises
+    `perron_root` vector of M(h) from the `right` of the system's one
+    `engines` entry, which keeps it, read at each edge's state; it raises
+    ConvergenceError unless the bracket of rho(B(h)) is positive and
+    PERRON_WIDTH narrow. pressure_tolerance bounds only |P(h)|. Raises
     InputError unless h is finite and >= 0 and pressure_tolerance finite and > 0.
     """
     if not (0 <= h < math.inf and 0 < pressure_tolerance < math.inf):
@@ -991,9 +989,9 @@ def conformal_cylinder_measure(system: GdmsSystem, h: float,
     if not system.irreducible:
         raise UnsupportedAnalysisError("conformal measures need an irreducible incidence matrix")
     (block,) = system.engines
-    p, _ = block.pressure_slope(h)
-    if abs(p) > pressure_tolerance:
-        raise DomainError(f"h={h} is not a pressure zero: ln rho(B(h)) = {p:.3g}")
+    lam, _, block.right = perron_root(block.matrix(h), h, block.right)
+    if abs(math.log(lam)) > pressure_tolerance:
+        raise DomainError(f"h={h} is not a pressure zero: ln rho(B(h)) = {math.log(lam):.3g}")
 
     ids = system.edge_ids
     v = block.right[block.lumping.state_of]

@@ -166,6 +166,23 @@ class TestBoxDimension:
         with pytest.raises(gk.InputError, match="finite"):
             gk.box_dimension(sample, scales)
 
+    def test_edge_pruned_at_load_leaves_the_contraction_bound(self):
+        # x (ratio 0.9) has no successor, so `validate` prunes it; the
+        # subsystem shares its parent's maps, but only a and b (0.2) remain
+        text = "\n".join(["system pruned", "space v 0 1", "edge a v v similarity 0.2 0 1",
+                          "edge b v v similarity 0.2 0.8 1", "edge x v v similarity 0.9 0.05 1",
+                          "incidence explicit", "allow a a", "allow a b", "allow b a",
+                          "allow b b", "allow a x"])
+        system, warnings = gk.parse_spec(text)
+        assert system.edge_ids == ("a", "b") and "pruned 1 edge(s)" in warnings[-1]
+        assert system.contraction_bound() == (0.2, 1)
+        sample = gk.sample_points(system, 1000, 12, 1)
+        assert sample.diameter_bound == pytest.approx(0.2 ** 12)
+        assert gk.box_dimension(sample, [0.1, 0.01]).counts == (4, 8)
+        # with every edge pruned no ratio is left to bound
+        chain, _ = gk.parse_spec(text.split("\nallow")[0] + "\nallow a x")
+        assert chain.edge_ids == () and chain.contraction_bound() == (0.0, 1)
+
     def test_counts_monotone_in_scale(self):
         sample = gk.sample_points(cantor(), 3000, 22, seed=9)
         scales = [3.0 ** -k for k in range(3, 8)]

@@ -569,6 +569,42 @@ def test_cf_partition_sums_are_exact_or_bracket_the_exact_sum(case, t):
             assert z.lower * (1 - 1e-12) <= exact <= z.upper * (1 + 1e-12)
 
 
+@st.composite
+def _shared_predecessor_restrictions(draw):
+    """The banded w = 2 truncation to 1..9 restricted to a random subset of
+    its letters, in which some letters share their predecessor set."""
+    system = cf_sys(gg.BANDED, 2, truncate=9).restrict(
+        sorted(draw(st.sets(st.integers(1, 9), min_size=2))))
+    assume(len({column.tobytes() for column in system.incidence_matrix.T}) < len(system.edge_ids))
+    return system
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_predecessor_restrictions(), st.floats(0.0, 2.0))
+def test_cf_level_sums_are_the_sums_over_the_words(system, t):
+    # each level is laid out over the allowed pairs, one block per pair
+    sums = thermo._cf_level_sums(system, range(1, 5), t)
+    assert sorted(sums) == [1, 2, 3, 4]
+    for n, z in sums.items():
+        exact = _exact_partition_sum(system, n, t)
+        assert abs(z - exact) <= 1e-12 * exact
+
+
+def test_cf_level_sums_build_no_state_lumping(monkeypatch):
+    # the allowed pairs are read off the incidence matrix itself
+    system, built = cf_sys(gg.BANDED, 2, truncate=6), []
+    lumping = gg.StateLumping
+
+    def counted(X):
+        built.append(X.shape)
+        return lumping(X)
+    with monkeypatch.context() as patch:
+        patch.setattr(gg, "StateLumping", counted)
+        sums = thermo._cf_level_sums(system, [1, 2, 3], 0.5)
+    assert built == []
+    assert sums[3] == pytest.approx(_exact_partition_sum(system, 3, 0.5), rel=1e-12)
+
+
 class TestCfCollocation:
     def test_states_are_distinct_predecessor_sets(self):
         full = cf_sys(truncate=5).engines[0]
@@ -910,7 +946,7 @@ class TestInverseIteration:
         # the state model of CF banded N = 8 has eigenvalues 1.373 and 0.846
         # at its row-sum start: the first solve gives a vector of both signs
         engine = cf_sys(gg.BANDED, 1, truncate=8).engines[0]
-        model = thermo.PerronBlock(engine.lumping, -2.0 * engine.mid_logs)
+        model = engine.model
         t0 = model.newton_start(1e-10)
         eigenvalues = np.sort(np.linalg.eigvals(model.matrix(t0)).real)
         assert eigenvalues[-2:] == pytest.approx([0.846, 1.373], abs=1e-3)
@@ -1161,6 +1197,26 @@ class TestConformalMeasure:
         for word in [(), ("zzz",), ("e1", "zzz")]:
             with pytest.raises(gk.InputError):
                 m.word_mass(sys, word)
+
+    def test_masses_need_no_left_perron_vector(self, monkeypatch):
+        # the masses read the right Perron vector of M(h) only
+        h = gk.bowen_dimension(period_two_system()).mid
+        kept = gk.conformal_cylinder_measure(period_two_system(), h)
+
+        def refuse(*args):
+            raise AssertionError("a left Perron vector was solved for")
+        monkeypatch.setattr(thermo, "equilibrium_weights", refuse)
+        assert gk.conformal_cylinder_measure(period_two_system(), h) == kept
+
+    def test_measure_after_the_dimension_makes_no_solve(self, monkeypatch):
+        # the core's engine is the parent's, its vector already at h: the
+        # Collatz-Wielandt bracket holds at once
+        system = three_block_system(0)
+        h = gk.bowen_dimension(system).mid
+        core = system.restrict(max(system.components, key=len))
+        solves = _solve_counter(monkeypatch)
+        measure = gk.conformal_cylinder_measure(core, h)
+        assert solves == [] and len(measure.edge_masses) == 120
 
     def test_rejects_reducible_system(self):
         sys = two_component_system(r1=1 / 3, r2=1 / 3)
