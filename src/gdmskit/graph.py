@@ -278,6 +278,12 @@ def enumerate_words(system, n: int, limit: int | None = None):
                 prefix.pop()
 
 
+def read_only(array):
+    """`array`, marked read-only."""
+    array.flags.writeable = False
+    return array
+
+
 def grouped(rows, values, count):
     """For each row 0..count-1, the distinct `values` paired with it in
     `rows` (integer arrays, values >= 0), ascending, as one list per row."""

@@ -88,9 +88,13 @@ class SimilarityFamily:
         """ln sup|phi_word'|, exact: the sum of ln ratio over the letters."""
         return sum(math.log(self.map_for(e).ratio) for e in word)
 
+    def log_norms(self, letters):
+        """`log_norm((e,))` of each letter e, bit for bit: ln of its ratio."""
+        return np.array([math.log(self.map_for(e).ratio) for e in letters])
+
     def contraction_bound(self, system):
-        """(largest ratio of `system`'s edges, 1): similarities contract each step."""
-        return max((self.map_for(e).ratio for e in system.edge_ids), default=0.0), 1
+        """(largest |alpha| in `system.coefficients`, the ratio, 1): each step contracts."""
+        return float(np.abs(system.coefficients[0]).max(initial=0.0)), 1
 
     def level_sums(self, system, ns, t):
         """{}: no word is enumerated, the transfer-matrix sums being exact."""
@@ -143,6 +147,10 @@ class MoebiusCfFamily:
         _, _, q, _ = cf_continuants(word)
         return -2.0 * math.log(q)
 
+    def log_norms(self, letters):
+        """`log_norm((a,))` of each letter a, bit for bit: -2 ln a, q_1 being a."""
+        return -2.0 * np.array([math.log(a) for a in positive_labels(letters, CF_REFUSAL)])
+
     def contraction_bound(self, system):
         """(s_eff, 2): the norm is 1 at label 1, but every two-letter word ab
         has norm 1/(ab + 1)^2 <= 1/4, so decay is certified per pair of steps."""
@@ -179,15 +187,16 @@ class MoebiusCfFamily:
         return np.zeros(len(a)), np.ones(len(a)), np.ones(len(a)), a
 
 
-def word_images(family, letters, words, points):
+def word_images(coefficients, words, points):
     """phi_w(x) for each row w of `words` (an integer array, letter j of
-    word k being letters[words[k, j]]) at the points in column k of
-    `points`; the result has the shape of `points`. Each word's matrices
-    [[alpha, beta], [gamma, delta]] (`family.coefficients(letters)`) are
-    multiplied from the last letter to the first. A product with an entry
-    above `RESCALE_ABOVE` is scaled by a power of two: exact, and phi_w is
-    unchanged, so images stay finite at any depth."""
-    alpha, beta, gamma, delta = family.coefficients(letters)
+    word k being letter words[k, j] of the `coefficients`, a family's
+    `coefficients(letters)`) at the points in column k of `points`; the
+    result has the shape of `points`. Each word's matrices
+    [[alpha, beta], [gamma, delta]] are multiplied from the last letter to
+    the first. A product with an entry above `RESCALE_ABOVE` is scaled by a
+    power of two: exact, and phi_w is unchanged, so images stay finite at
+    any depth."""
+    alpha, beta, gamma, delta = coefficients
     words = np.asarray(words)
     k = len(words)
     a, b, c, d = np.ones(k), np.zeros(k), np.zeros(k), np.ones(k)

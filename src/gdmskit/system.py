@@ -21,7 +21,7 @@ from .errors import DomainError, InputError, NotApplicableError, SpecError
 class GdmsSystem:
     """A graph-directed Markov system: multigraph, incidence, contraction
     family and vertex spaces. Its views of the edge graph, read on the
-    states of `lumping`, from `edge_index` to `engines`, are
+    states of `lumping`, from `edge_ids` to `engines`, are
     `functools.cached_property`s, built on first use (or given to
     `store_matrix`) and not to be modified, except by the `engines`
     themselves, which keep their last vectors and roots. Every
@@ -51,7 +51,7 @@ class GdmsSystem:
 
     # -- structure ---------------------------------------------------------
 
-    @property
+    @cached_property
     def edge_ids(self):
         return tuple(e.id for e in self.graph.edges)
 
@@ -67,18 +67,29 @@ class GdmsSystem:
         rule: its matrix is given to `store_matrix` when the system is made."""
         if self.infinite:
             raise NotApplicableError("truncate the system first")
-        return _read_only(g.incidence_array(self.incidence, self.graph.edges))
+        return g.read_only(g.incidence_array(self.incidence, self.graph.edges))
 
     def store_matrix(self, A):
         """Make A, marked read-only, this system's `incidence_matrix`."""
-        self.__dict__["incidence_matrix"] = _read_only(A)
+        self.__dict__["incidence_matrix"] = g.read_only(A)
 
     @cached_property
     def log_norms(self):
-        """Read-only vector of ln ||phi_e'|| in edge order."""
+        """Read-only vector of ln ||phi_e'|| in edge order, by `family.log_norms`."""
         if self.infinite:
             raise NotApplicableError("truncate the system first")
-        return _read_only(np.array([self.family.log_norm((e,)) for e in self.edge_ids]))
+        return g.read_only(self.family.log_norms(self.edge_ids))
+
+    @cached_property
+    def coefficients(self):
+        """The four read-only arrays of `family.coefficients` of the edges."""
+        return tuple(map(g.read_only, self.family.coefficients(self.edge_ids)))
+
+    @cached_property
+    def end_bounds(self):
+        """Read-only rows (lo, hi): the ends of each edge's end space, in edge order."""
+        ends = [self.spaces[e.dst] for e in self.graph.edges]
+        return g.read_only(np.array([[s.lo for s in ends], [s.hi for s in ends]], dtype=float))
 
     @cached_property
     def lumping(self):
@@ -236,25 +247,23 @@ class GdmsSystem:
         word, space = self._admitted(word)
         if not space.contains(x):
             raise DomainError(f"point {x} outside vertex space [{space.lo}, {space.hi}]")
-        return float(m.word_images(self.family, word, [range(len(word))], [[x]])[0, 0])
+        images = m.word_images(self.family.coefficients(word), [range(len(word))], [[x]])
+        return float(images[0, 0])
 
     def word_interval(self, word):
         """Image interval phi_word(X_t(word)), exact for monotone maps; the
         word must be admissible."""
         word, space = self._admitted(word)
-        images = m.word_images(self.family, word, [range(len(word))], [[space.lo], [space.hi]])
+        images = m.word_images(self.family.coefficients(word), [range(len(word))],
+                               [[space.lo], [space.hi]])
         return float(images.min()), float(images.max())
 
     def word_intervals(self, words):
         """`word_interval` of each row of `words`, an integer array of edge
         positions with one word of equal length per row, by one
-        `maps.word_images` call: two float arrays."""
+        `maps.word_images` call on the edge tables: two float arrays."""
         words = np.asarray(words)
-        ends = [self.spaces[e.dst] for e in self.graph.edges]
-        last = words[:, -1]
-        lo = np.array([space.lo for space in ends])[last]
-        hi = np.array([space.hi for space in ends])[last]
-        images = m.word_images(self.family, self.edge_ids, words, [lo, hi])
+        images = m.word_images(self.coefficients, words, self.end_bounds[:, words[:, -1]])
         return images.min(axis=0), images.max(axis=0)
 
     def contraction_bound(self):
@@ -263,11 +272,6 @@ class GdmsSystem:
 
     def max_space_diameter(self) -> float:
         return max(s.diameter for s in self.spaces.values())
-
-
-def _read_only(array):
-    array.flags.writeable = False
-    return array
 
 
 def cf_system(incidence: g.IncidenceSpec, truncate: int | None = None,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -538,6 +538,37 @@ def _values_to_coefficients(m):
     return to_coef
 
 
+@cache
+def _node_tables(m):
+    """(`_chebyshev_nodes(m)`, `_values_to_coefficients(m)`), read-only, as is
+    every table that depends only on node counts: a constant of the process,
+    built at its first use and shared by every engine."""
+    return g.read_only(_chebyshev_nodes(m)), g.read_only(_values_to_coefficients(m))
+
+
+@cache
+def _interpolation_grid(m):
+    """T_k(2x - 1) for k < COARSE_NODES at the m nodes x, read-only: it takes
+    a coarse vector's coefficients to its values on m nodes."""
+    return g.read_only(_chebyshev_vander(2.0 * _node_tables(m)[0] - 1.0, COARSE_NODES))
+
+
+@cache
+def _panel_tables(m):
+    """The certificate's tables for m nodes per state, read-only: the disk
+    radius around each panel's ellipse, the panel centers and points y of
+    [0, 1], T_k(2y - 1) (points x m), R^k of the disks (1 x panels x m),
+    j^2 and the values-to-coefficients matrix for j < PANEL_POINTS."""
+    half = 0.5 / CERTIFICATE_PANELS
+    centers = (2 * np.arange(CERTIFICATE_PANELS) + 1) * half
+    y = np.concatenate([_chebyshev_nodes(PANEL_POINTS, c - half, c + half) for c in centers])
+    reach = half * (PANEL_ELLIPSE + 1 / PANEL_ELLIPSE) / 2  # disk around each ellipse
+    r_self = _ellipse_parameter(2 * centers - 1, 2 * reach)
+    tables = (centers, y, _chebyshev_vander(2 * y - 1, m), r_self[None, :, None] ** np.arange(m),
+              np.arange(PANEL_POINTS) ** 2.0)
+    return (reach, *map(g.read_only, tables), _node_tables(PANEL_POINTS)[1])
+
+
 def _chebyshev_vander(u, m):
     """T_0(u) .. T_{m-1}(u) on a new last axis, by the three-term recurrence."""
     T = np.empty(np.shape(u) + (m,))
@@ -606,8 +637,8 @@ class CfCollocation:
                 f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
         self.model = PerronBlock(lumping, -2.0 * np.log(self.letters + 0.5))
-        self.to_coef = _values_to_coefficients(nodes)
-        shifted = self.letters[:, None] + _chebyshev_nodes(nodes)
+        x, self.to_coef = _node_tables(nodes)
+        shifted = self.letters[:, None] + x
         self.log_weights = -2.0 * np.log(shifted)
         self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, nodes) @ self.to_coef
         # right vector of the last `_perron` or `find_root` call and the
@@ -617,10 +648,9 @@ class CfCollocation:
 
     @staticmethod
     def letter_values(system, idx):
-        """The vector the collocation reads per letter: the letters, the
-        edge ids at `idx`, as floats."""
-        ids = system.edge_ids
-        return np.array([ids[k] for k in idx], dtype=float)
+        """The vector the collocation reads per letter: the letters at `idx`
+        as floats, the delta of the maps x -> 1/(a + x) in `coefficients`."""
+        return system.coefficients[3][idx]
 
     @staticmethod
     def lumping_of(system, idx, block):
@@ -689,8 +719,7 @@ class CfCollocation:
             self.right = self.sizes = None
             return start
         coef = coarse.right.reshape(-1, COARSE_NODES) @ coarse.to_coef.T
-        grid = _chebyshev_vander(2.0 * _chebyshev_nodes(self.nodes) - 1.0, COARSE_NODES)
-        right = (coef @ grid.T).ravel()
+        right = (coef @ _interpolation_grid(self.nodes).T).ravel()
         if not right.min() > 0.0:
             raise ConvergenceError("coarse collocation vector does not interpolate positive")
         self.right, self.sizes = right, coarse.sizes
@@ -739,39 +768,28 @@ class CfCollocation:
 
     @cached_property
     def _plan(self):
-        """The tables of `_residual_bound` that depend only on the letters a
-        and the node count m, built at this engine's first certificate and
-        kept for every later t. Over the panel points y of [0, 1] and the
-        disks around the panels' ellipses:
+        """The tables of `_residual_bound` that depend on the letters a,
+        built at this engine's first certificate and kept for every later
+        t, and the shared `_panel_tables` of its node count m. Over the
+        panel points y of [0, 1] and the disks around the panels' ellipses:
 
             (a + y,                  letters x points
              T_k(2/(a + y) - 1),     letters x points x m
-             T_k(2y - 1),            points x m
              a + Re z on the disks,  letters x panels
              R^k of the disks' images under z -> 1/(a + z), letters x panels x m
-             R^k of the disks,       1 x panels x m
-             the Lebesgue constant,
-             `_values_to_coefficients(PANEL_POINTS)`,
-             k^2 for k < PANEL_POINTS).
+             `_panel_tables(m)`).
         """
-        m, n, rho = self.nodes, PANEL_POINTS, PANEL_ELLIPSE
-        half = 0.5 / CERTIFICATE_PANELS
-        centers = (2 * np.arange(CERTIFICATE_PANELS) + 1) * half
-        y = np.concatenate([_chebyshev_nodes(n, c - half, c + half) for c in centers])
+        panels = _panel_tables(self.nodes)
+        reach, centers, y = panels[:3]
         a = self.letters[:, None]
-        reach = half * (rho + 1 / rho) / 2          # disk around each ellipse
         near = a + centers - reach                  # <= |a + z| on the disk
         if not near.min() > 0.0:
             raise ConvergenceError("certificate ellipse reaches a branch point")
         mid = a + centers
         spread = mid * mid - reach * reach
         r_image = _ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
-        r_self = _ellipse_parameter(2 * centers - 1, 2 * reach)
-        powers = np.arange(m)
-        return (a + y, _chebyshev_vander(2.0 / (a + y) - 1.0, m),
-                _chebyshev_vander(2.0 * y - 1.0, m), near,
-                r_image[:, :, None] ** powers, r_self[None, :, None] ** powers,
-                2 / np.pi * math.log(n) + 1, _values_to_coefficients(n), np.arange(n) ** 2.0)
+        return (a + y, _chebyshev_vander(2.0 / (a + y) - 1.0, self.nodes), near,
+                r_image[:, :, None] ** np.arange(self.nodes), panels)
 
     def _residual_bound(self, t, lam, v):
         """s >= max over states c and x in [0, 1] of |r_c(x)| / g_c(x).
@@ -797,15 +815,14 @@ class CfCollocation:
 
         The terms that depend only on the letters and the node count (the
         points a + y, the Chebyshev tables at y and at 1/(a + y), the disk
-        bounds, the ellipse powers, the Lebesgue constant and the panel
-        interpolation matrix) come from `_plan`; what is computed here
-        depends on v, lam and t.
+        bounds, the ellipse powers and the panel interpolation matrix) come
+        from `_plan`; what is computed here depends on v, lam and t.
 
         Raises ConvergenceError when g cannot be shown positive.
         """
         u, m, n, rho = UNIT_ROUNDOFF, self.nodes, PANEL_POINTS, PANEL_ELLIPSE
-        (shifted, image, self_image, near, image_powers, self_powers,
-         lebesgue, panel_to_coef, squares) = self._plan
+        shifted, image, near, image_powers, panels = self._plan
+        self_image, self_powers, squares, panel_to_coef = panels[3:]
         members, own = self.lumping.members, self.lumping.state_of
         states = len(members)
         coef = v.reshape(states, m) @ self.to_coef.T
@@ -834,6 +851,7 @@ class CfCollocation:
         g_image = (np.abs(coef[own])[:, None, :] * image_powers).sum(axis=2)
         g_self = (np.abs(coef)[:, None, :] * self_powers).sum(axis=2)
         disk_max = members @ (near ** (-2 * t) * g_image) + lam * g_self
+        lebesgue = 2 / np.pi * math.log(n) + 1
         sup_r = lebesgue * worst + 4 * disk_max * rho ** (1 - n) / (rho - 1)
 
         # g has degree m - 1 < n, so on each panel it is its own interpolant

@@ -126,6 +126,15 @@ def test_import_loads_no_scipy_or_mpmath():
     assert out.strip() == "[]"
 
 
+def test_import_builds_no_collocation_table():
+    # the node-count tables of the collocation are built at their first use
+    code = ("from gdmskit import thermo; print([f.cache_info().currsize for f in "
+            "(thermo._node_tables, thermo._interpolation_grid, thermo._panel_tables)])")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[0, 0, 0]"
+
+
 @pytest.mark.parametrize("text", [CANTOR, CF_FULL2], ids=["cantor", "cf-full2"])
 def test_dim_at_a_tolerance_below_the_double_spacing_exits_3(tmp_path, text):
     # tolerance/4 underflows to 0; in a child process, so that a bracket

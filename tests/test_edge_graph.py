@@ -308,3 +308,30 @@ def test_vertex_determined_edge_graph_is_read_on_four_states():
     assert (props.irreducible, props.primitive, props.finitely_irreducible) == (True, True, True)
     assert pruned is system and removed == ()
     assert len(sample.entries) == 2000
+
+
+def test_edge_tables_are_built_once_and_read_only(monkeypatch):
+    # a parse builds the Moebius coefficients and end-space bounds of the
+    # edges once; every later edge walk (the level-1 check, the sampler's
+    # intervals, the contraction bound) reads them and asks the family
+    # about no single edge
+    system, _ = gk.parse_spec(_many_edge_spec(2, 30))
+    assert system.edge_ids is system.edge_ids
+    coefficients, bounds = system.coefficients, system.end_bounds
+    lo, hi = bounds
+    for table in (*coefficients, bounds, lo, hi, system.log_norms):
+        assert not table.flags.writeable
+    for got, want in zip(coefficients, system.family.coefficients(system.edge_ids)):
+        assert np.array_equal(got, want)
+    ends = [system.spaces[e.dst] for e in system.graph.edges]
+    assert lo.tolist() == [s.lo for s in ends] and hi.tolist() == [s.hi for s in ends]
+    looked_up = []
+    map_for = gm.SimilarityFamily.map_for
+    monkeypatch.setattr(gm.SimilarityFamily, "map_for",
+                        lambda family, e: looked_up.append(e) or map_for(family, e))
+    gs.validate(system)
+    gk.sample_points(system, 200, 6, seed=3)
+    assert system.contraction_bound() == (max(abs(coefficients[0])), 1)
+    gk.bowen_dimension(system)
+    assert looked_up == []
+    assert system.coefficients is coefficients and system.end_bounds is bounds

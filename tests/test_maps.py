@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
-from conftest import packed_system, reference_image, two_component_system
+from conftest import (mirrored_blocks_system, packed_system, reference_image,
+                      three_block_system, two_component_system)
 
 U = 2.0 ** -53  # unit roundoff of a double
 
@@ -109,7 +110,7 @@ class TestWordImages:
         rng = np.random.default_rng(seed)
         words = rng.integers(0, len(maps), size=(count, depth))
         points = rng.uniform(-3.0, 3.0, size=(2, count))
-        got = gm.word_images(family, tuple(range(len(maps))), words, points)
+        got = gm.word_images(family.coefficients(tuple(range(len(maps)))), words, points)
         want = [[reference_image(family, tuple(w), x) for w, x in zip(words.tolist(), row)]
                 for row in points.tolist()]
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
@@ -124,8 +125,8 @@ class TestWordImages:
         rng = np.random.default_rng(seed)
         words = rng.integers(0, max_digit, size=(count, depth))
         points = rng.uniform(0.0, 1.0, size=(1, count))
-        got = gm.word_images(gm.MoebiusCfFamily(), tuple(range(1, max_digit + 1)),
-                             words, points)[0]
+        letters = tuple(range(1, max_digit + 1))
+        got = gm.word_images(gm.MoebiusCfFamily().coefficients(letters), words, points)[0]
         for value, positions, x in zip(got.tolist(), words.tolist(), points[0].tolist()):
             word = tuple(k + 1 for k in positions)
             if gm.cf_continuants(word)[2] < 2 ** 53:
@@ -153,9 +154,9 @@ class TestWordImages:
         words = rng.integers(0, 40, size=(50, 60))
         points = rng.uniform(0.0, 1.0, size=(2, 50))
         letters = tuple(range(1, 41))
-        plain = gm.word_images(gm.MoebiusCfFamily(), letters, words, points)
+        plain = gm.word_images(gm.MoebiusCfFamily().coefficients(letters), words, points)
         monkeypatch.setattr(gm, "RESCALE_ABOVE", 2.0 ** 40)
-        scaled = gm.word_images(gm.MoebiusCfFamily(), letters, words, points)
+        scaled = gm.word_images(gm.MoebiusCfFamily().coefficients(letters), words, points)
         assert np.array_equal(scaled.view(np.int64), plain.view(np.int64))
 
     @pytest.mark.parametrize("truncate", [3, None])
@@ -276,6 +277,70 @@ class TestIntervals:
             sup = 1 / q ** 2
             inf = 1 / (q + q_prev) ** 2
             assert sup / inf <= 4.0 + 1e-12
+
+
+def _per_edge_log_norms(system):
+    """`family.log_norm((e,))` of every edge, one Python call per edge."""
+    return np.array([system.family.log_norm((e,)) for e in system.edge_ids])
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBulkLogNorms:
+    """`family.log_norms(letters)` answers for every letter in one call,
+    bit for bit what `log_norm((e,))` gives for each."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gk.full_shift([0.3, 0.25, 0.1]),
+        lambda: three_block_system(0),
+        mirrored_blocks_system,
+        lambda: gk.cf_system(gk.IncidenceSpec(gg.FULL), truncate=5),
+        lambda: gk.cf_system(gk.IncidenceSpec(gg.BANDED, 2), truncate=12),
+        lambda: gk.cf_system(gk.IncidenceSpec(gg.UPPER), truncate=6),
+        lambda: three_block_system(1).restrict(three_block_system(1).components[0]),
+        lambda: gk.cf_system(gk.IncidenceSpec(gg.BANDED, 1), truncate=9).restrict((2, 5, 6, 9)),
+    ], ids=["sim-full", "sim-three-block", "sim-mirrored", "cf-full", "cf-banded",
+            "cf-upper", "sim-restricted", "cf-restricted"])
+    def test_system_log_norms_are_hex_identical_to_the_per_edge_loop(self, make):
+        system = make()
+        assert _hex(system.log_norms) == _hex(_per_edge_log_norms(system))
+        assert _hex(system.family.log_norms(system.edge_ids[::-1])) == _hex(
+            _per_edge_log_norms(system)[::-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-300, 0.999999), min_size=1, max_size=30))
+    def test_similarity_ratios_of_any_size(self, ratios):
+        family = gm.SimilarityFamily({k: gm.SimilarityMap(r, 0.0) for k, r in enumerate(ratios)})
+        letters = tuple(range(len(ratios)))
+        assert _hex(family.log_norms(letters)) == _hex(
+            [family.log_norm((e,)) for e in letters])
+
+    def test_cf_labels_of_any_size_and_type(self):
+        family = gm.MoebiusCfFamily()
+        letters = (1, 2, np.int64(3), 10 ** 6, 2 ** 60 + 1, np.int32(7))
+        assert _hex(family.log_norms(letters)) == _hex(
+            [family.log_norm((a,)) for a in letters])
+        with pytest.raises(gk.InputError, match="positive integers"):
+            family.log_norms((1, 0))
+
+    def test_unknown_similarity_letter_is_refused(self):
+        with pytest.raises(gk.InputError, match="unknown edge id"):
+            gk.full_shift([0.5, 0.25]).family.log_norms(("e1", "e9"))
+
+    @pytest.mark.parametrize("make", [mirrored_blocks_system, lambda: three_block_system(0)])
+    def test_equal_blocks_still_share_one_pooled_engine(self, make):
+        # the pool key holds the bytes of the block's log norms: equal to
+        # the bytes of the per-edge loop, so the mirrored blocks a and b
+        # meet the same key and get one engine
+        system = make()
+        engines = system.engines
+        assert engines[0] is engines[1]
+        assert len(system.engine_pool) == len(set(map(id, engines))) == len(engines) - 1
+        per_edge = _per_edge_log_norms(system)
+        values = {key[3] for key in system.engine_pool}
+        assert values == {per_edge[list(idx)].tobytes() for idx in system.component_positions}
 
 
 class TestEvaluation:

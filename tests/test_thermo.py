@@ -874,11 +874,10 @@ class TestNewtonStart:
 
     def test_coarse_vector_that_is_not_positive_is_refused(self, monkeypatch):
         # flip the sign of the interpolation onto the full grid, the one
-        # Chebyshev table that newton_start builds on a flat array of points
+        # Chebyshev table that newton_start reads and its coarse engine does not
         engine = cf_sys(truncate=2).engines[0]
-        vander = thermo._chebyshev_vander
-        monkeypatch.setattr(thermo, "_chebyshev_vander",
-                            lambda u, m: -vander(u, m) if np.ndim(u) == 1 else vander(u, m))
+        grid = thermo._interpolation_grid
+        monkeypatch.setattr(thermo, "_interpolation_grid", lambda m: -grid(m))
         with pytest.raises(gk.ConvergenceError, match="interpolate positive"):
             engine.newton_start(1e-10)
         assert engine.right is None
@@ -1003,20 +1002,33 @@ class TestCertificatePlan:
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 6)])
     def test_plan_is_built_once_per_engine(self, kind, size, monkeypatch):
-        system = cf_sys(kind, 1, truncate=size)
-        (engine,) = system.engines
+        system, other = cf_sys(kind, 1, truncate=size), cf_sys(gg.FULL, truncate=3)
+        (engine,), (second,) = system.engines, other.engines
+        thermo._panel_tables.cache_clear()  # the self table is built in this test
         shapes = _recorded_vander(monkeypatch)
         gk.bowen_dimension(system)
-        # one image table over letters x points, one self table over points
+        gk.bowen_dimension(other)
+        # one image table over letters x points per engine, and one self
+        # table over points for the two: the panel tables are per node count
         assert shapes.count((size, self.POINTS)) == 1
+        assert shapes.count((3, self.POINTS)) == 1
         assert shapes.count((self.POINTS,)) == 1
-        plan = engine._plan
+        plan, panels = engine._plan, engine._plan[-1]
+        assert second._plan[-1] is panels
+        assert second.to_coef is engine.to_coef
+        # every shared table is read-only; the self table T_k(2y - 1) too
+        assert panels[3].shape == (self.POINTS, engine.nodes)
+        for table in (*(p for p in panels if isinstance(p, np.ndarray)), engine.to_coef):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 0.0
         shapes.clear()
         for t in (0.0, 0.3, 0.9, 1.5, 2.0):
-            est = gk.pressure(system, t)
-            assert est.lower <= est.upper
+            for sys_ in (system, other):
+                est = gk.pressure(sys_, t)
+                assert est.lower <= est.upper
         assert shapes == []
         assert engine._plan is plan
+        assert thermo._panel_tables(engine.nodes) is panels
 
     def test_coarse_engine_builds_no_plan(self, monkeypatch):
         engine = cf_sys(gg.BANDED, 1, truncate=6).engines[0]
