@@ -12,6 +12,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -107,7 +108,7 @@ RULES = {
 class IncidenceSpec:
     """One of the named rules of `RULES` over integer edge ids, or
     `explicit`: a boolean matrix given by allow pairs and kept only as the
-    system's incidence matrix (see `incidence_array`). Only `banded` reads
+    system's `lumping` (see `incidence_lumping`). Only `banded` reads
     its width, an int >= 1 (`as_integer`); every other kind stores 0."""
 
     kind: str
@@ -151,39 +152,45 @@ def allow_positions(labels, position):
                        dtype=int, count=len(labels)).reshape(-1, 2)
 
 
-def incidence_array(incidence, edges, labels=None, lines=None):
-    """Boolean matrix of the edge graph, rows and columns in the order of
-    `edges`. b may follow a only when t(a) = i(b); a named rule applies
-    `allows_labels` to all pairs of labels at once.
+def incidence_lumping(incidence, edges, labels=None, lines=None):
+    """The `StateLumping` of the successor sets of `edges`. b may follow a
+    only when t(a) = i(b): under `full` a's successor set is the row of the
+    edges that leave its terminal vertex, one row per vertex; another named
+    rule applies `allows_labels` to all pairs of labels at once.
 
-    An explicit incidence is True at each of its allow pairs, which `labels`
-    holds flat (a1, b1, a2, b2, ...); a repeated pair counts once. A pair
-    that names an unknown edge or whose edges do not meet raises SpecError,
-    for the first such pair in the order of str((a, b)). `lines`, the
-    spec-file line of each pair, puts the line on the error and reports
-    unknown edges as the file is read: the first one in line order.
+    An explicit incidence allows its allow pairs, which `labels` holds flat
+    (a1, b1, a2, b2, ...); a repeated pair counts once. A pair that names an
+    unknown edge or whose edges do not meet raises SpecError, for the first
+    such pair in the order of str((a, b)). `lines`, the spec-file line of
+    each pair, puts the line on the error and reports unknown edges as the
+    file is read: the first one in line order.
     """
     vertex = {}
     src = np.array([vertex.setdefault(e.src, len(vertex)) for e in edges], dtype=int)
     dst = np.array([vertex.setdefault(e.dst, len(vertex)) for e in edges], dtype=int)
-    if labels is None:  # a named rule; `rule` refuses an explicit one
+    letters = np.arange(len(edges))
+    if labels is not None:
+        pairs = allow_positions(labels, {e.id: k for k, e in enumerate(edges)})
+        unknown = (pairs < 0).any(axis=1)
+        bad = unknown.copy()
+        bad[~unknown] = dst[pairs[~unknown, 0]] != src[pairs[~unknown, 1]]
+        if bad.any():
+            raise _allow_pair_error(edges, labels, pairs, unknown, bad, lines)
+        A = np.zeros((len(edges), len(edges)), dtype=bool)
+        A[pairs[:, 0], pairs[:, 1]] = True
+    elif incidence.kind == FULL:
+        leaving = np.zeros((len(vertex), len(edges)), dtype=bool)
+        leaving[src, letters] = True
+        return StateLumping(dst, leaving)
+    else:  # `rule` refuses an explicit incidence without its pairs
         ids = np.array([e.id for e in edges])
         A = dst[:, None] == src[None, :]
         A &= incidence.allows_labels(ids[:, None], ids[None, :])
-        return A
-    pairs = allow_positions(labels, {e.id: k for k, e in enumerate(edges)})
-    unknown = (pairs < 0).any(axis=1)
-    bad = unknown.copy()
-    bad[~unknown] = dst[pairs[~unknown, 0]] != src[pairs[~unknown, 1]]
-    if bad.any():
-        raise _allow_pair_error(edges, labels, pairs, unknown, bad, lines)
-    A = np.zeros((len(edges), len(edges)), dtype=bool)
-    A[pairs[:, 0], pairs[:, 1]] = True
-    return A
+    return StateLumping(letters, A)
 
 
 def _allow_pair_error(edges, labels, pairs, unknown, bad, lines):
-    """The SpecError `incidence_array` raises for the allow pairs flagged in
+    """The SpecError `incidence_lumping` raises for the allow pairs flagged in
     `bad`, those in `unknown` naming an unknown edge."""
     if lines is not None and unknown.any():
         k = int(unknown.argmax())
@@ -200,7 +207,7 @@ def _allow_pair_error(edges, labels, pairs, unknown, bad, lines):
 
 
 def is_admissible(system, word) -> bool:
-    """True iff every consecutive pair of the word is allowed by A."""
+    """True iff each letter after the first is in the successor set of the one before."""
     word = tuple(word)
     if not word:
         raise InputError("word must have length >= 1")
@@ -211,8 +218,8 @@ def is_admissible(system, word) -> bool:
     for e in word:
         if e not in index:
             raise InputError(f"unknown edge id {e!r}")
-    A = system.incidence_matrix
-    return all(A[index[a], index[b]] for a, b in zip(word, word[1:]))
+    members, state = system.lumping.members, system.lumping.state_of
+    return all(members[state[index[a]], index[b]] for a, b in zip(word, word[1:]))
 
 
 def as_integer(value, what: str) -> int:
@@ -296,32 +303,43 @@ def grouped(rows, values, count):
 
 
 class StateLumping:
-    """The letters of a square boolean matrix X grouped into states by
-    their predecessor sets (the True rows of their columns), numbered in
-    order of first occurrence. An operator whose image at c sums a term T_a
-    on the unknown of a's state over the predecessors a of c depends on c
-    only through its state, so its matrix has one block row and column per
-    state, block (s, s(a)) summing T_a over a in s (`blocks`). X is A for a
-    continued-fraction collocation and A^T, whose predecessor sets are A's
-    successor sets, for a similarity block or a system's edge graph
-    (`GdmsSystem.lumping`), where k <= V under `incidence full`."""
+    """Letters grouped into states by their sets, letter a's set the row
+    patterns[group[a]] of a boolean matrix with a column per letter, states
+    numbered in order of first occurrence. An operator whose image at c sums
+    a term T_a on the unknown of a's state over the letters a in c's set
+    has a block row and column per state, block (s, s(a)) summing T_a over
+    a in set s (`blocks`). The sets are successor sets for an edge graph
+    and its similarity blocks, predecessor sets for a collocation."""
 
-    def __init__(self, X):
-        index, pattern = {}, np.ascontiguousarray(X.T)
-        packed = np.packbits(pattern, axis=1)
-        sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per letter
+    def __init__(self, group, patterns):
+        index, patterns = {}, np.ascontiguousarray(patterns)
+        packed = np.packbits(patterns, axis=1)
+        sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # a bytes object per row
         # each letter's state named by its first letter; `first` lists them in order
-        leader = np.array([index.setdefault(p, a) for a, p in enumerate(sets)], dtype=np.intp)
+        leader = np.array([index.setdefault(sets[r], a) for a, r in enumerate(group.tolist())])
         first = np.fromiter(index.values(), dtype=np.intp, count=len(index))
         self.state_of = np.searchsorted(first, leader)
         self.counts = np.bincount(self.state_of)  # letters per state
-        # members[s, a] is True when letter a is in predecessor set s
-        self.members = pattern[first]
-        # (s, a) for each a in set s = feeding[starts[s]:starts[s + 1]], and its block entry
+        # members[s, a] is True when letter a is in set s
+        self.members = patterns[group[first]]
+        # (s, a) for each a in set s = feeding[starts[s]:starts[s + 1]]
         self.rows, self.feeding = np.divmod(np.flatnonzero(self.members), len(self.state_of))
         self.starts = np.searchsorted(self.rows, np.arange(len(self.members) + 1))
-        self.keys = self.rows * len(self.members) + self.state_of[self.feeding]
-        self._tail_keys = {1: self.keys}
+        self._tail_keys = {}  # `blocks`' keys per size of the trailing axes
+
+    def restrict(self, idx):
+        """The lumping of the letters at the ascending positions `idx`, from
+        the rows of their states cut to them; itself if `idx` holds all."""
+        if len(idx) == len(self.state_of):
+            return self
+        own = self.state_of[idx]
+        used = np.bincount(own, minlength=len(self.members)) > 0
+        return StateLumping((np.cumsum(used) - 1)[own], self.members[used].take(idx, axis=1))
+
+    @cached_property
+    def reversed(self):
+        """The lumping by predecessor sets: letter c's set the letters whose set holds c."""
+        return StateLumping(np.arange(len(self.state_of)), self.members.T[:, self.state_of])
 
     def blocks(self, per_letter):
         """Sum per_letter[a] (one array per letter) into the block (s, s(a))
@@ -330,8 +348,9 @@ class StateLumping:
         tail = per_letter.shape[1:]
         size, states = math.prod(tail), len(self.members)
         keys = self._tail_keys.get(size)
-        if keys is None:
-            keys = self._tail_keys[size] = (self.keys[:, None] * size + np.arange(size)).ravel()
+        if keys is None:  # each pair's block entry, then its entries of the trailing axes
+            keys = self.rows * states + self.state_of[self.feeding]
+            keys = self._tail_keys[size] = (keys[:, None] * size + np.arange(size)).ravel()
         flat = np.bincount(keys, per_letter[self.feeding].ravel(), minlength=states ** 2 * size)
         return flat.reshape((states, states) + tail)
 

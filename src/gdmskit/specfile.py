@@ -12,7 +12,7 @@ whitespace):
 
 Unknown keywords are rejected with their line number; nothing is silently
 ignored. An allow pair that is repeated is accepted and counts once: the
-incidence matrix has a single 1 there. Under `banded` and `upper` an edge
+successor set holds the edge once. Under `banded` and `upper` an edge
 id is an ASCII decimal integer, -?[0-9]+, and ids of one value, such as 1
 and 01, are duplicates.
 
@@ -74,7 +74,7 @@ def parse_spec(text: str):
         keyword, args = tokens[0], tokens[1:]
 
         # allow lines are most of a large spec, so they are matched first;
-        # their labels are resolved in bulk by `graph.incidence_array`
+        # their labels are resolved in bulk by `graph.incidence_lumping`
         if keyword == "allow":
             if len(args) != 2:
                 raise SpecError("usage: allow <a> <b>", lineno)
@@ -193,11 +193,11 @@ def serialize_spec(system: GdmsSystem) -> str:
         lines.append("incidence " + inc.rule.directive.format(inc.width))
     else:
         lines.append("incidence explicit")
-        # A with its edges in str order of their ids, so that the pairs of
-        # its nonzero entries come sorted by (str(a), str(b))
-        ids = system.edge_ids
+        # the successor set of each edge, edges in str order of their ids, so
+        # that the allowed pairs come sorted by (str(a), str(b))
+        ids, lumping = system.edge_ids, system.lumping
         order = sorted(range(len(ids)), key=lambda k: str(ids[k]))
-        rows, cols = np.nonzero(system.incidence_matrix[np.ix_(order, order)])
+        rows, cols = np.nonzero(lumping.members[lumping.state_of[order]][:, order])
         named = [ids[k] for k in order]
         lines += [f"allow {named[a]} {named[b]}" for a, b in zip(rows.tolist(), cols.tolist())]
     return "\n".join(lines) + "\n"

@@ -22,17 +22,16 @@ class GdmsSystem:
     """A graph-directed Markov system: multigraph, incidence, contraction
     family and vertex spaces. Its views of the edge graph, read on the
     states of `lumping`, from `edge_ids` to `engines`, are
-    `functools.cached_property`s, built on first use (or given to
-    `store_matrix`) and not to be modified, except by the `engines`
-    themselves, which keep their last vectors and roots. Every
-    derived system is a `dataclasses.replace` copy and starts with empty
-    caches, but a subsystem (`subsystem`, `restrict`, `prune`) keeps its
-    parent's `engine_pool`, so a block they share is one engine object.
-    So neither one system object nor two that share a pool are to be
-    analysed from two threads at once.
-    An infinite system has no edge graph: `incidence_matrix` and
-    `log_norms`, and so every view built on them, raise
-    NotApplicableError."""
+    `functools.cached_property`s, built on first use (`lumping` when an
+    explicit incidence or a subsystem is made) and not to be modified,
+    except by the `engines` themselves, which keep their last vectors and
+    roots. Every derived system is a `dataclasses.replace` copy and starts
+    with empty caches, but a subsystem (`subsystem`, `restrict`, `prune`)
+    keeps its parent's `engine_pool`, so a block they share is one engine
+    object. So neither one system object nor two that share a pool are to
+    be analysed from two threads at once.
+    An infinite system has no edge graph: `lumping` and `log_norms`, and
+    so every view built on them, raise NotApplicableError."""
 
     name: str
     graph: g.MultiGraph
@@ -57,21 +56,14 @@ class GdmsSystem:
 
     @cached_property
     def edge_index(self):
-        """edge id -> row and column of the edge in `incidence_matrix`."""
+        """edge id -> position of the edge in `graph.edges`."""
         return {e.id: k for k, e in enumerate(self.graph.edges)}
 
     @cached_property
     def incidence_matrix(self):
-        """Read-only boolean matrix of the edge graph, rows and columns in
-        edge order, built from a named rule. An explicit incidence has no
-        rule: its matrix is given to `store_matrix` when the system is made."""
-        if self.infinite:
-            raise NotApplicableError("truncate the system first")
-        return g.read_only(g.incidence_array(self.incidence, self.graph.edges))
-
-    def store_matrix(self, A):
-        """Make A, marked read-only, this system's `incidence_matrix`."""
-        self.__dict__["incidence_matrix"] = g.read_only(A)
+        """Read-only boolean matrix of the edge graph in edge order: the view
+        members[state_of] of `lumping`, which no analysis reads."""
+        return g.read_only(self.lumping.members[self.lumping.state_of])
 
     @cached_property
     def log_norms(self):
@@ -93,10 +85,11 @@ class GdmsSystem:
 
     @cached_property
     def lumping(self):
-        """The edge graph on states: `graph.StateLumping` of the transposed
-        `incidence_matrix`, one state per distinct successor set, in order
-        of first occurrence; `state_of` maps each edge to its state."""
-        return g.StateLumping(self.incidence_matrix.T)
+        """The edge graph, kept only as `graph.incidence_lumping`: one state per
+        successor set, in order of first occurrence, `state_of` the edges'."""
+        if self.infinite:
+            raise NotApplicableError("truncate the system first")
+        return g.incidence_lumping(self.incidence, self.graph.edges)
 
     @cached_property
     def state_lists(self):
@@ -137,13 +130,15 @@ class GdmsSystem:
         """Sorted positions of each strongly connected component of the edge
         graph that carries a cycle, ordered by their first: the edges in the
         successor set of a state of their own state's quotient SCC, one
-        component per quotient SCC."""
-        lumping, comps, own = self.lumping, {}, self.scc_of[self.lumping.state_of]
+        component per quotient SCC (a stable sort on its index)."""
+        lumping, own = self.lumping, self.scc_of[self.lumping.state_of]
         cyclic = np.zeros(len(own), dtype=bool)
         cyclic[lumping.feeding[self.scc_of[lumping.rows] == own[lumping.feeding]]] = True
-        for e, n in zip(np.flatnonzero(cyclic).tolist(), own[cyclic].tolist()):
-            comps.setdefault(n, []).append(e)
-        return tuple(map(tuple, comps.values()))
+        edges = np.flatnonzero(cyclic)
+        ends = np.cumsum(np.bincount(own[edges])).tolist()  # where each SCC's run ends
+        edges = edges[np.argsort(own[edges], kind="stable")].tolist()
+        # first positions differ between components, so the runs sort by them
+        return tuple(map(tuple, sorted(edges[a:b] for a, b in zip([0] + ends, ends) if a < b)))
 
     @cached_property
     def components(self):
@@ -154,27 +149,24 @@ class GdmsSystem:
     @cached_property
     def engines(self):
         """The family's `engine_type` for each of `component_positions`, in
-        their order, built from the lumping (`lumping_of`) of the component's
-        boolean block of `incidence_matrix` and its `letter_values`. Each engine
-        offers `find_root(t0, tolerance)`, `certified_pressure(t)`,
-        `newton_start(tolerance)`, `decay` (a proved lower bound on -P') and
-        its methods' names. It keeps its last vectors and roots, so every
-        analysis starts from the work of the ones before it.
+        their order, built from `lumping` restricted to the component and its
+        `letter_values`. Each engine offers `find_root(t0, tolerance)`,
+        `certified_pressure(t)`, `newton_start(tolerance)`, `decay` (a proved
+        lower bound on -P') and its methods' names. It keeps its last
+        vectors and roots, so every analysis starts from the work of the ones
+        before it.
 
         An engine depends on nothing but its block and letter values, so
-        it is looked up in `engine_pool` by the key (engine type, size,
-        packed block, bytes of the values), equal only for blocks equal
-        entry for entry in position order: components that are copies of
-        one block get one engine, and a subsystem cut from this system gets
-        the engines its components already have here."""
-        engine_type, A, engines = self.family.engine_type, self.incidence_matrix, []
-        for idx in map(list, self.component_positions):
-            # a component of every edge is all of A, taken without a copy
-            block = A if len(idx) == len(A) else A[idx][:, idx]
-            values = engine_type.letter_values(self, idx)
-            key = (engine_type, len(idx), np.packbits(block).tobytes(), values.tobytes())
+        `engine_pool` keys it by its type and the bytes of its values and of
+        the lumping's `state_of` and packed `members`, which the block fixes:
+        copies of one block get one engine, and a subsystem cut from this
+        system gets the engines its components already have here."""
+        engine_type, engines = self.family.engine_type, []
+        for idx in map(np.array, self.component_positions):
+            lumping, values = self.lumping.restrict(idx), engine_type.letter_values(self, idx)
+            key = (engine_type, lumping.state_of.tobytes(), np.packbits(lumping.members).tobytes(),
+                   values.tobytes())
             if key not in self.engine_pool:
-                lumping = engine_type.lumping_of(self, idx, block)
                 self.engine_pool[key] = engine_type(lumping, values)
             engines.append(self.engine_pool[key])
         return tuple(engines)
@@ -200,14 +192,14 @@ class GdmsSystem:
     def subsystem(self, idx) -> "GdmsSystem":
         """Subsystem on the edges at the ascending positions `idx`.
 
-        A finite subsystem slices this system's incidence matrix at those
+        A finite subsystem restricts this system's `lumping` to those
         positions instead of rebuilding it, and shares its `engine_pool`.
         """
         edges = tuple(self.graph.edges[k] for k in idx)
         sub = replace(self, graph=g.MultiGraph(self.graph.vertices, edges))
         sub.engine_pool = self.engine_pool
         if not self.infinite:
-            sub.store_matrix(self.incidence_matrix[idx][:, idx])
+            sub.__dict__["lumping"] = self.lumping.restrict(idx)
         return sub
 
     def truncate(self, size: int) -> "GdmsSystem":
@@ -297,7 +289,7 @@ def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> Gdm
     edges: iterable of (id, src, dst, SimilarityMap).
     allow: the (a, b) edge-id pairs of an explicit incidence, b allowed to
     follow a. A pair that names an unknown edge or whose edges do not meet
-    raises SpecError (see `graph.incidence_array`). A rule that compares
+    raises SpecError (see `graph.incidence_lumping`). A rule that compares
     integer labels refuses other edge ids with InputError.
     """
     return _similarity_system(name, vertices, spaces, edges, incidence,
@@ -307,7 +299,7 @@ def similarity_system(name, vertices, spaces, edges, incidence, allow=()) -> Gdm
 def _similarity_system(name, vertices, spaces, edges, incidence, labels, lines=None):
     """`similarity_system` with the allow pairs laid out flat in `labels`
     (a1, b1, a2, b2, ...); `lines`, the spec-file line of each pair, goes to
-    `graph.incidence_array`."""
+    `graph.incidence_lumping`."""
     incidence.check_ids(eid for eid, _, _, _ in edges)
     edge_objs = tuple(g.Edge(eid, src, dst) for eid, src, dst, _ in edges)
     fam = m.SimilarityFamily({eid: sm for eid, _, _, sm in edges})
@@ -315,7 +307,7 @@ def _similarity_system(name, vertices, spaces, edges, incidence, labels, lines=N
                         incidence=incidence, family=fam,
                         spaces=dict(spaces), infinite=False)
     if incidence.kind == g.EXPLICIT:
-        system.store_matrix(g.incidence_array(incidence, edge_objs, labels, lines))
+        system.__dict__["lumping"] = g.incidence_lumping(incidence, edge_objs, labels, lines)
     elif labels:
         raise InputError("allow pairs need an explicit incidence")
     return system

@@ -291,9 +291,9 @@ class PerronBlock:
     and `newton_start` of a CfCollocation.
 
     A row of B(t) depends only on the edge's successor set, so the engine
-    works on the k x k matrix M(t) of the `lumping` of A^T (one node per
-    state, kernel 1, log-weights ln r): rho(M(t)) = rho(B(t)), and `right`,
-    M's Perron vector, read at `lumping.state_of` is B's; with all rows
+    works on the k x k matrix M(t) of its `lumping` by successor sets (one
+    node per state, kernel 1, log-weights ln r): rho(M(t)) = rho(B(t)), and
+    `right`, M's Perron vector, read at `lumping.state_of` is B's; with all rows
     distinct, M(t) = B(t). `find_root` starts at the row-sum model's root
     and takes one solve per step, by nonlinear inverse iteration; each
     `collatz_wielandt` call starts from the last vector, so at the root the
@@ -315,13 +315,6 @@ class PerronBlock:
     def letter_values(system, idx):
         """The vector the block reads per letter: `log_norms` at `idx`."""
         return system.log_norms[idx]
-
-    @staticmethod
-    def lumping_of(system, idx, block):
-        """`graph.StateLumping` of the boolean incidence block `block`
-        transposed: `system.lumping` when the block holds every edge."""
-        whole = len(idx) == len(system.incidence_matrix)
-        return system.lumping if whole else g.StateLumping(block.T)
 
     @property
     def decay(self) -> float:
@@ -474,14 +467,14 @@ def _cf_level_sums(system, ns, t):
     A level is built only while the words of all levels up to it stay
     within the guard; that is checked before it is built.
     """
-    guard = g.count_guard()
-    pairs = np.argwhere(system.incidence_matrix.T).tolist()  # [b, a] for a -> b, by b, then a
+    guard, pred = g.count_guard(), system.lumping.reversed  # the predecessor sets
+    pairs = np.argwhere(pred.members[pred.state_of]).tolist()  # [b, a] for a -> b, by b, then a
     log_labels = [math.log(e) for e in system.edge_ids]
     lq_prev, lq = np.zeros(len(log_labels)), np.array(log_labels)
     counts = np.ones(len(log_labels), dtype=int)
     wanted, words, out = set(ns), 0, {}
     for n in range(1, max(ns) + 1):
-        grown = counts if n == 1 else counts @ system.incidence_matrix
+        grown = counts if n == 1 else (pred.members @ counts)[pred.state_of]
         size = int(grown.sum())
         words += size
         if words > guard:
@@ -602,9 +595,9 @@ def _log_bounds(low, high):
 
 class CfCollocation:
     """Chebyshev collocation of the transfer operator of one strongly
-    connected finite continued-fraction system, given by the
-    `graph.StateLumping` of its incidence matrix A and its letters, the
-    labels of A's rows:
+    connected finite continued-fraction system, given by its `block`, the
+    `graph.StateLumping` of the successor sets of its letters, and the
+    letters, their labels:
 
         (L_t f)_c(x) = sum over a with a -> c allowed of (a + x)^(-2t) f_a(1/(a + x)),
 
@@ -617,10 +610,10 @@ class CfCollocation:
         L(t) = Q (K o exp(t Lam)),   K[(a, i), (s(a), j)] = l_j(1/(a + x_i)),
                                      Lam[(a, i), .] = -2 ln(a + x_i),
 
-    where Q (the lumping's `members`) adds up the rows of the letters in
-    each predecessor set; L'(t) = Q (K o Lam o exp(t Lam)) gives the
-    `_inverse_step`. `PerronBlock` is this assembly with one node, K = 1 and
-    Lam = ln r.
+    where Q (the `members` of `lumping`, the block `reversed`) adds up the
+    rows of the letters in each predecessor set; L'(t) = Q (K o Lam o
+    exp(t Lam)) gives the `_inverse_step`. `PerronBlock` is this assembly
+    with one node, K = 1 and Lam = ln r.
     """
 
     # -P'(t) >= ln 2 for every t: each length-2 word has
@@ -629,14 +622,15 @@ class CfCollocation:
     decay = _rounded_down(math.log(2.0))
     pressure_method, dimension_method = CHEBYSHEV_COLLOCATION, COLLOCATION_NEWTON
 
-    def __init__(self, lumping, letters, nodes=COLLOCATION_NODES):
-        self.lumping, self.nodes, self.size = lumping, nodes, len(lumping.members) * nodes
+    def __init__(self, block, letters, nodes=COLLOCATION_NODES):
+        self.block, self.lumping, self.nodes = block, block.reversed, nodes
+        self.size = len(self.lumping.members) * nodes
         guard = g.count_guard()
         if self.size * self.size > guard:
             raise ResourceGuardError(
                 f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
-        self.model = PerronBlock(lumping, -2.0 * np.log(self.letters + 0.5))
+        self.model = PerronBlock(self.lumping, -2.0 * np.log(self.letters + 0.5))
         x, self.to_coef = _node_tables(nodes)
         shifted = self.letters[:, None] + x
         self.log_weights = -2.0 * np.log(shifted)
@@ -651,11 +645,6 @@ class CfCollocation:
         """The vector the collocation reads per letter: the letters at `idx`
         as floats, the delta of the maps x -> 1/(a + x) in `coefficients`."""
         return system.coefficients[3][idx]
-
-    @staticmethod
-    def lumping_of(system, idx, block):
-        """`graph.StateLumping` of the boolean incidence block `block`."""
-        return g.StateLumping(block)
 
     def matrix(self, t, derivative=False):
         """L(t), and with `derivative` also L'(t)."""
@@ -702,7 +691,7 @@ class CfCollocation:
 
     def newton_start(self, tolerance) -> float:
         """Where `find_root` here starts: the root that the COARSE_NODES
-        collocation of this lumping finds from the root of the state model
+        collocation of this block finds from the root of the state model
         `model`, by Newton on `pressure_slope` from a cold vector at every
         call (certificates at the edge of their width depend on its last
         bits). Its vector, interpolated onto these nodes, becomes `right`, with
@@ -712,7 +701,7 @@ class CfCollocation:
         model = self.model
         model.right = None
         start, _ = _component_root(model.pressure_slope, tolerance, model.newton_start(tolerance))
-        coarse = CfCollocation(self.lumping, self.letters, COARSE_NODES)
+        coarse = CfCollocation(self.block, self.letters, COARSE_NODES)
         try:
             root, _ = coarse.find_root(start, tolerance)
         except ConvergenceError:

@@ -20,6 +20,23 @@ def log_rho(system):
     return math.log(max(abs(np.linalg.eigvals(system.incidence_matrix))))
 
 
+def dense_lumping(A):
+    """(state_of, members, state_lists, state_arcs) of the square boolean
+    matrix A, its letters grouped by their rows as the edge graph was
+    lumped from a stored dense incidence matrix: each row hashed as its
+    packed bytes and named by its first letter, states numbered in that
+    order; each state's set as ascending positions, and the ascending
+    distinct states of those positions."""
+    A, index = np.ascontiguousarray(A, dtype=bool), {}
+    packed = np.packbits(A, axis=1)
+    sets = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+    leader = np.array([index.setdefault(p, a) for a, p in enumerate(sets)], dtype=np.intp)
+    first = np.fromiter(index.values(), dtype=np.intp, count=len(index))
+    state_of = np.searchsorted(first, leader)
+    lists = tuple(np.flatnonzero(row).tolist() for row in A[first])
+    return state_of, A[first], lists, tuple(sorted(set(state_of[s].tolist())) for s in lists)
+
+
 def intra_full(ids):
     return {(a, b) for a in ids for b in ids}
 

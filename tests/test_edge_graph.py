@@ -1,6 +1,7 @@
-"""One edge graph per parsed system: restrictions slice it, the level-1 open
-set check sweeps it, the incidence matrix is built once, and every reader
-walks it on successor-set states with the answers of the edges."""
+"""One edge graph per parsed system: restrictions cut it, the level-1 open
+set check sweeps it, its lumping is built once and equals the one a dense
+incidence matrix gives, and every reader walks it on successor-set states
+with the answers of the edges."""
 
 import math
 import tracemalloc
@@ -14,7 +15,8 @@ import gdmskit as gk
 from gdmskit import graph as gg
 from gdmskit import maps as gm
 from gdmskit import system as gs
-from conftest import (packed_system, random_graph_complete_system,
+from gdmskit import thermo
+from conftest import (dense_lumping, packed_system, random_graph_complete_system,
                       random_packed_system_and_pairs)
 from test_dimension import _explicit_specs, _many_edge_spec
 
@@ -168,15 +170,17 @@ allow d z
 """
 
 
-def test_incidence_matrix_is_built_once_per_parse(monkeypatch):
+def test_lumping_is_built_once_per_parse(monkeypatch):
+    # the parse lumps the allow pairs once; pruning, the components'
+    # engines and the restriction to the core cut that lumping down
     calls = []
-    build = gg.incidence_array
+    build = gg.incidence_lumping
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(gg, "incidence_array", counted)
+    monkeypatch.setattr(gg, "incidence_lumping", counted)
     system, warnings = gk.parse_spec(LINKED)
     assert warnings == ("pruned 1 edge(s) with no successor: z",)
     gk.scc_decompose(system)
@@ -186,6 +190,33 @@ def test_incidence_matrix_is_built_once_per_parse(monkeypatch):
     gk.conformal_cylinder_measure(system.restrict(core), result.dimension.mid)
     gk.sample_points(system, 20, 4, 1)
     assert len(calls) == 1
+    assert "incidence_matrix" not in system.__dict__
+
+
+def test_full_rule_is_lumped_from_one_pattern_row_per_vertex(monkeypatch):
+    # under `incidence full` letter a's successor set is the row of its
+    # terminal vertex, the edges that leave it; the one engine of the
+    # irreducible system reads that lumping, and nothing builds an E x E matrix
+    system, _ = gk.parse_spec(_many_edge_spec(4, 50))
+    built, init = [], gg.StateLumping.__init__
+
+    def counted(self, group, patterns):
+        built.append((np.array(group), np.array(patterns)))
+        init(self, group, patterns)
+    monkeypatch.setattr(gg.StateLumping, "__init__", counted)
+    gk.scc_decompose(system)
+    gk.matrix_properties(system)
+    gk.bowen_dimension(system)
+    gk.classify_hausdorff_measure(system, n_range=range(1, 6))
+    gk.sample_points(system, 20, 4, 1)
+    assert len(built) == 1
+    group, patterns = built[0]
+    where = {v: k for k, v in enumerate(system.graph.vertices)}
+    assert group.tolist() == [where[e.dst] for e in system.graph.edges]
+    assert patterns.tolist() == [[where[e.src] == k for e in system.graph.edges]
+                                 for k in range(4)]
+    assert system.engines[0].lumping is system.lumping
+    assert "incidence_matrix" not in system.__dict__
 
 
 @st.composite
@@ -200,6 +231,74 @@ def _vertex_determined_systems(draw):
                          min_size=n, max_size=n))
     edges = [(f"e{k}", a, b, gm.SimilarityMap(0.5 / n, k / n)) for k, (a, b) in enumerate(ends)]
     return gk.similarity_system("vd", vertices, spaces, edges, gk.IncidenceSpec(gg.FULL))
+
+
+@st.composite
+def _integer_id_systems(draw):
+    """1-3 vertices and 1-10 edges with distinct integer ids between random
+    ends under `banded 1`, `banded 3` or `upper`."""
+    vertices = tuple(f"v{k}" for k in range(draw(st.integers(1, 3))))
+    spaces = {v: gm.VertexSpace(v, 0.0, 1.0) for v in vertices}
+    n = draw(st.integers(1, 10))
+    ids = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n, unique=True))
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=n, max_size=n))
+    kind, width = draw(st.sampled_from([(gg.BANDED, 1), (gg.BANDED, 3), (gg.UPPER, 0)]))
+    edges = [(e, a, b, gm.SimilarityMap(0.5 / n, k / n)) for k, (e, (a, b)) in
+             enumerate(zip(ids, ends))]
+    return gk.similarity_system("ids", vertices, spaces, edges, gk.IncidenceSpec(kind, width))
+
+
+def _rule_matrix(system):
+    """The dense incidence of a named rule, entry by entry: b follows a
+    when a ends where b starts and the rule allows their labels."""
+    edges, incidence = system.graph.edges, system.incidence
+    return np.array([[a.dst == b.src and bool(incidence.allows_labels(a.id, b.id))
+                      for b in edges] for a in edges], dtype=bool).reshape(len(edges), -1)
+
+
+def _explicit_matrix(spec):
+    """`packed_system(*spec)` and the dense matrix of its allow pairs."""
+    ids = list(spec[1])
+    return packed_system(*spec), np.array([[(a, b) in spec[2] for b in ids] for a in ids])
+
+
+def _assert_lumped_as_dense(lumping, A):
+    """`lumping` has the states, members, successor lists and quotient arcs
+    that `dense_lumping` gives the matrix A."""
+    state_of, members, lists, arcs = dense_lumping(A)
+    assert lumping.state_of.tolist() == state_of.tolist()
+    assert np.array_equal(lumping.members, members)
+    k = len(lumping.members)
+    assert gg.grouped(lumping.rows, lumping.feeding, k) == lists
+    assert gg.grouped(lumping.rows, lumping.state_of[lumping.feeding], k) == arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_explicit_specs().map(_explicit_matrix)
+       | (_vertex_determined_systems() | _integer_id_systems()
+          | st.builds(gk.cf_system, st.builds(gk.IncidenceSpec, st.sampled_from(list(gg.RULES)),
+                                              st.integers(1, 3)),
+                      st.integers(1, 30))).map(lambda system: (system, _rule_matrix(system))),
+       st.randoms(use_true_random=False))
+def test_lumping_equals_the_dense_reference(case, rnd):
+    # the system's lumping, a subsystem's restriction of it, each engine's
+    # block and a collocation's reversed block equal what the dense matrix
+    # built here gives: a collocation lumps predecessor sets, the rows of A^T
+    system, A = case
+    _assert_lumped_as_dense(system.lumping, A)
+    assert (system.state_lists, system.state_arcs) == dense_lumping(A)[2:]
+    assert np.array_equal(system.incidence_matrix, A)
+    keep = sorted(rnd.sample(range(len(A)), rnd.randint(0, len(A))))
+    sub = system.subsystem(keep)
+    _assert_lumped_as_dense(sub.lumping, A[np.ix_(keep, keep)])
+    assert (sub.state_lists, sub.state_arcs) == dense_lumping(A[np.ix_(keep, keep)])[2:]
+    for engine, idx in zip(system.engines, system.component_positions):
+        block = A[np.ix_(idx, idx)]
+        if isinstance(engine, thermo.CfCollocation):
+            _assert_lumped_as_dense(engine.block, block)
+            block = block.T
+        _assert_lumped_as_dense(engine.lumping, block)
 
 
 @st.composite

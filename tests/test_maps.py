@@ -331,14 +331,19 @@ class TestBulkLogNorms:
 
     @pytest.mark.parametrize("make", [mirrored_blocks_system, lambda: three_block_system(0)])
     def test_equal_blocks_still_share_one_pooled_engine(self, make):
-        # the pool key holds the bytes of the block's log norms: equal to
-        # the bytes of the per-edge loop, so the mirrored blocks a and b
+        # the pool key is the engine type, the block's lumping (its states
+        # and packed members) and the bytes of the block's log norms: equal
+        # to the bytes of the per-edge loop, so the mirrored blocks a and b
         # meet the same key and get one engine
         system = make()
         engines = system.engines
         assert engines[0] is engines[1]
         assert len(system.engine_pool) == len(set(map(id, engines))) == len(engines) - 1
         per_edge = _per_edge_log_norms(system)
+        for key, engine in system.engine_pool.items():
+            lumping = engine.lumping
+            assert key[:3] == (type(engine), lumping.state_of.tobytes(),
+                               np.packbits(lumping.members).tobytes())
         values = {key[3] for key in system.engine_pool}
         assert values == {per_edge[list(idx)].tobytes() for idx in system.component_positions}
 

@@ -170,7 +170,7 @@ class TestTransferMatrix:
 
 def _perron_block(A, log_norms):
     """The similarity engine of the boolean block A with log-ratios `log_norms`."""
-    return thermo.PerronBlock(gg.StateLumping(A.T), log_norms)
+    return thermo.PerronBlock(gg.StateLumping(np.arange(len(A)), A), log_norms)
 
 
 class TestPerron:
@@ -217,10 +217,10 @@ class TestPerron:
 
 class TestStateLumping:
     def test_states_follow_first_occurrence(self):
-        # successor sets a -> {a, b}, b -> {c}, c -> {a, b}: lumping A^T
-        # gives states {a, b} (holding a and c) and {c} (holding b)
+        # successor sets a -> {a, b}, b -> {c}, c -> {a, b}, the rows of A,
+        # give states {a, b} (holding a and c) and {c} (holding b)
         A = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=bool)
-        lumping = gg.StateLumping(A.T)
+        lumping = gg.StateLumping(np.arange(3), A)
         assert lumping.state_of.tolist() == [0, 1, 0]
         assert lumping.counts.tolist() == [2, 1]
         assert lumping.members.tolist() == [[True, True, False], [False, False, True]]
@@ -237,34 +237,39 @@ class TestStateLumping:
         assert B @ v == pytest.approx(values[k].real * v, rel=1e-12)
 
     def test_trailing_axes_are_summed_per_block(self):
-        # three letters in one predecessor set: one block, summed in letter order
-        lumping = gg.StateLumping(np.ones((3, 3), dtype=bool))
+        # three letters of one pattern row: one block, summed in letter order
+        lumping = gg.StateLumping(np.zeros(3, dtype=int), np.ones((1, 3), dtype=bool))
         per_letter = np.arange(12.0).reshape(3, 2, 2)
         assert lumping.blocks(per_letter).shape == (1, 1, 2, 2)
         assert lumping.blocks(per_letter)[0, 0].tolist() == per_letter.sum(axis=0).tolist()
-        empty = gg.StateLumping(np.zeros((0, 0), dtype=bool))
+        empty = gg.StateLumping(np.arange(0), np.zeros((0, 0), dtype=bool))
         assert empty.blocks(np.zeros(0)).shape == (0, 0)
 
     @pytest.mark.parametrize("n,density", [(1, 0.5), (7, 0.3), (40, 0.05), (40, 0.9)])
     def test_states_are_numbered_by_their_first_letter(self, n, density):
-        # states in order of first occurrence, and members[s] the column of
-        # the first letter of state s, as a dictionary walk gives them
-        X = np.random.default_rng(n).random((n, n)) < density
-        X[:, : n // 2] = X[:, n // 2: 2 * (n // 2)]  # repeat columns
-        lumping = gg.StateLumping(X)
-        numbers, firsts = {}, []
-        for a in range(n):
-            if X[:, a].tobytes() not in numbers:
-                numbers[X[:, a].tobytes()] = len(firsts)
-                firsts.append(a)
-        assert lumping.state_of.tolist() == [numbers[X[:, a].tobytes()] for a in range(n)]
-        assert lumping.state_of.dtype == np.intp and lumping.members.dtype == bool
-        assert np.array_equal(lumping.members, X.T[firsts])
+        # states in order of first occurrence, and members[s] the set of the
+        # first letter of state s, as a dictionary walk gives them; letters
+        # share pattern rows, and rows repeat
+        rng = np.random.default_rng(n)
+        for rows in (1, 5, n):
+            X = rng.random((rows, n)) < density
+            X[: rows // 2] = X[rows // 2: 2 * (rows // 2)]  # repeat rows
+            group = rng.integers(0, rows, n)
+            lumping = gg.StateLumping(group, X)
+            numbers, firsts = {}, []
+            for a in range(n):
+                if X[group[a]].tobytes() not in numbers:
+                    numbers[X[group[a]].tobytes()] = len(firsts)
+                    firsts.append(a)
+            assert lumping.state_of.tolist() == [numbers[X[group[a]].tobytes()]
+                                                 for a in range(n)]
+            assert lumping.state_of.dtype == np.intp and lumping.members.dtype == bool
+            assert np.array_equal(lumping.members, X[group[firsts]])
 
     def test_engine_of_every_edge_reads_the_system_lumping(self):
-        # a similarity component that holds every edge lumps A^T, which the
-        # system already holds; a smaller component, and a collocation, which
-        # lumps A, build their own
+        # a similarity component that holds every edge reads the system's
+        # lumping; a smaller component restricts it, and a collocation
+        # reverses its block's, so both build their own
         system = gk.parse_spec(_many_edge_spec(4, 5))[0]
         assert system.engines[0].lumping is system.lumping
         assert system.engines[0].size == 4
@@ -590,18 +595,23 @@ def test_cf_level_sums_are_the_sums_over_the_words(system, t):
         assert abs(z - exact) <= 1e-12 * exact
 
 
-def test_cf_level_sums_build_no_state_lumping(monkeypatch):
-    # the allowed pairs are read off the incidence matrix itself
+def test_cf_level_sums_read_the_system_lumping_only(monkeypatch):
+    # the allowed pairs are read off the predecessor sets of the system's one
+    # lumping, reversed once and kept there: the collocation engine of the
+    # irreducible head reads the same reversal, so after it no lumping and
+    # no incidence matrix is built
     system, built = cf_sys(gg.BANDED, 2, truncate=6), []
-    lumping = gg.StateLumping
+    lumping, init = system.lumping, gg.StateLumping.__init__
+    assert system.engines[0].lumping is lumping.reversed
 
-    def counted(X):
-        built.append(X.shape)
-        return lumping(X)
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
     with monkeypatch.context() as patch:
-        patch.setattr(gg, "StateLumping", counted)
+        patch.setattr(gg.StateLumping, "__init__", counted)
         sums = thermo._cf_level_sums(system, [1, 2, 3], 0.5)
     assert built == []
+    assert system.lumping is lumping and "incidence_matrix" not in system.__dict__
     assert sums[3] == pytest.approx(_exact_partition_sum(system, 3, 0.5), rel=1e-12)
 
 
