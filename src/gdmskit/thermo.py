@@ -92,6 +92,27 @@ UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 TINY = float(np.finfo(float).tiny)
 
 
+@cache
+def _ones(n):
+    """n ones, read-only: the right-hand side of the solves of size n."""
+    return g.read_only(np.ones(n))
+
+
+def _shift_less(shift, X):
+    """shift I - X, entry for entry `shift * np.eye(n) - X`, written over X
+    (a new array of the caller's), so that no identity matrix is built."""
+    diagonal = shift - X.diagonal()
+    np.subtract(shift * 0.0, X, out=X)
+    np.fill_diagonal(X, diagonal)
+    return X
+
+
+def _less_one(X):
+    """X - I, entry for entry `X - np.eye(n)`, written over X as `_shift_less`."""
+    np.fill_diagonal(X, X.diagonal() - 1.0)
+    return X
+
+
 class _Underflow(ConvergenceError):
     """Row sums of `collatz_wielandt` fell below the normal range."""
 
@@ -134,7 +155,7 @@ def collatz_wielandt(B, start=None):
         """(sI - B)^-1 x scaled to max 1, or None unless it is positive;
         solved on D^-1 B D, D = diag(x), so small entries keep their digits."""
         try:
-            y = x * np.linalg.solve(shift * np.eye(n) - B * x / x[:, None], np.ones(n))
+            y = x * np.linalg.solve(_shift_less(shift, B * x / x[:, None]), _ones(n))
         except np.linalg.LinAlgError:
             return None
         y = y / np.max(y)
@@ -198,9 +219,9 @@ def equilibrium_weights(B, v, upper):
     singular.
     """
     n = len(B)
-    shifted = upper * (1.0 + PERRON_SHIFT) * np.eye(n) - B * v / v[:, None]
+    shifted = _shift_less(upper * (1.0 + PERRON_SHIFT), B * v / v[:, None])
     try:
-        z = np.linalg.solve(shifted.T, np.ones(n))
+        z = np.linalg.solve(shifted.T, _ones(n))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"leading eigenvalue is not simple: {exc}") from exc
     total = z.sum()
@@ -363,7 +384,7 @@ class PerronBlock:
         M, dM = self.matrix(t, derivative=True)
         v = self.right / self.right.sum()
         try:
-            u = v * np.linalg.solve(M * v / v[:, None] - np.eye(self.size), dM @ v / v)
+            u = v * np.linalg.solve(_less_one(M * v / v[:, None]), dM @ v / v)
         except np.linalg.LinAlgError:
             return self.pressure_slope(t)
         total = float(u.sum())
@@ -562,6 +583,64 @@ def _panel_tables(m):
     return (reach, *map(g.read_only, tables), _node_tables(PANEL_POINTS)[1])
 
 
+class _LetterTables:
+    """Tables elementwise in a letter a, kept for the process: for each
+    node count m, read-only arrays with one row per letter held, in the
+    order the letters were first asked for. `build(a, m)` computes the
+    tables for a column a of letters. Being elementwise in a, no row depends
+    on the batch it was built in."""
+
+    def __init__(self, build):
+        self.build, self.held = build, {}  # m -> ({letter: row}, tables)
+
+    def take(self, letters, m):
+        """The tables' rows of `letters`, after appending those of the
+        letters new to the process in one batch: a view of the first rows
+        when `letters` are the first letters held, in order (every head
+        {1..N} of an integer alphabet), else a copy."""
+        rows, tables = self.held.get(m, ({}, None))
+        new = [a for a in dict.fromkeys(letters) if a not in rows]
+        if new:
+            built = self.build(np.array(new)[:, None], m)
+            if tables is not None:
+                built = [np.concatenate(pair) for pair in zip(tables, built)]
+            rows.update(zip(new, range(len(rows), len(rows) + len(new))))
+            self.held[m] = rows, [g.read_only(table) for table in built]
+        tables, order = self.held[m][1], [rows[a] for a in letters]
+        if order == list(range(len(order))):
+            return [table[:len(order)] for table in tables]
+        return [table[order] for table in tables]
+
+    def cache_clear(self):
+        self.held.clear()
+
+
+def _collocation_rows(a, m):
+    """At the m nodes x: the log-weights -2 ln(a + x_i) and the Chebyshev
+    image table T_k(2/(a + x_i) - 1) (m x m)."""
+    shifted = a + _node_tables(m)[0]
+    return -2.0 * np.log(shifted), _chebyshev_vander(2.0 / shifted - 1.0, m)
+
+
+def _certificate_rows(a, m):
+    """The certificate's tables for m nodes, over the panel points y of
+    [0, 1] and the disks around the panels' ellipses: a + y, T_k(2/(a + y)
+    - 1) (points x m), a + Re z, which is <= |a + z| on the disks, and R^k
+    of the disks' images under z -> 1/(a + z) (panels x m)."""
+    reach, centers, y = _panel_tables(m)[:3]
+    mid = a + centers
+    spread = mid * mid - reach * reach
+    r_image = _ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
+    return (a + y, _chebyshev_vander(2.0 / (a + y) - 1.0, m), mid - reach,
+            r_image[:, :, None] ** np.arange(m))
+
+
+# an engine's collocation rows, taken when it is built, and its
+# certificate rows, taken at its first certificate (`CfCollocation._plan`)
+_letter_tables = _LetterTables(_collocation_rows)
+_letter_plan = _LetterTables(_certificate_rows)
+
+
 def _chebyshev_vander(u, m):
     """T_0(u) .. T_{m-1}(u) on a new last axis, by the three-term recurrence."""
     T = np.empty(np.shape(u) + (m,))
@@ -624,17 +703,22 @@ class CfCollocation:
 
     def __init__(self, block, letters, nodes=COLLOCATION_NODES):
         self.block, self.lumping, self.nodes = block, block.reversed, nodes
-        self.size = len(self.lumping.members) * nodes
+        lumping, states = self.lumping, len(self.lumping.members)
+        self.size = states * nodes
         guard = g.count_guard()
         if self.size * self.size > guard:
             raise ResourceGuardError(
                 f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
-        self.model = PerronBlock(self.lumping, -2.0 * np.log(self.letters + 0.5))
-        x, self.to_coef = _node_tables(nodes)
-        shifted = self.letters[:, None] + x
-        self.log_weights = -2.0 * np.log(shifted)
-        self.kernel = _chebyshev_vander(2.0 / shifted - 1.0, nodes) @ self.to_coef
+        self.model = PerronBlock(lumping, -2.0 * np.log(self.letters + 0.5))
+        self.to_coef = _node_tables(nodes)[1]
+        self.log_weights, images = _letter_tables.take(self.letters.tolist(), nodes)
+        self.kernel = images @ self.to_coef
+        # the entry ((s m + i) S + s(a)) m + j of L (m nodes, S states) that
+        # node pair (i, j) of each (state, letter) pair (s, a) adds to
+        rows = (lumping.rows * nodes)[:, None, None] + np.arange(nodes)[:, None]
+        cols = lumping.state_of[lumping.feeding][:, None, None]
+        self._keys = ((rows * states + cols) * nodes + np.arange(nodes)).ravel()
         # right vector of the last `_perron` or `find_root` call and the
         # `_state_sizes` at its t, from which the next call starts; the
         # (root, tolerance) of the last `dimension._component_estimates` solve
@@ -647,9 +731,13 @@ class CfCollocation:
         return system.coefficients[3][idx]
 
     def matrix(self, t, derivative=False):
-        """L(t), and with `derivative` also L'(t)."""
+        """L(t), and with `derivative` also L'(t), each summed by one
+        `np.bincount` straight into its (state, node) x (state, node)
+        layout: the blocks of `lumping`, terms added in pair order."""
         def assemble(scaled):
-            return self.lumping.blocks(scaled).transpose(0, 2, 1, 3).reshape(self.size, self.size)
+            flat = np.bincount(self._keys, scaled[self.lumping.feeding].ravel(),
+                               minlength=self.size * self.size)
+            return flat.reshape(self.size, self.size)
         scaled = self.kernel * np.exp(t * self.log_weights)[:, :, None]
         L = assemble(scaled)
         return (L, assemble(scaled * self.log_weights[:, :, None])) if derivative else L
@@ -665,6 +753,10 @@ class CfCollocation:
         N = 40 for t in [0.24, 0.54], a start built from them errs by
         factors spanning e^8.5, one built from these by e^1.6.
         """
+        # one state: `collatz_wielandt` would return [1.0] itself, with no
+        # solve, while the entry sums a weight above e^-700 (no underflow)
+        if self.model.size == 1 and t * self.model.log_norms.max() > -700.0:
+            return _ones(1)
         return collatz_wielandt(self.model.matrix(t), start)[2]
 
     def _start(self, t):
@@ -722,7 +814,7 @@ class CfCollocation:
         A singular L(t) - I makes t the root."""
         L, dL = self.matrix(t, derivative=True)
         try:
-            u = np.linalg.solve(L - np.eye(self.size), dL @ self.right)
+            u = np.linalg.solve(_less_one(L), dL @ self.right)
         except np.linalg.LinAlgError:
             return 0.0, -1.0
         total = float(u.sum())
@@ -757,10 +849,10 @@ class CfCollocation:
 
     @cached_property
     def _plan(self):
-        """The tables of `_residual_bound` that depend on the letters a,
-        built at this engine's first certificate and kept for every later
-        t, and the shared `_panel_tables` of its node count m. Over the
-        panel points y of [0, 1] and the disks around the panels' ellipses:
+        """The tables of `_residual_bound` that depend on the letters: the
+        `_letter_plan` rows of this engine's letters, taken at its first
+        certificate and kept for every later t, and the shared
+        `_panel_tables` of its node count m:
 
             (a + y,                  letters x points
              T_k(2/(a + y) - 1),     letters x points x m
@@ -768,17 +860,10 @@ class CfCollocation:
              R^k of the disks' images under z -> 1/(a + z), letters x panels x m
              `_panel_tables(m)`).
         """
-        panels = _panel_tables(self.nodes)
-        reach, centers, y = panels[:3]
-        a = self.letters[:, None]
-        near = a + centers - reach                  # <= |a + z| on the disk
+        shifted, image, near, image_powers = _letter_plan.take(self.letters.tolist(), self.nodes)
         if not near.min() > 0.0:
             raise ConvergenceError("certificate ellipse reaches a branch point")
-        mid = a + centers
-        spread = mid * mid - reach * reach
-        r_image = _ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
-        return (a + y, _chebyshev_vander(2.0 / (a + y) - 1.0, self.nodes), near,
-                r_image[:, :, None] ** np.arange(self.nodes), panels)
+        return shifted, image, near, image_powers, _panel_tables(self.nodes)
 
     def _residual_bound(self, t, lam, v):
         """s >= max over states c and x in [0, 1] of |r_c(x)| / g_c(x).

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -133,6 +134,23 @@ def test_import_builds_no_collocation_table():
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[0, 0, 0]"
+
+
+def test_import_builds_no_table_of_the_process():
+    # every table the package keeps for the process, the per-letter ones
+    # included, is built at its first use
+    code = ("import json, gdmskit; from gdmskit import thermo; print(json.dumps("
+            "{name: f.cache_info().currsize for name, f in vars(thermo).items() "
+            "if hasattr(f, 'cache_info')}))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    tables = json.loads(out)
+    assert {"_ones", "_node_tables", "_panel_tables"} <= set(tables)
+    assert set(tables.values()) == {0}
+    code = "from gdmskit import thermo; print(thermo._letter_tables.held, thermo._letter_plan.held)"
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "{} {}"
 
 
 @pytest.mark.parametrize("text", [CANTOR, CF_FULL2], ids=["cantor", "cf-full2"])

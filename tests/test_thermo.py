@@ -1006,46 +1006,127 @@ def _outcome(call, *args):
         return str(exc)
 
 
+def _clear_process_tables():
+    """Empty every table that the package keeps for the process (each
+    `functools.cache` and `_LetterTables` of `thermo`), as in a fresh process."""
+    for table in vars(thermo).values():
+        if hasattr(table, "cache_clear") and not isinstance(table, type):
+            table.cache_clear()
+
+
+def _held(store):
+    """{(letter, m): its rows} of a `thermo._LetterTables`."""
+    return {(a, m): tuple(table[k] for table in tables)
+            for m, (rows, tables) in store.held.items() for a, k in rows.items()}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestCertificatePlan:
     # the certificate's points: its tables are built on arrays of this length
     POINTS = thermo.CERTIFICATE_PANELS * thermo.PANEL_POINTS
 
     @pytest.mark.parametrize("kind,size", [(gg.FULL, 2), (gg.BANDED, 6)])
-    def test_plan_is_built_once_per_engine(self, kind, size, monkeypatch):
-        system, other = cf_sys(kind, 1, truncate=size), cf_sys(gg.FULL, truncate=3)
-        (engine,), (second,) = system.engines, other.engines
-        thermo._panel_tables.cache_clear()  # the self table is built in this test
+    def test_letter_tables_are_built_once_per_process(self, kind, size, monkeypatch):
+        _clear_process_tables()
         shapes = _recorded_vander(monkeypatch)
+        system = cf_sys(kind, 1, truncate=size)
         gk.bowen_dimension(system)
-        gk.bowen_dimension(other)
-        # one image table over letters x points per engine, and one self
-        # table over points for the two: the panel tables are per node count
-        assert shapes.count((size, self.POINTS)) == 1
-        assert shapes.count((3, self.POINTS)) == 1
-        assert shapes.count((self.POINTS,)) == 1
-        plan, panels = engine._plan, engine._plan[-1]
-        assert second._plan[-1] is panels
-        assert second.to_coef is engine.to_coef
-        # every shared table is read-only; the self table T_k(2y - 1) too
-        assert panels[3].shape == (self.POINTS, engine.nodes)
-        for table in (*(p for p in panels if isinstance(p, np.ndarray)), engine.to_coef):
-            with pytest.raises(ValueError, match="read-only"):
-                table[(0,) * table.ndim] = 0.0
+        # the letters' image tables on the 20 nodes, on the 8 of the coarse
+        # engine and on the certificate points, one batch each; once for
+        # the process the interpolation grid on the 20 nodes and the self
+        # table T_k(2y - 1) on the points
+        nodes, coarse = thermo.COLLOCATION_NODES, thermo.COARSE_NODES
+        assert sorted(shapes) == sorted([(size, nodes), (size, coarse), (size, self.POINTS),
+                                         (nodes,), (self.POINTS,)])
+        assert len(_held(thermo._letter_tables)) == 2 * size
+        assert len(_held(thermo._letter_plan)) == size
+        # full N = 3 shares letters 1 and 2 (and 3 with banded N = 6), so
+        # only a letter new to the process gets tables
+        (engine,) = system.engines
         shapes.clear()
+        gk.bowen_dimension(cf_sys(gg.FULL, truncate=3))
+        new = 3 - size
+        assert sorted(shapes) == ([] if new <= 0 else
+                                  sorted([(new, nodes), (new, coarse), (new, self.POINTS)]))
+        assert len(_held(thermo._letter_plan)) == max(size, 3)
+        # an engine keeps the stacked rows of its letters, bit for bit
+        plan = engine._plan
+        for k, a in enumerate(engine.letters.tolist()):
+            for stacked, row in zip(plan[:4], _held(thermo._letter_plan)[a, nodes]):
+                assert _same_bits(stacked[k], row)
+        assert plan[-1] is thermo._panel_tables(nodes)
+        # a fresh system of the same letters, and every later t, build none
+        shapes.clear()
+        again = cf_sys(kind, 1, truncate=size)
+        gk.bowen_dimension(again)
         for t in (0.0, 0.3, 0.9, 1.5, 2.0):
-            for sys_ in (system, other):
+            for sys_ in (system, again):
                 est = gk.pressure(sys_, t)
                 assert est.lower <= est.upper
         assert shapes == []
         assert engine._plan is plan
-        assert thermo._panel_tables(engine.nodes) is panels
 
     def test_coarse_engine_builds_no_plan(self, monkeypatch):
         engine = cf_sys(gg.BANDED, 1, truncate=6).engines[0]
+        _clear_process_tables()
         shapes = _recorded_vander(monkeypatch)
         engine.newton_start(1e-10)
-        assert shapes and all(self.POINTS not in shape for shape in shapes)
+        # the coarse engine's letter rows on 8 nodes and the grid that
+        # interpolates its vector onto 20, and no certificate table
+        assert sorted(shapes) == [(6, thermo.COARSE_NODES), (thermo.COLLOCATION_NODES,)]
+        assert thermo._letter_plan.held == {}
+        assert thermo._panel_tables.cache_info().currsize == 0
         assert "_plan" not in engine.__dict__
+
+    def test_shared_tables_are_read_only(self):
+        system = cf_sys(gg.BANDED, 2, truncate=5)
+        gk.bowen_dimension(system)
+        (engine,) = system.engines
+        m = engine.nodes
+        letters, plan = _held(thermo._letter_tables), _held(thermo._letter_plan)
+        shared = [*letters[5.0, m], *plan[5.0, m], *letters[1.0, thermo.COARSE_NODES],
+                  *thermo._node_tables(m), *thermo._panel_tables(m),
+                  thermo._interpolation_grid(m), thermo._ones(m), engine.to_coef]
+        tables = [table for table in shared if isinstance(table, np.ndarray)]
+        assert len(tables) == 19
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 0.0
+
+    def test_heads_read_the_held_rows_in_place(self):
+        # heads {1..N} are the first letters held, in order: their engines
+        # read the process's rows; other letter sets get a copy of theirs
+        _clear_process_tables()
+        gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=8))
+        head = cf_sys(gg.FULL, truncate=3).engines[0]
+        block = cf_sys(gg.FULL, truncate=2).engines[0].block
+        other = thermo.CfCollocation(block, [5.0, 3.0])
+        held = _held(thermo._letter_plan)
+        for engine in (head, other):
+            tables = thermo._letter_plan.held[engine.nodes][1]
+            for k, table in enumerate(engine._plan[:4]):
+                assert np.shares_memory(table, tables[k]) == (engine is head)
+                for row, a in zip(table, engine.letters.tolist()):
+                    assert _same_bits(row, held[a, engine.nodes][k])
+        assert np.shares_memory(head.log_weights, thermo._letter_tables.held[head.nodes][1][0])
+        assert len(held) == 8
+
+    def test_stacked_plan_is_the_formula_on_all_letters(self):
+        # the plan as one engine built it from all its letters at once
+        for kind, width, size in ((gg.FULL, 1, 7), (gg.BANDED, 2, 9)):
+            engine = cf_sys(kind, width, truncate=size).engines[0]
+            reach, centers, y = thermo._panel_tables(engine.nodes)[:3]
+            a = engine.letters[:, None]
+            mid = a + centers
+            spread = mid * mid - reach * reach
+            r_image = thermo._ellipse_parameter(2 * mid / spread - 1, 2 * reach / spread)
+            formula = (a + y, thermo._chebyshev_vander(2.0 / (a + y) - 1.0, engine.nodes),
+                       a + centers - reach, r_image[:, :, None] ** np.arange(engine.nodes))
+            for stacked, table in zip(engine._plan, formula):
+                assert _same_bits(stacked, table)
 
     def test_vander_matches_numpy_chebvander(self):
         # numpy.polynomial is an independent oracle, imported here only
@@ -1076,12 +1157,70 @@ def test_certificate_from_a_reused_plan_is_bit_identical(rule, t1, t2):
                                                                   t2, lam, v)
 
 
+# CF heads whose values must not depend on the tables the process holds
+_HEADS = ([(gg.FULL, 1, n) for n in range(1, 6)]
+          + [(gg.BANDED, w, n) for w in (1, 2) for n in range(1, 11)] + [(gg.UPPER, 1, 6)])
+
+
+def _head_values(head):
+    """The hex of the `bowen_dimension` bracket and of the `pressure`
+    brackets at t = 0, 0.5 and 2 of a fresh system of one head."""
+    system = cf_sys(*head)
+    d = gk.bowen_dimension(system)
+    values = [d.lo, d.hi]
+    for t in (0.0, 0.5, 2.0):
+        p = gk.pressure(system, t)
+        values += [p.lower, p.upper]
+    return [float(v).hex() for v in values] + [d.method, d.iterations]
+
+
+def test_cf_values_do_not_depend_on_tables_built_earlier():
+    cold = {}
+    for head in _HEADS:  # each head as in a fresh process
+        _clear_process_tables()
+        cold[head] = _head_values(head)
+    # the tables filled first by other heads, their letters in another
+    # order, and the heads computed in reverse
+    _clear_process_tables()
+    for head in ((gg.BANDED, 3, 12), (gg.FULL, 1, 8), (gg.BANDED, 1, 7)):
+        gk.bowen_dimension(cf_sys(*head))
+    warm = {head: _head_values(head) for head in reversed(_HEADS)}
+    assert warm == cold
+
+
 def _cf_rules():
     """(kind, width, size): banded rules up to 10 letters wide 1 to 3, and
     full rules up to 8 letters."""
     banded = st.tuples(st.just(gg.BANDED), st.integers(1, 3), st.integers(1, 10))
     full = st.tuples(st.just(gg.FULL), st.just(1), st.integers(1, 8))
     return st.one_of(banded, full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cf_rules(), st.sampled_from([thermo.COARSE_NODES, thermo.COLLOCATION_NODES]),
+       st.floats(0.0, 3.0))
+def test_matrix_is_the_blockwise_assembly_bit_for_bit(rule, nodes, t):
+    # the assembly through `StateLumping.blocks` and a transpose, and the
+    # tables an engine built from its letters alone, here in the test
+    kind, width, size = rule
+    fine = cf_sys(kind, width, truncate=size).engines[0]
+    engine = thermo.CfCollocation(fine.block, fine.letters, nodes)
+    x, to_coef = thermo._node_tables(nodes)
+    shifted = engine.letters[:, None] + x
+    log_weights = -2.0 * np.log(shifted)
+    kernel = thermo._chebyshev_vander(2.0 / shifted - 1.0, nodes) @ to_coef
+    assert _same_bits(engine.log_weights, log_weights)
+    assert _same_bits(engine.kernel, kernel)
+
+    def blockwise(per_letter):
+        blocks = engine.lumping.blocks(per_letter)
+        return blocks.transpose(0, 2, 1, 3).reshape(engine.size, engine.size)
+    scaled = kernel * np.exp(t * log_weights)[:, :, None]
+    L, dL = engine.matrix(t, derivative=True)
+    assert np.array_equal(L, blockwise(scaled))
+    assert _same_bits(L, blockwise(scaled))
+    assert _same_bits(dL, blockwise(scaled * log_weights[:, :, None]))
+    assert _same_bits(engine.matrix(t), L)
 
 
 @settings(max_examples=60, deadline=None)
