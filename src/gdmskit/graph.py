@@ -325,7 +325,7 @@ class StateLumping:
         # (s, a) for each a in set s = feeding[starts[s]:starts[s + 1]]
         self.rows, self.feeding = np.divmod(np.flatnonzero(self.members), len(self.state_of))
         self.starts = np.searchsorted(self.rows, np.arange(len(self.members) + 1))
-        self._tail_keys = {}  # `blocks`' keys per size of the trailing axes
+        self._keys = {}  # `blocks`' keys per node count m
 
     def restrict(self, idx):
         """The lumping of the letters at the ascending positions `idx`, from
@@ -342,17 +342,19 @@ class StateLumping:
         return StateLumping(np.arange(len(self.state_of)), self.members.T[:, self.state_of])
 
     def blocks(self, per_letter):
-        """Sum per_letter[a] (one array per letter) into the block (s, s(a))
-        for every predecessor set s holding a, in ascending order of a:
-        shape (states, states) + per_letter.shape[1:]."""
-        tail = per_letter.shape[1:]
-        size, states = math.prod(tail), len(self.members)
-        keys = self._tail_keys.get(size)
-        if keys is None:  # each pair's block entry, then its entries of the trailing axes
-            keys = self.rows * states + self.state_of[self.feeding]
-            keys = self._tail_keys[size] = (keys[:, None] * size + np.arange(size)).ravel()
-        flat = np.bincount(keys, per_letter[self.feeding].ravel(), minlength=states ** 2 * size)
-        return flat.reshape((states, states) + tail)
+        """Sum per_letter[a] into the block (s, s(a)) for every set s holding
+        a, in ascending order of a. A number per letter gives the states x
+        states matrix of the blocks; an m x m array per letter gives the
+        (states m) x (states m) matrix whose row s m + i and column s' m + j
+        are node i of state s and node j of state s'."""
+        m = per_letter.shape[-1] if per_letter.ndim > 1 else 1
+        keys = self._keys.get(m)
+        if keys is None:  # the entry that node pair (i, j) of each pair (s, a) adds to
+            rows = (self.rows * m)[:, None, None] + np.arange(m)[:, None]
+            cols = (self.state_of[self.feeding] * m)[:, None, None] + np.arange(m)
+            keys = self._keys[m] = (rows * (len(self.members) * m) + cols).ravel()
+        n = len(self.members) * m
+        return np.bincount(keys, per_letter[self.feeding].ravel(), minlength=n * n).reshape(n, n)
 
 
 @dataclass(frozen=True)

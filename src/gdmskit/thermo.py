@@ -583,32 +583,41 @@ def _panel_tables(m):
     return (reach, *map(g.read_only, tables), _node_tables(PANEL_POINTS)[1])
 
 
+# the letters per node count whose tables the process keeps: at 20 nodes
+# about 37.5 kB each, so at most 2.4 MB
+LETTER_TABLE_LIMIT = 64
+
+
 class _LetterTables:
     """Tables elementwise in a letter a, kept for the process: for each
-    node count m, read-only arrays with one row per letter held, in the
-    order the letters were first asked for. `build(a, m)` computes the
-    tables for a column a of letters. Being elementwise in a, no row depends
-    on the batch it was built in."""
+    node count m, read-only arrays with one row per letter held, at most
+    `LETTER_TABLE_LIMIT` of them, in the order they were kept. `build(a, m)`
+    computes the tables for a column a of letters. Being elementwise in a,
+    no row depends on the batch it was built in."""
 
     def __init__(self, build):
         self.build, self.held = build, {}  # m -> ({letter: row}, tables)
 
     def take(self, letters, m):
-        """The tables' rows of `letters`, after appending those of the
-        letters new to the process in one batch: a view of the first rows
-        when `letters` are the first letters held, in order (every head
-        {1..N} of an integer alphabet), else a copy."""
+        """The tables' rows of `letters`, in a copy of the caller's. The rows
+        of the letters new to the process are built in one batch and kept,
+        appended to a new pair, unless the process would then hold more
+        than `LETTER_TABLE_LIMIT` letters; then all of `letters` are built
+        for the caller alone. A held pair is read once and never changed,
+        so calls from several threads each index a consistent pair (at
+        worst one of them drops the letters another appended)."""
         rows, tables = self.held.get(m, ({}, None))
         new = [a for a in dict.fromkeys(letters) if a not in rows]
+        if len(rows) + len(new) > LETTER_TABLE_LIMIT:
+            return self.build(np.array(letters)[:, None], m)
         if new:
             built = self.build(np.array(new)[:, None], m)
             if tables is not None:
                 built = [np.concatenate(pair) for pair in zip(tables, built)]
-            rows.update(zip(new, range(len(rows), len(rows) + len(new))))
-            self.held[m] = rows, [g.read_only(table) for table in built]
-        tables, order = self.held[m][1], [rows[a] for a in letters]
-        if order == list(range(len(order))):
-            return [table[:len(order)] for table in tables]
+            rows = {**rows, **dict(zip(new, range(len(rows), len(rows) + len(new))))}
+            tables = [g.read_only(table) for table in built]
+            self.held[m] = rows, tables
+        order = [rows[a] for a in letters]
         return [table[order] for table in tables]
 
     def cache_clear(self):
@@ -703,22 +712,16 @@ class CfCollocation:
 
     def __init__(self, block, letters, nodes=COLLOCATION_NODES):
         self.block, self.lumping, self.nodes = block, block.reversed, nodes
-        lumping, states = self.lumping, len(self.lumping.members)
-        self.size = states * nodes
+        self.size = len(self.lumping.members) * nodes
         guard = g.count_guard()
         if self.size * self.size > guard:
             raise ResourceGuardError(
                 f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
-        self.model = PerronBlock(lumping, -2.0 * np.log(self.letters + 0.5))
+        self.model = PerronBlock(self.lumping, -2.0 * np.log(self.letters + 0.5))
         self.to_coef = _node_tables(nodes)[1]
         self.log_weights, images = _letter_tables.take(self.letters.tolist(), nodes)
         self.kernel = images @ self.to_coef
-        # the entry ((s m + i) S + s(a)) m + j of L (m nodes, S states) that
-        # node pair (i, j) of each (state, letter) pair (s, a) adds to
-        rows = (lumping.rows * nodes)[:, None, None] + np.arange(nodes)[:, None]
-        cols = lumping.state_of[lumping.feeding][:, None, None]
-        self._keys = ((rows * states + cols) * nodes + np.arange(nodes)).ravel()
         # right vector of the last `_perron` or `find_root` call and the
         # `_state_sizes` at its t, from which the next call starts; the
         # (root, tolerance) of the last `dimension._component_estimates` solve
@@ -731,16 +734,11 @@ class CfCollocation:
         return system.coefficients[3][idx]
 
     def matrix(self, t, derivative=False):
-        """L(t), and with `derivative` also L'(t), each summed by one
-        `np.bincount` straight into its (state, node) x (state, node)
-        layout: the blocks of `lumping`, terms added in pair order."""
-        def assemble(scaled):
-            flat = np.bincount(self._keys, scaled[self.lumping.feeding].ravel(),
-                               minlength=self.size * self.size)
-            return flat.reshape(self.size, self.size)
+        """L(t), and with `derivative` also L'(t), each summed by
+        `lumping.blocks` straight into its (state, node) x (state, node) layout."""
         scaled = self.kernel * np.exp(t * self.log_weights)[:, :, None]
-        L = assemble(scaled)
-        return (L, assemble(scaled * self.log_weights[:, :, None])) if derivative else L
+        L = self.lumping.blocks(scaled)
+        return (L, self.lumping.blocks(scaled * self.log_weights[:, :, None])) if derivative else L
 
     def _state_sizes(self, t, start=None):
         """x > 0, one entry per state: the Perron vector, from

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -236,14 +237,23 @@ class TestStateLumping:
         v = vectors[:, k].real[lumping.state_of]
         assert B @ v == pytest.approx(values[k].real * v, rel=1e-12)
 
-    def test_trailing_axes_are_summed_per_block(self):
-        # three letters of one pattern row: one block, summed in letter order
-        lumping = gg.StateLumping(np.zeros(3, dtype=int), np.ones((1, 3), dtype=bool))
-        per_letter = np.arange(12.0).reshape(3, 2, 2)
-        assert lumping.blocks(per_letter).shape == (1, 1, 2, 2)
-        assert lumping.blocks(per_letter)[0, 0].tolist() == per_letter.sum(axis=0).tolist()
+    def test_node_blocks_are_summed_per_block(self):
+        # an m x m array per letter: block (s, s(a)) at rows s m + i and
+        # columns s(a) m + j, the letters of each block summed in order
+        A = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 0]], dtype=bool)
+        lumping = gg.StateLumping(np.arange(3), A)
+        per_letter = np.arange(12.0).reshape(3, 2, 2) + 1.0
+        expected = np.zeros((4, 4))
+        for s, a in zip(lumping.rows, lumping.feeding):
+            t = lumping.state_of[a]
+            expected[2 * s:2 * s + 2, 2 * t:2 * t + 2] += per_letter[a]
+        assert lumping.blocks(per_letter).tolist() == expected.tolist()
+        # one number per letter is the m = 1 case
+        assert lumping.blocks(per_letter[:, :1, :1]).tolist() == \
+            lumping.blocks(per_letter[:, 0, 0]).tolist()
         empty = gg.StateLumping(np.arange(0), np.zeros((0, 0), dtype=bool))
         assert empty.blocks(np.zeros(0)).shape == (0, 0)
+        assert empty.blocks(np.zeros((0, 3, 3))).shape == (0, 0)
 
     @pytest.mark.parametrize("n,density", [(1, 0.5), (7, 0.3), (40, 0.05), (40, 0.9)])
     def test_states_are_numbered_by_their_first_letter(self, n, density):
@@ -1096,9 +1106,9 @@ class TestCertificatePlan:
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 0.0
 
-    def test_heads_read_the_held_rows_in_place(self):
-        # heads {1..N} are the first letters held, in order: their engines
-        # read the process's rows; other letter sets get a copy of theirs
+    def test_engines_copy_the_held_rows(self):
+        # any letter set, in any order, gets its rows bit for bit, in a
+        # copy of its own that the process's tables do not share
         _clear_process_tables()
         gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=8))
         head = cf_sys(gg.FULL, truncate=3).engines[0]
@@ -1108,11 +1118,49 @@ class TestCertificatePlan:
         for engine in (head, other):
             tables = thermo._letter_plan.held[engine.nodes][1]
             for k, table in enumerate(engine._plan[:4]):
-                assert np.shares_memory(table, tables[k]) == (engine is head)
+                assert not np.shares_memory(table, tables[k])
                 for row, a in zip(table, engine.letters.tolist()):
                     assert _same_bits(row, held[a, engine.nodes][k])
-        assert np.shares_memory(head.log_weights, thermo._letter_tables.held[head.nodes][1][0])
         assert len(held) == 8
+
+    def test_process_keeps_at_most_the_limit(self, monkeypatch):
+        # letters past the limit are built for the engine and not kept
+        monkeypatch.setattr(thermo, "LETTER_TABLE_LIMIT", 6)
+        _clear_process_tables()
+        m = thermo.COLLOCATION_NODES
+        assert [len(x) for x in thermo._letter_tables.take([1.0, 2.0, 3.0, 4.0], m)] == [4, 4]
+        log_weights, images = thermo._letter_tables.take([9.0, 2.0, 8.0, 7.0], m)
+        assert sorted(a for a, _ in _held(thermo._letter_tables)) == [1.0, 2.0, 3.0, 4.0]
+        rows = thermo._collocation_rows(np.array([[9.0, 2.0, 8.0, 7.0]]).T, m)
+        assert _same_bits(log_weights, rows[0]) and _same_bits(images, rows[1])
+        thermo._letter_tables.take([5.0, 6.0, 1.0], m)
+        assert len(_held(thermo._letter_tables)) == 6
+        _clear_process_tables()
+
+    def test_takes_from_two_threads_see_their_own_rows(self):
+        # both calls read the pair that holds letter 1 and build their new
+        # letters before either keeps its rows: each must index the pair it
+        # built, whichever of the two is kept
+        barrier = threading.Barrier(2)
+
+        def build(a, m):
+            if a[0, 0] != 1.0:
+                barrier.wait(timeout=30)
+            return (a * np.ones(m),)
+        store, results = thermo._LetterTables(build), {}
+        store.take([1.0], 3)
+
+        def take(letters):
+            results[letters[0]] = store.take(letters, 3)[0][:, 0].tolist()
+        threads = [threading.Thread(target=take, args=(letters,))
+                   for letters in ([2.0, 1.0, 3.0], [7.0, 5.0, 1.0])]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == {2.0: [2.0, 1.0, 3.0], 7.0: [7.0, 5.0, 1.0]}
+        (rows, (table,)), = store.held.values()
+        assert len(rows) == 3 and all(table[k, 0] == a for a, k in rows.items())
 
     def test_stacked_plan_is_the_formula_on_all_letters(self):
         # the plan as one engine built it from all its letters at once
@@ -1200,8 +1248,8 @@ def _cf_rules():
 @given(_cf_rules(), st.sampled_from([thermo.COARSE_NODES, thermo.COLLOCATION_NODES]),
        st.floats(0.0, 3.0))
 def test_matrix_is_the_blockwise_assembly_bit_for_bit(rule, nodes, t):
-    # the assembly through `StateLumping.blocks` and a transpose, and the
-    # tables an engine built from its letters alone, here in the test
+    # the blockwise assembly and a transpose, and the tables an engine
+    # built from its letters alone, here in the test
     kind, width, size = rule
     fine = cf_sys(kind, width, truncate=size).engines[0]
     engine = thermo.CfCollocation(fine.block, fine.letters, nodes)
@@ -1213,7 +1261,14 @@ def test_matrix_is_the_blockwise_assembly_bit_for_bit(rule, nodes, t):
     assert _same_bits(engine.kernel, kernel)
 
     def blockwise(per_letter):
-        blocks = engine.lumping.blocks(per_letter)
+        # block (s, s(a)) summed per pair by one bincount into (states,
+        # states, m, m), then node axes interleaved by a transpose
+        lumping, states = engine.lumping, len(engine.lumping.members)
+        keys = lumping.rows * states + lumping.state_of[lumping.feeding]
+        keys = (keys[:, None] * nodes * nodes + np.arange(nodes * nodes)).ravel()
+        blocks = np.bincount(keys, per_letter[lumping.feeding].ravel(),
+                             minlength=states * states * nodes * nodes)
+        blocks = blocks.reshape(states, states, nodes, nodes)
         return blocks.transpose(0, 2, 1, 3).reshape(engine.size, engine.size)
     scaled = kernel * np.exp(t * log_weights)[:, :, None]
     L, dL = engine.matrix(t, derivative=True)
