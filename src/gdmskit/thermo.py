@@ -599,13 +599,15 @@ class _LetterTables:
         self.build, self.held = build, {}  # m -> ({letter: row}, tables)
 
     def take(self, letters, m):
-        """The tables' rows of `letters`, in a copy of the caller's. The rows
-        of the letters new to the process are built in one batch and kept,
-        appended to a new pair, unless the process would then hold more
-        than `LETTER_TABLE_LIMIT` letters; then all of `letters` are built
-        for the caller alone. A held pair is read once and never changed,
-        so calls from several threads each index a consistent pair (at
-        worst one of them drops the letters another appended)."""
+        """The tables' rows of `letters`: a view of the first rows held when
+        `letters` are the first letters held, in order (every head {1..N}
+        of an integer alphabet), else a copy. The rows of the letters new to
+        the process are built in one batch and kept, appended to a new pair,
+        unless the process would then hold more than `LETTER_TABLE_LIMIT`
+        letters; then all of `letters` are built for the caller alone. A
+        held pair is read once and never changed, so calls from several
+        threads each index a consistent pair (at worst one of them drops
+        the letters another appended)."""
         rows, tables = self.held.get(m, ({}, None))
         new = [a for a in dict.fromkeys(letters) if a not in rows]
         if len(rows) + len(new) > LETTER_TABLE_LIMIT:
@@ -618,6 +620,8 @@ class _LetterTables:
             tables = [g.read_only(table) for table in built]
             self.held[m] = rows, tables
         order = [rows[a] for a in letters]
+        if order == list(range(len(order))):
+            return [table[:len(order)] for table in tables]
         return [table[order] for table in tables]
 
     def cache_clear(self):

@@ -1106,9 +1106,9 @@ class TestCertificatePlan:
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 0.0
 
-    def test_engines_copy_the_held_rows(self):
-        # any letter set, in any order, gets its rows bit for bit, in a
-        # copy of its own that the process's tables do not share
+    def test_heads_read_the_held_rows_in_place(self):
+        # heads {1..N} are the first letters held, in order: their engines
+        # read the process's rows; other letter sets get a copy of theirs
         _clear_process_tables()
         gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=8))
         head = cf_sys(gg.FULL, truncate=3).engines[0]
@@ -1118,9 +1118,10 @@ class TestCertificatePlan:
         for engine in (head, other):
             tables = thermo._letter_plan.held[engine.nodes][1]
             for k, table in enumerate(engine._plan[:4]):
-                assert not np.shares_memory(table, tables[k])
+                assert np.shares_memory(table, tables[k]) == (engine is head)
                 for row, a in zip(table, engine.letters.tolist()):
                     assert _same_bits(row, held[a, engine.nodes][k])
+        assert np.shares_memory(head.log_weights, thermo._letter_tables.held[head.nodes][1][0])
         assert len(held) == 8
 
     def test_process_keeps_at_most_the_limit(self, monkeypatch):
