@@ -15,7 +15,7 @@ system's bracket is [max lo, max hi] of its components' brackets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import thermo
 from .errors import ConvergenceError, InputError, NotApplicableError
 from .system import GdmsSystem
 from .thermo import COLLOCATION_NEWTON, PERRON_NEWTON  # the engines' dimension methods
-from .thermo import _component_root, _full_shift_pressure
+from .thermo import _component_root, _full_shift_pressure, _kept_root
 
 MORAN_EXACT = "moran-exact"
 EMPTY_LIMIT_SET = "empty-limit-set"
@@ -132,48 +132,40 @@ def _check_tolerance(tolerance):
         raise InputError(f"tolerance must be positive and finite, got {tolerance!r}")
 
 
-def _engine_root(block, tolerance):
-    """(root, Newton steps) of one pressure engine's `find_root`, kept as
-    its `root` with the tolerance it was solved at. A root kept at a
-    tolerance no looser than this one is returned with 0 steps; one kept at
-    a looser tolerance starts the search in place of its `newton_start`."""
-    if block.root is None:
-        t0 = block.newton_start(tolerance)
-    else:
-        root, solved_at = block.root
-        if solved_at <= tolerance:
-            return root, 0
-        t0 = root
-    root, steps = block.find_root(t0, tolerance)
-    block.root = root, tolerance
-    return root, steps
+def _engine_estimate(block, tolerance):
+    """One engine's DimensionEstimate: the `_kept_root` of the level serving
+    `tolerance` (`block.level`; the engine itself if a coarser one raises
+    ConvergenceError), whose steps it counts, and the `_certified_bracket`
+    around it from that level's bounds and `decay`. A similarity full shift
+    (one state holding every edge) is cross-checked against the Moran root,
+    the zero of `_full_shift_pressure`, and takes method MORAN_EXACT."""
+    for level in dict.fromkeys((block.level(tolerance), block)):
+        try:
+            root, steps = _kept_root(level, tolerance)
+            lo, hi = _certified_bracket(level.certified_pressure, root, tolerance, level.decay)
+            break
+        except ConvergenceError:
+            if level is block:
+                raise
+    method = block.dimension_method
+    if method == PERRON_NEWTON and block.lumping.members.all():
+        moran, _ = _component_root(lambda t: _full_shift_pressure(block.log_norms, t), tolerance)
+        if not (lo - tolerance <= moran <= hi + tolerance):
+            raise ConvergenceError(f"Perron-Newton bracket [{lo}, {hi}] disagrees "
+                                   f"with the Moran root {moran}")
+        method = MORAN_EXACT
+    return DimensionEstimate(lo, hi, method, steps)
 
 
 def _component_estimates(system, tolerance):
-    """A DimensionEstimate per component: every engine's root first
-    (`_engine_root`), then one `_certified_bracket` per distinct engine at
-    its root from its own bounds and `decay`. `iterations` counts the
-    component's own `_engine_root` steps, so components that share an
-    engine count them once. A similarity full shift (a PerronBlock with one
-    state holding every edge) is cross-checked against the Moran root, the
-    zero of `_full_shift_pressure`, and takes method MORAN_EXACT."""
+    """An `_engine_estimate` per component, once per distinct engine: a
+    later component of that engine takes it with 0 iterations."""
     _check_tolerance(tolerance)
-    blocks = system.engines
-    roots = [_engine_root(block, tolerance) for block in blocks]
-    certified = {}
-    for block, (root, _) in dict(zip(blocks, roots)).items():
-        lo, hi = _certified_bracket(block.certified_pressure, root, tolerance, block.decay)
-        method = block.dimension_method
-        if method == PERRON_NEWTON and block.lumping.members.all():
-            moran, _ = _component_root(
-                lambda t: _full_shift_pressure(block.log_norms, t), tolerance)
-            if not (lo - tolerance <= moran <= hi + tolerance):
-                raise ConvergenceError(f"Perron-Newton bracket [{lo}, {hi}] disagrees "
-                                       f"with the Moran root {moran}")
-            method = MORAN_EXACT
-        certified[block] = lo, hi, method
-    return tuple(DimensionEstimate(*certified[block], steps)
-                 for block, (_, steps) in zip(blocks, roots))
+    certified, estimates = {}, []
+    for block in system.engines:
+        estimates.append(replace(certified[block], iterations=0) if block in certified
+                         else certified.setdefault(block, _engine_estimate(block, tolerance)))
+    return tuple(estimates)
 
 
 def _combined(estimates, method):

@@ -408,36 +408,10 @@ def scc_decompose(system) -> SccReport:
     Everything else lands in the isolated set. Component i communicates
     with j when some admissible word leads from i to j, and (i, j) is a
     condensation arc when that word can pass through isolated edges only.
-    All of it is read on the quotient SCCs `system.sccs` (sink first) and `scc_of`.
+    The report is the system's `scc_report`, built once per system and
+    shared by every caller.
     """
-    ids, lumping, sccs, scc_of = system.edge_ids, system.lumping, system.sccs, system.scc_of
-    states, comp_of = len(lumping.members), [-1] * len(sccs)  # each SCC's component
-    # tag[c]: the state of an isolated edge c, states + the component of a cyclic one
-    tag = lumping.state_of.copy()
-    for i, comp in enumerate(system.component_positions):
-        comp_of[scc_of[tag[comp[0]]]] = i
-        tag[list(comp)] = states + i
-    isolated = frozenset(ids[e] for e in np.flatnonzero(tag < states).tolist())
-    later = grouped(scc_of[lumping.rows], scc_of[lumping.state_of[lumping.feeding]], len(sccs))
-    follow = grouped(lumping.rows, tag[lumping.feeding], states)
-    # reached[n]: the components but its own that SCC n leads to; bridged[s]: those state
-    # s leads to through isolated edges only, whose states lie in SCCs read before s's
-    reached, bridged = [], [None] * states
-    communication, condensation = set(), set()
-    for n, scc in enumerate(sccs):
-        reach = set()
-        for m in set(later[n]) - {n}:
-            reach |= reached[m] | ({comp_of[m]} - {-1})
-        for s in scc:
-            bridged[s] = set()
-            for t in follow[s]:
-                bridged[s] |= {t - states} if t >= states else bridged[t]
-        reached.append(reach)
-        if (i := comp_of[n]) >= 0:
-            communication.update((i, j) for j in reach)
-            condensation.update((i, j) for s in scc for j in bridged[s] if j != i)
-    return SccReport(system.components, frozenset(condensation), isolated,
-                     frozenset(communication))
+    return system.scc_report
 
 
 @dataclass(frozen=True)

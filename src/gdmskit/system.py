@@ -126,6 +126,39 @@ class GdmsSystem:
         return scc_of
 
     @cached_property
+    def scc_report(self):
+        """`graph.scc_decompose`'s report, read on `sccs` (sink first) and `scc_of`."""
+        ids, lumping, sccs, scc_of = self.edge_ids, self.lumping, self.sccs, self.scc_of
+        states, comp_of = len(lumping.members), [-1] * len(sccs)  # each SCC's component
+        # tag[c]: the state of an isolated edge c, states + the component of a cyclic one
+        tag = lumping.state_of.copy()
+        for i, comp in enumerate(self.component_positions):
+            comp_of[scc_of[tag[comp[0]]]] = i
+            tag[list(comp)] = states + i
+        isolated = frozenset(ids[e] for e in np.flatnonzero(tag < states).tolist())
+        later = g.grouped(scc_of[lumping.rows], scc_of[lumping.state_of[lumping.feeding]],
+                          len(sccs))
+        follow = g.grouped(lumping.rows, tag[lumping.feeding], states)
+        # reached[n]: the components but its own that SCC n leads to; bridged[s]: those state
+        # s leads to through isolated edges only, whose states lie in SCCs read before s's
+        reached, bridged = [], [None] * states
+        communication, condensation = set(), set()
+        for n, scc in enumerate(sccs):
+            reach = set()
+            for m in set(later[n]) - {n}:
+                reach |= reached[m] | ({comp_of[m]} - {-1})
+            for s in scc:
+                bridged[s] = set()
+                for t in follow[s]:
+                    bridged[s] |= {t - states} if t >= states else bridged[t]
+            reached.append(reach)
+            if (i := comp_of[n]) >= 0:
+                communication.update((i, j) for j in reach)
+                condensation.update((i, j) for s in scc for j in bridged[s] if j != i)
+        return g.SccReport(self.components, frozenset(condensation), isolated,
+                           frozenset(communication))
+
+    @cached_property
     def component_positions(self):
         """Sorted positions of each strongly connected component of the edge
         graph that carries a cycle, ordered by their first: the edges in the

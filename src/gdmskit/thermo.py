@@ -306,10 +306,27 @@ def _component_root(pressure_slope, tolerance, t0=0.0):
     raise ConvergenceError(f"Newton on the pressure took more than {STEP_CAP} steps")
 
 
+def _kept_root(block, tolerance):
+    """(root, Newton steps) of one pressure engine's `find_root`, kept as
+    its `root` with the tolerance it was solved at. A root kept at a
+    tolerance no looser than this one is returned with 0 steps; one kept at
+    a looser tolerance starts the search in place of its `newton_start`."""
+    if block.root is None:
+        t0 = block.newton_start(tolerance)
+    else:
+        root, solved_at = block.root
+        if solved_at <= tolerance:
+            return root, 0
+        t0 = root
+    root, steps = block.find_root(t0, tolerance)
+    block.root = root, tolerance
+    return root, steps
+
+
 class PerronBlock:
     """One irreducible block B(t) = A o exp(t log r) of a similarity system,
-    with the `size`, `matrix`, `find_root`, `certified_pressure`, `decay`
-    and `newton_start` of a CfCollocation.
+    with the `size`, `matrix`, `find_root`, `certified_pressure`, `decay`,
+    `newton_start` and `level` of a CfCollocation.
 
     A row of B(t) depends only on the edge's successor set, so the engine
     works on the k x k matrix M(t) of its `lumping` by successor sets (one
@@ -319,8 +336,8 @@ class PerronBlock:
     and takes one solve per step, by nonlinear inverse iteration; each
     `collatz_wielandt` call starts from the last vector, so at the root the
     certificate needs no solve, and near it about one. `root` is the
-    (root, tolerance) of the last Newton solve that
-    `dimension._component_estimates` ran on this engine, or None.
+    (root, tolerance) of the last Newton solve that `_kept_root` ran on
+    this engine, or None.
     """
 
     pressure_method, dimension_method = TRANSFER_MATRIX, PERRON_NEWTON
@@ -345,6 +362,10 @@ class PerronBlock:
         entrywise, and rho is monotone in the entries of a nonnegative
         matrix, so P(s) <= P(t) + (s - t) max ln r."""
         return _rounded_down(-float(self.log_norms.max()))
+
+    def level(self, tolerance):
+        """The engine that serves every tolerance (see CfCollocation): this one."""
+        return self
 
     def newton_start(self, tolerance) -> float:
         """Where Newton on this block starts: the root in [0, 1] of the
@@ -528,6 +549,10 @@ COLLOCATION_NODES = 20
 # full-size one (full N = 2 and 5, banded N = 8 and 20), so one full-size
 # step reaches the tolerance and the next confirms it.
 COARSE_NODES = 8
+# Least tolerance the coarse collocation serves alone (`CfCollocation.level`):
+# it certifies down to 1e-5 on full N <= 300, banded w = 1 N <= 120, w = 2
+# N <= 10 and w = 3, 5 N = 30, leaving a factor 10 for larger alphabets.
+COARSE_WIDTH = 1e-4
 # The certificate splits [0, 1] into equal panels and bounds the residual on
 # each through its interpolant at PANEL_POINTS first-kind Chebyshev points
 # (at least COLLOCATION_NODES), with the remainder estimated on the
@@ -583,8 +608,8 @@ def _panel_tables(m):
     return (reach, *map(g.read_only, tables), _node_tables(PANEL_POINTS)[1])
 
 
-# the letters per node count whose tables the process keeps: at 20 nodes
-# about 37.5 kB each, so at most 2.4 MB
+# the letters per node count whose tables the process keeps: about 37.5 kB
+# each at 20 nodes and 15 kB at 8, so at most 3.4 MB
 LETTER_TABLE_LIMIT = 64
 
 
@@ -695,8 +720,8 @@ class CfCollocation:
 
     and rho(L_t) = exp P(t). The unknowns are one function per state (one
     for the full rule), stored by its values at `nodes` first-kind
-    Chebyshev nodes x_i (COLLOCATION_NODES unless the engine is the coarse
-    one of `newton_start`). With l_j the Lagrange basis of the nodes and
+    Chebyshev nodes x_i (COLLOCATION_NODES unless the engine is the `coarse`
+    level of another). With l_j the Lagrange basis of the nodes and
     s(a) the state of letter a, the collocation matrix is
 
         L(t) = Q (K o exp(t Lam)),   K[(a, i), (s(a), j)] = l_j(1/(a + x_i)),
@@ -728,7 +753,7 @@ class CfCollocation:
         self.kernel = images @ self.to_coef
         # right vector of the last `_perron` or `find_root` call and the
         # `_state_sizes` at its t, from which the next call starts; the
-        # (root, tolerance) of the last `dimension._component_estimates` solve
+        # (root, tolerance) of the last `_kept_root` solve
         self.right = self.sizes = self.root = None
 
     @staticmethod
@@ -783,24 +808,37 @@ class CfCollocation:
         self.right, self.sizes = v, sizes
         return lam, upper, v
 
+    @cached_property
+    def coarse(self):
+        """The COARSE_NODES collocation of this block, kept for every later call."""
+        return CfCollocation(self.block, self.letters, COARSE_NODES)
+
+    def level(self, tolerance):
+        """The engine that serves `tolerance`: `coarse` from COARSE_WIDTH up, else this one."""
+        return self.coarse if tolerance >= COARSE_WIDTH else self
+
     def newton_start(self, tolerance) -> float:
-        """Where `find_root` here starts: the root that the COARSE_NODES
-        collocation of this block finds from the root of the state model
-        `model`, by Newton on `pressure_slope` from a cold vector at every
-        call (certificates at the edge of their width depend on its last
-        bits). Its vector, interpolated onto these nodes, becomes `right`, with
-        its `sizes`; when its search raises ConvergenceError, the model root
-        is returned and both are cleared; ConvergenceError unless positive.
-        """
-        model = self.model
-        model.right = None
-        start, _ = _component_root(model.pressure_slope, tolerance, model.newton_start(tolerance))
-        coarse = CfCollocation(self.block, self.letters, COARSE_NODES)
+        """Where `find_root` here starts. On the coarse level: the root of
+        the state model `model` from a cold vector, by its inverse iteration
+        from COARSE_WIDTH up, else by Newton on `pressure_slope`. Else the
+        `_kept_root` of `coarse`, cleared first below COARSE_WIDTH (tight
+        certificates depend on the last bits of a cold search), whose vector
+        interpolated onto these nodes becomes `right`, with its `sizes`; if
+        it raises ConvergenceError, the model root, with both cleared."""
+        if self.nodes == COARSE_NODES:
+            model, start = self.model, self.model.newton_start(tolerance)
+            model.right = None
+            if tolerance >= COARSE_WIDTH:
+                return model.find_root(start, tolerance)[0]
+            return _component_root(model.pressure_slope, tolerance, start)[0]
+        coarse = self.coarse
+        if tolerance < COARSE_WIDTH:
+            coarse.right = coarse.root = None
         try:
-            root, _ = coarse.find_root(start, tolerance)
+            root, _ = _kept_root(coarse, tolerance)
         except ConvergenceError:
             self.right = self.sizes = None
-            return start
+            return coarse.newton_start(tolerance)
         coef = coarse.right.reshape(-1, COARSE_NODES) @ coarse.to_coef.T
         right = (coef @ _interpolation_grid(self.nodes).T).ravel()
         if not right.min() > 0.0:

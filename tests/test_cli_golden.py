@@ -554,8 +554,8 @@ wall_time_s = *
 command = sweep
 spec = {d}/cf-full.gdms
 spec_sha256 = 836d81be899378a6e14d2be86543a68e28a19c3e360f7fa8158be920e2e4cb64
-sup_h_lo = 0.78869555748315745
-final_interval = [0.78869555748315745, 1]
+sup_h_lo = 0.78869559064876138
+final_interval = [0.78869559064876138, 1]
 monotone = True
 irreducible[2] = True
 irreducible[4] = True
@@ -564,8 +564,8 @@ wall_time_s = *
 """, "", {
         'sweep.csv': """\
 size,h_lo,h_hi
-2,0.5310305062772066,0.53153050627720655
-4,0.78869555748315745,0.78919555748315739
+2,0.53103052827062214,0.53153052827062208
+4,0.78869559064876138,0.78919559064876132
 """,
     }),
     'cf-banded-props': (0, """\

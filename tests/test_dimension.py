@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -631,6 +632,93 @@ class TestTwoLevelNewton:
         assert est.lo <= E2 <= est.hi
         assert est.width <= 1e-10 / 2
         assert est.iterations == 4
+
+
+class TestCoarseLevel:
+    # from COARSE_WIDTH up the 8-node collocation finds the root and
+    # certifies the bracket itself
+
+    @pytest.mark.parametrize("size", [8, 20, 40])
+    def test_loose_banded_dimension_takes_no_full_size_solve(self, size, monkeypatch):
+        solves = _solve_counter(monkeypatch)
+        est = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=size), 1e-3)
+        assert est.width <= 1e-3 / 2
+        assert solves.count(size * thermo.COLLOCATION_NODES) == 0
+        assert 0 < solves.count(size * thermo.COARSE_NODES) <= 6
+
+    def test_refused_coarse_certificate_hands_its_root_to_the_full_level(self, monkeypatch):
+        certified_pressure, find_root = (thermo.CfCollocation.certified_pressure,
+                                         thermo.CfCollocation.find_root)
+        starts = []
+
+        def coarse_refuses(self, t):
+            if self.nodes == thermo.COARSE_NODES:
+                raise gk.ConvergenceError("coarse certificate refused")
+            return certified_pressure(self, t)
+
+        def recorded(self, t0, tolerance):
+            starts.append((self.nodes, t0))
+            return find_root(self, t0, tolerance)
+        monkeypatch.setattr(thermo.CfCollocation, "certified_pressure", coarse_refuses)
+        monkeypatch.setattr(thermo.CfCollocation, "find_root", recorded)
+        sys = cf_sys(truncate=2)
+        est = gk.bowen_dimension(sys, 1e-3)
+        coarse = sys.engines[0].coarse
+        # the coarse root is searched for once and starts the 20-node level
+        assert starts == [(thermo.COARSE_NODES, starts[0][1]),
+                          (thermo.COLLOCATION_NODES, coarse.root[0])]
+        assert est.lo <= E2 <= est.hi and est.width <= 1e-3 / 2
+        assert sys.engines[0].root[1] == 1e-3 and 0 < est.iterations <= 2
+
+    def test_coarse_level_is_kept_and_the_tight_start_stays_cold(self):
+        # one coarse engine per collocation; after a loose dimension has
+        # warmed it, a tight start is still the one of a fresh engine
+        fresh = cf_sys(gg.BANDED, 1, truncate=8).engines[0]
+        engine = cf_sys(gg.BANDED, 1, truncate=8).engines[0]
+        assert engine.level(1e-3) is engine.coarse is engine.coarse
+        assert engine.level(thermo.COARSE_WIDTH) is engine.coarse
+        assert engine.level(math.nextafter(thermo.COARSE_WIDTH, 0.0)) is engine
+        block = gk.full_shift([0.3, 0.4]).engines[0]
+        assert block.level(1e-2) is block.level(1e-10) is block
+        gd._engine_estimate(engine, 1e-3)
+        assert engine.coarse.root[1] == 1e-3 and engine.root is None
+        assert engine.newton_start(1e-10) == fresh.newton_start(1e-10)
+        assert np.array_equal(engine.right, fresh.right)
+
+
+@cache
+def _tight_mid(kind, width, size):
+    """Midpoint of the 1e-12 bracket of the head {1..size} of a rule."""
+    return gk.bowen_dimension(cf_sys(kind, width, truncate=size), 1e-12).mid
+
+
+@st.composite
+def _rule_heads(draw):
+    """(kind, width, N) of a full (N <= 8), banded width 1 (N <= 40) or
+    banded width 2 (N <= 10) head."""
+    kind, width, most = draw(st.sampled_from([(gg.FULL, 1, 8), (gg.BANDED, 1, 40),
+                                              (gg.BANDED, 2, 10)]))
+    return kind, width, draw(st.integers(1, most))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rule_heads(), st.floats(thermo.COARSE_WIDTH, 1e-2))
+def test_loose_brackets_hold_the_tight_midpoint(head, tol):
+    kind, width, size = head
+    est = gk.bowen_dimension(cf_sys(kind, width, truncate=size), tol)
+    assert 0.0 <= est.lo <= est.hi <= 1.0 and est.width <= tol / 2
+    assert est.lo <= _tight_mid(kind, width, size) <= est.hi
+    if size == 2:  # every rule allows every pair of {1, 2}
+        assert est.lo <= E2 <= est.hi
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-10])
+def test_sweep_entries_are_the_dimensions_of_fresh_heads(tol):
+    infinite = cf_sys(gg.BANDED, 1)
+    sweep = gk.truncation_sweep(infinite, [2, 5, 8], tol)
+    for entry in sweep.entries:
+        est = gk.bowen_dimension(infinite.truncate(entry.size), tol)
+        assert entry.estimate == est
 
 
 @settings(max_examples=25, deadline=None)

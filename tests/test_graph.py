@@ -240,6 +240,22 @@ class TestScc:
         assert report.components == (frozenset({"a", "b"}),)
         assert report.isolated == frozenset({"x1", "x2"})
 
+    def test_report_is_built_once_per_system(self, monkeypatch):
+        # the report is kept on the system: a second call, and the one that
+        # classify makes, return it with no Tarjan or grouping pass
+        sys = two_component_system(r2=1 / 3, linked=True)
+        report = gk.scc_decompose(sys)
+        # a subsystem, even on the same edges, builds its own
+        assert gk.scc_decompose(sys.restrict(sys.edge_ids)) is not report
+
+        def refused(*args):
+            raise AssertionError("SCC pass repeated")
+        monkeypatch.setattr(gg, "tarjan_scc", refused)
+        monkeypatch.setattr(gg, "grouped", refused)
+        assert gk.scc_decompose(sys) is report
+        verdict = gk.classify_hausdorff_measure(sys, n_range=range(1, 4))
+        assert verdict.communicating_pairs == tuple(sorted(report.communication)) == ((0, 1),)
+
     def test_component_soundness_and_condensation_acyclic(self, rng):
         # every ordered pair inside a component is joined by a word using only
         # letters of that component; the condensation admits a topological sort
