@@ -7,9 +7,10 @@ safeguarded Newton steps (the engine's `find_root`) of nonlinear inverse
 iteration, one linear solve each: on the lumped transfer matrix of a
 similarity block from the row-sum model's root, or on the Chebyshev
 collocation of a continued-fraction transfer operator from the root of a
-coarser one. Each distinct engine then certifies the bracket around its root
-once, from its own proved pressure bounds and lower bound on -P', and the
-system's bracket is [max lo, max hi] of its components' brackets.
+coarser one, which serves tolerances from 1e-4 up alone. The level that found
+a root certifies the bracket around it once per distinct engine, from its own
+proved pressure bounds and lower bound on -P', and the system's bracket is
+[max lo, max hi] of its components' brackets.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def bowen_dimension(system: GdmsSystem, tolerance: float = 1e-10,
     nonlinear inverse iteration, a similarity block falling back to
     Perron-Newton steps), certified once per distinct engine or refused (see
     `_certified_bracket`): a component that cannot certify its bracket
-    refuses the system's, largest root or not. `iterations` counts the
-    full-size Newton steps over the distinct engines (`GdmsSystem.engines`).
+    refuses the system's, largest root or not. `iterations` counts the Newton
+    steps of the certifying levels of the distinct engines (`GdmsSystem.engines`).
     The method is MORAN_EXACT when the one cyclic component is a similarity
     full shift, whose bracket is cross-checked against the root of Moran's
     equation sum r_e^h = 1. `n_max` is accepted for compatibility and does
