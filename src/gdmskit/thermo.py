@@ -747,14 +747,20 @@ class CfCollocation:
             raise ResourceGuardError(
                 f"collocation matrix of size {self.size} exceeds count guard of {guard}")
         self.letters = np.array(letters, dtype=float)
-        self.model = PerronBlock(self.lumping, -2.0 * np.log(self.letters + 0.5))
         self.to_coef = _node_tables(nodes)[1]
         self.log_weights, images = _letter_tables.take(self.letters.tolist(), nodes)
         self.kernel = images @ self.to_coef
         # right vector of the last `_perron` or `find_root` call and the
-        # `_state_sizes` at its t, from which the next call starts; the
-        # (root, tolerance) of the last `_kept_root` solve
-        self.right = self.sizes = self.root = None
+        # `_state_sizes` it was scaled by, from which the next call starts;
+        # `at`, the t where a loose search left `right` (see `_start`), else
+        # None; the (root, tolerance) of the last `_kept_root` solve
+        self.right = self.sizes = self.at = self.root = None
+
+    @cached_property
+    def model(self):
+        """The state model: a PerronBlock on `lumping` whose letter a has
+        log-weight ln (a + 1/2)^-2, one per block, which `coarse` shares."""
+        return PerronBlock(self.lumping, -2.0 * np.log(self.letters + 0.5))
 
     @staticmethod
     def letter_values(system, idx):
@@ -778,7 +784,10 @@ class CfCollocation:
         The weights a^(-2t) at x = 0 bound rho(L_t), but along a band the
         ratios of neighbouring states compound their excess: on banded
         N = 40 for t in [0.24, 0.54], a start built from them errs by
-        factors spanning e^8.5, one built from these by e^1.6.
+        factors spanning e^8.5, one built from these by e^1.6. From
+        COARSE_WIDTH up the coarse level's first sizes are not computed
+        here: they are the vector the model's own root search ended with
+        (`newton_start`), and this runs only when a later call moves t.
         """
         # one state: `collatz_wielandt` would return [1.0] itself, with no
         # solve, while the entry sums a weight above e^-700 (no underflow)
@@ -787,12 +796,16 @@ class CfCollocation:
         return collatz_wielandt(self.model.matrix(t), start)[2]
 
     def _start(self, t):
-        """(x, `_state_sizes(t)`): x is the sizes on every node for a fresh
-        engine, after a failed search and at t = 0, where they are exact,
-        else the previous right vector times the change of the sizes."""
+        """(x, sizes): x is the `_state_sizes(t)` on every node for a fresh
+        engine, after a failed search and at t = 0, where they are exact;
+        `right` and `sizes` unchanged at `at`, where a loose search left
+        them; else the previous right vector times the change of the sizes
+        from `sizes` to `_state_sizes(t)`."""
         if self.right is None or t == 0.0 or not self.right.min() > 0.0:
             sizes = self._state_sizes(t)
             return np.repeat(sizes, self.nodes), sizes
+        if t == self.at:
+            return self.right, self.sizes
         sizes = self._state_sizes(t, self.sizes)
         return self.right * np.repeat(sizes / self.sizes, self.nodes), sizes
 
@@ -805,13 +818,16 @@ class CfCollocation:
         except _Underflow as exc:
             raise ConvergenceError(f"the collocation's state functions span more than the "
                                    f"double range at t = {t!r}") from exc
-        self.right, self.sizes = v, sizes
+        self.right, self.sizes, self.at = v, sizes, None
         return lam, upper, v
 
     @cached_property
     def coarse(self):
-        """The COARSE_NODES collocation of this block, kept for every later call."""
-        return CfCollocation(self.block, self.letters, COARSE_NODES)
+        """The COARSE_NODES collocation of this block, kept for every later
+        call, with this engine's `model`."""
+        coarse = CfCollocation(self.block, self.letters, COARSE_NODES)
+        coarse.model = self.model
+        return coarse
 
     def level(self, tolerance):
         """The engine that serves `tolerance`: `coarse` from COARSE_WIDTH up, else this one."""
@@ -819,18 +835,23 @@ class CfCollocation:
 
     def newton_start(self, tolerance) -> float:
         """Where `find_root` here starts. On the coarse level: the root of
-        the state model `model` from a cold vector, by its inverse iteration
-        from COARSE_WIDTH up, else by Newton on `pressure_slope`. Else the
-        `_kept_root` of `coarse`, cleared first below COARSE_WIDTH (tight
-        certificates depend on the last bits of a cold search), whose vector
-        interpolated onto these nodes becomes `right`, with its `sizes`; if
-        it raises ConvergenceError, the model root, with both cleared."""
+        the state model `model` from a cold vector. From COARSE_WIDTH up it is
+        found by the model's inverse iteration, whose final vector becomes
+        `sizes` at `at`, the model root, and `right` on every node, so the
+        search starts with no sizes pass; below, by Newton on
+        `pressure_slope`. Else the `_kept_root` of `coarse`, cleared first
+        below COARSE_WIDTH (tight certificates depend on the last bits of a
+        cold search), whose vector interpolated onto these nodes becomes
+        `right`, with its `sizes`; if it raises ConvergenceError, the model
+        root, with both cleared."""
         if self.nodes == COARSE_NODES:
             model, start = self.model, self.model.newton_start(tolerance)
             model.right = None
-            if tolerance >= COARSE_WIDTH:
-                return model.find_root(start, tolerance)[0]
-            return _component_root(model.pressure_slope, tolerance, start)[0]
+            if tolerance < COARSE_WIDTH:
+                return _component_root(model.pressure_slope, tolerance, start)[0]
+            root = model.find_root(start, tolerance)[0]
+            self.right, self.sizes, self.at = np.repeat(model.right, self.nodes), model.right, root
+            return root
         coarse = self.coarse
         if tolerance < COARSE_WIDTH:
             coarse.right = coarse.root = None
@@ -843,7 +864,7 @@ class CfCollocation:
         right = (coef @ _interpolation_grid(self.nodes).T).ravel()
         if not right.min() > 0.0:
             raise ConvergenceError("coarse collocation vector does not interpolate positive")
-        self.right, self.sizes = right, coarse.sizes
+        self.right, self.sizes, self.at = right, coarse.sizes, None
         return root
 
     def _inverse_step(self, t):
@@ -865,14 +886,20 @@ class CfCollocation:
 
     def find_root(self, t0, tolerance):
         """(root, steps) of `_component_root` on `_inverse_step` from t0 and
-        `_start(t0)`. The final vector stays as `right`, with `_state_sizes`
-        at the root as `sizes`; ConvergenceError unless it is positive."""
+        `_start(t0)`. The final vector stays as `right`; ConvergenceError
+        unless it is positive. Below COARSE_WIDTH the `_state_sizes` at the
+        root become `sizes`; from it up `sizes` stay those of the start and
+        `at` is the root, so a certificate there starts from `right`
+        unchanged and runs no sizes pass."""
         start, self.sizes = self._start(t0)
-        self.right = start / start.sum()
+        self.right, self.at = start / start.sum(), None
         root, steps = _component_root(self._inverse_step, tolerance, t0)
         if not self.right.min() > 0.0:
             raise ConvergenceError(f"inverse iteration vector at t = {root!r} is not positive")
-        self.sizes = self._state_sizes(root, self.sizes)
+        if tolerance >= COARSE_WIDTH:
+            self.at = root
+        else:
+            self.sizes = self._state_sizes(root, self.sizes)
         return root, steps
 
     def certified_pressure(self, t):

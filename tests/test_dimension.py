@@ -638,13 +638,27 @@ class TestCoarseLevel:
     # from COARSE_WIDTH up the 8-node collocation finds the root and
     # certifies the bracket itself
 
-    @pytest.mark.parametrize("size", [8, 20, 40])
-    def test_loose_banded_dimension_takes_no_full_size_solve(self, size, monkeypatch):
+    @pytest.mark.parametrize("size, model_solves", [(8, 14), (20, 18), (40, 26)])
+    def test_loose_banded_dimension_takes_no_full_size_solve(self, size, model_solves,
+                                                             monkeypatch):
+        # the state model's solves (size N) are its own root search and the
+        # sizes passes at the certificate's ends: its root vector is the
+        # coarse level's first sizes, and the certificate at the coarse root
+        # starts from the search's vector (24/31/44 when both were recomputed)
         solves = _solve_counter(monkeypatch)
         est = gk.bowen_dimension(cf_sys(gg.BANDED, 1, truncate=size), 1e-3)
         assert est.width <= 1e-3 / 2
         assert solves.count(size * thermo.COLLOCATION_NODES) == 0
         assert 0 < solves.count(size * thermo.COARSE_NODES) <= 6
+        assert solves.count(size) <= model_solves
+
+    def test_loose_sweep_takes_few_solves(self, monkeypatch):
+        # 74 solves when each head's sizes were recomputed at the model and
+        # coarse roots
+        solves = _solve_counter(monkeypatch)
+        sweep = gk.truncation_sweep(cf_sys(gg.BANDED, 1), [4, 6, 8], 1e-3)
+        assert all(e.estimate.width <= 1e-3 / 2 for e in sweep.entries)
+        assert len(solves) <= 45
 
     def test_refused_coarse_certificate_hands_its_root_to_the_full_level(self, monkeypatch):
         certified_pressure, find_root = (thermo.CfCollocation.certified_pressure,
@@ -684,6 +698,21 @@ class TestCoarseLevel:
         assert engine.coarse.root[1] == 1e-3 and engine.root is None
         assert engine.newton_start(1e-10) == fresh.newton_start(1e-10)
         assert np.array_equal(engine.right, fresh.right)
+
+    def test_levels_share_one_state_model(self):
+        engine = cf_sys(gg.BANDED, 1, truncate=8).engines[0]
+        assert engine.coarse.model is engine.model
+
+    @pytest.mark.parametrize("kind, width, size", [(gg.FULL, 1, 2), (gg.BANDED, 1, 8),
+                                                   (gg.BANDED, 1, 20), (gg.BANDED, 2, 10)])
+    def test_tight_dimension_after_a_loose_one_is_a_cold_one(self, kind, width, size):
+        # whatever state the loose level leaves on the engines, a tight
+        # dimension after it is the one of a fresh system, bit for bit
+        fresh = gk.bowen_dimension(cf_sys(kind, width, truncate=size), 1e-10)
+        warmed = cf_sys(kind, width, truncate=size)
+        gk.bowen_dimension(warmed, 1e-3)
+        est = gk.bowen_dimension(warmed, 1e-10)
+        assert (est.lo, est.hi, est.iterations) == (fresh.lo, fresh.hi, fresh.iterations)
 
 
 @cache
